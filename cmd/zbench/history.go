@@ -12,9 +12,10 @@ import (
 // manycore SoC: what recording adds to every tick (the commit hook
 // streams committed deltas into the ring), and what a seek back costs as
 // a function of distance (nearest keyframe + deterministic forward
-// replay, so latency is bounded by the keyframe interval, not the
-// distance travelled). The SoC size is fixed at 48 cores regardless of
-// -cores: this is a tick bench, not a synthesis bench.
+// replay, then a write-back of only the frames whose state differs). The
+// SoC size is fixed at 48 cores regardless of -cores: this is a tick
+// bench, not a synthesis bench. Its en input is driven high so the cores
+// run and the seeks cross real state changes.
 func historyExp(int) error {
 	header("Time-travel history: record overhead per tick and seek latency vs distance")
 	const socCores = 48
@@ -26,6 +27,9 @@ func historyExp(int) error {
 			History: hc,
 		})
 		if err != nil {
+			return 0, nil, err
+		}
+		if err := sess.PokeInput("en", 1); err != nil {
 			return 0, nil, err
 		}
 		sess.Run(warm)
@@ -62,7 +66,8 @@ func historyExp(int) error {
 	// Seek latency vs distance: pause at the tip, then travel back 10,
 	// 100, 1000 and (with more recorded past) nearly 10k cycles. Between
 	// timed seeks the cursor returns to the tip untimed, so every
-	// measurement is a cold seek of exactly that distance.
+	// measurement is a cold seek of exactly that distance. Each row also
+	// counts the configuration frames the seek read and wrote.
 	if err := sess.Pause(); err != nil {
 		return err
 	}
@@ -70,7 +75,9 @@ func historyExp(int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%-44s %12s\n", "seek distance (cycles back from tip)", "latency")
+	stats := &sess.Cable.Chain.Stats
+	fmt.Printf("\n%-44s %12s %12s %12s\n", "seek distance (cycles back from tip)", "latency", "frames read", "frames wrote")
+	minWrote := -1
 	for _, dist := range []uint64{10, 100, 1000, 8000} {
 		if dist >= tip {
 			continue
@@ -78,14 +85,57 @@ func historyExp(int) error {
 		if _, err := sess.Seek(tip); err != nil {
 			return err
 		}
+		r0, w0 := stats.FramesRead, stats.FramesWritten
 		start := time.Now()
 		if _, err := sess.Seek(tip - dist); err != nil {
 			return err
 		}
-		fmt.Printf("%-44d %12s\n", dist, time.Since(start).Round(time.Microsecond))
+		lat := time.Since(start).Round(time.Microsecond)
+		read, wrote := stats.FramesRead-r0, stats.FramesWritten-w0
+		if minWrote < 0 || wrote < minWrote {
+			minWrote = wrote
+		}
+		fmt.Printf("%-44d %12s %12d %12d\n", dist, lat, read, wrote)
 	}
-	fmt.Println("\nseek cost is keyframe-bounded: the engine restores the nearest keyframe")
-	fmt.Println("at or before the target and replays forward at most one interval, so a")
-	fmt.Println("10x longer rewind does not cost 10x the latency (DESIGN.md §5).")
+
+	// Reference row: the tip's full-scope state restored onto a freshly
+	// configured board — what a board migration or fleet import pays, and
+	// what every seek paid before restores diffed against the live state.
+	if _, err := sess.Seek(tip); err != nil {
+		return err
+	}
+	snap, err := sess.Snapshot("")
+	if err != nil {
+		return err
+	}
+	fresh, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
+		Watches: []string{"checksum"},
+		History: &zoomie.HistoryConfig{Disable: true},
+	})
+	if err != nil {
+		return err
+	}
+	defer fresh.Close()
+	if err := fresh.Pause(); err != nil {
+		return err
+	}
+	fstats := &fresh.Cable.Chain.Stats
+	r0, w0 := fstats.FramesRead, fstats.FramesWritten
+	start := time.Now()
+	if err := fresh.Restore(snap); err != nil {
+		return err
+	}
+	fullWrote := fstats.FramesWritten - w0
+	fmt.Printf("%-44s %12s %12d %12d\n", "full-scope restore onto a fresh board",
+		time.Since(start).Round(time.Microsecond), fstats.FramesRead-r0, fullWrote)
+	if minWrote >= 0 && minWrote < fullWrote {
+		fmt.Printf("self-check: a seek writes fewer frames than the full restore (%d < %d) ok\n", minWrote, fullWrote)
+	} else {
+		fmt.Printf("self-check FAILED: no seek wrote fewer frames than the full restore (%d)\n", fullWrote)
+	}
+	fmt.Println("\nseek cost scales with the state that changed: the engine restores the")
+	fmt.Println("nearest keyframe at or before the target, replays forward at most one")
+	fmt.Println("interval, and writes back only the frames holding a value that differs")
+	fmt.Println("from the board's live state (DESIGN.md §5).")
 	return nil
 }

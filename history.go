@@ -9,12 +9,16 @@ package zoomie
 // branch timelines on real (modeled) hardware, with recording cost
 // proportional to design activity.
 //
-// Every restore goes through Debugger.ReplayFrom — the single replay
-// primitive — so history restores exercise exactly the snapshot/restore
+// Every restore goes through Debugger.RestoreFrames — the one restore
+// path — so history restores exercise exactly the snapshot/restore
 // machinery (SLR-aware frame plans, guarded-cable semantic verification)
-// that explicit checkpoints do.
+// that explicit checkpoints do. A history restore selects only the frames
+// holding a value that differs from the board, as the engine's live
+// mirror reports it, so a seek pays for what changed rather than for the
+// size of the design.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -86,10 +90,13 @@ func (s *Session) DetachHistory() *history.Engine {
 // AdoptHistory transplants a detached history engine onto this
 // session's board, replacing any engine of its own. This is the
 // board-migration hook: the server calls it on the replacement session
-// before restoring the last-good snapshot, so the restore itself is
-// recorded (as host writes) and the debugging history survives the
-// hardware swap. The designs must have identical state layouts (the
-// deterministic recompile of the same design guarantees this).
+// before restoring the last-good snapshot, so the engine's live mirror
+// tracks the restore and the debugging history survives the hardware
+// swap. The adopted engine serves the recorded past but records nothing
+// new: a zfleet checkpoint ships the whole ring in one wire frame, and a
+// ring that kept growing after every failover would outgrow the frame
+// limit (ROADMAP item 3). The designs must have identical state layouts
+// (the deterministic recompile of the same design guarantees this).
 func (s *Session) AdoptHistory(h *history.Engine) error {
 	if h == nil {
 		return nil
@@ -100,6 +107,7 @@ func (s *Session) AdoptHistory(h *history.Engine) error {
 	if s.hist != nil {
 		s.hist.Detach()
 	}
+	h.Suspend(true)
 	s.hist = h
 	return nil
 }
@@ -159,25 +167,40 @@ func (s *Session) captureTriggerConfig() (*trigOverlay, error) {
 	return &trigOverlay{names: names, vals: vals}, nil
 }
 
-// applyHistState writes a reconstructed state onto the board: registers
-// and memories through ReplayFrom (partial reconfiguration), input
-// ports through board-level pokes, then the trigger overlay plus the
-// pause controls in one planned write. leavePaused selects whether the
-// design holds (a seek) or free-runs (a reverse-continue probe).
-func (s *Session) applyHistState(st *history.State, trig *trigOverlay, leavePaused bool) error {
-	snap := &DebugSnapshot{Cycle: st.Cycle, Regs: st.Regs, Mems: st.Mems}
-	if err := s.ReplayFrom(snap, 0); err != nil {
+// restoreLive writes registers and memories onto the board (partial
+// reconfiguration) through only the frames holding a value that differs
+// from the live state, then drives the input ports. The design must
+// already be paused: pausing ticks the board, which would overtake the
+// diff.
+func (s *Session) restoreLive(regs map[string]uint64, mems map[string][]uint64, inputs map[string]uint64) error {
+	d := s.hist.LiveDiff(regs, mems)
+	snap := &DebugSnapshot{Regs: regs, Mems: mems}
+	if err := s.RestoreFrames(context.Background(), snap, s.FramesOf(d.Regs, d.Words)); err != nil {
 		return err
 	}
-	inputs := make([]string, 0, len(st.Inputs))
-	for n := range st.Inputs {
-		inputs = append(inputs, n)
+	names := make([]string, 0, len(inputs))
+	for n := range inputs {
+		names = append(names, n)
 	}
-	sort.Strings(inputs)
-	for _, n := range inputs {
-		if err := s.PokeInput(n, st.Inputs[n]); err != nil {
+	sort.Strings(names)
+	for _, n := range names {
+		if err := s.PokeInput(n, inputs[n]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// applyHistState writes a reconstructed state onto the board, then the
+// trigger overlay plus the pause controls in one planned write.
+// leavePaused selects whether the design holds (a seek) or free-runs (a
+// reverse-continue probe).
+func (s *Session) applyHistState(st *history.State, trig *trigOverlay, leavePaused bool) error {
+	if err := s.pauseIfRunning(); err != nil {
+		return err
+	}
+	if err := s.restoreLive(st.Regs, st.Mems, st.Inputs); err != nil {
+		return err
 	}
 	pausedV := uint64(0)
 	if leavePaused {
@@ -389,24 +412,14 @@ func (s *Session) LoadState(name string) (uint64, error) {
 		return 0, err
 	}
 	ctl := core.Prefix + "."
-	snap := &DebugSnapshot{Cycle: st.Cycle, Regs: make(map[string]uint64, len(st.Regs)), Mems: st.Mems}
+	regs := make(map[string]uint64, len(st.Regs))
 	for n, v := range st.Regs {
 		if !strings.HasPrefix(n, ctl) {
-			snap.Regs[n] = v
+			regs[n] = v
 		}
 	}
-	if err := s.ReplayFrom(snap, 0); err != nil {
+	if err := s.restoreLive(regs, st.Mems, st.Inputs); err != nil {
 		return 0, err
-	}
-	inputs := make([]string, 0, len(st.Inputs))
-	for n := range st.Inputs {
-		inputs = append(inputs, n)
-	}
-	sort.Strings(inputs)
-	for _, n := range inputs {
-		if err := s.PokeInput(n, st.Inputs[n]); err != nil {
-			return 0, err
-		}
 	}
 	return s.Cycles()
 }

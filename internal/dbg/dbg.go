@@ -320,28 +320,6 @@ func (d *Debugger) Inspect(prefix string) ([]string, error) {
 	return out, nil
 }
 
-func getBits(frame []uint32, off, width int) uint64 {
-	var v uint64
-	for i := 0; i < width; i++ {
-		bit := off + i
-		if frame[bit/32]>>uint(bit%32)&1 != 0 {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-func putBits(frame []uint32, off, width int, v uint64) {
-	for i := 0; i < width; i++ {
-		bit := off + i
-		if v>>uint(i)&1 != 0 {
-			frame[bit/32] |= 1 << uint(bit%32)
-		} else {
-			frame[bit/32] &^= 1 << uint(bit%32)
-		}
-	}
-}
-
 // qualifyPrefix resolves a user instance prefix under "dut." when needed.
 func (d *Debugger) qualifyPrefix(prefix string) string {
 	if prefix == "" {

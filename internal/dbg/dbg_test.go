@@ -216,6 +216,51 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	}
 }
 
+// TestRestoreWritesOnlyChangedFrames pins the write-back rule every
+// restore follows: a snapshot that already equals the board writes zero
+// frames, and after one register changes only that register's frame is
+// written back, though every frame the snapshot touches is read.
+func TestRestoreWritesOnlyChangedFrames(t *testing.T) {
+	d := session(t, counterDesign(), core.Config{UserClock: "clk"}, "clk")
+	d.Run(50)
+	if err := d.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := d.Snapshot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nAll := 0
+	for _, fs := range d.Image.Map.FramesTouched(nil) {
+		nAll += len(fs)
+	}
+	stats := &d.Cable.Chain.Stats
+	r0, w0 := stats.FramesRead, stats.FramesWritten
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.FramesWritten - w0; got != 0 {
+		t.Errorf("restore of the board's own state wrote %d frames, want 0", got)
+	}
+	if got := stats.FramesRead - r0; got != nAll {
+		t.Errorf("full restore read %d frames, want all %d", got, nAll)
+	}
+
+	if err := d.Poke("cnt", 7); err != nil {
+		t.Fatal(err)
+	}
+	w0 = stats.FramesWritten
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.FramesWritten - w0; got != 1 {
+		t.Errorf("restore after one poke wrote %d frames, want 1", got)
+	}
+	if v, _ := d.Peek("cnt"); v != snap.Regs["dut.cnt"] {
+		t.Errorf("restored cnt = %d, want %d", v, snap.Regs["dut.cnt"])
+	}
+}
+
 func TestSnapshotUnknownScope(t *testing.T) {
 	d := session(t, counterDesign(), core.Config{UserClock: "clk"}, "clk")
 	if _, err := d.Snapshot("bogus.scope"); err == nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"zoomie/internal/dberr"
+	"zoomie/internal/fpga"
 )
 
 // PlanItem is one request in a batched frame plan: a register or one
@@ -171,7 +172,7 @@ func (d *Debugger) ReadPlan(ctx context.Context, items []PlanItem) ([]uint64, er
 	vals := make([]uint64, len(items))
 	for i, s := range p.slots {
 		if fd := frameData[[2]int{s.slr, s.frame}]; fd != nil {
-			vals[i] = getBits(fd, s.bit, s.width)
+			vals[i] = fpga.GetBits(fd, s.bit, s.width)
 		}
 	}
 	if err != nil {
@@ -220,7 +221,7 @@ func (d *Debugger) WritePlan(ctx context.Context, items []PlanItem) error {
 			if s.slr != slr {
 				continue
 			}
-			putBits(index[s.frame], s.bit, s.width, items[i].Value)
+			fpga.PutBits(index[s.frame], s.bit, s.width, items[i].Value)
 		}
 		if err := d.Cable.WritebackFramesCtx(ctx, slr, frames, data); err != nil {
 			if ctx.Err() != nil {

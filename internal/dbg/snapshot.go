@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"zoomie/internal/fpga"
 	"zoomie/internal/jtag"
 )
 
@@ -85,14 +86,14 @@ func (d *Debugger) SnapshotCtx(ctx context.Context, prefix string) (*Snapshot, e
 	for _, name := range regs {
 		loc, _ := d.Image.Map.Reg(name)
 		frame := frameData[[2]int{loc.Addr.SLR, loc.Addr.Frame}]
-		snap.Regs[name] = getBits(frame, loc.Addr.Bit, loc.Width)
+		snap.Regs[name] = fpga.GetBits(frame, loc.Addr.Bit, loc.Width)
 	}
 	for _, name := range mems {
 		loc, _ := d.Image.Map.Mem(name)
 		words := make([]uint64, loc.Depth)
 		for w := 0; w < loc.Depth; w++ {
 			wa := loc.WordAddr(w)
-			words[w] = getBits(frameData[[2]int{wa.SLR, wa.Frame}], wa.Bit, loc.Width)
+			words[w] = fpga.GetBits(frameData[[2]int{wa.SLR, wa.Frame}], wa.Bit, loc.Width)
 		}
 		snap.Mems[name] = words
 	}
@@ -104,45 +105,14 @@ func (d *Debugger) SnapshotCtx(ctx context.Context, prefix string) (*Snapshot, e
 
 // Restore writes a snapshot back through partial reconfiguration,
 // touching only the frames that hold the snapshot's state and leaving
-// everything else intact (§4.7 "Resuming from Snapshot Data"). On a
-// guarded cable the restore is additionally verified semantically: the
-// restored scope is re-read and every snapshot value compared, with
-// mismatching entries rewritten — catching corruption that slips in
-// between the transport's own verify-after-write and the final state.
+// everything else intact (§4.7 "Resuming from Snapshot Data"). It is
+// RestoreFrames with every frame the snapshot touches selected.
 func (d *Debugger) Restore(snap *Snapshot) error {
 	return d.RestoreCtx(context.Background(), snap)
 }
 
 // RestoreCtx is Restore under a context.
 func (d *Debugger) RestoreCtx(ctx context.Context, snap *Snapshot) error {
-	if err := d.restoreOnce(ctx, snap); err != nil {
-		return err
-	}
-	if !d.Cable.Guarded() {
-		return nil
-	}
-	for attempt := 0; ; attempt++ {
-		bad, err := d.restoreMismatch(ctx, snap)
-		if err != nil {
-			return err
-		}
-		if bad == nil {
-			return nil
-		}
-		if attempt >= 2 {
-			return fmt.Errorf("%w: %d snapshot entries failed semantic verification after restore",
-				jtag.ErrVerify, len(bad.Regs)+len(bad.Mems))
-		}
-		if err := d.restoreOnce(ctx, bad); err != nil {
-			return err
-		}
-	}
-}
-
-// restoreMismatch re-reads every frame the snapshot touches and returns a
-// filtered snapshot holding only the entries whose board state disagrees
-// with the snapshot — nil when everything matches.
-func (d *Debugger) restoreMismatch(ctx context.Context, snap *Snapshot) (*Snapshot, error) {
 	names := make(map[string]bool, len(snap.Regs)+len(snap.Mems))
 	for n := range snap.Regs {
 		names[n] = true
@@ -150,99 +120,204 @@ func (d *Debugger) restoreMismatch(ctx context.Context, snap *Snapshot) (*Snapsh
 	for n := range snap.Mems {
 		names[n] = true
 	}
-	frameData, err := d.readFrameSet(ctx, d.Image.Map.FramesTouched(names))
-	if err != nil {
-		return nil, err
-	}
-	bad := &Snapshot{
-		Scope: snap.Scope,
-		Cycle: snap.Cycle,
-		Regs:  make(map[string]uint64),
-		Mems:  make(map[string][]uint64),
-	}
-	for name, v := range snap.Regs {
-		loc, _ := d.Image.Map.Reg(name)
-		if getBits(frameData[[2]int{loc.Addr.SLR, loc.Addr.Frame}], loc.Addr.Bit, loc.Width) != v {
-			bad.Regs[name] = v
+	return d.RestoreFrames(ctx, snap, d.Image.Map.FramesTouched(names))
+}
+
+// FramesOf returns, per SLR, the sorted frames holding the named
+// registers and the listed words of the named memories. Names this image
+// does not hold are ignored.
+func (d *Debugger) FramesOf(regs []string, words map[string][]int) map[int][]int {
+	seen := make(map[[2]int]bool)
+	out := make(map[int][]int)
+	add := func(slr, frame int) {
+		if k := [2]int{slr, frame}; !seen[k] {
+			seen[k] = true
+			out[slr] = append(out[slr], frame)
 		}
 	}
-	for name, words := range snap.Mems {
-		loc, _ := d.Image.Map.Mem(name)
-		for w, v := range words {
-			wa := loc.WordAddr(w)
-			if getBits(frameData[[2]int{wa.SLR, wa.Frame}], wa.Bit, loc.Width) != v {
-				bad.Mems[name] = words
-				break
+	for _, n := range regs {
+		if loc, ok := d.Image.Map.Reg(n); ok {
+			add(loc.Addr.SLR, loc.Addr.Frame)
+		}
+	}
+	for n, addrs := range words {
+		if loc, ok := d.Image.Map.Mem(n); ok {
+			for _, a := range addrs {
+				if a >= 0 && a < loc.Depth {
+					wa := loc.WordAddr(a)
+					add(wa.SLR, wa.Frame)
+				}
 			}
 		}
 	}
-	if len(bad.Regs) == 0 && len(bad.Mems) == 0 {
-		return nil, nil
+	for _, fs := range out {
+		sort.Ints(fs)
 	}
-	return bad, nil
+	return out
 }
 
-// restoreOnce performs one read-modify-write restore pass.
-func (d *Debugger) restoreOnce(ctx context.Context, snap *Snapshot) error {
-	names := make(map[string]bool, len(snap.Regs)+len(snap.Mems))
-	for n := range snap.Regs {
-		if _, ok := d.Image.Map.Reg(n); !ok {
-			return fmt.Errorf("dbg: snapshot register %q not in this image", n)
+// RestoreFrames is the one restore path. It reads back the selected
+// frames, patches in every snapshot value they hold, and writes back only
+// the frames whose bits changed. Snapshot state outside the selection
+// must already hold its value on the board: Restore selects every frame
+// the snapshot touches, while a time-travel seek selects just the frames
+// holding a value that differs from the live state. On a guarded cable
+// the restore is additionally verified semantically: every frame written
+// is re-read and its snapshot values compared, with mismatching frames
+// restored again — catching corruption that slips in between the
+// transport's own verify-after-write and the final state.
+func (d *Debugger) RestoreFrames(ctx context.Context, snap *Snapshot, frames map[int][]int) error {
+	fields, err := d.placeSnapshot(snap)
+	if err != nil {
+		return err
+	}
+	written, err := d.restoreOnce(ctx, fields, frames)
+	if err != nil || !d.Cable.Guarded() {
+		return err
+	}
+	for attempt := 0; ; attempt++ {
+		bad, n, err := d.restoreMismatch(ctx, fields, written)
+		if err != nil {
+			return err
 		}
-		names[n] = true
+		if n == 0 {
+			return nil
+		}
+		if attempt >= 2 {
+			return fmt.Errorf("%w: %d snapshot values failed semantic verification after restore",
+				jtag.ErrVerify, n)
+		}
+		if written, err = d.restoreOnce(ctx, fields, bad); err != nil {
+			return err
+		}
+	}
+}
+
+// fieldRun is a run of equal-width snapshot values packed from one bit
+// offset of one frame: a register, or the words of a memory that share a
+// frame.
+type fieldRun struct {
+	bit, width int
+	vals       []uint64
+}
+
+// at returns the frame bit offset and width-truncated value of field j.
+func (r fieldRun) at(j int) (int, uint64) {
+	v := r.vals[j]
+	if r.width < 64 {
+		v &= 1<<uint(r.width) - 1
+	}
+	return r.bit + j*r.width, v
+}
+
+// placeSnapshot resolves every snapshot value to its frame, grouped by
+// {SLR, frame}.
+func (d *Debugger) placeSnapshot(snap *Snapshot) (map[[2]int][]fieldRun, error) {
+	out := make(map[[2]int][]fieldRun)
+	regVals := make([]uint64, 0, len(snap.Regs))
+	for n, v := range snap.Regs {
+		loc, ok := d.Image.Map.Reg(n)
+		if !ok {
+			return nil, fmt.Errorf("dbg: snapshot register %q not in this image", n)
+		}
+		regVals = append(regVals, v)
+		k := [2]int{loc.Addr.SLR, loc.Addr.Frame}
+		out[k] = append(out[k], fieldRun{loc.Addr.Bit, loc.Width, regVals[len(regVals)-1:]})
 	}
 	for n, words := range snap.Mems {
 		loc, ok := d.Image.Map.Mem(n)
 		if !ok {
-			return fmt.Errorf("dbg: snapshot memory %q not in this image", n)
+			return nil, fmt.Errorf("dbg: snapshot memory %q not in this image", n)
 		}
 		if len(words) != loc.Depth {
-			return fmt.Errorf("dbg: snapshot memory %q has %d words, image wants %d",
+			return nil, fmt.Errorf("dbg: snapshot memory %q has %d words, image wants %d",
 				n, len(words), loc.Depth)
 		}
-		names[n] = true
+		wpf := loc.WordsPerFrame()
+		for w0 := 0; w0 < loc.Depth; w0 += wpf {
+			k := [2]int{loc.SLR, loc.StartFrame + w0/wpf}
+			out[k] = append(out[k], fieldRun{0, loc.Width, words[w0:min(w0+wpf, loc.Depth)]})
+		}
 	}
-	perSLR := d.Image.Map.FramesTouched(names)
-	slrs := make([]int, 0, len(perSLR))
-	for slr := range perSLR {
+	return out, nil
+}
+
+// restoreOnce performs one read-modify-write pass over a frame set, per
+// SLR in sorted order: read the selected frames, patch in every snapshot
+// value they hold, and write back the frames where any value changed. It
+// returns the frames written.
+func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int) (map[int][]int, error) {
+	written := make(map[int][]int)
+	for _, slr := range sortedSLRs(frames) {
+		fs := frames[slr]
+		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, fs)
+		if err != nil {
+			return nil, err
+		}
+		var wf []int
+		var wd [][]uint32
+		for i, f := range fs {
+			changed := false
+			for _, r := range fields[[2]int{slr, f}] {
+				for j := range r.vals {
+					if off, v := r.at(j); fpga.GetBits(data[i], off, r.width) != v {
+						fpga.PutBits(data[i], off, r.width, v)
+						changed = true
+					}
+				}
+			}
+			if changed {
+				wf = append(wf, f)
+				wd = append(wd, data[i])
+			}
+		}
+		if len(wf) == 0 {
+			continue
+		}
+		if err := d.Cable.WritebackFramesCtx(ctx, slr, wf, wd); err != nil {
+			return nil, err
+		}
+		written[slr] = wf
+	}
+	return written, nil
+}
+
+// restoreMismatch re-reads a frame set and returns the frames holding a
+// snapshot value the board disagrees with, plus how many values disagree.
+func (d *Debugger) restoreMismatch(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int) (map[int][]int, int, error) {
+	frameData, err := d.readFrameSet(ctx, frames)
+	if err != nil {
+		return nil, 0, err
+	}
+	bad := make(map[int][]int)
+	n := 0
+	for _, slr := range sortedSLRs(frames) {
+		for _, f := range frames[slr] {
+			data := frameData[[2]int{slr, f}]
+			before := n
+			for _, r := range fields[[2]int{slr, f}] {
+				for j := range r.vals {
+					if off, v := r.at(j); fpga.GetBits(data, off, r.width) != v {
+						n++
+					}
+				}
+			}
+			if n > before {
+				bad[slr] = append(bad[slr], f)
+			}
+		}
+	}
+	return bad, n, nil
+}
+
+// sortedSLRs returns a per-SLR frame set's SLRs in ascending order.
+func sortedSLRs(frames map[int][]int) []int {
+	slrs := make([]int, 0, len(frames))
+	for slr := range frames {
 		slrs = append(slrs, slr)
 	}
 	sort.Ints(slrs)
-
-	// Read-modify-write per SLR in sorted order: fetch the touched
-	// frames, patch every snapshot value in, write them back.
-	for _, slr := range slrs {
-		frames := perSLR[slr]
-		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, frames)
-		if err != nil {
-			return err
-		}
-		index := make(map[int][]uint32, len(frames))
-		for i, f := range frames {
-			index[f] = data[i]
-		}
-		for name, v := range snap.Regs {
-			loc, _ := d.Image.Map.Reg(name)
-			if loc.Addr.SLR != slr {
-				continue
-			}
-			putBits(index[loc.Addr.Frame], loc.Addr.Bit, loc.Width, v)
-		}
-		for name, words := range snap.Mems {
-			loc, _ := d.Image.Map.Mem(name)
-			if loc.SLR != slr {
-				continue
-			}
-			for w, v := range words {
-				wa := loc.WordAddr(w)
-				putBits(index[wa.Frame], wa.Bit, loc.Width, v)
-			}
-		}
-		if err := d.Cable.WritebackFramesCtx(ctx, slr, frames, data); err != nil {
-			return err
-		}
-	}
-	return nil
+	return slrs
 }
 
 // RestoreCompatible restores the subset of a snapshot that still exists

@@ -143,10 +143,9 @@ func (d *Debugger) PeriodicSnapshots(scope string, interval, count int) ([]*Snap
 // checkpointed window without rerunning the trillions of cycles before it
 // (§3.3).
 //
-// ReplayFrom is the platform's single replay primitive: the time-travel
-// history engine funnels every restore — seeks, rewinds,
-// reverse-continue probes, savestate loads — through it (with cycles=0,
-// stepping handled by the caller), so all replay paths share the same
+// Like every restore it goes through RestoreFrames, the path the
+// time-travel history engine's seeks, rewinds, reverse-continue probes
+// and savestate loads also take, so all replay paths share the same
 // SLR-aware frame plans and guarded-cable semantic verification.
 func (d *Debugger) ReplayFrom(snap *Snapshot, cycles int) error {
 	if paused, err := d.Paused(); err != nil {

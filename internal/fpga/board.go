@@ -221,7 +221,7 @@ func (b *Board) ReadFrame(slr, frame int) ([]uint32, error) {
 			if err != nil {
 				return nil, err
 			}
-			putBits(data, item.bitOff, item.width, v)
+			PutBits(data, item.bitOff, item.width, v)
 			continue
 		}
 		for w := item.w0; w < item.w1; w++ {
@@ -230,7 +230,7 @@ func (b *Board) ReadFrame(slr, frame int) ([]uint32, error) {
 				return nil, err
 			}
 			addr := item.memLoc.WordAddr(w)
-			putBits(data, addr.Bit, item.memLoc.Width, v)
+			PutBits(data, addr.Bit, item.memLoc.Width, v)
 		}
 	}
 	return data, nil
@@ -254,7 +254,7 @@ func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 	}
 	for _, item := range b.frames[[2]int{slr, frame}] {
 		if item.reg != "" {
-			v := getBits(data, item.bitOff, item.width)
+			v := GetBits(data, item.bitOff, item.width)
 			if err := b.Sim.Poke(item.reg, v); err != nil {
 				return err
 			}
@@ -262,33 +262,11 @@ func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 		}
 		for w := item.w0; w < item.w1; w++ {
 			addr := item.memLoc.WordAddr(w)
-			v := getBits(data, addr.Bit, item.memLoc.Width)
+			v := GetBits(data, addr.Bit, item.memLoc.Width)
 			if err := b.Sim.PokeMem(item.mem, w, v); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func putBits(frame []uint32, off, width int, v uint64) {
-	for i := 0; i < width; i++ {
-		bit := off + i
-		if v>>uint(i)&1 != 0 {
-			frame[bit/32] |= 1 << uint(bit%32)
-		} else {
-			frame[bit/32] &^= 1 << uint(bit%32)
-		}
-	}
-}
-
-func getBits(frame []uint32, off, width int) uint64 {
-	var v uint64
-	for i := 0; i < width; i++ {
-		bit := off + i
-		if frame[bit/32]>>uint(bit%32)&1 != 0 {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }

@@ -92,7 +92,7 @@ func TestFrameReadbackMatchesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := getBits(data, 16, 8); got != 12 {
+	if got := GetBits(data, 16, 8); got != 12 {
 		t.Errorf("readback cnt = %d, want 12", got)
 	}
 	// Memory words on SLR2 frame 9: 16-bit words packed from bit 0.
@@ -101,7 +101,7 @@ func TestFrameReadbackMatchesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []uint64{0x1111, 0x2222, 0x3333, 0x4444} {
-		if got := getBits(mdata, i*16, 16); got != want {
+		if got := GetBits(mdata, i*16, 16); got != want {
 			t.Errorf("readback buf[%d] = %#x, want %#x", i, got, want)
 		}
 	}
@@ -117,7 +117,7 @@ func TestFrameWriteMutatesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putBits(data, 16, 8, 200)
+	PutBits(data, 16, 8, 200)
 	if err := b.WriteFrame(0, 3, data); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFrameWriteMutatesState(t *testing.T) {
 	}
 	// Mutate one memory word through its frame.
 	mdata, _ := b.ReadFrame(2, 9)
-	putBits(mdata, 2*16, 16, 0xBEEF)
+	PutBits(mdata, 2*16, 16, 0xBEEF)
 	if err := b.WriteFrame(2, 9, mdata); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGSRMaskRestrictsResetAndTrapsReadback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := getBits(data, 16, 8); got != 0 {
+	if got := GetBits(data, 16, 8); got != 0 {
 		t.Errorf("masked readback returned live data %d; hardware would not", got)
 	}
 	if !b.GSRMasked() {
@@ -210,20 +210,20 @@ func TestGSRMaskRestrictsResetAndTrapsReadback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := getBits(data, 16, 8); got != 25 {
+	if got := GetBits(data, 16, 8); got != 25 {
 		t.Errorf("readback after clearing mask = %d, want 25", got)
 	}
 }
 
 func TestPutGetBitsRoundTrip(t *testing.T) {
 	frame := make([]uint32, FrameWords)
-	putBits(frame, 37, 13, 0x1abc&0x1fff)
-	if got := getBits(frame, 37, 13); got != 0x1abc&0x1fff {
+	PutBits(frame, 37, 13, 0x1abc&0x1fff)
+	if got := GetBits(frame, 37, 13); got != 0x1abc&0x1fff {
 		t.Errorf("roundtrip = %#x", got)
 	}
 	// Writing zero clears previously set bits.
-	putBits(frame, 37, 13, 0)
-	if got := getBits(frame, 37, 13); got != 0 {
+	PutBits(frame, 37, 13, 0)
+	if got := GetBits(frame, 37, 13); got != 0 {
 		t.Errorf("clear failed: %#x", got)
 	}
 }

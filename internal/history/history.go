@@ -28,8 +28,10 @@
 //
 // The engine never touches the cable or the debugger: it reconstructs
 // state host-side and hands it to the facade, which restores it through
-// the one dbg replay primitive (ReplayFrom, i.e. the configuration-frame
-// Snapshot/Restore machinery).
+// the one dbg restore path (RestoreFrames, the configuration-frame
+// Snapshot/Restore machinery). A live mirror of the simulator's state,
+// fed by the same commit hook, tells the facade which values differ from
+// the board, so a restore writes only the frames holding them.
 package history
 
 import (
@@ -142,7 +144,13 @@ type Engine struct {
 	denseOf  []int32 // sim value-array slot -> dense index, -1 = not state
 	mems     []sim.StateMem
 	cycleReg string
-	cycleIdx int32 // sim slot of the cycle register, -1 = use positions
+	cycleIdx int32 // dense index of the cycle register, -1 = use positions
+
+	// live mirrors the simulator's current state slot for slot and word
+	// for word. Binding seeds it; from then on only the commit hook's
+	// deltas feed it, suspended or not, so it always equals the board and
+	// is the baseline restores diff against (DESIGN.md §5).
+	live denseState
 
 	seq       uint64 // last assigned position (0 = attach keyframe)
 	segGen    uint64
@@ -196,11 +204,17 @@ func (e *Engine) bind(s *sim.Simulator, cycleReg string) {
 	for i := range e.denseOf {
 		e.denseOf[i] = -1
 	}
+	e.live = denseState{regs: make([]uint64, len(e.slots)), mems: make([][]uint64, len(e.mems))}
 	for i, sl := range e.slots {
 		e.denseOf[sl.Idx] = int32(i)
+		e.live.regs[i] = s.SlotValue(sl.Idx)
 		if sl.Name == cycleReg {
-			e.cycleIdx = sl.Idx
+			e.cycleIdx = int32(i)
 		}
+	}
+	for i, m := range e.mems {
+		e.live.mems[i] = make([]uint64, m.Depth)
+		s.CopyMemInto(m.ID, e.live.mems[i])
 	}
 }
 
@@ -208,9 +222,15 @@ func (e *Engine) bind(s *sim.Simulator, cycleReg string) {
 func (e *Engine) Detach() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.sim != nil {
+	e.unhook()
+	e.sim = nil
+}
+
+// unhook removes the engine from its simulator's commit hook, unless
+// another engine has since been transplanted onto that simulator.
+func (e *Engine) unhook() {
+	if e.sim != nil && e.sim.CommitHook() == sim.CommitHook(e) {
 		e.sim.SetCommitHook(nil)
-		e.sim = nil
 	}
 }
 
@@ -230,9 +250,7 @@ func (e *Engine) Transplant(s *sim.Simulator) error {
 			return fmt.Errorf("history: transplant onto a different design (slot %d is %q, had %q)", i, sl.Name, e.slots[i].Name)
 		}
 	}
-	if e.sim != nil {
-		e.sim.SetCommitHook(nil)
-	}
+	e.unhook()
 	e.bind(s, e.cycleReg)
 	s.SetCommitHook(e)
 	return nil
@@ -254,27 +272,33 @@ func (e *Engine) Suspend(v bool) {
 // cycleNow reads the live cycle tag.
 func (e *Engine) cycleNow(pos uint64) uint64 {
 	if e.cycleIdx >= 0 {
-		return e.sim.SlotValue(e.cycleIdx)
+		return e.live.regs[e.cycleIdx]
 	}
 	return pos
 }
 
-// captureLive snapshots the simulator's current state densely.
+// captureLive copies the live mirror into a dense state.
 func (e *Engine) captureLive(pos uint64) denseState {
 	ds := denseState{
-		pos:  pos,
-		regs: make([]uint64, len(e.slots)),
-		mems: make([][]uint64, len(e.mems)),
+		pos:   pos,
+		cycle: e.cycleNow(pos),
+		regs:  append([]uint64(nil), e.live.regs...),
+		mems:  make([][]uint64, len(e.live.mems)),
 	}
-	for i, sl := range e.slots {
-		ds.regs[i] = e.sim.SlotValue(sl.Idx)
+	for i, m := range e.live.mems {
+		ds.mems[i] = append([]uint64(nil), m...)
 	}
-	for i, m := range e.mems {
-		ds.mems[i] = make([]uint64, m.Depth)
-		e.sim.CopyMemInto(m.ID, ds.mems[i])
-	}
-	ds.cycle = e.cycleNow(pos)
 	return ds
+}
+
+// applyLive feeds one hook delta batch into the live mirror.
+func (e *Engine) applyLive(regs []sim.RegDelta, mems []sim.MemDelta) {
+	for _, d := range regs {
+		e.live.regs[e.denseOf[d.Slot]] = d.Val
+	}
+	for _, d := range mems {
+		e.live.mems[d.Mem][d.Addr] = d.Val
+	}
 }
 
 // addSegment appends a fresh segment with the given keyframe.
@@ -298,7 +322,11 @@ func (e *Engine) addSegment(t *timeline, kf denseState) *segment {
 func (e *Engine) OnTick(_ uint64, regs []sim.RegDelta, mems []sim.MemDelta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.suspended > 0 || e.sim == nil {
+	if e.sim == nil {
+		return
+	}
+	e.applyLive(regs, mems)
+	if e.suspended > 0 {
 		return
 	}
 	e.ensureWritable()
@@ -331,7 +359,11 @@ func (e *Engine) OnTick(_ uint64, regs []sim.RegDelta, mems []sim.MemDelta) {
 func (e *Engine) OnHostWrite(regs []sim.RegDelta, mems []sim.MemDelta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.suspended > 0 || e.sim == nil {
+	if e.sim == nil {
+		return
+	}
+	e.applyLive(regs, mems)
+	if e.suspended > 0 {
 		return
 	}
 	e.ensureWritable()
@@ -460,6 +492,10 @@ func (e *Engine) evict() {
 		}
 		e.bytes -= int64(len(victim.buf))
 		e.nKF--
+		// Nil the slot before reslicing: an ancestor timeline never
+		// appends again, so its backing array would otherwise keep every
+		// evicted keyframe and delta buffer reachable.
+		victimTL.segs[0] = nil
 		victimTL.segs = victimTL.segs[1:]
 		if len(victimTL.segs) == 0 && victimTL != e.cur {
 			for i, t := range e.timelines {
@@ -612,6 +648,66 @@ func (e *Engine) StateAt(pos uint64) (*State, error) {
 		return nil, err
 	}
 	return e.toState(ds), nil
+}
+
+// Diff lists the state that differs between a target and the live
+// mirror: register names, and per memory the differing word addresses in
+// ascending order.
+type Diff struct {
+	Regs  []string
+	Words map[string][]int
+}
+
+// LiveDiff compares target state with the live mirror, which always
+// equals the board, so a restore of the target needs to write only the
+// state it lists. Only the registers and memories named in regs and mems
+// are compared; input ports are not, since they are driven as pins rather
+// than restored through frames. The engine must be attached.
+func (e *Engine) LiveDiff(regs map[string]uint64, mems map[string][]uint64) Diff {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d := Diff{Words: make(map[string][]int)}
+	for i, sl := range e.slots {
+		if v, ok := regs[sl.Name]; ok && !sl.Input && v != e.live.regs[i] {
+			d.Regs = append(d.Regs, sl.Name)
+		}
+	}
+	for i, m := range e.mems {
+		live := e.live.mems[i]
+		for a, v := range mems[m.Name] {
+			if a < len(live) && v != live[a] {
+				d.Words[m.Name] = append(d.Words[m.Name], a)
+			}
+		}
+	}
+	return d
+}
+
+// CheckMirror compares the live mirror with the attached simulator and
+// reports the first slot or word where they disagree. It is a check for
+// tests and diagnostics: nothing else in the engine reads the simulator
+// after binding.
+func (e *Engine) CheckMirror() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sim == nil {
+		return nil
+	}
+	for i, sl := range e.slots {
+		if got := e.sim.SlotValue(sl.Idx); got != e.live.regs[i] {
+			return fmt.Errorf("history: mirror holds %s = %#x, simulator %#x", sl.Name, e.live.regs[i], got)
+		}
+	}
+	for i, m := range e.mems {
+		words := make([]uint64, m.Depth)
+		e.sim.CopyMemInto(m.ID, words)
+		for a, v := range words {
+			if v != e.live.mems[i][a] {
+				return fmt.Errorf("history: mirror holds %s[%d] = %#x, simulator %#x", m.Name, a, e.live.mems[i][a], v)
+			}
+		}
+	}
+	return nil
 }
 
 // PosForCycle resolves a user cycle to the recorded position on the

@@ -2,7 +2,9 @@ package history
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"zoomie/internal/dberr"
 	"zoomie/internal/rtl"
@@ -194,6 +196,113 @@ func seekTo(t *testing.T, e *Engine, s *sim.Simulator, pos uint64) {
 	}
 	e.Suspend(false)
 	e.SeekDone(pos)
+	mirrorOK(t, e, "seek")
+}
+
+// mirrorOK requires the engine's live mirror to equal the simulator.
+func mirrorOK(t *testing.T, e *Engine, after string) {
+	t.Helper()
+	if err := e.CheckMirror(); err != nil {
+		t.Fatalf("after %s: %v", after, err)
+	}
+}
+
+// TestMirrorTracksSimulator drives every kind of state change the engine
+// sees — recorded and suspended ticks, host pokes, whole-state restores,
+// a fork, ring eviction, a transplant and a decode + transplant — on both
+// simulator engines, and requires the live mirror to equal the simulator
+// after each one.
+func TestMirrorTracksSimulator(t *testing.T) {
+	for _, engine := range []sim.Engine{sim.EngineCompiled, sim.EngineInterp} {
+		opts := sim.Options{Engine: engine}
+		s := newSim(t, opts)
+		e := New(Config{KeyframeEvery: 4, MaxKeyframes: 6})
+		e.Attach(s, "cyc")
+		mirrorOK(t, e, "attach")
+		s.Poke("en", 1)
+		mirrorOK(t, e, "input poke")
+		s.Run(30)
+		mirrorOK(t, e, "recorded ticks")
+		s.Poke("cnt", 200)
+		s.PokeMem("scratch", 3, 0x5a)
+		mirrorOK(t, e, "host pokes")
+		e.Suspend(true)
+		s.Run(7)
+		s.Poke("cnt", 9)
+		e.Suspend(false)
+		mirrorOK(t, e, "suspended ticks and pokes")
+		seekTo(t, e, s, 20)
+		s.Poke("cnt", 77) // forks a timeline
+		s.Run(40)         // and evicts the oldest segments
+		mirrorOK(t, e, "fork and eviction")
+
+		s2 := newSim(t, opts)
+		if err := e.Transplant(s2); err != nil {
+			t.Fatal(err)
+		}
+		mirrorOK(t, e, "transplant")
+		tip, _ := e.Cursor()
+		st, err := e.StateAt(tip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Restore(&sim.Snapshot{Regs: st.Regs, Mems: st.Mems}); err != nil {
+			t.Fatal(err)
+		}
+		s2.Poke("en", 1)
+		s2.Run(5)
+		mirrorOK(t, e, "restore and ticks after transplant")
+
+		e3, err := Decode(e.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s3 := newSim(t, opts)
+		if err := e3.Transplant(s3); err != nil {
+			t.Fatal(err)
+		}
+		mirrorOK(t, e3, "decode and transplant")
+		if err := s3.Restore(&sim.Snapshot{Regs: st.Regs, Mems: st.Mems}); err != nil {
+			t.Fatal(err)
+		}
+		s3.Poke("en", 1)
+		s3.Run(5)
+		seekTo(t, e3, s3, tip)
+		mirrorOK(t, e3, "restore, ticks and seek after decode")
+	}
+}
+
+// TestEvictionReleasesSegments pins the ring's eviction leak: an ancestor
+// timeline never appends again, so reslicing its segment list without
+// clearing the evicted slot kept every evicted keyframe and delta buffer
+// reachable through the backing array.
+func TestEvictionReleasesSegments(t *testing.T) {
+	s := newSim(t)
+	e := New(Config{KeyframeEvery: 4, MaxKeyframes: 4})
+	e.Attach(s, "cyc")
+	defer runtime.KeepAlive(e) // the engine must outlive the GC loop
+	s.Poke("en", 1)
+	s.Run(12)
+
+	collected := make(chan struct{})
+	runtime.SetFinalizer(e.timelines[0].segs[0], func(*segment) { close(collected) })
+	// Fork so the root timeline becomes an ancestor: the fork's keyframe
+	// overflows the ring and evicts the root's first segment, while the
+	// root keeps its later ones.
+	seekTo(t, e, s, 10)
+	s.Run(1)
+	if h, _ := e.Horizon(); h == 0 {
+		t.Fatal("root segment was not evicted")
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("evicted segment is still reachable after GC")
 }
 
 // TestForkTimeline seeks back, resumes, and requires history to branch:

@@ -112,8 +112,8 @@ func (s *Server) importAttach(c *conn, req *wire.Request) *wire.Response {
 		resp.Err = wire.Errf(code, "%s", err)
 		return resp
 	}
-	// Adopt before restore, so the restore lands in history as host
-	// writes — identical to the in-daemon migration ordering. A layout
+	// Adopt before restore, so the engine's live mirror tracks the
+	// restore — identical to the in-daemon migration ordering. A layout
 	// mismatch forfeits history but not the import.
 	if hist != nil {
 		if aerr := zs.AdoptHistory(hist); aerr != nil {

@@ -393,8 +393,8 @@ func (s *session) migrate(cause string) *wire.Error {
 			"session %d: board failed (%s) and no replacement: %v", s.id, cause, err)
 	}
 	// Transplant the recorded past (and savestates) onto the fresh board
-	// before restoring state, so the restore lands in history as host
-	// writes. Purely host-side; a layout mismatch just forfeits history.
+	// before restoring state, so the engine's live mirror tracks the
+	// restore. Purely host-side; a layout mismatch just forfeits history.
 	if aerr := nz.AdoptHistory(oldHist); aerr != nil {
 		srv.cfg.Logf("zoomied: session %d: history not transplanted: %v", s.id, aerr)
 	}

@@ -45,6 +45,9 @@ type CommitHook interface {
 // identical delta streams.
 func (s *Simulator) SetCommitHook(h CommitHook) { s.hook = h }
 
+// CommitHook returns the installed commit hook, nil if none.
+func (s *Simulator) CommitHook() CommitHook { return s.hook }
+
 // StateSlot describes one architecturally writable state slot: a
 // register or an input port. Wires and outputs are functions of these
 // and are excluded — reconstructing slots and re-settling reconstructs

@@ -38,13 +38,31 @@ func (s *Simulator) Snapshot(domain string) *Snapshot {
 // combinational logic. Entries naming unknown state are reported as
 // errors; state not mentioned in the snapshot is left untouched, which is
 // how partial reconfiguration behaves (only the written tiles change).
+// Like Poke it is a host write: the commit hook sees every slot and word
+// it changed, in one OnHostWrite.
 func (s *Simulator) Restore(snap *Snapshot) error {
+	s.hookRegs, s.hookMems = s.hookRegs[:0], s.hookMems[:0]
+	err := s.restore(snap)
+	s.settle()
+	if s.hook != nil && len(s.hookRegs)+len(s.hookMems) > 0 {
+		s.hook.OnHostWrite(s.hookRegs, s.hookMems)
+	}
+	return err
+}
+
+func (s *Simulator) restore(snap *Snapshot) error {
 	for name, v := range snap.Regs {
 		sig := s.byName[name]
 		if sig == nil || sig.Kind != rtl.KindReg {
 			return fmt.Errorf("sim: snapshot names unknown register %q", name)
 		}
-		s.vals[s.sigIndex[sig]] = rtl.Truncate(v, sig.Width)
+		idx := s.sigIndex[sig]
+		if nv := rtl.Truncate(v, sig.Width); s.vals[idx] != nv {
+			s.vals[idx] = nv
+			if s.hook != nil {
+				s.hookRegs = append(s.hookRegs, RegDelta{Slot: int32(idx), Val: nv})
+			}
+		}
 	}
 	for name, words := range snap.Mems {
 		mem := s.findMem(name)
@@ -55,9 +73,16 @@ func (s *Simulator) Restore(snap *Snapshot) error {
 			return fmt.Errorf("sim: snapshot memory %q has %d words, want %d",
 				name, len(words), mem.Depth)
 		}
-		copy(s.mems[mem], words)
+		data := s.mems[mem]
+		for a, v := range words {
+			if data[a] != v {
+				data[a] = v
+				if s.hook != nil {
+					s.hookMems = append(s.hookMems, MemDelta{Mem: s.hookMemID(mem), Addr: int32(a), Val: v})
+				}
+			}
+		}
 	}
-	s.settle()
 	return nil
 }
 
