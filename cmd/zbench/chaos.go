@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"time"
 
 	"zoomie"
+	"zoomie/internal/dbg"
 	"zoomie/internal/server"
+	"zoomie/internal/workloads"
 )
 
 // chaos measures what transport resilience costs: the same
@@ -90,5 +96,107 @@ func chaos(int) error {
 	fmt.Println("\nevery peek above was value-checked: the guarded transport let zero")
 	fmt.Println("corrupted words through at any fault rate; overhead is the modeled")
 	fmt.Println("cable time of re-reads, CRC-verify rewrites, and transient retries.")
+	return captureCost()
+}
+
+// captureCost measures the known-good snapshot a daemon takes after every
+// mutating command while a fault injector is bound, on the 48-core SoC
+// with en high over a flip=0.005 link: a full re-read of the design's
+// state against a refresh that re-reads only the frames whose state
+// changed since the previous capture. The mutating commands follow a
+// 20-op debug mix of peeks, batched peeks, pokes and steps; its 2 pokes
+// of a random register and 2 steps of 1-4 cycles per block are what
+// trigger captures (peeks change nothing).
+func captureCost() error {
+	const socCores, blocks, perBlock = 48, 10, 20
+	p, err := zoomie.ParseFaultProfile("flip=0.005,seed=1")
+	if err != nil {
+		return err
+	}
+	sess, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
+		Faults: zoomie.NewFaultInjector(p),
+	})
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	if err := sess.PokeInput("en", 1); err != nil {
+		return err
+	}
+	if err := sess.Pause(); err != nil {
+		return err
+	}
+	var regs []string
+	for _, r := range sess.Image.Map.Regs {
+		if strings.HasPrefix(r.Name, dbg.DutPrefix+".") {
+			regs = append(regs, r.Name)
+		}
+	}
+	ctx := context.Background()
+	base, err := sess.Snapshot("")
+	if err != nil {
+		return err
+	}
+
+	type cost struct {
+		frames int
+		cable  time.Duration
+	}
+	var full, refreshed cost
+	measure := func(c *cost, take func() (*zoomie.DebugSnapshot, error)) (*zoomie.DebugSnapshot, error) {
+		r0, t0 := sess.Cable.Chain.Stats.FramesRead, sess.Elapsed()
+		snap, err := take()
+		c.frames += sess.Cable.Chain.Stats.FramesRead - r0
+		c.cable += sess.Elapsed() - t0
+		return snap, err
+	}
+	rng := rand.New(rand.NewSource(1))
+	captures, mismatches := 0, 0
+	for i := 0; i < 4*blocks; i++ {
+		if i%2 == 0 {
+			reg := regs[rng.Intn(len(regs))]
+			loc, _ := sess.Image.Map.Reg(reg)
+			v := rng.Uint64()
+			if loc.Width < 64 {
+				v &= 1<<uint(loc.Width) - 1
+			}
+			err = sess.Poke(reg, v)
+		} else {
+			err = sess.Step(1 + rng.Intn(4))
+		}
+		if err != nil {
+			return err
+		}
+		want, err := measure(&full, func() (*zoomie.DebugSnapshot, error) { return sess.Snapshot("") })
+		if err != nil {
+			return err
+		}
+		got, err := measure(&refreshed, func() (*zoomie.DebugSnapshot, error) { return sess.RefreshSnapshot(ctx, base) })
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want) {
+			mismatches++
+		}
+		base = got
+		captures++
+	}
+
+	fmt.Printf("\nKnown-good capture after each mutating op: %d-core SoC (en high), link %s\n", socCores, p)
+	fmt.Printf("%d-op debug mix with 4 mutating ops per block; %d captures\n", perBlock, captures)
+	fmt.Printf("%-28s %14s %16s %14s\n", "capture", "frames read", "modeled ms", "frames read")
+	fmt.Printf("%-28s %14s %16s %14s\n", "", "per capture", "per capture", "per op")
+	row := func(name string, c cost) {
+		perCapture := float64(c.frames) / float64(captures)
+		fmt.Printf("%-28s %14.1f %16.1f %14.1f\n", name, perCapture,
+			float64(c.cable.Microseconds())/1000/float64(captures), perCapture*4/perBlock)
+	}
+	row("full re-read", full)
+	row("refreshed by mirror diff", refreshed)
+	if mismatches == 0 {
+		fmt.Println("self-check: every refreshed capture equals the full re-read ok")
+	} else {
+		fmt.Printf("self-check FAILED: %d refreshed captures differ from the full re-read\n", mismatches)
+	}
 	return nil
 }

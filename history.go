@@ -15,7 +15,8 @@ package zoomie
 // that explicit checkpoints do. A history restore selects only the frames
 // holding a value that differs from the board, as the engine's live
 // mirror reports it, so a seek pays for what changed rather than for the
-// size of the design.
+// size of the design. Snapshots read the same way: RefreshSnapshot
+// re-reads only the frames whose state changed since a base snapshot.
 
 import (
 	"context"
@@ -189,6 +190,19 @@ func (s *Session) restoreLive(regs map[string]uint64, mems map[string][]uint64, 
 		}
 	}
 	return nil
+}
+
+// RefreshSnapshot returns a full-scope snapshot of the board, equal to a
+// fresh Snapshot(""), that re-reads only the frames holding a value that
+// differs from base as the live mirror reports it: the read-side twin of
+// restoreLive. A refresh with nothing changed issues no cable operation.
+// A nil or scoped base, or a session with history off, takes a full read.
+func (s *Session) RefreshSnapshot(ctx context.Context, base *DebugSnapshot) (*DebugSnapshot, error) {
+	if base == nil || base.Scope != "" || s.hist == nil {
+		return s.SnapshotCtx(ctx, "")
+	}
+	d := s.hist.LiveDiff(base.Regs, base.Mems)
+	return s.SnapshotFrames(ctx, base, s.FramesOf(d.Regs, d.Words))
 }
 
 // applyHistState writes a reconstructed state onto the board, then the

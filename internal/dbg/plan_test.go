@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"zoomie/internal/core"
@@ -86,6 +87,80 @@ func batchNames(n int) []string {
 		names[i] = fmt.Sprintf("r%d", i)
 	}
 	return names
+}
+
+// TestSnapshotOneReadbackPerSLR pins the snapshot read path to one
+// coalesced readback per SLR the scope touches, on a clean and on a
+// guarded flaky link. Cycle comes from those same frames: a scoped
+// snapshot adds the cycle counter's frame to its read set instead of
+// paying a separate Peek.
+func TestSnapshotOneReadbackPerSLR(t *testing.T) {
+	for _, profile := range []*faults.Profile{nil, {Seed: 3, ReadFlip: 0.01}} {
+		d, _ := multiRegSession(t, 12, profile, true)
+		d.Run(5)
+		if err := d.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Cycles()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scope := range []string{"", "dut"} {
+			regs, mems := d.stateUnder(d.qualifyPrefix(scope))
+			names := map[string]bool{d.Meta.Reg(core.RegCycles): true}
+			for _, n := range append(regs, mems...) {
+				names[n] = true
+			}
+			slrs := len(d.Image.Map.FramesTouched(names))
+			if slrs < 3 {
+				t.Fatalf("scope %q spans %d SLR(s); test needs all three", scope, slrs)
+			}
+			before := d.Cable.Stats()
+			snap, err := d.Snapshot(scope)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Cable.Stats().Readbacks - before.Readbacks; got != int64(slrs) {
+				t.Errorf("guarded=%v scope %q: snapshot issued %d readbacks, want %d (one per SLR)",
+					profile != nil, scope, got, slrs)
+			}
+			if snap.Cycle != want {
+				t.Errorf("guarded=%v scope %q: snapshot cycle %d, want %d", profile != nil, scope, snap.Cycle, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotFramesNothingSelected pins the refresh fast path: a base
+// that holds the whole scope, refreshed with no frame selected, costs no
+// cable operation at all — not even the GSR-mask clear — and comes back
+// equal, sharing its memory slices.
+func TestSnapshotFramesNothingSelected(t *testing.T) {
+	d, _ := multiRegSession(t, 6, nil, true)
+	if err := d.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := d.Snapshot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed, stats := d.Cable.Elapsed(), d.Cable.Chain.Stats
+	got, err := d.SnapshotFrames(context.Background(), base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Cable.Elapsed() != elapsed || d.Cable.Chain.Stats != stats {
+		t.Errorf("empty refresh touched the cable: %v -> %v modeled, %+v -> %+v",
+			elapsed, d.Cable.Elapsed(), stats, d.Cable.Chain.Stats)
+	}
+	if !reflect.DeepEqual(got, base) {
+		t.Error("empty refresh changed the snapshot")
+	}
+	for n, words := range base.Mems {
+		if len(words) > 0 && &got.Mems[n][0] != &words[0] {
+			t.Errorf("memory %s copied, want shared with the base", n)
+		}
+	}
 }
 
 // TestBatchOneReadbackPerSLR is the tentpole invariant: a batched read

@@ -3,10 +3,12 @@ package dbg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"zoomie/internal/core"
 	"zoomie/internal/fpga"
 	"zoomie/internal/jtag"
 )
@@ -53,54 +55,121 @@ func (d *Debugger) Snapshot(prefix string) (*Snapshot, error) {
 }
 
 // SnapshotCtx is Snapshot under a context: cancellation aborts between
-// (and, on the cable, within) the per-SLR coalesced readbacks.
+// (and, on the cable, within) the per-SLR coalesced readbacks. It is
+// SnapshotFrames with an empty base, which reads every frame of the
+// scope; the cycle counter's frame is selected too, so Cycle comes from
+// the same readback.
 func (d *Debugger) SnapshotCtx(ctx context.Context, prefix string) (*Snapshot, error) {
-	prefix = d.qualifyPrefix(prefix)
-	regs, mems := d.stateUnder(prefix)
-	if len(regs) == 0 && len(mems) == 0 {
-		return nil, fmt.Errorf("dbg: no state under %q", prefix)
-	}
-	if err := d.Cable.ClearGSRMask(); err != nil {
-		return nil, err
-	}
+	base := &Snapshot{Scope: d.qualifyPrefix(prefix)}
+	return d.SnapshotFrames(ctx, base, d.FramesOf([]string{d.Meta.Reg(core.RegCycles)}, nil))
+}
 
-	names := make(map[string]bool, len(regs)+len(mems))
+// SnapshotFrames is the one snapshot read path. It reads the selected
+// frames — after clearing the GSR mask, one coalesced readback per SLR —
+// and returns base patched with every value of base's scope those frames
+// hold. Scope state outside the selection keeps base's value; scope state
+// base does not hold is read as well. So an empty base reads the whole
+// scope, while a refresh selects just the frames holding a value that
+// differs from base on the board and still returns what a full read
+// would. Cycle comes from the cycle counter's frame when it is read and
+// from base otherwise. Memories no read frame touches share base's slice
+// (snapshots are never mutated). With nothing to read, no cable operation
+// is issued at all.
+func (d *Debugger) SnapshotFrames(ctx context.Context, base *Snapshot, frames map[int][]int) (*Snapshot, error) {
+	regs, mems := d.stateUnder(base.Scope)
+	if len(regs) == 0 && len(mems) == 0 {
+		return nil, fmt.Errorf("dbg: no state under %q", base.Scope)
+	}
+	missing := make(map[string]bool)
 	for _, n := range regs {
-		names[n] = true
+		if _, ok := base.Regs[n]; !ok {
+			missing[n] = true
+		}
 	}
 	for _, n := range mems {
-		names[n] = true
+		if loc, _ := d.Image.Map.Mem(n); len(base.Mems[n]) != loc.Depth {
+			missing[n] = true
+		}
+	}
+	if len(missing) > 0 {
+		frames = unionFrames(frames, d.Image.Map.FramesTouched(missing))
 	}
 
-	// Read each SLR once through the plan core; index frames for parsing.
-	frameData, err := d.readFrameSet(ctx, d.Image.Map.FramesTouched(names))
-	if err != nil {
-		return nil, err
+	var frameData map[[2]int][]uint32
+	if len(frames) > 0 {
+		if err := d.Cable.ClearGSRMask(); err != nil {
+			return nil, err
+		}
+		var err error
+		if frameData, err = d.readFrameSet(ctx, frames); err != nil {
+			return nil, err
+		}
 	}
 
 	snap := &Snapshot{
-		Scope: prefix,
+		Scope: base.Scope,
+		Cycle: base.Cycle,
 		Regs:  make(map[string]uint64, len(regs)),
 		Mems:  make(map[string][]uint64, len(mems)),
 	}
 	for _, name := range regs {
 		loc, _ := d.Image.Map.Reg(name)
-		frame := frameData[[2]int{loc.Addr.SLR, loc.Addr.Frame}]
-		snap.Regs[name] = fpga.GetBits(frame, loc.Addr.Bit, loc.Width)
+		if frame, ok := frameData[[2]int{loc.Addr.SLR, loc.Addr.Frame}]; ok {
+			snap.Regs[name] = fpga.GetBits(frame, loc.Addr.Bit, loc.Width)
+		} else {
+			snap.Regs[name] = base.Regs[name]
+		}
 	}
 	for _, name := range mems {
 		loc, _ := d.Image.Map.Mem(name)
-		words := make([]uint64, loc.Depth)
-		for w := 0; w < loc.Depth; w++ {
-			wa := loc.WordAddr(w)
-			words[w] = fpga.GetBits(frameData[[2]int{wa.SLR, wa.Frame}], wa.Bit, loc.Width)
-		}
-		snap.Mems[name] = words
+		snap.Mems[name] = patchMem(loc, base.Mems[name], frameData)
 	}
-	if cyc, err := d.Peek(d.Meta.Reg("cycle_count")); err == nil {
-		snap.Cycle = cyc
+	if loc, ok := d.Image.Map.Reg(d.Meta.Reg(core.RegCycles)); ok {
+		if frame, ok := frameData[[2]int{loc.Addr.SLR, loc.Addr.Frame}]; ok {
+			snap.Cycle = fpga.GetBits(frame, loc.Addr.Bit, loc.Width)
+		}
 	}
 	return snap, nil
+}
+
+// patchMem returns a memory's words: base itself when no read frame
+// holds any of them, otherwise a copy with every word the read frames
+// hold taken from them.
+func patchMem(loc fpga.MemLoc, base []uint64, frameData map[[2]int][]uint32) []uint64 {
+	var words []uint64
+	wpf := loc.WordsPerFrame()
+	for f := 0; f < loc.FrameCount(); f++ {
+		frame, ok := frameData[[2]int{loc.SLR, loc.StartFrame + f}]
+		if !ok {
+			continue
+		}
+		if words == nil {
+			words = make([]uint64, loc.Depth)
+			copy(words, base)
+		}
+		for w := f * wpf; w < min((f+1)*wpf, loc.Depth); w++ {
+			words[w] = fpga.GetBits(frame, loc.WordAddr(w).Bit, loc.Width)
+		}
+	}
+	if words == nil {
+		return base
+	}
+	return words
+}
+
+// unionFrames merges two per-SLR frame sets, sorted and deduplicated.
+func unionFrames(a, b map[int][]int) map[int][]int {
+	out := make(map[int][]int, len(a)+len(b))
+	for _, set := range []map[int][]int{a, b} {
+		for slr, fs := range set {
+			out[slr] = append(out[slr], fs...)
+		}
+	}
+	for slr, fs := range out {
+		sort.Ints(fs)
+		out[slr] = slices.Compact(fs)
+	}
+	return out
 }
 
 // Restore writes a snapshot back through partial reconfiguration,

@@ -207,7 +207,7 @@ func (fs *fsession) handle(r *fsreq) {
 
 	resp := fs.forward(r.ctx, req)
 	fs.replayStore(req, resp)
-	if resp.Err == nil && mutatingOp(req.Op) {
+	if resp.Err == nil && wire.MutatingOp(req.Op) {
 		fs.mu.Lock()
 		fs.journal = append(fs.journal, copyReq(req))
 		n := len(fs.journal)
@@ -503,19 +503,6 @@ func (fs *fsession) replayStore(req *wire.Request, resp *wire.Response) {
 	fs.replays[fs.replayN%fsReplayDepth] = replayEnt{client: req.Client, seq: req.Seq, resp: resp}
 	fs.replayN++
 	fs.replayMu.Unlock()
-}
-
-// mutatingOp reports whether an op changes daemon-side session state
-// and therefore must be journaled for deterministic re-execution.
-// Unknown ops journal conservatively.
-func mutatingOp(op string) bool {
-	switch op {
-	case wire.OpPeek, wire.OpPeekMem, wire.OpPeekBatch, wire.OpOutput,
-		wire.OpInspect, wire.OpSessStat, wire.OpHistStat, wire.OpHistTimelines,
-		wire.OpStateExport:
-		return false
-	}
-	return true
 }
 
 // isConnFailure classifies an error from a backend call: true means the

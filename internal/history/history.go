@@ -141,8 +141,10 @@ type Engine struct {
 
 	sim      *sim.Simulator
 	slots    []sim.StateSlot
-	denseOf  []int32 // sim value-array slot -> dense index, -1 = not state
+	denseOf  []int32        // sim value-array slot -> dense index, -1 = not state
+	slotIdx  map[string]int // slot name -> dense index
 	mems     []sim.StateMem
+	memIdx   map[string]int // memory name -> index into mems
 	cycleReg string
 	cycleIdx int32 // dense index of the cycle register, -1 = use positions
 
@@ -205,14 +207,18 @@ func (e *Engine) bind(s *sim.Simulator, cycleReg string) {
 		e.denseOf[i] = -1
 	}
 	e.live = denseState{regs: make([]uint64, len(e.slots)), mems: make([][]uint64, len(e.mems))}
+	e.slotIdx = make(map[string]int, len(e.slots))
 	for i, sl := range e.slots {
 		e.denseOf[sl.Idx] = int32(i)
+		e.slotIdx[sl.Name] = i
 		e.live.regs[i] = s.SlotValue(sl.Idx)
 		if sl.Name == cycleReg {
 			e.cycleIdx = int32(i)
 		}
 	}
+	e.memIdx = make(map[string]int, len(e.mems))
 	for i, m := range e.mems {
+		e.memIdx[m.Name] = i
 		e.live.mems[i] = make([]uint64, m.Depth)
 		s.CopyMemInto(m.ID, e.live.mems[i])
 	}
@@ -660,23 +666,31 @@ type Diff struct {
 
 // LiveDiff compares target state with the live mirror, which always
 // equals the board, so a restore of the target needs to write only the
-// state it lists. Only the registers and memories named in regs and mems
+// state it lists, and a snapshot taken as the target needs to re-read
+// only that state. Only the registers and memories named in regs and mems
 // are compared; input ports are not, since they are driven as pins rather
-// than restored through frames. The engine must be attached.
+// than restored through frames. State the mirror does not hold — names it
+// has no slot or memory for, words past a memory's depth — is listed as
+// differing. The engine must be attached.
 func (e *Engine) LiveDiff(regs map[string]uint64, mems map[string][]uint64) Diff {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	d := Diff{Words: make(map[string][]int)}
-	for i, sl := range e.slots {
-		if v, ok := regs[sl.Name]; ok && !sl.Input && v != e.live.regs[i] {
-			d.Regs = append(d.Regs, sl.Name)
+	for n, v := range regs {
+		i, ok := e.slotIdx[n]
+		if !ok || !e.slots[i].Input && v != e.live.regs[i] {
+			d.Regs = append(d.Regs, n)
 		}
 	}
-	for i, m := range e.mems {
-		live := e.live.mems[i]
-		for a, v := range mems[m.Name] {
-			if a < len(live) && v != live[a] {
-				d.Words[m.Name] = append(d.Words[m.Name], a)
+	sort.Strings(d.Regs)
+	for n, words := range mems {
+		var live []uint64
+		if i, ok := e.memIdx[n]; ok {
+			live = e.live.mems[i]
+		}
+		for a, v := range words {
+			if a >= len(live) || v != live[a] {
+				d.Words[n] = append(d.Words[n], a)
 			}
 		}
 	}

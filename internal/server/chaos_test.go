@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomie"
 	"zoomie/internal/client"
 	"zoomie/internal/faults"
 	"zoomie/internal/server"
@@ -219,6 +220,138 @@ func TestWedgeQuarantineMigration(t *testing.T) {
 	}
 	if st.Probes == 0 || st.ProbeFailures == 0 {
 		t.Errorf("probe accounting: probes=%d failures=%d, want >0 each", st.Probes, st.ProbeFailures)
+	}
+}
+
+// wedgeProfile is a fault profile that injects nothing but a wedge after
+// the given number of backend operations, so every operation count is a
+// function of the command sequence alone.
+func wedgeProfile(after int64) *faults.Profile {
+	return &faults.Profile{Seed: 7, WedgeAfter: after}
+}
+
+// TestWedgeDuringCaptureMigratesExactly lands a wedge on the known-good
+// capture that follows a poke. The capture is part of the command: the
+// poke fails over to a fresh board restored from the pre-poke snapshot
+// and is executed again there, so the poked value survives. (A capture
+// taken after the reply would fail silently and leave the pre-poke
+// snapshot as the migration source.)
+func TestWedgeDuringCaptureMigratesExactly(t *testing.T) {
+	// Pad the op count with peeks so the replacement board, which pays
+	// the same boot, stays well below the wedge threshold.
+	const pad = 100
+	script := func(t *testing.T, wedgeAfter int64) (srv *server.Server, sess *client.Session, afterPad, afterPoke, peekOps int64) {
+		srv, addr := startServer(t, server.Config{PoolSize: 2, Chaos: wedgeProfile(wedgeAfter)})
+		c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if sess, err = c.Attach("counter"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		inj := srv.InjectorFor(sess.ID)
+		for i := 0; i < pad; i++ {
+			if _, err := sess.Peek("cnt"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		afterPad = inj.Stats().Ops
+		if err := sess.Poke("cnt", 1234); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Peek("cnt"); err != nil {
+			t.Fatal(err)
+		}
+		afterPoke = inj.Stats().Ops
+		if _, err := sess.Peek("cnt"); err != nil {
+			t.Fatal(err)
+		}
+		return srv, sess, afterPad, afterPoke, inj.Stats().Ops - afterPoke
+	}
+
+	// Calibrate on a board that never wedges: the poke and its capture
+	// end one peek before afterPoke, and a poke on a local session over
+	// the same link costs what the poke alone costs.
+	_, _, afterPad, afterPoke, peekOps := script(t, 1<<40)
+	inj := faults.New(*wedgeProfile(1 << 40))
+	local, err := server.NewCatalogSessionWith("counter", func(cfg *zoomie.DebugConfig) { cfg.Faults = inj })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if err := local.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	before := inj.Stats().Ops
+	if err := local.Poke("cnt", 1234); err != nil {
+		t.Fatal(err)
+	}
+	pokeEnd := afterPad + inj.Stats().Ops - before
+	if captureEnd := afterPoke - peekOps; captureEnd <= pokeEnd {
+		t.Fatalf("the capture after the poke cost no backend operation (poke ends at op %d, capture at %d)",
+			pokeEnd, captureEnd)
+	}
+
+	// Wedge on the capture's first operation.
+	srv, sess, _, _, _ := script(t, pokeEnd)
+	got, err := sess.Peek("cnt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 1234 {
+		t.Fatalf("after a wedge during the post-poke capture cnt=%d, want 1234", got)
+	}
+	if paused, err := sess.Paused(); err != nil || !paused {
+		t.Fatalf("paused=%v err=%v after migration, want paused", paused, err)
+	}
+	if st := srv.Stats(); st.Migrations != 1 {
+		t.Errorf("migrations=%d, want 1", st.Migrations)
+	}
+}
+
+// TestRunWedgeMigratePreservesCycles runs the free-running design, wedges
+// its board and requires the migrated session to resume at the cycle the
+// run reached: run changes state, so it refreshes the known-good
+// snapshot like any other mutating command.
+func TestRunWedgeMigratePreservesCycles(t *testing.T) {
+	srv, addr := startServer(t, server.Config{
+		PoolSize:           2,
+		Chaos:              &faults.Profile{Seed: 7, ReadFlip: 0.001},
+		QuarantineCooldown: time.Hour,
+	})
+	c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Run(500); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Cycles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want < 500 {
+		t.Fatalf("design ran to cycle %d, want at least 500", want)
+	}
+	srv.InjectorFor(sess.ID).Wedge()
+	got, err := sess.Cycles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after run -> wedge -> migrate the design is at cycle %d, want %d", got, want)
+	}
+	if st := srv.Stats(); st.Migrations != 1 {
+		t.Errorf("migrations=%d, want 1", st.Migrations)
 	}
 }
 

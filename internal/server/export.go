@@ -138,6 +138,7 @@ func (s *Server) importAttach(c *conn, req *wire.Request) *wire.Response {
 	sess := newSession(s.nextSID, name, zs, s)
 	sess.lease = lease
 	sess.ilaMeta = ilaMeta
+	sess.lastGood = blob.Snapshot // the board holds it now: the known-good base
 	sess.injector.Store(inj)
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()

@@ -2,13 +2,89 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"zoomie"
 	"zoomie/internal/client"
 	"zoomie/internal/dbg"
+	"zoomie/internal/faults"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
+
+// TestStateExportMatchesFullRead checks the snapshot inside a state
+// export against a full read: after mixed commands it must decode to
+// exactly the full-scope snapshot of a local twin driven through the same
+// commands. Exports recur, so later ones refresh the known-good snapshot
+// from earlier ones — with no fault injector bound (refreshed only by
+// exports) and with one (refreshed after every mutating command too).
+func TestStateExportMatchesFullRead(t *testing.T) {
+	for _, chaos := range []*faults.Profile{nil, {Seed: 5, ReadFlip: 0.01}} {
+		_, addr := startServer(t, server.Config{PoolSize: 1, Chaos: chaos})
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sess, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := server.NewCatalogSession("counter", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+
+		until := func(s interface {
+			RunUntilPaused(int) (int, error)
+		}) func() error {
+			return func() error { _, err := s.RunUntilPaused(1 << 14); return err }
+		}
+		steps := []struct{ remote, local func() error }{
+			{func() error { return sess.Run(40) }, func() error { twin.Run(40); return nil }},
+			{sess.Pause, twin.Pause},
+			{func() error { return sess.Poke("cnt", 777) }, func() error { return twin.Poke("cnt", 777) }},
+			{func() error { return sess.Step(3) }, func() error { return twin.Step(3) }},
+			{func() error { return sess.SetValueBreakpoint("q", 900, dbg.BreakAny) },
+				func() error { return twin.SetValueBreakpoint("q", 900, dbg.BreakAny) }},
+			{sess.Resume, twin.Resume},
+			{until(sess), until(twin)},
+			{func() error { return sess.Poke("cnt", 5) }, func() error { return twin.Poke("cnt", 5) }},
+		}
+		for i, st := range steps {
+			if err := st.remote(); err != nil {
+				t.Fatalf("step %d remote: %v", i, err)
+			}
+			if err := st.local(); err != nil {
+				t.Fatalf("step %d local: %v", i, err)
+			}
+			if i%2 == 0 {
+				continue
+			}
+			blob, cyc, err := sess.StateExport(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Snapshot *zoomie.DebugSnapshot `json:"snapshot"`
+			}
+			if err := json.Unmarshal(blob, &env); err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Snapshot("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(env.Snapshot, want) || cyc != want.Cycle {
+				t.Fatalf("chaos=%v after step %d: exported snapshot (cycle %d) differs from a full read (cycle %d)",
+					chaos != nil, i, cyc, want.Cycle)
+			}
+		}
+	}
+}
 
 // TestStateExportImport drives the cross-daemon failover transport
 // directly: debug a session into an interesting state (breakpoint armed,

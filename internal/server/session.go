@@ -75,7 +75,7 @@ type session struct {
 	// Actor-local state (only the actor goroutine touches these).
 	lastPaused bool
 	lastSnap   *zoomie.DebugSnapshot
-	lastGood   *zoomie.DebugSnapshot // migration source; full scope
+	lastGood   *zoomie.DebugSnapshot // known-good full-scope snapshot: migration source, export base
 	replay     map[uint64]*replayRing
 }
 
@@ -173,14 +173,18 @@ func (s *session) cableStats() jtag.CableStats {
 // and its board goes back to the pool.
 func (s *session) loop() {
 	defer s.srv.wg.Done()
-	s.captureGood()
+	if s.injector.Load() != nil {
+		// A failed first capture is retried by the first mutating
+		// command's refresh, which reads whatever the base lacks.
+		_ = s.refreshGood(context.Background())
+	}
 	idle := s.srv.cfg.IdleTimeout
 	timer := time.NewTimer(idle)
 	defer timer.Stop()
 	for {
 		select {
 		case t := <-s.reqs:
-			if t.req.Op == opProbe || t.req.Op == opIlaPoll || t.req.Op == opHistPoll {
+			if housekeeping(t.req.Op) {
 				// Probes and ILA polls are housekeeping: no replay, no
 				// latency sample, and crucially no idle-timer reset — a
 				// probed or streamed session must still idle out.
@@ -209,9 +213,6 @@ func (s *session) loop() {
 				return
 			}
 			s.maybeEmitPaused(t.req.Op)
-			if resp.Err == nil {
-				s.maybeCaptureGood(t.req.Op)
-			}
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -254,28 +255,24 @@ func (s *session) replayStore(req *wire.Request, resp *wire.Response) {
 	ring.put(req.Seq, resp)
 }
 
-// captureGood snapshots the full design state — user design and Debug
-// Controller registers alike — as the migration source. Only meaningful
-// under chaos; skipped (and free) otherwise.
-func (s *session) captureGood() {
-	if s.injector.Load() == nil {
-		return
-	}
-	if snap, err := s.zs.Snapshot(""); err == nil {
-		s.lastGood = snap
-	}
+// housekeeping reports whether an op is one of the actor's internal
+// housekeeping ops rather than a client command.
+func housekeeping(op string) bool {
+	return op == opProbe || op == opIlaPoll || op == opHistPoll
 }
 
-// maybeCaptureGood refreshes the known-good snapshot after commands that
-// changed state a migration must preserve.
-func (s *session) maybeCaptureGood(op string) {
-	switch op {
-	case wire.OpPause, wire.OpResume, wire.OpStep, wire.OpUntil,
-		wire.OpPoke, wire.OpPokeMem, wire.OpPokeBatch, wire.OpBreak,
-		wire.OpClearBrk, wire.OpAssert, wire.OpSnapSave, wire.OpSnapRest,
-		wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont, wire.OpHistLoad:
-		s.captureGood()
+// refreshGood brings the known-good snapshot — the full design state,
+// user design and Debug Controller registers alike — up to date with the
+// board, re-reading only the frames whose state changed since it was
+// last taken. It is the migration source and the base of every state
+// export.
+func (s *session) refreshGood(ctx context.Context) error {
+	snap, err := s.zs.RefreshSnapshot(ctx, s.lastGood)
+	if err != nil {
+		return err
 	}
+	s.lastGood = snap
+	return nil
 }
 
 // teardown closes the session exactly once: it marks the session dead
@@ -353,22 +350,42 @@ func (s *session) handle(t task) (*wire.Response, bool) {
 	}
 	defer atomic.StoreInt32(&s.busy, 0)
 
-	resp, detach := s.execute(t)
+	resp, detach := s.executeGood(t)
 	if resp.Err != nil && resp.Err.Code == wire.CodeBoardFailed {
 		if werr := s.migrate(resp.Err.Msg); werr != nil {
 			return &wire.Response{ID: t.req.ID, Session: s.id, Err: werr}, true
 		}
-		resp, detach = s.execute(t)
+		resp, detach = s.executeGood(t)
 	}
 	return resp, detach
 }
 
+// executeGood runs one command and, while a fault injector is bound and
+// the command may have changed state, refreshes the known-good snapshot
+// before the reply goes out. A refresh that hits a board failure fails
+// the command like one: the known-good snapshot still holds the
+// pre-command state, so migrating and re-executing is exact.
+func (s *session) executeGood(t task) (*wire.Response, bool) {
+	resp, detach := s.execute(t)
+	if resp.Err != nil || detach || housekeeping(t.req.Op) ||
+		!wire.MutatingOp(t.req.Op) || s.injector.Load() == nil {
+		return resp, detach
+	}
+	// Not the issuing connection's context: the snapshot is the session's
+	// migration source and must not be left stale by a client going away.
+	if err := s.refreshGood(context.Background()); err != nil && isBoardFailure(err) {
+		return &wire.Response{ID: t.req.ID, Session: s.id,
+			Err: wire.Errf(wire.CodeBoardFailed, "known-good snapshot: %s", err)}, false
+	}
+	return resp, false
+}
+
 // migrate replaces the session's failed board: quarantine the lease,
 // close the old session (fail-fast — the transport does not retry a
-// wedged board), lease and configure a fresh board, and restore the last
-// known-good snapshot onto it. The full-scope snapshot carries the Debug
-// Controller registers, so armed breakpoints and the pause state survive
-// the move.
+// wedged board), lease and configure a fresh board, and restore the
+// known-good snapshot onto it, which then stays the known-good snapshot.
+// The full-scope snapshot carries the Debug Controller registers, so
+// armed breakpoints and the pause state survive the move.
 func (s *session) migrate(cause string) *wire.Error {
 	srv := s.srv
 	leaseID := uint64(0)
@@ -712,17 +729,18 @@ func (s *session) execute(t task) (*wire.Response, bool) {
 		// registers included, so breakpoints and pause state travel) plus
 		// the encoded history engine, serialized and chunked into Lines.
 		// Runs on the actor like any command, so the blob is a consistent
-		// point-in-time cut between ops.
-		snap, err := s.zs.SnapshotCtx(ctx, "")
-		if err != nil {
+		// point-in-time cut between ops. The snapshot is the refreshed
+		// known-good one, so a checkpoint re-reads only what changed
+		// since the previous one.
+		if err := s.refreshGood(ctx); err != nil {
 			return fail(err)
 		}
-		blob, err := encodeExport(snap, s.zs.EncodeHistory())
+		blob, err := encodeExport(s.lastGood, s.zs.EncodeHistory())
 		if err != nil {
 			return fail(err)
 		}
 		resp.Lines = blob
-		resp.Cycles = snap.Cycle
+		resp.Cycles = s.lastGood.Cycle
 
 	case wire.OpSessStat:
 		paused, err := s.zs.Paused()

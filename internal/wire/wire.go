@@ -150,6 +150,20 @@ const (
 	OpCompileCancel = "compilecancel" // Value job id -> Lines
 )
 
+// MutatingOp reports whether a session-scoped op can change daemon-side
+// session state: zfleet journals these for deterministic re-execution
+// after a failover, and a daemon refreshes its known-good snapshot after
+// them. Unknown ops count as mutating.
+func MutatingOp(op string) bool {
+	switch op {
+	case OpPeek, OpPeekMem, OpPeekBatch, OpOutput,
+		OpInspect, OpSessStat, OpHistStat, OpHistTimelines,
+		OpStateExport:
+		return false
+	}
+	return true
+}
+
 // Stream kinds for OpStreamOpen's Name field.
 const (
 	StreamCounters = "counters" // aggregated per-session + server counter deltas
