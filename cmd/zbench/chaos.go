@@ -27,8 +27,9 @@ func chaos(int) error {
 	rates := []float64{0, 0.001, 0.005, 0.01, 0.02}
 	const rounds = 30
 
-	fmt.Printf("%-10s %6s %9s %10s %9s %9s %9s %8s %10s\n",
-		"fault rate", "ops", "wall ms", "cable ms", "retries", "rereads", "rewrites", "faults", "overhead")
+	fmt.Printf("%-10s %6s %9s %10s %10s %8s %9s %9s %9s %8s %10s\n",
+		"fault rate", "ops", "wall ms", "cable ms", "streams/op", "hops/op",
+		"retries", "rereads", "rewrites", "faults", "overhead")
 	var baseCable time.Duration
 	for _, rate := range rates {
 		var inj *zoomie.FaultInjector
@@ -76,7 +77,7 @@ func chaos(int) error {
 		}
 		wall := time.Since(start)
 		cable := sess.Elapsed()
-		cs := sess.Cable.Stats()
+		cs, ch := sess.Cable.Stats(), sess.Cable.Chain.Stats
 		var injected int64
 		if inj != nil {
 			injected = inj.Stats().Total()
@@ -87,15 +88,18 @@ func chaos(int) error {
 		} else if baseCable > 0 {
 			over = fmt.Sprintf("+%.1f%%", 100*(float64(cable)/float64(baseCable)-1))
 		}
-		fmt.Printf("%-10g %6d %9.1f %10.1f %9d %9d %9d %8d %10s\n",
+		fmt.Printf("%-10g %6d %9.1f %10.1f %10.2f %8.2f %9d %9d %9d %8d %10s\n",
 			rate, ops, float64(wall.Microseconds())/1000,
 			float64(cable.Microseconds())/1000,
+			float64(ch.Streams)/float64(ops), float64(ch.Hops)/float64(ops),
 			cs.Retries, cs.ReReads, cs.Rewrites, injected, over)
 		sess.Close()
 	}
 	fmt.Println("\nevery peek above was value-checked: the guarded transport let zero")
 	fmt.Println("corrupted words through at any fault rate; overhead is the modeled")
-	fmt.Println("cable time of re-reads, CRC-verify rewrites, and transient retries.")
+	fmt.Println("cable time of agreement reads, CRC-verify rewrites, and transient")
+	fmt.Println("retries. streams/op and hops/op count SYNC words and BOUT ring hops")
+	fmt.Println("(each hop costs 5 ms); rereads are reads beyond the agreement depth.")
 	return captureCost()
 }
 

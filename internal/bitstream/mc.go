@@ -83,6 +83,7 @@ type ChainStats struct {
 	FramesWritten int
 	Hops          int
 	Commands      int
+	Streams       int // SYNC words executed: one per command sequence
 }
 
 // NewChain builds a chain over the backend with the given cost model.
@@ -132,6 +133,7 @@ func (c *Chain) ExecuteCtx(ctx context.Context, stream []uint32) ([]uint32, erro
 			// New command sequence: targeting returns to the primary.
 			c.target = c.backend.Primary()
 			c.pending = 0
+			c.Stats.Streams++
 			i++
 			continue
 		}

@@ -8,13 +8,20 @@
 // The cable is also where link-level resilience lives. When connected
 // with a fault injector (or with Options.Guard set), every operation runs
 // guarded: transient errors are retried with exponential backoff and
-// jitter under an operation deadline, frame readback is double-read until
-// two consecutive reads agree (catching in-flight bit flips that have no
-// ground truth to checksum against), and frame writeback is CRC32-
-// verified against readback and rewritten until it sticks (catching
-// flipped, dropped and duplicated writes). A cable connected without
-// faults runs the exact unguarded code paths of the original transport —
-// resilience is zero-cost when disabled.
+// jitter under an operation deadline, frame readback is repeated until
+// every word has been seen identically in RetryPolicy.Agreement
+// consecutive reads (catching in-flight bit flips that have no ground
+// truth to checksum against), and frame writeback is CRC32-verified
+// against readback and rewritten until it sticks (catching flipped,
+// dropped and duplicated writes). Verified readback and verify-after-
+// write share one agreement engine, which packs each convergence round
+// into one stream: SYNC, one SLR selection, the writes, then as many
+// agreement passes as fit maxStreamFrameOps frame operations. A small
+// verified transfer thus selects its SLR once, as §4.7's "scan each SLR
+// only once" intends; a set whose single pass exceeds the bound streams
+// one pass per stream. A cable connected without faults runs the exact
+// unguarded code paths of the original transport — resilience is
+// zero-cost when disabled.
 package jtag
 
 import (
@@ -96,8 +103,8 @@ var (
 	// retries) exceeded the per-operation deadline.
 	ErrDeadline = errors.New("jtag: operation deadline exceeded")
 	// ErrVerify reports data that could not be read or written cleanly
-	// within the retry budget: reads that never produced two agreeing
-	// copies, or writes whose readback CRC kept mismatching.
+	// within the retry budget: reads that never agreed Agreement times
+	// in a row, or writes whose readback CRC kept mismatching.
 	ErrVerify = errors.New("jtag: frame verification failed")
 )
 
@@ -163,7 +170,7 @@ type Options struct {
 // snapshot them while the owning actor drives the cable.
 type CableStats struct {
 	Retries     int64 // stream executions retried after transient errors
-	ReReads     int64 // extra frame reads issued until two copies agreed
+	ReReads     int64 // frame reads beyond Agreement per frame (recovery from disagreeing reads)
 	Rewrites    int64 // frames rewritten after CRC verify-after-write failed
 	VerifyFails int64 // operations abandoned with ErrVerify
 	Readbacks   int64 // ReadbackFrames calls (logical readback operations)
@@ -322,32 +329,45 @@ func (c *Cable) backoff(attempt int) time.Duration {
 	return d + j
 }
 
-// readbackStream builds the coalesced FDRO stream for a set of frame
-// addresses of one SLR: one BOUT selection, runs of consecutive addresses
-// merged into multi-frame reads — the SLR-aware optimization of §4.7.
-func (c *Cable) readbackStream(slr int, frames []int) []uint32 {
-	hops := c.Board.Device.Hops(slr)
-	b := bitstream.NewBuilder().Sync().SelectSLR(hops)
-	start := frames[0]
-	run := 1
-	flush := func() {
+// maxStreamFrameOps bounds the frame operations (frame writes plus frame
+// reads) that one guarded stream carries. A verified transfer packs each
+// convergence round into one stream, so it pays SYNC and its SLR's BOUT
+// selection once per round instead of once per agreement pass. The bound
+// exists because one transient error voids the whole stream: the longer
+// the stream, the likelier a retry and the more that retry re-executes.
+// The optimum sits near √(selection cost / (frame cost × transient rate)),
+// about 50 frame ops at exec=0.0025 two hops from the primary (DESIGN.md
+// §5, "One SLR selection per verified transfer"). A single pass or write
+// larger than the bound is never split: it gets a stream of its own.
+const maxStreamFrameOps = 64
+
+// transferStream builds one configuration stream for one SLR: SYNC, one
+// BOUT selection, a WCFG write of data[i] to each frames[i], then one FDRO
+// pass per entry of reads, each merging runs of consecutive addresses into
+// multi-frame reads — the SLR-aware optimization of §4.7.
+func (c *Cable) transferStream(slr int, frames []int, data [][]uint32, reads ...[]int) []uint32 {
+	b := bitstream.NewBuilder().Sync().SelectSLR(c.Board.Device.Hops(slr))
+	for i, f := range frames {
+		b.WriteFrames(fpga.FrameWords, f, data[i])
+	}
+	for _, pass := range reads {
+		start, run := pass[0], 1
+		for _, f := range pass[1:] {
+			if f == start+run {
+				run++
+				continue
+			}
+			b.ReadFrames(fpga.FrameWords, start, run)
+			start, run = f, 1
+		}
 		b.ReadFrames(fpga.FrameWords, start, run)
 	}
-	for _, f := range frames[1:] {
-		if f == start+run {
-			run++
-			continue
-		}
-		flush()
-		start, run = f, 1
-	}
-	flush()
 	return b.Words()
 }
 
 // readbackOnce executes one readback pass and splits the payload.
 func (c *Cable) readbackOnce(ctx context.Context, slr int, frames []int, deadline time.Time) ([][]uint32, error) {
-	stream := c.readbackStream(slr, frames)
+	stream := c.transferStream(slr, nil, nil, frames)
 	var words []uint32
 	var err error
 	if c.guard {
@@ -393,7 +413,7 @@ func (c *Cable) ReadbackFramesCtx(ctx context.Context, slr int, frames []int) ([
 	}
 	atomic.AddInt64(&c.readbacks, 1)
 	if c.guard {
-		return c.readbackVerified(ctx, slr, frames)
+		return c.verifiedTransfer(ctx, slr, frames, nil)
 	}
 	return c.readbackOnce(ctx, slr, frames, time.Time{})
 }
@@ -416,92 +436,188 @@ func (c *Cable) verifyBudget() int { return 4 * c.retry.MaxRetries }
 // unconfirmed subset goes back on the wire. The design is quiesced during
 // readback (the configuration plane owns the clock), so words confirmed
 // by different read streaks belong to one consistent frame.
+//
+// The agreement passes share streams: each convergence round is one
+// stream carrying one SLR selection and as many passes as fit
+// maxStreamFrameOps, each frame read only as often as a clean
+// continuation needs to confirm it. A set of up to maxStreamFrameOps /
+// Agreement frames therefore reads back in one stream on a clean link; a
+// set whose single pass exceeds the bound reads one pass per stream.
 func (c *Cable) ReadbackFramesVerified(slr int, frames []int) ([][]uint32, error) {
-	return c.readbackVerified(context.Background(), slr, frames)
+	return c.verifiedTransfer(context.Background(), slr, frames, nil)
 }
 
-func (c *Cable) readbackVerified(ctx context.Context, slr int, frames []int) ([][]uint32, error) {
+// agreement is the per-word read verification state of one frame set: a
+// word is confirmed once it has been observed identically in agree
+// consecutive reads of its frame, and a frame once all its words are.
+type agreement struct {
+	agree   int
+	last    [][]uint32 // latest observation of each frame (nil before the first)
+	out     [][]uint32 // confirmed words
+	streak  [][]int    // consecutive identical observations per word; agree = confirmed
+	left    []int      // unconfirmed words per frame
+	reads   []int      // observations of each frame so far
+	pending []int      // positions of the frames with unconfirmed words, in order
+}
+
+func newAgreement(n, agree int) *agreement {
+	a := &agreement{
+		agree:   agree,
+		last:    make([][]uint32, n),
+		out:     make([][]uint32, n),
+		streak:  make([][]int, n),
+		left:    make([]int, n),
+		reads:   make([]int, n),
+		pending: make([]int, n),
+	}
+	for p := range a.pending {
+		a.out[p] = make([]uint32, fpga.FrameWords)
+		a.streak[p] = make([]int, fpga.FrameWords)
+		a.left[p] = fpga.FrameWords
+		a.pending[p] = p
+	}
+	return a
+}
+
+// need returns how many more reads of frame p a clean continuation needs
+// to confirm all its words: the least advanced word decides.
+func (a *agreement) need(p int) int {
+	least := a.agree
+	for _, s := range a.streak[p] {
+		least = min(least, s)
+	}
+	return a.agree - least
+}
+
+// plan lays out the read passes of the next stream as frame positions.
+// Pass k reads every pending frame that still needs more than k reads,
+// capped by what is left of its maxReads observation budget, so no frame
+// is read speculatively. It takes as many passes as fit room frame
+// operations; with first set it takes the first pass even when that alone
+// exceeds room, which is how a large set streams one pass at a time.
+func (a *agreement) plan(room, maxReads int, first bool) [][]int {
+	want := make([]int, len(a.pending))
+	deepest := 0
+	for i, p := range a.pending {
+		want[i] = min(a.need(p), maxReads-a.reads[p])
+		deepest = max(deepest, want[i])
+	}
+	var passes [][]int
+	for k := 0; k < deepest; k++ {
+		var pass []int
+		for i, p := range a.pending {
+			if want[i] > k {
+				pass = append(pass, p)
+			}
+		}
+		if len(pass) > room && !(first && k == 0) {
+			break
+		}
+		room -= len(pass)
+		passes = append(passes, pass)
+	}
+	return passes
+}
+
+// observe feeds one stream's read payload, pass by pass and frame by
+// frame, through the per-word agreement, drops confirmed frames from the
+// pending set, and returns how many of the reads went beyond agree reads
+// of their frame — the recovery work, zero on a clean link.
+func (a *agreement) observe(passes [][]int, words []uint32) (extra int64) {
+	for _, pass := range passes {
+		for _, p := range pass {
+			cur := words[:fpga.FrameWords]
+			words = words[fpga.FrameWords:]
+			if a.reads[p]++; a.reads[p] > a.agree {
+				extra++
+			}
+			for w, v := range cur {
+				s := a.streak[p][w]
+				if s >= a.agree {
+					continue
+				}
+				if s > 0 && v == a.last[p][w] {
+					s++
+				} else {
+					s = 1
+				}
+				a.streak[p][w] = s
+				if s == a.agree {
+					a.out[p][w] = v
+					a.left[p]--
+				}
+			}
+			a.last[p] = cur
+		}
+	}
+	still := a.pending[:0]
+	for _, p := range a.pending {
+		if a.left[p] > 0 {
+			still = append(still, p)
+		}
+	}
+	a.pending = still
+	return extra
+}
+
+// verifiedTransfer is the guarded transport's agreement engine, shared by
+// verified readback and verify-after-write. With data set it first writes
+// data[i] to each frames[i]; then it reads the frames until every word has
+// been observed identically in retry.Agreement consecutive reads, and
+// returns the agreed contents. Each convergence round is one stream: SYNC,
+// one SLR selection, the writes (first round only), and as many agreement
+// passes of the still-pending frames as plan fits in maxStreamFrameOps.
+// Frames whose reads disagreed go back on the wire in the next round.
+func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, data [][]uint32) ([][]uint32, error) {
 	deadline := time.Now().Add(c.retry.Deadline)
-	prev, err := c.readbackOnce(ctx, slr, frames, deadline)
-	if err != nil {
-		return nil, err
-	}
-	agree := c.retry.Agreement
-	out := make([][]uint32, len(frames))
-	left := make([]int, len(frames)) // unconfirmed words per frame
-	conf := make([][]bool, len(frames))
-	streak := make([][]int, len(frames)) // consecutive identical observations
-	pending := make([]int, len(frames))  // positions not yet fully confirmed
-	for i := range frames {
-		out[i] = make([]uint32, fpga.FrameWords)
-		conf[i] = make([]bool, fpga.FrameWords)
-		streak[i] = make([]int, fpga.FrameWords)
-		for w := range streak[i] {
-			streak[i][w] = 1 // the mandatory first read
+	a := newAgreement(len(frames), c.retry.Agreement)
+	// A frame is read at most this often: the first read, the mandatory
+	// second, and verifyBudget more.
+	maxReads := c.verifyBudget() + 2
+	for round := 0; len(a.pending) > 0; round++ {
+		if round > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for _, p := range a.pending {
+				if a.reads[p] >= maxReads {
+					atomic.AddInt64(&c.verifyFails, 1)
+					return nil, fmt.Errorf("%w: %d frames of SLR %d never fully agreed across consecutive reads",
+						ErrVerify, len(a.pending), slr)
+				}
+			}
+			if time.Now().After(deadline) {
+				atomic.AddInt64(&c.verifyFails, 1)
+				return nil, fmt.Errorf("%w: read verification of SLR %d", ErrDeadline, slr)
+			}
 		}
-		left[i] = fpga.FrameWords
-		pending[i] = i
-	}
-	for attempt := 0; len(pending) > 0; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		var wf []int
+		var wd [][]uint32
+		room := maxStreamFrameOps
+		if round == 0 && data != nil {
+			wf, wd = frames, data
+			room -= len(frames)
 		}
-		if attempt > c.verifyBudget() {
-			atomic.AddInt64(&c.verifyFails, 1)
-			return nil, fmt.Errorf("%w: %d frames of SLR %d never fully agreed across consecutive reads",
-				ErrVerify, len(pending), slr)
+		passes := a.plan(room, maxReads, wf == nil)
+		reads := make([][]int, len(passes))
+		n := 0
+		for k, pass := range passes {
+			reads[k] = make([]int, len(pass))
+			for i, p := range pass {
+				reads[k][i] = frames[p]
+			}
+			n += len(pass)
 		}
-		if time.Now().After(deadline) {
-			atomic.AddInt64(&c.verifyFails, 1)
-			return nil, fmt.Errorf("%w: read verification of SLR %d", ErrDeadline, slr)
-		}
-		sub := make([]int, len(pending))
-		for i, p := range pending {
-			sub[i] = frames[p]
-		}
-		cur, err := c.readbackOnce(ctx, slr, sub, deadline)
+		words, err := c.executeGuarded(ctx, c.transferStream(slr, wf, wd, reads...), deadline)
 		if err != nil {
 			return nil, err
 		}
-		if attempt > 0 { // reads beyond the mandatory second are recovery work
-			atomic.AddInt64(&c.reReads, int64(len(sub)))
+		if len(words) != n*fpga.FrameWords {
+			return nil, fmt.Errorf("jtag: readback returned %d words, want %d", len(words), n*fpga.FrameWords)
 		}
-		var still []int
-		for i, p := range pending {
-			for w := 0; w < fpga.FrameWords; w++ {
-				if conf[p][w] {
-					continue
-				}
-				if cur[i][w] == prev[p][w] {
-					streak[p][w]++
-				} else {
-					streak[p][w] = 1
-				}
-				if streak[p][w] >= agree {
-					out[p][w] = cur[i][w]
-					conf[p][w] = true
-					left[p]--
-				}
-			}
-			if left[p] > 0 {
-				prev[p] = cur[i]
-				still = append(still, p)
-			}
-		}
-		pending = still
+		atomic.AddInt64(&c.reReads, a.observe(passes, words))
 	}
-	return out, nil
-}
-
-// writebackStream builds the partial-reconfiguration stream writing the
-// given frames of one SLR.
-func (c *Cable) writebackStream(slr int, frames []int, data [][]uint32) []uint32 {
-	hops := c.Board.Device.Hops(slr)
-	b := bitstream.NewBuilder().Sync().SelectSLR(hops)
-	for i, f := range frames {
-		b.WriteFrames(fpga.FrameWords, f, data[i])
-	}
-	return b.Words()
+	return a.out, nil
 }
 
 // WritebackFrames writes the given frames of one SLR (partial
@@ -510,6 +626,9 @@ func (c *Cable) writebackStream(slr int, frames []int, data [][]uint32) []uint32
 // the frame read back, and mismatching frames are rewritten until they
 // stick or the retry budget runs out. This is what keeps flipped,
 // dropped and duplicated writes from silently poisoning design state.
+// Each write attempt is one verified transfer: the writes open the first
+// stream and the verifying agreement passes fill it up to
+// maxStreamFrameOps, so a small writeback selects its SLR once.
 func (c *Cable) WritebackFrames(slr int, frames []int, data [][]uint32) error {
 	return c.WritebackFramesCtx(context.Background(), slr, frames, data)
 }
@@ -530,7 +649,7 @@ func (c *Cable) WritebackFramesCtx(ctx context.Context, slr int, frames []int, d
 	}
 	atomic.AddInt64(&c.writebacks, 1)
 	if !c.guard {
-		_, err := c.Chain.ExecuteCtx(ctx, c.writebackStream(slr, frames, data))
+		_, err := c.Chain.ExecuteCtx(ctx, c.transferStream(slr, frames, data))
 		return err
 	}
 	deadline := time.Now().Add(c.retry.Deadline)
@@ -543,10 +662,7 @@ func (c *Cable) WritebackFramesCtx(ctx context.Context, slr int, frames []int, d
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := c.executeGuarded(ctx, c.writebackStream(slr, pendF, pendD), deadline); err != nil {
-			return err
-		}
-		readback, err := c.readbackVerified(ctx, slr, pendF)
+		readback, err := c.verifiedTransfer(ctx, slr, pendF, pendD)
 		if err != nil {
 			return err
 		}

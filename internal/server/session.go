@@ -212,7 +212,7 @@ func (s *session) loop() {
 				s.teardown("detached by client")
 				return
 			}
-			s.maybeEmitPaused(t.req.Op)
+			s.maybeEmitPaused(t.req.Op, resp.Err == nil)
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -302,8 +302,9 @@ func (s *session) teardown(reason string) {
 
 // maybeEmitPaused watches for the running->paused transition after
 // clock-advancing commands and pushes a breakpoint-hit event to
-// subscribers, so clients observe triggers without polling.
-func (s *session) maybeEmitPaused(op string) {
+// subscribers, so clients observe triggers without polling. ok reports
+// whether the command succeeded.
+func (s *session) maybeEmitPaused(op string, ok bool) {
 	switch op {
 	case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont, wire.OpHistLoad:
 		// Explicit time-travel always ends paused: sync the tracked state
@@ -317,9 +318,15 @@ func (s *session) maybeEmitPaused(op string) {
 	default:
 		return
 	}
-	paused, err := s.zs.Paused()
-	if err != nil {
-		return
+	// A successful step has just read the paused flag to verify that the
+	// design re-paused; reading it again would cost a cable op.
+	paused := op == wire.OpStep && ok
+	if !paused {
+		p, err := s.zs.Paused()
+		if err != nil {
+			return
+		}
+		paused = p
 	}
 	was := s.lastPaused
 	s.lastPaused = paused

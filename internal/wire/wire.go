@@ -305,7 +305,7 @@ type Stats struct {
 	Reconnects      int64 `json:"reconnects"`        // hellos presenting an existing client id
 	ReplayHits      int64 `json:"replay_hits"`       // replayed requests answered from cache
 	JtagRetries     int64 `json:"jtag_retries"`      // stream executions retried (transients)
-	JtagReReads     int64 `json:"jtag_rereads"`      // frames re-read until agreement
+	JtagReReads     int64 `json:"jtag_rereads"`      // frame reads beyond the agreement depth
 	JtagRewrites    int64 `json:"jtag_rewrites"`     // frames rewritten after CRC mismatch
 	FaultsInjected  int64 `json:"faults_injected"`   // faults the chaos injectors fired
 
