@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -77,7 +78,7 @@ func historyExp(int) error {
 	}
 	stats := &sess.Cable.Chain.Stats
 	fmt.Printf("\n%-44s %12s %12s %12s\n", "seek distance (cycles back from tip)", "latency", "frames read", "frames wrote")
-	minWrote := -1
+	minWrote, maxRead := -1, 0
 	for _, dist := range []uint64{10, 100, 1000, 8000} {
 		if dist >= tip {
 			continue
@@ -95,12 +96,16 @@ func historyExp(int) error {
 		if minWrote < 0 || wrote < minWrote {
 			minWrote = wrote
 		}
+		maxRead = max(maxRead, read)
 		fmt.Printf("%-44d %12s %12d %12d\n", dist, lat, read, wrote)
 	}
 
-	// Reference row: the tip's full-scope state restored onto a freshly
-	// configured board — what a board migration or fleet import pays, and
-	// what every seek paid before restores diffed against the live state.
+	// Reference rows: the tip's full-scope state restored onto a freshly
+	// configured board. With history off that is a full Restore, which
+	// reads back every frame the snapshot touches to find the ones that
+	// differ. With history on it goes through the live mirror's diff, as a
+	// board swap or fleet import does after adopting history: the
+	// snapshot covers every frame the diff selects, so none is read.
 	if _, err := sess.Seek(tip); err != nil {
 		return err
 	}
@@ -108,34 +113,55 @@ func historyExp(int) error {
 	if err != nil {
 		return err
 	}
-	fresh, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
-		Watches: []string{"checksum"},
-		History: &zoomie.HistoryConfig{Disable: true},
-	})
+	restoreFresh := func(label string, hc *zoomie.HistoryConfig, restore func(*zoomie.Session) error) (read, wrote int, err error) {
+		fresh, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
+			Watches: []string{"checksum"},
+			History: hc,
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		defer fresh.Close()
+		fstats := &fresh.Cable.Chain.Stats
+		r0, w0 := fstats.FramesRead, fstats.FramesWritten
+		start := time.Now()
+		if err := restore(fresh); err != nil {
+			return 0, 0, err
+		}
+		read, wrote = fstats.FramesRead-r0, fstats.FramesWritten-w0
+		fmt.Printf("%-44s %12s %12d %12d\n", label, time.Since(start).Round(time.Microsecond), read, wrote)
+		return read, wrote, nil
+	}
+	_, fullWrote, err := restoreFresh("full restore onto a fresh board (history off)",
+		&zoomie.HistoryConfig{Disable: true},
+		func(fresh *zoomie.Session) error { return fresh.Restore(snap) })
 	if err != nil {
 		return err
 	}
-	defer fresh.Close()
-	if err := fresh.Pause(); err != nil {
+	mirrorRead, _, err := restoreFresh("restore through the mirror (history on)", nil,
+		func(fresh *zoomie.Session) error { return fresh.RestoreSnapshot(context.Background(), snap) })
+	if err != nil {
 		return err
 	}
-	fstats := &fresh.Cable.Chain.Stats
-	r0, w0 := fstats.FramesRead, fstats.FramesWritten
-	start := time.Now()
-	if err := fresh.Restore(snap); err != nil {
-		return err
-	}
-	fullWrote := fstats.FramesWritten - w0
-	fmt.Printf("%-44s %12s %12d %12d\n", "full-scope restore onto a fresh board",
-		time.Since(start).Round(time.Microsecond), fstats.FramesRead-r0, fullWrote)
 	if minWrote >= 0 && minWrote < fullWrote {
 		fmt.Printf("self-check: a seek writes fewer frames than the full restore (%d < %d) ok\n", minWrote, fullWrote)
 	} else {
 		fmt.Printf("self-check FAILED: no seek wrote fewer frames than the full restore (%d)\n", fullWrote)
 	}
+	if maxRead == 1 {
+		fmt.Println("self-check: every seek read only the controller frame ok")
+	} else {
+		fmt.Printf("self-check FAILED: a seek read %d frames, want only the controller frame\n", maxRead)
+	}
+	if mirrorRead == 0 {
+		fmt.Println("self-check: the fresh-board restore through the mirror read 0 frames ok")
+	} else {
+		fmt.Printf("self-check FAILED: the fresh-board restore through the mirror read %d frames\n", mirrorRead)
+	}
 	fmt.Println("\nseek cost scales with the state that changed: the engine restores the")
 	fmt.Println("nearest keyframe at or before the target, replays forward at most one")
 	fmt.Println("interval, and writes back only the frames holding a value that differs")
-	fmt.Println("from the board's live state (DESIGN.md §5).")
+	fmt.Println("from the board's live state, reading back only the controller frame")
+	fmt.Println("(DESIGN.md §5).")
 	return nil
 }

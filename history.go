@@ -9,14 +9,15 @@ package zoomie
 // branch timelines on real (modeled) hardware, with recording cost
 // proportional to design activity.
 //
-// Every restore goes through Debugger.RestoreFrames — the one restore
-// path — so history restores exercise exactly the snapshot/restore
-// machinery (SLR-aware frame plans, guarded-cable semantic verification)
-// that explicit checkpoints do. A history restore selects only the frames
-// holding a value that differs from the board, as the engine's live
-// mirror reports it, so a seek pays for what changed rather than for the
-// size of the design. Snapshots read the same way: RefreshSnapshot
-// re-reads only the frames whose state changed since a base snapshot.
+// Every history restore goes through RestoreSnapshot and so through
+// Debugger.RestoreFrames, the restore path explicit checkpoints share
+// (SLR-aware frame plans, guarded-cable semantic verification). It
+// selects only the frames holding a value that differs from the board,
+// as the engine's live mirror reports it, so a seek pays for what
+// changed rather than for the size of the design, and it builds those
+// frames on the host instead of reading them back. Snapshots read the
+// same way: RefreshSnapshot re-reads only the frames whose state changed
+// since a base snapshot.
 
 import (
 	"context"
@@ -148,7 +149,13 @@ type trigOverlay struct {
 	vals  []uint64
 }
 
-func (s *Session) captureTriggerConfig() (*trigOverlay, error) {
+// holdForRestore reads the paused flag and the trigger overlay in one
+// planned readback — they share the Debug Controller's frame — and
+// pauses the design if it was running. The overlay registers are written
+// by the host only, so values read before the pause still hold after
+// it. Pausing ticks the board, so this comes before the cursor is read
+// or a live diff is taken.
+func (s *Session) holdForRestore() (*trigOverlay, error) {
 	var regs []string
 	for i := range s.Meta.Watches {
 		regs = append(regs, core.RegRefVal(i), core.RegAndMask(i), core.RegOrMask(i))
@@ -156,7 +163,7 @@ func (s *Session) captureTriggerConfig() (*trigOverlay, error) {
 	for i := range s.Meta.Asserts {
 		regs = append(regs, core.RegAssertEn(i))
 	}
-	regs = append(regs, core.RegAndSel, core.RegOrSel)
+	regs = append(regs, core.RegAndSel, core.RegOrSel, core.RegPaused)
 	names := make([]string, len(regs))
 	for i, r := range regs {
 		names[i] = s.Meta.Reg(r)
@@ -165,18 +172,22 @@ func (s *Session) captureTriggerConfig() (*trigOverlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &trigOverlay{names: names, vals: vals}, nil
+	n := len(names) - 1
+	if vals[n] == 0 {
+		if err := s.Pause(); err != nil {
+			return nil, err
+		}
+	}
+	return &trigOverlay{names: names[:n], vals: vals[:n]}, nil
 }
 
-// restoreLive writes registers and memories onto the board (partial
-// reconfiguration) through only the frames holding a value that differs
-// from the live state, then drives the input ports. The design must
-// already be paused: pausing ticks the board, which would overtake the
-// diff.
+// restoreLive writes registers and memories onto the board through
+// RestoreSnapshot, so only the frames holding a value that differs from
+// the live state are written, then drives the input ports. The design
+// must already be paused: pausing ticks the board, which would overtake
+// the diff.
 func (s *Session) restoreLive(regs map[string]uint64, mems map[string][]uint64, inputs map[string]uint64) error {
-	d := s.hist.LiveDiff(regs, mems)
-	snap := &DebugSnapshot{Regs: regs, Mems: mems}
-	if err := s.RestoreFrames(context.Background(), snap, s.FramesOf(d.Regs, d.Words)); err != nil {
+	if err := s.RestoreSnapshot(context.Background(), &DebugSnapshot{Regs: regs, Mems: mems}); err != nil {
 		return err
 	}
 	names := make([]string, 0, len(inputs))
@@ -195,8 +206,9 @@ func (s *Session) restoreLive(regs map[string]uint64, mems map[string][]uint64, 
 // RefreshSnapshot returns a full-scope snapshot of the board, equal to a
 // fresh Snapshot(""), that re-reads only the frames holding a value that
 // differs from base as the live mirror reports it: the read-side twin of
-// restoreLive. A refresh with nothing changed issues no cable operation.
-// A nil or scoped base, or a session with history off, takes a full read.
+// RestoreSnapshot. A refresh with nothing changed issues no cable
+// operation. A nil or scoped base, or a session with history off, takes a
+// full read.
 func (s *Session) RefreshSnapshot(ctx context.Context, base *DebugSnapshot) (*DebugSnapshot, error) {
 	if base == nil || base.Scope != "" || s.hist == nil {
 		return s.SnapshotCtx(ctx, "")
@@ -205,38 +217,48 @@ func (s *Session) RefreshSnapshot(ctx context.Context, base *DebugSnapshot) (*De
 	return s.SnapshotFrames(ctx, base, s.FramesOf(d.Regs, d.Words))
 }
 
-// applyHistState writes a reconstructed state onto the board, then the
-// trigger overlay plus the pause controls in one planned write.
-// leavePaused selects whether the design holds (a seek) or free-runs (a
-// reverse-continue probe).
-func (s *Session) applyHistState(st *history.State, trig *trigOverlay, leavePaused bool) error {
-	if err := s.pauseIfRunning(); err != nil {
-		return err
+// RestoreSnapshot writes a snapshot onto the board through only the
+// frames holding a value that differs from the live state, as the
+// history engine's mirror reports it: the write-side twin of
+// RefreshSnapshot. Those frames are known to differ, so RestoreFrames
+// builds every one the snapshot covers on the host and reads none of
+// them back; a full-scope snapshot covers them all. A scoped snapshot,
+// or a session with history off, takes a full Restore, which reads every
+// frame the snapshot touches.
+func (s *Session) RestoreSnapshot(ctx context.Context, snap *DebugSnapshot) error {
+	if snap.Scope != "" || s.hist == nil {
+		return s.RestoreCtx(ctx, snap)
 	}
-	if err := s.restoreLive(st.Regs, st.Mems, st.Inputs); err != nil {
-		return err
+	d := s.hist.LiveDiff(snap.Regs, snap.Mems)
+	return s.RestoreFrames(ctx, snap, s.FramesOf(d.Regs, d.Words))
+}
+
+// applyHistState writes a reconstructed state onto the held design in one
+// delta restore. The trigger overlay and the pause controls are folded
+// into st's registers, which this overwrites: pause_req and step_arm
+// clear, and paused set when the design should hold (a seek) or clear
+// when it should free-run (a reverse-continue probe). So the restore
+// writes the controller's frame at most once, with no readback first.
+func (s *Session) applyHistState(st *history.State, trig *trigOverlay, leavePaused bool) error {
+	for i, n := range trig.names {
+		st.Regs[n] = trig.vals[i]
 	}
 	pausedV := uint64(0)
 	if leavePaused {
 		pausedV = 1
 	}
-	names := append(append([]string{}, trig.names...),
-		s.Meta.Reg(core.RegPauseReq), s.Meta.Reg(core.RegStepArm), s.Meta.Reg(core.RegPaused))
-	vals := append(append([]uint64{}, trig.vals...), 0, 0, pausedV)
-	return s.PokeBatch(names, vals)
+	st.Regs[s.Meta.Reg(core.RegPauseReq)] = 0
+	st.Regs[s.Meta.Reg(core.RegStepArm)] = 0
+	st.Regs[s.Meta.Reg(core.RegPaused)] = pausedV
+	return s.restoreLive(st.Regs, st.Mems, st.Inputs)
 }
 
-// seekPos moves the design to a recorded history position: reconstruct,
-// restore with recording suspended, leave paused, move the cursor.
-func (s *Session) seekPos(pos uint64) error {
-	if err := s.pauseIfRunning(); err != nil {
-		return err
-	}
+// seekPos moves the held design to a recorded history position:
+// reconstruct, restore with recording suspended, leave paused, move the
+// cursor. The caller has read the trigger overlay and paused the design
+// (holdForRestore).
+func (s *Session) seekPos(pos uint64, trig *trigOverlay) error {
 	st, err := s.hist.StateAt(pos)
-	if err != nil {
-		return err
-	}
-	trig, err := s.captureTriggerConfig()
 	if err != nil {
 		return err
 	}
@@ -249,26 +271,35 @@ func (s *Session) seekPos(pos uint64) error {
 	return nil
 }
 
-// Seek moves the design to a recorded cycle, bit-identical to a fresh
-// run paused there (modulo the debug configuration, which deliberately
-// keeps its current values). The design is left paused and the history
-// cursor detached; resuming or poking from here forks a branch
-// timeline. Returns the timeline the cursor lands on.
-func (s *Session) Seek(cycle uint64) (int, error) {
-	if s.hist == nil {
-		return 0, errHistoryDisabled
-	}
-	if err := s.pauseIfRunning(); err != nil {
-		return 0, err
-	}
+// seekCycle moves the held design to a recorded cycle and returns the
+// timeline the cursor lands on.
+func (s *Session) seekCycle(cycle uint64, trig *trigOverlay) (int, error) {
 	pos, err := s.hist.PosForCycle(cycle)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.seekPos(pos); err != nil {
+	if err := s.seekPos(pos, trig); err != nil {
 		return 0, err
 	}
 	return s.hist.Stat().TimelineID, nil
+}
+
+// Seek moves the design to a recorded cycle, bit-identical to a fresh
+// run paused there (modulo the debug configuration, which deliberately
+// keeps its current values). The design is left paused and the history
+// cursor detached; resuming or poking from here forks a branch
+// timeline. Returns the timeline the cursor lands on. On a paused design
+// a seek costs one readback of the controller's frame and one writeback
+// of the frames whose state changes.
+func (s *Session) Seek(cycle uint64) (int, error) {
+	if s.hist == nil {
+		return 0, errHistoryDisabled
+	}
+	trig, err := s.holdForRestore()
+	if err != nil {
+		return 0, err
+	}
+	return s.seekCycle(cycle, trig)
 }
 
 // Rewind seeks n cycles back from the cursor. Returns the cycle landed
@@ -277,7 +308,8 @@ func (s *Session) Rewind(n uint64) (uint64, int, error) {
 	if s.hist == nil {
 		return 0, 0, errHistoryDisabled
 	}
-	if err := s.pauseIfRunning(); err != nil {
+	trig, err := s.holdForRestore()
+	if err != nil {
 		return 0, 0, err
 	}
 	_, cur := s.hist.Cursor()
@@ -285,7 +317,7 @@ func (s *Session) Rewind(n uint64) (uint64, int, error) {
 		return 0, 0, dberr.E(dberr.ErrHistoryHorizon,
 			"history: cannot rewind %d cycles from cycle %d", n, cur)
 	}
-	tl, err := s.Seek(cur - n)
+	tl, err := s.seekCycle(cur-n, trig)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -305,10 +337,7 @@ func (s *Session) ReverseContinue() (uint64, bool, error) {
 	if s.hist == nil {
 		return 0, false, errHistoryDisabled
 	}
-	if err := s.pauseIfRunning(); err != nil {
-		return 0, false, err
-	}
-	trig, err := s.captureTriggerConfig()
+	trig, err := s.holdForRestore()
 	if err != nil {
 		return 0, false, err
 	}
@@ -318,9 +347,16 @@ func (s *Session) ReverseContinue() (uint64, bool, error) {
 	s.hist.Suspend(true)
 	answer, found, perr := s.probeRanges(bounds, cursorCycle, trig)
 	s.hist.Suspend(false)
+	// The probes may leave the design running; a seek back holds it first.
+	seekBack := func() error {
+		if err := s.pauseIfRunning(); err != nil {
+			return err
+		}
+		return s.seekPos(cursorPos, trig)
+	}
 	if perr != nil {
 		// Best-effort: put the design back where it was.
-		_ = s.seekPos(cursorPos)
+		_ = seekBack()
 		return 0, false, perr
 	}
 	if found {
@@ -329,7 +365,7 @@ func (s *Session) ReverseContinue() (uint64, bool, error) {
 		}
 		return answer, true, nil
 	}
-	if err := s.seekPos(cursorPos); err != nil {
+	if err := seekBack(); err != nil {
 		return 0, false, err
 	}
 	return 0, false, nil
@@ -345,6 +381,7 @@ func (s *Session) probeRanges(bounds []history.Boundary, cursorCycle uint64, tri
 		return 0, false, nil
 	}
 	statNames := []string{s.Meta.Reg(core.RegPaused), s.Meta.Reg(core.RegCycles)}
+	ran := false
 	for i := len(bounds) - 1; i >= 0; i-- {
 		// hitCap: the largest cycle a hit in this range may carry. A
 		// trigger pause at exactly the next boundary's cycle belongs to
@@ -362,9 +399,17 @@ func (s *Session) probeRanges(bounds []history.Boundary, cursorCycle uint64, tri
 		if err != nil {
 			return 0, false, err
 		}
+		// The first probe starts on the held design; a later one may
+		// follow a probe that left it running.
+		if ran {
+			if err := s.pauseIfRunning(); err != nil {
+				return 0, false, err
+			}
+		}
 		if err := s.applyHistState(st, trig, false); err != nil {
 			return 0, false, err
 		}
+		ran = true
 		var hits []uint64
 		const chunk = 16
 		// Each iteration either advances the MUT or consumes one pause,
@@ -413,7 +458,11 @@ func (s *Session) SaveState(name string) (regs, mems int, cycle uint64, err erro
 // own registers, so the cycle counter stays monotonic and the armed
 // debug configuration survives. The restore happens with recording ON:
 // it lands in history as host writes, so a load is itself a replayable
-// (and reversible) event. Returns the design cycle after the load.
+// (and reversible) event. Returns the design cycle after the load: the
+// paused flag and the cycle counter come back in one batch before it,
+// and the load leaves the counter alone, so on a paused design a load
+// costs that one readback of the controller's frame plus one writeback
+// of the frames whose state changes.
 func (s *Session) LoadState(name string) (uint64, error) {
 	if s.hist == nil {
 		return 0, errHistoryDisabled
@@ -422,8 +471,18 @@ func (s *Session) LoadState(name string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("zoomie: no savestate %q", name)
 	}
-	if err := s.pauseIfRunning(); err != nil {
+	vals, err := s.PeekBatch([]string{s.Meta.Reg(core.RegPaused), s.Meta.Reg(core.RegCycles)})
+	if err != nil {
 		return 0, err
+	}
+	cycle := vals[1]
+	if vals[0] == 0 {
+		if err := s.Pause(); err != nil {
+			return 0, err
+		}
+		if cycle, err = s.Cycles(); err != nil {
+			return 0, err
+		}
 	}
 	ctl := core.Prefix + "."
 	regs := make(map[string]uint64, len(st.Regs))
@@ -435,7 +494,7 @@ func (s *Session) LoadState(name string) (uint64, error) {
 	if err := s.restoreLive(regs, st.Mems, st.Inputs); err != nil {
 		return 0, err
 	}
-	return s.Cycles()
+	return cycle, nil
 }
 
 // HistoryStatusLines renders the engine status for the REPL — shared by

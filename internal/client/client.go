@@ -395,10 +395,17 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 // callCtx is call under a context: cancellation abandons the wait
 // promptly with a CodeCancelled wire error (which unwraps to
 // context.Canceled, so errors.Is matches the local debugger's
-// cancellation behavior). The request may still execute server-side.
+// cancellation behavior). A call whose context is already done is never
+// sent; one cancelled in flight may still execute server-side.
 // On an op-level failure the response is returned alongside the error,
 // so callers can pick partial-batch values out of it.
 func (c *Client) callCtx(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	// A call cancelled before it starts never reaches the wire, as on the
+	// cable: it takes no id or sequence number, and no reply can race the
+	// cancellation.
+	if err := ctx.Err(); err != nil {
+		return nil, cancelled(req.Op, err)
+	}
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -455,8 +462,7 @@ func (c *Client) callCtx(ctx context.Context, req *wire.Request) (*wire.Response
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		return nil, wire.Errf(wire.CodeCancelled,
-			"client: %s cancelled: %v", req.Op, ctx.Err())
+		return nil, cancelled(req.Op, ctx.Err())
 	case <-timeout:
 		c.mu.Lock()
 		delete(c.pending, req.ID)
@@ -464,6 +470,12 @@ func (c *Client) callCtx(ctx context.Context, req *wire.Request) (*wire.Response
 		return nil, wire.Errf(wire.CodeTimeout,
 			"client: no response to %s within %v", req.Op, c.opts.CallTimeout)
 	}
+}
+
+// cancelled is the CodeCancelled error a call cancelled by its context
+// returns.
+func cancelled(op string, err error) *wire.Error {
+	return wire.Errf(wire.CodeCancelled, "client: %s cancelled: %v", op, err)
 }
 
 // CallCtx sends one raw wire request under a context — Call with

@@ -174,8 +174,10 @@ func unionFrames(a, b map[int][]int) map[int][]int {
 
 // Restore writes a snapshot back through partial reconfiguration,
 // touching only the frames that hold the snapshot's state and leaving
-// everything else intact (§4.7 "Resuming from Snapshot Data"). It is
-// RestoreFrames with every frame the snapshot touches selected.
+// everything else intact (§4.7 "Resuming from Snapshot Data"). It cannot
+// know which of those frames differ from the board, so it reads every
+// one back — that readback is its diff — and writes only the frames
+// whose patched bits changed.
 func (d *Debugger) Restore(snap *Snapshot) error {
 	return d.RestoreCtx(context.Background(), snap)
 }
@@ -189,7 +191,7 @@ func (d *Debugger) RestoreCtx(ctx context.Context, snap *Snapshot) error {
 	for n := range snap.Mems {
 		names[n] = true
 	}
-	return d.RestoreFrames(ctx, snap, d.Image.Map.FramesTouched(names))
+	return d.restore(ctx, snap, d.Image.Map.FramesTouched(names), false)
 }
 
 // FramesOf returns, per SLR, the sorted frames holding the named
@@ -225,22 +227,30 @@ func (d *Debugger) FramesOf(regs []string, words map[string][]int) map[int][]int
 	return out
 }
 
-// RestoreFrames is the one restore path. It reads back the selected
-// frames, patches in every snapshot value they hold, and writes back only
-// the frames whose bits changed. Snapshot state outside the selection
-// must already hold its value on the board: Restore selects every frame
-// the snapshot touches, while a time-travel seek selects just the frames
-// holding a value that differs from the live state. On a guarded cable
-// the restore is additionally verified semantically: every frame written
-// is re-read and its snapshot values compared, with mismatching frames
-// restored again — catching corruption that slips in between the
-// transport's own verify-after-write and the final state.
+// RestoreFrames restores the frames a caller knows to differ from the
+// snapshot — a time-travel seek selects the frames holding a value that
+// differs from the live state. Snapshot state outside the selection must
+// already hold its value on the board. A selected frame the snapshot
+// covers, holding every register placed in it and every word of every
+// memory in it, is built on the host and written without a readback;
+// any other selected frame is read, patched and written back if its bits
+// changed, so the state the snapshot omits keeps its board value. On a
+// guarded cable the restore is additionally verified semantically: every
+// frame written is re-read and its snapshot values compared, with
+// mismatching frames restored again — catching corruption that slips in
+// between the transport's own verify-after-write and the final state.
 func (d *Debugger) RestoreFrames(ctx context.Context, snap *Snapshot, frames map[int][]int) error {
+	return d.restore(ctx, snap, frames, true)
+}
+
+// restore is the one restore path behind Restore and RestoreFrames;
+// build selects whether covered frames are built rather than read.
+func (d *Debugger) restore(ctx context.Context, snap *Snapshot, frames map[int][]int, build bool) error {
 	fields, err := d.placeSnapshot(snap)
 	if err != nil {
 		return err
 	}
-	written, err := d.restoreOnce(ctx, fields, frames)
+	written, err := d.restoreOnce(ctx, fields, frames, build)
 	if err != nil || !d.Cable.Guarded() {
 		return err
 	}
@@ -256,7 +266,7 @@ func (d *Debugger) RestoreFrames(ctx context.Context, snap *Snapshot, frames map
 			return fmt.Errorf("%w: %d snapshot values failed semantic verification after restore",
 				jtag.ErrVerify, n)
 		}
-		if written, err = d.restoreOnce(ctx, fields, bad); err != nil {
+		if written, err = d.restoreOnce(ctx, fields, bad, build); err != nil {
 			return err
 		}
 	}
@@ -280,7 +290,9 @@ func (r fieldRun) at(j int) (int, uint64) {
 }
 
 // placeSnapshot resolves every snapshot value to its frame, grouped by
-// {SLR, frame}.
+// {SLR, frame}: one run per register and one per memory per frame, so a
+// frame's run count equals its FrameItems exactly when the snapshot
+// covers it.
 func (d *Debugger) placeSnapshot(snap *Snapshot) (map[[2]int][]fieldRun, error) {
 	out := make(map[[2]int][]fieldRun)
 	regVals := make([]uint64, 0, len(snap.Regs))
@@ -311,33 +323,57 @@ func (d *Debugger) placeSnapshot(snap *Snapshot) (map[[2]int][]fieldRun, error) 
 	return out, nil
 }
 
-// restoreOnce performs one read-modify-write pass over a frame set, per
-// SLR in sorted order: read the selected frames, patch in every snapshot
-// value they hold, and write back the frames where any value changed. It
-// returns the frames written.
-func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int) (map[int][]int, error) {
+// patch puts every value of runs into a frame and reports whether any
+// bit changed.
+func patch(frame []uint32, runs []fieldRun) bool {
+	changed := false
+	for _, r := range runs {
+		for j := range r.vals {
+			if off, v := r.at(j); fpga.GetBits(frame, off, r.width) != v {
+				fpga.PutBits(frame, off, r.width, v)
+				changed = true
+			}
+		}
+	}
+	return changed
+}
+
+// restoreOnce performs one pass over a frame set, per SLR in sorted
+// order, and returns the frames written. With build set, a frame the
+// snapshot covers is built on the host: in this model a frame carries
+// only state, so its base is zero (on hardware it would be the
+// configuration image's frame), and it is written unconditionally. Every
+// other frame is read in one coalesced readback, patched, and written
+// back only if its bits changed. All of an SLR's writes share one
+// writeback.
+func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int, build bool) (map[int][]int, error) {
 	written := make(map[int][]int)
 	for _, slr := range sortedSLRs(frames) {
+		covered := func(f int) bool {
+			return build && len(fields[[2]int{slr, f}]) == d.Image.Map.FrameItems(slr, f)
+		}
 		fs := frames[slr]
-		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, fs)
+		var read []int
+		for _, f := range fs {
+			if !covered(f) {
+				read = append(read, f)
+			}
+		}
+		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, read)
 		if err != nil {
 			return nil, err
 		}
 		var wf []int
 		var wd [][]uint32
-		for i, f := range fs {
-			changed := false
-			for _, r := range fields[[2]int{slr, f}] {
-				for j := range r.vals {
-					if off, v := r.at(j); fpga.GetBits(data[i], off, r.width) != v {
-						fpga.PutBits(data[i], off, r.width, v)
-						changed = true
-					}
-				}
+		for _, f := range fs {
+			var frame []uint32
+			if covered(f) {
+				frame = make([]uint32, fpga.FrameWords)
+			} else {
+				frame, data = data[0], data[1:]
 			}
-			if changed {
-				wf = append(wf, f)
-				wd = append(wd, data[i])
+			if patch(frame, fields[[2]int{slr, f}]) || covered(f) {
+				wf, wd = append(wf, f), append(wd, frame)
 			}
 		}
 		if len(wf) == 0 {

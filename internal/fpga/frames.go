@@ -84,6 +84,7 @@ type StateMap struct {
 
 	regByName map[string]int
 	memByName map[string]int
+	items     map[[2]int]int // {SLR, frame} -> pieces of state placed there
 }
 
 // NewStateMap builds an empty state map.
@@ -91,6 +92,7 @@ func NewStateMap() *StateMap {
 	return &StateMap{
 		regByName: make(map[string]int),
 		memByName: make(map[string]int),
+		items:     make(map[[2]int]int),
 	}
 }
 
@@ -104,6 +106,7 @@ func (sm *StateMap) AddReg(loc RegLoc) error {
 	}
 	sm.regByName[loc.Name] = len(sm.Regs)
 	sm.Regs = append(sm.Regs, loc)
+	sm.items[[2]int{loc.Addr.SLR, loc.Addr.Frame}]++
 	return nil
 }
 
@@ -117,7 +120,16 @@ func (sm *StateMap) AddMem(loc MemLoc) error {
 	}
 	sm.memByName[loc.Name] = len(sm.Mems)
 	sm.Mems = append(sm.Mems, loc)
+	for f := 0; f < loc.FrameCount(); f++ {
+		sm.items[[2]int{loc.SLR, loc.StartFrame + f}]++
+	}
 	return nil
+}
+
+// FrameItems returns how many pieces of state one frame holds: the
+// registers placed in it plus the memories with words in it.
+func (sm *StateMap) FrameItems(slr, frame int) int {
+	return sm.items[[2]int{slr, frame}]
 }
 
 // Reg looks up a register placement by flat name.

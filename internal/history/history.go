@@ -28,10 +28,10 @@
 //
 // The engine never touches the cable or the debugger: it reconstructs
 // state host-side and hands it to the facade, which restores it through
-// the one dbg restore path (RestoreFrames, the configuration-frame
-// Snapshot/Restore machinery). A live mirror of the simulator's state,
-// fed by the same commit hook, tells the facade which values differ from
-// the board, so a restore writes only the frames holding them.
+// dbg's RestoreFrames (the configuration-frame Snapshot/Restore
+// machinery). A live mirror of the simulator's state, fed by the same
+// commit hook, tells the facade which values differ from the board, so a
+// restore writes only the frames holding them.
 package history
 
 import (

@@ -97,6 +97,45 @@ func TestRemoteBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestPreCancelledCallNeverSent pins the client's rule for a call whose
+// context is already done, the cable's rule too: it fails with
+// CodeCancelled, which errors.Is still matches as context.Canceled,
+// without reaching the wire. The server serves no command for it, so no
+// reply can race the cancellation.
+func TestPreCancelledCallNeverSent(t *testing.T) {
+	srv, addr := startServer(t, server.Config{PoolSize: 1})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	served := srv.Stats().CommandsServed
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		_, err := sess.PeekBatchCtx(ctx, []dbg.PlanItem{{Name: "cnt"}})
+		var werr *wire.Error
+		if !errors.Is(err, context.Canceled) || !errors.As(err, &werr) || werr.Code != wire.CodeCancelled {
+			t.Fatalf("pre-cancelled call returned %v, want a CodeCancelled error", err)
+		}
+	}
+	// The actor serves a connection's commands in order, so had any
+	// cancelled call been sent it would be counted before this peek.
+	if _, err := sess.Peek("cnt"); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().CommandsServed - served; got != 1 {
+		t.Errorf("server served %d commands for 20 pre-cancelled calls and a peek, want 1", got)
+	}
+}
+
 // TestV1ClientCompat pins the downgrade path: a client offering protocol
 // v1 negotiates v1, its batch API transparently degrades to per-signal
 // round trips, and sending a raw v2 batch op on the v1 connection is

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -113,14 +114,14 @@ func (s *Server) importAttach(c *conn, req *wire.Request) *wire.Response {
 		return resp
 	}
 	// Adopt before restore, so the engine's live mirror tracks the
-	// restore — identical to the in-daemon migration ordering. A layout
-	// mismatch forfeits history but not the import.
+	// restore and diffs it — identical to the in-daemon migration
+	// ordering. A layout mismatch forfeits history but not the import.
 	if hist != nil {
 		if aerr := zs.AdoptHistory(hist); aerr != nil {
 			s.cfg.Logf("zoomied: import: history not transplanted: %v", aerr)
 		}
 	}
-	if rerr := zs.Restore(blob.Snapshot); rerr != nil {
+	if rerr := zs.RestoreSnapshot(context.Background(), blob.Snapshot); rerr != nil {
 		zs.Close()
 		s.retire(zs, inj)
 		resp.Err = wire.Errf(wire.CodeOp, "import: snapshot restore: %v", rerr)

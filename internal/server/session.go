@@ -307,10 +307,14 @@ func (s *session) teardown(reason string) {
 func (s *session) maybeEmitPaused(op string, ok bool) {
 	switch op {
 	case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont, wire.OpHistLoad:
-		// Explicit time-travel always ends paused: sync the tracked state
-		// so the next genuine trigger still produces an event, but emit
-		// nothing — the response is the acknowledgement.
-		if paused, err := s.zs.Paused(); err == nil {
+		// Explicit time-travel that succeeds always ends paused: sync the
+		// tracked state, with no cable op, so the next genuine trigger
+		// still produces an event, but emit nothing — the response is the
+		// acknowledgement. A failed one may have stopped anywhere, so it
+		// reads the flag.
+		if ok {
+			s.lastPaused = true
+		} else if paused, err := s.zs.Paused(); err == nil {
 			s.lastPaused = paused
 		}
 		return
@@ -418,12 +422,14 @@ func (s *session) migrate(cause string) *wire.Error {
 	}
 	// Transplant the recorded past (and savestates) onto the fresh board
 	// before restoring state, so the engine's live mirror tracks the
-	// restore. Purely host-side; a layout mismatch just forfeits history.
+	// restore and the restore writes only the frames the mirror says
+	// differ, reading none back. Purely host-side; a layout mismatch just
+	// forfeits history.
 	if aerr := nz.AdoptHistory(oldHist); aerr != nil {
 		srv.cfg.Logf("zoomied: session %d: history not transplanted: %v", s.id, aerr)
 	}
 	if s.lastGood != nil {
-		if rerr := nz.Restore(s.lastGood); rerr != nil {
+		if rerr := nz.RestoreSnapshot(context.Background(), s.lastGood); rerr != nil {
 			nz.Close()
 			srv.retire(nz, ninj)
 			atomic.AddInt64(&srv.stats.migrationsFail, 1)

@@ -51,6 +51,9 @@ type stream struct {
 	// phase entry is missed between open and the producer loop starting.
 	prog  <-chan farm.Progress
 	unsub func()
+	// Counters streams prime their reader at open for the same reason:
+	// activity right after the open reply is a delta, not a baseline.
+	reader *obs.Reader
 
 	interval time.Duration
 	quit     chan struct{}
@@ -62,6 +65,7 @@ type stream struct {
 	seq     uint64
 	dropped uint64
 	gen     uint64 // history streams: keyframe generation cursor
+	polling bool   // history streams: a poll is queued on the actor
 }
 
 func (st *stream) stop() { st.once.Do(func() { close(st.quit) }) }
@@ -116,6 +120,7 @@ func (c *conn) openStream(req *wire.Request) (*stream, *wire.Error) {
 	switch req.Name {
 	case wire.StreamCounters:
 		// Server-wide counters; no session needed.
+		st.reader = c.srv.reg.NewReader()
 	case wire.StreamILA:
 		sess := c.srv.session(req.Session)
 		if sess == nil {
@@ -208,12 +213,8 @@ func (st *stream) run() {
 	t := time.NewTicker(st.interval)
 	defer t.Stop()
 
-	var reader *obs.Reader
 	var names []string
 	var deltas []uint64
-	if st.kind == wire.StreamCounters {
-		reader = st.c.srv.reg.NewReader()
-	}
 	for {
 		select {
 		case <-st.quit:
@@ -224,7 +225,7 @@ func (st *stream) run() {
 			switch st.kind {
 			case wire.StreamCounters:
 				var total uint64
-				names, deltas, total = reader.Deltas(names[:0], deltas[:0])
+				names, deltas, total = st.reader.Deltas(names[:0], deltas[:0])
 				if total == 0 {
 					st.drain() // idle interval: no frame, but retry backlog
 					continue
@@ -305,22 +306,27 @@ func (st *stream) pollILA() bool {
 // keyframes recorded since this stream's generation cursor and the reply
 // becomes one scrubbing frame of [pos, cycle, bytes] rows. The cursor
 // only advances in the reply, so a skipped round (full actor queue)
-// re-asks for the same window next tick.
+// re-asks for the same window next tick, and a tick that finds a poll
+// still queued behind the session's commands skips: two polls from one
+// cursor would deliver the same keyframes twice.
 func (st *stream) pollHistory() bool {
 	st.mu.Lock()
+	if st.polling {
+		st.mu.Unlock()
+		return true
+	}
+	st.polling = true
 	gen := st.gen
 	st.mu.Unlock()
 	werr := st.sess.enqueue(context.Background(), wire.Version,
 		&wire.Request{Op: opHistPoll, Value: gen}, func(resp *wire.Response) {
-			if resp.Err != nil {
-				return
-			}
 			st.mu.Lock()
-			if resp.Cycles > st.gen {
+			st.polling = false
+			if resp.Err == nil && resp.Cycles > st.gen {
 				st.gen = resp.Cycles
 			}
 			st.mu.Unlock()
-			if resp.Trace == nil || len(resp.Trace.Rows) == 0 {
+			if resp.Err != nil || resp.Trace == nil || len(resp.Trace.Rows) == 0 {
 				return
 			}
 			st.offer(&wire.Event{
@@ -332,8 +338,13 @@ func (st *stream) pollHistory() bool {
 				Rows:    resp.Trace.Rows,
 			})
 		})
-	if werr != nil && werr.Code == wire.CodeNoSession {
-		return false
+	if werr != nil {
+		st.mu.Lock()
+		st.polling = false
+		st.mu.Unlock()
+		if werr.Code == wire.CodeNoSession {
+			return false
+		}
 	}
 	return true
 }
