@@ -18,8 +18,8 @@ import (
 )
 
 // multiRegDesign builds n 16-bit registers r0..r(n-1), register j
-// stepping by j+1 each cycle — enough state that placement spreads it
-// across SLRs on a U200.
+// stepping by j+1 each cycle. Placement keeps all of it on the primary
+// SLR; multiRegSession relocates it to span the U200's SLRs.
 func multiRegDesign(n int) *rtl.Design {
 	m := rtl.NewModule("multireg")
 	q := m.Output("q", 16)
@@ -37,8 +37,9 @@ func multiRegDesign(n int) *rtl.Design {
 // With spread, register rK is relocated to SLR K%3 in the state map
 // before the board is configured — the image-level model of a design
 // whose logic spans chiplets (frame/bit offsets are kept, so nothing
-// overlaps; the controller's own registers stay on SLR 0). A non-nil
-// profile interposes a seeded injector with the guarded transport.
+// overlaps; the controller's own registers stay on the primary, SLR 1).
+// A non-nil profile interposes a seeded injector with the guarded
+// transport.
 func multiRegSession(t *testing.T, n int, profile *faults.Profile, spread bool) (*Debugger, *faults.Injector) {
 	t.Helper()
 	wrapped, meta, err := core.Instrument(multiRegDesign(n), core.Config{Watches: []string{"q"}, UserClock: "clk"})

@@ -126,6 +126,17 @@ func (d *Device) Hops(slr int) int {
 	panic(fmt.Sprintf("fpga: no SLR %d on %s", slr, d.Name))
 }
 
+// RingOrder lists the SLR indices nearest-first along the BOUT ring: the
+// primary, then the SLRs 1, 2, … hops out, so RingOrder()[k] is the SLR
+// with Hops == k.
+func (d *Device) RingOrder() []int {
+	order := make([]int, len(d.SLRs))
+	for k := range order {
+		order[k] = (d.Primary + k) % len(d.SLRs)
+	}
+	return order
+}
+
 func mkSLR(index, rows, cols int, capacity ResourceVec) *SLR {
 	return &SLR{
 		Index:    index,

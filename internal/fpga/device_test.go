@@ -1,6 +1,9 @@
 package fpga
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestU200Geometry(t *testing.T) {
 	d := NewU200()
@@ -61,6 +64,28 @@ func TestHopsRingTopology(t *testing.T) {
 	}
 	if maxHops != 3 {
 		t.Errorf("U250 max hops = %d, want 3", maxHops)
+	}
+}
+
+// TestRingOrderNearestFirst pins RingOrder against Hops: the k-th SLR
+// listed is k hops from the primary.
+func TestRingOrderNearestFirst(t *testing.T) {
+	for _, tc := range []struct {
+		dev  *Device
+		want []int
+	}{
+		{NewU200(), []int{1, 2, 0}},
+		{NewU250(), []int{1, 2, 3, 0}},
+	} {
+		got := tc.dev.RingOrder()
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ring order %v, want %v", tc.dev.Name, got, tc.want)
+		}
+		for k, slr := range got {
+			if h := tc.dev.Hops(slr); h != k {
+				t.Errorf("%s: SLR %d listed at %d but is %d hops out", tc.dev.Name, slr, k, h)
+			}
+		}
 	}
 }
 

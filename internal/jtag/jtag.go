@@ -335,10 +335,15 @@ func (c *Cable) backoff(attempt int) time.Duration {
 // selection once per round instead of once per agreement pass. The bound
 // exists because one transient error voids the whole stream: the longer
 // the stream, the likelier a retry and the more that retry re-executes.
-// The optimum sits near √(selection cost / (frame cost × transient rate)),
-// about 50 frame ops at exec=0.0025 two hops from the primary (DESIGN.md
-// §5, "One SLR selection per verified transfer"). A single pass or write
-// larger than the bound is never split: it gets a stream of its own.
+// The optimum sits near √(selection cost / (frame cost × transient rate)):
+// at exec=0.0025 about 50 frame ops for an SLR two hops from the primary
+// and about 35 one hop out, where a selection costs 10 or 5 ms. On the
+// primary, where placement puts the debugged state when it has room, a
+// selection costs nothing and the bound matters little: at exec=0.0025
+// bounds from 8 to 128 stayed within 7% of each other, 64 within 1.2% of
+// the best (DESIGN.md §5, "One SLR selection per verified transfer"). A
+// single pass or write larger than the bound is never split: it gets a
+// stream of its own.
 const maxStreamFrameOps = 64
 
 // transferStream builds one configuration stream for one SLR: SYNC, one

@@ -93,8 +93,9 @@ type Hook func(p *Placement)
 
 // Place places the netlist onto the device. Iterated partitions are
 // placed first, all on one SLR; static logic fills remaining space on all
-// SLRs. Passing no specs places the whole design as static. Trailing
-// hooks, if any, run in order on the finished placement.
+// SLRs, nearest the primary first. Passing no specs places the whole
+// design as static. Trailing hooks, if any, run in order on the finished
+// placement.
 func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, hooks ...Hook) (*Placement, error) {
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
@@ -154,10 +155,14 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 		}
 	}
 
-	// Static regions: all remaining rows on every SLR.
+	// Static regions: all remaining rows on every SLR, nearest the
+	// primary first. Static cells and state fill the first region first,
+	// so the Debug Controller and the design's state land where the
+	// cable reaches them with the fewest BOUT hops.
 	var staticRegions []fpga.Region
 	var staticCap fpga.ResourceVec
-	for i, slr := range dev.SLRs {
+	for _, i := range dev.RingOrder() {
+		slr := dev.SLRs[i]
 		if nextRow[i] >= slr.Rows {
 			continue
 		}
@@ -292,6 +297,8 @@ func partitionFor(c synth.FlatCell, specs []PartitionSpec) string {
 // chooseDebugSLR picks the SLR hosting all iterated partitions: the one
 // whose capacity covers their combined over-provisioned demand with the
 // most slack. Debugged modules deliberately share one chiplet (§3.5).
+// Candidates are walked nearest the primary first, so equal slack goes
+// to the SLR with fewer BOUT hops.
 func chooseDebugSLR(dev *fpga.Device, specs []PartitionSpec, usage map[string]fpga.ResourceVec) (int, error) {
 	var demand fpga.ResourceVec
 	for _, s := range specs {
@@ -302,7 +309,8 @@ func chooseDebugSLR(dev *fpga.Device, specs []PartitionSpec, usage map[string]fp
 		demand.Add(u)
 	}
 	best, bestSlack := -1, -1.0
-	for i, slr := range dev.SLRs {
+	for _, i := range dev.RingOrder() {
+		slr := dev.SLRs[i]
 		if !demand.Fits(slr.Capacity) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,5 +241,94 @@ func TestReplaceRejectsChangesOutsidePartition(t *testing.T) {
 	bigger := socNetlist(t, 24)
 	if _, _, err := Replace(pl, bigger, specs, "mut"); err == nil {
 		t.Error("out-of-partition change accepted")
+	}
+}
+
+func regionSLRs(rs []fpga.Region) []int {
+	var slrs []int
+	for _, r := range rs {
+		slrs = append(slrs, r.SLR)
+	}
+	return slrs
+}
+
+// TestStaticRegionsInRingOrder pins hop-ranked placement: static regions
+// come out nearest the primary first, so static state fills the SLR the
+// cable reaches without a BOUT hop before any secondary one.
+func TestStaticRegionsInRingOrder(t *testing.T) {
+	net := socNetlist(t, 16)
+	for _, tc := range []struct {
+		dev  *fpga.Device
+		want []int
+	}{
+		{fpga.NewU200(), []int{1, 2, 0}},
+		{fpga.NewU250(), []int{1, 2, 3, 0}},
+	} {
+		pl, err := Place(net, tc.dev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := regionSLRs(pl.Regions[StaticPartition]); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: static regions on SLRs %v, want %v", tc.dev.Name, got, tc.want)
+		}
+		for _, r := range pl.StateMap.Regs {
+			if r.Addr.SLR != tc.dev.Primary {
+				t.Errorf("%s: register %q on SLR %d, want the primary %d", tc.dev.Name, r.Name, r.Addr.SLR, tc.dev.Primary)
+				break
+			}
+		}
+	}
+}
+
+// TestChooseDebugSLRPrefersPrimaryOnTie pins the tie-break: on the U200
+// every SLR has equal capacity, so the primary wins.
+func TestChooseDebugSLRPrefersPrimaryOnTie(t *testing.T) {
+	specs := []PartitionSpec{{Name: "p", Paths: []string{"x"}}}
+	usage := map[string]fpga.ResourceVec{"p": {fpga.LUT: 1000, fpga.FF: 1000}}
+	slr, err := chooseDebugSLR(fpga.NewU200(), specs, usage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slr != 1 {
+		t.Errorf("chose SLR %d, want the primary 1", slr)
+	}
+}
+
+// shellU200 is a U200 whose primary keeps half its capacity for a
+// shell, as on a real Alveo card.
+func shellU200() *fpga.Device {
+	dev := fpga.NewU200()
+	primary := *dev.SLRs[dev.Primary]
+	for i := range primary.Capacity {
+		primary.Capacity[i] /= 2
+	}
+	dev.SLRs[dev.Primary] = &primary
+	return dev
+}
+
+// TestChooseDebugSLRHopsBreakSlackTies: with the primary's capacity
+// halved, SLRs 0 and 2 tie on slack and the one a single hop out wins
+// over the one two hops out. Static logic still starts on the primary.
+func TestChooseDebugSLRHopsBreakSlackTies(t *testing.T) {
+	dev := shellU200()
+	specs := []PartitionSpec{{Name: "mut", Paths: []string{workloads.CorePath(0, 0)}}}
+	usage := map[string]fpga.ResourceVec{"mut": {fpga.LUT: 1000, fpga.FF: 1000}}
+	slr, err := chooseDebugSLR(dev, specs, usage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slr != 2 {
+		t.Errorf("chose SLR %d, want 2 (one hop, not two)", slr)
+	}
+
+	pl, err := Place(socNetlist(t, 16), dev, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.DebugSLR("mut"); got != 2 {
+		t.Errorf("partition placed on SLR %d, want 2", got)
+	}
+	if got := regionSLRs(pl.Regions[StaticPartition]); !slices.Equal(got, []int{1, 2, 0}) {
+		t.Errorf("static regions on SLRs %v, want [1 2 0]", got)
 	}
 }

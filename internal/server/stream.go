@@ -386,19 +386,24 @@ func (st *stream) drain() {
 
 // drainLocked moves pending frames into the connection outbox, one
 // credit each, stopping when credits run out or the outbox is full (the
-// frame stays pending — the next tick or credit retries it).
+// frame stays pending — the next tick or credit retries it). A frame is
+// counted before the send, since the peer can receive it the moment it
+// is in the outbox; a send the full outbox refuses takes its count back.
 func (st *stream) drainLocked() {
+	stats := &st.c.srv.stats
 	for st.credits > 0 && len(st.pending) > 0 {
 		ev := st.pending[0]
 		ev.Dropped = st.dropped // latest total travels with every frame
+		atomic.AddInt64(&stats.streamFrames, 1)
+		atomic.AddInt64(&stats.streamEvents, int64(ev.Count))
 		select {
 		case st.c.out <- wire.Evt(ev):
 			st.pending[0] = nil
 			st.pending = st.pending[1:]
 			st.credits--
-			atomic.AddInt64(&st.c.srv.stats.streamFrames, 1)
-			atomic.AddInt64(&st.c.srv.stats.streamEvents, int64(ev.Count))
 		default:
+			atomic.AddInt64(&stats.streamFrames, -1)
+			atomic.AddInt64(&stats.streamEvents, -int64(ev.Count))
 			return
 		}
 	}
