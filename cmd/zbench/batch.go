@@ -12,10 +12,12 @@ import (
 // once with one Peek per signal and once with one PeekBatch per sample.
 // The planner dedupes the signals' frames and issues one coalesced
 // readback per SLR, so a sample costs at most one cable transaction per
-// chiplet instead of one per signal. Every sampled value is checked
-// against the design's closed-form trajectory, in the clean runs and
-// through a 1% guarded fault injector alike — batching must not trade
-// away exactness.
+// chiplet. Per-signal peeks now cost the same: each finds the frame the
+// step or an earlier peek already read. What the batch still saves is one
+// facade call, or one round trip to a daemon, per sample instead of one
+// per signal. Every sampled value is checked against the design's
+// closed-form trajectory, in the clean runs and through a 1% guarded
+// fault injector alike — batching must not trade away exactness.
 func batchExp(int) error {
 	header("Batch: frame-plan coalescing vs per-signal peeks (16-signal sweep)")
 	const nsig = 16
@@ -75,9 +77,11 @@ func batchExp(int) error {
 			sess.Close()
 		}
 	}
-	fmt.Println("\n* ops = logical readback + writeback cable transactions. A batched")
-	fmt.Println("sample costs at most one readback per SLR holding a probed signal;")
-	fmt.Println("per-signal sampling pays one per register. Every value above was")
+	fmt.Println("\n* ops = logical readback + writeback cable transactions. A sample")
+	fmt.Println("costs at most one readback per SLR holding a probed signal in either")
+	fmt.Println("mode: the batch plans it, and per-signal peeks find frames that the")
+	fmt.Println("step or an earlier peek already read. The batch saves one facade call")
+	fmt.Println("(or daemon round trip) per sample instead of 16. Every value above was")
 	fmt.Println("checked against the closed-form trajectory in both modes.")
 	return nil
 }

@@ -110,80 +110,91 @@ func chaos(int) error {
 // changed since the previous capture. The mutating commands follow a
 // 20-op debug mix of peeks, batched peeks, pokes and steps; its 2 pokes
 // of a random register and 2 steps of 1-4 cycles per block are what
-// trigger captures (peeks change nothing).
+// trigger captures (peeks change nothing). Each method runs the same
+// script on a session of its own, so neither reads through frames the
+// other has just fetched; either reads no frame the debugger knows.
 func captureCost() error {
 	const socCores, blocks, perBlock = 48, 10, 20
 	p, err := zoomie.ParseFaultProfile("flip=0.005,seed=1")
 	if err != nil {
 		return err
 	}
-	sess, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
-		Faults: zoomie.NewFaultInjector(p),
-	})
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if err := sess.PokeInput("en", 1); err != nil {
-		return err
-	}
-	if err := sess.Pause(); err != nil {
-		return err
-	}
-	var regs []string
-	for _, r := range sess.Image.Map.Regs {
-		if strings.HasPrefix(r.Name, dbg.DutPrefix+".") {
-			regs = append(regs, r.Name)
-		}
-	}
-	ctx := context.Background()
-	base, err := sess.Snapshot("")
-	if err != nil {
-		return err
-	}
-
 	type cost struct {
 		frames int
 		cable  time.Duration
 	}
-	var full, refreshed cost
-	measure := func(c *cost, take func() (*zoomie.DebugSnapshot, error)) (*zoomie.DebugSnapshot, error) {
-		r0, t0 := sess.Cable.Chain.Stats.FramesRead, sess.Elapsed()
-		snap, err := take()
-		c.frames += sess.Cable.Chain.Stats.FramesRead - r0
-		c.cable += sess.Elapsed() - t0
-		return snap, err
-	}
-	rng := rand.New(rand.NewSource(1))
-	captures, mismatches := 0, 0
-	for i := 0; i < 4*blocks; i++ {
-		if i%2 == 0 {
-			reg := regs[rng.Intn(len(regs))]
-			loc, _ := sess.Image.Map.Reg(reg)
-			v := rng.Uint64()
-			if loc.Width < 64 {
-				v &= 1<<uint(loc.Width) - 1
+	// run drives the script on a fresh session, taking a capture after
+	// every mutating op, and returns the captures and their cost.
+	run := func(capture func(sess *zoomie.Session, prev *zoomie.DebugSnapshot) (*zoomie.DebugSnapshot, error)) ([]*zoomie.DebugSnapshot, cost, error) {
+		var c cost
+		sess, err := zoomie.Debug(workloads.ManycoreSoC(socCores), zoomie.DebugConfig{
+			Faults: zoomie.NewFaultInjector(p),
+		})
+		if err != nil {
+			return nil, c, err
+		}
+		defer sess.Close()
+		if err := sess.PokeInput("en", 1); err != nil {
+			return nil, c, err
+		}
+		if err := sess.Pause(); err != nil {
+			return nil, c, err
+		}
+		var regs []string
+		for _, r := range sess.Image.Map.Regs {
+			if strings.HasPrefix(r.Name, dbg.DutPrefix+".") {
+				regs = append(regs, r.Name)
 			}
-			err = sess.Poke(reg, v)
-		} else {
-			err = sess.Step(1 + rng.Intn(4))
 		}
+		prev, err := sess.Snapshot("")
 		if err != nil {
-			return err
+			return nil, c, err
 		}
-		want, err := measure(&full, func() (*zoomie.DebugSnapshot, error) { return sess.Snapshot("") })
-		if err != nil {
-			return err
+		rng := rand.New(rand.NewSource(1))
+		var snaps []*zoomie.DebugSnapshot
+		for i := 0; i < 4*blocks; i++ {
+			if i%2 == 0 {
+				reg := regs[rng.Intn(len(regs))]
+				loc, _ := sess.Image.Map.Reg(reg)
+				v := rng.Uint64()
+				if loc.Width < 64 {
+					v &= 1<<uint(loc.Width) - 1
+				}
+				err = sess.Poke(reg, v)
+			} else {
+				err = sess.Step(1 + rng.Intn(4))
+			}
+			if err != nil {
+				return nil, c, err
+			}
+			r0, t0 := sess.Cable.Chain.Stats.FramesRead, sess.Elapsed()
+			if prev, err = capture(sess, prev); err != nil {
+				return nil, c, err
+			}
+			c.frames += sess.Cable.Chain.Stats.FramesRead - r0
+			c.cable += sess.Elapsed() - t0
+			snaps = append(snaps, prev)
 		}
-		got, err := measure(&refreshed, func() (*zoomie.DebugSnapshot, error) { return sess.RefreshSnapshot(ctx, base) })
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got, want) {
+		return snaps, c, nil
+	}
+	wants, full, err := run(func(sess *zoomie.Session, _ *zoomie.DebugSnapshot) (*zoomie.DebugSnapshot, error) {
+		return sess.Snapshot("")
+	})
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	gots, refreshed, err := run(func(sess *zoomie.Session, prev *zoomie.DebugSnapshot) (*zoomie.DebugSnapshot, error) {
+		return sess.RefreshSnapshot(ctx, prev)
+	})
+	if err != nil {
+		return err
+	}
+	captures, mismatches := len(wants), 0
+	for i, want := range wants {
+		if !reflect.DeepEqual(gots[i], want) {
 			mismatches++
 		}
-		base = got
-		captures++
 	}
 
 	fmt.Printf("\nKnown-good capture after each mutating op: %d-core SoC (en high), link %s\n", socCores, p)

@@ -67,8 +67,10 @@ func historyExp(int) error {
 	// Seek latency vs distance: pause at the tip, then travel back 10,
 	// 100, 1000 and (with more recorded past) nearly 10k cycles. Between
 	// timed seeks the cursor returns to the tip untimed, so every
-	// measurement is a cold seek of exactly that distance. Each row also
-	// counts the configuration frames the seek read and wrote.
+	// measurement is a seek of exactly that distance. Each row also counts
+	// the configuration frames the seek read and wrote; the seek to the
+	// tip has just written the Debug Controller's frame, so the debugger
+	// knows it and the measured seek reads none.
 	if err := sess.Pause(); err != nil {
 		return err
 	}
@@ -148,10 +150,10 @@ func historyExp(int) error {
 	} else {
 		fmt.Printf("self-check FAILED: no seek wrote fewer frames than the full restore (%d)\n", fullWrote)
 	}
-	if maxRead == 1 {
-		fmt.Println("self-check: every seek read only the controller frame ok")
+	if maxRead == 0 {
+		fmt.Println("self-check: every seek read 0 frames, the controller frame already known ok")
 	} else {
-		fmt.Printf("self-check FAILED: a seek read %d frames, want only the controller frame\n", maxRead)
+		fmt.Printf("self-check FAILED: a seek read %d frames, want 0 (the controller frame is known)\n", maxRead)
 	}
 	if mirrorRead == 0 {
 		fmt.Println("self-check: the fresh-board restore through the mirror read 0 frames ok")
@@ -161,7 +163,7 @@ func historyExp(int) error {
 	fmt.Println("\nseek cost scales with the state that changed: the engine restores the")
 	fmt.Println("nearest keyframe at or before the target, replays forward at most one")
 	fmt.Println("interval, and writes back only the frames holding a value that differs")
-	fmt.Println("from the board's live state, reading back only the controller frame")
-	fmt.Println("(DESIGN.md §5).")
+	fmt.Println("from the board's live state, reading back at most the controller frame,")
+	fmt.Println("none when the debugger already knows it (DESIGN.md §5).")
 	return nil
 }

@@ -31,7 +31,10 @@ func socSession(t *testing.T, hc *zoomie.HistoryConfig) *zoomie.Session {
 // TestHistoryOpsOneReadbackOneWriteback pins the per-op cost of time
 // travel on a paused design: a seek, a rewind and a loadstate each read
 // the Debug Controller's frame once and write the changed frames in one
-// writeback, and each lands on the state recorded for its target.
+// writeback, and each lands on the state recorded for its target. Each
+// op runs twice: after a clock tick, which leaves the paused design as it
+// is but makes every frame unknown, it reads the controller's frame; when
+// the debugger knows that frame, it reads nothing.
 func TestHistoryOpsOneReadbackOneWriteback(t *testing.T) {
 	sess := socSession(t, &zoomie.HistoryConfig{MaxKeyframes: 256})
 	design := func() map[string]uint64 {
@@ -61,31 +64,39 @@ func TestHistoryOpsOneReadbackOneWriteback(t *testing.T) {
 	}
 	tip, _ := sess.Cycles()
 
-	check := func(name string, op func() (uint64, error), cycle uint64, want map[string]uint64) {
+	check := func(name string, from uint64, op func() (uint64, error), cycle uint64, want map[string]uint64) {
 		t.Helper()
-		before := sess.Cable.Stats()
-		landed, err := op()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		after := sess.Cable.Stats()
-		if rb, wb := after.Readbacks-before.Readbacks, after.Writebacks-before.Writebacks; rb != 1 || wb != 1 {
-			t.Errorf("%s cost %d readbacks + %d writebacks, want 1 + 1", name, rb, wb)
-		}
-		if c, _ := sess.Cycles(); landed != cycle || c != cycle {
-			t.Errorf("%s landed on cycle %d (reported %d), want %d", name, c, landed, cycle)
-		}
-		if !maps.Equal(design(), want) {
-			t.Errorf("%s: design state differs from the state recorded for it", name)
+		for _, known := range []bool{false, true} {
+			if _, err := sess.Seek(from); err != nil {
+				t.Fatal(err)
+			}
+			wantRB := int64(0)
+			if !known {
+				sess.Run(1)
+				wantRB = 1
+			}
+			before := sess.Cable.Stats()
+			landed, err := op()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			after := sess.Cable.Stats()
+			if rb, wb := after.Readbacks-before.Readbacks, after.Writebacks-before.Writebacks; rb != wantRB || wb != 1 {
+				t.Errorf("%s (controller frame known=%v) cost %d readbacks + %d writebacks, want %d + 1",
+					name, known, rb, wb, wantRB)
+			}
+			if c, _ := sess.Cycles(); landed != cycle || c != cycle {
+				t.Errorf("%s landed on cycle %d (reported %d), want %d", name, c, landed, cycle)
+			}
+			if !maps.Equal(design(), want) {
+				t.Errorf("%s: design state differs from the state recorded for it", name)
+			}
 		}
 	}
-	check("seek", func() (uint64, error) { _, err := sess.Seek(early); return early, err }, early, atEarly)
-	if _, err := sess.Seek(tip); err != nil {
-		t.Fatal(err)
-	}
-	check("rewind", func() (uint64, error) { c, _, err := sess.Rewind(tip - mid); return c, err }, mid, atMid)
+	check("seek", tip, func() (uint64, error) { _, err := sess.Seek(early); return early, err }, early, atEarly)
+	check("rewind", tip, func() (uint64, error) { c, _, err := sess.Rewind(tip - mid); return c, err }, mid, atMid)
 	// A load keeps the controller's registers, so the cycle stays.
-	check("loadstate", func() (uint64, error) { return sess.LoadState("mark") }, mid, atEarly)
+	check("loadstate", mid, func() (uint64, error) { return sess.LoadState("mark") }, mid, atEarly)
 }
 
 // TestSeekWhileRunningPausesFirst issues a rewind and a seek on a design
@@ -148,10 +159,13 @@ func TestSeekWhileRunningPausesFirst(t *testing.T) {
 
 // TestSeekOverDroppingCableMatchesFreshRun seeks over a guarded cable
 // that flips 1% of the words it moves and drops a quarter of the frames
-// it writes; the seed makes both fire during the seek. The frames a seek
-// builds are written without a readback, but the transport's
+// it writes; the seed makes both fire during the first seek. The frames
+// a seek builds are written without a readback, but the transport's
 // verify-after-write and RestoreFrames' semantic re-verification still
-// re-read every one, so the seek lands bit-identical to a fresh run.
+// re-read every one, so the seek lands bit-identical to a fresh run. The
+// first seek follows a clock tick and reads the controller's frame; the
+// second follows a step whose pause check left that frame known, and
+// reads only to re-verify.
 func TestSeekOverDroppingCableMatchesFreshRun(t *testing.T) {
 	p, err := zoomie.ParseFaultProfile("flip=0.01,drop=0.25,seed=11")
 	if err != nil {
@@ -166,26 +180,37 @@ func TestSeekOverDroppingCableMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := sess.Cycles()
-	if err := sess.Step(40); err != nil {
-		t.Fatal(err)
+	want := freshAt(t, c)
+	for _, known := range []bool{false, true} {
+		if err := sess.Step(40); err != nil {
+			t.Fatal(err)
+		}
+		// The design stays paused; every frame becomes unknown.
+		minRB := int64(1)
+		if !known {
+			sess.Run(1)
+			minRB = 2
+		}
+		stats := &sess.Cable.Chain.Stats
+		before, r0, w0, f0 := sess.Cable.Stats(), stats.FramesRead, stats.FramesWritten, inj.Stats()
+		if _, err := sess.Seek(c); err != nil {
+			t.Fatal(err)
+		}
+		if f := inj.Stats(); f.Total() == f0.Total() || (!known && f.Drops == f0.Drops) {
+			t.Errorf("known=%v: seek ran into %d faults, %d of them drops; the test needs faults, and drops in the first seek",
+				known, f.Total()-f0.Total(), f.Drops-f0.Drops)
+		}
+		// The controller's frame unless known, then at least one more
+		// readback: the semantic re-verification of the frames written.
+		if got := sess.Cable.Stats().Readbacks - before.Readbacks; got < minRB {
+			t.Errorf("known=%v: guarded seek issued %d readbacks, want at least %d", known, got, minRB)
+		}
+		if read, wrote := stats.FramesRead-r0, stats.FramesWritten-w0; wrote == 0 || read < 2*wrote {
+			t.Errorf("known=%v: guarded seek read %d frames for %d written; verify-after-write and re-verification each re-read every write",
+				known, read, wrote)
+		}
+		sameDesignState(t, sess, want, c)
 	}
-	stats := &sess.Cable.Chain.Stats
-	before, r0, w0, f0 := sess.Cable.Stats(), stats.FramesRead, stats.FramesWritten, inj.Stats()
-	if _, err := sess.Seek(c); err != nil {
-		t.Fatal(err)
-	}
-	if f := inj.Stats(); f.Drops == f0.Drops || f.Total() == f0.Total() {
-		t.Errorf("seek ran into %d faults, %d of them drops; the test needs both", f.Total()-f0.Total(), f.Drops-f0.Drops)
-	}
-	// One readback of the controller's frame, then at least one more: the
-	// semantic re-verification of the frames written.
-	if got := sess.Cable.Stats().Readbacks - before.Readbacks; got < 2 {
-		t.Errorf("guarded seek issued %d readbacks, want the controller read plus re-verification", got)
-	}
-	if read, wrote := stats.FramesRead-r0, stats.FramesWritten-w0; wrote == 0 || read < 2*wrote {
-		t.Errorf("guarded seek read %d frames for %d written; verify-after-write and re-verification each re-read every write", read, wrote)
-	}
-	sameDesignState(t, sess, freshAt(t, c), c)
 }
 
 // TestRestoreSnapshotOntoFreshBoardReadsNothing restores a full-scope

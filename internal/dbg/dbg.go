@@ -29,6 +29,8 @@ type Debugger struct {
 	Cable *jtag.Cable
 	Image *fpga.Image
 	Meta  *core.Meta
+
+	kf knownFrames // see known
 }
 
 // Attach configures the board with the image, connects a cable and leaves
@@ -42,12 +44,15 @@ func Attach(board *fpga.Board, img *fpga.Image, meta *core.Meta) (*Debugger, err
 // point for fault injection and the guarded transport. With zero Options
 // it is exactly Attach.
 func AttachWithOptions(board *fpga.Board, img *fpga.Image, meta *core.Meta, opts jtag.Options) (*Debugger, error) {
-	if !board.Configured() {
+	configured := board.Configured()
+	if !configured {
 		if err := board.Configure(img); err != nil {
 			return nil, err
 		}
 	}
-	return &Debugger{Cable: jtag.ConnectWithOptions(board, opts), Image: img, Meta: meta}, nil
+	d := &Debugger{Cable: jtag.ConnectWithOptions(board, opts), Image: img, Meta: meta}
+	d.known().maskClear = !configured // configuration clears the GSR mask
+	return d, nil
 }
 
 // HealthCheck probes the board's configuration plane (one frame readback
@@ -58,12 +63,24 @@ func (d *Debugger) HealthCheck() error { return d.Cable.Probe() }
 // Start executes the full configuration flow: the generated configuration
 // bitstream writes every initial-state frame chunk by chunk across the
 // SLR ring, then pulses GSR and starts the clock (§4.1). After Start the
-// design runs freely.
-func (d *Debugger) Start() error { return d.Cable.Boot(d.Image) }
+// design runs freely, and the debugger knows no frame.
+func (d *Debugger) Start() error {
+	k := d.known()
+	if err := d.Cable.Boot(d.Image); err != nil {
+		return err
+	}
+	k.advanced()
+	return nil
+}
 
 // Run lets the FPGA execute freely for n design-clock ticks of wall time.
-// Paused domains hold still, exactly as on hardware.
-func (d *Debugger) Run(n int) { d.Cable.Board.Advance(n) }
+// Paused domains hold still, exactly as on hardware. The debugger forgets
+// every frame it knew: any of them may have changed.
+func (d *Debugger) Run(n int) {
+	k := d.known()
+	d.Cable.Board.Advance(n)
+	k.advanced()
+}
 
 // resolve maps a possibly-bare user signal name to its flat name.
 func (d *Debugger) resolve(name string) (string, bool) {

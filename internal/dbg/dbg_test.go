@@ -219,7 +219,9 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 // TestRestoreWritesOnlyChangedFrames pins the write-back rule every
 // restore follows: a snapshot that already equals the board writes zero
 // frames, and after one register changes only that register's frame is
-// written back, though every frame the snapshot touches is read.
+// written back. A restore reads every frame the snapshot touches that the
+// debugger does not know: all of them for a debugger newly attached to
+// the board, none right after the snapshot read them.
 func TestRestoreWritesOnlyChangedFrames(t *testing.T) {
 	d := session(t, counterDesign(), core.Config{UserClock: "clk"}, "clk")
 	d.Run(50)
@@ -234,28 +236,34 @@ func TestRestoreWritesOnlyChangedFrames(t *testing.T) {
 	for _, fs := range d.Image.Map.FramesTouched(nil) {
 		nAll += len(fs)
 	}
-	stats := &d.Cable.Chain.Stats
-	r0, w0 := stats.FramesRead, stats.FramesWritten
-	if err := d.Restore(snap); err != nil {
+	restore := func(d *Debugger, name string, wantRead, wantWritten int) {
+		t.Helper()
+		stats := &d.Cable.Chain.Stats
+		r0, w0, rb0 := stats.FramesRead, stats.FramesWritten, d.Cable.Stats().Readbacks
+		if err := d.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.FramesRead - r0; got != wantRead {
+			t.Errorf("%s: restore read %d frames, want %d", name, got, wantRead)
+		}
+		if got := d.Cable.Stats().Readbacks - rb0; wantRead == 0 && got != 0 {
+			t.Errorf("%s: restore issued %d readbacks, want 0", name, got)
+		}
+		if got := stats.FramesWritten - w0; got != wantWritten {
+			t.Errorf("%s: restore wrote %d frames, want %d", name, got, wantWritten)
+		}
+	}
+	restore(d, "known frames, board's own state", 0, 0)
+	fresh, err := Attach(d.Cable.Board, d.Image, d.Meta)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.FramesWritten - w0; got != 0 {
-		t.Errorf("restore of the board's own state wrote %d frames, want 0", got)
-	}
-	if got := stats.FramesRead - r0; got != nAll {
-		t.Errorf("full restore read %d frames, want all %d", got, nAll)
-	}
+	restore(fresh, "unknown frames, board's own state", nAll, 0)
 
 	if err := d.Poke("cnt", 7); err != nil {
 		t.Fatal(err)
 	}
-	w0 = stats.FramesWritten
-	if err := d.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.FramesWritten - w0; got != 1 {
-		t.Errorf("restore after one poke wrote %d frames, want 1", got)
-	}
+	restore(d, "known frames, after one poke", 0, 1)
 	if v, _ := d.Peek("cnt"); v != snap.Regs["dut.cnt"] {
 		t.Errorf("restored cnt = %d, want %d", v, snap.Regs["dut.cnt"])
 	}

@@ -29,9 +29,10 @@ type planSlot struct {
 
 // framePlan is a compiled batch: every item resolved to a slot, plus the
 // deduplicated, sorted frame set grouped per SLR. Executing the plan
-// costs exactly one coalesced readback (and for writes one writeback)
-// per SLR it touches — the paper's §4.7 SLR-aware access pattern applied
-// to arbitrary request sets instead of whole snapshots.
+// costs at most one coalesced readback (and for writes one writeback)
+// per SLR it touches, none for an SLR whose frames the debugger already
+// knows — the paper's §4.7 SLR-aware access pattern applied to arbitrary
+// request sets instead of whole snapshots.
 type framePlan struct {
 	slots  []planSlot
 	perSLR map[int][]int // SLR -> sorted unique frame numbers
@@ -118,24 +119,22 @@ func (d *Debugger) plan(items []PlanItem, write bool) (*framePlan, error) {
 	return p, nil
 }
 
-// readFrameSet reads a per-SLR frame set — one coalesced readback per SLR,
-// in sorted SLR order for determinism — and indexes the frames by
-// {SLR, frame}. An SLR whose readback fails is recorded rather than
-// aborting the batch: the result carries every surviving frame plus a
-// *PartialBatchError naming the failed SLRs. Context cancellation is not
-// a partial failure; it aborts the set immediately with ctx.Err().
-func (d *Debugger) readFrameSet(ctx context.Context, perSLR map[int][]int) (map[[2]int][]uint32, error) {
-	slrs := make([]int, 0, len(perSLR))
-	for slr := range perSLR {
-		slrs = append(slrs, slr)
-	}
-	sort.Ints(slrs)
+// readFrameSet reads a per-SLR frame set — known frames from host memory
+// and the rest in one coalesced readback per SLR, in sorted SLR order for
+// determinism (with fresh set, every frame from the board) — and indexes
+// the frames by {SLR, frame}. An SLR whose readback fails is recorded
+// rather than aborting the batch: the result carries every surviving
+// frame plus a *PartialBatchError naming the failed SLRs. Context
+// cancellation is not a partial failure; it aborts the set immediately
+// with ctx.Err().
+func (d *Debugger) readFrameSet(ctx context.Context, perSLR map[int][]int, fresh bool) (map[[2]int][]uint32, error) {
+	slrs := sortedSLRs(perSLR)
 	out := make(map[[2]int][]uint32)
 	var failed []int
 	var cause error
 	for _, slr := range slrs {
 		frames := perSLR[slr]
-		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, frames)
+		data, err := d.readFrames(ctx, slr, frames, fresh)
 		if err != nil {
 			if ctx.Err() != nil {
 				return out, ctx.Err()
@@ -160,15 +159,16 @@ func (d *Debugger) readFrameSet(ctx context.Context, perSLR map[int][]int) (map[
 }
 
 // ReadPlan executes a batched read: one coalesced readback per SLR the
-// items touch, then every value decoded from the returned frames. On a
-// partial failure the surviving values are returned together with a
-// *PartialBatchError; values on failed SLRs are zero.
+// items touch, of the frames the debugger does not already know, then
+// every value decoded from the frames. On a partial failure the
+// surviving values are returned together with a *PartialBatchError;
+// values on failed SLRs are zero.
 func (d *Debugger) ReadPlan(ctx context.Context, items []PlanItem) ([]uint64, error) {
 	p, err := d.plan(items, false)
 	if err != nil {
 		return nil, err
 	}
-	frameData, err := d.readFrameSet(ctx, p.perSLR)
+	frameData, err := d.readFrameSet(ctx, p.perSLR, false)
 	vals := make([]uint64, len(items))
 	for i, s := range p.slots {
 		if fd := frameData[[2]int{s.slr, s.frame}]; fd != nil {
@@ -182,10 +182,10 @@ func (d *Debugger) ReadPlan(ctx context.Context, items []PlanItem) ([]uint64, er
 }
 
 // WritePlan executes a batched force: per SLR, one coalesced readback of
-// the touched frames, every item's bits patched in, and one coalesced
-// writeback — read-modify-write with exactly two cable operations per
-// SLR no matter how many values are forced. Later items win when two
-// target the same bits.
+// the touched frames the debugger does not already know, every item's
+// bits patched in, and one coalesced writeback — read-modify-write with
+// at most two cable operations per SLR no matter how many values are
+// forced. Later items win when two target the same bits.
 func (d *Debugger) WritePlan(ctx context.Context, items []PlanItem) error {
 	p, err := d.plan(items, true)
 	if err != nil {
@@ -205,7 +205,7 @@ func (d *Debugger) WritePlan(ctx context.Context, items []PlanItem) error {
 			}
 			return true
 		}
-		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, frames)
+		data, err := d.readFrames(ctx, slr, frames, false)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -223,7 +223,9 @@ func (d *Debugger) WritePlan(ctx context.Context, items []PlanItem) error {
 			}
 			fpga.PutBits(index[s.frame], s.bit, s.width, items[i].Value)
 		}
-		if err := d.Cable.WritebackFramesCtx(ctx, slr, frames, data); err != nil {
+		err = d.Cable.WritebackFramesCtx(ctx, slr, frames, data)
+		d.wrote(slr, frames, data, err)
+		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}

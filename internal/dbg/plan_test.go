@@ -92,9 +92,10 @@ func batchNames(n int) []string {
 
 // TestSnapshotOneReadbackPerSLR pins the snapshot read path to one
 // coalesced readback per SLR the scope touches, on a clean and on a
-// guarded flaky link. Cycle comes from those same frames: a scoped
-// snapshot adds the cycle counter's frame to its read set instead of
-// paying a separate Peek.
+// guarded flaky link, once a clock tick has made every frame unknown.
+// Cycle comes from those same frames: a scoped snapshot adds the cycle
+// counter's frame to its read set instead of paying a separate Peek. A
+// second snapshot, of frames the first has just read, reads nothing.
 func TestSnapshotOneReadbackPerSLR(t *testing.T) {
 	for _, profile := range []*faults.Profile{nil, {Seed: 3, ReadFlip: 0.01}} {
 		d, _ := multiRegSession(t, 12, profile, true)
@@ -116,17 +117,20 @@ func TestSnapshotOneReadbackPerSLR(t *testing.T) {
 			if slrs < 3 {
 				t.Fatalf("scope %q spans %d SLR(s); test needs all three", scope, slrs)
 			}
-			before := d.Cable.Stats()
-			snap, err := d.Snapshot(scope)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := d.Cable.Stats().Readbacks - before.Readbacks; got != int64(slrs) {
-				t.Errorf("guarded=%v scope %q: snapshot issued %d readbacks, want %d (one per SLR)",
-					profile != nil, scope, got, slrs)
-			}
-			if snap.Cycle != want {
-				t.Errorf("guarded=%v scope %q: snapshot cycle %d, want %d", profile != nil, scope, snap.Cycle, want)
+			d.Run(1) // the design stays paused; every frame becomes unknown
+			for _, wantRB := range []int64{int64(slrs), 0} {
+				before := d.Cable.Stats()
+				snap, err := d.Snapshot(scope)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := d.Cable.Stats().Readbacks - before.Readbacks; got != wantRB {
+					t.Errorf("guarded=%v scope %q: snapshot issued %d readbacks, want %d",
+						profile != nil, scope, got, wantRB)
+				}
+				if snap.Cycle != want {
+					t.Errorf("guarded=%v scope %q: snapshot cycle %d, want %d", profile != nil, scope, snap.Cycle, want)
+				}
 			}
 		}
 	}
@@ -210,25 +214,43 @@ func TestBatchOneReadbackPerSLR(t *testing.T) {
 		}
 	}
 
-	// Writes: one readback plus one writeback per SLR, values land.
-	wvals := make([]uint64, len(names))
-	for i := range wvals {
-		wvals[i] = uint64(1000 + i)
-	}
-	before = d.Cable.Stats()
-	if err := d.PokeBatch(names, wvals); err != nil {
-		t.Fatal(err)
-	}
-	after = d.Cable.Stats()
-	if got, want := after.Readbacks-before.Readbacks, int64(len(p.slrs)); got != want {
-		t.Errorf("batched write cost %d readbacks, want %d", got, want)
-	}
-	if got, want := after.Writebacks-before.Writebacks, int64(len(p.slrs)); got != want {
-		t.Errorf("batched write cost %d writebacks, want %d", got, want)
-	}
-	for i, n := range names {
-		if v, _ := d.Peek(n); v != wvals[i] {
-			t.Errorf("after PokeBatch %s = %d, want %d", n, v, wvals[i])
+	// Writes: one readback of the frames not known plus one writeback per
+	// SLR, values land. The batch above left every frame known; a clock
+	// tick (the design stays paused) makes them unknown again.
+	for _, known := range []bool{true, false} {
+		if !known {
+			d.Run(1)
+		}
+		wvals := make([]uint64, len(names))
+		for i := range wvals {
+			wvals[i] = uint64(1000 + i)
+			if !known {
+				wvals[i] += 100
+			}
+		}
+		wantRB := int64(len(p.slrs))
+		if known {
+			wantRB = 0
+		}
+		before = d.Cable.Stats()
+		if err := d.PokeBatch(names, wvals); err != nil {
+			t.Fatal(err)
+		}
+		after = d.Cable.Stats()
+		if got := after.Readbacks - before.Readbacks; got != wantRB {
+			t.Errorf("known=%v: batched write cost %d readbacks, want %d", known, got, wantRB)
+		}
+		if got, want := after.Writebacks-before.Writebacks, int64(len(p.slrs)); got != want {
+			t.Errorf("known=%v: batched write cost %d writebacks, want %d", known, got, want)
+		}
+		before = d.Cable.Stats()
+		for i, n := range names {
+			if v, _ := d.Peek(n); v != wvals[i] {
+				t.Errorf("known=%v: after PokeBatch %s = %d, want %d", known, n, v, wvals[i])
+			}
+		}
+		if got := d.Cable.Stats().Readbacks - before.Readbacks; got != 0 {
+			t.Errorf("known=%v: peeks of the frames just written cost %d readbacks, want 0", known, got)
 		}
 	}
 }
@@ -284,6 +306,10 @@ func TestWedgedSLRPartialBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The read above left every frame known, and a batch of known frames
+	// never reaches the board; a clock tick (the design stays paused)
+	// sends the next batch to the cable.
+	d.Run(1)
 	wedged := p.slrs[len(p.slrs)-1]
 	inj.WedgeSLR(wedged)
 

@@ -97,9 +97,11 @@ func TestRestoreFramesBuildsCoveredFrames(t *testing.T) {
 }
 
 // TestRestoreFramesPartlyCoveredKeepsOmitted restores a snapshot that
-// omits one register of a frame: that frame is read, patched and written
-// back, so the omitted register keeps its board value while the rest of
-// the frame is restored.
+// omits one register of a frame: that frame is patched and written back,
+// so the omitted register keeps its board value while the rest of the
+// frame is restored. The frame is read back when the debugger does not
+// know it (after a clock tick) and taken from host memory when it does
+// (right after the pokes wrote it).
 func TestRestoreFramesPartlyCoveredKeepsOmitted(t *testing.T) {
 	d, _ := multiRegSession(t, 4, nil, false)
 	d.Run(5)
@@ -115,28 +117,37 @@ func TestRestoreFramesPartlyCoveredKeepsOmitted(t *testing.T) {
 	var names []string
 	for i := 0; i < 4; i++ {
 		names = append(names, fmt.Sprintf("dut.r%d", i))
-		if err := d.Poke(names[i], 0x700+uint64(i)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	frames := d.FramesOf(names, nil)
 	if frameCount(frames) != 1 {
 		t.Fatalf("dut.r0..r3 span %d frames; the test needs them to share one", frameCount(frames))
 	}
 
-	before := d.Cable.Stats()
-	if err := d.RestoreFrames(context.Background(), partial, frames); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Cable.Stats().Readbacks - before.Readbacks; got != 1 {
-		t.Errorf("restore of a partly covered frame issued %d readbacks, want 1", got)
-	}
-	if v, _ := d.Peek("r0"); v != 0x700 {
-		t.Errorf("omitted r0 = %#x after restore, want its board value 0x700", v)
-	}
-	for _, name := range names[1:] {
-		if v, _ := d.Peek(name); v != full.Regs[name] {
-			t.Errorf("%s = %#x after restore, want %#x", name, v, full.Regs[name])
+	for _, known := range []bool{true, false} {
+		for i, name := range names {
+			if err := d.Poke(name, 0x700+uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(0)
+		if !known {
+			d.Run(1) // the design stays paused; the frame becomes unknown
+			want = 1
+		}
+		before := d.Cable.Stats()
+		if err := d.RestoreFrames(context.Background(), partial, frames); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Cable.Stats().Readbacks - before.Readbacks; got != want {
+			t.Errorf("known=%v: restore of a partly covered frame issued %d readbacks, want %d", known, got, want)
+		}
+		if v, _ := d.Peek("r0"); v != 0x700 {
+			t.Errorf("known=%v: omitted r0 = %#x after restore, want its board value 0x700", known, v)
+		}
+		for _, name := range names[1:] {
+			if v, _ := d.Peek(name); v != full.Regs[name] {
+				t.Errorf("known=%v: %s = %#x after restore, want %#x", known, name, v, full.Regs[name])
+			}
 		}
 	}
 }

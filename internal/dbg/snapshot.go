@@ -65,16 +65,17 @@ func (d *Debugger) SnapshotCtx(ctx context.Context, prefix string) (*Snapshot, e
 }
 
 // SnapshotFrames is the one snapshot read path. It reads the selected
-// frames — after clearing the GSR mask, one coalesced readback per SLR —
-// and returns base patched with every value of base's scope those frames
-// hold. Scope state outside the selection keeps base's value; scope state
-// base does not hold is read as well. So an empty base reads the whole
-// scope, while a refresh selects just the frames holding a value that
-// differs from base on the board and still returns what a full read
-// would. Cycle comes from the cycle counter's frame when it is read and
-// from base otherwise. Memories no read frame touches share base's slice
-// (snapshots are never mutated). With nothing to read, no cable operation
-// is issued at all.
+// frames — known frames from host memory, the rest after clearing the GSR
+// mask in one coalesced readback per SLR — and returns base patched with
+// every value of base's scope those frames hold. Scope state outside the
+// selection keeps base's value; scope state base does not hold is read
+// as well. So an empty base reads the whole scope, while a refresh
+// selects just the frames holding a value that differs from base on the
+// board and still returns what a full read would. Cycle comes from the
+// cycle counter's frame when it is read and from base otherwise.
+// Memories no read frame touches share base's slice (snapshots are never
+// mutated). With nothing to read, or nothing the debugger does not know
+// while it knows the mask is clear, no cable operation is issued at all.
 func (d *Debugger) SnapshotFrames(ctx context.Context, base *Snapshot, frames map[int][]int) (*Snapshot, error) {
 	regs, mems := d.stateUnder(base.Scope)
 	if len(regs) == 0 && len(mems) == 0 {
@@ -97,11 +98,11 @@ func (d *Debugger) SnapshotFrames(ctx context.Context, base *Snapshot, frames ma
 
 	var frameData map[[2]int][]uint32
 	if len(frames) > 0 {
-		if err := d.Cable.ClearGSRMask(); err != nil {
+		if err := d.clearGSRMask(frames); err != nil {
 			return nil, err
 		}
 		var err error
-		if frameData, err = d.readFrameSet(ctx, frames); err != nil {
+		if frameData, err = d.readFrameSet(ctx, frames, false); err != nil {
 			return nil, err
 		}
 	}
@@ -176,8 +177,8 @@ func unionFrames(a, b map[int][]int) map[int][]int {
 // touching only the frames that hold the snapshot's state and leaving
 // everything else intact (§4.7 "Resuming from Snapshot Data"). It cannot
 // know which of those frames differ from the board, so it reads every
-// one back — that readback is its diff — and writes only the frames
-// whose patched bits changed.
+// one it does not already know — that readback is its diff — and writes
+// only the frames whose patched bits changed.
 func (d *Debugger) Restore(snap *Snapshot) error {
 	return d.RestoreCtx(context.Background(), snap)
 }
@@ -343,9 +344,9 @@ func patch(frame []uint32, runs []fieldRun) bool {
 // snapshot covers is built on the host: in this model a frame carries
 // only state, so its base is zero (on hardware it would be the
 // configuration image's frame), and it is written unconditionally. Every
-// other frame is read in one coalesced readback, patched, and written
-// back only if its bits changed. All of an SLR's writes share one
-// writeback.
+// other frame is taken from the known frames or read in one coalesced
+// readback, patched, and written back only if its bits changed. All of an
+// SLR's writes share one writeback.
 func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int, build bool) (map[int][]int, error) {
 	written := make(map[int][]int)
 	for _, slr := range sortedSLRs(frames) {
@@ -359,7 +360,7 @@ func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun
 				read = append(read, f)
 			}
 		}
-		data, err := d.Cable.ReadbackFramesCtx(ctx, slr, read)
+		data, err := d.readFrames(ctx, slr, read, false)
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +380,9 @@ func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun
 		if len(wf) == 0 {
 			continue
 		}
-		if err := d.Cable.WritebackFramesCtx(ctx, slr, wf, wd); err != nil {
+		err = d.Cable.WritebackFramesCtx(ctx, slr, wf, wd)
+		d.wrote(slr, wf, wd, err)
+		if err != nil {
 			return nil, err
 		}
 		written[slr] = wf
@@ -387,10 +390,11 @@ func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun
 	return written, nil
 }
 
-// restoreMismatch re-reads a frame set and returns the frames holding a
-// snapshot value the board disagrees with, plus how many values disagree.
+// restoreMismatch re-reads a frame set from the board, never from known
+// frames, and returns the frames holding a snapshot value the board
+// disagrees with, plus how many values disagree.
 func (d *Debugger) restoreMismatch(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int) (map[int][]int, int, error) {
-	frameData, err := d.readFrameSet(ctx, frames)
+	frameData, err := d.readFrameSet(ctx, frames, true)
 	if err != nil {
 		return nil, 0, err
 	}

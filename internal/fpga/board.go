@@ -51,6 +51,7 @@ type Board struct {
 
 	clockRunning bool
 	gsrMask      *Region // non-nil: GSR and readback restricted to region
+	gen          uint64  // state generation; see Generation
 }
 
 // NewBoard creates an unconfigured board.
@@ -77,6 +78,7 @@ func (b *Board) Configure(img *Image) error {
 	b.Sim = s
 	b.clockRunning = false
 	b.gsrMask = nil
+	b.gen++
 	if err := b.indexFrames(); err != nil {
 		return err
 	}
@@ -119,6 +121,12 @@ func (b *Board) indexFrames() error {
 	return nil
 }
 
+// Generation counts the changes to what a frame read would return: every
+// clock advance, configuration, GSR pulse, GSR-mask change and frame
+// write moves it. A host that remembers frame contents may trust them
+// only while the generation stands still.
+func (b *Board) Generation() uint64 { return b.gen }
+
 // Configured reports whether an image is loaded.
 func (b *Board) Configured() bool { return b.Image != nil }
 
@@ -155,6 +163,9 @@ func (b *Board) Advance(n int) {
 	if b.Sim == nil {
 		return
 	}
+	if n > 0 {
+		b.gen++
+	}
 	b.Sim.Run(n)
 }
 
@@ -163,7 +174,12 @@ func (b *Board) Advance(n int) {
 // not restore this register automatically after partial reconfiguration —
 // Zoomie must clear it before readback (§4.7), and this model preserves
 // that trap: masked readback returns zeroed frames outside the region.
-func (b *Board) SetGSRMask(r *Region) { b.gsrMask = r }
+func (b *Board) SetGSRMask(r *Region) {
+	if r != nil || b.gsrMask != nil {
+		b.gen++
+	}
+	b.gsrMask = r
+}
 
 // GSRMasked reports whether a GSR mask is currently set.
 func (b *Board) GSRMasked() bool { return b.gsrMask != nil }
@@ -175,6 +191,7 @@ func (b *Board) ApplyGSR() {
 	if b.Sim == nil {
 		return
 	}
+	b.gen++
 	var lo, hi int
 	if b.gsrMask != nil {
 		lo, hi = b.gsrMask.FrameRange(b.Device)
@@ -252,6 +269,7 @@ func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 	if frame < 0 || frame >= b.Device.SLRs[slr].Frames {
 		return fmt.Errorf("fpga: SLR %d has no frame %d", slr, frame)
 	}
+	b.gen++
 	for _, item := range b.frames[[2]int{slr, frame}] {
 		if item.reg != "" {
 			v := GetBits(data, item.bitOff, item.width)

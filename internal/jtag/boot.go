@@ -136,7 +136,10 @@ func (c *Cable) Boot(img *fpga.Image) error {
 // long unverified stream, then the clock starts. Without this a single
 // in-flight flip during configuration corrupts initial state silently —
 // every later read faithfully returns the wrong image, so no amount of
-// read verification can catch it.
+// read verification can catch it. Each writeback carries at most
+// maxStreamFrameOps frames: a verified transfer's first stream holds all
+// of its writes, and one transient error voids the whole stream, so an
+// SLR's whole image in one transfer can exhaust the retry budget.
 func (c *Cable) bootVerified(img *fpga.Image) error {
 	frames, err := initialFrames(img)
 	if err != nil {
@@ -154,12 +157,16 @@ func (c *Cable) bootVerified(img *fpga.Image) error {
 	for _, slr := range slrs {
 		addrs := perSLR[slr]
 		sort.Ints(addrs)
-		data := make([][]uint32, len(addrs))
-		for i, far := range addrs {
-			data[i] = frames[[2]int{slr, far}]
-		}
-		if err := c.WritebackFrames(slr, addrs, data); err != nil {
-			return fmt.Errorf("jtag: boot frames of SLR %d: %w", slr, err)
+		for len(addrs) > 0 {
+			chunk := addrs[:min(len(addrs), maxStreamFrameOps)]
+			addrs = addrs[len(chunk):]
+			data := make([][]uint32, len(chunk))
+			for i, far := range chunk {
+				data[i] = frames[[2]int{slr, far}]
+			}
+			if err := c.WritebackFrames(slr, chunk, data); err != nil {
+				return fmt.Errorf("jtag: boot frames of SLR %d: %w", slr, err)
+			}
 		}
 	}
 	if err := c.StartClock(); err != nil {

@@ -223,6 +223,108 @@ func TestWedgeQuarantineMigration(t *testing.T) {
 	}
 }
 
+// TestWedgeUnseenByKnownFrames pins the wedge-detection trade-off of
+// known frames. A command answered from frames the debugger already knows
+// never reaches the board, so it cannot notice a wedge. Without a prober
+// such commands keep succeeding, and the first command that needs the
+// cable fails over. With a prober, the wedged board is quarantined within
+// one probe interval all the same, while commands go on being answered.
+func TestWedgeUnseenByKnownFrames(t *testing.T) {
+	attach := func(t *testing.T, probe time.Duration) (*server.Server, *client.Client, *client.Session) {
+		srv, addr := startServer(t, server.Config{
+			PoolSize:           2,
+			Chaos:              &faults.Profile{Seed: 7, ReadFlip: 0.001},
+			ProbeInterval:      probe,
+			QuarantineCooldown: time.Hour,
+		})
+		c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		sess, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Poke("cnt", 1234); err != nil {
+			t.Fatal(err)
+		}
+		return srv, c, sess
+	}
+	peek := func(t *testing.T, sess *client.Session, want uint64) {
+		t.Helper()
+		if v, err := sess.Peek("cnt"); err != nil || v != want {
+			t.Fatalf("peek cnt = %d, %v; want %d", v, err, want)
+		}
+	}
+
+	t.Run("no prober", func(t *testing.T) {
+		srv, _, sess := attach(t, 0)
+		srv.InjectorFor(sess.ID).Wedge()
+		for i := 0; i < 10; i++ {
+			peek(t, sess, 1234)
+		}
+		if st := srv.Stats(); st.Migrations != 0 {
+			t.Fatalf("peeks of known frames migrated %d times, want 0", st.Migrations)
+		}
+		if err := sess.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.Stats(); st.Migrations != 1 {
+			t.Errorf("the step that needed the cable left migrations=%d, want 1", st.Migrations)
+		}
+		peek(t, sess, 1235)
+	})
+
+	t.Run("prober", func(t *testing.T) {
+		const interval = 300 * time.Millisecond
+		srv, c, sess := attach(t, interval)
+		for len(c.Events()) > 0 {
+			<-c.Events()
+		}
+		wedged := time.Now()
+		srv.InjectorFor(sess.ID).Wedge()
+		answered := 0
+		var quarantined, migrated bool
+		for !migrated {
+			select {
+			case e := <-c.Events():
+				quarantined = quarantined || e.Kind == wire.EvtQuarantined
+				migrated = e.Kind == wire.EvtMigrated
+			default:
+				peek(t, sess, 1234)
+				answered++
+			}
+			// One interval until the prober's next tick, plus slack for a
+			// loaded machine to run the probe.
+			if !quarantined && time.Since(wedged) > interval+time.Second {
+				t.Fatalf("no quarantine %v after the wedge, probe interval %v", time.Since(wedged), interval)
+			}
+			if time.Since(wedged) > 10*time.Second {
+				t.Fatal("no migration within 10s of the quarantine")
+			}
+		}
+		if !quarantined {
+			t.Fatal("migrated without a quarantine event")
+		}
+		if answered == 0 {
+			t.Error("no command was answered while the prober caught up with the wedge")
+		}
+		st := srv.Stats()
+		if st.ProbeFailures != 1 || st.Migrations != 1 {
+			t.Errorf("probe failures=%d migrations=%d, want 1 each", st.ProbeFailures, st.Migrations)
+		}
+		peek(t, sess, 1234)
+		if err := sess.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		peek(t, sess, 1235)
+	})
+}
+
 // wedgeProfile is a fault profile that injects nothing but a wedge after
 // the given number of backend operations, so every operation count is a
 // function of the command sequence alone.
@@ -231,54 +333,95 @@ func wedgeProfile(after int64) *faults.Profile {
 }
 
 // TestWedgeDuringCaptureMigratesExactly lands a wedge on the known-good
-// capture that follows a poke. The capture is part of the command: the
-// poke fails over to a fresh board restored from the pre-poke snapshot
-// and is executed again there, so the poked value survives. (A capture
-// taken after the reply would fail silently and leave the pre-poke
-// snapshot as the migration source.)
+// capture that follows a step. The capture is part of the command: the
+// step fails over to a fresh board restored from the pre-step snapshot
+// and is executed again there, so the stepped state survives. (A capture
+// taken after the reply would fail silently and leave the pre-step
+// snapshot as the migration source.) A poke's capture is no target: it
+// re-reads only the frame the poke has just written and verified, which
+// the debugger knows, so it costs no backend operation at all.
 func TestWedgeDuringCaptureMigratesExactly(t *testing.T) {
-	// Pad the op count with peeks so the replacement board, which pays
-	// the same boot, stays well below the wedge threshold.
+	// A counter that also writes a memory word every cycle: a step changes
+	// a frame besides the Debug Controller's, whose frame its pause check
+	// reads, so the step's capture has a frame to read from the board.
+	const design = "wedge-memcounter"
+	server.Register(design, server.Entry{
+		Describe: "16-bit counter logging into a 32-word memory",
+		Build: func() (*zoomie.Design, zoomie.DebugConfig) {
+			m := zoomie.NewModule("memcounter")
+			q := m.Output("q", 16)
+			cnt := m.Reg("cnt", 16, "clk", 0)
+			m.SetNext(cnt, zoomie.Add(zoomie.S(cnt), zoomie.C(1, 16)))
+			m.Mem("log", 16, 32).Write("clk", zoomie.Slice(zoomie.S(cnt), 4, 0), zoomie.S(cnt), zoomie.C(1, 1))
+			m.Connect(q, zoomie.S(cnt))
+			return zoomie.NewDesign("memcounter", m), zoomie.DebugConfig{Watches: []string{"q"}}
+		},
+	})
+	t.Cleanup(func() { server.Unregister(design) })
+	// Pad the op count so the replacement board, which pays the same boot,
+	// stays well below the wedge threshold. A peek of a known frame costs
+	// nothing, so each peek follows a clock tick of the paused design.
 	const pad = 100
-	script := func(t *testing.T, wedgeAfter int64) (srv *server.Server, sess *client.Session, afterPad, afterPoke, peekOps int64) {
+	type marks struct{ afterPad, afterStep, afterPoke, peekOps, cycles, cnt uint64 }
+	script := func(t *testing.T, wedgeAfter int64) (*server.Server, *client.Session, marks) {
 		srv, addr := startServer(t, server.Config{PoolSize: 2, Chaos: wedgeProfile(wedgeAfter)})
 		c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		if sess, err = c.Attach("counter"); err != nil {
+		sess, err := c.Attach(design)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sess.Pause(); err != nil {
 			t.Fatal(err)
 		}
 		inj := srv.InjectorFor(sess.ID)
+		ops := func() uint64 { return uint64(inj.Stats().Ops) }
 		for i := 0; i < pad; i++ {
+			if err := sess.Run(1); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := sess.Peek("cnt"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		afterPad = inj.Stats().Ops
+		// The step starts from a known Debug Controller frame, as the
+		// local calibration below does.
+		if _, err := sess.Paused(); err != nil {
+			t.Fatal(err)
+		}
+		var m marks
+		m.afterPad = ops()
+		if err := sess.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Peek("cnt"); err != nil {
+			t.Fatal(err)
+		}
+		m.afterStep = ops()
 		if err := sess.Poke("cnt", 1234); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Peek("cnt"); err != nil {
+		m.afterPoke = ops()
+		if m.cnt, err = sess.Peek("cnt"); err != nil {
 			t.Fatal(err)
 		}
-		afterPoke = inj.Stats().Ops
-		if _, err := sess.Peek("cnt"); err != nil {
+		m.peekOps = ops() - m.afterPoke
+		if m.cycles, err = sess.Cycles(); err != nil {
 			t.Fatal(err)
 		}
-		return srv, sess, afterPad, afterPoke, inj.Stats().Ops - afterPoke
+		return srv, sess, m
 	}
 
-	// Calibrate on a board that never wedges: the poke and its capture
-	// end one peek before afterPoke, and a poke on a local session over
-	// the same link costs what the poke alone costs.
-	_, _, afterPad, afterPoke, peekOps := script(t, 1<<40)
+	// Calibrate on a board that never wedges against a local session over
+	// the same link, which takes no known-good captures: the step ends
+	// where the local step's own operations end, and its capture costs
+	// more; the poke and its capture cost exactly the local poke.
+	_, _, m := script(t, 1<<40)
 	inj := faults.New(*wedgeProfile(1 << 40))
-	local, err := server.NewCatalogSessionWith("counter", func(cfg *zoomie.DebugConfig) { cfg.Faults = inj })
+	local, err := server.NewCatalogSessionWith(design, func(cfg *zoomie.DebugConfig) { cfg.Faults = inj })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,24 +429,37 @@ func TestWedgeDuringCaptureMigratesExactly(t *testing.T) {
 	if err := local.Pause(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := local.Paused(); err != nil {
+		t.Fatal(err)
+	}
 	before := inj.Stats().Ops
+	if err := local.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	stepEnd := int64(m.afterPad) + inj.Stats().Ops - before
+	if _, err := local.Peek("cnt"); err != nil {
+		t.Fatal(err)
+	}
+	before = inj.Stats().Ops
 	if err := local.Poke("cnt", 1234); err != nil {
 		t.Fatal(err)
 	}
-	pokeEnd := afterPad + inj.Stats().Ops - before
-	if captureEnd := afterPoke - peekOps; captureEnd <= pokeEnd {
-		t.Fatalf("the capture after the poke cost no backend operation (poke ends at op %d, capture at %d)",
-			pokeEnd, captureEnd)
+	if got, want := m.afterPoke-m.afterStep, uint64(inj.Stats().Ops-before); got != want {
+		t.Fatalf("the poke and its capture cost %d backend operations, the poke alone %d; want the capture free", got, want)
+	}
+	if m.peekOps != 0 {
+		t.Fatalf("a peek of the poked frame cost %d backend operations, want 0", m.peekOps)
+	}
+	if captureEnd := int64(m.afterStep); captureEnd <= stepEnd {
+		t.Fatalf("the capture after the step cost no backend operation (step ends at op %d, capture at %d)",
+			stepEnd, captureEnd)
 	}
 
 	// Wedge on the capture's first operation.
-	srv, sess, _, _, _ := script(t, pokeEnd)
-	got, err := sess.Peek("cnt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1234 {
-		t.Fatalf("after a wedge during the post-poke capture cnt=%d, want 1234", got)
+	srv, sess, got := script(t, stepEnd)
+	if got.cnt != 1234 || got.cycles != m.cycles {
+		t.Fatalf("after a wedge during the post-step capture cnt=%d at cycle %d, want 1234 at cycle %d",
+			got.cnt, got.cycles, m.cycles)
 	}
 	if paused, err := sess.Paused(); err != nil || !paused {
 		t.Fatalf("paused=%v err=%v after migration, want paused", paused, err)
@@ -316,39 +472,54 @@ func TestWedgeDuringCaptureMigratesExactly(t *testing.T) {
 // TestRunWedgeMigratePreservesCycles runs the free-running design, wedges
 // its board and requires the migrated session to resume at the cycle the
 // run reached: run changes state, so it refreshes the known-good
-// snapshot like any other mutating command.
+// snapshot like any other mutating command. That refresh re-reads every
+// frame the run changed, so a cycle count is answered from known frames
+// and never meets the wedge; the pause that follows needs the cable, and
+// must land on the cycle an undisturbed board pauses at.
 func TestRunWedgeMigratePreservesCycles(t *testing.T) {
-	srv, addr := startServer(t, server.Config{
-		PoolSize:           2,
-		Chaos:              &faults.Profile{Seed: 7, ReadFlip: 0.001},
-		QuarantineCooldown: time.Hour,
-	})
-	c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	script := func(wedge bool) (srv *server.Server, ran, paused uint64) {
+		srv, addr := startServer(t, server.Config{
+			PoolSize:           2,
+			Chaos:              &faults.Profile{Seed: 7, ReadFlip: 0.001},
+			QuarantineCooldown: time.Hour,
+		})
+		c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		sess, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Run(500); err != nil {
+			t.Fatal(err)
+		}
+		if ran, err = sess.Cycles(); err != nil {
+			t.Fatal(err)
+		}
+		if wedge {
+			srv.InjectorFor(sess.ID).Wedge()
+			if got, err := sess.Cycles(); err != nil || got != ran {
+				t.Fatalf("cycles from known frames on the wedged board = %d, %v; want %d", got, err, ran)
+			}
+		}
+		if err := sess.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if paused, err = sess.Cycles(); err != nil {
+			t.Fatal(err)
+		}
+		return srv, ran, paused
 	}
-	defer c.Close()
-	sess, err := c.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Run(500); err != nil {
-		t.Fatal(err)
-	}
-	want, err := sess.Cycles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want, wantPaused := script(false)
 	if want < 500 {
 		t.Fatalf("design ran to cycle %d, want at least 500", want)
 	}
-	srv.InjectorFor(sess.ID).Wedge()
-	got, err := sess.Cycles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("after run -> wedge -> migrate the design is at cycle %d, want %d", got, want)
+	srv, got, gotPaused := script(true)
+	if got != want || gotPaused != wantPaused {
+		t.Fatalf("after run -> wedge -> migrate the design ran to cycle %d and paused at %d, want %d and %d",
+			got, gotPaused, want, wantPaused)
 	}
 	if st := srv.Stats(); st.Migrations != 1 {
 		t.Errorf("migrations=%d, want 1", st.Migrations)

@@ -191,7 +191,7 @@ func (s *session) loop() {
 				resp, detach := s.handle(t)
 				t.reply(resp)
 				if detach {
-					s.teardown("board failed and could not be replaced")
+					s.teardown("board failed and could not be replaced", nil)
 					return
 				}
 				continue
@@ -207,12 +207,14 @@ func (s *session) loop() {
 			atomic.AddInt64(&s.srv.stats.commandsServed, 1)
 			s.srv.ctr.commands.Inc()
 			s.replayStore(t.req, resp)
-			t.reply(resp)
 			if detach {
-				s.teardown("detached by client")
+				// Acknowledge once the session is unregistered, so a
+				// client whose detach returned no longer finds it counted.
+				s.teardown("detached by client", func() { t.reply(resp) })
 				return
 			}
-			s.maybeEmitPaused(t.req.Op, resp.Err == nil)
+			t.reply(resp)
+			s.maybeEmitPaused(t.req.Op)
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -222,10 +224,10 @@ func (s *session) loop() {
 			timer.Reset(idle)
 		case <-timer.C:
 			atomic.AddInt64(&s.srv.stats.idleReaped, 1)
-			s.teardown(fmt.Sprintf("idle for %v", idle))
+			s.teardown(fmt.Sprintf("idle for %v", idle), nil)
 			return
 		case <-s.quit:
-			s.teardown("server shutdown")
+			s.teardown("server shutdown", nil)
 			return
 		}
 	}
@@ -277,10 +279,10 @@ func (s *session) refreshGood(ctx context.Context) error {
 
 // teardown closes the session exactly once: it marks the session dead
 // (new enqueues fail fast), answers every still-queued command with
-// CodeNoSession, unregisters from the server, and closes the underlying
-// zoomie.Session — which pauses the design, stops its clocks, and
-// releases the board lease back to the pool.
-func (s *session) teardown(reason string) {
+// CodeNoSession, unregisters from the server, calls ack if set, and
+// closes the underlying zoomie.Session — which pauses the design, stops
+// its clocks, and releases the board lease back to the pool.
+func (s *session) teardown(reason string, ack func()) {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
@@ -295,48 +297,37 @@ func (s *session) teardown(reason string) {
 		break
 	}
 	s.srv.dropSession(s)
+	if ack != nil {
+		ack()
+	}
 	s.zs.Close()
 	s.srv.retire(s.zs, s.injector.Load())
 	s.srv.broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
 }
 
 // maybeEmitPaused watches for the running->paused transition after
-// clock-advancing commands and pushes a breakpoint-hit event to
-// subscribers, so clients observe triggers without polling. ok reports
-// whether the command succeeded.
-func (s *session) maybeEmitPaused(op string, ok bool) {
+// clock-advancing and time-travel commands and pushes a breakpoint-hit
+// event to subscribers, so clients observe triggers without polling. It
+// reads the paused flag after every such command; the Debug Controller's
+// frame is known by then, so the read costs no cable operation. Explicit
+// time travel and an explicit pause are their own acknowledgements, and
+// raise no event.
+func (s *session) maybeEmitPaused(op string) {
+	emit := false
 	switch op {
-	case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont, wire.OpHistLoad:
-		// Explicit time-travel that succeeds always ends paused: sync the
-		// tracked state, with no cable op, so the next genuine trigger
-		// still produces an event, but emit nothing — the response is the
-		// acknowledgement. A failed one may have stopped anywhere, so it
-		// reads the flag.
-		if ok {
-			s.lastPaused = true
-		} else if paused, err := s.zs.Paused(); err == nil {
-			s.lastPaused = paused
-		}
-		return
-	case wire.OpRun, wire.OpUntil, wire.OpStep, wire.OpResume, wire.OpPause:
+	case wire.OpRun, wire.OpUntil, wire.OpStep, wire.OpResume:
+		emit = true
+	case wire.OpPause, wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont, wire.OpHistLoad:
 	default:
 		return
 	}
-	// A successful step has just read the paused flag to verify that the
-	// design re-paused; reading it again would cost a cable op.
-	paused := op == wire.OpStep && ok
-	if !paused {
-		p, err := s.zs.Paused()
-		if err != nil {
-			return
-		}
-		paused = p
+	paused, err := s.zs.Paused()
+	if err != nil {
+		return
 	}
 	was := s.lastPaused
 	s.lastPaused = paused
-	// An explicit host pause is its own acknowledgement; only async
-	// trigger-driven pauses become events.
-	if paused && !was && op != wire.OpPause {
+	if emit && paused && !was {
 		cyc, _ := s.zs.Cycles()
 		s.srv.broadcast(&wire.Event{Kind: wire.EvtPaused, Session: s.id, Op: op, Cycles: cyc})
 	}

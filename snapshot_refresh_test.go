@@ -52,9 +52,13 @@ func changedFrames(sess *zoomie.Session, a, b *zoomie.DebugSnapshot) map[[2]int]
 // TestRefreshSnapshotMatchesFullRead is the refresh property: after
 // seeded random pokes, memory pokes and steps, a snapshot refreshed from
 // the previous one equals a fresh full Snapshot(""), and it reads exactly
-// the frames holding state that changed in between — on a clean link
-// (counted frame for frame) and on a guarded link flipping 1% of the
-// words it moves (as a set, since the guard re-reads).
+// the frames holding state that changed in between that the debugger does
+// not already know — on a clean link (counted frame for frame) and on a
+// guarded link flipping 1% of the words it moves (as a set, since the
+// guard re-reads). Every other refresh follows a clock tick, which leaves
+// the paused design as it is but makes every frame unknown, so the
+// refresh reads every changed frame; the others read none that a poke
+// wrote or a step's pause check read.
 func TestRefreshSnapshotMatchesFullRead(t *testing.T) {
 	for _, link := range []struct{ name, chaos string }{
 		{"clean", ""},
@@ -86,6 +90,7 @@ func TestRefreshSnapshotMatchesFullRead(t *testing.T) {
 			}
 			ctx := context.Background()
 			rng := rand.New(rand.NewSource(42))
+			servedKnown := 0
 			for i := 0; i < 40; i++ {
 				// Up to three ops between refreshes, so changes accumulate.
 				for n := rng.Intn(4); n > 0; n-- {
@@ -101,6 +106,13 @@ func TestRefreshSnapshotMatchesFullRead(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+				}
+				if i%2 == 1 {
+					sess.Run(1)
+				}
+				known := sess.KnownFrames()
+				if i%2 == 1 && len(known) != 0 {
+					t.Fatalf("iteration %d: %d frames known after a clock tick, want none", i, len(known))
 				}
 				var readSet map[[2]int]bool
 				if log != nil {
@@ -124,14 +136,24 @@ func TestRefreshSnapshotMatchesFullRead(t *testing.T) {
 					t.Fatalf("iteration %d: refreshed snapshot differs from a full read", i)
 				}
 				changed := changedFrames(sess, base, want)
+				for key := range known {
+					if changed[key] {
+						delete(changed, key)
+						servedKnown++
+					}
+				}
 				if log != nil {
 					if !reflect.DeepEqual(readSet, changed) {
-						t.Fatalf("iteration %d: refresh read frames %v, want the changed frames %v", i, readSet, changed)
+						t.Fatalf("iteration %d: refresh read frames %v, want the changed frames not known %v", i, readSet, changed)
 					}
 				} else if nRead != len(changed) {
-					t.Fatalf("iteration %d: refresh read %d frames, want the %d changed", i, nRead, len(changed))
+					t.Fatalf("iteration %d: refresh read %d frames, want the %d changed and not known", i, nRead, len(changed))
 				}
 				base = got
+			}
+
+			if servedKnown == 0 {
+				t.Error("no refresh took a changed frame from the known frames; the test needs some")
 			}
 
 			elapsed := sess.Elapsed()

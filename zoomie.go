@@ -392,9 +392,14 @@ func Debug(d *Design, cfg DebugConfig) (*Session, error) {
 
 // PokeInput drives a top-level input port of the design under debug (a
 // chip IO, modelled at board level rather than through configuration
-// frames).
+// frames). Any other signal is refused: state changes only through
+// frames, where the debugger sees them (Poke).
 func (s *Session) PokeInput(name string, v uint64) error {
-	return s.Cable.Board.Sim.Poke(name, v)
+	sim := s.Cable.Board.Sim
+	if sig := sim.Lookup(name); sig != nil && sig.Kind != rtl.KindInput {
+		return fmt.Errorf("zoomie: %q is not an input port; force state with poke", name)
+	}
+	return sim.Poke(name, v)
 }
 
 // PeekOutput samples a top-level output port of the design under debug.
