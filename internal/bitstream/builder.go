@@ -64,17 +64,26 @@ func (b *Builder) SelectSLR(hops int) *Builder {
 	return b
 }
 
-// WriteFrames appends a WCFG command, the starting frame address, and one
-// FDRI write per frame. Each frame must be exactly FrameWords long; the
-// µc auto-increments FAR after each frame.
+// WriteFrames appends a WCFG command, the starting frame address, and an
+// FDRI write carrying the frames' data, split into packets of whole
+// frames where the run exceeds MaxPacketWords: the write twin of
+// ReadFrames. Each frame must be exactly frameWords long; the µc
+// auto-increments FAR after each frame, so the frames land at consecutive
+// addresses from far.
 func (b *Builder) WriteFrames(frameWords int, far int, frames ...[]uint32) *Builder {
 	b.WriteReg(RegCMD, CmdWCFG)
 	b.WriteReg(RegFAR, uint32(far))
-	for _, f := range frames {
-		if len(f) != frameWords {
-			panic(fmt.Sprintf("bitstream: frame has %d words, want %d", len(f), frameWords))
+	per := max(MaxPacketWords/frameWords, 1)
+	for len(frames) > 0 {
+		chunk := frames[:min(per, len(frames))]
+		frames = frames[len(chunk):]
+		b.words = append(b.words, WriteHeader(RegFDRI, len(chunk)*frameWords))
+		for _, f := range chunk {
+			if len(f) != frameWords {
+				panic(fmt.Sprintf("bitstream: frame has %d words, want %d", len(f), frameWords))
+			}
+			b.words = append(b.words, f...)
 		}
-		b.WriteReg(RegFDRI, f...)
 	}
 	return b
 }

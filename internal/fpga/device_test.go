@@ -189,6 +189,58 @@ func TestFrameAllocatorWholeFrames(t *testing.T) {
 	}
 }
 
+// TestFrameAllocatorCloseFrame pins the step the placer takes between
+// top-level instances: registers share the frame in progress until it is
+// closed, closing moves the next allocation to a fresh frame, and closing
+// a frame nothing was allocated in wastes no frame.
+func TestFrameAllocatorCloseFrame(t *testing.T) {
+	a := NewFrameAllocator(2, 10, 14)
+	a.CloseFrame() // nothing allocated yet: frame 10 stays open
+	var got []BitAddr
+	for _, w := range []int{12, 20} {
+		addr, err := a.AllocBits(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, addr)
+	}
+	a.CloseFrame()
+	a.CloseFrame() // the fresh frame is empty: a second close is a no-op
+	addr, err := a.AllocBits(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, addr)
+	want := []BitAddr{{SLR: 2, Frame: 10, Bit: 0}, {SLR: 2, Frame: 10, Bit: 12}, {SLR: 2, Frame: 11, Bit: 0}}
+	if !slices.Equal(got, want) {
+		t.Errorf("allocations = %v, want %v", got, want)
+	}
+	// Memories take whole frames after the registers.
+	if start, err := a.AllocFrames(2); err != nil || start != 12 {
+		t.Errorf("AllocFrames(2) = %d, %v; want 12", start, err)
+	}
+}
+
+// TestFrameAllocatorExhaustedOnceFull fills a region with registers and
+// memories and checks both allocations then fail with the same error.
+func TestFrameAllocatorExhaustedOnceFull(t *testing.T) {
+	const exhausted = "fpga: SLR 1 region frames exhausted"
+	a := NewFrameAllocator(1, 0, 3)
+	if _, err := a.AllocBits(FrameBits - 1); err != nil {
+		t.Fatal(err)
+	}
+	if start, err := a.AllocFrames(2); err != nil || start != 1 {
+		t.Fatalf("AllocFrames(2) = %d, %v; want 1", start, err)
+	}
+	if _, err := a.AllocBits(1); err == nil || err.Error() != exhausted {
+		t.Errorf("AllocBits on a full region: %v, want %q", err, exhausted)
+	}
+	a.CloseFrame()
+	if _, err := a.AllocFrames(1); err == nil || err.Error() != exhausted {
+		t.Errorf("AllocFrames on a full region: %v, want %q", err, exhausted)
+	}
+}
+
 func TestStateMapLookupsAndFrames(t *testing.T) {
 	sm := NewStateMap()
 	if err := sm.AddReg(RegLoc{Name: "a.r", Width: 8, Addr: BitAddr{SLR: 0, Frame: 5, Bit: 0}}); err != nil {

@@ -208,8 +208,7 @@ func (a *FrameAllocator) AllocBits(width int) (BitAddr, error) {
 		return BitAddr{}, fmt.Errorf("fpga: allocation of %d bits exceeds frame size", width)
 	}
 	if a.bitsUse+width > FrameBits {
-		a.next++
-		a.bitsUse = 0
+		a.CloseFrame()
 	}
 	if a.next > a.last {
 		return BitAddr{}, fmt.Errorf("fpga: SLR %d region frames exhausted", a.slr)
@@ -219,25 +218,22 @@ func (a *FrameAllocator) AllocBits(width int) (BitAddr, error) {
 	return addr, nil
 }
 
-// AllocFrames reserves n whole frames, returning the first address.
-func (a *FrameAllocator) AllocFrames(n int) (int, error) {
+// CloseFrame ends the frame in progress, if any: the next allocation
+// starts a fresh frame.
+func (a *FrameAllocator) CloseFrame() {
 	if a.bitsUse > 0 {
 		a.next++
 		a.bitsUse = 0
 	}
+}
+
+// AllocFrames reserves n whole frames, returning the first address.
+func (a *FrameAllocator) AllocFrames(n int) (int, error) {
+	a.CloseFrame()
 	if a.next+n-1 > a.last {
 		return 0, fmt.Errorf("fpga: SLR %d region frames exhausted", a.slr)
 	}
 	start := a.next
 	a.next += n
 	return start, nil
-}
-
-// Used returns how many frames have been consumed (fully or partially).
-func (a *FrameAllocator) Used(lo int) int {
-	used := a.next - lo
-	if a.bitsUse > 0 {
-		used++
-	}
-	return used
 }

@@ -340,34 +340,37 @@ func (c *Cable) backoff(attempt int) time.Duration {
 // and about 35 one hop out, where a selection costs 10 or 5 ms. On the
 // primary, where placement puts the debugged state when it has room, a
 // selection costs nothing and the bound matters little: at exec=0.0025
-// bounds from 8 to 128 stayed within 7% of each other, 64 within 1.2% of
-// the best (DESIGN.md §5, "One SLR selection per verified transfer"). A
-// single pass or write larger than the bound is never split: it gets a
+// bounds from 8 to 128 stayed within 3.6% of each other, 64 within 3.3%
+// of the best (DESIGN.md §5, "One SLR selection per verified transfer").
+// A single pass or write larger than the bound is never split: it gets a
 // stream of its own.
 const maxStreamFrameOps = 64
 
 // transferStream builds one configuration stream for one SLR: SYNC, one
-// BOUT selection, a WCFG write of data[i] to each frames[i], then one FDRO
-// pass per entry of reads, each merging runs of consecutive addresses into
-// multi-frame reads — the SLR-aware optimization of §4.7.
+// BOUT selection, the write of data[i] to each frames[i], then one FDRO
+// pass per entry of reads. Writes and reads alike merge runs of
+// consecutive addresses into one multi-frame WCFG + FAR + FDRI or RCFG +
+// FAR + FDRO group — the SLR-aware optimization of §4.7.
 func (c *Cable) transferStream(slr int, frames []int, data [][]uint32, reads ...[]int) []uint32 {
 	b := bitstream.NewBuilder().Sync().SelectSLR(c.Board.Device.Hops(slr))
-	for i, f := range frames {
-		b.WriteFrames(fpga.FrameWords, f, data[i])
-	}
+	runs(frames, func(i, n int) { b.WriteFrames(fpga.FrameWords, frames[i], data[i:i+n]...) })
 	for _, pass := range reads {
-		start, run := pass[0], 1
-		for _, f := range pass[1:] {
-			if f == start+run {
-				run++
-				continue
-			}
-			b.ReadFrames(fpga.FrameWords, start, run)
-			start, run = f, 1
-		}
-		b.ReadFrames(fpga.FrameWords, start, run)
+		runs(pass, func(i, n int) { b.ReadFrames(fpga.FrameWords, pass[i], n) })
 	}
 	return b.Words()
+}
+
+// runs calls fn with the position and length of each maximal run of
+// consecutive addresses in frames, in order.
+func runs(frames []int, fn func(i, n int)) {
+	for i := 0; i < len(frames); {
+		n := 1
+		for i+n < len(frames) && frames[i+n] == frames[i]+n {
+			n++
+		}
+		fn(i, n)
+		i += n
+	}
 }
 
 // readbackOnce executes one readback pass and splits the payload.
@@ -626,7 +629,8 @@ func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, dat
 }
 
 // WritebackFrames writes the given frames of one SLR (partial
-// reconfiguration). Under guard every frame is verified after write: the
+// reconfiguration), each run of consecutive addresses as one multi-frame
+// FDRI write. Under guard every frame is verified after write: the
 // CRC32 of the data handed to the cable is compared against the CRC32 of
 // the frame read back, and mismatching frames are rewritten until they
 // stick or the retry budget runs out. This is what keeps flipped,

@@ -442,6 +442,15 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 	if density < 1 {
 		density = 1
 	}
+	// Dense state frames: registers pack into consecutive frames in
+	// netlist order, and memories take whole frames after them, the way
+	// hardware keeps BRAM contents in a frame block of their own. A frame
+	// never holds state of two top-level instances, so the Debug
+	// Controller and each assertion monitor keep frames of their own: a
+	// seek rewrites the controller's registers, and must not rewrite a
+	// design frame whose values did not change.
+	var mems []synth.FlatCell
+	inst := ""
 	for i, c := range cells {
 		ti := i / density
 		if ti >= len(tiles) {
@@ -456,6 +465,12 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 			continue
 		}
 		if w := c.Res[fpga.FF]; w > 0 && c.Res[fpga.BRAM] == 0 && c.Res[fpga.LUTRAM] == 0 {
+			if top, _, _ := strings.Cut(c.Path, "."); top != inst {
+				for _, a := range allocs {
+					a.CloseFrame()
+				}
+				inst = top
+			}
 			addr, err := allocBits(w)
 			if err != nil {
 				return fmt.Errorf("place: register %q: %w", c.Name, err)
@@ -466,15 +481,18 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 			continue
 		}
 		if c.MemWidth > 0 {
-			loc := fpga.MemLoc{Name: c.Name, Width: c.MemWidth, Depth: c.MemDepth}
-			slr, start, err := allocFrames(loc.FrameCount())
-			if err != nil {
-				return fmt.Errorf("place: memory %q: %w", c.Name, err)
-			}
-			loc.SLR, loc.StartFrame = slr, start
-			if err := p.StateMap.AddMem(loc); err != nil {
-				return err
-			}
+			mems = append(mems, c)
+		}
+	}
+	for _, c := range mems {
+		loc := fpga.MemLoc{Name: c.Name, Width: c.MemWidth, Depth: c.MemDepth}
+		slr, start, err := allocFrames(loc.FrameCount())
+		if err != nil {
+			return fmt.Errorf("place: memory %q: %w", c.Name, err)
+		}
+		loc.SLR, loc.StartFrame = slr, start
+		if err := p.StateMap.AddMem(loc); err != nil {
+			return err
 		}
 	}
 
