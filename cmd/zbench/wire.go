@@ -16,13 +16,13 @@ import (
 	"zoomie/internal/wire"
 )
 
-// wireExp measures what the v3 binary codec is worth against the v2
-// JSON codec it replaces, at three levels: raw encode/decode cost of
-// representative frames, end-to-end RPC latency and batch throughput
-// over loopback TCP, and streaming-observability aggregation rate —
-// including whether an active stream perturbs paused-debug latency.
+// wireExp measures the v3 binary codec at three levels: raw
+// encode/decode cost of representative frames, end-to-end RPC latency
+// and batch throughput over loopback TCP, and streaming-observability
+// aggregation rate — including whether an active stream perturbs
+// paused-debug latency.
 func wireExp(int) error {
-	header("Wire: v3 binary zero-copy framing vs v2 JSON")
+	header("Wire: v3 binary zero-copy framing")
 	if err := wireCodecTable(); err != nil {
 		return err
 	}
@@ -45,43 +45,33 @@ func wireCodecTable() error {
 		Client: 2, Seq: 992, Items: items})
 
 	fmt.Println()
-	fmt.Printf("%-22s %10s %10s %10s %9s %9s\n",
-		"codec benchmark", "v2 ns/op", "v3 ns/op", "speedup", "v2 allocs", "v3 allocs")
+	fmt.Printf("%-22s %10s %9s\n", "codec benchmark", "v3 ns/op", "v3 allocs")
 	for _, c := range []struct {
 		name string
 		m    *wire.Message
 	}{{"encode peek", peek}, {"encode peekbatch64", batch}} {
-		r2 := benchEncode(c.m, 2)
-		r3 := benchEncode(c.m, 3)
-		printCodecRow(c.name, r2, r3)
+		printCodecRow(c.name, benchEncode(c.m))
 	}
 	for _, c := range []struct {
 		name string
 		m    *wire.Message
 	}{{"decode peek", peek}, {"decode peekbatch64", batch}} {
-		r2, err := benchDecode(c.m, 2)
+		r, err := benchDecode(c.m)
 		if err != nil {
 			return err
 		}
-		r3, err := benchDecode(c.m, 3)
-		if err != nil {
-			return err
-		}
-		printCodecRow(c.name, r2, r3)
+		printCodecRow(c.name, r)
 	}
 	return nil
 }
 
-func printCodecRow(name string, v2, v3 testing.BenchmarkResult) {
-	fmt.Printf("%-22s %10d %10d %9.1fx %9d %9d\n", name,
-		v2.NsPerOp(), v3.NsPerOp(),
-		float64(v2.NsPerOp())/float64(v3.NsPerOp()),
-		v2.AllocsPerOp(), v3.AllocsPerOp())
+func printCodecRow(name string, r testing.BenchmarkResult) {
+	fmt.Printf("%-22s %10d %9d\n", name, r.NsPerOp(), r.AllocsPerOp())
 }
 
-func benchEncode(m *wire.Message, ver int) testing.BenchmarkResult {
+func benchEncode(m *wire.Message) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
-		enc := wire.NewEncoder(io.Discard, ver)
+		enc := wire.NewEncoder(io.Discard, wire.Version)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := enc.Encode(m); err != nil {
@@ -107,13 +97,13 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func benchDecode(m *wire.Message, ver int) (testing.BenchmarkResult, error) {
+func benchDecode(m *wire.Message) (testing.BenchmarkResult, error) {
 	var buf bytes.Buffer
-	if _, err := wire.WriteMessageV(&buf, m, ver); err != nil {
+	if _, err := wire.WriteMessageV(&buf, m, wire.Version); err != nil {
 		return testing.BenchmarkResult{}, err
 	}
 	return testing.Benchmark(func(b *testing.B) {
-		dec := wire.NewDecoder(&loopReader{data: buf.Bytes()}, ver)
+		dec := wire.NewDecoder(&loopReader{data: buf.Bytes()}, wire.Version)
 		dec.SetReuse(true) // frames are consumed before the next Next
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -168,9 +158,9 @@ func percentile(d []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-// wireRPCTable drives the same paused-debug workload over loopback at
-// v2 and v3: single peeks (latency percentiles) and 64-item batches
-// (throughput in items/sec).
+// wireRPCTable drives a paused-debug workload over loopback: single
+// peeks (latency percentiles) and 64-item batches (throughput in
+// items/sec).
 func wireRPCTable() error {
 	_, addr, cleanup, err := wireBenchServer()
 	if err != nil {
@@ -188,51 +178,45 @@ func wireRPCTable() error {
 	fmt.Println()
 	fmt.Printf("%-9s %12s %12s %12s %14s %14s\n",
 		"loopback", "peek p50", "peek p99", "peek ops/s", "batch64 µs/op", "batch items/s")
-	for _, ver := range []int{2, 3} {
-		c, err := client.DialOptions(addr, client.Options{ProtocolVersion: ver})
-		if err != nil {
-			return err
-		}
-		sess, err := c.Attach("wire64")
-		if err != nil {
-			c.Close()
-			return err
-		}
-		if err := sess.Pause(); err != nil {
-			c.Close()
-			return err
-		}
-
-		lat := make([]time.Duration, 0, peeks)
-		start := time.Now()
-		for i := 0; i < peeks; i++ {
-			t0 := time.Now()
-			if _, err := sess.Peek("r0"); err != nil {
-				c.Close()
-				return err
-			}
-			lat = append(lat, time.Since(t0))
-		}
-		peekRate := float64(peeks) / time.Since(start).Seconds()
-
-		start = time.Now()
-		for i := 0; i < batchRounds; i++ {
-			if _, err := sess.PeekBatch(items); err != nil {
-				c.Close()
-				return err
-			}
-		}
-		batchDur := time.Since(start)
-
-		fmt.Printf("v%-8d %12v %12v %12.0f %14.1f %14.0f\n", ver,
-			percentile(lat, 0.50).Round(time.Microsecond),
-			percentile(lat, 0.99).Round(time.Microsecond),
-			peekRate,
-			float64(batchDur.Microseconds())/float64(batchRounds),
-			float64(batchRounds*64)/batchDur.Seconds())
-		sess.Detach()
-		c.Close()
+	c, err := client.Dial(addr)
+	if err != nil {
+		return err
 	}
+	defer c.Close()
+	sess, err := c.Attach("wire64")
+	if err != nil {
+		return err
+	}
+	defer sess.Detach()
+	if err := sess.Pause(); err != nil {
+		return err
+	}
+
+	lat := make([]time.Duration, 0, peeks)
+	start := time.Now()
+	for i := 0; i < peeks; i++ {
+		t0 := time.Now()
+		if _, err := sess.Peek("r0"); err != nil {
+			return err
+		}
+		lat = append(lat, time.Since(t0))
+	}
+	peekRate := float64(peeks) / time.Since(start).Seconds()
+
+	start = time.Now()
+	for i := 0; i < batchRounds; i++ {
+		if _, err := sess.PeekBatch(items); err != nil {
+			return err
+		}
+	}
+	batchDur := time.Since(start)
+
+	fmt.Printf("v%-8d %12v %12v %12.0f %14.1f %14.0f\n", wire.Version,
+		percentile(lat, 0.50).Round(time.Microsecond),
+		percentile(lat, 0.99).Round(time.Microsecond),
+		peekRate,
+		float64(batchDur.Microseconds())/float64(batchRounds),
+		float64(batchRounds*64)/batchDur.Seconds())
 	return nil
 }
 

@@ -22,7 +22,7 @@ package main
 
 import (
 	"bufio"
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,14 +30,14 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"zoomie"
 	"zoomie/internal/client"
 	"zoomie/internal/hdl"
 	"zoomie/internal/server"
+	"zoomie/internal/wire"
 )
-
-var errNoSnapshot = errors.New("no snapshot saved")
 
 func main() {
 	design := flag.String("design", "counter", "design: counter | cohort | exception | netstack")
@@ -95,7 +95,7 @@ func localCatalogTarget(name string) (target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localTarget{sess: sess, design: name}, nil
+	return &localTarget{Local: server.NewLocal(sess), design: name}, nil
 }
 
 func dialTarget(addr, name string) (target, error) {
@@ -108,7 +108,7 @@ func dialTarget(addr, name string) (target, error) {
 		c.Close()
 		return nil, err
 	}
-	return &remoteTarget{c: c, sess: sess}, nil
+	return &remoteTarget{Session: sess, c: c}, nil
 }
 
 func fileTarget(path, watch string) (target, error) {
@@ -128,10 +128,11 @@ func fileTarget(path, watch string) (target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localTarget{sess: sess}, nil
+	return &localTarget{Local: server.NewLocal(sess)}, nil
 }
 
 func repl(t target, in io.Reader, out io.Writer) {
+	do := func(req *wire.Request) (*wire.Response, error) { return t.Do(context.Background(), req) }
 	sc := bufio.NewScanner(in)
 	fmt.Fprint(out, "(zoomie) ")
 	for sc.Scan() {
@@ -142,6 +143,7 @@ func repl(t target, in io.Reader, out io.Writer) {
 			continue
 		}
 		cmd, args := fields[0], fields[1:]
+		var resp *wire.Response
 		var err error
 		switch cmd {
 		case "help", "h":
@@ -153,29 +155,26 @@ func repl(t target, in io.Reader, out io.Writer) {
 			if len(args) > 0 {
 				n, _ = strconv.Atoi(args[0])
 			}
-			err = t.Run(n)
-			if err == nil {
+			if _, err = do(&wire.Request{Op: wire.OpRun, N: n}); err == nil {
 				fmt.Fprintf(out, "advanced %d cycles\n", n)
 			}
 		case "pause":
-			err = t.Pause()
+			_, err = do(&wire.Request{Op: wire.OpPause})
 		case "continue", "c":
-			err = t.Resume()
+			_, err = do(&wire.Request{Op: wire.OpResume})
 		case "step", "s":
 			n := 1
 			if len(args) > 0 {
 				n, _ = strconv.Atoi(args[0])
 			}
-			err = t.Step(n)
+			_, err = do(&wire.Request{Op: wire.OpStep, N: n})
 		case "until":
 			max := 1 << 20
 			if len(args) > 0 {
 				max, _ = strconv.Atoi(args[0])
 			}
-			var ran int
-			ran, err = t.RunUntilPaused(max)
-			if err == nil {
-				fmt.Fprintf(out, "paused after %d cycles\n", ran)
+			if resp, err = do(&wire.Request{Op: wire.OpUntil, N: max}); err == nil {
+				fmt.Fprintf(out, "paused after %d cycles\n", resp.Ran)
 			}
 		case "break", "b":
 			if len(args) < 2 {
@@ -187,41 +186,34 @@ func repl(t target, in io.Reader, out io.Writer) {
 				err = perr
 				break
 			}
-			mode := zoomie.BreakAny
-			if len(args) > 2 && args[2] == "all" {
-				mode = zoomie.BreakAll
+			req := &wire.Request{Op: wire.OpBreak, Name: args[0], Value: v}
+			if len(args) > 2 {
+				req.Mode = args[2]
 			}
-			err = t.SetValueBreakpoint(args[0], v, mode)
+			_, err = do(req)
 		case "clearbreaks":
-			err = t.ClearBreakpoints()
+			_, err = do(&wire.Request{Op: wire.OpClearBrk})
 		case "assert":
 			if len(args) < 2 {
 				err = fmt.Errorf("usage: assert <name> on|off")
 				break
 			}
-			err = t.EnableAssertion(args[0], args[1] == "on")
+			_, err = do(&wire.Request{Op: wire.OpAssert, Name: args[0], Enable: args[1] == "on"})
 		case "print", "p":
 			if len(args) < 1 {
 				err = fmt.Errorf("usage: print <register> [register...]")
 				break
 			}
 			if len(args) == 1 {
-				var v uint64
-				v, err = t.Peek(args[0])
-				if err == nil {
-					fmt.Fprintf(out, "%s = %d (%#x)\n", args[0], v, v)
+				if resp, err = do(&wire.Request{Op: wire.OpPeek, Name: args[0]}); err == nil {
+					fmt.Fprintf(out, "%s = %d (%#x)\n", args[0], resp.Value, resp.Value)
 				}
 				break
 			}
 			// Several registers: one batched readback pass instead of
 			// one cable transaction per name.
-			items := make([]zoomie.PlanItem, len(args))
-			for i, name := range args {
-				items[i] = zoomie.PlanItem{Name: name}
-			}
 			var vals []uint64
-			vals, err = t.PeekBatch(items)
-			if err == nil {
+			if vals, err = peekBatch(t, args); err == nil {
 				for i, name := range args {
 					fmt.Fprintf(out, "%s = %d (%#x)\n", name, vals[i], vals[i])
 				}
@@ -234,9 +226,8 @@ func repl(t target, in io.Reader, out io.Writer) {
 				break
 			}
 			var v uint64
-			v, err = strconv.ParseUint(args[1], 0, 64)
-			if err == nil {
-				err = t.Poke(args[0], v)
+			if v, err = strconv.ParseUint(args[1], 0, 64); err == nil {
+				_, err = do(&wire.Request{Op: wire.OpPoke, Name: args[0], Value: v})
 			}
 		case "mem":
 			if len(args) < 2 {
@@ -244,10 +235,8 @@ func repl(t target, in io.Reader, out io.Writer) {
 				break
 			}
 			addr, _ := strconv.Atoi(args[1])
-			var v uint64
-			v, err = t.PeekMem(args[0], addr)
-			if err == nil {
-				fmt.Fprintf(out, "%s[%d] = %d (%#x)\n", args[0], addr, v, v)
+			if resp, err = do(&wire.Request{Op: wire.OpPeekMem, Name: args[0], Addr: addr}); err == nil {
+				fmt.Fprintf(out, "%s[%d] = %d (%#x)\n", args[0], addr, resp.Value, resp.Value)
 			}
 		case "trace":
 			// trace SIG1,SIG2 N [file.vcd]
@@ -260,11 +249,10 @@ func repl(t target, in io.Reader, out io.Writer) {
 				err = perr
 				break
 			}
-			var tr *zoomie.StepTrace
-			tr, err = t.TraceSteps(strings.Split(args[0], ","), n)
-			if err != nil {
+			if resp, err = do(&wire.Request{Op: wire.OpTrace, Signals: strings.Split(args[0], ","), N: n}); err != nil {
 				break
 			}
+			tr := &zoomie.StepTrace{Signals: resp.Trace.Signals, Widths: resp.Trace.Widths, Rows: resp.Trace.Rows}
 			fmt.Fprint(out, tr.Render())
 			if len(args) > 2 {
 				var f *os.File
@@ -283,10 +271,10 @@ func repl(t target, in io.Reader, out io.Writer) {
 			if len(args) > 0 {
 				prefix = args[0]
 			}
-			var lines []string
-			lines, err = t.Inspect(prefix)
-			for _, l := range lines {
-				fmt.Fprintln(out, " ", l)
+			if resp, err = do(&wire.Request{Op: wire.OpInspect, Prefix: prefix}); err == nil {
+				for _, l := range resp.Lines {
+					fmt.Fprintln(out, " ", l)
+				}
 			}
 		case "snapshot":
 			which := "save"
@@ -295,26 +283,20 @@ func repl(t target, in io.Reader, out io.Writer) {
 			}
 			switch which {
 			case "save":
-				var regs, mems int
-				var cycle uint64
-				regs, mems, cycle, err = t.SnapshotSave()
-				if err == nil {
+				if resp, err = do(&wire.Request{Op: wire.OpSnapSave}); err == nil {
 					fmt.Fprintf(out, "snapshot of %d registers, %d memories at cycle %d\n",
-						regs, mems, cycle)
+						resp.Regs, resp.Mems, resp.Cycles)
 				}
 			case "restore":
-				err = t.SnapshotRestore()
+				_, err = do(&wire.Request{Op: wire.OpSnapRest})
 			default:
 				err = fmt.Errorf("usage: snapshot [save|restore]")
 			}
 		case "status":
-			paused, cycles, elapsed, serr := t.Status()
-			if serr != nil {
-				err = serr
-				break
+			if resp, err = do(&wire.Request{Op: wire.OpSessStat}); err == nil {
+				fmt.Fprintf(out, "paused=%v executed_cycles=%d modeled_cable_time=%v\n",
+					resp.Paused, resp.Cycles, time.Duration(resp.ElapsedNS).Round(1000))
 			}
-			fmt.Fprintf(out, "paused=%v executed_cycles=%d modeled_cable_time=%v\n",
-				paused, cycles, elapsed.Round(1000))
 		case "stream":
 			n := 1
 			if len(args) > 0 {
@@ -341,9 +323,8 @@ func repl(t target, in io.Reader, out io.Writer) {
 				break
 			}
 			var v uint64
-			v, err = strconv.ParseUint(args[1], 0, 64)
-			if err == nil {
-				err = t.PokeInput(args[0], v)
+			if v, err = strconv.ParseUint(args[1], 0, 64); err == nil {
+				_, err = do(&wire.Request{Op: wire.OpInput, Name: args[0], Value: v})
 			}
 		case "seek":
 			if len(args) < 1 {
@@ -351,36 +332,26 @@ func repl(t target, in io.Reader, out io.Writer) {
 				break
 			}
 			var cyc uint64
-			cyc, err = strconv.ParseUint(args[0], 0, 64)
-			if err != nil {
+			if cyc, err = strconv.ParseUint(args[0], 0, 64); err != nil {
 				break
 			}
-			var tl int
-			tl, err = t.HistSeek(cyc)
-			if err == nil {
-				fmt.Fprintf(out, "seek: at cycle %d (timeline %d)\n", cyc, tl)
+			if resp, err = do(&wire.Request{Op: wire.OpHistSeek, Value: cyc}); err == nil {
+				fmt.Fprintf(out, "seek: at cycle %d (timeline %d)\n", cyc, resp.Ran)
 			}
 		case "rewind":
 			n := uint64(1)
 			if len(args) > 0 {
-				n, err = strconv.ParseUint(args[0], 0, 64)
-				if err != nil {
+				if n, err = strconv.ParseUint(args[0], 0, 64); err != nil {
 					break
 				}
 			}
-			var cyc uint64
-			var tl int
-			cyc, tl, err = t.HistRewind(n)
-			if err == nil {
-				fmt.Fprintf(out, "rewound %d cycles: at cycle %d (timeline %d)\n", n, cyc, tl)
+			if resp, err = do(&wire.Request{Op: wire.OpHistRewind, N: int(n)}); err == nil {
+				fmt.Fprintf(out, "rewound %d cycles: at cycle %d (timeline %d)\n", n, resp.Cycles, resp.Ran)
 			}
 		case "reverse-continue", "rc":
-			var cyc uint64
-			var found bool
-			cyc, found, err = t.HistReverseContinue()
-			if err == nil {
-				if found {
-					fmt.Fprintf(out, "stopped at cycle %d\n", cyc)
+			if resp, err = do(&wire.Request{Op: wire.OpHistRevCont}); err == nil {
+				if resp.Paused {
+					fmt.Fprintf(out, "stopped at cycle %d\n", resp.Cycles)
 				} else {
 					fmt.Fprintln(out, "no earlier trigger in recorded history")
 				}
@@ -390,34 +361,27 @@ func repl(t target, in io.Reader, out io.Writer) {
 				err = fmt.Errorf("usage: savestate <name>")
 				break
 			}
-			var regs, mems int
-			var cyc uint64
-			regs, mems, cyc, err = t.HistSaveState(args[0])
-			if err == nil {
+			if resp, err = do(&wire.Request{Op: wire.OpHistSave, Name: args[0]}); err == nil {
 				fmt.Fprintf(out, "savestate %q: %d registers, %d memories at cycle %d\n",
-					args[0], regs, mems, cyc)
+					args[0], resp.Regs, resp.Mems, resp.Cycles)
 			}
 		case "loadstate":
 			if len(args) < 1 {
 				err = fmt.Errorf("usage: loadstate <name>")
 				break
 			}
-			var cyc uint64
-			cyc, err = t.HistLoadState(args[0])
-			if err == nil {
-				fmt.Fprintf(out, "restored %q at cycle %d\n", args[0], cyc)
+			if resp, err = do(&wire.Request{Op: wire.OpHistLoad, Name: args[0]}); err == nil {
+				fmt.Fprintf(out, "restored %q at cycle %d\n", args[0], resp.Cycles)
 			}
-		case "history":
-			var lines []string
-			lines, err = t.HistoryStatusLines()
-			for _, l := range lines {
-				fmt.Fprintln(out, l)
+		case "history", "timelines":
+			op := wire.OpHistStat
+			if cmd == "timelines" {
+				op = wire.OpHistTimelines
 			}
-		case "timelines":
-			var lines []string
-			lines, err = t.TimelineLines()
-			for _, l := range lines {
-				fmt.Fprintln(out, l)
+			if resp, err = do(&wire.Request{Op: op}); err == nil {
+				for _, l := range resp.Lines {
+					fmt.Fprintln(out, l)
+				}
 			}
 		case "scrub":
 			n := 1
@@ -514,6 +478,20 @@ func repl(t target, in io.Reader, out io.Writer) {
 	}
 }
 
+// peekBatch reads several registers in one planned pass: one coalesced
+// readback per SLR, and one round trip remotely.
+func peekBatch(t target, names []string) ([]uint64, error) {
+	items := make([]wire.BatchItem, len(names))
+	for i, name := range names {
+		items[i] = wire.BatchItem{Name: name}
+	}
+	resp, err := t.Do(context.Background(), &wire.Request{Op: wire.OpPeekBatch, Items: items})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Values, nil
+}
+
 // watchCmd single-steps the paused design until any of the listed
 // registers changes value, sampling all of them with one batched
 // readback per probe. The last argument is the cycle budget when it
@@ -531,11 +509,7 @@ func watchCmd(t target, args []string, out io.Writer) error {
 			sigs = args[:len(args)-1]
 		}
 	}
-	items := make([]zoomie.PlanItem, len(sigs))
-	for i, s := range sigs {
-		items[i] = zoomie.PlanItem{Name: s}
-	}
-	old, err := t.PeekBatch(items)
+	old, err := peekBatch(t, sigs)
 	if err != nil {
 		return err
 	}
@@ -544,11 +518,11 @@ func watchCmd(t target, args []string, out io.Writer) error {
 		if step > maxCycles-cycles {
 			step = maxCycles - cycles
 		}
-		if err := t.Step(step); err != nil {
+		if _, err := t.Do(context.Background(), &wire.Request{Op: wire.OpStep, N: step}); err != nil {
 			return err
 		}
 		cycles += step
-		cur, err := t.PeekBatch(items)
+		cur, err := peekBatch(t, sigs)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -74,24 +75,10 @@ func normalize(out string) string {
 	return cableTimeRE.ReplaceAllString(out, "modeled_cable_time=X")
 }
 
-// TestREPLParityLocalRemote runs the identical scripted stdin against an
-// in-process counter session and a remote one on a zoomied server, and
-// requires byte-identical REPL output (modulo modeled cable time). This
-// is the guarantee that -connect is a transparent transport, not a
-// second debugger.
-func TestREPLParityLocalRemote(t *testing.T) {
-	// Local leg.
-	lt, err := localCatalogTarget("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var localOut bytes.Buffer
-	repl(lt, strings.NewReader(parityScript), &localOut)
-	if err := lt.Close(); err != nil {
-		t.Fatalf("local close: %v", err)
-	}
-
-	// Remote leg: real server, real TCP, real client.
+// startServer serves a one-board zoomied on a loopback port until the
+// test ends.
+func startServer(t *testing.T) string {
+	t.Helper()
 	srv := server.New(server.Config{PoolSize: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -99,24 +86,59 @@ func TestREPLParityLocalRemote(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	defer func() {
+	t.Cleanup(func() {
 		srv.Shutdown()
 		<-done
-	}()
+	})
+	return ln.Addr().String()
+}
 
-	rt, err := dialTarget(ln.Addr().String(), "counter")
+// replLegs runs one scripted stdin against an in-process counter session
+// and a remote one on a zoomied server, and returns both normalized
+// transcripts.
+func replLegs(t *testing.T, script string) (local, remote string) {
+	t.Helper()
+	lt, err := localCatalogTarget("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var localOut bytes.Buffer
+	repl(lt, strings.NewReader(script), &localOut)
+	if err := lt.Close(); err != nil {
+		t.Fatalf("local close: %v", err)
+	}
+
+	// Remote leg: real server, real TCP, real client.
+	rt, err := dialTarget(startServer(t), "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var remoteOut bytes.Buffer
-	repl(rt, strings.NewReader(parityScript), &remoteOut)
+	repl(rt, strings.NewReader(script), &remoteOut)
 	if err := rt.Close(); err != nil {
 		t.Fatalf("remote close: %v", err)
 	}
+	return normalize(localOut.String()), normalize(remoteOut.String())
+}
 
-	local, remote := normalize(localOut.String()), normalize(remoteOut.String())
+// TestREPLParityLocalRemote runs the identical scripted stdin against an
+// in-process counter session and a remote one on a zoomied server, and
+// requires byte-identical REPL output (modulo modeled cable time). This
+// is the guarantee that -connect is a transparent transport, not a
+// second debugger. Both legs run the same op-table handlers, so parity
+// alone cannot catch a handler change that moves both at once: each leg
+// must also match testdata/parity.golden.
+func TestREPLParityLocalRemote(t *testing.T) {
+	golden, err := os.ReadFile("testdata/parity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, remote := replLegs(t, parityScript)
 	if local != remote {
 		t.Errorf("REPL output diverges between local and remote:\n--- local ---\n%s\n--- remote ---\n%s", local, remote)
+	}
+	if local != string(golden) {
+		t.Errorf("REPL output differs from testdata/parity.golden:\n--- got ---\n%s\n--- want ---\n%s", local, golden)
 	}
 	// The session did real debugging, not just echoes.
 	for _, want := range []string{
@@ -159,19 +181,7 @@ func TestREPLParityLocalRemote(t *testing.T) {
 // counter frames; against a local target they fail with a clear error
 // instead of silently doing nothing.
 func TestREPLStreamCommands(t *testing.T) {
-	srv := server.New(server.Config{PoolSize: 1})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		srv.Shutdown()
-		<-done
-	}()
-
-	rt, err := dialTarget(ln.Addr().String(), "ila-counter")
+	rt, err := dialTarget(startServer(t), "ila-counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +239,7 @@ func TestCatalogName(t *testing.T) {
 // TestRemoteSnapshotRestoreBeforeSave confirms the error text crosses
 // the wire verbatim.
 func TestRemoteErrorTextParity(t *testing.T) {
-	srv := server.New(server.Config{PoolSize: 1})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		srv.Shutdown()
-		<-done
-	}()
-	c, err := client.Dial(ln.Addr().String())
+	c, err := client.Dial(startServer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +250,29 @@ func TestRemoteErrorTextParity(t *testing.T) {
 	}
 	if err := sess.Restore(); err == nil || err.Error() != "no snapshot saved" {
 		t.Errorf("restore-before-save error %q, want %q", err, "no snapshot saved")
+	}
+}
+
+// TestREPLZeroCountsLocalRemote pins what a zero or negative count
+// means: the op table hands counts to the facade unchanged, so "step 0"
+// and "step -3" fail, "rewind 0" stays put, "until 0" gives up at once
+// and "run 0" runs nothing — in-process and over -connect alike.
+func TestREPLZeroCountsLocalRemote(t *testing.T) {
+	const script = "pause\nstep 10\nstep 0\nstep -3\nprint cnt\nrewind 0\nuntil 0\nrun 0\nstatus\nprint cnt\nquit\n"
+	const want = `(zoomie) (zoomie) (zoomie) error: dbg: step count must be positive
+(zoomie) error: dbg: step count must be positive
+(zoomie) cnt = 10 (0xa)
+(zoomie) rewound 0 cycles: at cycle 10 (timeline 0)
+(zoomie) error: dbg: no trigger fired within 0 ticks
+(zoomie) advanced 0 cycles
+(zoomie) paused=true executed_cycles=10 modeled_cable_time=X
+(zoomie) cnt = 10 (0xa)
+(zoomie) `
+	local, remote := replLegs(t, script)
+	if local != want {
+		t.Errorf("in-process transcript:\n%s\nwant:\n%s", local, want)
+	}
+	if remote != want {
+		t.Errorf("-connect transcript:\n%s\nwant:\n%s", remote, want)
 	}
 }

@@ -6,60 +6,30 @@ import (
 	"io"
 	"time"
 
-	"zoomie"
 	"zoomie/internal/client"
 	"zoomie/internal/farm"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
 
-// target is what the REPL drives: the same debugging surface whether the
+// target is what the REPL drives: one session op at a time, whether the
 // design runs in-process on a private modeled board (localTarget) or on
-// a board leased from a zoomied server across the network (remoteTarget).
-// Keeping the REPL on this seam is what guarantees command parity — the
-// scripted-stdin test runs the identical session against both.
+// a board leased from a zoomied server across the network
+// (remoteTarget). Both run the same op-table handlers — in-process
+// through server.Local.Do, remotely through client.Session.Do and the
+// daemon's actor — which is what guarantees command parity; the
+// scripted-stdin tests run the identical session against both.
 type target interface {
+	Do(ctx context.Context, req *wire.Request) (*wire.Response, error)
 	// Describe returns the device name and compile report for the banner.
 	Describe() (device, report string)
-	Run(n int) error
-	Pause() error
-	Resume() error
-	Step(n int) error
-	RunUntilPaused(maxTicks int) (int, error)
-	Peek(name string) (uint64, error)
-	// PeekBatch reads several state elements in one planned pass (one
-	// coalesced readback per SLR locally; one wire round trip remotely).
-	PeekBatch(items []zoomie.PlanItem) ([]uint64, error)
-	Poke(name string, v uint64) error
-	PeekMem(name string, addr int) (uint64, error)
-	SetValueBreakpoint(signal string, v uint64, mode zoomie.BreakMode) error
-	ClearBreakpoints() error
-	EnableAssertion(name string, on bool) error
-	TraceSteps(signals []string, steps int) (*zoomie.StepTrace, error)
-	Inspect(prefix string) ([]string, error)
-	// SnapshotSave captures full state (kept on whichever side owns the
-	// board) and reports its shape.
-	SnapshotSave() (regs, mems int, cycle uint64, err error)
-	SnapshotRestore() error
-	Status() (paused bool, cycles uint64, elapsed time.Duration, err error)
-	PokeInput(name string, v uint64) error
-	// Time travel (the history engine records on both sides of the seam;
-	// renderers are shared so local and remote output stays identical).
-	HistSeek(cycle uint64) (timeline int, err error)
-	HistRewind(n uint64) (cycle uint64, timeline int, err error)
-	HistReverseContinue() (cycle uint64, found bool, err error)
-	HistSaveState(name string) (regs, mems int, cycle uint64, err error)
-	HistLoadState(name string) (cycle uint64, err error)
-	HistoryStatusLines() ([]string, error)
-	TimelineLines() ([]string, error)
 	Close() error
 }
 
 // localTarget debugs in-process: the board lives in this process and the
 // snapshot is held here.
 type localTarget struct {
-	sess *zoomie.Session
-	snap *zoomie.DebugSnapshot
+	*server.Local
 
 	// design is the catalog name (empty for -file sessions); compileFarm
 	// is the lazily created in-process compile farm behind the compile
@@ -69,135 +39,21 @@ type localTarget struct {
 }
 
 func (t *localTarget) Describe() (string, string) {
-	return t.sess.Result.Options.Device.Name, t.sess.Result.Report.String()
+	res := t.Session().Result
+	return res.Options.Device.Name, res.Report.String()
 }
-func (t *localTarget) Run(n int) error  { t.sess.Run(n); return nil }
-func (t *localTarget) Pause() error     { return t.sess.Pause() }
-func (t *localTarget) Resume() error    { return t.sess.Resume() }
-func (t *localTarget) Step(n int) error { return t.sess.Step(n) }
-func (t *localTarget) RunUntilPaused(maxTicks int) (int, error) {
-	return t.sess.RunUntilPaused(maxTicks)
-}
-func (t *localTarget) Peek(name string) (uint64, error) { return t.sess.Peek(name) }
-func (t *localTarget) PeekBatch(items []zoomie.PlanItem) ([]uint64, error) {
-	return t.sess.ReadPlan(context.Background(), items)
-}
-func (t *localTarget) Poke(name string, v uint64) error { return t.sess.Poke(name, v) }
-func (t *localTarget) PeekMem(name string, addr int) (uint64, error) {
-	return t.sess.PeekMem(name, addr)
-}
-func (t *localTarget) SetValueBreakpoint(signal string, v uint64, mode zoomie.BreakMode) error {
-	return t.sess.SetValueBreakpoint(signal, v, mode)
-}
-func (t *localTarget) ClearBreakpoints() error { return t.sess.ClearBreakpoints() }
-func (t *localTarget) EnableAssertion(name string, on bool) error {
-	return t.sess.EnableAssertion(name, on)
-}
-func (t *localTarget) TraceSteps(signals []string, steps int) (*zoomie.StepTrace, error) {
-	return t.sess.TraceSteps(signals, steps)
-}
-func (t *localTarget) Inspect(prefix string) ([]string, error) { return t.sess.Inspect(prefix) }
-func (t *localTarget) SnapshotSave() (int, int, uint64, error) {
-	snap, err := t.sess.Snapshot("dut")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	t.snap = snap
-	return len(snap.Regs), len(snap.Mems), snap.Cycle, nil
-}
-func (t *localTarget) SnapshotRestore() error {
-	if t.snap == nil {
-		return errNoSnapshot
-	}
-	return t.sess.Restore(t.snap)
-}
-func (t *localTarget) Status() (bool, uint64, time.Duration, error) {
-	paused, err := t.sess.Paused()
-	if err != nil {
-		return false, 0, 0, err
-	}
-	cycles, _ := t.sess.Cycles()
-	return paused, cycles, t.sess.Elapsed(), nil
-}
-func (t *localTarget) PokeInput(name string, v uint64) error { return t.sess.PokeInput(name, v) }
-func (t *localTarget) HistSeek(cycle uint64) (int, error)    { return t.sess.Seek(cycle) }
-func (t *localTarget) HistRewind(n uint64) (uint64, int, error) {
-	return t.sess.Rewind(n)
-}
-func (t *localTarget) HistReverseContinue() (uint64, bool, error) {
-	return t.sess.ReverseContinue()
-}
-func (t *localTarget) HistSaveState(name string) (int, int, uint64, error) {
-	return t.sess.SaveState(name)
-}
-func (t *localTarget) HistLoadState(name string) (uint64, error) {
-	return t.sess.LoadState(name)
-}
-func (t *localTarget) HistoryStatusLines() ([]string, error) {
-	return t.sess.HistoryStatusLines(), nil
-}
-func (t *localTarget) TimelineLines() ([]string, error) { return t.sess.TimelineLines(), nil }
-func (t *localTarget) Close() error                     { return t.sess.Close() }
 
-// remoteTarget debugs across the wire: every call is a round trip to a
+// remoteTarget debugs across the wire: every op is a round trip to a
 // zoomied session actor, and the snapshot stays server-side.
 type remoteTarget struct {
-	c    *client.Client
-	sess *client.Session
+	*client.Session
+	c *client.Client
 }
 
-func (t *remoteTarget) Describe() (string, string) { return t.sess.Device, t.sess.Report }
-func (t *remoteTarget) Run(n int) error            { return t.sess.Run(n) }
-func (t *remoteTarget) Pause() error               { return t.sess.Pause() }
-func (t *remoteTarget) Resume() error              { return t.sess.Resume() }
-func (t *remoteTarget) Step(n int) error           { return t.sess.Step(n) }
-func (t *remoteTarget) RunUntilPaused(maxTicks int) (int, error) {
-	return t.sess.RunUntilPaused(maxTicks)
-}
-func (t *remoteTarget) Peek(name string) (uint64, error) { return t.sess.Peek(name) }
-func (t *remoteTarget) PeekBatch(items []zoomie.PlanItem) ([]uint64, error) {
-	return t.sess.PeekBatch(items)
-}
-func (t *remoteTarget) Poke(name string, v uint64) error { return t.sess.Poke(name, v) }
-func (t *remoteTarget) PeekMem(name string, addr int) (uint64, error) {
-	return t.sess.PeekMem(name, addr)
-}
-func (t *remoteTarget) SetValueBreakpoint(signal string, v uint64, mode zoomie.BreakMode) error {
-	return t.sess.SetValueBreakpoint(signal, v, mode)
-}
-func (t *remoteTarget) ClearBreakpoints() error { return t.sess.ClearBreakpoints() }
-func (t *remoteTarget) EnableAssertion(name string, on bool) error {
-	return t.sess.EnableAssertion(name, on)
-}
-func (t *remoteTarget) TraceSteps(signals []string, steps int) (*zoomie.StepTrace, error) {
-	return t.sess.TraceSteps(signals, steps)
-}
-func (t *remoteTarget) Inspect(prefix string) ([]string, error) { return t.sess.Inspect(prefix) }
-func (t *remoteTarget) SnapshotSave() (int, int, uint64, error) { return t.sess.Snapshot() }
-func (t *remoteTarget) SnapshotRestore() error                  { return t.sess.Restore() }
-func (t *remoteTarget) Status() (bool, uint64, time.Duration, error) {
-	return t.sess.Status()
-}
-func (t *remoteTarget) PokeInput(name string, v uint64) error { return t.sess.PokeInput(name, v) }
-func (t *remoteTarget) HistSeek(cycle uint64) (int, error)    { return t.sess.HistSeek(cycle) }
-func (t *remoteTarget) HistRewind(n uint64) (uint64, int, error) {
-	return t.sess.HistRewind(n)
-}
-func (t *remoteTarget) HistReverseContinue() (uint64, bool, error) {
-	return t.sess.HistReverseContinue()
-}
-func (t *remoteTarget) HistSaveState(name string) (int, int, uint64, error) {
-	return t.sess.HistSaveState(name)
-}
-func (t *remoteTarget) HistLoadState(name string) (uint64, error) {
-	return t.sess.HistLoadState(name)
-}
-func (t *remoteTarget) HistoryStatusLines() ([]string, error) {
-	return t.sess.HistoryStatusLines()
-}
-func (t *remoteTarget) TimelineLines() ([]string, error) { return t.sess.TimelineLines() }
+func (t *remoteTarget) Describe() (string, string) { return t.Device, t.Report }
+
 func (t *remoteTarget) Close() error {
-	err := t.sess.Detach()
+	err := t.Detach()
 	t.c.Close()
 	return err
 }
@@ -271,7 +127,7 @@ func (t *localTarget) CompileCancelCmd(id uint64) (string, error) {
 }
 
 func (t *remoteTarget) CompileRun(mode string, tag int) ([]string, error) {
-	ticket, err := t.c.CompileSubmit(t.sess.Design, mode, tag)
+	ticket, err := t.c.CompileSubmit(t.Design, mode, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +205,7 @@ func (t *remoteTarget) FleetDrain(addr string, on bool) ([]string, error) {
 const streamRecvBudget = 30 * time.Second
 
 func (t *remoteTarget) StreamWindows(n int, out io.Writer) error {
-	st, err := t.c.OpenStream(wire.StreamILA, t.sess.ID, 0, 2)
+	st, err := t.c.OpenStream(wire.StreamILA, t.ID, 0, 2)
 	if err != nil {
 		return err
 	}
@@ -383,7 +239,7 @@ func (t *remoteTarget) StreamWindows(n int, out io.Writer) error {
 			}
 			// No window yet: push the design along so the trigger can
 			// fire and the capture buffer fill.
-			if err := t.sess.Run(256); err != nil {
+			if err := t.Run(256); err != nil {
 				return err
 			}
 		default:
@@ -419,7 +275,7 @@ func (t *remoteTarget) StreamCounters(n int, out io.Writer) error {
 			}
 			// Counters only flush when something moved; a status ping is
 			// the cheapest way to guarantee the next interval is not idle.
-			if _, _, _, err := t.sess.Status(); err != nil {
+			if _, _, _, err := t.Status(); err != nil {
 				return err
 			}
 		default:
@@ -430,7 +286,7 @@ func (t *remoteTarget) StreamCounters(n int, out io.Writer) error {
 }
 
 func (t *remoteTarget) StreamKeyframes(n int, out io.Writer) error {
-	st, err := t.c.OpenStream(wire.StreamHistory, t.sess.ID, 0, 50)
+	st, err := t.c.OpenStream(wire.StreamHistory, t.ID, 0, 50)
 	if err != nil {
 		return err
 	}
@@ -455,7 +311,7 @@ func (t *remoteTarget) StreamKeyframes(n int, out io.Writer) error {
 			}
 			// No keyframe yet: advance the design so the recorder crosses
 			// the next keyframe boundary.
-			if err := t.sess.Run(256); err != nil {
+			if err := t.Run(256); err != nil {
 				return err
 			}
 		default:

@@ -1,12 +1,13 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"zoomie/internal/dberr"
-	"zoomie/internal/dbg"
 	"zoomie/internal/gen"
+	"zoomie/internal/wire"
 )
 
 // Result is everything the executor observed running one script on one
@@ -36,13 +37,35 @@ func errClass(err error) string {
 // executor runs one script against one target.
 type executor struct {
 	t          Target
-	probes     []dbg.PlanItem
+	probes     []wire.BatchItem
 	records    []string
 	lastPaused bool
 }
 
 func (e *executor) rec(format string, args ...any) {
 	e.records = append(e.records, fmt.Sprintf(format, args...))
+}
+
+// do runs one session op on the target. A response lost with its
+// connection reads as the zero response, so records of a failed op
+// carry zero values on every stack.
+func (e *executor) do(req *wire.Request) (*wire.Response, error) {
+	resp, err := e.t.Do(context.Background(), req)
+	if resp == nil {
+		resp = &wire.Response{}
+	}
+	return resp, err
+}
+
+// peekBatch reads a plan as one batched op.
+func (e *executor) peekBatch(items []wire.BatchItem) ([]uint64, error) {
+	resp, err := e.do(&wire.Request{Op: wire.OpPeekBatch, Items: items})
+	return resp.Values, err
+}
+
+// status reads the paused flag and the cycle count in one op.
+func (e *executor) status() (*wire.Response, error) {
+	return e.do(&wire.Request{Op: wire.OpSessStat})
 }
 
 // probe samples a fixed set of state through the planned batch path
@@ -52,7 +75,7 @@ func (e *executor) probe() {
 	if len(e.probes) == 0 {
 		return
 	}
-	vals, err := e.t.PeekBatch(e.probes)
+	vals, err := e.peekBatch(e.probes)
 	if err != nil {
 		e.rec("  probe %s", errClass(err))
 		return
@@ -80,22 +103,17 @@ func (e *executor) syncPaused(op string) {
 	default:
 		return
 	}
-	paused, err := e.t.Paused()
+	st, err := e.status()
 	if err != nil {
 		e.rec("  event %s", errClass(err))
 		return
 	}
 	was := e.lastPaused
-	e.lastPaused = paused
+	e.lastPaused = st.Paused
 	// A successful seek/rewind always lands paused — that transition is
 	// the op's own doing, mirroring how an explicit pause is suppressed.
-	if paused && !was && op != gen.OpPause && op != gen.OpSeek && op != gen.OpRewind {
-		cyc, err := e.t.Cycles()
-		if err != nil {
-			e.rec("  event paused %s", errClass(err))
-			return
-		}
-		e.rec("  event paused op=%s cycles=%d", op, cyc)
+	if st.Paused && !was && op != gen.OpPause && op != gen.OpSeek && op != gen.OpRewind {
+		e.rec("  event paused op=%s cycles=%d", op, st.Cycles)
 	}
 }
 
@@ -104,10 +122,10 @@ func (e *executor) syncPaused(op string) {
 // Every outcome — including errors — is recorded rather than returned:
 // a failing op is part of the behavior under test, not a failure of the
 // harness. The target is left attached; callers own Close.
-func RunScript(t Target, ops []gen.Op, probes []dbg.PlanItem) *Result {
+func RunScript(t Target, ops []gen.Op, probes []wire.BatchItem) *Result {
 	e := &executor{t: t, probes: probes}
-	if p, err := t.Paused(); err == nil {
-		e.lastPaused = p
+	if st, err := e.status(); err == nil {
+		e.lastPaused = st.Paused
 	}
 	for i, op := range ops {
 		e.step(i, op)
@@ -118,78 +136,90 @@ func RunScript(t Target, ops []gen.Op, probes []dbg.PlanItem) *Result {
 	return &Result{Records: e.records}
 }
 
+// step runs one script op as one session op (watch and compile aside)
+// and records its outcome.
 func (e *executor) step(i int, op gen.Op) {
+	var req *wire.Request
 	switch op.Kind {
 	case gen.OpPeek:
-		v, err := e.t.Peek(op.Name)
-		e.rec("%03d %s -> %#x %s", i, op, v, errClass(err))
+		req = &wire.Request{Op: wire.OpPeek, Name: op.Name}
 	case gen.OpPoke:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Poke(op.Name, op.Value)))
+		req = &wire.Request{Op: wire.OpPoke, Name: op.Name, Value: op.Value}
 	case gen.OpPeekMem:
-		v, err := e.t.PeekMem(op.Name, op.Addr)
-		e.rec("%03d %s -> %#x %s", i, op, v, errClass(err))
+		req = &wire.Request{Op: wire.OpPeekMem, Name: op.Name, Addr: op.Addr}
 	case gen.OpPokeMem:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.PokeMem(op.Name, op.Addr, op.Value)))
+		req = &wire.Request{Op: wire.OpPokeMem, Name: op.Name, Addr: op.Addr, Value: op.Value}
 	case gen.OpPeekBatch:
-		vals, err := e.t.PeekBatch(planItems(op.Items))
+		req = &wire.Request{Op: wire.OpPeekBatch, Items: batchItems(op.Items)}
+	case gen.OpPokeBatch:
+		req = &wire.Request{Op: wire.OpPokeBatch, Items: batchItems(op.Items)}
+	case gen.OpStep:
+		req = &wire.Request{Op: wire.OpStep, N: op.N}
+	case gen.OpRun:
+		req = &wire.Request{Op: wire.OpRun, N: op.N}
+	case gen.OpUntil:
+		req = &wire.Request{Op: wire.OpUntil, N: op.N}
+	case gen.OpPause:
+		req = &wire.Request{Op: wire.OpPause}
+	case gen.OpResume:
+		req = &wire.Request{Op: wire.OpResume}
+	case gen.OpBreak:
+		req = &wire.Request{Op: wire.OpBreak, Name: op.Name, Value: op.Value, Mode: op.Mode}
+	case gen.OpClearBrk:
+		req = &wire.Request{Op: wire.OpClearBrk}
+	case gen.OpAssert:
+		req = &wire.Request{Op: wire.OpAssert, Name: op.Name, Enable: op.Enable}
+	case gen.OpSnapshot:
+		req = &wire.Request{Op: wire.OpSnapSave}
+	case gen.OpRestore:
+		req = &wire.Request{Op: wire.OpSnapRest}
+	case gen.OpInput:
+		req = &wire.Request{Op: wire.OpInput, Name: op.Name, Value: op.Value}
+	case gen.OpOutput:
+		req = &wire.Request{Op: wire.OpOutput, Name: op.Name}
+	case gen.OpInspect:
+		req = &wire.Request{Op: wire.OpInspect, Prefix: op.Name}
+	case gen.OpSeek:
+		req = &wire.Request{Op: wire.OpHistSeek, Value: op.Value}
+	case gen.OpRewind:
+		req = &wire.Request{Op: wire.OpHistRewind, N: op.N}
+	case gen.OpWatch:
+		e.watch(i, op)
+		return
+	case gen.OpCompile:
+		cold, warm, err := e.t.CompileCheck(op.N)
+		e.rec("%03d %s -> cold=%s warm=%s match=%v %s",
+			i, op, cold, warm, cold != "" && cold == warm, errClass(err))
+		return
+	default:
+		e.rec("%03d %s -> skipped (unknown op)", i, op)
+		return
+	}
+	r, err := e.do(req)
+	switch op.Kind {
+	case gen.OpPeek, gen.OpPeekMem, gen.OpOutput:
+		e.rec("%03d %s -> %#x %s", i, op, r.Value, errClass(err))
+	case gen.OpPeekBatch:
 		var b strings.Builder
-		for j, v := range vals {
+		for j, v := range r.Values {
 			if j > 0 {
 				b.WriteByte(' ')
 			}
 			fmt.Fprintf(&b, "%#x", v)
 		}
 		e.rec("%03d %s -> [%s] %s", i, op, b.String(), errClass(err))
-	case gen.OpPokeBatch:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.PokeBatch(planItems(op.Items))))
-	case gen.OpStep:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Step(op.N)))
-	case gen.OpRun:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Run(op.N)))
 	case gen.OpUntil:
-		ran, err := e.t.RunUntilPaused(op.N)
-		e.rec("%03d %s -> ran=%d %s", i, op, ran, errClass(err))
-	case gen.OpPause:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Pause()))
-	case gen.OpResume:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Resume()))
-	case gen.OpBreak:
-		mode := dbg.BreakAny
-		if op.Mode == "all" {
-			mode = dbg.BreakAll
-		}
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.SetValueBreakpoint(op.Name, op.Value, mode)))
-	case gen.OpClearBrk:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.ClearBreakpoints()))
-	case gen.OpAssert:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.EnableAssertion(op.Name, op.Enable)))
+		e.rec("%03d %s -> ran=%d %s", i, op, r.Ran, errClass(err))
 	case gen.OpSnapshot:
-		regs, mems, cyc, err := e.t.Snapshot()
-		e.rec("%03d %s -> regs=%d mems=%d cycle=%d %s", i, op, regs, mems, cyc, errClass(err))
-	case gen.OpRestore:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.Restore()))
-	case gen.OpWatch:
-		e.watch(i, op)
-	case gen.OpInput:
-		e.rec("%03d %s -> %s", i, op, errClass(e.t.PokeInput(op.Name, op.Value)))
-	case gen.OpOutput:
-		v, err := e.t.PeekOutput(op.Name)
-		e.rec("%03d %s -> %#x %s", i, op, v, errClass(err))
+		e.rec("%03d %s -> regs=%d mems=%d cycle=%d %s", i, op, r.Regs, r.Mems, r.Cycles, errClass(err))
 	case gen.OpInspect:
-		lines, err := e.t.Inspect(op.Name)
-		e.rec("%03d %s -> %d lines %s", i, op, len(lines), errClass(err))
+		e.rec("%03d %s -> %d lines %s", i, op, len(r.Lines), errClass(err))
 	case gen.OpSeek:
-		tl, err := e.t.HistSeek(op.Value)
-		e.rec("%03d %s -> tl=%d %s", i, op, tl, errClass(err))
+		e.rec("%03d %s -> tl=%d %s", i, op, r.Ran, errClass(err))
 	case gen.OpRewind:
-		cyc, tl, err := e.t.HistRewind(uint64(op.N))
-		e.rec("%03d %s -> cycle=%d tl=%d %s", i, op, cyc, tl, errClass(err))
-	case gen.OpCompile:
-		cold, warm, err := e.t.CompileCheck(op.N)
-		e.rec("%03d %s -> cold=%s warm=%s match=%v %s",
-			i, op, cold, warm, cold != "" && cold == warm, errClass(err))
+		e.rec("%03d %s -> cycle=%d tl=%d %s", i, op, r.Cycles, r.Ran, errClass(err))
 	default:
-		e.rec("%03d %s -> skipped (unknown op)", i, op)
+		e.rec("%03d %s -> %s", i, op, errClass(err))
 	}
 }
 
@@ -197,23 +227,25 @@ func (e *executor) step(i int, op gen.Op) {
 // re-peek until the register changes or the budget runs out — so all
 // three targets execute the identical sequence of primitive ops.
 func (e *executor) watch(i int, op gen.Op) {
-	before, err := e.t.Peek(op.Name)
+	peek := &wire.Request{Op: wire.OpPeek, Name: op.Name}
+	first, err := e.do(peek)
 	if err != nil {
 		e.rec("%03d %s -> %s", i, op, errClass(err))
 		return
 	}
+	before := first.Value
 	for s := 0; s < op.N; s++ {
-		if err := e.t.Step(1); err != nil {
+		if _, err := e.do(&wire.Request{Op: wire.OpStep, N: 1}); err != nil {
 			e.rec("%03d %s -> step %d %s", i, op, s, errClass(err))
 			return
 		}
-		v, err := e.t.Peek(op.Name)
+		r, err := e.do(peek)
 		if err != nil {
 			e.rec("%03d %s -> step %d %s", i, op, s, errClass(err))
 			return
 		}
-		if v != before {
-			e.rec("%03d %s -> changed %#x->%#x after %d steps ok", i, op, before, v, s+1)
+		if r.Value != before {
+			e.rec("%03d %s -> changed %#x->%#x after %d steps ok", i, op, before, r.Value, s+1)
 			return
 		}
 	}
@@ -224,42 +256,42 @@ func (e *executor) watch(i int, op gen.Op) {
 // under the user design, values included. This is the end-of-script
 // state-equivalence assertion.
 func (e *executor) finalState() {
-	cyc, err := e.t.Cycles()
-	e.rec("final cycles=%d %s", cyc, errClass(err))
-	lines, err := e.t.Inspect("dut")
+	st, err := e.status()
+	e.rec("final cycles=%d %s", st.Cycles, errClass(err))
+	r, err := e.do(&wire.Request{Op: wire.OpInspect, Prefix: "dut"})
 	if err != nil {
 		e.rec("final inspect %s", errClass(err))
 		return
 	}
-	for _, ln := range lines {
+	for _, ln := range r.Lines {
 		e.rec("final %s", ln)
 	}
 }
 
-// planItems converts script batch items to debugger plan items.
-func planItems(items []gen.Item) []dbg.PlanItem {
-	out := make([]dbg.PlanItem, len(items))
+// batchItems converts script batch items to their wire form.
+func batchItems(items []gen.Item) []wire.BatchItem {
+	out := make([]wire.BatchItem, len(items))
 	for i, it := range items {
-		out[i] = dbg.PlanItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr, Value: it.Value}
+		out[i] = wire.BatchItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr, Value: it.Value}
 	}
 	return out
 }
 
 // ProbePlan builds the fixed per-op probe set for a generated design: up
 // to four registers and two memory words, read as one planned batch.
-func ProbePlan(d *gen.Design) []dbg.PlanItem {
-	var items []dbg.PlanItem
+func ProbePlan(d *gen.Design) []wire.BatchItem {
+	var items []wire.BatchItem
 	for i, rp := range d.Regs {
 		if i >= 4 {
 			break
 		}
-		items = append(items, dbg.PlanItem{Name: rp.Name})
+		items = append(items, wire.BatchItem{Name: rp.Name})
 	}
 	for i, m := range d.Mems {
 		if i >= 2 {
 			break
 		}
-		items = append(items, dbg.PlanItem{Name: m.Name, Mem: true, Addr: i % m.Depth})
+		items = append(items, wire.BatchItem{Name: m.Name, Mem: true, Addr: i % m.Depth})
 	}
 	return items
 }

@@ -9,7 +9,6 @@ import (
 
 	"zoomie"
 	"zoomie/internal/client"
-	"zoomie/internal/dbg"
 	"zoomie/internal/faults"
 	"zoomie/internal/gen"
 	"zoomie/internal/server"
@@ -215,7 +214,7 @@ var targetNames = []string{"local", "remote", "chaos"}
 
 // runOnce executes one script on all three stacks and returns the
 // per-target results.
-func (f *fleet) runOnce(design string, ops []gen.Op, probes []dbg.PlanItem) ([]*Result, error) {
+func (f *fleet) runOnce(design string, ops []gen.Op, probes []wire.BatchItem) ([]*Result, error) {
 	ts, err := f.targets(design)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package check
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"zoomie/internal/server"
+	"zoomie/internal/wire"
 )
 
 // TestSeekMatchesFreshRun is the time-travel oracle: the state a session
@@ -21,19 +23,18 @@ func TestSeekMatchesFreshRun(t *testing.T) {
 	}
 	defer f.Close()
 
-	// freshAt builds a new target on the given stack, pauses at cycle 0
-	// and steps to exactly C.
+	do := func(tg Target, req *wire.Request) *wire.Response {
+		t.Helper()
+		resp, err := tg.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		return resp
+	}
 	dump := func(tg Target) ([]string, uint64) {
 		t.Helper()
-		lines, err := tg.Inspect("dut")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cyc, err := tg.Cycles()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lines, cyc
+		return do(tg, &wire.Request{Op: wire.OpInspect, Prefix: "dut"}).Lines,
+			do(tg, &wire.Request{Op: wire.OpSessStat}).Cycles
 	}
 
 	for stack, mk := range map[string]func() (Target, error){
@@ -57,15 +58,9 @@ func TestSeekMatchesFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
-		if err := rec.Pause(); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Step(c + overshoot); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rec.HistSeek(c); err != nil {
-			t.Fatalf("%s: seek(%d): %v", stack, c, err)
-		}
+		do(rec, &wire.Request{Op: wire.OpPause})
+		do(rec, &wire.Request{Op: wire.OpStep, N: c + overshoot})
+		do(rec, &wire.Request{Op: wire.OpHistSeek, Value: c})
 		seekLines, seekCyc := dump(rec)
 		rec.Close()
 
@@ -75,12 +70,8 @@ func TestSeekMatchesFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
-		if err := fresh.Pause(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Step(c); err != nil {
-			t.Fatal(err)
-		}
+		do(fresh, &wire.Request{Op: wire.OpPause})
+		do(fresh, &wire.Request{Op: wire.OpStep, N: c})
 		freshLines, freshCyc := dump(fresh)
 		fresh.Close()
 

@@ -65,7 +65,7 @@ func TestMultiSLRDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local := ts[0].(*localTarget).s
+		local := ts[0].(*localTarget).Session()
 		if si == 0 {
 			checkShellPlacement(t, local)
 		}

@@ -10,45 +10,22 @@ package check
 
 import (
 	"context"
-	"fmt"
 
 	"zoomie"
 	"zoomie/internal/client"
-	"zoomie/internal/dbg"
 	"zoomie/internal/farm"
 	"zoomie/internal/server"
+	"zoomie/internal/wire"
 )
 
-// Target is the op surface a script executes against. It is the
-// intersection of the local debug facade and the remote client session,
-// normalized so the executor cannot tell which stack it is driving —
-// that blindness is what makes the comparison a real oracle.
+// Target is the op surface a script executes against: one session op at
+// a time through the daemon's op table — in-process through
+// server.Local.Do, remotely through client.Session.Do — so the legs
+// differ only in wire, server and transport, and the executor cannot
+// tell which stack it is driving. That blindness is what makes the
+// comparison a real oracle.
 type Target interface {
-	Peek(name string) (uint64, error)
-	Poke(name string, v uint64) error
-	PeekMem(name string, addr int) (uint64, error)
-	PokeMem(name string, addr int, v uint64) error
-	PeekBatch(items []dbg.PlanItem) ([]uint64, error)
-	PokeBatch(items []dbg.PlanItem) error
-	Step(n int) error
-	Run(n int) error
-	RunUntilPaused(maxTicks int) (int, error)
-	Pause() error
-	Resume() error
-	SetValueBreakpoint(signal string, value uint64, mode dbg.BreakMode) error
-	ClearBreakpoints() error
-	EnableAssertion(name string, enable bool) error
-	Snapshot() (regs, mems int, cycle uint64, err error)
-	Restore() error
-	Inspect(prefix string) ([]string, error)
-	PokeInput(name string, v uint64) error
-	PeekOutput(name string) (uint64, error)
-	Paused() (bool, error)
-	Cycles() (uint64, error)
-	// Time-travel ops over the recorded history (PR 7): both stacks must
-	// land on bit-identical state and agree on the timeline id.
-	HistSeek(cycle uint64) (timeline int, err error)
-	HistRewind(n uint64) (cycle uint64, timeline int, err error)
+	Do(ctx context.Context, req *wire.Request) (*wire.Response, error)
 	// CompileCheck runs the compile farm's bit-identity oracle for the
 	// session's design: the tag-th canonical debug edit compiled via the
 	// warm shared-cache incremental path and via a cold monolithic
@@ -59,82 +36,20 @@ type Target interface {
 	Close() error
 }
 
-// localTarget drives an in-process zoomie.Session directly — no server,
-// no wire protocol, no faults. Snapshot/restore mirror the server's
-// session semantics (scope "dut", single saved snapshot) so the remote
-// targets have an exact local reference.
+// localTarget drives an in-process zoomie.Session through the op table —
+// no server, no wire protocol, no faults — so the remote targets have an
+// exact local reference.
 type localTarget struct {
-	s        *zoomie.Session
-	design   string
-	lastSnap *zoomie.DebugSnapshot
+	*server.Local
+	design string
 }
 
 // NewLocalTarget wraps an in-process session. design is the catalog name
 // the session was built from; the compile-check op resolves its farm
 // spec through the same catalog lookup the daemon uses.
 func NewLocalTarget(s *zoomie.Session, design string) Target {
-	return &localTarget{s: s, design: design}
+	return &localTarget{Local: server.NewLocal(s), design: design}
 }
-
-func (t *localTarget) Peek(name string) (uint64, error)        { return t.s.Peek(name) }
-func (t *localTarget) Poke(name string, v uint64) error        { return t.s.Poke(name, v) }
-func (t *localTarget) PeekMem(n string, a int) (uint64, error) { return t.s.PeekMem(n, a) }
-func (t *localTarget) PokeMem(n string, a int, v uint64) error { return t.s.PokeMem(n, a, v) }
-
-func (t *localTarget) PeekBatch(items []dbg.PlanItem) ([]uint64, error) {
-	return t.s.ReadPlan(context.Background(), items)
-}
-
-func (t *localTarget) PokeBatch(items []dbg.PlanItem) error {
-	return t.s.WritePlan(context.Background(), items)
-}
-
-func (t *localTarget) Step(n int) error { return t.s.Step(n) }
-func (t *localTarget) Run(n int) error  { t.s.Run(n); return nil }
-
-func (t *localTarget) RunUntilPaused(maxTicks int) (int, error) {
-	return t.s.RunUntilPaused(maxTicks)
-}
-
-func (t *localTarget) Pause() error  { return t.s.Pause() }
-func (t *localTarget) Resume() error { return t.s.Resume() }
-
-func (t *localTarget) SetValueBreakpoint(sig string, v uint64, mode dbg.BreakMode) error {
-	return t.s.SetValueBreakpoint(sig, v, mode)
-}
-
-func (t *localTarget) ClearBreakpoints() error { return t.s.ClearBreakpoints() }
-
-func (t *localTarget) EnableAssertion(name string, enable bool) error {
-	return t.s.EnableAssertion(name, enable)
-}
-
-func (t *localTarget) Snapshot() (int, int, uint64, error) {
-	snap, err := t.s.Snapshot("dut")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	t.lastSnap = snap
-	return len(snap.Regs), len(snap.Mems), snap.Cycle, nil
-}
-
-func (t *localTarget) Restore() error {
-	if t.lastSnap == nil {
-		// Byte-identical to the server's response for the same misuse.
-		return fmt.Errorf("no snapshot saved")
-	}
-	return t.s.Restore(t.lastSnap)
-}
-
-func (t *localTarget) Inspect(prefix string) ([]string, error) { return t.s.Inspect(prefix) }
-func (t *localTarget) PokeInput(n string, v uint64) error      { return t.s.PokeInput(n, v) }
-func (t *localTarget) PeekOutput(n string) (uint64, error)     { return t.s.PeekOutput(n) }
-func (t *localTarget) Paused() (bool, error)                   { return t.s.Paused() }
-func (t *localTarget) HistSeek(c uint64) (int, error)          { return t.s.Seek(c) }
-func (t *localTarget) HistRewind(n uint64) (uint64, int, error) {
-	return t.s.Rewind(n)
-}
-func (t *localTarget) Cycles() (uint64, error) { return t.s.Cycles() }
 
 func (t *localTarget) CompileCheck(tag int) (string, string, error) {
 	spec, err := server.CompileSpec(t.design)
@@ -144,64 +59,15 @@ func (t *localTarget) CompileCheck(tag int) (string, string, error) {
 	return farm.CheckBitIdentity(context.Background(), spec, tag)
 }
 
-func (t *localTarget) Close() error { return t.s.Close() }
-
 // remoteTarget drives a zoomied session over the wire protocol. The same
 // adapter serves the clean and the chaos server — the fault injector is
 // configured server-side, invisible here, exactly as it is to real
 // clients.
 type remoteTarget struct {
-	s *client.Session
+	*client.Session
 }
 
 // NewRemoteTarget wraps an attached client session.
-func NewRemoteTarget(s *client.Session) Target { return &remoteTarget{s: s} }
+func NewRemoteTarget(s *client.Session) Target { return remoteTarget{s} }
 
-func (t *remoteTarget) Peek(name string) (uint64, error)        { return t.s.Peek(name) }
-func (t *remoteTarget) Poke(name string, v uint64) error        { return t.s.Poke(name, v) }
-func (t *remoteTarget) PeekMem(n string, a int) (uint64, error) { return t.s.PeekMem(n, a) }
-func (t *remoteTarget) PokeMem(n string, a int, v uint64) error { return t.s.PokeMem(n, a, v) }
-
-func (t *remoteTarget) PeekBatch(items []dbg.PlanItem) ([]uint64, error) {
-	return t.s.PeekBatch(items)
-}
-
-func (t *remoteTarget) PokeBatch(items []dbg.PlanItem) error { return t.s.PokeBatch(items) }
-func (t *remoteTarget) Step(n int) error                     { return t.s.Step(n) }
-func (t *remoteTarget) Run(n int) error                      { return t.s.Run(n) }
-
-func (t *remoteTarget) RunUntilPaused(maxTicks int) (int, error) {
-	return t.s.RunUntilPaused(maxTicks)
-}
-
-func (t *remoteTarget) Pause() error  { return t.s.Pause() }
-func (t *remoteTarget) Resume() error { return t.s.Resume() }
-
-func (t *remoteTarget) SetValueBreakpoint(sig string, v uint64, mode dbg.BreakMode) error {
-	return t.s.SetValueBreakpoint(sig, v, mode)
-}
-
-func (t *remoteTarget) ClearBreakpoints() error { return t.s.ClearBreakpoints() }
-
-func (t *remoteTarget) EnableAssertion(name string, enable bool) error {
-	return t.s.EnableAssertion(name, enable)
-}
-
-func (t *remoteTarget) Snapshot() (int, int, uint64, error) { return t.s.Snapshot() }
-func (t *remoteTarget) Restore() error                      { return t.s.Restore() }
-
-func (t *remoteTarget) Inspect(prefix string) ([]string, error) { return t.s.Inspect(prefix) }
-func (t *remoteTarget) PokeInput(n string, v uint64) error      { return t.s.PokeInput(n, v) }
-func (t *remoteTarget) PeekOutput(n string) (uint64, error)     { return t.s.PeekOutput(n) }
-func (t *remoteTarget) Paused() (bool, error)                   { return t.s.Paused() }
-func (t *remoteTarget) HistSeek(c uint64) (int, error)          { return t.s.HistSeek(c) }
-func (t *remoteTarget) HistRewind(n uint64) (uint64, int, error) {
-	return t.s.HistRewind(n)
-}
-func (t *remoteTarget) Cycles() (uint64, error) { return t.s.Cycles() }
-
-func (t *remoteTarget) CompileCheck(tag int) (string, string, error) {
-	return t.s.CompileCheck(tag)
-}
-
-func (t *remoteTarget) Close() error { return t.s.Detach() }
+func (t remoteTarget) Close() error { return t.Detach() }

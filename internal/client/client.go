@@ -45,11 +45,6 @@ type Options struct {
 	// RedialBackoff is the initial delay between redials, doubled up to
 	// 16x each attempt (default 50ms).
 	RedialBackoff time.Duration
-	// ProtocolVersion overrides the version offered in the hello (0 means
-	// wire.Version). The server negotiates min(offered, server); batch
-	// ops transparently fall back to per-signal calls when the negotiated
-	// version predates them. Mostly a compatibility-test hook.
-	ProtocolVersion int
 	// Dial overrides the transport dialer (default net.Dial). This is the
 	// fault-injection seam: the fleet coordinator routes its daemon links
 	// through a faults.DaemonInjector here so kills, partitions and
@@ -63,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RedialBackoff <= 0 {
 		o.RedialBackoff = 50 * time.Millisecond
-	}
-	if o.ProtocolVersion <= 0 {
-		o.ProtocolVersion = wire.Version
 	}
 	if o.Dial == nil {
 		o.Dial = net.Dial
@@ -88,7 +80,7 @@ type Client struct {
 	writeMu sync.Mutex // serializes frame writes (and guards enc)
 	mu      sync.Mutex // guards conn, nextID, nextSeq, clientID, pending, subs, err, closed
 	c       net.Conn
-	// enc/dec speak the negotiated codec (JSON below v3, binary at v3+).
+	// enc/dec speak the binary codec every frame after the hello uses.
 	// enc is guarded by writeMu; dec is owned by readLoop, which is also
 	// the goroutine that re-points both at a replacement connection.
 	enc     *wire.Encoder
@@ -98,15 +90,11 @@ type Client struct {
 	// clientID is the server-assigned identity presented again on
 	// reconnect so the server can dedupe replayed requests.
 	clientID uint64
-	// version is the protocol version negotiated in the handshake:
-	// min(offered, server). Below 2 the batch API degrades to per-signal
-	// round trips.
-	version int
-	pending map[uint64]*pcall
-	subs    map[uint64]bool // sessions this connection is subscribed to
-	subAll  bool
-	err     error
-	closed  bool
+	pending  map[uint64]*pcall
+	subs     map[uint64]bool // sessions this connection is subscribed to
+	subAll   bool
+	err      error
+	closed   bool
 
 	events chan wire.Event
 
@@ -134,67 +122,54 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		streams: make(map[uint64]chan wire.Event),
 		orphans: make(map[uint64][]wire.Event),
 	}
-	nc, cid, ver, err := handshake(c.opts.Dial, addr, 0, c.opts.ProtocolVersion)
+	nc, cid, err := handshake(c.opts.Dial, addr, 0)
 	if err != nil {
 		return nil, err
 	}
 	c.c = nc
 	c.clientID = cid
-	c.version = ver
 	c.nextID = 1
-	c.enc = wire.NewEncoder(nc, ver)
-	c.dec = wire.NewDecoder(nc, ver)
+	c.enc = wire.NewEncoder(nc, wire.Version)
+	c.dec = wire.NewDecoder(nc, wire.Version)
 	go c.readLoop()
 	return c, nil
 }
 
 // handshake dials and performs the hello exchange, presenting an
-// existing client identity when reconnecting (cid != 0) and offering the
-// given protocol version. It returns the connection, the server-assigned
-// identity, and the negotiated protocol version.
-func handshake(dial func(network, addr string) (net.Conn, error), addr string, cid uint64, offer int) (net.Conn, uint64, int, error) {
+// existing client identity when reconnecting (cid != 0). It returns the
+// connection and the server-assigned identity.
+func handshake(dial func(network, addr string) (net.Conn, error), addr string, cid uint64) (net.Conn, uint64, error) {
 	nc, err := dial("tcp", addr)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
+	}
+	fail := func(err error) (net.Conn, uint64, error) {
+		nc.Close()
+		return nil, 0, err
 	}
 	// Handshake runs before the reader goroutine: one frame out, one in.
-	hello := &wire.Request{ID: 1, Op: wire.OpHello, Version: offer, Client: cid}
+	hello := &wire.Request{ID: 1, Op: wire.OpHello, Version: wire.Version, Client: cid}
 	if _, err := wire.WriteMessage(nc, wire.Req(hello)); err != nil {
-		nc.Close()
-		return nil, 0, 0, fmt.Errorf("client: handshake: %w", err)
+		return fail(fmt.Errorf("client: handshake: %w", err))
 	}
 	m, _, err := wire.ReadMessage(nc)
 	if err != nil {
-		nc.Close()
-		return nil, 0, 0, fmt.Errorf("client: handshake: %w", err)
+		return fail(fmt.Errorf("client: handshake: %w", err))
 	}
 	if m.T != wire.TResp {
-		nc.Close()
-		return nil, 0, 0, fmt.Errorf("client: handshake: unexpected %q frame", m.T)
+		return fail(fmt.Errorf("client: handshake: unexpected %q frame", m.T))
 	}
 	if m.Resp.Err != nil {
-		nc.Close()
-		return nil, 0, 0, m.Resp.Err
+		return fail(m.Resp.Err)
 	}
-	// The server answers min(offer, its own version); anything above the
-	// offer (or below the floor we can still speak) is a broken peer.
-	if m.Resp.Version < wire.MinVersion || m.Resp.Version > offer {
-		nc.Close()
-		return nil, 0, 0, fmt.Errorf("client: server negotiated protocol %d, offered %d (floor %d)",
-			m.Resp.Version, offer, wire.MinVersion)
+	if m.Resp.Version != wire.Version {
+		return fail(fmt.Errorf("client: server speaks protocol %d, want %d", m.Resp.Version, wire.Version))
 	}
 	id := m.Resp.Client
 	if id == 0 {
 		id = cid
 	}
-	return nc, id, m.Resp.Version, nil
-}
-
-// Version returns the negotiated protocol version.
-func (c *Client) Version() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
+	return nc, id, nil
 }
 
 // Close tears down the connection. In-flight calls fail; server-side
@@ -291,7 +266,7 @@ func (c *Client) reconnect(cause error) bool {
 		cid := c.clientID
 		c.mu.Unlock()
 
-		nc, newID, newVer, err := handshake(c.opts.Dial, c.addr, cid, c.opts.ProtocolVersion)
+		nc, newID, err := handshake(c.opts.Dial, c.addr, cid)
 		if err != nil {
 			continue
 		}
@@ -304,7 +279,6 @@ func (c *Client) reconnect(cause error) bool {
 		}
 		c.c = nc
 		c.clientID = newID
-		c.version = newVer
 		// Server-side stream state died with the old connection; close the
 		// local halves so consumers reopen on the fresh one.
 		c.dropAllStreamsLocked()
@@ -319,18 +293,15 @@ func (c *Client) reconnect(cause error) bool {
 		subAll := c.subAll
 		c.mu.Unlock()
 
-		// Re-point both codec halves at the replacement connection; the
-		// renegotiated version may differ when the server fleet is mixed.
+		// Re-point both codec halves at the replacement connection.
 		// reconnect runs on the readLoop goroutine, so resetting dec here
 		// cannot race a concurrent Next.
-		c.dec.SetVersion(newVer)
 		c.dec.Reset(nc)
 
 		// Restore event delivery, then replay what was in flight, as one
 		// coalesced burst. The resubscribe responses reuse retired ids, so
 		// the reader drops them as unmatched — exactly what we want.
 		c.writeMu.Lock()
-		c.enc.SetVersion(newVer)
 		c.enc.Reset(nc)
 		ok := true
 		if subAll {

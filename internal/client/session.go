@@ -25,14 +25,17 @@ type Session struct {
 	Watches []string
 }
 
-func (s *Session) call(req *wire.Request) (*wire.Response, error) {
-	req.Session = s.ID
-	return s.c.call(req)
-}
-
-func (s *Session) callCtx(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// Do sends one session op and returns its response: the remote twin of
+// server.Local.Do, so code written against Do drives a leased board and
+// an in-process one alike. On an op failure the response comes back
+// alongside its *wire.Error.
+func (s *Session) Do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	req.Session = s.ID
 	return s.c.callCtx(ctx, req)
+}
+
+func (s *Session) call(req *wire.Request) (*wire.Response, error) {
+	return s.Do(context.Background(), req)
 }
 
 // Run lets the FPGA execute freely for n design-clock ticks of wall time.
@@ -109,32 +112,16 @@ func (s *Session) PeekBatch(items []dbg.PlanItem) ([]uint64, error) {
 
 // PeekBatchCtx is PeekBatch under a context. On a partial-batch failure
 // the slice still carries the values from healthy SLRs alongside the
-// error. When the negotiated protocol is older than v2 the batch is
-// transparently issued as per-item peeks.
+// error.
 func (s *Session) PeekBatchCtx(ctx context.Context, items []dbg.PlanItem) ([]uint64, error) {
 	if len(items) == 0 {
 		return nil, nil
-	}
-	if s.c.Version() < 2 {
-		vals := make([]uint64, len(items))
-		for i, it := range items {
-			req := &wire.Request{Op: wire.OpPeek, Name: it.Name}
-			if it.Mem {
-				req = &wire.Request{Op: wire.OpPeekMem, Name: it.Name, Addr: it.Addr}
-			}
-			resp, err := s.callCtx(ctx, req)
-			if err != nil {
-				return vals, err
-			}
-			vals[i] = resp.Value
-		}
-		return vals, nil
 	}
 	wi := make([]wire.BatchItem, len(items))
 	for i, it := range items {
 		wi[i] = wire.BatchItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr}
 	}
-	resp, err := s.callCtx(ctx, &wire.Request{Op: wire.OpPeekBatch, Items: wi})
+	resp, err := s.Do(ctx, &wire.Request{Op: wire.OpPeekBatch, Items: wi})
 	if resp == nil {
 		return nil, err
 	}
@@ -156,29 +143,16 @@ func (s *Session) PokeBatch(items []dbg.PlanItem) error {
 	return s.PokeBatchCtx(context.Background(), items)
 }
 
-// PokeBatchCtx is PokeBatch under a context, with the same v1 per-item
-// fallback as PeekBatchCtx.
+// PokeBatchCtx is PokeBatch under a context.
 func (s *Session) PokeBatchCtx(ctx context.Context, items []dbg.PlanItem) error {
 	if len(items) == 0 {
-		return nil
-	}
-	if s.c.Version() < 2 {
-		for _, it := range items {
-			req := &wire.Request{Op: wire.OpPoke, Name: it.Name, Value: it.Value}
-			if it.Mem {
-				req = &wire.Request{Op: wire.OpPokeMem, Name: it.Name, Addr: it.Addr, Value: it.Value}
-			}
-			if _, err := s.callCtx(ctx, req); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	wi := make([]wire.BatchItem, len(items))
 	for i, it := range items {
 		wi[i] = wire.BatchItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr, Value: it.Value}
 	}
-	_, err := s.callCtx(ctx, &wire.Request{Op: wire.OpPokeBatch, Items: wi})
+	_, err := s.Do(ctx, &wire.Request{Op: wire.OpPokeBatch, Items: wi})
 	return err
 }
 
@@ -345,7 +319,7 @@ func (s *Session) HistLoadState(name string) (uint64, error) {
 // Client.AttachWithState on another daemon. Also returns the design
 // cycle the checkpoint captured.
 func (s *Session) StateExport(ctx context.Context) ([]byte, uint64, error) {
-	resp, err := s.callCtx(ctx, &wire.Request{Op: wire.OpStateExport})
+	resp, err := s.Do(ctx, &wire.Request{Op: wire.OpStateExport})
 	if err != nil {
 		return nil, 0, err
 	}

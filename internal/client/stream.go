@@ -35,13 +35,9 @@ type Stream struct {
 // design). window is the credit grant — the server never has more than
 // this many frames in flight unacknowledged (0 means 32). intervalMS is
 // the server-side flush/poll cadence (0 means the server default).
-// Requires a v3 connection; streams do not survive a reconnect (Recv
-// reports closed; reopen on the fresh connection).
+// Streams do not survive a reconnect (Recv reports closed; reopen on the
+// fresh connection).
 func (c *Client) OpenStream(kind string, session uint64, window, intervalMS int) (*Stream, error) {
-	if v := c.Version(); v < 3 {
-		return nil, wire.Errf(wire.CodeVersion,
-			"client: streams need protocol v3+, connection negotiated v%d", v)
-	}
 	if window <= 0 {
 		window = 32
 	}

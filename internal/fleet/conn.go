@@ -12,9 +12,10 @@ import (
 )
 
 // fconn is one client connection to the coordinator. It mirrors the
-// daemon's connection machinery — same handshake, same codec upgrade,
-// same outbox/write-loop split — so every existing client (the REPL,
-// internal/client, zbench) speaks to the fleet without knowing it.
+// daemon's connection machinery — the same hello (wire.ServeHello), the
+// same binary codec after it, the same outbox/write-loop split — so
+// every existing client (the REPL, internal/client, zbench) speaks to
+// the fleet without knowing it.
 type fconn struct {
 	co  *Coordinator
 	c   net.Conn
@@ -23,8 +24,6 @@ type fconn struct {
 
 	enc *wire.Encoder
 	dec *wire.Decoder
-
-	version int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -43,12 +42,11 @@ type fconn struct {
 func newFconn(co *Coordinator, c net.Conn) *fconn {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &fconn{
-		co:  co,
-		c:   c,
-		out: make(chan *wire.Message, 256),
-		// Hello is always JSON; handshake upgrades v3 connections.
-		enc:     wire.NewEncoder(c, 1),
-		dec:     wire.NewDecoder(c, 1),
+		co:      co,
+		c:       c,
+		out:     make(chan *wire.Message, 256),
+		enc:     wire.NewEncoder(c, wire.Version),
+		dec:     wire.NewDecoder(c, wire.Version),
 		ctx:     ctx,
 		cancel:  cancel,
 		dead:    make(chan struct{}),
@@ -120,16 +118,6 @@ func (c *fconn) writeBurst(m *wire.Message) error {
 	return err
 }
 
-func (c *fconn) writeNow(m *wire.Message) error {
-	c.wmu.Lock()
-	err := c.enc.Queue(m)
-	if err == nil {
-		_, err = c.enc.Flush()
-	}
-	c.wmu.Unlock()
-	return err
-}
-
 func (c *fconn) readLoop() {
 	defer c.co.wg.Done()
 	defer func() {
@@ -159,44 +147,24 @@ func (c *fconn) readLoop() {
 	}
 }
 
-// handshake performs the identical hello exchange a daemon would, so
-// version negotiation (and the post-hello binary upgrade) behave the
-// same whether a client dials a daemon or the fleet.
+// handshake serves the hello exactly as a daemon does, so a client
+// cannot tell whether it dialed a daemon or the fleet.
 func (c *fconn) handshake() bool {
-	m, _, err := wire.ReadMessage(c.c)
-	if err != nil {
-		return false
-	}
-	if m.T != wire.TReq || m.Req.Op != wire.OpHello {
-		c.writeNow(wire.Resp(&wire.Response{
-			Err: wire.Errf(wire.CodeBadRequest, "first frame must be %q", wire.OpHello)}))
-		return false
-	}
-	if m.Req.Version < wire.MinVersion {
-		c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID,
-			Err: wire.Errf(wire.CodeVersion, "protocol version %d, server speaks %d..%d",
-				m.Req.Version, wire.MinVersion, wire.Version)}))
-		return false
-	}
-	c.version = wire.Version
-	if m.Req.Version < c.version {
-		c.version = m.Req.Version
-	}
-	cid := m.Req.Client
-	if cid == 0 {
-		c.co.mu.Lock()
-		c.co.nextCID++
-		cid = c.co.nextCID
-		c.co.mu.Unlock()
-	}
-	c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID, Version: c.version, Client: cid}))
-	if c.version >= 3 {
+	write := func(m *wire.Message) {
 		c.wmu.Lock()
-		c.enc.SetVersion(c.version)
+		wire.WriteMessage(c.c, m) // a dead socket fails the next read
 		c.wmu.Unlock()
-		c.dec.SetVersion(c.version)
 	}
-	return true
+	_, ok := wire.ServeHello(c.c, write, func(cid uint64) uint64 {
+		if cid == 0 {
+			c.co.mu.Lock()
+			c.co.nextCID++
+			cid = c.co.nextCID
+			c.co.mu.Unlock()
+		}
+		return cid
+	})
+	return ok
 }
 
 // dispatch routes one request: fleet-level ops run inline on the read
@@ -204,14 +172,10 @@ func (c *fconn) handshake() bool {
 func (c *fconn) dispatch(req *wire.Request) {
 	switch req.Op {
 	case wire.OpHello:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: c.version}))
+		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: wire.Version}))
 	case wire.OpAttach:
 		c.send(wire.Resp(c.attach(req, nil)))
 	case wire.OpStateImport:
-		if c.version < 3 {
-			c.unknownOp(req)
-			return
-		}
 		c.send(wire.Resp(c.attach(req, req.Signals)))
 	case wire.OpStatus:
 		c.send(wire.Resp(&wire.Response{ID: req.ID, Stats: c.co.Stats()}))
@@ -224,27 +188,8 @@ func (c *fconn) dispatch(req *wire.Request) {
 	case wire.OpFleetDrain:
 		c.send(wire.Resp(c.drain(req)))
 	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		if c.version < 3 {
-			c.unknownOp(req)
-			return
-		}
 		c.send(wire.Resp(c.handleStream(req)))
 	default:
-		// Mirror the daemon's version gates so a coordinator answers a
-		// downlevel client exactly as a daemon of that version would.
-		if c.version < 2 && (req.Op == wire.OpPeekBatch || req.Op == wire.OpPokeBatch) {
-			c.unknownOp(req)
-			return
-		}
-		if c.version < 3 {
-			switch req.Op {
-			case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont,
-				wire.OpHistSave, wire.OpHistLoad, wire.OpHistStat, wire.OpHistTimelines,
-				wire.OpStateExport:
-				c.unknownOp(req)
-				return
-			}
-		}
 		fs := c.co.session(req.Session)
 		if fs == nil {
 			c.send(wire.Resp(&wire.Response{ID: req.ID,
@@ -257,11 +202,6 @@ func (c *fconn) dispatch(req *wire.Request) {
 			c.send(wire.Resp(&wire.Response{ID: req.ID, Err: werr}))
 		}
 	}
-}
-
-func (c *fconn) unknownOp(req *wire.Request) {
-	c.send(wire.Resp(&wire.Response{ID: req.ID,
-		Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
 }
 
 // shed answers an attach with the typed overload refusal: CodeOverloaded

@@ -413,3 +413,38 @@ func TestDaemonInjectorSeam(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestFleetVersionHandshake is TestVersionHandshake against a zfleet
+// coordinator: both answer the hello through the same wire helper, so a
+// retired protocol version is refused the same way.
+func TestFleetVersionHandshake(t *testing.T) {
+	_, d := startDaemon(t, server.Config{})
+	_, addr := startFleet(t, fleet.Config{Daemons: []string{d}})
+	hello := func(ver int) *wire.Response {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: ver})); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := wire.ReadMessage(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Resp == nil {
+			t.Fatalf("hello answered with %+v", m)
+		}
+		return m.Resp
+	}
+	if r := hello(999); r.Err != nil || r.Version != wire.Version {
+		t.Fatalf("newer client should be answered with %d, got %+v", wire.Version, r)
+	}
+	for _, ver := range []int{1, 2, wire.MinVersion - 1} {
+		if r := hello(ver); r.Err == nil || r.Err.Code != wire.CodeVersion {
+			t.Errorf("v%d hello answered with %+v, want %s", ver, r, wire.CodeVersion)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"zoomie/internal/client"
+	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
 
@@ -207,7 +208,7 @@ func (fs *fsession) handle(r *fsreq) {
 
 	resp := fs.forward(r.ctx, req)
 	fs.replayStore(req, resp)
-	if resp.Err == nil && wire.MutatingOp(req.Op) {
+	if resp.Err == nil && server.Mutating(req.Op) {
 		fs.mu.Lock()
 		fs.journal = append(fs.journal, copyReq(req))
 		n := len(fs.journal)

@@ -24,9 +24,6 @@ func TestRemoteBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != wire.Version {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), wire.Version)
-	}
 	sess, err := c.Attach("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -133,54 +130,5 @@ func TestPreCancelledCallNeverSent(t *testing.T) {
 	}
 	if got := srv.Stats().CommandsServed - served; got != 1 {
 		t.Errorf("server served %d commands for 20 pre-cancelled calls and a peek, want 1", got)
-	}
-}
-
-// TestV1ClientCompat pins the downgrade path: a client offering protocol
-// v1 negotiates v1, its batch API transparently degrades to per-signal
-// round trips, and sending a raw v2 batch op on the v1 connection is
-// refused the same way an old server would refuse it.
-func TestV1ClientCompat(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 1})
-	c, err := client.DialOptions(addr, client.Options{ProtocolVersion: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != 1 {
-		t.Fatalf("negotiated version %d, want 1", c.Version())
-	}
-	sess, err := c.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Pause(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.PokeBatch([]dbg.PlanItem{{Name: "cnt", Value: 55}}); err != nil {
-		t.Fatal(err)
-	}
-	vals, err := sess.PeekBatch([]dbg.PlanItem{{Name: "cnt"}, {Name: "dut.cnt"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != 55 || vals[1] != 55 {
-		t.Errorf("v1 fallback peek = %v, want [55 55]", vals)
-	}
-	// Typed errors downgrade to the generic op code for v1 clients but
-	// keep their text.
-	_, err = sess.PeekBatch([]dbg.PlanItem{{Name: "nosuchreg"}})
-	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeOp {
-		t.Errorf("v1 error code = %v, want CodeOp", err)
-	}
-
-	// A raw v2 op on the v1-negotiated connection is an unknown op.
-	_, err = c.CallCtx(context.Background(), &wire.Request{
-		Op: wire.OpPeekBatch, Session: sess.ID,
-		Items: []wire.BatchItem{{Name: "cnt"}},
-	})
-	if !errors.As(err, &we) || we.Code != wire.CodeUnknownOp {
-		t.Errorf("raw v2 op on v1 conn = %v, want CodeUnknownOp", err)
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"zoomie/internal/server"
 )
 
-// benchTarget starts a server on loopback and attaches one session at
-// the given protocol version. The bench64 design (64 independent
+// benchTarget starts a server on loopback and attaches one session. The
+// bench64 design (64 independent
 // counters) is registered so batched peeks have distinct state to read.
-func benchTarget(b *testing.B, ver int) *client.Session {
+func benchTarget(b *testing.B) *client.Session {
 	b.Helper()
 	server.Register("bench64", server.Entry{
 		Describe: "64-register design for wire benchmarks",
@@ -44,7 +44,7 @@ func benchTarget(b *testing.B, ver int) *client.Session {
 		srv.Shutdown()
 		<-done
 	})
-	c, err := client.DialOptions(ln.Addr().String(), client.Options{ProtocolVersion: ver})
+	c, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,46 +60,35 @@ func benchTarget(b *testing.B, ver int) *client.Session {
 }
 
 // BenchmarkRemotePeek measures one single-register peek over loopback
-// TCP — the interactive paused-debug hot path — under the JSON (v2) and
-// binary (v3) codecs.
+// TCP — the interactive paused-debug hot path.
 func BenchmarkRemotePeek(b *testing.B) {
-	for _, ver := range []int{2, 3} {
-		b.Run(fmt.Sprintf("v%d", ver), func(b *testing.B) {
-			sess := benchTarget(b, ver)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Peek("r0"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sess := benchTarget(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Peek("r0"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkRemotePeekBatch measures a 64-item batched peek over
-// loopback — one wire round trip carrying the whole plan — under both
-// codecs. The v3 win compounds here: the frame is larger, so the
-// JSON-vs-binary encode/decode gap dominates the syscall floor.
+// loopback — one wire round trip carrying the whole plan.
 func BenchmarkRemotePeekBatch(b *testing.B) {
 	items := make([]dbg.PlanItem, 64)
 	for i := range items {
 		items[i] = dbg.PlanItem{Name: fmt.Sprintf("r%d", i)}
 	}
-	for _, ver := range []int{2, 3} {
-		b.Run(fmt.Sprintf("v%d", ver), func(b *testing.B) {
-			sess := benchTarget(b, ver)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vals, err := sess.PeekBatch(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(vals) != 64 {
-					b.Fatalf("got %d values", len(vals))
-				}
-			}
-		})
+	sess := benchTarget(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vals, err := sess.PeekBatch(items)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(vals) != 64 {
+			b.Fatalf("got %d values", len(vals))
+		}
 	}
 }

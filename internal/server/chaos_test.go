@@ -697,13 +697,23 @@ func TestReplayDedup(t *testing.T) {
 	}
 	defer nc.Close()
 
+	// The hello travels in JSON; every later frame in the binary codec.
+	if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: wire.Version})); err != nil {
+		t.Fatal(err)
+	}
+	hello, _, err := wire.ReadMessage(nc)
+	if err != nil || hello.Resp == nil || hello.Resp.Err != nil {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+	cid := hello.Resp.Client
+
 	roundtrip := func(req *wire.Request) *wire.Response {
 		t.Helper()
-		if _, err := wire.WriteMessage(nc, wire.Req(req)); err != nil {
+		if _, err := wire.WriteMessageV(nc, wire.Req(req), wire.Version); err != nil {
 			t.Fatal(err)
 		}
 		for {
-			m, _, err := wire.ReadMessage(nc)
+			m, _, err := wire.ReadMessageV(nc, wire.Version)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -716,11 +726,6 @@ func TestReplayDedup(t *testing.T) {
 		}
 	}
 
-	// This test drives raw JSON frames by hand, so it pins itself to v2:
-	// offering v3 would switch the connection to the binary codec after
-	// the hello (covered by the stream and cross-version tests instead).
-	hello := roundtrip(&wire.Request{ID: 1, Op: wire.OpHello, Version: 2})
-	cid := hello.Client
 	att := roundtrip(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"})
 	sid := att.Session
 	roundtrip(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: cid, Seq: 1})

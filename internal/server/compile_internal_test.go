@@ -33,7 +33,6 @@ func TestDisconnectCancelsHeldCompile(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	c := newConn(srv, p1)
-	c.version = wire.Version
 
 	resp := srv.handleCompile(c, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
 	if resp.Err != nil {
@@ -78,10 +77,8 @@ func TestCancelOpRequiresReference(t *testing.T) {
 
 	p1, _ := net.Pipe()
 	holder := newConn(srv, p1)
-	holder.version = wire.Version
 	p3, _ := net.Pipe()
 	bystander := newConn(srv, p3)
-	bystander.version = wire.Version
 
 	resp := srv.handleCompile(holder, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
 	if resp.Err != nil {

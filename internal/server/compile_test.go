@@ -2,14 +2,12 @@ package server_test
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"zoomie/internal/client"
 	"zoomie/internal/server"
-	"zoomie/internal/wire"
 )
 
 func bitsOf(t *testing.T, line string) string {
@@ -118,26 +116,6 @@ func TestCompileFarmTwoClients(t *testing.T) {
 	reply, err := b.CompileCancel(tR.ID)
 	if err != nil || !strings.Contains(reply, "already done") {
 		t.Fatalf("cancel of done job: %q, %v", reply, err)
-	}
-}
-
-// TestCompileOpsGatedToV3 pins the mixed-fleet behaviour: a server
-// emulating protocol v2 answers compile ops exactly as a pre-farm
-// daemon would — unknown op.
-func TestCompileOpsGatedToV3(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 1, ProtocolCeiling: 2})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.CompileSubmit("counter", "vti", 0)
-	if err == nil {
-		t.Fatal("compilesubmit succeeded on a v2 connection")
-	}
-	var werr *wire.Error
-	if !errors.As(err, &werr) || werr.Code != wire.CodeUnknownOp {
-		t.Fatalf("err = %v, want %s", err, wire.CodeUnknownOp)
 	}
 }
 

@@ -212,23 +212,6 @@ func TestStateExportImport(t *testing.T) {
 		t.Fatalf("seek landed at cycle %d, want %d", got, wantCycles-10)
 	}
 
-	// Export is v3-only: a v2 connection is told the op does not exist.
-	c2, err := client.DialOptions(addrA, client.Options{ProtocolVersion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s2, err := c2.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s2.StateExport(context.Background()); !wire.IsCode(err, wire.CodeUnknownOp) {
-		t.Fatalf("v2 StateExport error = %v, want CodeUnknownOp", err)
-	}
-	if _, err := c2.AttachWithState(context.Background(), "counter", blob); !wire.IsCode(err, wire.CodeUnknownOp) {
-		t.Fatalf("v2 AttachWithState error = %v, want CodeUnknownOp", err)
-	}
-
 	// Corrupt blobs are refused, not panicked on.
 	if _, err := cb.AttachWithState(context.Background(), "counter", []byte("garbage")); !wire.IsCode(err, wire.CodeBadRequest) {
 		t.Fatalf("garbage import error = %v, want CodeBadRequest", err)

@@ -21,6 +21,7 @@ import (
 	"zoomie"
 	"zoomie/internal/farm"
 	"zoomie/internal/faults"
+	"zoomie/internal/history"
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
 )
@@ -32,6 +33,23 @@ type hotCounters struct {
 	peeks    *obs.Counter // register/memory/output reads (batch items count individually)
 	pokes    *obs.Counter // register/memory/input writes (batch items count individually)
 	cycles   *obs.Counter // clock cycles advanced by run/step/until
+}
+
+// newHotCounters registers the hot-path counters in reg.
+func newHotCounters(reg *obs.Registry) *hotCounters {
+	return &hotCounters{
+		commands: reg.Counter("zoomied.commands"),
+		peeks:    reg.Counter("zoomied.peeks"),
+		pokes:    reg.Counter("zoomied.pokes"),
+		cycles:   reg.Counter("zoomied.cycles"),
+	}
+}
+
+// advanced counts n clock cycles; a non-positive count advanced none.
+func (h *hotCounters) advanced(n int) {
+	if n > 0 {
+		h.cycles.Add(uint64(n))
+	}
 }
 
 // Config tunes the server.
@@ -58,11 +76,6 @@ type Config struct {
 	// QuarantineCooldown is how long an ejected board stays out of the
 	// pool before requalifying (default 1 minute).
 	QuarantineCooldown time.Duration
-	// ProtocolCeiling, when positive, caps the protocol version this
-	// server negotiates — the compatibility hook for emulating an older
-	// zoomied in mixed-fleet tests (a ceiling of 2 answers exactly as a
-	// pre-binary-codec server would).
-	ProtocolCeiling int
 	// CompileCacheCap bounds the compile farm's shared checkpoint store
 	// (entries; 0 = unbounded).
 	CompileCacheCap int
@@ -81,7 +94,7 @@ type Server struct {
 	// streams; ctr caches the hot-path counters so the per-op cost is one
 	// atomic add, never a map lookup.
 	reg *obs.Registry
-	ctr hotCounters
+	ctr *hotCounters
 
 	// farm is the process-wide compile service: one content-addressed
 	// checkpoint store shared by every connection, so clients compiling
@@ -131,12 +144,7 @@ func New(cfg Config) *Server {
 		conns:     make(map[*conn]struct{}),
 		probeQuit: make(chan struct{}),
 	}
-	s.ctr = hotCounters{
-		commands: s.reg.Counter("zoomied.commands"),
-		peeks:    s.reg.Counter("zoomied.peeks"),
-		pokes:    s.reg.Counter("zoomied.pokes"),
-		cycles:   s.reg.Counter("zoomied.cycles"),
-	}
+	s.ctr = newHotCounters(s.reg)
 	if cfg.QuarantineCooldown > 0 {
 		s.pool.SetCooldown(cfg.QuarantineCooldown)
 	}
@@ -168,7 +176,7 @@ func (s *Server) probeLoop() {
 			s.mu.Unlock()
 			for _, sess := range sessions {
 				// Best effort: a busy queue skips this round's probe.
-				sess.enqueue(context.Background(), wire.Version,
+				sess.enqueue(context.Background(),
 					&wire.Request{Op: opProbe}, func(*wire.Response) {})
 			}
 		}
@@ -333,22 +341,40 @@ func (s *Server) allowed(design string) bool {
 }
 
 // attach builds, compiles and starts a catalog design on a pooled board,
-// then spawns its actor. Runs on the calling connection's read loop: a
-// long compile stalls only that client.
+// then spawns its actor. OpStateImport is attach-with-state, the landing
+// path of cross-daemon failover: Signals carry an exported state blob,
+// and the fresh session adopts its history and restores its snapshot
+// (full scope, so breakpoints and pause state land armed) before it is
+// registered — exactly the in-daemon migration path, lifted across the
+// wire. Runs on the calling connection's read loop: a long compile
+// stalls only that client.
 func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
-	if s.isClosed() {
-		resp.Err = wire.Errf(wire.CodeShutdown, "server shutting down")
+	fail := func(code, format string, args ...any) *wire.Response {
+		resp.Err = wire.Errf(code, format, args...)
 		return resp
+	}
+	if s.isClosed() {
+		return fail(wire.CodeShutdown, "server shutting down")
 	}
 	name := req.Design
 	if _, ok := Catalog()[name]; !ok {
-		resp.Err = wire.Errf(wire.CodeUnknownDesign, "unknown design %q (have: %v)", name, CatalogNames())
-		return resp
+		return fail(wire.CodeUnknownDesign, "unknown design %q (have: %v)", name, CatalogNames())
 	}
 	if !s.allowed(name) {
-		resp.Err = wire.Errf(wire.CodeForbidden, "design %q not served (allowlist: %v)", name, s.cfg.Allow)
-		return resp
+		return fail(wire.CodeForbidden, "design %q not served (allowlist: %v)", name, s.cfg.Allow)
+	}
+	var snap *zoomie.DebugSnapshot // the imported state; nil for a plain attach
+	var hist *history.Engine
+	if req.Op == wire.OpStateImport {
+		blob, err := decodeExport(req.Signals)
+		if err == nil && len(blob.History) > 0 {
+			hist, err = history.Decode(blob.History)
+		}
+		if err != nil {
+			return fail(wire.CodeBadRequest, "import: %v", err)
+		}
+		snap = blob.Snapshot
 	}
 	zs, ilaMeta, inj, lease, err := s.newSessionFor(name)
 	if err != nil {
@@ -356,21 +382,37 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 		if errors.Is(err, ErrPoolExhausted) {
 			code = wire.CodePoolExhausted
 		}
-		resp.Err = wire.Errf(code, "%s", err)
-		return resp
+		return fail(code, "%s", err)
+	}
+	verb := "attached"
+	if snap != nil {
+		verb = "imported"
+		// Adopt before restore, so the engine's live mirror tracks the
+		// restore and diffs it — identical to the in-daemon migration
+		// ordering. A layout mismatch forfeits history but not the import.
+		if hist != nil {
+			if aerr := zs.AdoptHistory(hist); aerr != nil {
+				s.cfg.Logf("zoomied: import: history not transplanted: %v", aerr)
+			}
+		}
+		if rerr := zs.RestoreSnapshot(context.Background(), snap); rerr != nil {
+			zs.Close()
+			s.retire(zs, inj)
+			return fail(wire.CodeOp, "import: snapshot restore: %v", rerr)
+		}
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		zs.Close()
-		resp.Err = wire.Errf(wire.CodeShutdown, "server shutting down")
-		return resp
+		return fail(wire.CodeShutdown, "server shutting down")
 	}
 	s.nextSID++
 	sess := newSession(s.nextSID, name, zs, s)
 	sess.lease = lease
 	sess.ilaMeta = ilaMeta
+	sess.lastGood = snap // an import's board holds it now: the known-good base
 	sess.injector.Store(inj)
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
@@ -380,8 +422,8 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	s.wg.Add(1)
 	go sess.loop()
 	c.subscribe(sess.id)
-	s.cfg.Logf("zoomied: session %d attached %s on board lease %d (%s)",
-		sess.id, name, lease.ID, lease.Device)
+	s.cfg.Logf("zoomied: session %d %s %s on board lease %d (%s)",
+		sess.id, verb, name, lease.ID, lease.Device)
 
 	resp.Session = sess.id
 	resp.Design = name
@@ -389,6 +431,9 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	resp.Report = fmt.Sprintf("%s", zs.Result.Report)
 	for _, w := range zs.Meta.Watches {
 		resp.Watches = append(resp.Watches, w.Signal)
+	}
+	if snap != nil {
+		resp.Cycles = snap.Cycle
 	}
 	return resp
 }
@@ -425,15 +470,10 @@ type conn struct {
 	out chan *wire.Message
 	wmu sync.Mutex // serializes socket writes (writeLoop vs handshake)
 
-	// enc/dec speak the negotiated codec: JSON until the hello exchange
-	// completes, binary afterwards on v3 connections. enc is guarded by
-	// wmu; dec is owned by the read loop.
+	// enc/dec speak the binary codec every frame after the JSON hello
+	// uses. enc is guarded by wmu; dec is owned by the read loop.
 	enc *wire.Encoder
 	dec *wire.Decoder
-
-	// version is the negotiated protocol version, set during handshake
-	// before any request is dispatched. Batch ops are refused on v1.
-	version int
 
 	// ctx is cancelled when the connection dies, so a session actor
 	// mid-way through a batched command for this client stops promptly
@@ -463,13 +503,11 @@ type conn struct {
 func newConn(s *Server, c net.Conn) *conn {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &conn{
-		srv: s,
-		c:   c,
-		out: make(chan *wire.Message, 256),
-		// The hello exchange is always JSON; handshake() upgrades both
-		// directions once a v3 connection is negotiated.
-		enc:     wire.NewEncoder(c, 1),
-		dec:     wire.NewDecoder(c, 1),
+		srv:     s,
+		c:       c,
+		out:     make(chan *wire.Message, 256),
+		enc:     wire.NewEncoder(c, wire.Version),
+		dec:     wire.NewDecoder(c, wire.Version),
 		ctx:     ctx,
 		cancel:  cancel,
 		dead:    make(chan struct{}),
@@ -585,70 +623,27 @@ func (c *conn) readLoop() {
 	}
 }
 
-// writeNow writes one frame to the socket under the write mutex.
-func (c *conn) writeNow(m *wire.Message) error {
-	c.wmu.Lock()
-	var n int
-	err := c.enc.Queue(m)
-	if err == nil {
-		n, err = c.enc.Flush()
-	}
-	c.wmu.Unlock()
-	atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
-	return err
-}
-
-// handshake enforces the version exchange as the first frame. Replies
-// are written synchronously so a rejected client reads the reason before
-// the connection closes.
+// handshake serves the hello that opens the connection. A hello
+// carrying a client id is a reconnect: the client keeps its identity so
+// replayed in-flight requests dedupe against the actors' caches. A fresh
+// client gets the next id.
 func (c *conn) handshake() bool {
-	m, n, err := wire.ReadMessage(c.c)
-	atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
-	if err != nil {
-		return false
+	write := func(m *wire.Message) {
+		c.wmu.Lock()
+		n, _ := wire.WriteMessage(c.c, m) // a dead socket fails the next read
+		c.wmu.Unlock()
+		atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
 	}
-	if m.T != wire.TReq || m.Req.Op != wire.OpHello {
-		c.writeNow(wire.Resp(&wire.Response{
-			Err: wire.Errf(wire.CodeBadRequest, "first frame must be %q", wire.OpHello)}))
-		return false
-	}
-	// Downgrade negotiation: both sides speak min(client, server) as long
-	// as the client is at least MinVersion. The negotiated version comes
-	// back in the hello response; a v1 client sees "1" exactly as a v1
-	// server would have answered.
-	if m.Req.Version < wire.MinVersion {
-		c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID,
-			Err: wire.Errf(wire.CodeVersion, "protocol version %d, server speaks %d..%d",
-				m.Req.Version, wire.MinVersion, wire.Version)}))
-		return false
-	}
-	c.version = wire.Version
-	if p := c.srv.cfg.ProtocolCeiling; p > 0 && p < c.version {
-		c.version = p
-	}
-	if m.Req.Version < c.version {
-		c.version = m.Req.Version
-	}
-	// A hello carrying a client id is a reconnect: the client keeps its
-	// identity so replayed in-flight requests dedupe against the actors'
-	// caches. A fresh client gets the next id.
-	cid := m.Req.Client
-	if cid != 0 {
+	n, ok := wire.ServeHello(c.c, write, func(cid uint64) uint64 {
+		if cid == 0 {
+			return atomic.AddUint64(&c.srv.nextClient, 1)
+		}
 		atomic.AddInt64(&c.srv.stats.reconnects, 1)
 		c.srv.cfg.Logf("zoomied: client %d reconnected", cid)
-	} else {
-		cid = atomic.AddUint64(&c.srv.nextClient, 1)
-	}
-	c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID, Version: c.version, Client: cid}))
-	// The hello reply is the last JSON frame on a v3 connection: every
-	// frame after it — both directions — uses the binary codec.
-	if c.version >= 3 {
-		c.wmu.Lock()
-		c.enc.SetVersion(c.version)
-		c.wmu.Unlock()
-		c.dec.SetVersion(c.version)
-	}
-	return true
+		return cid
+	})
+	atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
+	return ok
 }
 
 // dispatch routes one request: connection-level ops run inline, session
@@ -656,19 +651,10 @@ func (c *conn) handshake() bool {
 func (c *conn) dispatch(req *wire.Request) {
 	switch req.Op {
 	case wire.OpHello:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: c.version}))
-	case wire.OpAttach:
+		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: wire.Version}))
+	case wire.OpAttach, wire.OpStateImport:
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
 		c.send(wire.Resp(c.srv.attach(c, req)))
-	case wire.OpStateImport:
-		// Attach-with-state (v3+): the cross-daemon failover landing path.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.importAttach(c, req)))
 	case wire.OpStatus:
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
 		c.send(wire.Resp(&wire.Response{ID: req.ID, Stats: c.srv.Stats()}))
@@ -676,51 +662,19 @@ func (c *conn) dispatch(req *wire.Request) {
 		c.subscribe(req.Session)
 		c.send(wire.Resp(&wire.Response{ID: req.ID, Session: req.Session}))
 	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		// Stream ops arrived in v3; older connections get the same answer
-		// an older server would give.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
 		c.send(wire.Resp(c.handleStream(req)))
 	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
-		// Compile-farm ops arrived in v3 alongside the stream machinery
-		// that carries their progress.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
 		c.send(wire.Resp(c.srv.handleCompile(c, req)))
 	default:
-		// Batch ops arrived in v2; a v1-negotiated connection gets the
-		// same answer a v1 server would give.
-		if c.version < 2 && (req.Op == wire.OpPeekBatch || req.Op == wire.OpPokeBatch) {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
-		// History (time-travel) ops arrived in v3.
-		if c.version < 3 {
-			switch req.Op {
-			case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont,
-				wire.OpHistSave, wire.OpHistLoad, wire.OpHistStat, wire.OpHistTimelines,
-				wire.OpStateExport:
-				c.send(wire.Resp(&wire.Response{ID: req.ID,
-					Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-				return
-			}
-		}
 		sess := c.srv.session(req.Session)
 		if sess == nil {
 			c.send(wire.Resp(&wire.Response{ID: req.ID,
 				Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}))
 			return
 		}
-		werr := sess.enqueue(c.ctx, c.version, req,
+		werr := sess.enqueue(c.ctx, req,
 			func(resp *wire.Response) { c.send(wire.Resp(resp)) })
 		if werr != nil {
 			c.send(wire.Resp(&wire.Response{ID: req.ID, Err: werr}))

@@ -296,42 +296,42 @@ func TestAttachUnknownAndAllowlist(t *testing.T) {
 	}
 }
 
-func TestVersionHandshake(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 1})
-
-	// A client newer than the server negotiates down to the server's
-	// version instead of being refused.
+// hello sends one hello offering ver on a fresh connection and returns
+// the reply.
+func hello(t *testing.T, addr string, ver int) *wire.Response {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: 999})); err != nil {
+	if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: ver})); err != nil {
 		t.Fatal(err)
 	}
 	m, _, err := wire.ReadMessage(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Resp == nil || m.Resp.Err != nil || m.Resp.Version != wire.Version {
-		t.Fatalf("newer client should negotiate down to %d, got %+v", wire.Version, m)
+	if m.Resp == nil {
+		t.Fatalf("hello answered with %+v", m)
 	}
+	return m.Resp
+}
 
-	// A client older than MinVersion is refused with CodeVersion.
-	nc2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+func TestVersionHandshake(t *testing.T) {
+	_, addr := startServer(t, server.Config{PoolSize: 1})
+
+	// A client newer than the server is answered with the server's
+	// version instead of being refused.
+	if r := hello(t, addr, 999); r.Err != nil || r.Version != wire.Version {
+		t.Fatalf("newer client should be answered with %d, got %+v", wire.Version, r)
 	}
-	defer nc2.Close()
-	if _, err := wire.WriteMessage(nc2, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: wire.MinVersion - 1})); err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := wire.ReadMessage(nc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Resp == nil || m2.Resp.Err == nil || m2.Resp.Err.Code != wire.CodeVersion {
-		t.Fatalf("ancient client answered with %+v", m2)
+	// Retired versions, and anything else below MinVersion, are refused
+	// with CodeVersion.
+	for _, ver := range []int{1, 2, wire.MinVersion - 1} {
+		if r := hello(t, addr, ver); r.Err == nil || r.Err.Code != wire.CodeVersion {
+			t.Errorf("v%d hello answered with %+v, want %s", ver, r, wire.CodeVersion)
+		}
 	}
 }
 

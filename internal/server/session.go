@@ -33,12 +33,13 @@ const opIlaPoll = "_ilapoll"
 // rows for timeline scrubbing. Serialized by the actor like opIlaPoll.
 const opHistPoll = "_histpoll"
 
-// session is one attached design: a *zoomie.Session owned by a single
-// actor goroutine that drains a request channel. The actor is how the
-// server retrofits thread-safety onto the lock-free debugger — commands
-// for a session are serialized by construction (no mutexes threaded
-// through dbg), while different sessions run fully concurrently, so one
-// slow Snapshot cannot block anyone else's stepping.
+// session is one attached design: a Local — the facade session and the
+// state the op table works on — owned by a single actor goroutine that
+// drains a request channel. The actor is how the server retrofits
+// thread-safety onto the lock-free debugger — commands for a session are
+// serialized by construction (no mutexes threaded through dbg), while
+// different sessions run fully concurrently, so one slow Snapshot cannot
+// block anyone else's stepping.
 //
 // The actor also owns the session's survival: when its board fails (a
 // wedge, exhausted retries, unverifiable frames) it quarantines the
@@ -47,9 +48,10 @@ const opHistPoll = "_histpoll"
 // the failing command, all without the client noticing more than a slow
 // response.
 type session struct {
+	Local // zs swaps are mutex-guarded; the rest is actor-local
+
 	id     uint64
 	design string
-	zs     *zoomie.Session
 	srv    *Server
 
 	lease    *Lease
@@ -74,8 +76,6 @@ type session struct {
 
 	// Actor-local state (only the actor goroutine touches these).
 	lastPaused bool
-	lastSnap   *zoomie.DebugSnapshot
-	lastGood   *zoomie.DebugSnapshot // known-good full-scope snapshot: migration source, export base
 	replay     map[uint64]*replayRing
 }
 
@@ -111,14 +111,11 @@ func (r *replayRing) put(seq uint64, resp *wire.Response) {
 // task is one queued command with its completion callback. ctx is the
 // issuing connection's context: it is cancelled when that client's
 // connection dies, so the actor abandons the command mid-batch instead
-// of finishing cable work nobody will read. ver is the connection's
-// negotiated protocol version, used to downgrade typed error codes for
-// v1 clients.
+// of finishing cable work nobody will read.
 type task struct {
 	req   *wire.Request
 	reply func(*wire.Response)
 	ctx   context.Context
-	ver   int
 }
 
 // queueDepth bounds per-session pipelining; a full queue pushes back
@@ -127,9 +124,9 @@ const queueDepth = 64
 
 func newSession(id uint64, design string, zs *zoomie.Session, srv *Server) *session {
 	return &session{
+		Local:  Local{zs: zs, ctr: srv.ctr},
 		id:     id,
 		design: design,
-		zs:     zs,
 		srv:    srv,
 		reqs:   make(chan task, queueDepth),
 		quit:   make(chan struct{}),
@@ -139,7 +136,7 @@ func newSession(id uint64, design string, zs *zoomie.Session, srv *Server) *sess
 
 // enqueue hands a command to the actor. It never blocks: a torn-down
 // session reports CodeNoSession, a full queue CodeBusy.
-func (s *session) enqueue(ctx context.Context, ver int, req *wire.Request, reply func(*wire.Response)) *wire.Error {
+func (s *session) enqueue(ctx context.Context, req *wire.Request, reply func(*wire.Response)) *wire.Error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -149,7 +146,7 @@ func (s *session) enqueue(ctx context.Context, ver int, req *wire.Request, reply
 		return wire.Errf(wire.CodeNoSession, "no session %d", s.id)
 	}
 	select {
-	case s.reqs <- task{req: req, reply: reply, ctx: ctx, ver: ver}:
+	case s.reqs <- task{req: req, reply: reply, ctx: ctx}:
 		return nil
 	default:
 		return wire.Errf(wire.CodeBusy, "session %d: command queue full (%d pending)", s.id, queueDepth)
@@ -263,20 +260,6 @@ func housekeeping(op string) bool {
 	return op == opProbe || op == opIlaPoll || op == opHistPoll
 }
 
-// refreshGood brings the known-good snapshot — the full design state,
-// user design and Debug Controller registers alike — up to date with the
-// board, re-reading only the frames whose state changed since it was
-// last taken. It is the migration source and the base of every state
-// export.
-func (s *session) refreshGood(ctx context.Context) error {
-	snap, err := s.zs.RefreshSnapshot(ctx, s.lastGood)
-	if err != nil {
-		return err
-	}
-	s.lastGood = snap
-	return nil
-}
-
 // teardown closes the session exactly once: it marks the session dead
 // (new enqueues fail fast), answers every still-queued command with
 // CodeNoSession, unregisters from the server, calls ack if set, and
@@ -370,7 +353,7 @@ func (s *session) handle(t task) (*wire.Response, bool) {
 func (s *session) executeGood(t task) (*wire.Response, bool) {
 	resp, detach := s.execute(t)
 	if resp.Err != nil || detach || housekeeping(t.req.Op) ||
-		!wire.MutatingOp(t.req.Op) || s.injector.Load() == nil {
+		!Mutating(t.req.Op) || s.injector.Load() == nil {
 		return resp, detach
 	}
 	// Not the issuing connection's context: the snapshot is the session's
@@ -441,74 +424,22 @@ func (s *session) migrate(cause string) *wire.Error {
 	return nil
 }
 
-// execute runs one command. Board failures come back as CodeBoardFailed
-// so handle can migrate and retry; everything else is classified by
-// wire.CodeFor (typed debugger codes on v2+ connections, plain CodeOp on
-// v1). A cancelled issuing connection aborts cable work mid-batch and
-// reports CodeCancelled — never a board failure, so it cannot trigger a
-// spurious migration.
+// execute runs one command: the actor's housekeeping ops and detach
+// here, every session op through the op table. Board failures come back
+// as CodeBoardFailed so handle can migrate and retry.
 func (s *session) execute(t task) (*wire.Response, bool) {
 	req, ctx := t.req, t.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	resp := &wire.Response{ID: req.ID, Session: s.id}
-	fail := func(err error) (*wire.Response, bool) {
-		switch {
-		case ctx.Err() != nil || wire.CodeFor(err) == wire.CodeCancelled:
-			resp.Err = wire.Errf(wire.CodeCancelled, "%s", err)
-		case isBoardFailure(err):
-			resp.Err = wire.Errf(wire.CodeBoardFailed, "%s", err)
-		default:
-			code := wire.CodeFor(err)
-			if t.ver != 0 && t.ver < 2 && code != wire.CodeOp {
-				code = wire.CodeOp // v1 clients never saw typed codes
-			}
-			resp.Err = wire.Errf(code, "%s", err)
-		}
-		return resp, false
-	}
+	var err error
 	switch req.Op {
 	case opProbe:
 		atomic.AddInt64(&s.srv.stats.probes, 1)
-		if err := s.zs.HealthCheck(); err != nil {
+		if err = s.zs.HealthCheck(); err != nil {
 			atomic.AddInt64(&s.srv.stats.probeFailures, 1)
-			return fail(err)
 		}
 
 	case opIlaPoll:
-		meta := s.ilaMeta
-		if meta == nil {
-			return fail(fmt.Errorf("design %q has no ILA", s.design))
-		}
-		full, err := s.zs.Peek(meta.CtrlPrefix + ".full")
-		if err != nil {
-			return fail(err)
-		}
-		if full == 0 {
-			break // window still filling; the ticker will ask again
-		}
-		// One planned pass uploads the whole window — one readback per
-		// SLR, not one cable round trip per captured cycle.
-		items := make([]dbg.PlanItem, meta.Depth)
-		for i := range items {
-			items[i] = dbg.PlanItem{Name: meta.BufferName, Mem: true, Addr: i}
-		}
-		words, err := s.zs.ReadPlan(ctx, items)
-		if err != nil {
-			return fail(err)
-		}
-		rows := make([][]uint64, len(words))
-		for i, w := range words {
-			rows[i] = meta.DecodeVals(w)
-		}
-		if err := meta.Rearm(s.zs); err != nil {
-			return fail(err)
-		}
-		atomic.AddInt64(&s.srv.stats.ilaWindows, 1)
-		// The decoded window travels back through the Trace shape the
-		// stream layer converts into an EvtStream frame.
-		resp.Trace = &wire.Trace{Signals: meta.ProbeNames(), Rows: rows}
+		resp.Trace, err = s.pollILA(ctx)
 
 	case opHistPoll:
 		rows, next := s.zs.HistoryKeyframesSince(req.Value)
@@ -520,247 +451,45 @@ func (s *session) execute(t task) (*wire.Response, bool) {
 	case wire.OpDetach:
 		return resp, true
 
-	case wire.OpRun:
-		n := req.N
-		if n <= 0 {
-			n = 100
-		}
-		s.zs.Run(n)
-		resp.Ran = n
-		s.srv.ctr.cycles.Add(uint64(n))
-
-	case wire.OpPause:
-		if err := s.zs.Pause(); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpResume:
-		if err := s.zs.Resume(); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpStep:
-		n := req.N
-		if n <= 0 {
-			n = 1
-		}
-		if err := s.zs.Step(n); err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.cycles.Add(uint64(n))
-
-	case wire.OpUntil:
-		max := req.N
-		if max <= 0 {
-			max = 1 << 20
-		}
-		ran, err := s.zs.RunUntilPaused(max)
-		resp.Ran = ran
-		if err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.cycles.Add(uint64(ran))
-
-	case wire.OpPeek:
-		v, err := s.zs.PeekCtx(ctx, req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Value = v
-		s.srv.ctr.peeks.Inc()
-
-	case wire.OpPoke:
-		if err := s.zs.PokeCtx(ctx, req.Name, req.Value); err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.pokes.Inc()
-
-	case wire.OpPeekMem:
-		v, err := s.zs.PeekMemCtx(ctx, req.Name, req.Addr)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Value = v
-		s.srv.ctr.peeks.Inc()
-
-	case wire.OpPokeMem:
-		if err := s.zs.PokeMemCtx(ctx, req.Name, req.Addr, req.Value); err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.pokes.Inc()
-
-	case wire.OpPeekBatch:
-		items := make([]dbg.PlanItem, len(req.Items))
-		for i, it := range req.Items {
-			items[i] = dbg.PlanItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr}
-		}
-		// One planned pass for the whole batch: one readback per SLR the
-		// request set touches, however many names the client sent.
-		vals, err := s.zs.ReadPlan(ctx, items)
-		resp.Values = vals // partial-batch results travel with the error
-		if err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.peeks.Add(uint64(len(items)))
-
-	case wire.OpPokeBatch:
-		items := make([]dbg.PlanItem, len(req.Items))
-		for i, it := range req.Items {
-			items[i] = dbg.PlanItem{Name: it.Name, Mem: it.Mem, Addr: it.Addr, Value: it.Value}
-		}
-		if err := s.zs.WritePlan(ctx, items); err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.pokes.Add(uint64(len(items)))
-
-	case wire.OpBreak:
-		mode := zoomie.BreakAny
-		if req.Mode == "all" {
-			mode = zoomie.BreakAll
-		}
-		if err := s.zs.SetValueBreakpoint(req.Name, req.Value, mode); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpClearBrk:
-		if err := s.zs.ClearBreakpoints(); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpAssert:
-		if err := s.zs.EnableAssertion(req.Name, req.Enable); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpSnapSave:
-		snap, err := s.zs.SnapshotCtx(ctx, "dut")
-		if err != nil {
-			return fail(err)
-		}
-		s.lastSnap = snap
-		resp.Regs = len(snap.Regs)
-		resp.Mems = len(snap.Mems)
-		resp.Cycles = snap.Cycle
-
-	case wire.OpSnapRest:
-		if s.lastSnap == nil {
-			return fail(fmt.Errorf("no snapshot saved"))
-		}
-		if err := s.zs.RestoreCtx(ctx, s.lastSnap); err != nil {
-			return fail(err)
-		}
-
-	case wire.OpInspect:
-		lines, err := s.zs.Inspect(req.Prefix)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Lines = lines
-
-	case wire.OpTrace:
-		tr, err := s.zs.TraceStepsCtx(ctx, req.Signals, req.N)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Trace = &wire.Trace{Signals: tr.Signals, Widths: tr.Widths, Rows: tr.Rows}
-
-	case wire.OpInput:
-		if err := s.zs.PokeInput(req.Name, req.Value); err != nil {
-			return fail(err)
-		}
-		s.srv.ctr.pokes.Inc()
-
-	case wire.OpOutput:
-		v, err := s.zs.PeekOutput(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Value = v
-		s.srv.ctr.peeks.Inc()
-
-	case wire.OpHistSeek:
-		tl, err := s.zs.Seek(req.Value)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Ran = tl
-		resp.Cycles, _ = s.zs.Cycles()
-
-	case wire.OpHistRewind:
-		n := req.N
-		if n <= 0 {
-			n = 1
-		}
-		cyc, tl, err := s.zs.Rewind(uint64(n))
-		if err != nil {
-			return fail(err)
-		}
-		resp.Cycles = cyc
-		resp.Ran = tl
-
-	case wire.OpHistRevCont:
-		cyc, found, err := s.zs.ReverseContinue()
-		if err != nil {
-			return fail(err)
-		}
-		resp.Cycles = cyc
-		resp.Paused = found
-
-	case wire.OpHistSave:
-		regs, mems, cyc, err := s.zs.SaveState(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Regs = regs
-		resp.Mems = mems
-		resp.Cycles = cyc
-
-	case wire.OpHistLoad:
-		cyc, err := s.zs.LoadState(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Cycles = cyc
-
-	case wire.OpHistStat:
-		resp.Lines = s.zs.HistoryStatusLines()
-
-	case wire.OpHistTimelines:
-		resp.Lines = s.zs.TimelineLines()
-
-	case wire.OpStateExport:
-		// Checkpoint: the session's full-scope snapshot (Debug Controller
-		// registers included, so breakpoints and pause state travel) plus
-		// the encoded history engine, serialized and chunked into Lines.
-		// Runs on the actor like any command, so the blob is a consistent
-		// point-in-time cut between ops. The snapshot is the refreshed
-		// known-good one, so a checkpoint re-reads only what changed
-		// since the previous one.
-		if err := s.refreshGood(ctx); err != nil {
-			return fail(err)
-		}
-		blob, err := encodeExport(s.lastGood, s.zs.EncodeHistory())
-		if err != nil {
-			return fail(err)
-		}
-		resp.Lines = blob
-		resp.Cycles = s.lastGood.Cycle
-
-	case wire.OpSessStat:
-		paused, err := s.zs.Paused()
-		if err != nil {
-			return fail(err)
-		}
-		cycles, err := s.zs.Cycles()
-		if err != nil {
-			return fail(err)
-		}
-		resp.Paused = paused
-		resp.Cycles = cycles
-		resp.ElapsedNS = s.zs.Elapsed().Nanoseconds()
-
 	default:
-		resp.Err = wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)
+		resp, _ = s.Do(ctx, req)
+		return resp, false
+	}
+	if err != nil {
+		resp.Err = classify(ctx, err)
 	}
 	return resp, false
+}
+
+// pollILA checks whether the capture window completed; if so it uploads
+// it in one planned pass — one readback per SLR, not one cable round trip
+// per captured cycle — re-arms the trigger and returns the decoded
+// window in the Trace shape the stream layer converts into an EvtStream
+// frame. A window still filling returns nil; the ticker asks again.
+func (s *session) pollILA(ctx context.Context) (*wire.Trace, error) {
+	meta := s.ilaMeta
+	if meta == nil {
+		return nil, fmt.Errorf("design %q has no ILA", s.design)
+	}
+	full, err := s.zs.Peek(meta.CtrlPrefix + ".full")
+	if err != nil || full == 0 {
+		return nil, err
+	}
+	items := make([]dbg.PlanItem, meta.Depth)
+	for i := range items {
+		items[i] = dbg.PlanItem{Name: meta.BufferName, Mem: true, Addr: i}
+	}
+	words, err := s.zs.ReadPlan(ctx, items)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]uint64, len(words))
+	for i, w := range words {
+		rows[i] = meta.DecodeVals(w)
+	}
+	if err := meta.Rearm(s.zs); err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&s.srv.stats.ilaWindows, 1)
+	return &wire.Trace{Signals: meta.ProbeNames(), Rows: rows}, nil
 }

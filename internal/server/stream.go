@@ -282,7 +282,7 @@ func (st *stream) runCompile() {
 // session is gone. A full actor queue just skips this round — streaming
 // yields to the client's own commands, never the other way around.
 func (st *stream) pollILA() bool {
-	werr := st.sess.enqueue(context.Background(), wire.Version,
+	werr := st.sess.enqueue(context.Background(),
 		&wire.Request{Op: opIlaPoll}, func(resp *wire.Response) {
 			if resp.Err != nil || resp.Trace == nil || len(resp.Trace.Rows) == 0 {
 				return
@@ -318,7 +318,7 @@ func (st *stream) pollHistory() bool {
 	st.polling = true
 	gen := st.gen
 	st.mu.Unlock()
-	werr := st.sess.enqueue(context.Background(), wire.Version,
+	werr := st.sess.enqueue(context.Background(),
 		&wire.Request{Op: opHistPoll, Value: gen}, func(resp *wire.Response) {
 			st.mu.Lock()
 			st.polling = false

@@ -227,28 +227,6 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-// TestStreamVersionGate checks that stream ops are v3-only: a v2
-// connection gets the same CodeUnknownOp an old server would produce,
-// and the client helper refuses locally with a version error.
-func TestStreamVersionGate(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 1})
-	c, err := client.DialOptions(addr, client.Options{ProtocolVersion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != 2 {
-		t.Fatalf("negotiated v%d, want 2", c.Version())
-	}
-	if _, err := c.OpenStream(wire.StreamCounters, 0, 0, 0); !wire.IsCode(err, wire.CodeVersion) {
-		t.Errorf("client-side gate: %v, want CodeVersion", err)
-	}
-	_, err = c.Call(&wire.Request{Op: wire.OpStreamOpen, Name: wire.StreamCounters})
-	if !wire.IsCode(err, wire.CodeUnknownOp) {
-		t.Errorf("raw stream op on v2 conn: %v, want CodeUnknownOp", err)
-	}
-}
-
 // TestStreamErrors covers the open/credit/close edge cases: unknown
 // stream ids, unknown kinds, ILA streams on ILA-less designs or dead
 // sessions.
@@ -308,51 +286,14 @@ func TestStreamErrors(t *testing.T) {
 	st.Close() // best effort; the stream may already be torn down
 }
 
-// TestV3ClientV2ServerDowngrade emulates a mixed fleet: a current client
-// dialing an older (pre-binary-codec) server negotiates v2, speaks JSON
-// in both directions, and keeps the full typed-error contract — unwrap
-// to dberr sentinels included — while v3-only surfaces degrade cleanly.
-func TestV3ClientV2ServerDowngrade(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 1, ProtocolCeiling: 2})
-	c, err := client.Dial(addr) // offers wire.Version (3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != 2 {
-		t.Fatalf("negotiated v%d against v2 server, want 2", c.Version())
-	}
-	sess, err := c.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Pause(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Poke("cnt", 77); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := sess.Peek("cnt"); err != nil || v != 77 {
-		t.Fatalf("peek over downgraded conn = %d, %v", v, err)
-	}
-	// Typed errors still classify and unwrap on v2.
-	_, err = sess.PeekMem("cnt", 0)
-	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeIsRegister {
-		t.Errorf("typed code lost in downgrade: %v", err)
-	}
-	if _, err := c.OpenStream(wire.StreamCounters, 0, 0, 0); !wire.IsCode(err, wire.CodeVersion) {
-		t.Errorf("stream on downgraded conn: %v, want CodeVersion", err)
-	}
-}
-
-// TestMixedFleetMidChaos runs one chaos-enabled v3 server and one
-// v2-capped server side by side, severing the v3 client's connection
-// mid-session: the reconnect renegotiates, replays, and typed errors
-// keep classifying identically across the fleet's protocol versions.
-func TestMixedFleetMidChaos(t *testing.T) {
+// TestReconnectStreamReopenTypedCodes runs two daemons side by side and
+// severs one client's connection mid-session: the reconnect replays the
+// in-flight peek, a stream open across the cut dies cleanly and reopens
+// on the fresh connection, and typed errors classify identically on
+// both daemons.
+func TestReconnectStreamReopenTypedCodes(t *testing.T) {
 	_, addr3 := startServer(t, server.Config{PoolSize: 1})
-	_, addr2 := startServer(t, server.Config{PoolSize: 1, ProtocolCeiling: 2})
+	_, addr2 := startServer(t, server.Config{PoolSize: 1})
 
 	proxy := newFlakyProxy(t, addr3)
 	c3, err := client.DialOptions(proxy.addr(), client.Options{
@@ -384,7 +325,7 @@ func TestMixedFleetMidChaos(t *testing.T) {
 		}
 	}
 
-	// A stream is open on the v3 connection when the cable is cut; it
+	// A stream is open on the severed connection when the cable is cut; it
 	// must die cleanly (Recv reports closed) and be reopenable after the
 	// reconnect, not wedge the client.
 	st, err := c3.OpenStream(wire.StreamCounters, 0, 0, 5)
@@ -412,15 +353,15 @@ func TestMixedFleetMidChaos(t *testing.T) {
 	}
 	st2.Close()
 
-	// Identical misuse classifies identically fleet-wide, and both
-	// unwrap to the same sentinel despite the codec difference.
+	// Identical misuse classifies identically on both daemons, and both
+	// errors unwrap to the same sentinel.
 	_, err3 := s3.PeekMem("cnt", 0)
 	_, err2 := s2.PeekMem("cnt", 0)
 	var we3, we2 *wire.Error
 	if !errors.As(err3, &we3) || !errors.As(err2, &we2) || we3.Code != we2.Code {
-		t.Errorf("fleet disagreed on typed code: v3=%v v2=%v", err3, err2)
+		t.Errorf("daemons disagreed on typed code: %v vs %v", err3, err2)
 	}
 	if !errors.Is(err3, we3.Unwrap()) || we3.Unwrap() == nil {
-		t.Errorf("v3 error does not unwrap to its sentinel: %v", err3)
+		t.Errorf("error does not unwrap to its sentinel: %v", err3)
 	}
 }

@@ -1,8 +1,7 @@
-// Binary framing for protocol version 3.
+// Binary framing: every frame after the JSON hello.
 //
-// A v3 frame keeps the v1/v2 transport shape — 4-byte big-endian payload
-// length, bounded by MaxFrame — but the payload is a tagged binary body
-// instead of JSON:
+// A frame is a 4-byte big-endian payload length, bounded by MaxFrame,
+// and a tagged binary body:
 //
 //	payload := kind body
 //	kind    := 'Q' (request) | 'S' (response) | 'E' (event)
@@ -14,8 +13,8 @@
 // names, error codes, event kinds) are table-coded with code 0 escaping
 // to a literal string so arbitrary messages survive a round trip. The
 // presence rule matches encoding/json's omitempty — a zero field is
-// absent — so a message crossing a v2 (JSON) hop and a v3 (binary) hop
-// decodes identically.
+// absent — so a message decodes identically from a JSON frame (the
+// hello) and a binary one.
 //
 // The codec is built for the hot path: Encoder appends frames to one
 // pooled buffer and writes them with a single Write (writev-style
@@ -37,8 +36,8 @@ import (
 )
 
 // Frame kind tags (first payload byte). Chosen to collide with nothing a
-// JSON payload can start with, so a codec mismatch fails loudly in the
-// envelope check instead of misparsing.
+// JSON payload can start with, so a peer still speaking JSON fails loudly
+// in the envelope check instead of misparsing.
 const (
 	kindReq  = 'Q'
 	kindResp = 'S'
@@ -1152,28 +1151,22 @@ func (r *reader) event(e *Event) error {
 
 // ---- Encoder / Decoder ----
 
-// Encoder writes frames in the negotiated protocol version, coalescing
-// queued frames into a single Write (the userspace analogue of writev).
-// It owns a reusable buffer, so steady-state encoding allocates nothing.
-// Not safe for concurrent use; callers serialize (the server's per-conn
-// write mutex, the client's writeMu).
+// Encoder writes binary frames, coalescing queued frames into a single
+// Write (the userspace analogue of writev). It owns a reusable buffer, so
+// steady-state encoding allocates nothing. Not safe for concurrent use;
+// callers serialize (the server's per-conn write mutex, the client's
+// writeMu).
 type Encoder struct {
 	w   io.Writer
-	ver int
 	buf []byte
 }
 
-// NewEncoder returns an encoder speaking the given protocol version
-// (1/2 = length-prefixed JSON, 3+ = binary).
-func NewEncoder(w io.Writer, ver int) *Encoder {
-	return &Encoder{w: w, ver: ver, buf: make([]byte, 0, 1024)}
+// NewEncoder returns a binary-frame encoder. The version argument is
+// unused: every protocol version still spoken (MinVersion..Version)
+// frames in binary after the hello.
+func NewEncoder(w io.Writer, _ int) *Encoder {
+	return &Encoder{w: w, buf: make([]byte, 0, 1024)}
 }
-
-// SetVersion switches the codec — called once after version negotiation.
-func (e *Encoder) SetVersion(ver int) { e.ver = ver }
-
-// Version returns the protocol version the encoder speaks.
-func (e *Encoder) Version() int { return e.ver }
 
 // Reset points the encoder at a new connection (client reconnect).
 func (e *Encoder) Reset(w io.Writer) { e.w = w; e.buf = e.buf[:0] }
@@ -1183,20 +1176,8 @@ func (e *Encoder) Reset(w io.Writer) { e.w = w; e.buf = e.buf[:0] }
 // event bursts) into one syscall.
 func (e *Encoder) Queue(m *Message) error {
 	var err error
-	if e.ver >= 3 {
-		e.buf, err = AppendMessage(e.buf, m)
-		return err
-	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(payload)))
-	e.buf = append(e.buf, payload...)
-	return nil
+	e.buf, err = AppendMessage(e.buf, m)
+	return err
 }
 
 // Flush writes every queued frame with a single Write and returns the
@@ -1223,15 +1204,13 @@ func (e *Encoder) Encode(m *Message) (int, error) {
 	return e.Flush()
 }
 
-// Decoder reads frames in the negotiated protocol version. It reuses its
-// payload buffer across frames and interns repeated strings; with
+// Decoder reads binary frames. It reuses its payload buffer across frames and interns repeated strings; with
 // SetReuse(true) it also reuses the message structs themselves, making
 // steady-state decode of the peek/poke hot path allocation-free (the
 // returned message is then only valid until the next call). Not safe for
 // concurrent use.
 type Decoder struct {
 	r      io.Reader
-	ver    int
 	buf    []byte
 	intern map[string]string
 	reuse  bool
@@ -1245,16 +1224,11 @@ type Decoder struct {
 	hdr [4]byte
 }
 
-// NewDecoder returns a decoder speaking the given protocol version.
-func NewDecoder(r io.Reader, ver int) *Decoder {
-	return &Decoder{r: r, ver: ver, intern: make(map[string]string)}
+// NewDecoder returns a binary-frame decoder. The version argument is
+// unused, as for NewEncoder.
+func NewDecoder(r io.Reader, _ int) *Decoder {
+	return &Decoder{r: r, intern: make(map[string]string)}
 }
-
-// SetVersion switches the codec — called once after version negotiation.
-func (d *Decoder) SetVersion(ver int) { d.ver = ver }
-
-// Version returns the protocol version the decoder speaks.
-func (d *Decoder) Version() int { return d.ver }
 
 // Reset points the decoder at a new connection (client reconnect).
 func (d *Decoder) Reset(r io.Reader) { d.r = r }
@@ -1292,16 +1266,6 @@ func (d *Decoder) Next() (*Message, int, error) {
 		}
 		return nil, 4, err
 	}
-	if d.ver < 3 {
-		var m Message
-		if err := json.Unmarshal(payload, &m); err != nil {
-			return nil, 4 + int(n), fmt.Errorf("wire: decode: %w", err)
-		}
-		if err := m.check(); err != nil {
-			return nil, 4 + int(n), err
-		}
-		return &m, 4 + int(n), nil
-	}
 	m, req, resp, evt := &d.m, &d.req, &d.resp, &d.evt
 	if !d.reuse {
 		m, req, resp, evt = &Message{}, &Request{}, &Response{}, &Event{}
@@ -1327,14 +1291,11 @@ var msgBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 2048); return &b },
 }
 
-// WriteMessageV encodes one message as a frame of the given protocol
-// version and returns the bytes written. The version-dispatching cousin
-// of WriteMessage, sharing its pooled buffer: one Write, no per-frame
-// allocation in steady state.
-func WriteMessageV(w io.Writer, m *Message, ver int) (int, error) {
-	if ver < 3 {
-		return WriteMessage(w, m)
-	}
+// WriteMessageV encodes one message as a binary frame and returns the
+// bytes written: the binary cousin of WriteMessage, sharing its pooled
+// buffer — one Write, no per-frame allocation in steady state. The
+// version argument is unused, as for NewEncoder.
+func WriteMessageV(w io.Writer, m *Message, _ int) (int, error) {
 	bp := msgBufPool.Get().(*[]byte)
 	buf, err := AppendMessage((*bp)[:0], m)
 	if err != nil {
@@ -1347,13 +1308,11 @@ func WriteMessageV(w io.Writer, m *Message, ver int) (int, error) {
 	return n, err
 }
 
-// ReadMessageV decodes one frame of the given protocol version — the
-// version-dispatching cousin of ReadMessage. Each call allocates a fresh
-// message; loops that care about allocation use a Decoder.
-func ReadMessageV(r io.Reader, ver int) (*Message, int, error) {
-	if ver < 3 {
-		return ReadMessage(r)
-	}
+// ReadMessageV decodes one binary frame — the binary cousin of
+// ReadMessage. Each call allocates a fresh message; loops that care about
+// allocation use a Decoder. The version argument is unused, as for
+// NewEncoder.
+func ReadMessageV(r io.Reader, _ int) (*Message, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {

@@ -73,17 +73,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCrossCodec checks semantic equivalence between the JSON and
-// binary codecs: a message encoded in one and re-encoded in the other
-// must decode to the same value. This is the property that lets a
-// message cross a v2 hop and a v3 hop unchanged.
+// TestBinaryCrossCodec checks semantic equivalence between the JSON
+// codec of the hello and the binary codec of every later frame: a
+// message encoded in one and re-encoded in the other must decode to the
+// same value.
 func TestBinaryCrossCodec(t *testing.T) {
 	for _, m := range codecMessages() {
 		var jb bytes.Buffer
-		if _, err := WriteMessageV(&jb, m, 2); err != nil {
+		if _, err := WriteMessage(&jb, m); err != nil {
 			t.Fatalf("json encode: %v", err)
 		}
-		viaJSON, _, err := ReadMessageV(&jb, 2)
+		viaJSON, _, err := ReadMessage(&jb)
 		if err != nil {
 			t.Fatalf("json decode: %v", err)
 		}
@@ -105,34 +105,32 @@ func TestBinaryCrossCodec(t *testing.T) {
 // a byte stream that decodes back to the same sequence.
 func TestEncoderCoalescing(t *testing.T) {
 	msgs := codecMessages()
-	for _, ver := range []int{2, 3} {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, ver)
-		for _, m := range msgs {
-			if err := enc.Queue(m); err != nil {
-				t.Fatalf("v%d queue: %v", ver, err)
-			}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, Version)
+	for _, m := range msgs {
+		if err := enc.Queue(m); err != nil {
+			t.Fatalf("queue: %v", err)
 		}
-		n, err := enc.Flush()
+	}
+	n, err := enc.Flush()
+	if err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n != buf.Len() {
+		t.Fatalf("flush reported %d bytes, wrote %d", n, buf.Len())
+	}
+	dec := NewDecoder(&buf, Version)
+	for i, want := range msgs {
+		got, _, err := dec.Next()
 		if err != nil {
-			t.Fatalf("v%d flush: %v", ver, err)
+			t.Fatalf("decode frame %d: %v", i, err)
 		}
-		if n != buf.Len() {
-			t.Fatalf("v%d flush reported %d bytes, wrote %d", ver, n, buf.Len())
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d mismatch:\n got %s\nwant %s", i, dump(got), dump(want))
 		}
-		dec := NewDecoder(&buf, ver)
-		for i, want := range msgs {
-			got, _, err := dec.Next()
-			if err != nil {
-				t.Fatalf("v%d decode frame %d: %v", ver, i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("v%d frame %d mismatch:\n got %s\nwant %s", ver, i, dump(got), dump(want))
-			}
-		}
-		if _, _, err := dec.Next(); err != io.EOF {
-			t.Fatalf("v%d expected EOF after last frame, got %v", ver, err)
-		}
+	}
+	if _, _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
 
@@ -219,9 +217,9 @@ func benchBatchResp() *Message {
 	return Resp(&Response{ID: 12345, Values: vals})
 }
 
-func benchmarkEncode(b *testing.B, ver int, m *Message) {
+func benchmarkEncode(b *testing.B, m *Message) {
 	w := &discard{}
-	enc := NewEncoder(w, ver)
+	enc := NewEncoder(w, Version)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -232,15 +230,15 @@ func benchmarkEncode(b *testing.B, ver int, m *Message) {
 	b.SetBytes(int64(w.n / b.N))
 }
 
-func benchmarkDecode(b *testing.B, ver int, m *Message) {
+func benchmarkDecode(b *testing.B, m *Message) {
 	var one bytes.Buffer
-	enc := NewEncoder(&one, ver)
+	enc := NewEncoder(&one, Version)
 	if _, err := enc.Encode(m); err != nil {
 		b.Fatal(err)
 	}
 	frame := one.Bytes()
 	r := bytes.NewReader(frame)
-	dec := NewDecoder(r, ver)
+	dec := NewDecoder(r, Version)
 	dec.SetReuse(true)
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
@@ -254,22 +252,12 @@ func benchmarkDecode(b *testing.B, ver int, m *Message) {
 	}
 }
 
-func BenchmarkWireEncodeV2(b *testing.B) {
-	b.Run("peek", func(b *testing.B) { benchmarkEncode(b, 2, benchPeekReq()) })
-	b.Run("batch64", func(b *testing.B) { benchmarkEncode(b, 2, benchBatchResp()) })
-}
-
 func BenchmarkWireEncodeV3(b *testing.B) {
-	b.Run("peek", func(b *testing.B) { benchmarkEncode(b, 3, benchPeekReq()) })
-	b.Run("batch64", func(b *testing.B) { benchmarkEncode(b, 3, benchBatchResp()) })
-}
-
-func BenchmarkWireDecodeV2(b *testing.B) {
-	b.Run("peek", func(b *testing.B) { benchmarkDecode(b, 2, benchPeekReq()) })
-	b.Run("batch64", func(b *testing.B) { benchmarkDecode(b, 2, benchBatchResp()) })
+	b.Run("peek", func(b *testing.B) { benchmarkEncode(b, benchPeekReq()) })
+	b.Run("batch64", func(b *testing.B) { benchmarkEncode(b, benchBatchResp()) })
 }
 
 func BenchmarkWireDecodeV3(b *testing.B) {
-	b.Run("peek", func(b *testing.B) { benchmarkDecode(b, 3, benchPeekReq()) })
-	b.Run("batch64", func(b *testing.B) { benchmarkDecode(b, 3, benchBatchResp()) })
+	b.Run("peek", func(b *testing.B) { benchmarkDecode(b, benchPeekReq()) })
+	b.Run("batch64", func(b *testing.B) { benchmarkDecode(b, benchBatchResp()) })
 }

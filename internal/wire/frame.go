@@ -18,11 +18,10 @@ const MaxFrame = 8 << 20
 // ErrFrameTooLarge is returned when a length prefix exceeds MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// WriteMessage encodes one message as a length-prefixed JSON frame and
-// returns the number of bytes written. The prefix+payload staging buffer
-// comes from a pool shared with the v3 path, so even legacy JSON peers
-// pay no per-frame buffer allocation (json.Marshal itself still
-// allocates the payload; v3 removes that too).
+// WriteMessage encodes one message as a length-prefixed JSON frame — the
+// hello's encoding — and returns the number of bytes written. The
+// prefix+payload staging buffer comes from a pool shared with the binary
+// path.
 func WriteMessage(w io.Writer, m *Message) (int, error) {
 	payload, err := json.Marshal(m)
 	if err != nil {
@@ -40,7 +39,7 @@ func WriteMessage(w io.Writer, m *Message) (int, error) {
 	return n, err
 }
 
-// ReadMessage decodes one frame. It returns the message, the number of
+// ReadMessage decodes one JSON frame (a hello). It returns the message, the number of
 // bytes consumed, and an error. Truncated input yields io.EOF (clean
 // close between frames) or io.ErrUnexpectedEOF (mid-frame); oversized
 // length prefixes yield ErrFrameTooLarge before any payload allocation;
@@ -76,6 +75,33 @@ func ReadMessage(r io.Reader) (*Message, int, error) {
 		return nil, 4 + int(n), err
 	}
 	return &m, 4 + int(n), nil
+}
+
+// ServeHello serves the hello that must open every connection, for
+// zoomied and zfleet alike. It reads the first frame and refuses it with
+// CodeBadRequest unless it is an OpHello, or with CodeVersion when the
+// hello offers less than MinVersion; any other hello is answered with
+// Version and the client id assign returns for the one the hello
+// presented (0 on a first connect). Replies go out through write before
+// ServeHello returns, so a refused client reads the reason before the
+// connection closes. It returns the bytes read and whether the
+// connection goes on in the binary codec.
+func ServeHello(r io.Reader, write func(*Message), assign func(cid uint64) uint64) (int, bool) {
+	m, n, err := ReadMessage(r)
+	if err != nil {
+		return n, false
+	}
+	if m.T != TReq || m.Req.Op != OpHello {
+		write(Resp(&Response{Err: Errf(CodeBadRequest, "first frame must be %q", OpHello)}))
+		return n, false
+	}
+	if m.Req.Version < MinVersion {
+		write(Resp(&Response{ID: m.Req.ID, Err: Errf(CodeVersion,
+			"protocol version %d, server speaks %d", m.Req.Version, Version)}))
+		return n, false
+	}
+	write(Resp(&Response{ID: m.Req.ID, Version: Version, Client: assign(m.Req.Client)}))
+	return n, true
 }
 
 // check validates the envelope discriminator against its payload.

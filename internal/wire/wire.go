@@ -1,15 +1,17 @@
-// Package wire is the zoomied debug protocol: a small length-prefixed
-// JSON framing plus the request/response/event message set spoken between
-// the debug server (internal/server) and its clients (internal/client,
+// Package wire is the zoomied debug protocol: the request/response/event
+// message set spoken between the debug server (internal/server, and the
+// zfleet coordinator in front of it) and its clients (internal/client,
 // cmd/zoomie -connect). It is the network analogue of the gdb remote
-// serial protocol for Zoomie's debugger — every Session operation of the
-// facade has a wire op, so a remote REPL is command-for-command
-// equivalent to the in-process one.
+// serial protocol for Zoomie's debugger — every session op of the facade
+// has a wire op, so a remote REPL is command-for-command equivalent to
+// the in-process one.
 //
-// The protocol is deliberately boring: one frame = 4-byte big-endian
-// length + JSON. Requests carry a client-chosen id echoed by the matching
-// response, so clients may pipeline; events (breakpoint hits, idle
-// detaches) arrive unsolicited on the same connection for subscribers.
+// Every frame is a 4-byte big-endian length and a payload. The first
+// frame each way is the hello, in JSON (ServeHello answers it for every
+// server); every frame after it uses the binary codec in binary.go.
+// Requests carry a client-chosen id echoed by the matching response, so
+// clients may pipeline; events (breakpoint hits, idle detaches) arrive
+// unsolicited on the same connection for subscribers.
 package wire
 
 import (
@@ -20,37 +22,33 @@ import (
 	"zoomie/internal/dberr"
 )
 
-// Version is the newest protocol version this build speaks. The first
-// frame on a connection must be an OpHello request carrying the client's
-// version; the server answers with min(client, server) as long as the
-// client is at least MinVersion, and both sides speak the negotiated
-// version thereafter. Clients below MinVersion are refused with
-// CodeVersion so they fail fast instead of misparsing.
+// Version is the protocol version this build speaks. The first frame on
+// a connection must be an OpHello request carrying the client's version;
+// a client offering less than MinVersion is refused with CodeVersion so
+// it fails fast instead of misparsing, and every other hello is answered
+// with Version.
 //
 // Version history:
 //
-//	1 — initial protocol (PR 2/3).
+//	1 — initial protocol, length-prefixed JSON frames.
 //	2 — batched data plane: OpPeekBatch/OpPokeBatch with Request.Items/
 //	    Values and Response.Values, plus typed debugger error codes
 //	    (CodeUnknownState … CodeCancelled) that unwrap to dberr
 //	    sentinels client-side.
-//	3 — binary framing and the stream channel. After the (always-JSON)
-//	    hello exchange, a v3-negotiated connection switches both
-//	    directions to the pooled varint codec in binary.go: same
-//	    4-byte length prefix, but the payload is a tagged binary body
-//	    instead of JSON — no reflection, no per-frame allocations on
-//	    the peek/poke hot path (see Encoder/Decoder). v3 also adds the
-//	    flow-controlled stream ops (OpStreamOpen/Credit/Close) and the
-//	    EvtStream event frames that carry aggregated counter deltas and
-//	    ILA capture windows server→client. v1/v2 peers negotiate down
-//	    and keep speaking length-prefixed JSON byte-for-byte.
+//	3 — binary framing and the stream channel. After the JSON hello
+//	    exchange both directions switch to the pooled varint codec in
+//	    binary.go: the same 4-byte length prefix, but a tagged binary
+//	    body instead of JSON — no reflection, no per-frame allocations
+//	    on the peek/poke hot path (see Encoder/Decoder). v3 also adds
+//	    the flow-controlled stream ops (OpStreamOpen/Credit/Close) and
+//	    the EvtStream event frames that carry aggregated counter deltas
+//	    and ILA capture windows server→client.
+//
+// Versions 1 and 2 are retired: no server negotiates down to them.
 const Version = 3
 
-// MinVersion is the oldest protocol version the server still accepts. A
-// v1 client negotiates down: batch ops are unavailable (CodeUnknownOp)
-// and errors arrive as plain CodeOp, but every v1 op behaves
-// identically.
-const MinVersion = 1
+// MinVersion is the oldest protocol version a server accepts in a hello.
+const MinVersion = 3
 
 // Message is the frame envelope: exactly one of Req, Resp, Evt is set,
 // discriminated by T.
@@ -149,20 +147,6 @@ const (
 	OpCompileStatus = "compilestatus" // Value job id (0 = all) -> Lines, Ran
 	OpCompileCancel = "compilecancel" // Value job id -> Lines
 )
-
-// MutatingOp reports whether a session-scoped op can change daemon-side
-// session state: zfleet journals these for deterministic re-execution
-// after a failover, and a daemon refreshes its known-good snapshot after
-// them. Unknown ops count as mutating.
-func MutatingOp(op string) bool {
-	switch op {
-	case OpPeek, OpPeekMem, OpPeekBatch, OpOutput,
-		OpInspect, OpSessStat, OpHistStat, OpHistTimelines,
-		OpStateExport:
-		return false
-	}
-	return true
-}
 
 // Stream kinds for OpStreamOpen's Name field.
 const (
