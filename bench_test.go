@@ -6,6 +6,7 @@ package zoomie_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"zoomie"
@@ -403,6 +404,41 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHistorySeek measures the host time of a seek: the 48-core
+// SoC, cores enabled, records 8,000 cycles, then every iteration seeks to
+// a seeded cycle 10-7,010 cycles behind the tip. seek_us is the wall time
+// per seek, from the cycle lookup and state reconstruction through the
+// frame writes the simulator applies; the modeled cable time of the same
+// seeks is zperf's timetravel_local.
+func BenchmarkHistorySeek(b *testing.B) {
+	sess, err := zoomie.Debug(workloads.ManycoreSoC(48), zoomie.DebugConfig{
+		History: &zoomie.HistoryConfig{MaxKeyframes: 256},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.PokeInput("en", 1); err != nil {
+		b.Fatal(err)
+	}
+	sess.Run(8000)
+	if err := sess.Pause(); err != nil {
+		b.Fatal(err)
+	}
+	tip, err := sess.Cycles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Seek(tip - 10 - uint64(rng.Intn(7001))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "seek_us")
 }
 
 // BenchmarkSVAMonitorCompile measures assertion-to-FSM compilation.

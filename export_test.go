@@ -1,5 +1,7 @@
 package zoomie
 
+import "zoomie/internal/history"
+
 // CheckHistoryMirror exposes the history engine's live-mirror check to
 // the external tests.
 func (s *Session) CheckHistoryMirror() error { return s.hist.CheckMirror() }
@@ -10,3 +12,7 @@ func (s *Session) LiveDiff(snap *DebugSnapshot) (regs []string, words map[string
 	d := s.hist.LiveDiff(snap.Regs, snap.Mems)
 	return d.Regs, d.Words
 }
+
+// HistoryEngine exposes the session's history engine to the external
+// tests.
+func (s *Session) HistoryEngine() *history.Engine { return s.hist }

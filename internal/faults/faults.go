@@ -281,14 +281,6 @@ func (in *Injector) roll() float64 {
 	return f
 }
 
-// bit draws a random bit index in [0, 32).
-func (in *Injector) bit() int {
-	in.mu.Lock()
-	b := in.rng.Intn(32)
-	in.mu.Unlock()
-	return b
-}
-
 // op runs the per-operation checks shared by every backend call: wedge
 // accounting, transient errors, latency spikes.
 func (in *Injector) op() error {
@@ -312,15 +304,19 @@ func (in *Injector) op() error {
 }
 
 // corrupt flips one random bit in each word selected by rate, returning
-// the number of flips. The slice is modified in place.
+// the number of flips. The slice is modified in place. It holds the RNG
+// lock for the whole frame, drawing per word the roll and, on a flip, the
+// bit index.
 func (in *Injector) corrupt(data []uint32, rate float64) int64 {
 	if rate <= 0 {
 		return 0
 	}
 	var flips int64
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	for i := range data {
-		if in.roll() < rate {
-			data[i] ^= 1 << uint(in.bit())
+		if in.rng.Float64() < rate {
+			data[i] ^= 1 << uint(in.rng.Intn(32))
 			flips++
 		}
 	}

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -308,6 +310,32 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical fault traces")
+	}
+}
+
+// TestCorruptDrawSequence pins where seeded read flips land: per word, one
+// uniform roll and, on a flip, one bit index, drawn from the profile's
+// seeded source in that order. Reading a frame under one lock must not
+// move a single fault of a seeded run.
+func TestCorruptDrawSequence(t *testing.T) {
+	const rate = 0.3
+	in, mb := bind(t, Profile{Seed: 11, ReadFlip: rate}, 8)
+	ref := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		f := i % 8
+		got, err := in.ReadFrame(0, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]uint32(nil), mb.frames[f]...)
+		for w := range want {
+			if ref.Float64() < rate {
+				want[w] ^= 1 << uint(ref.Intn(32))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %d of frame %d: %#x, the seeded draw sequence gives %#x", i, f, got, want)
+		}
 	}
 }
 

@@ -132,6 +132,47 @@ func TestFleetFailoverKill(t *testing.T) {
 	}
 }
 
+// TestFleetFailoverAfterFailedUntil pins that zfleet journals a mutating
+// command the daemon ran even when it failed: `until` with no trigger
+// armed runs its ticks and then reports that no trigger fired. Killing
+// the home daemon after it must fail over to the cycle the design had
+// reached, which only a replay of the until reproduces.
+func TestFleetFailoverAfterFailedUntil(t *testing.T) {
+	script := func(kill bool) uint64 {
+		_, fa, injs := injectedFleet(t, 2, fleet.Config{CheckpointEvery: 100})
+		c, err := client.Dial(fa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		s, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Step(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunUntilPaused(50); err == nil {
+			t.Fatal("until 50 with no trigger armed succeeded")
+		}
+		if kill {
+			injs[0].Kill()
+		}
+		_, cycles, _, err := s.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cycles
+	}
+	want := script(false)
+	if got := script(true); got != want {
+		t.Fatalf("after a failed until and a failover the design is at cycle %d, want %d", got, want)
+	}
+}
+
 // TestFleetFailoverIdleKick verifies the heartbeat path: a session that
 // is sitting idle when its daemon dies is failed over proactively by
 // the lease loop, not lazily at its next command.

@@ -208,7 +208,9 @@ func (fs *fsession) handle(r *fsreq) {
 
 	resp := fs.forward(r.ctx, req)
 	fs.replayStore(req, resp)
-	if resp.Err == nil && server.Mutating(req.Op) {
+	// A mutating op that failed after it ran, such as an until whose
+	// trigger never fired, changed state too, so a failover must replay it.
+	if (resp.Err == nil || resp.Err.OpFailed()) && server.Mutating(req.Op) {
 		fs.mu.Lock()
 		fs.journal = append(fs.journal, copyReq(req))
 		n := len(fs.journal)

@@ -26,15 +26,18 @@ type Image struct {
 	Gates map[string]string
 }
 
-// frameItem is one piece of state intersecting a configuration frame.
+// frameItem is one piece of state intersecting a configuration frame,
+// resolved to the simulator when the image is configured.
 type frameItem struct {
-	// For registers: reg is non-empty. For memories: mem plus the word
-	// range [w0, w1) stored in this frame.
-	reg    string
+	// ref is a register's simulator slot or a memory's simulator id.
+	ref   int32
+	isMem bool
+
+	// A register: width bits at bitOff.
 	width  int
 	bitOff int
 
-	mem    string
+	// A memory: the words [w0, w1) stored in this frame.
 	memLoc MemLoc
 	w0, w1 int
 }
@@ -48,6 +51,10 @@ type Board struct {
 	Sim    *sim.Simulator
 
 	frames map[[2]int][]frameItem // (slr, frame) -> state items
+
+	// Scratch for WriteFrame's batch.
+	wregs []sim.RegDelta
+	wmems []sim.MemDelta
 
 	clockRunning bool
 	gsrMask      *Region // non-nil: GSR and readback restricted to region
@@ -89,6 +96,9 @@ func (b *Board) Configure(img *Image) error {
 	return nil
 }
 
+// indexFrames lists the state items of every frame, each resolved to its
+// simulator slot or memory, so frame reads and writes look nothing up by
+// name.
 func (b *Board) indexFrames() error {
 	b.frames = make(map[[2]int][]frameItem)
 	sm := b.Image.Map
@@ -99,12 +109,24 @@ func (b *Board) indexFrames() error {
 		if r.Addr.Frame >= b.Device.SLRs[r.Addr.SLR].Frames {
 			return fmt.Errorf("fpga: register %q placed beyond frame space", r.Name)
 		}
+		slot, err := b.Sim.SlotOf(r.Name)
+		if err != nil {
+			return fmt.Errorf("fpga: configure: %w", err)
+		}
 		key := [2]int{r.Addr.SLR, r.Addr.Frame}
 		b.frames[key] = append(b.frames[key], frameItem{
-			reg: r.Name, width: r.Width, bitOff: r.Addr.Bit,
+			ref: slot, width: r.Width, bitOff: r.Addr.Bit,
 		})
 	}
+	simMems := b.Sim.StateMems()
 	for _, m := range sm.Mems {
+		id, err := b.Sim.MemOf(m.Name)
+		if err != nil {
+			return fmt.Errorf("fpga: configure: %w", err)
+		}
+		if depth := simMems[id].Depth; depth != m.Depth {
+			return fmt.Errorf("fpga: memory %q placed with %d words, design has %d", m.Name, m.Depth, depth)
+		}
 		wpf := m.WordsPerFrame()
 		for f := 0; f < m.FrameCount(); f++ {
 			w0 := f * wpf
@@ -114,7 +136,7 @@ func (b *Board) indexFrames() error {
 			}
 			key := [2]int{m.SLR, m.StartFrame + f}
 			b.frames[key] = append(b.frames[key], frameItem{
-				mem: m.Name, memLoc: m, w0: w0, w1: w1,
+				ref: id, isMem: true, memLoc: m, w0: w0, w1: w1,
 			})
 		}
 	}
@@ -196,6 +218,7 @@ func (b *Board) ApplyGSR() {
 	if b.gsrMask != nil {
 		lo, hi = b.gsrMask.FrameRange(b.Device)
 	}
+	regs := b.wregs[:0]
 	for _, r := range b.Image.Design.Registers {
 		if b.gsrMask != nil {
 			loc, ok := b.Image.Map.Reg(r.Sig.Name)
@@ -203,12 +226,14 @@ func (b *Board) ApplyGSR() {
 				continue
 			}
 		}
-		// Registers are architecturally writable state; wires resettle below.
-		if err := b.Sim.Poke(r.Sig.Name, r.Init); err != nil {
-			panic(fmt.Sprintf("fpga: GSR poke %s: %v", r.Sig.Name, err))
+		slot, err := b.Sim.SlotOf(r.Sig.Name)
+		if err != nil {
+			panic(fmt.Sprintf("fpga: GSR: %v", err))
 		}
+		regs = append(regs, sim.RegDelta{Slot: slot, Val: r.Init})
 	}
-	b.Sim.Settle()
+	b.wregs = regs
+	b.Sim.WriteState(regs, nil)
 }
 
 // ReadFrame serializes one configuration frame of one SLR from the live
@@ -233,21 +258,12 @@ func (b *Board) ReadFrame(slr, frame int) ([]uint32, error) {
 		}
 	}
 	for _, item := range b.frames[[2]int{slr, frame}] {
-		if item.reg != "" {
-			v, err := b.Sim.Peek(item.reg)
-			if err != nil {
-				return nil, err
-			}
-			PutBits(data, item.bitOff, item.width, v)
+		if !item.isMem {
+			PutBits(data, item.bitOff, item.width, b.Sim.SlotValue(item.ref))
 			continue
 		}
 		for w := item.w0; w < item.w1; w++ {
-			v, err := b.Sim.PeekMem(item.mem, w)
-			if err != nil {
-				return nil, err
-			}
-			addr := item.memLoc.WordAddr(w)
-			PutBits(data, addr.Bit, item.memLoc.Width, v)
+			PutBits(data, item.memLoc.WordAddr(w).Bit, item.memLoc.Width, b.Sim.MemWord(item.ref, w))
 		}
 	}
 	return data, nil
@@ -255,7 +271,8 @@ func (b *Board) ReadFrame(slr, frame int) ([]uint32, error) {
 
 // WriteFrame deserializes one configuration frame into the design state;
 // this is the partial-reconfiguration write path used both for resuming
-// from snapshots and for mutating state.
+// from snapshots and for mutating state. The whole frame lands in one
+// simulator host write, which settles the design once.
 func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 	if b.Sim == nil {
 		return fmt.Errorf("fpga: board not configured")
@@ -270,21 +287,18 @@ func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 		return fmt.Errorf("fpga: SLR %d has no frame %d", slr, frame)
 	}
 	b.gen++
+	regs, mems := b.wregs[:0], b.wmems[:0]
 	for _, item := range b.frames[[2]int{slr, frame}] {
-		if item.reg != "" {
-			v := GetBits(data, item.bitOff, item.width)
-			if err := b.Sim.Poke(item.reg, v); err != nil {
-				return err
-			}
+		if !item.isMem {
+			regs = append(regs, sim.RegDelta{Slot: item.ref, Val: GetBits(data, item.bitOff, item.width)})
 			continue
 		}
 		for w := item.w0; w < item.w1; w++ {
-			addr := item.memLoc.WordAddr(w)
-			v := GetBits(data, addr.Bit, item.memLoc.Width)
-			if err := b.Sim.PokeMem(item.mem, w, v); err != nil {
-				return err
-			}
+			v := GetBits(data, item.memLoc.WordAddr(w).Bit, item.memLoc.Width)
+			mems = append(mems, sim.MemDelta{Mem: item.ref, Addr: int32(w), Val: v})
 		}
 	}
+	b.wregs, b.wmems = regs, mems
+	b.Sim.WriteState(regs, mems)
 	return nil
 }

@@ -861,9 +861,15 @@ func (e *Engine) Cursor() (pos, cycle uint64) {
 	return e.cursor, e.cursorCycle()
 }
 
+// cursorCycle is the cycle tag at the cursor. At the tip it is the live
+// cycle; after a seek it is the cycle of the keyframe SeekDone captured
+// there, so asking costs no reconstruction.
 func (e *Engine) cursorCycle() uint64 {
 	if !e.detached && e.sim != nil {
 		return e.cycleNow(e.cursor)
+	}
+	if kf := e.pendingKF; kf != nil && kf.pos == e.cursor {
+		return kf.cycle
 	}
 	if ds, err := e.reconstruct(e.cursorTL, e.cursor); err == nil {
 		return ds.cycle

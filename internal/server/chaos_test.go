@@ -526,6 +526,57 @@ func TestRunWedgeMigratePreservesCycles(t *testing.T) {
 	}
 }
 
+// TestFailedUntilWedgeMigratePreservesCycles pins that a mutating
+// command which fails after it ran still refreshes the known-good
+// snapshot: `until` with no trigger armed runs its ticks and then reports
+// that no trigger fired. A wedge after it must migrate the session to the
+// cycle the board had reached, not to the one before the until.
+func TestFailedUntilWedgeMigratePreservesCycles(t *testing.T) {
+	script := func(wedge bool) (srv *server.Server, cycles uint64) {
+		srv, addr := startServer(t, server.Config{
+			PoolSize:           2,
+			Chaos:              &faults.Profile{Seed: 7, ReadFlip: 0.001},
+			QuarantineCooldown: time.Hour,
+		})
+		c, err := client.DialOptions(addr, client.Options{CallTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		sess, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Step(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.RunUntilPaused(50); err == nil {
+			t.Fatal("until 50 with no trigger armed succeeded")
+		}
+		if wedge {
+			srv.InjectorFor(sess.ID).Wedge()
+		}
+		if err := sess.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if cycles, err = sess.Cycles(); err != nil {
+			t.Fatal(err)
+		}
+		return srv, cycles
+	}
+	_, want := script(false)
+	srv, got := script(true)
+	if got != want {
+		t.Fatalf("after a failed until -> wedge -> migrate the design paused at cycle %d, want %d", got, want)
+	}
+	if st := srv.Stats(); st.Migrations != 1 {
+		t.Errorf("migrations=%d, want 1", st.Migrations)
+	}
+}
+
 // TestQuarantineCooldownRequalifies asserts a benched board slot returns
 // to capacity after its cooldown: with a pool of 1 and a quarantined
 // board, attach fails until the cooldown expires, then succeeds.

@@ -347,13 +347,16 @@ func (s *session) handle(t task) (*wire.Response, bool) {
 
 // executeGood runs one command and, while a fault injector is bound and
 // the command may have changed state, refreshes the known-good snapshot
-// before the reply goes out. A refresh that hits a board failure fails
-// the command like one: the known-good snapshot still holds the
-// pre-command state, so migrating and re-executing is exact.
+// before the reply goes out. A command that failed after it ran, such as
+// an until whose trigger never fired, changed state too; only a board
+// failure skips the refresh, since handle migrates and re-executes it. A
+// refresh that hits a board failure fails the command like one: the
+// known-good snapshot still holds the pre-command state, so migrating
+// and re-executing is exact.
 func (s *session) executeGood(t task) (*wire.Response, bool) {
 	resp, detach := s.execute(t)
-	if resp.Err != nil || detach || housekeeping(t.req.Op) ||
-		!Mutating(t.req.Op) || s.injector.Load() == nil {
+	if resp.Err != nil && resp.Err.Code == wire.CodeBoardFailed || detach ||
+		housekeeping(t.req.Op) || !Mutating(t.req.Op) || s.injector.Load() == nil {
 		return resp, detach
 	}
 	// Not the issuing connection's context: the snapshot is the session's

@@ -92,9 +92,8 @@ type compiled struct {
 	byLevel  [][]int32         // level -> indices into assigns
 	regs     map[string][]cReg // clock domain -> registers
 	memw     map[string][]cMemWrite
-	memData  [][]uint64          // memory id -> backing words (aliases Simulator.mems)
-	memID    map[*rtl.Memory]int // memory -> id
-	stack    []uint64            // serial-path scratch stack, len == maxStack
+	memData  [][]uint64 // memory id -> backing words (aliases Simulator.memData)
+	stack    []uint64   // serial-path scratch stack, len == maxStack
 	maxStack int
 }
 
@@ -195,7 +194,7 @@ func (c *compiler) lower(e rtl.Expr) {
 // levelize: order is the topological evaluation order of f.Assigns and
 // level[i] the dependency depth of f.Assigns[i].
 func compileProgram(f *rtl.Flat, sigIndex map[*rtl.Signal]int,
-	mems map[*rtl.Memory][]uint64, order, level []int) *compiled {
+	memData [][]uint64, order, level []int) *compiled {
 
 	c := &compiler{
 		sigIndex: sigIndex,
@@ -204,13 +203,11 @@ func compileProgram(f *rtl.Flat, sigIndex map[*rtl.Signal]int,
 	cp := &compiled{
 		regs:    make(map[string][]cReg),
 		memw:    make(map[string][]cMemWrite),
-		memData: make([][]uint64, len(f.Memories)),
+		memData: memData,
 	}
 	for i, m := range f.Memories {
 		c.memIndex[m] = i
-		cp.memData[i] = mems[m]
 	}
-	cp.memID = c.memIndex
 
 	numLevels := 0
 	for _, oi := range order {

@@ -27,8 +27,9 @@ type MemDelta struct {
 //
 // OnTick fires once per simulator tick, after commit and settle, with
 // the register and memory words that changed in that tick. OnHostWrite
-// fires for out-of-band host mutations (Poke/PokeMem — which is where
-// configuration-frame writes from the debugger land). The delta slices
+// fires for out-of-band host mutations: once per changed slot or word of
+// a WriteState (the path configuration-frame writes from the debugger
+// land on, and Poke/PokeMem's), once per Restore. The delta slices
 // are scratch buffers owned by the simulator: implementations must
 // consume or copy them before returning and must not retain them.
 //
@@ -101,22 +102,5 @@ func (s *Simulator) SlotValue(idx int32) uint64 { return s.vals[idx] }
 // CopyMemInto copies the backing words of memory id into dst, which must
 // have the memory's depth.
 func (s *Simulator) CopyMemInto(id int32, dst []uint64) {
-	copy(dst, s.mems[s.Flat.Memories[id]])
-}
-
-// hookMemID returns the stable memory id for the hook delta stream. The
-// compiled engine's internal memory ids are assigned in Flat.Memories
-// order too, so cMemUpdate ids can be reported as-is; this lookup serves
-// the interpreter and the Poke paths.
-func (s *Simulator) hookMemID(mem *rtl.Memory) int32 {
-	if s.comp != nil {
-		return int32(s.comp.memID[mem])
-	}
-	if s.memIdx == nil {
-		s.memIdx = make(map[*rtl.Memory]int32, len(s.Flat.Memories))
-		for i, m := range s.Flat.Memories {
-			s.memIdx[m] = int32(i)
-		}
-	}
-	return s.memIdx[mem]
+	copy(dst, s.memData[id])
 }

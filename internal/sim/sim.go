@@ -101,8 +101,9 @@ type Simulator struct {
 
 	order []rtl.Assign // levelized combinational order (interpreter engine)
 
-	mems      map[*rtl.Memory][]uint64
-	memByName map[string]*rtl.Memory
+	memData   [][]uint64            // memory id (its Flat.Memories index) -> words
+	memID     map[*rtl.Memory]int32 // memory -> id
+	memByName map[string]int32
 
 	regsByClock map[string][]*rtl.Register
 	memWrites   map[string][]memWrite
@@ -118,12 +119,10 @@ type Simulator struct {
 	stagedM []memUpdate
 
 	// Commit-hook state (see hook.go). hookRegs/hookMems are scratch
-	// delta buffers reused across ticks; memIdx lazily maps memories to
-	// stable ids for the interpreter engine.
+	// delta buffers reused across ticks and host writes.
 	hook     CommitHook
 	hookRegs []RegDelta
 	hookMems []MemDelta
-	memIdx   map[*rtl.Memory]int32
 
 	// Compiled engine state (nil/zero when running the interpreter).
 	comp       *compiled
@@ -165,8 +164,9 @@ func NewWithOptions(f *rtl.Flat, clocks []ClockSpec, opts Options) (*Simulator, 
 		clocks:      append([]ClockSpec(nil), clocks...),
 		sigIndex:    make(map[*rtl.Signal]int, len(f.Signals)),
 		byName:      make(map[string]*rtl.Signal, len(f.Signals)),
-		mems:        make(map[*rtl.Memory][]uint64, len(f.Memories)),
-		memByName:   make(map[string]*rtl.Memory, len(f.Memories)),
+		memData:     make([][]uint64, len(f.Memories)),
+		memID:       make(map[*rtl.Memory]int32, len(f.Memories)),
+		memByName:   make(map[string]int32, len(f.Memories)),
 		regsByClock: make(map[string][]*rtl.Register),
 		memWrites:   make(map[string][]memWrite),
 		gates:       make(map[string]*rtl.Signal),
@@ -195,13 +195,14 @@ func NewWithOptions(f *rtl.Flat, clocks []ClockSpec, opts Options) (*Simulator, 
 		s.regsByClock[r.Clock] = append(s.regsByClock[r.Clock], r)
 		s.vals[s.sigIndex[r.Sig]] = r.Init
 	}
-	for _, mem := range f.Memories {
+	for i, mem := range f.Memories {
 		data := make([]uint64, mem.Depth)
 		for k, v := range mem.Init {
 			data[k] = rtl.Truncate(v, mem.Width)
 		}
-		s.mems[mem] = data
-		s.memByName[mem.Name] = mem
+		s.memData[i] = data
+		s.memID[mem] = int32(i)
+		s.memByName[mem.Name] = int32(i)
 		for _, w := range mem.Writes {
 			if !known[w.Clock] {
 				return nil, fmt.Errorf("sim: memory %q uses undeclared clock %q", mem.Name, w.Clock)
@@ -218,7 +219,7 @@ func NewWithOptions(f *rtl.Flat, clocks []ClockSpec, opts Options) (*Simulator, 
 		s.order[i] = f.Assigns[oi]
 	}
 	if opts.Engine == EngineCompiled {
-		s.comp = compileProgram(f, s.sigIndex, s.mems, order, level)
+		s.comp = compileProgram(f, s.sigIndex, s.memData, order, level)
 		s.fullSettle = opts.FullSettle
 		if !s.fullSettle {
 			s.dirty = newDirtyState(f, s.comp, s.sigIndex, order, level)
@@ -309,7 +310,7 @@ func (s *Simulator) SignalValue(sig *rtl.Signal) uint64 { return s.vals[s.sigInd
 // MemValue implements rtl.Env. Addresses wrap modulo the depth, matching
 // the power-of-two truncation of real block RAM address ports.
 func (s *Simulator) MemValue(mem *rtl.Memory, addr uint64) uint64 {
-	data := s.mems[mem]
+	data := s.memData[s.memID[mem]]
 	return data[addr%uint64(len(data))]
 }
 
@@ -365,9 +366,9 @@ func rises(c ClockSpec, t uint64) bool {
 }
 
 // Tick advances the simulation by one tick. The design is settled on
-// entry — New, Poke, PokeMem, Restore, Settle and the previous Tick all
-// leave it settled — so register/memory update functions evaluate
-// directly against current state.
+// entry — New, WriteState (and Poke and PokeMem over it), Restore,
+// Settle and the previous Tick all leave it settled — so register/memory
+// update functions evaluate directly against current state.
 func (s *Simulator) Tick() {
 	if s.comp != nil {
 		s.tickCompiled()
@@ -417,10 +418,10 @@ func (s *Simulator) Tick() {
 			}
 		}
 		for _, u := range s.stagedM {
-			data := s.mems[u.mem]
+			data := s.memData[s.memID[u.mem]]
 			if data[u.addr] != u.val {
 				data[u.addr] = u.val
-				s.hookMems = append(s.hookMems, MemDelta{Mem: s.hookMemID(u.mem), Addr: int32(u.addr), Val: u.val})
+				s.hookMems = append(s.hookMems, MemDelta{Mem: s.memID[u.mem], Addr: int32(u.addr), Val: u.val})
 			}
 		}
 		s.tick++
@@ -432,7 +433,7 @@ func (s *Simulator) Tick() {
 		s.vals[u.idx] = u.val
 	}
 	for _, u := range s.stagedM {
-		s.mems[u.mem][u.addr] = u.val
+		s.memData[s.memID[u.mem]][u.addr] = u.val
 	}
 	s.tick++
 	s.settle()
@@ -552,92 +553,141 @@ func (s *Simulator) Cycles(domain string) uint64 { return s.cycles[domain] }
 // Lookup finds a signal by flat name.
 func (s *Simulator) Lookup(name string) *rtl.Signal { return s.byName[name] }
 
+// SlotOf resolves a register or input port by flat name to its
+// value-array slot, the handle SlotValue and WriteState take. Wires and
+// outputs are refused: they are functions of state, so forcing them
+// would be overwritten by the next settle, which is also true on a real
+// FPGA where only LUT/FF/BRAM state is writable through configuration.
+func (s *Simulator) SlotOf(name string) (int32, error) {
+	sig := s.byName[name]
+	if sig == nil {
+		return 0, fmt.Errorf("sim: no signal %q", name)
+	}
+	if sig.Kind == rtl.KindWire || sig.Kind == rtl.KindOutput {
+		return 0, fmt.Errorf("sim: cannot force combinational signal %q", name)
+	}
+	return int32(s.sigIndex[sig]), nil
+}
+
+// MemOf resolves a memory by flat name to its id, the handle MemWord and
+// WriteState take.
+func (s *Simulator) MemOf(name string) (int32, error) {
+	id, ok := s.memByName[name]
+	if !ok {
+		return 0, fmt.Errorf("sim: no memory %q", name)
+	}
+	return id, nil
+}
+
+// MemWord reads one word of a memory by id; addr must be in range.
+func (s *Simulator) MemWord(id int32, addr int) uint64 { return s.memData[id][addr] }
+
+// WriteState is a host write of resolved state: it stores every value,
+// truncated to its slot's or memory's width, then settles the fanout of
+// what changed once. Settling once is exact because combinational values
+// are a function of state alone, and a write that changes nothing needs
+// no settle: the design is settled on entry. The commit hook still sees
+// each changed slot and word in an OnHostWrite of its own, in order, so
+// a batch records exactly what poking its items one by one would.
+func (s *Simulator) WriteState(regs []RegDelta, mems []MemDelta) {
+	s.hookRegs, s.hookMems = s.hookRegs[:0], s.hookMems[:0]
+	changed := false
+	for _, d := range regs {
+		nv := rtl.Truncate(d.Val, s.Flat.Signals[d.Slot].Width)
+		if s.vals[d.Slot] == nv {
+			continue
+		}
+		s.vals[d.Slot] = nv
+		changed = true
+		if s.dirty != nil {
+			s.dirty.markSig(int(d.Slot))
+		}
+		if s.hook != nil {
+			s.hookRegs = append(s.hookRegs, RegDelta{Slot: d.Slot, Val: nv})
+		}
+	}
+	for _, d := range mems {
+		data := s.memData[d.Mem]
+		nv := rtl.Truncate(d.Val, s.Flat.Memories[d.Mem].Width)
+		if data[d.Addr] == nv {
+			continue
+		}
+		data[d.Addr] = nv
+		changed = true
+		if s.dirty != nil {
+			s.dirty.markMem(int(d.Mem))
+		}
+		if s.hook != nil {
+			s.hookMems = append(s.hookMems, MemDelta{Mem: d.Mem, Addr: d.Addr, Val: nv})
+		}
+	}
+	switch {
+	case s.dirty != nil:
+		s.settleDirty()
+	case changed:
+		s.settle()
+	}
+	for i := range s.hookRegs {
+		s.hook.OnHostWrite(s.hookRegs[i:i+1], nil)
+	}
+	for i := range s.hookMems {
+		s.hook.OnHostWrite(nil, s.hookMems[i:i+1])
+	}
+}
+
 // Peek reads any signal by flat name.
 func (s *Simulator) Peek(name string) (uint64, error) {
 	sig := s.byName[name]
 	if sig == nil {
 		return 0, fmt.Errorf("sim: no signal %q", name)
 	}
-	return s.vals[s.sigIndex[sig]], nil
+	return s.SlotValue(int32(s.sigIndex[sig])), nil
 }
 
-// Poke writes an input port or register by flat name. Wires are rejected:
-// they are functions of state, so forcing them would be overwritten by the
-// next settle, which is also true on a real FPGA where only LUT/FF/BRAM
-// state is writable through configuration.
+// Poke writes an input port or register by flat name: a WriteState of
+// one slot.
 func (s *Simulator) Poke(name string, v uint64) error {
-	sig := s.byName[name]
-	if sig == nil {
-		return fmt.Errorf("sim: no signal %q", name)
+	slot, err := s.SlotOf(name)
+	if err != nil {
+		return err
 	}
-	if sig.Kind == rtl.KindWire || sig.Kind == rtl.KindOutput {
-		return fmt.Errorf("sim: cannot force combinational signal %q", name)
-	}
-	idx := s.sigIndex[sig]
-	nv := rtl.Truncate(v, sig.Width)
-	changed := s.vals[idx] != nv
-	if s.dirty != nil {
-		if changed {
-			s.vals[idx] = nv
-			s.dirty.markSig(idx)
-			s.settleDirty()
-		}
-	} else {
-		s.vals[idx] = nv
-		s.settle()
-	}
-	if changed && s.hook != nil {
-		s.hookRegs = append(s.hookRegs[:0], RegDelta{Slot: int32(idx), Val: nv})
-		s.hook.OnHostWrite(s.hookRegs, nil)
-	}
+	s.WriteState([]RegDelta{{Slot: slot, Val: v}}, nil)
 	return nil
 }
 
 // PeekMem reads one word of a memory by flat name.
 func (s *Simulator) PeekMem(name string, addr int) (uint64, error) {
-	mem := s.findMem(name)
-	if mem == nil {
-		return 0, fmt.Errorf("sim: no memory %q", name)
+	id, err := s.memAt(name, addr)
+	if err != nil {
+		return 0, err
 	}
-	if addr < 0 || addr >= mem.Depth {
-		return 0, fmt.Errorf("sim: memory %q: address %d out of range", name, addr)
-	}
-	return s.mems[mem][addr], nil
+	return s.MemWord(id, addr), nil
 }
 
-// PokeMem writes one word of a memory by flat name.
+// PokeMem writes one word of a memory by flat name: a WriteState of one
+// word.
 func (s *Simulator) PokeMem(name string, addr int, v uint64) error {
-	mem := s.findMem(name)
-	if mem == nil {
-		return fmt.Errorf("sim: no memory %q", name)
+	id, err := s.memAt(name, addr)
+	if err != nil {
+		return err
 	}
-	if addr < 0 || addr >= mem.Depth {
-		return fmt.Errorf("sim: memory %q: address %d out of range", name, addr)
-	}
-	nv := rtl.Truncate(v, mem.Width)
-	data := s.mems[mem]
-	changed := data[addr] != nv
-	if s.dirty != nil {
-		if changed {
-			data[addr] = nv
-			s.dirty.markMem(s.comp.memID[mem])
-			s.settleDirty()
-		}
-	} else {
-		data[addr] = nv
-		s.settle()
-	}
-	if changed && s.hook != nil {
-		s.hookMems = append(s.hookMems[:0], MemDelta{Mem: s.hookMemID(mem), Addr: int32(addr), Val: nv})
-		s.hook.OnHostWrite(nil, s.hookMems)
-	}
+	s.WriteState(nil, []MemDelta{{Mem: id, Addr: int32(addr), Val: v}})
 	return nil
 }
 
-func (s *Simulator) findMem(name string) *rtl.Memory {
-	return s.memByName[name]
+// memAt resolves a memory by flat name and checks a word address.
+func (s *Simulator) memAt(name string, addr int) (int32, error) {
+	id, err := s.MemOf(name)
+	if err != nil {
+		return 0, err
+	}
+	if addr < 0 || addr >= len(s.memData[id]) {
+		return 0, fmt.Errorf("sim: memory %q: address %d out of range", name, addr)
+	}
+	return id, nil
 }
 
-// Settle recomputes all combinational signals; needed after batched
-// direct state manipulation (e.g. the board's GSR sweep).
+// Settle recomputes all combinational signals with a full sweep. Every
+// mutation path already leaves the design settled; tests and benchmarks
+// call this to force or time the sweep.
 func (s *Simulator) Settle() { s.settle() }

@@ -28,8 +28,8 @@ func (s *Simulator) Snapshot(domain string) *Snapshot {
 	for _, r := range s.Flat.Registers {
 		snap.Regs[r.Sig.Name] = s.vals[s.sigIndex[r.Sig]]
 	}
-	for _, m := range s.Flat.Memories {
-		snap.Mems[m.Name] = append([]uint64(nil), s.mems[m]...)
+	for i, m := range s.Flat.Memories {
+		snap.Mems[m.Name] = append([]uint64(nil), s.memData[i]...)
 	}
 	return snap
 }
@@ -65,20 +65,20 @@ func (s *Simulator) restore(snap *Snapshot) error {
 		}
 	}
 	for name, words := range snap.Mems {
-		mem := s.findMem(name)
-		if mem == nil {
+		id, ok := s.memByName[name]
+		if !ok {
 			return fmt.Errorf("sim: snapshot names unknown memory %q", name)
 		}
-		if len(words) != mem.Depth {
+		data := s.memData[id]
+		if len(words) != len(data) {
 			return fmt.Errorf("sim: snapshot memory %q has %d words, want %d",
-				name, len(words), mem.Depth)
+				name, len(words), len(data))
 		}
-		data := s.mems[mem]
 		for a, v := range words {
 			if data[a] != v {
 				data[a] = v
 				if s.hook != nil {
-					s.hookMems = append(s.hookMems, MemDelta{Mem: s.hookMemID(mem), Addr: int32(a), Val: v})
+					s.hookMems = append(s.hookMems, MemDelta{Mem: id, Addr: int32(a), Val: v})
 				}
 			}
 		}

@@ -421,6 +421,18 @@ func (e *Error) Error() string { return e.Msg }
 // in-process debugger error it encodes.
 func (e *Error) Unwrap() error { return codeSentinel[e.Code] }
 
+// OpFailed reports whether the error is an op's own failure, answered
+// after the op ran: CodeOp or a typed debugger code refining it. A
+// refusal to run the op, a cancellation and a board failure are not.
+func (e *Error) OpFailed() bool {
+	switch e.Code {
+	case CodeOp, CodeUnknownState, CodeIsMemory, CodeIsRegister, CodeOutOfRange,
+		CodeNotWatched, CodeWidthMismatch, CodePartialBatch, CodeHistoryHorizon:
+		return true
+	}
+	return false
+}
+
 // Errf builds a typed wire error.
 func Errf(code, format string, args ...any) *Error {
 	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}
