@@ -441,6 +441,43 @@ func BenchmarkHistorySeek(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "seek_us")
 }
 
+// BenchmarkHistoryLoadState measures the host time of a loadstate: the
+// 48-core SoC, cores enabled, saves a state every 1,000 of 8,000
+// recorded cycles, then every iteration loads a seeded one of the eight.
+// load_us is the wall time per load.
+func BenchmarkHistoryLoadState(b *testing.B) {
+	sess, err := zoomie.Debug(workloads.ManycoreSoC(48), zoomie.DebugConfig{
+		History: &zoomie.HistoryConfig{MaxKeyframes: 256},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.PokeInput("en", 1); err != nil {
+		b.Fatal(err)
+	}
+	if err := sess.Pause(); err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
+	for _, name := range names {
+		if err := sess.Step(1000); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, _, err := sess.SaveState(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.LoadState(names[rng.Intn(len(names))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "load_us")
+}
+
 // BenchmarkSVAMonitorCompile measures assertion-to-FSM compilation.
 func BenchmarkSVAMonitorCompile(b *testing.B) {
 	widths := sva.ArianeSignalWidths()

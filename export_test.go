@@ -7,10 +7,21 @@ import "zoomie/internal/history"
 func (s *Session) CheckHistoryMirror() error { return s.hist.CheckMirror() }
 
 // LiveDiff exposes the history engine's diff of a snapshot against its
-// live mirror to the external tests.
+// live mirror to the external tests, by name: the registers and, per
+// memory, the word addresses whose values differ.
 func (s *Session) LiveDiff(snap *DebugSnapshot) (regs []string, words map[string][]int) {
-	d := s.hist.LiveDiff(snap.Regs, snap.Mems)
-	return d.Regs, d.Words
+	v, _, _ := s.Resolve(snap, false)
+	ri, wi := s.hist.LiveDiff(v.Regs, v.Held, v.Mems)
+	for _, i := range ri {
+		regs = append(regs, s.Image.Map.Regs[i].Name)
+	}
+	words = map[string][]int{}
+	for j, ws := range wi {
+		if len(ws) > 0 {
+			words[s.Image.Map.Mems[j].Name] = ws
+		}
+	}
+	return regs, words
 }
 
 // HistoryEngine exposes the session's history engine to the external

@@ -9,24 +9,26 @@ package zoomie
 // branch timelines on real (modeled) hardware, with recording cost
 // proportional to design activity.
 //
-// Every history restore goes through RestoreSnapshot and so through
-// Debugger.RestoreFrames, the restore path explicit checkpoints share
-// (SLR-aware frame plans, guarded-cable semantic verification). It
-// selects only the frames holding a value that differs from the board,
-// as the engine's live mirror reports it, so a seek pays for what
-// changed rather than for the size of the design, and it builds those
-// frames on the host instead of reading them back. Snapshots read the
-// same way: RefreshSnapshot re-reads only the frames whose state changed
-// since a base snapshot.
+// Every history restore goes through Debugger.RestoreVec, the restore
+// core explicit checkpoints share (SLR-aware frame plans, guarded-cable
+// semantic verification). It selects only the frames holding a value
+// that differs from the board, as the engine's live mirror reports it,
+// so a seek pays for what changed rather than for the size of the
+// design, and it builds those frames on the host instead of reading them
+// back. The engine hands out recorded states as vectors indexed like the
+// image's state map, resolved once per attached engine, so a seek,
+// rewind or load moves state to frames by index and looks no name up.
+// Snapshots read the same way: RefreshSnapshot re-reads only the frames
+// whose state changed since a base snapshot.
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"zoomie/internal/core"
 	"zoomie/internal/dberr"
+	"zoomie/internal/dbg"
 	"zoomie/internal/history"
 )
 
@@ -58,9 +60,9 @@ var errHistoryDisabled = fmt.Errorf("zoomie: history recording is disabled")
 
 // attachHistory creates and attaches the engine per config; called by
 // Debug after Start so configuration writes don't record.
-func (s *Session) attachHistory(cfg *HistoryConfig) {
+func (s *Session) attachHistory(cfg *HistoryConfig) error {
 	if cfg != nil && cfg.Disable {
-		return
+		return nil
 	}
 	var hc history.Config
 	if cfg != nil {
@@ -70,7 +72,71 @@ func (s *Session) attachHistory(cfg *HistoryConfig) {
 	}
 	eng := history.New(hc)
 	eng.Attach(s.Cable.Board.Sim, s.Meta.Reg(core.RegCycles))
+	if err := s.bindHistory(eng); err != nil {
+		eng.Detach()
+		return err
+	}
 	s.hist = eng
+	return nil
+}
+
+// histLayout is what a history restore folds into a recorded state, by
+// position in the image's state map.
+type histLayout struct {
+	// trig names the trigger overlay registers and, last, the paused
+	// flag: what holdForRestore reads. overlay holds the overlay's
+	// positions, in the same order.
+	trig    []string
+	overlay []int
+	// The pause controls a restore sets.
+	pauseReq, stepArm, paused int
+	// design holds every register but the Debug Controller's: what a
+	// loadstate restores.
+	design []bool
+}
+
+// bindHistory resolves an attached or transplanted engine's state
+// vectors against this session's state map, and the session's restore
+// layout with them: the one place time travel looks names up.
+func (s *Session) bindHistory(h *history.Engine) error {
+	sm := s.Image.Map
+	regs := make([]string, len(sm.Regs))
+	for i, r := range sm.Regs {
+		regs[i] = r.Name
+	}
+	mems := make([]string, len(sm.Mems))
+	for j, m := range sm.Mems {
+		mems[j] = m.Name
+	}
+	if err := h.Resolve(regs, mems); err != nil {
+		return err
+	}
+	var overlay []string
+	for i := range s.Meta.Watches {
+		overlay = append(overlay, core.RegRefVal(i), core.RegAndMask(i), core.RegOrMask(i))
+	}
+	for i := range s.Meta.Asserts {
+		overlay = append(overlay, core.RegAssertEn(i))
+	}
+	overlay = append(overlay, core.RegAndSel, core.RegOrSel)
+	hl := &histLayout{design: make([]bool, len(sm.Regs))}
+	var at []int
+	for _, r := range append(overlay, core.RegPaused, core.RegPauseReq, core.RegStepArm) {
+		i, ok := sm.RegIndex(s.Meta.Reg(r))
+		if !ok {
+			return fmt.Errorf("zoomie: controller register %q not in the image", s.Meta.Reg(r))
+		}
+		hl.trig, at = append(hl.trig, s.Meta.Reg(r)), append(at, i)
+	}
+	n := len(overlay)
+	hl.trig, hl.overlay = hl.trig[:n+1], at[:n]
+	hl.paused, hl.pauseReq, hl.stepArm = at[n], at[n+1], at[n+2]
+	ctl := core.Prefix + "."
+	for i, r := range sm.Regs {
+		hl.design[i] = !strings.HasPrefix(r.Name, ctl)
+	}
+	s.hl = hl
+	return nil
 }
 
 // HistoryEnabled reports whether this session records history.
@@ -104,6 +170,10 @@ func (s *Session) AdoptHistory(h *history.Engine) error {
 		return nil
 	}
 	if err := h.Transplant(s.Cable.Board.Sim); err != nil {
+		return err
+	}
+	if err := s.bindHistory(h); err != nil {
+		h.Detach()
 		return err
 	}
 	if s.hist != nil {
@@ -140,67 +210,28 @@ func (s *Session) pauseIfRunning() error {
 	return nil
 }
 
-// trigOverlay is the live debug configuration carried across a history
-// restore: a seek rewinds the design under test, not the debugging
-// session, so armed breakpoints and assertion enables keep their
-// current values while everything else goes back in time.
-type trigOverlay struct {
-	names []string
-	vals  []uint64
-}
-
 // holdForRestore reads the paused flag and the trigger overlay in one
 // planned readback — they share the Debug Controller's frame — and
-// pauses the design if it was running. The overlay registers are written
-// by the host only, so values read before the pause still hold after
-// it. Pausing ticks the board, so this comes before the cursor is read
-// or a live diff is taken.
-func (s *Session) holdForRestore() (*trigOverlay, error) {
-	var regs []string
-	for i := range s.Meta.Watches {
-		regs = append(regs, core.RegRefVal(i), core.RegAndMask(i), core.RegOrMask(i))
-	}
-	for i := range s.Meta.Asserts {
-		regs = append(regs, core.RegAssertEn(i))
-	}
-	regs = append(regs, core.RegAndSel, core.RegOrSel, core.RegPaused)
-	names := make([]string, len(regs))
-	for i, r := range regs {
-		names[i] = s.Meta.Reg(r)
-	}
-	vals, err := s.PeekBatch(names)
+// pauses the design if it was running. The overlay is the live debug
+// configuration carried across a history restore: a seek rewinds the
+// design under test, not the debugging session, so armed breakpoints and
+// assertion enables keep their current values while everything else
+// goes back in time. The overlay registers are written by the host only,
+// so values read before the pause still hold after it. Pausing ticks the
+// board, so this comes before the cursor is read or a live diff is
+// taken. It returns the overlay's values in histLayout.overlay order.
+func (s *Session) holdForRestore() ([]uint64, error) {
+	vals, err := s.PeekBatch(s.hl.trig)
 	if err != nil {
 		return nil, err
 	}
-	n := len(names) - 1
+	n := len(vals) - 1
 	if vals[n] == 0 {
 		if err := s.Pause(); err != nil {
 			return nil, err
 		}
 	}
-	return &trigOverlay{names: names[:n], vals: vals[:n]}, nil
-}
-
-// restoreLive writes registers and memories onto the board through
-// RestoreSnapshot, so only the frames holding a value that differs from
-// the live state are written, then drives the input ports. The design
-// must already be paused: pausing ticks the board, which would overtake
-// the diff.
-func (s *Session) restoreLive(regs map[string]uint64, mems map[string][]uint64, inputs map[string]uint64) error {
-	if err := s.RestoreSnapshot(context.Background(), &DebugSnapshot{Regs: regs, Mems: mems}); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(inputs))
-	for n := range inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := s.PokeInput(n, inputs[n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vals[:n], nil
 }
 
 // RefreshSnapshot returns a full-scope snapshot of the board, equal to a
@@ -213,14 +244,16 @@ func (s *Session) RefreshSnapshot(ctx context.Context, base *DebugSnapshot) (*De
 	if base == nil || base.Scope != "" || s.hist == nil {
 		return s.SnapshotCtx(ctx, "")
 	}
-	d := s.hist.LiveDiff(base.Regs, base.Mems)
-	return s.SnapshotFrames(ctx, base, s.FramesOf(d.Regs, d.Words))
+	// State base lacks or holds under a foreign name is absent from the
+	// vector; SnapshotFrames reads it whatever the diff selects.
+	v, _, _ := s.Resolve(base, false)
+	return s.SnapshotFrames(ctx, base, s.liveFrames(v))
 }
 
 // RestoreSnapshot writes a snapshot onto the board through only the
 // frames holding a value that differs from the live state, as the
 // history engine's mirror reports it: the write-side twin of
-// RefreshSnapshot. Those frames are known to differ, so RestoreFrames
+// RefreshSnapshot. Those frames are known to differ, so RestoreVec
 // builds every one the snapshot covers on the host and reads none of
 // them back; a full-scope snapshot covers them all. A scoped snapshot,
 // or a session with history off, takes a full Restore, which reads every
@@ -229,35 +262,59 @@ func (s *Session) RestoreSnapshot(ctx context.Context, snap *DebugSnapshot) erro
 	if snap.Scope != "" || s.hist == nil {
 		return s.RestoreCtx(ctx, snap)
 	}
-	d := s.hist.LiveDiff(snap.Regs, snap.Mems)
-	return s.RestoreFrames(ctx, snap, s.FramesOf(d.Regs, d.Words))
+	v, _, err := s.Resolve(snap, true)
+	if err != nil {
+		return err
+	}
+	return s.RestoreVec(ctx, v, s.liveFrames(v))
 }
 
-// applyHistState writes a reconstructed state onto the held design in one
+// liveFrames returns the frames holding a value of v that differs from
+// the live state, as the history engine's mirror reports it.
+func (s *Session) liveFrames(v *dbg.Vec) map[int][]int {
+	regs, words := s.hist.LiveDiff(v.Regs, v.Held, v.Mems)
+	return s.Image.Map.FramesHolding(regs, words)
+}
+
+// applyHistState writes a recorded state onto the held design in one
 // delta restore. The trigger overlay and the pause controls are folded
-// into st's registers, which this overwrites: pause_req and step_arm
-// clear, and paused set when the design should hold (a seek) or clear
-// when it should free-run (a reverse-continue probe). So the restore
-// writes the controller's frame at most once, with no readback first.
-func (s *Session) applyHistState(st *history.State, trig *trigOverlay, leavePaused bool) error {
-	for i, n := range trig.names {
-		st.Regs[n] = trig.vals[i]
+// into the state's registers, by position: pause_req and step_arm clear,
+// and paused set when the design should hold (a seek) or clear when it
+// should free-run (a reverse-continue probe). So the restore writes the
+// controller's frame at most once, with no readback first.
+func (s *Session) applyHistState(st *history.Vec, trig []uint64, leavePaused bool) error {
+	for k, i := range s.hl.overlay {
+		st.Regs[i] = trig[k]
 	}
-	pausedV := uint64(0)
+	st.Regs[s.hl.pauseReq], st.Regs[s.hl.stepArm], st.Regs[s.hl.paused] = 0, 0, 0
 	if leavePaused {
-		pausedV = 1
+		st.Regs[s.hl.paused] = 1
 	}
-	st.Regs[s.Meta.Reg(core.RegPauseReq)] = 0
-	st.Regs[s.Meta.Reg(core.RegStepArm)] = 0
-	st.Regs[s.Meta.Reg(core.RegPaused)] = pausedV
-	return s.restoreLive(st.Regs, st.Mems, st.Inputs)
+	return s.restoreHist(st, nil)
+}
+
+// restoreHist writes a recorded state's registers selected by held (nil:
+// all of them) and its memories onto the board through only the frames
+// holding a value that differs from the live state, then drives its
+// input ports. The design must already be paused: pausing ticks the
+// board, which would overtake the diff.
+func (s *Session) restoreHist(st *history.Vec, held []bool) error {
+	v := &dbg.Vec{Regs: st.Regs, Held: held, Mems: st.Mems}
+	if err := s.RestoreVec(context.Background(), v, s.liveFrames(v)); err != nil {
+		return err
+	}
+	sim := s.Cable.Board.Sim
+	for k := range st.Inputs {
+		sim.WriteState(st.Inputs[k:k+1], nil)
+	}
+	return nil
 }
 
 // seekPos moves the held design to a recorded history position:
 // reconstruct, restore with recording suspended, leave paused, move the
 // cursor. The caller has read the trigger overlay and paused the design
 // (holdForRestore).
-func (s *Session) seekPos(pos uint64, trig *trigOverlay) error {
+func (s *Session) seekPos(pos uint64, trig []uint64) error {
 	st, err := s.hist.StateAt(pos)
 	if err != nil {
 		return err
@@ -273,7 +330,7 @@ func (s *Session) seekPos(pos uint64, trig *trigOverlay) error {
 
 // seekCycle moves the held design to a recorded cycle and returns the
 // timeline the cursor lands on.
-func (s *Session) seekCycle(cycle uint64, trig *trigOverlay) (int, error) {
+func (s *Session) seekCycle(cycle uint64, trig []uint64) (int, error) {
 	pos, err := s.hist.PosForCycle(cycle)
 	if err != nil {
 		return 0, err
@@ -376,7 +433,7 @@ func (s *Session) ReverseContinue() (uint64, bool, error) {
 // exact replay) and returns the last trigger-pause cycle in the newest
 // range that has one. Recording must be suspended by the caller; the
 // live design state is trashed and must be re-seeked afterwards.
-func (s *Session) probeRanges(bounds []history.Boundary, cursorCycle uint64, trig *trigOverlay) (uint64, bool, error) {
+func (s *Session) probeRanges(bounds []history.Boundary, cursorCycle uint64, trig []uint64) (uint64, bool, error) {
 	if cursorCycle == 0 {
 		return 0, false, nil
 	}
@@ -484,14 +541,7 @@ func (s *Session) LoadState(name string) (uint64, error) {
 			return 0, err
 		}
 	}
-	ctl := core.Prefix + "."
-	regs := make(map[string]uint64, len(st.Regs))
-	for n, v := range st.Regs {
-		if !strings.HasPrefix(n, ctl) {
-			regs[n] = v
-		}
-	}
-	if err := s.restoreLive(regs, st.Mems, st.Inputs); err != nil {
+	if err := s.restoreHist(st, s.hl.design); err != nil {
 		return 0, err
 	}
 	return cycle, nil

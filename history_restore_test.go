@@ -253,3 +253,69 @@ func TestRestoreSnapshotOntoFreshBoardReadsNothing(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAdoptHistoryResolvesLayout adopts an engine whose layout was last
+// resolved in another order, the state map's registers and memories
+// reversed, onto a fresh session of the same design. Adopting must
+// resolve the layout against the new session: a seek and a loadstate
+// then land on exactly the state recorded for them.
+func TestAdoptHistoryResolvesLayout(t *testing.T) {
+	src := socSession(t, &zoomie.HistoryConfig{MaxKeyframes: 256})
+	src.Run(100)
+	if err := src.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := src.Cycles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.Snapshot("dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := src.SaveState("mark"); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Step(300); err != nil {
+		t.Fatal(err)
+	}
+	eng := src.DetachHistory()
+	var regs, mems []string
+	for _, r := range src.Image.Map.Regs {
+		regs = append(regs, r.Name)
+	}
+	for _, m := range src.Image.Map.Mems {
+		mems = append(mems, m.Name)
+	}
+	slices.Reverse(regs)
+	slices.Reverse(mems)
+	if err := eng.Resolve(regs, mems); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := socSession(t, nil)
+	if err := dst.AdoptHistory(eng); err != nil {
+		t.Fatal(err)
+	}
+	same := func(op string) {
+		t.Helper()
+		got, err := dst.Snapshot("dut")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got.Regs, want.Regs) || !maps.EqualFunc(got.Mems, want.Mems, slices.Equal) {
+			t.Errorf("%s after adoption: design state differs from the state recorded for it", op)
+		}
+	}
+	if _, err := dst.Seek(cycle); err != nil {
+		t.Fatal(err)
+	}
+	same("seek")
+	if err := dst.Step(40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.LoadState("mark"); err != nil {
+		t.Fatal(err)
+	}
+	same("loadstate")
+}

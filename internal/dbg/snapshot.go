@@ -173,6 +173,126 @@ func unionFrames(a, b map[int][]int) map[int][]int {
 	return out
 }
 
+// Vec is design state indexed like the image's state map: Regs[i] holds
+// the value of Map.Regs[i] and Mems[j] the words of Map.Mems[j]. A
+// register whose Held entry is false, and a memory whose entry is nil,
+// is absent: a restore leaves it as the board has it. A nil Held holds
+// every register. Restores take a Vec so that nothing on their path
+// looks a name up: Resolve maps a name-keyed snapshot onto one once.
+type Vec struct {
+	Regs []uint64
+	Held []bool
+	Mems [][]uint64
+}
+
+func (v *Vec) holds(i int) bool { return v.Held == nil || v.Held[i] }
+
+// covers reports whether v holds every piece of state in items.
+func (v *Vec) covers(items []fpga.FrameItem) bool {
+	for _, it := range items {
+		if it.Mem && v.Mems[it.Index] == nil || !it.Mem && !v.holds(int(it.Index)) {
+			return false
+		}
+	}
+	return true
+}
+
+// put counts the values of v among the items of frame f whose bits in
+// data differ from them, writing them in when write is set.
+func (v *Vec) put(sm *fpga.StateMap, f int, data []uint32, items []fpga.FrameItem, write bool) int {
+	n := 0
+	for _, it := range items {
+		if !it.Mem {
+			if v.holds(int(it.Index)) {
+				r := &sm.Regs[it.Index]
+				n += putField(data, r.Addr.Bit, r.Width, v.Regs[it.Index], write)
+			}
+			continue
+		}
+		if words := v.Mems[it.Index]; words != nil {
+			m := &sm.Mems[it.Index]
+			w0, w1 := m.FrameWords(f)
+			for w := w0; w < w1; w++ {
+				n += putField(data, (w-w0)*m.Width, m.Width, words[w], write)
+			}
+		}
+	}
+	return n
+}
+
+// putField compares one width-truncated value with its bits in a frame,
+// returning 1 when they differ, and writes it in when write is set.
+func putField(frame []uint32, off, width int, val uint64, write bool) int {
+	if width < 64 {
+		val &= 1<<uint(width) - 1
+	}
+	if fpga.GetBits(frame, off, width) == val {
+		return 0
+	}
+	if write {
+		fpga.PutBits(frame, off, width, val)
+	}
+	return 1
+}
+
+// Resolve maps a name-keyed snapshot onto a Vec over this image, looking
+// each name up once. Registers and memories the image does not hold, and
+// memories of another depth, are left absent and counted in skipped; with
+// strict set the first of them is an error instead. The Vec shares the
+// snapshot's memory slices.
+func (d *Debugger) Resolve(snap *Snapshot, strict bool) (v *Vec, skipped int, err error) {
+	sm := d.Image.Map
+	v = &Vec{
+		Regs: make([]uint64, len(sm.Regs)),
+		Held: make([]bool, len(sm.Regs)),
+		Mems: make([][]uint64, len(sm.Mems)),
+	}
+	for n, val := range snap.Regs {
+		i, ok := sm.RegIndex(n)
+		if !ok {
+			if strict {
+				return nil, 0, fmt.Errorf("dbg: snapshot register %q not in this image", n)
+			}
+			skipped++
+			continue
+		}
+		v.Regs[i], v.Held[i] = val, true
+	}
+	for n, words := range snap.Mems {
+		j, ok := sm.MemIndex(n)
+		switch {
+		case !ok && strict:
+			return nil, 0, fmt.Errorf("dbg: snapshot memory %q not in this image", n)
+		case ok && len(words) != sm.Mems[j].Depth && strict:
+			return nil, 0, fmt.Errorf("dbg: snapshot memory %q has %d words, image wants %d",
+				n, len(words), sm.Mems[j].Depth)
+		case !ok || len(words) != sm.Mems[j].Depth:
+			skipped++
+		default:
+			v.Mems[j] = words
+		}
+	}
+	return v, skipped, nil
+}
+
+// framesOf returns, per SLR, the sorted frames holding any state of v.
+func (d *Debugger) framesOf(v *Vec) map[int][]int {
+	sm := d.Image.Map
+	var regs []int
+	for i := range sm.Regs {
+		if v.holds(i) {
+			regs = append(regs, i)
+		}
+	}
+	words := make([][]int, len(sm.Mems))
+	for j, m := range sm.Mems {
+		for w := 0; v.Mems[j] != nil && w < m.Depth; w += m.WordsPerFrame() {
+			words[j] = append(words[j], w)
+		}
+	}
+	return sm.FramesHolding(regs, words)
+}
+
 // Restore writes a snapshot back through partial reconfiguration,
 // touching only the frames that hold the snapshot's state and leaving
 // everything else intact (§4.7 "Resuming from Snapshot Data"). It cannot
@@ -185,78 +305,72 @@ func (d *Debugger) Restore(snap *Snapshot) error {
 
 // RestoreCtx is Restore under a context.
 func (d *Debugger) RestoreCtx(ctx context.Context, snap *Snapshot) error {
-	names := make(map[string]bool, len(snap.Regs)+len(snap.Mems))
-	for n := range snap.Regs {
-		names[n] = true
+	v, _, err := d.Resolve(snap, true)
+	if err != nil {
+		return err
 	}
-	for n := range snap.Mems {
-		names[n] = true
-	}
-	return d.restore(ctx, snap, d.Image.Map.FramesTouched(names), false)
+	return d.restore(ctx, v, d.framesOf(v), false)
 }
 
 // FramesOf returns, per SLR, the sorted frames holding the named
 // registers and the listed words of the named memories. Names this image
-// does not hold are ignored.
+// does not hold, and words past a memory's depth, are ignored.
 func (d *Debugger) FramesOf(regs []string, words map[string][]int) map[int][]int {
-	seen := make(map[[2]int]bool)
-	out := make(map[int][]int)
-	add := func(slr, frame int) {
-		if k := [2]int{slr, frame}; !seen[k] {
-			seen[k] = true
-			out[slr] = append(out[slr], frame)
-		}
-	}
+	sm := d.Image.Map
+	var ri []int
 	for _, n := range regs {
-		if loc, ok := d.Image.Map.Reg(n); ok {
-			add(loc.Addr.SLR, loc.Addr.Frame)
+		if i, ok := sm.RegIndex(n); ok {
+			ri = append(ri, i)
 		}
 	}
+	wi := make([][]int, len(sm.Mems))
 	for n, addrs := range words {
-		if loc, ok := d.Image.Map.Mem(n); ok {
+		if j, ok := sm.MemIndex(n); ok {
 			for _, a := range addrs {
-				if a >= 0 && a < loc.Depth {
-					wa := loc.WordAddr(a)
-					add(wa.SLR, wa.Frame)
+				if a >= 0 && a < sm.Mems[j].Depth {
+					wi[j] = append(wi[j], a)
 				}
 			}
 		}
 	}
-	for _, fs := range out {
-		sort.Ints(fs)
-	}
-	return out
+	return sm.FramesHolding(ri, wi)
 }
 
 // RestoreFrames restores the frames a caller knows to differ from the
 // snapshot — a time-travel seek selects the frames holding a value that
-// differs from the live state. Snapshot state outside the selection must
-// already hold its value on the board. A selected frame the snapshot
-// covers, holding every register placed in it and every word of every
-// memory in it, is built on the host and written without a readback;
-// any other selected frame is read, patched and written back if its bits
-// changed, so the state the snapshot omits keeps its board value. On a
-// guarded cable the restore is additionally verified semantically: every
-// frame written is re-read and its snapshot values compared, with
-// mismatching frames restored again — catching corruption that slips in
-// between the transport's own verify-after-write and the final state.
+// differs from the live state. It is RestoreVec over the snapshot
+// resolved once.
 func (d *Debugger) RestoreFrames(ctx context.Context, snap *Snapshot, frames map[int][]int) error {
-	return d.restore(ctx, snap, frames, true)
-}
-
-// restore is the one restore path behind Restore and RestoreFrames;
-// build selects whether covered frames are built rather than read.
-func (d *Debugger) restore(ctx context.Context, snap *Snapshot, frames map[int][]int, build bool) error {
-	fields, err := d.placeSnapshot(snap)
+	v, _, err := d.Resolve(snap, true)
 	if err != nil {
 		return err
 	}
-	written, err := d.restoreOnce(ctx, fields, frames, build)
+	return d.RestoreVec(ctx, v, frames)
+}
+
+// RestoreVec restores the frames a caller knows to differ from v. State
+// of v outside the selection must already hold its value on the board. A
+// selected frame v covers, holding every register placed in it and every
+// word of every memory in it, is built on the host and written without a
+// readback; any other selected frame is read, patched and written back if
+// its bits changed, so the state v lacks keeps its board value. On a
+// guarded cable the restore is additionally verified semantically: every
+// frame written is re-read and its values compared, with mismatching
+// frames restored again — catching corruption that slips in between the
+// transport's own verify-after-write and the final state.
+func (d *Debugger) RestoreVec(ctx context.Context, v *Vec, frames map[int][]int) error {
+	return d.restore(ctx, v, frames, true)
+}
+
+// restore is the one restore core behind every restore; build selects
+// whether covered frames are built rather than read.
+func (d *Debugger) restore(ctx context.Context, v *Vec, frames map[int][]int, build bool) error {
+	written, err := d.restoreOnce(ctx, v, frames, build)
 	if err != nil || !d.Cable.Guarded() {
 		return err
 	}
 	for attempt := 0; ; attempt++ {
-		bad, n, err := d.restoreMismatch(ctx, fields, written)
+		bad, n, err := d.restoreMismatch(ctx, v, written)
 		if err != nil {
 			return err
 		}
@@ -267,96 +381,29 @@ func (d *Debugger) restore(ctx context.Context, snap *Snapshot, frames map[int][
 			return fmt.Errorf("%w: %d snapshot values failed semantic verification after restore",
 				jtag.ErrVerify, n)
 		}
-		if written, err = d.restoreOnce(ctx, fields, bad, build); err != nil {
+		if written, err = d.restoreOnce(ctx, v, bad, build); err != nil {
 			return err
 		}
 	}
 }
 
-// fieldRun is a run of equal-width snapshot values packed from one bit
-// offset of one frame: a register, or the words of a memory that share a
-// frame.
-type fieldRun struct {
-	bit, width int
-	vals       []uint64
-}
-
-// at returns the frame bit offset and width-truncated value of field j.
-func (r fieldRun) at(j int) (int, uint64) {
-	v := r.vals[j]
-	if r.width < 64 {
-		v &= 1<<uint(r.width) - 1
-	}
-	return r.bit + j*r.width, v
-}
-
-// placeSnapshot resolves every snapshot value to its frame, grouped by
-// {SLR, frame}: one run per register and one per memory per frame, so a
-// frame's run count equals its FrameItems exactly when the snapshot
-// covers it.
-func (d *Debugger) placeSnapshot(snap *Snapshot) (map[[2]int][]fieldRun, error) {
-	out := make(map[[2]int][]fieldRun)
-	regVals := make([]uint64, 0, len(snap.Regs))
-	for n, v := range snap.Regs {
-		loc, ok := d.Image.Map.Reg(n)
-		if !ok {
-			return nil, fmt.Errorf("dbg: snapshot register %q not in this image", n)
-		}
-		regVals = append(regVals, v)
-		k := [2]int{loc.Addr.SLR, loc.Addr.Frame}
-		out[k] = append(out[k], fieldRun{loc.Addr.Bit, loc.Width, regVals[len(regVals)-1:]})
-	}
-	for n, words := range snap.Mems {
-		loc, ok := d.Image.Map.Mem(n)
-		if !ok {
-			return nil, fmt.Errorf("dbg: snapshot memory %q not in this image", n)
-		}
-		if len(words) != loc.Depth {
-			return nil, fmt.Errorf("dbg: snapshot memory %q has %d words, image wants %d",
-				n, len(words), loc.Depth)
-		}
-		wpf := loc.WordsPerFrame()
-		for w0 := 0; w0 < loc.Depth; w0 += wpf {
-			k := [2]int{loc.SLR, loc.StartFrame + w0/wpf}
-			out[k] = append(out[k], fieldRun{0, loc.Width, words[w0:min(w0+wpf, loc.Depth)]})
-		}
-	}
-	return out, nil
-}
-
-// patch puts every value of runs into a frame and reports whether any
-// bit changed.
-func patch(frame []uint32, runs []fieldRun) bool {
-	changed := false
-	for _, r := range runs {
-		for j := range r.vals {
-			if off, v := r.at(j); fpga.GetBits(frame, off, r.width) != v {
-				fpga.PutBits(frame, off, r.width, v)
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
 // restoreOnce performs one pass over a frame set, per SLR in sorted
-// order, and returns the frames written. With build set, a frame the
-// snapshot covers is built on the host: in this model a frame carries
-// only state, so its base is zero (on hardware it would be the
-// configuration image's frame), and it is written unconditionally. Every
-// other frame is taken from the known frames or read in one coalesced
-// readback, patched, and written back only if its bits changed. All of an
-// SLR's writes share one writeback.
-func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int, build bool) (map[int][]int, error) {
+// order, and returns the frames written. With build set, a frame v
+// covers is built on the host: in this model a frame carries only state,
+// so its base is zero (on hardware it would be the configuration image's
+// frame), and it is written unconditionally. Every other frame is taken
+// from the known frames or read in one coalesced readback, patched, and
+// written back only if its bits changed. All of an SLR's writes share one
+// writeback.
+func (d *Debugger) restoreOnce(ctx context.Context, v *Vec, frames map[int][]int, build bool) (map[int][]int, error) {
+	sm := d.Image.Map
 	written := make(map[int][]int)
 	for _, slr := range sortedSLRs(frames) {
-		covered := func(f int) bool {
-			return build && len(fields[[2]int{slr, f}]) == d.Image.Map.FrameItems(slr, f)
-		}
 		fs := frames[slr]
+		covered := make([]bool, len(fs))
 		var read []int
-		for _, f := range fs {
-			if !covered(f) {
+		for i, f := range fs {
+			if covered[i] = build && v.covers(sm.FrameItems(slr, f)); !covered[i] {
 				read = append(read, f)
 			}
 		}
@@ -366,14 +413,14 @@ func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun
 		}
 		var wf []int
 		var wd [][]uint32
-		for _, f := range fs {
+		for i, f := range fs {
 			var frame []uint32
-			if covered(f) {
+			if covered[i] {
 				frame = make([]uint32, fpga.FrameWords)
 			} else {
 				frame, data = data[0], data[1:]
 			}
-			if patch(frame, fields[[2]int{slr, f}]) || covered(f) {
+			if v.put(sm, f, frame, sm.FrameItems(slr, f), true) > 0 || covered[i] {
 				wf, wd = append(wf, f), append(wd, frame)
 			}
 		}
@@ -391,27 +438,20 @@ func (d *Debugger) restoreOnce(ctx context.Context, fields map[[2]int][]fieldRun
 }
 
 // restoreMismatch re-reads a frame set from the board, never from known
-// frames, and returns the frames holding a snapshot value the board
+// frames, and returns the frames holding a value of v the board
 // disagrees with, plus how many values disagree.
-func (d *Debugger) restoreMismatch(ctx context.Context, fields map[[2]int][]fieldRun, frames map[int][]int) (map[int][]int, int, error) {
+func (d *Debugger) restoreMismatch(ctx context.Context, v *Vec, frames map[int][]int) (map[int][]int, int, error) {
 	frameData, err := d.readFrameSet(ctx, frames, true)
 	if err != nil {
 		return nil, 0, err
 	}
+	sm := d.Image.Map
 	bad := make(map[int][]int)
 	n := 0
 	for _, slr := range sortedSLRs(frames) {
 		for _, f := range frames[slr] {
-			data := frameData[[2]int{slr, f}]
-			before := n
-			for _, r := range fields[[2]int{slr, f}] {
-				for j := range r.vals {
-					if off, v := r.at(j); fpga.GetBits(data, off, r.width) != v {
-						n++
-					}
-				}
-			}
-			if n > before {
+			if m := v.put(sm, f, frameData[[2]int{slr, f}], sm.FrameItems(slr, f), false); m > 0 {
+				n += m
 				bad[slr] = append(bad[slr], f)
 			}
 		}
@@ -435,28 +475,8 @@ func sortedSLRs(frames map[int][]int) []int {
 // partition, the partition's own state is new, but everything untouched
 // resumes exactly where it was.
 func (d *Debugger) RestoreCompatible(snap *Snapshot) (skipped int, err error) {
-	filtered := &Snapshot{
-		Scope: snap.Scope,
-		Cycle: snap.Cycle,
-		Regs:  make(map[string]uint64),
-		Mems:  make(map[string][]uint64),
-	}
-	for n, v := range snap.Regs {
-		if loc, ok := d.Image.Map.Reg(n); ok {
-			_ = loc
-			filtered.Regs[n] = v
-		} else {
-			skipped++
-		}
-	}
-	for n, words := range snap.Mems {
-		if loc, ok := d.Image.Map.Mem(n); ok && loc.Depth == len(words) {
-			filtered.Mems[n] = words
-		} else {
-			skipped++
-		}
-	}
-	return skipped, d.Restore(filtered)
+	v, skipped, _ := d.Resolve(snap, false)
+	return skipped, d.restore(context.Background(), v, d.framesOf(v), false)
 }
 
 // NaiveReadbackSLR scans every frame of one SLR — the unoptimized

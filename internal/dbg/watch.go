@@ -143,11 +143,11 @@ func (d *Debugger) PeriodicSnapshots(scope string, interval, count int) ([]*Snap
 // checkpointed window without rerunning the trillions of cycles before it
 // (§3.3).
 //
-// Like every restore it goes through the one restore path behind Restore
-// and RestoreFrames, which the time-travel history engine's seeks,
-// rewinds, reverse-continue probes and savestate loads also take, so all
-// replay paths share the same SLR-aware frame plans and guarded-cable
-// semantic verification.
+// Like every restore it goes through the one restore core behind
+// Restore, RestoreFrames and RestoreVec, which the time-travel history
+// engine's seeks, rewinds, reverse-continue probes and savestate loads
+// also take, so all replay paths share the same SLR-aware frame plans
+// and guarded-cable semantic verification.
 func (d *Debugger) ReplayFrom(snap *Snapshot, cycles int) error {
 	if paused, err := d.Paused(); err != nil {
 		return err

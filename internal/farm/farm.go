@@ -212,6 +212,10 @@ type Job struct {
 	res         *vti.Result
 	subs        map[int]chan Progress
 	nextSub     int
+
+	// used is the farm's use clock at the job's creation or latest cache
+	// hit or share, under the farm's lock: the eviction order.
+	used uint64
 }
 
 // ID returns the farm-assigned job id.
@@ -316,6 +320,14 @@ type Stats struct {
 	Store        synth.StoreStats
 }
 
+// MaxTerminalJobs bounds the finished, failed and cancelled jobs a farm
+// keeps, with their results (about 12 MB per 256-core recompile): well
+// above the 16 submits of one zperf epoch. Beyond it the least recently
+// used terminal job is forgotten; its id then answers as unknown, and
+// its next submit compiles afresh. Queued and running jobs are never
+// forgotten.
+const MaxTerminalJobs = 64
+
 // Farm is the compile service.
 type Farm struct {
 	cfg   Config
@@ -325,6 +337,7 @@ type Farm struct {
 	jobs   map[uint64]*Job
 	byKey  map[string]*Job
 	nextID uint64
+	uses   uint64 // use clock; see Job.used
 
 	submits, sharedN, cacheHits, cancels, speculations int64
 }
@@ -470,7 +483,9 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 
 	f.mu.Lock()
 	f.submits++
+	f.uses++
 	if j := f.byKey[key]; j != nil {
+		j.used = f.uses
 		j.mu.Lock()
 		switch j.state {
 		case StateQueued, StateRunning:
@@ -497,7 +512,7 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 		partition: path, tag: tag,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		state: StateQueued, refs: 1, speculative: speculative,
-		subs: make(map[int]chan Progress),
+		subs: make(map[int]chan Progress), used: f.uses,
 	}
 	if speculative {
 		j.refs = 0
@@ -596,8 +611,41 @@ func (f *Farm) finish(j *Job, res *vti.Result, err error) {
 	j.phase = ""
 	j.publishLocked(string(j.state))
 	j.mu.Unlock()
+	// Evict before waking waiters, so a waiter sees the table settled.
+	f.evict()
 	close(j.done)
 	f.cfg.Logf("farm: job %d %s", j.id, j.Status().State)
+}
+
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+}
+
+// evict forgets the least recently used terminal jobs beyond
+// MaxTerminalJobs. A key stays mapped to a job that replaced an evicted
+// one (a failed compile run afresh).
+func (f *Farm) evict() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var done []*Job
+	for _, j := range f.jobs {
+		if j.terminal() {
+			done = append(done, j)
+		}
+	}
+	if len(done) <= MaxTerminalJobs {
+		return
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].used < done[b].used })
+	for _, j := range done[:len(done)-MaxTerminalJobs] {
+		delete(f.jobs, j.id)
+		if f.byKey[j.key] == j {
+			delete(f.byKey, j.key)
+		}
+	}
 }
 
 // compileOpts builds the toolchain options for a spec: the declared

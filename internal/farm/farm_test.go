@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -314,5 +315,68 @@ func TestCancelLine(t *testing.T) {
 	}
 	if lines := f.StatusLines(); len(lines) != 1 || !strings.HasPrefix(lines[0], "#1 vti fixture") {
 		t.Errorf("status lines = %v", lines)
+	}
+}
+
+// TestTerminalJobsBounded runs more distinct recompiles than the farm
+// keeps terminal jobs. Afterwards at most MaxTerminalJobs terminal jobs
+// remain, the base compile — looked up by every recompile — is still a
+// cache hit, and the least recently used tag, evicted, is unknown to
+// status and cancel and recompiles afresh to the same digest.
+func TestTerminalJobsBounded(t *testing.T) {
+	f := New(Config{})
+	spec := fixtureSpec()
+	var first *Job
+	var digest string
+	for tag := 1; tag <= MaxTerminalJobs+8; tag++ {
+		j, a, err := f.Recompile(spec, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != AttachNew {
+			t.Fatalf("recompile of tag %d: attach %v, want AttachNew", tag, a)
+		}
+		waitDone(t, j)
+		if tag == 1 {
+			first, digest = j, j.Status().Digest
+		}
+	}
+
+	terminal := 0
+	for _, j := range f.Jobs() {
+		switch j.Status().State {
+		case StateDone, StateFailed, StateCancelled:
+			terminal++
+		}
+	}
+	if terminal > MaxTerminalJobs {
+		t.Errorf("%d terminal jobs kept, want at most %d", terminal, MaxTerminalJobs)
+	}
+
+	if _, a, err := f.Compile(spec); err != nil || a != AttachHit {
+		t.Errorf("base compile after the recompiles: attach %v, %v; want a cache hit", a, err)
+	}
+
+	id := first.ID()
+	if _, ok := f.Job(id); ok {
+		t.Fatalf("job %d (tag 1, least recently used) still kept", id)
+	}
+	want := fmt.Sprintf("no compile job %d", id)
+	if _, err := f.CancelLine(id); err == nil || err.Error() != want {
+		t.Errorf("cancel of evicted job %d: %v, want %q", id, err, want)
+	}
+	if f.Release(id) {
+		t.Errorf("release of evicted job %d cancelled something", id)
+	}
+	j, a, err := f.Recompile(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != AttachNew || j.ID() == id {
+		t.Fatalf("recompile of evicted tag 1: attach %v job %d, want AttachNew on a new job", a, j.ID())
+	}
+	waitDone(t, j)
+	if got := j.Status().Digest; got != digest {
+		t.Errorf("tag 1 recompiled afresh to digest %s, first to %s", got, digest)
 	}
 }

@@ -26,22 +26,6 @@ type Image struct {
 	Gates map[string]string
 }
 
-// frameItem is one piece of state intersecting a configuration frame,
-// resolved to the simulator when the image is configured.
-type frameItem struct {
-	// ref is a register's simulator slot or a memory's simulator id.
-	ref   int32
-	isMem bool
-
-	// A register: width bits at bitOff.
-	width  int
-	bitOff int
-
-	// A memory: the words [w0, w1) stored in this frame.
-	memLoc MemLoc
-	w0, w1 int
-}
-
 // Board is a configured FPGA card: the device, the loaded image, and the
 // running design state. All state access from the host side goes through
 // frame reads and writes, as it does over JTAG on hardware.
@@ -50,7 +34,10 @@ type Board struct {
 	Image  *Image
 	Sim    *sim.Simulator
 
-	frames map[[2]int][]frameItem // (slr, frame) -> state items
+	// regSlot[i] is the simulator slot of the image's Map.Regs[i], and
+	// memID[j] the simulator id of its Map.Mems[j].
+	regSlot []int32
+	memID   []int32
 
 	// Scratch for WriteFrame's batch.
 	wregs []sim.RegDelta
@@ -86,7 +73,7 @@ func (b *Board) Configure(img *Image) error {
 	b.clockRunning = false
 	b.gsrMask = nil
 	b.gen++
-	if err := b.indexFrames(); err != nil {
+	if err := b.resolveState(); err != nil {
 		return err
 	}
 	// Clock stopped until started by the configuration sequence.
@@ -96,13 +83,13 @@ func (b *Board) Configure(img *Image) error {
 	return nil
 }
 
-// indexFrames lists the state items of every frame, each resolved to its
-// simulator slot or memory, so frame reads and writes look nothing up by
-// name.
-func (b *Board) indexFrames() error {
-	b.frames = make(map[[2]int][]frameItem)
+// resolveState resolves every register and memory of the state map to
+// its simulator slot or memory once, so frame reads and writes, walking
+// the map's per-frame index, look nothing up by name.
+func (b *Board) resolveState() error {
 	sm := b.Image.Map
-	for _, r := range sm.Regs {
+	b.regSlot = make([]int32, len(sm.Regs))
+	for i, r := range sm.Regs {
 		if r.Addr.SLR < 0 || r.Addr.SLR >= len(b.Device.SLRs) {
 			return fmt.Errorf("fpga: register %q placed on missing SLR %d", r.Name, r.Addr.SLR)
 		}
@@ -113,13 +100,11 @@ func (b *Board) indexFrames() error {
 		if err != nil {
 			return fmt.Errorf("fpga: configure: %w", err)
 		}
-		key := [2]int{r.Addr.SLR, r.Addr.Frame}
-		b.frames[key] = append(b.frames[key], frameItem{
-			ref: slot, width: r.Width, bitOff: r.Addr.Bit,
-		})
+		b.regSlot[i] = slot
 	}
 	simMems := b.Sim.StateMems()
-	for _, m := range sm.Mems {
+	b.memID = make([]int32, len(sm.Mems))
+	for j, m := range sm.Mems {
 		id, err := b.Sim.MemOf(m.Name)
 		if err != nil {
 			return fmt.Errorf("fpga: configure: %w", err)
@@ -127,18 +112,7 @@ func (b *Board) indexFrames() error {
 		if depth := simMems[id].Depth; depth != m.Depth {
 			return fmt.Errorf("fpga: memory %q placed with %d words, design has %d", m.Name, m.Depth, depth)
 		}
-		wpf := m.WordsPerFrame()
-		for f := 0; f < m.FrameCount(); f++ {
-			w0 := f * wpf
-			w1 := w0 + wpf
-			if w1 > m.Depth {
-				w1 = m.Depth
-			}
-			key := [2]int{m.SLR, m.StartFrame + f}
-			b.frames[key] = append(b.frames[key], frameItem{
-				ref: id, isMem: true, memLoc: m, w0: w0, w1: w1,
-			})
-		}
+		b.memID[j] = id
 	}
 	return nil
 }
@@ -257,13 +231,17 @@ func (b *Board) ReadFrame(slr, frame int) ([]uint32, error) {
 			return data, nil // masked: reads as zeros
 		}
 	}
-	for _, item := range b.frames[[2]int{slr, frame}] {
-		if !item.isMem {
-			PutBits(data, item.bitOff, item.width, b.Sim.SlotValue(item.ref))
+	sm := b.Image.Map
+	for _, it := range sm.FrameItems(slr, frame) {
+		if !it.Mem {
+			r := &sm.Regs[it.Index]
+			PutBits(data, r.Addr.Bit, r.Width, b.Sim.SlotValue(b.regSlot[it.Index]))
 			continue
 		}
-		for w := item.w0; w < item.w1; w++ {
-			PutBits(data, item.memLoc.WordAddr(w).Bit, item.memLoc.Width, b.Sim.MemWord(item.ref, w))
+		m, id := &sm.Mems[it.Index], b.memID[it.Index]
+		w0, w1 := m.FrameWords(frame)
+		for w := w0; w < w1; w++ {
+			PutBits(data, (w-w0)*m.Width, m.Width, b.Sim.MemWord(id, w))
 		}
 	}
 	return data, nil
@@ -288,14 +266,18 @@ func (b *Board) WriteFrame(slr, frame int, data []uint32) error {
 	}
 	b.gen++
 	regs, mems := b.wregs[:0], b.wmems[:0]
-	for _, item := range b.frames[[2]int{slr, frame}] {
-		if !item.isMem {
-			regs = append(regs, sim.RegDelta{Slot: item.ref, Val: GetBits(data, item.bitOff, item.width)})
+	sm := b.Image.Map
+	for _, it := range sm.FrameItems(slr, frame) {
+		if !it.Mem {
+			r := &sm.Regs[it.Index]
+			regs = append(regs, sim.RegDelta{Slot: b.regSlot[it.Index], Val: GetBits(data, r.Addr.Bit, r.Width)})
 			continue
 		}
-		for w := item.w0; w < item.w1; w++ {
-			v := GetBits(data, item.memLoc.WordAddr(w).Bit, item.memLoc.Width)
-			mems = append(mems, sim.MemDelta{Mem: item.ref, Addr: int32(w), Val: v})
+		m, id := &sm.Mems[it.Index], b.memID[it.Index]
+		w0, w1 := m.FrameWords(frame)
+		for w := w0; w < w1; w++ {
+			v := GetBits(data, (w-w0)*m.Width, m.Width)
+			mems = append(mems, sim.MemDelta{Mem: id, Addr: int32(w), Val: v})
 		}
 	}
 	b.wregs, b.wmems = regs, mems

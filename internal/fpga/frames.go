@@ -1,10 +1,11 @@
 package fpga
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // FrameCRC computes the CRC32 (Castagnoli) checksum of one frame's words,
@@ -63,6 +64,14 @@ func (m MemLoc) FrameCount() int {
 	return (m.Depth + wpf - 1) / wpf
 }
 
+// FrameWords returns the words [w0, w1) of the memory that frame
+// stores, word w at bit (w-w0)*Width.
+func (m MemLoc) FrameWords(frame int) (w0, w1 int) {
+	wpf := m.WordsPerFrame()
+	w0 = (frame - m.StartFrame) * wpf
+	return w0, min(w0+wpf, m.Depth)
+}
+
 // WordAddr returns the frame and bit offset of word i.
 func (m MemLoc) WordAddr(i int) BitAddr {
 	wpf := m.WordsPerFrame()
@@ -77,14 +86,26 @@ func (m MemLoc) WordAddr(i int) BitAddr {
 // bitstream: where every register and memory of the elaborated design
 // lives in the configuration plane. It is what lets Zoomie's host software
 // "parse the binary data and match it up with names of registers and
-// memories in the RTL description" (§3.2).
+// memories in the RTL description" (§3.2). The metadata is fixed per
+// image, so its one per-frame index lists each frame's state by position
+// in Regs and Mems: frame I/O and restores walk it and look nothing up
+// by name.
 type StateMap struct {
 	Regs []RegLoc
 	Mems []MemLoc
 
 	regByName map[string]int
 	memByName map[string]int
-	items     map[[2]int]int // {SLR, frame} -> pieces of state placed there
+	frames    map[[2]int][]FrameItem // {SLR, frame} -> the state placed there
+}
+
+// FrameItem is one piece of state a configuration frame holds: the
+// register Regs[Index], or, with Mem set, the words of the memory
+// Mems[Index] that the frame stores (MemLoc.FrameWords). Every placed
+// register has one, so it is kept small.
+type FrameItem struct {
+	Index int32
+	Mem   bool
 }
 
 // NewStateMap builds an empty state map.
@@ -92,11 +113,12 @@ func NewStateMap() *StateMap {
 	return &StateMap{
 		regByName: make(map[string]int),
 		memByName: make(map[string]int),
-		items:     make(map[[2]int]int),
+		frames:    make(map[[2]int][]FrameItem),
 	}
 }
 
-// AddReg records a register placement.
+// AddReg records a register placement. A frame lists its registers, in
+// the order they were added, before its memories.
 func (sm *StateMap) AddReg(loc RegLoc) error {
 	if _, dup := sm.regByName[loc.Name]; dup {
 		return fmt.Errorf("fpga: duplicate register placement %q", loc.Name)
@@ -105,8 +127,14 @@ func (sm *StateMap) AddReg(loc RegLoc) error {
 		return fmt.Errorf("fpga: register %q spans a frame boundary", loc.Name)
 	}
 	sm.regByName[loc.Name] = len(sm.Regs)
+	key := [2]int{loc.Addr.SLR, loc.Addr.Frame}
+	items := sm.frames[key]
+	at := len(items)
+	for at > 0 && items[at-1].Mem {
+		at--
+	}
+	sm.frames[key] = slices.Insert(items, at, FrameItem{Index: int32(len(sm.Regs))})
 	sm.Regs = append(sm.Regs, loc)
-	sm.items[[2]int{loc.Addr.SLR, loc.Addr.Frame}]++
 	return nil
 }
 
@@ -119,17 +147,74 @@ func (sm *StateMap) AddMem(loc MemLoc) error {
 		return fmt.Errorf("fpga: memory %q has unplaceable width %d", loc.Name, loc.Width)
 	}
 	sm.memByName[loc.Name] = len(sm.Mems)
-	sm.Mems = append(sm.Mems, loc)
 	for f := 0; f < loc.FrameCount(); f++ {
-		sm.items[[2]int{loc.SLR, loc.StartFrame + f}]++
+		key := [2]int{loc.SLR, loc.StartFrame + f}
+		sm.frames[key] = append(sm.frames[key], FrameItem{Index: int32(len(sm.Mems)), Mem: true})
 	}
+	sm.Mems = append(sm.Mems, loc)
 	return nil
 }
 
-// FrameItems returns how many pieces of state one frame holds: the
-// registers placed in it plus the memories with words in it.
-func (sm *StateMap) FrameItems(slr, frame int) int {
-	return sm.items[[2]int{slr, frame}]
+// FrameItems lists the state one frame holds: its registers, then the
+// memories with words in it.
+func (sm *StateMap) FrameItems(slr, frame int) []FrameItem {
+	return sm.frames[[2]int{slr, frame}]
+}
+
+// RegIndex returns the position of a register in Regs.
+func (sm *StateMap) RegIndex(name string) (int, bool) {
+	i, ok := sm.regByName[name]
+	return i, ok
+}
+
+// MemIndex returns the position of a memory in Mems.
+func (sm *StateMap) MemIndex(name string) (int, bool) {
+	i, ok := sm.memByName[name]
+	return i, ok
+}
+
+// FramesHolding returns, per SLR, the sorted frames holding the registers
+// Regs[i] for every i in regs and, for every j, the words of Mems[j]
+// listed in words[j]. Every index must be in range.
+func (sm *StateMap) FramesHolding(regs []int, words [][]int) map[int][]int {
+	var keys [][2]int
+	add := func(k [2]int) {
+		if n := len(keys); n == 0 || keys[n-1] != k {
+			keys = append(keys, k)
+		}
+	}
+	for _, i := range regs {
+		add([2]int{sm.Regs[i].Addr.SLR, sm.Regs[i].Addr.Frame})
+	}
+	for j, ws := range words {
+		if len(ws) == 0 {
+			continue
+		}
+		m := &sm.Mems[j]
+		wpf := m.WordsPerFrame()
+		for _, w := range ws {
+			add([2]int{m.SLR, m.StartFrame + w/wpf})
+		}
+	}
+	return perSLR(keys)
+}
+
+// perSLR groups {SLR, frame} keys into sorted, deduplicated per-SLR
+// frame lists.
+func perSLR(keys [][2]int) map[int][]int {
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	out := make(map[int][]int)
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			out[k[0]] = append(out[k[0]], k[1])
+		}
+	}
+	return out
 }
 
 // Reg looks up a register placement by flat name.
@@ -155,35 +240,20 @@ func (sm *StateMap) Mem(name string) (MemLoc, bool) {
 // everything. This drives the SLR-aware readback optimization: scan only
 // the frames that matter.
 func (sm *StateMap) FramesTouched(names map[string]bool) map[int][]int {
-	perSLR := make(map[int]map[int]bool)
-	touch := func(slr, frame int) {
-		if perSLR[slr] == nil {
-			perSLR[slr] = make(map[int]bool)
-		}
-		perSLR[slr][frame] = true
-	}
+	var keys [][2]int
 	for _, r := range sm.Regs {
 		if names == nil || names[r.Name] {
-			touch(r.Addr.SLR, r.Addr.Frame)
+			keys = append(keys, [2]int{r.Addr.SLR, r.Addr.Frame})
 		}
 	}
 	for _, m := range sm.Mems {
 		if names == nil || names[m.Name] {
 			for f := 0; f < m.FrameCount(); f++ {
-				touch(m.SLR, m.StartFrame+f)
+				keys = append(keys, [2]int{m.SLR, m.StartFrame + f})
 			}
 		}
 	}
-	out := make(map[int][]int, len(perSLR))
-	for slr, frames := range perSLR {
-		lst := make([]int, 0, len(frames))
-		for f := range frames {
-			lst = append(lst, f)
-		}
-		sort.Ints(lst)
-		out[slr] = lst
-	}
-	return out
+	return perSLR(keys)
 }
 
 // FrameAllocator hands out frame space inside a region sequentially. The

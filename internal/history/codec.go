@@ -231,6 +231,75 @@ func (r *dec) state() *State {
 	return st
 }
 
+// fromState converts a decoded savestate to dense state, or returns nil
+// when it does not hold exactly the engine's slots and memories.
+func (e *Engine) fromState(st *State) *denseState {
+	if len(st.Regs)+len(st.Inputs) != len(e.slots) || len(st.Mems) != len(e.mems) {
+		return nil
+	}
+	ds := &denseState{pos: st.Pos, cycle: st.Cycle, regs: make([]uint64, len(e.slots)), mems: make([][]uint64, len(e.mems))}
+	for i, sl := range e.slots {
+		src := st.Regs
+		if sl.Input {
+			src = st.Inputs
+		}
+		v, ok := src[sl.Name]
+		if !ok {
+			return nil
+		}
+		ds.regs[i] = v
+	}
+	for i, m := range e.mems {
+		words, ok := st.Mems[m.Name]
+		if !ok {
+			return nil
+		}
+		ds.mems[i] = words
+	}
+	return ds
+}
+
+// tickCycles rebuilds a decoded segment's cycle tags from its records;
+// it reports false when the records do not parse.
+func tickCycles(seg *segment) ([]uint64, bool) {
+	var cycles []uint64
+	buf, off := seg.buf, 0
+	next := func() (uint64, bool) {
+		if off >= len(buf) {
+			return 0, false
+		}
+		v, n := binary.Uvarint(buf[off:])
+		off += max(n, 0)
+		return v, n > 0
+	}
+	cyc := seg.kf.cycle
+	for off < len(buf) {
+		kind := buf[off]
+		off++
+		if kind == recTick {
+			d, n := binary.Varint(buf[off:])
+			if n <= 0 {
+				return nil, false
+			}
+			off += n
+			cyc = uint64(int64(cyc) + d)
+			cycles = append(cycles, cyc)
+		}
+		// Skip the record body: register (slot, value) pairs, then memory
+		// (id, address, value) triples.
+		for _, per := range []uint64{2, 3} {
+			cnt, ok := next()
+			for i := uint64(0); ok && i < cnt*per; i++ {
+				_, ok = next()
+			}
+			if !ok {
+				return nil, false
+			}
+		}
+	}
+	return cycles, true
+}
+
 func sortedKeys(m map[string]uint64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -311,7 +380,7 @@ func (e *Engine) Encode() []byte {
 			w.u(seg.endPos)
 			w.dense(seg.kf)
 			w.bytes(seg.buf)
-			w.u(uint64(seg.n))
+			w.u(uint64(len(seg.cycles)))
 			w.u(seg.lastCycle)
 			w.u(seg.minCycle)
 			w.u(seg.maxCycle)
@@ -331,7 +400,7 @@ func (e *Engine) Encode() []byte {
 	w.u(uint64(len(names)))
 	for _, n := range names {
 		w.str(n)
-		w.state(e.saves[n])
+		w.state(e.toState(*e.saves[n]))
 	}
 	return w.b
 }
@@ -345,7 +414,7 @@ func Decode(blob []byte) (*Engine, error) {
 	}
 	r := &dec{b: blob, off: 4}
 
-	e := &Engine{saves: map[string]*State{}}
+	e := &Engine{saves: map[string]*denseState{}}
 	e.cfg = Config{
 		KeyframeEvery: int(r.u()),
 		MaxKeyframes:  int(r.u()),
@@ -368,6 +437,7 @@ func Decode(blob []byte) (*Engine, error) {
 		e.mems[i].Name = r.str()
 		e.mems[i].ID = int32(i)
 	}
+	e.ownLayout()
 
 	e.seq = r.u()
 	e.segGen = r.u()
@@ -403,7 +473,11 @@ func Decode(blob []byte) (*Engine, error) {
 				kf:       r.dense(),
 				buf:      r.bytes(),
 			}
-			seg.n = int(r.u())
+			cycles, ok := tickCycles(seg)
+			if n := r.u(); !ok || uint64(len(cycles)) != n {
+				r.fail("segment %d of timeline %d: records disagree with its %d ticks", j, i, n)
+			}
+			seg.cycles = cycles
 			seg.lastCycle = r.u()
 			seg.minCycle = r.u()
 			seg.maxCycle = r.u()
@@ -437,7 +511,11 @@ func Decode(blob []byte) (*Engine, error) {
 	nSaves := r.count(2)
 	for i := 0; i < nSaves && r.err == nil; i++ {
 		name := r.str()
-		e.saves[name] = r.state()
+		if ds := e.fromState(r.state()); ds != nil {
+			e.saves[name] = ds
+		} else {
+			r.fail("savestate %q does not match the slot layout", name)
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

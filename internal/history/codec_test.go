@@ -29,7 +29,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	e := New(Config{KeyframeEvery: 8})
 	e.Attach(s, "cyc")
 	record(t, s, e, 50)
-	if _, err := e.SaveNamed("mark"); err != nil {
+	if _, err := saveNamed(e, "mark"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,11 +44,11 @@ func TestCodecRoundTrip(t *testing.T) {
 
 	// The decoded engine reconstructs identically before any transplant.
 	for _, pos := range []uint64{10, 25, 50} {
-		a, err := e.StateAt(pos)
+		a, err := stateAt(e, pos)
 		if err != nil {
 			t.Fatalf("orig StateAt(%d): %v", pos, err)
 		}
-		b, err := e2.StateAt(pos)
+		b, err := stateAt(e2, pos)
 		if err != nil {
 			t.Fatalf("decoded StateAt(%d): %v", pos, err)
 		}
@@ -63,11 +63,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		a.TipPos != b.TipPos || a.HorizonPos != b.HorizonPos || a.Timelines != b.Timelines {
 		t.Fatalf("Stat mismatch: %+v vs %+v", a, b)
 	}
-	st, ok := e2.Named("mark")
+	st, ok := namedState(e2, "mark")
 	if !ok {
 		t.Fatal("savestate lost in round trip")
 	}
-	orig, _ := e.Named("mark")
+	orig, _ := namedState(e, "mark")
 	compareStates(t, st.Pos, orig, st)
 
 	// Transplant the decoded engine onto a fresh board and keep recording:
@@ -78,7 +78,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	// Restore the tip state onto the new sim as host writes (the facade's
 	// migration restore), then run forward.
-	tip, err := e2.StateAt(bp)
+	tip, err := stateAt(e2, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		s2.Tick()
 	}
 	tp, _ := e2.Tip()
-	if _, err := e2.StateAt(tp); err != nil {
+	if _, err := stateAt(e2, tp); err != nil {
 		t.Fatalf("StateAt(tip) after transplant: %v", err)
 	}
 	// Pre-transplant history is still addressable through the blob'd ring.
-	if _, err := e2.StateAt(25); err != nil {
+	if _, err := stateAt(e2, 25); err != nil {
 		t.Fatalf("StateAt(25) after transplant: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestCodecBranchTimelines(t *testing.T) {
 	record(t, s, e, 40)
 
 	// Rewind the cursor and diverge: next tick forks a timeline.
-	st, err := e.StateAt(20)
+	st, err := stateAt(e, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestCodecBranchTimelines(t *testing.T) {
 	if ap != bp || acy != bcy {
 		t.Fatalf("cursor (%d,%d) != decoded (%d,%d)", ap, acy, bp, bcy)
 	}
-	sa, err := e.StateAt(ap)
+	sa, err := stateAt(e, ap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := e2.StateAt(bp)
+	sb, err := stateAt(e2, bp)
 	if err != nil {
 		t.Fatal(err)
 	}

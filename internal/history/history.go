@@ -27,11 +27,12 @@
 // one coherent line from horizon to cursor.
 //
 // The engine never touches the cable or the debugger: it reconstructs
-// state host-side and hands it to the facade, which restores it through
-// dbg's RestoreFrames (the configuration-frame Snapshot/Restore
-// machinery). A live mirror of the simulator's state, fed by the same
-// commit hook, tells the facade which values differ from the board, so a
-// restore writes only the frames holding them.
+// state host-side and hands it to the facade, in the state map's order
+// the facade resolved once, and the facade restores it through dbg's
+// RestoreVec (the configuration-frame Snapshot/Restore machinery). A
+// live mirror of the simulator's state, fed by the same commit hook,
+// tells the facade which values differ from the board, so a restore
+// writes only the frames holding them.
 package history
 
 import (
@@ -75,15 +76,30 @@ func (c Config) withDefaults() Config {
 }
 
 // State is the full architectural state at one recorded position,
-// keyed by flat signal/memory name. Regs holds clocked registers
-// (restorable through configuration frames); Inputs holds top-level
-// input ports (restorable only by poking the simulated pins).
+// keyed by flat signal/memory name: the form savestates take in an
+// encoded blob. Regs holds clocked registers (restorable through
+// configuration frames); Inputs holds top-level input ports (restorable
+// only by poking the simulated pins).
 type State struct {
 	Pos    uint64
 	Cycle  uint64
 	Regs   map[string]uint64
 	Inputs map[string]uint64
 	Mems   map[string][]uint64
+}
+
+// Vec is the state at one recorded position in the layout a caller
+// resolved (Resolve): Regs[i] is the value of the caller's register i
+// and Mems[j] the words of its memory j. Inputs holds the input ports in
+// name order, as slots of the simulator the engine is bound to (they are
+// driven as pins, not restored through frames). Mems may share the
+// engine's copies: callers must not modify them.
+type Vec struct {
+	Pos    uint64
+	Cycle  uint64
+	Regs   []uint64
+	Mems   [][]uint64
+	Inputs []sim.RegDelta
 }
 
 // denseState is a State in the engine's internal dense layout.
@@ -107,7 +123,10 @@ type segment struct {
 	endPos   uint64 // position of the last encoded tick (== startPos when empty)
 	kf       denseState
 	buf      []byte
-	n        int // tick records encoded
+	// cycles holds the cycle tag of every tick record, in order: the
+	// tick at position startPos+1+i completed cycle cycles[i]. Cycle
+	// lookups read these instead of decoding the buffer.
+	cycles []uint64
 
 	lastCycle          uint64 // cycle of the last tick (delta-encoding base)
 	minCycle, maxCycle uint64
@@ -148,6 +167,13 @@ type Engine struct {
 	cycleReg string
 	cycleIdx int32 // dense index of the cycle register, -1 = use positions
 
+	// The caller's layout (Resolve): regOf[i] is the dense index of the
+	// caller's register i and memOf[j] the index into mems of its memory
+	// j. inputs lists the dense indices of the input ports in name order.
+	regOf  []int32
+	memOf  []int32
+	inputs []int32
+
 	// live mirrors the simulator's current state slot for slot and word
 	// for word. Binding seeds it; from then on only the commit hook's
 	// deltas feed it, suspended or not, so it always equals the board and
@@ -163,14 +189,14 @@ type Engine struct {
 	detached  bool // cursor behind the tip: next record forks
 	pendingKF *denseState
 	suspended int // nesting suspend count
-	saves     map[string]*State
+	saves     map[string]*denseState
 	nKF       int
 	bytes     int64
 }
 
 // New creates an unattached engine.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), saves: make(map[string]*State)}
+	return &Engine{cfg: cfg.withDefaults(), saves: make(map[string]*denseState)}
 }
 
 // Attach binds the engine to a simulator, captures the initial keyframe
@@ -182,6 +208,7 @@ func (e *Engine) Attach(s *sim.Simulator, cycleReg string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.bind(s, cycleReg)
+	e.ownLayout()
 	root := &timeline{id: 0}
 	e.timelines = []*timeline{root}
 	e.cur, e.cursorTL = root, root
@@ -224,6 +251,63 @@ func (e *Engine) bind(s *sim.Simulator, cycleReg string) {
 	}
 }
 
+// ownLayout sets the caller's layout to the engine's own order: every
+// register slot, then every memory, as the simulator lists them.
+func (e *Engine) ownLayout() {
+	e.regOf, e.memOf, e.inputs = nil, nil, nil
+	for i, sl := range e.slots {
+		if sl.Input {
+			e.inputs = append(e.inputs, int32(i))
+		} else {
+			e.regOf = append(e.regOf, int32(i))
+		}
+	}
+	sort.Slice(e.inputs, func(a, b int) bool { return e.slots[e.inputs[a]].Name < e.slots[e.inputs[b]].Name })
+	for i := range e.mems {
+		e.memOf = append(e.memOf, int32(i))
+	}
+}
+
+// Resolve sets the layout of the state vectors the engine hands out
+// (StateAt, SaveNamed, Named) and compares (LiveDiff): the caller's
+// registers and memories, by flat name, in the caller's order. The names
+// are looked up once, here; every later op moves state by index. The
+// layout must name every register and memory the engine records, and
+// nothing else. Until then a freshly attached or decoded engine uses its
+// own order. A transplant keeps the layout, which stays valid for the
+// caller it was resolved for; a new caller, such as a session adopting
+// the engine, resolves its own.
+func (e *Engine) Resolve(regs, mems []string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seen := make(map[int]bool, len(regs))
+	regOf := make([]int32, len(regs))
+	for i, n := range regs {
+		d, ok := e.slotIdx[n]
+		if !ok || e.slots[d].Input || seen[d] {
+			return fmt.Errorf("history: layout register %q is not a recorded register", n)
+		}
+		seen[d] = true
+		regOf[i] = int32(d)
+	}
+	clear(seen)
+	memOf := make([]int32, len(mems))
+	for j, n := range mems {
+		m, ok := e.memIdx[n]
+		if !ok || seen[m] {
+			return fmt.Errorf("history: layout memory %q is not a recorded memory", n)
+		}
+		seen[m] = true
+		memOf[j] = int32(m)
+	}
+	if len(regOf) != len(e.slots)-len(e.inputs) || len(memOf) != len(e.mems) {
+		return fmt.Errorf("history: layout of %d registers and %d memories, the engine records %d and %d",
+			len(regOf), len(memOf), len(e.slots)-len(e.inputs), len(e.mems))
+	}
+	e.regOf, e.memOf = regOf, memOf
+	return nil
+}
+
 // Detach stops recording and releases the simulator.
 func (e *Engine) Detach() {
 	e.mu.Lock()
@@ -256,9 +340,59 @@ func (e *Engine) Transplant(s *sim.Simulator) error {
 			return fmt.Errorf("history: transplant onto a different design (slot %d is %q, had %q)", i, sl.Name, e.slots[i].Name)
 		}
 	}
+	mems := s.StateMems()
+	if len(mems) != len(e.mems) {
+		return fmt.Errorf("history: transplant onto a different design (%d memories, had %d)", len(mems), len(e.mems))
+	}
+	for i, m := range mems {
+		if m.Name != e.mems[i].Name {
+			return fmt.Errorf("history: transplant onto a different design (memory %d is %q, had %q)", i, m.Name, e.mems[i].Name)
+		}
+	}
+	if err := e.checkShapes(mems); err != nil {
+		return err
+	}
 	e.unhook()
 	e.bind(s, e.cycleReg)
 	s.SetCommitHook(e)
+	return nil
+}
+
+// checkShapes requires every state the engine keeps — keyframes,
+// savestates and a pending fork keyframe — to hold one value per slot
+// and each memory's full depth, so restores from a decoded blob can
+// index them without checks.
+func (e *Engine) checkShapes(mems []sim.StateMem) error {
+	check := func(ds *denseState) error {
+		if len(ds.regs) != len(e.slots) || len(ds.mems) != len(mems) {
+			return fmt.Errorf("history: state at position %d holds %d slots and %d memories, the design %d and %d",
+				ds.pos, len(ds.regs), len(ds.mems), len(e.slots), len(mems))
+		}
+		for i, m := range mems {
+			if len(ds.mems[i]) != m.Depth {
+				return fmt.Errorf("history: state at position %d holds %d words of %q, the design %d",
+					ds.pos, len(ds.mems[i]), m.Name, m.Depth)
+			}
+		}
+		return nil
+	}
+	states := []*denseState{e.pendingKF}
+	for _, t := range e.timelines {
+		for _, seg := range t.segs {
+			states = append(states, &seg.kf)
+		}
+	}
+	for _, ds := range e.saves {
+		states = append(states, ds)
+	}
+	for _, ds := range states {
+		if ds == nil {
+			continue
+		}
+		if err := check(ds); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -345,7 +479,7 @@ func (e *Engine) OnTick(_ uint64, regs []sim.RegDelta, mems []sim.MemDelta) {
 	seg.buf = binary.AppendVarint(seg.buf, int64(cyc)-int64(seg.lastCycle))
 	seg.buf = e.appendDeltas(seg.buf, regs, mems)
 	e.bytes += int64(len(seg.buf) - n0)
-	seg.n++
+	seg.cycles = append(seg.cycles, cyc)
 	seg.endPos = pos
 	seg.lastCycle = cyc
 	if cyc < seg.minCycle {
@@ -355,7 +489,7 @@ func (e *Engine) OnTick(_ uint64, regs []sim.RegDelta, mems []sim.MemDelta) {
 		seg.maxCycle = cyc
 	}
 	e.cursor = pos
-	if seg.n >= e.cfg.KeyframeEvery {
+	if len(seg.cycles) >= e.cfg.KeyframeEvery {
 		e.addSegment(e.cur, e.captureLive(pos))
 		e.evict()
 	}
@@ -605,24 +739,7 @@ func applyDeltas(buf []byte, off int, regs []uint64, mems [][]uint64) int {
 	return off
 }
 
-// skipDeltas advances past one record body without applying it.
-func skipDeltas(buf []byte, off int) int {
-	nr, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nr*2; i++ {
-		_, n := binary.Uvarint(buf[off:])
-		off += n
-	}
-	nm, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nm*3; i++ {
-		_, n := binary.Uvarint(buf[off:])
-		off += n
-	}
-	return off
-}
-
-// toState converts dense state to the name-keyed public form.
+// toState converts dense state to the name-keyed form the codec writes.
 func (e *Engine) toState(ds denseState) *State {
 	st := &State{
 		Pos:    ds.pos,
@@ -644,57 +761,66 @@ func (e *Engine) toState(ds denseState) *State {
 	return st
 }
 
+// vec hands dense state out in the caller's layout; its memories share
+// ds's slices.
+func (e *Engine) vec(ds *denseState) *Vec {
+	v := &Vec{
+		Pos:    ds.pos,
+		Cycle:  ds.cycle,
+		Regs:   make([]uint64, len(e.regOf)),
+		Mems:   make([][]uint64, len(e.memOf)),
+		Inputs: make([]sim.RegDelta, len(e.inputs)),
+	}
+	for i, d := range e.regOf {
+		v.Regs[i] = ds.regs[d]
+	}
+	for j, m := range e.memOf {
+		v.Mems[j] = ds.mems[m]
+	}
+	for k, d := range e.inputs {
+		v.Inputs[k] = sim.RegDelta{Slot: e.slots[d].Idx, Val: ds.regs[d]}
+	}
+	return v
+}
+
 // StateAt reconstructs the full state at a recorded position on the
 // cursor's lineage.
-func (e *Engine) StateAt(pos uint64) (*State, error) {
+func (e *Engine) StateAt(pos uint64) (*Vec, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ds, err := e.reconstruct(e.cursorTL, pos)
 	if err != nil {
 		return nil, err
 	}
-	return e.toState(ds), nil
+	return e.vec(&ds), nil
 }
 
-// Diff lists the state that differs between a target and the live
-// mirror: register names, and per memory the differing word addresses in
-// ascending order.
-type Diff struct {
-	Regs  []string
-	Words map[string][]int
-}
-
-// LiveDiff compares target state with the live mirror, which always
-// equals the board, so a restore of the target needs to write only the
-// state it lists, and a snapshot taken as the target needs to re-read
-// only that state. Only the registers and memories named in regs and mems
-// are compared; input ports are not, since they are driven as pins rather
-// than restored through frames. State the mirror does not hold — names it
-// has no slot or memory for, words past a memory's depth — is listed as
-// differing. The engine must be attached.
-func (e *Engine) LiveDiff(regs map[string]uint64, mems map[string][]uint64) Diff {
+// LiveDiff compares a state vector in the caller's layout with the live
+// mirror, which always equals the board, so a restore of the vector needs
+// to write only the state it lists, and a snapshot taken as the vector
+// needs to re-read only that state. It returns the positions of the
+// registers that differ and, per memory, the differing word addresses in
+// ascending order. Registers not held (held[i] false; a nil held holds
+// them all) and nil memories are not compared; a held memory must have
+// its full depth. The engine must be attached.
+func (e *Engine) LiveDiff(regs []uint64, held []bool, mems [][]uint64) (diffRegs []int, diffWords [][]int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d := Diff{Words: make(map[string][]int)}
-	for n, v := range regs {
-		i, ok := e.slotIdx[n]
-		if !ok || !e.slots[i].Input && v != e.live.regs[i] {
-			d.Regs = append(d.Regs, n)
+	for i, v := range regs {
+		if (held == nil || held[i]) && v != e.live.regs[e.regOf[i]] {
+			diffRegs = append(diffRegs, i)
 		}
 	}
-	sort.Strings(d.Regs)
-	for n, words := range mems {
-		var live []uint64
-		if i, ok := e.memIdx[n]; ok {
-			live = e.live.mems[i]
-		}
+	diffWords = make([][]int, len(mems))
+	for j, words := range mems {
+		live := e.live.mems[e.memOf[j]]
 		for a, v := range words {
-			if a >= len(live) || v != live[a] {
-				d.Words[n] = append(d.Words[n], a)
+			if v != live[a] {
+				diffWords[j] = append(diffWords[j], a)
 			}
 		}
 	}
-	return d
+	return diffRegs, diffWords
 }
 
 // CheckMirror compares the live mirror with the attached simulator and
@@ -784,27 +910,15 @@ func segPosForCycle(seg *segment, c, upper uint64) (uint64, bool) {
 	if prev == c && seg.startPos <= upper {
 		best, found = seg.startPos, true
 	}
-	cur := seg.startPos
-	cyc := seg.kf.cycle
-	buf := seg.buf
-	off := 0
-	for off < len(buf) {
-		kind := buf[off]
-		off++
-		if kind == recTick {
-			d, n := binary.Varint(buf[off:])
-			off += n
-			cur++
-			if cur > upper {
-				break
-			}
-			prev = cyc
-			cyc = uint64(int64(cyc) + d)
-			if cyc == c && prev != c {
-				best, found = cur, true
-			}
+	for i, cyc := range seg.cycles {
+		pos := seg.startPos + 1 + uint64(i)
+		if pos > upper {
+			break
 		}
-		off = skipDeltas(buf, off)
+		if cyc == c && prev != c {
+			best, found = pos, true
+		}
+		prev = cyc
 	}
 	return best, found
 }
@@ -959,10 +1073,10 @@ func (e *Engine) ProbeBoundaries(upto uint64) []Boundary {
 	return dedup
 }
 
-// SaveNamed stores the state at the cursor under a name. Savestates are
-// host-side copies: they survive ring eviction, timeline GC and board
-// migration.
-func (e *Engine) SaveNamed(name string) (*State, error) {
+// SaveNamed stores the state at the cursor under a name and returns it.
+// Savestates are host-side copies: they survive ring eviction, timeline
+// GC and board migration.
+func (e *Engine) SaveNamed(name string) (*Vec, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var ds denseState
@@ -976,17 +1090,19 @@ func (e *Engine) SaveNamed(name string) (*State, error) {
 			return nil, err
 		}
 	}
-	st := e.toState(ds)
-	e.saves[name] = st
-	return st, nil
+	e.saves[name] = &ds
+	return e.vec(&ds), nil
 }
 
 // Named returns a stored savestate.
-func (e *Engine) Named(name string) (*State, bool) {
+func (e *Engine) Named(name string) (*Vec, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st, ok := e.saves[name]
-	return st, ok
+	ds, ok := e.saves[name]
+	if !ok {
+		return nil, false
+	}
+	return e.vec(ds), true
 }
 
 // SaveNames lists stored savestates, sorted.

@@ -3,6 +3,7 @@ package history
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,6 +46,50 @@ func newSim(t *testing.T, opts ...sim.Options) *sim.Simulator {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// byName converts a vector in the engine's current layout back to a
+// name-keyed State, so the tests compare full states by name.
+func (e *Engine) byName(v *Vec) *State {
+	st := &State{Pos: v.Pos, Cycle: v.Cycle,
+		Regs: map[string]uint64{}, Inputs: map[string]uint64{}, Mems: map[string][]uint64{}}
+	for i, d := range e.regOf {
+		st.Regs[e.slots[d].Name] = v.Regs[i]
+	}
+	for j, m := range e.memOf {
+		st.Mems[e.mems[m].Name] = v.Mems[j]
+	}
+	for k, d := range e.inputs {
+		st.Inputs[e.slots[d].Name] = v.Inputs[k].Val
+	}
+	return st
+}
+
+// stateAt is StateAt by name.
+func stateAt(e *Engine, pos uint64) (*State, error) {
+	v, err := e.StateAt(pos)
+	if err != nil {
+		return nil, err
+	}
+	return e.byName(v), nil
+}
+
+// saveNamed is SaveNamed by name.
+func saveNamed(e *Engine, name string) (*State, error) {
+	v, err := e.SaveNamed(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.byName(v), nil
+}
+
+// namedState is Named by name.
+func namedState(e *Engine, name string) (*State, bool) {
+	v, ok := e.Named(name)
+	if !ok {
+		return nil, false
+	}
+	return e.byName(v), true
 }
 
 // expect compares a reconstructed State against a reference snapshot
@@ -109,7 +154,7 @@ func TestReconstructBitIdentical(t *testing.T) {
 			}
 		}
 		for p, ref := range refs {
-			st, err := e.StateAt(p)
+			st, err := stateAt(e, p)
 			if err != nil {
 				t.Fatalf("engine %v: StateAt(%d): %v", engine, p, err)
 			}
@@ -134,7 +179,7 @@ func TestPosForCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.StateAt(p)
+	st, err := stateAt(e, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +201,7 @@ func TestHorizonEviction(t *testing.T) {
 	s.Poke("en", 1)
 	s.Run(100)
 
-	if _, err := e.StateAt(1); !errors.Is(err, dberr.ErrHistoryHorizon) {
+	if _, err := stateAt(e, 1); !errors.Is(err, dberr.ErrHistoryHorizon) {
 		t.Errorf("pre-horizon StateAt error = %v, want ErrHistoryHorizon", err)
 	}
 	if _, err := e.PosForCycle(1); !errors.Is(err, dberr.ErrHistoryHorizon) {
@@ -167,7 +212,7 @@ func TestHorizonEviction(t *testing.T) {
 		t.Errorf("horizon did not advance: pos=%d cycle=%d", hp, hc)
 	}
 	ref := s.Snapshot("clk")
-	st, err := e.StateAt(100)
+	st, err := stateAt(e, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +226,7 @@ func TestHorizonEviction(t *testing.T) {
 // with recording suspended, then move the cursor.
 func seekTo(t *testing.T, e *Engine, s *sim.Simulator, pos uint64) {
 	t.Helper()
-	st, err := e.StateAt(pos)
+	st, err := stateAt(e, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +287,7 @@ func TestMirrorTracksSimulator(t *testing.T) {
 		}
 		mirrorOK(t, e, "transplant")
 		tip, _ := e.Cursor()
-		st, err := e.StateAt(tip)
+		st, err := stateAt(e, tip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,14 +383,14 @@ func TestForkTimeline(t *testing.T) {
 	// from 99); reconstruct and compare against live.
 	ref := s.Snapshot("clk")
 	cur, _ := e.Cursor()
-	st, err := e.StateAt(cur)
+	st, err := stateAt(e, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expect(t, st, ref, nil)
 
 	// Crossing the fork into the parent still works.
-	st, err = e.StateAt(5)
+	st, err = stateAt(e, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +415,7 @@ func TestTimelineGC(t *testing.T) {
 	}
 	// The current branch still reconstructs.
 	cur, _ := e.Cursor()
-	if _, err := e.StateAt(cur); err != nil {
+	if _, err := stateAt(e, cur); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -384,7 +429,7 @@ func TestSavestateAcrossTransplant(t *testing.T) {
 	e.Attach(s, "cyc")
 	s.Poke("en", 1)
 	s.Run(25)
-	saved, err := e.SaveNamed("golden")
+	saved, err := saveNamed(e, "golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +441,7 @@ func TestSavestateAcrossTransplant(t *testing.T) {
 	if err := e.Transplant(s2); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := e.Named("golden")
+	got, ok := namedState(e, "golden")
 	if !ok || got.Regs["cnt"] != 25 {
 		t.Fatalf("savestate lost across transplant: %v %v", ok, got)
 	}
@@ -409,7 +454,7 @@ func TestSavestateAcrossTransplant(t *testing.T) {
 	s2.Run(5)
 	ref := s2.Snapshot("clk")
 	cur, _ := e.Cursor()
-	st, err := e.StateAt(cur)
+	st, err := stateAt(e, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,5 +527,83 @@ func TestSuspendStopsRecording(t *testing.T) {
 	e.Suspend(false)
 	if tip, _ := e.Tip(); tip != tip0 {
 		t.Errorf("tip advanced to %d during suspend, want %d", tip, tip0)
+	}
+}
+
+// TestResolveLayout hands state out in a caller's order: after Resolve
+// with the registers and memories reversed, StateAt, SaveNamed, Named
+// and LiveDiff index by that order, LiveDiff reports a changed value at
+// its position — a memory's last word included — and skips what is not
+// held. A transplant keeps the layout, and a layout naming state the
+// engine does not record, leaving some out or naming some twice is
+// refused.
+func TestResolveLayout(t *testing.T) {
+	s := newSim(t)
+	e := New(Config{KeyframeEvery: 8})
+	e.Attach(s, "cyc")
+	s.Poke("en", 1)
+	s.Run(20)
+	own, err := stateAt(e, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs, mems []string
+	for i := len(e.regOf) - 1; i >= 0; i-- {
+		regs = append(regs, e.slots[e.regOf[i]].Name)
+	}
+	for j := len(e.memOf) - 1; j >= 0; j-- {
+		mems = append(mems, e.mems[e.memOf[j]].Name)
+	}
+	if err := e.Resolve(regs, mems); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := e.SaveNamed("here")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, _ := e.Named("here")
+	at, err := e.StateAt(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Vec{at, saved, named} {
+		for i, n := range regs {
+			if v.Regs[i] != own.Regs[n] {
+				t.Errorf("register %d (%s) = %#x, want %#x", i, n, v.Regs[i], own.Regs[n])
+			}
+		}
+		for j, n := range mems {
+			if !slices.Equal(v.Mems[j], own.Mems[n]) {
+				t.Errorf("memory %d (%s) differs", j, n)
+			}
+		}
+	}
+
+	if r, w := e.LiveDiff(saved.Regs, nil, saved.Mems); len(r) != 0 || slices.ContainsFunc(w, func(ws []int) bool { return len(ws) > 0 }) {
+		t.Errorf("live state differs from itself: registers %v, words %v", r, w)
+	}
+	regVals := slices.Clone(saved.Regs)
+	regVals[1] ^= 1
+	last := len(saved.Mems[0]) - 1
+	words := [][]uint64{slices.Clone(saved.Mems[0])}
+	words[0][last] ^= 1
+	if r, w := e.LiveDiff(regVals, nil, words); !slices.Equal(r, []int{1}) || !slices.Equal(w[0], []int{last}) {
+		t.Errorf("diff of register 1 and word %d: registers %v, words %v", last, r, w)
+	}
+	held := make([]bool, len(regVals))
+	if r, w := e.LiveDiff(regVals, held, make([][]uint64, len(mems))); len(r) != 0 || len(w[0]) != 0 {
+		t.Errorf("diff of nothing held: registers %v, words %v", r, w)
+	}
+
+	if err := e.Transplant(newSim(t)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := e.StateAt(20); !slices.Equal(v.Regs, at.Regs) {
+		t.Error("a transplant did not keep the caller's layout")
+	}
+	for _, bad := range [][]string{{"nope"}, regs[1:], append(slices.Clone(regs[1:]), regs[1])} {
+		if err := e.Resolve(bad, mems); err == nil {
+			t.Errorf("layout %v accepted", bad)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package place
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -200,16 +201,9 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 // either register is unplaced or a swapped register would span its frame.
 func (p *Placement) SwapRegAddrs(a, b string) bool {
 	sm := p.StateMap
-	ia, ib := -1, -1
-	for i := range sm.Regs {
-		switch sm.Regs[i].Name {
-		case a:
-			ia = i
-		case b:
-			ib = i
-		}
-	}
-	if ia < 0 || ib < 0 || ia == ib {
+	ia, oka := sm.RegIndex(a)
+	ib, okb := sm.RegIndex(b)
+	if !oka || !okb || ia == ib {
 		return false
 	}
 	ra, rb := sm.Regs[ia], sm.Regs[ib]
@@ -218,35 +212,36 @@ func (p *Placement) SwapRegAddrs(a, b string) bool {
 		ra.Addr.Bit+rb.Width > fpga.FrameBits {
 		return false
 	}
-	sm.Regs[ia].Addr, sm.Regs[ib].Addr = rb.Addr, ra.Addr
-	return true
+	regs := slices.Clone(sm.Regs)
+	regs[ia].Addr, regs[ib].Addr = rb.Addr, ra.Addr
+	return p.rebuildState(regs)
 }
 
-// DropReg removes one register from the state map, rebuilding it through
-// the exported fpga API (the map's name index is private to fpga).
-// Reports whether the register was present.
+// DropReg removes one register from the state map. Reports whether the
+// register was present.
 func (p *Placement) DropReg(name string) bool {
-	old := p.StateMap
-	found := false
+	i, ok := p.StateMap.RegIndex(name)
+	return ok && p.rebuildState(slices.Delete(slices.Clone(p.StateMap.Regs), i, i+1))
+}
+
+// rebuildState replaces the state map with one placing regs and the old
+// memories, built through the exported fpga API so that the map's name
+// and frame indexes agree with its Regs. Reports whether every placement
+// was accepted; on refusal the old map stays.
+func (p *Placement) rebuildState(regs []fpga.RegLoc) bool {
 	sm := fpga.NewStateMap()
-	for _, r := range old.Regs {
-		if r.Name == name {
-			found = true
-			continue
-		}
+	for _, r := range regs {
 		if err := sm.AddReg(r); err != nil {
 			return false
 		}
 	}
-	for _, m := range old.Mems {
+	for _, m := range p.StateMap.Mems {
 		if err := sm.AddMem(m); err != nil {
 			return false
 		}
 	}
-	if found {
-		p.StateMap = sm
-	}
-	return found
+	p.StateMap = sm
+	return true
 }
 
 func validateSpecs(specs []PartitionSpec) error {

@@ -306,6 +306,7 @@ type Session struct {
 	Result *CompileResult
 
 	hist     *history.Engine
+	hl       *histLayout // see bindHistory
 	closed   bool
 	cleanups []func() error
 }
@@ -386,7 +387,9 @@ func Debug(d *Design, cfg DebugConfig) (*Session, error) {
 		return nil, err
 	}
 	sess := &Session{Debugger: debugger, Meta: meta, Result: res}
-	sess.attachHistory(cfg.History)
+	if err := sess.attachHistory(cfg.History); err != nil {
+		return nil, err
+	}
 	return sess, nil
 }
 
