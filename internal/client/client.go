@@ -19,7 +19,6 @@ package client
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"math/rand"
@@ -566,14 +565,7 @@ func overloadBackoff(resp *wire.Response, attempt int, fallback time.Duration) t
 // intact. This is the landing half of cross-daemon failover; the blob
 // comes from Session.StateExport on the session's previous home.
 func (c *Client) AttachWithState(ctx context.Context, design string, blob []byte) (*Session, error) {
-	b64 := base64.StdEncoding.EncodeToString(blob)
-	var chunks []string
-	for len(b64) > exportChunk {
-		chunks = append(chunks, b64[:exportChunk])
-		b64 = b64[exportChunk:]
-	}
-	chunks = append(chunks, b64)
-	resp, err := c.callCtx(ctx, &wire.Request{Op: wire.OpStateImport, Design: design, Signals: chunks})
+	resp, err := c.callCtx(ctx, &wire.Request{Op: wire.OpStateImport, Design: design, Signals: wire.EncodeBlob(blob)})
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +579,3 @@ func (c *Client) AttachWithState(ctx context.Context, design string, blob []byte
 		Watches: resp.Watches,
 	}, nil
 }
-
-// exportChunk bounds one blob chunk on the wire; it matches the server's
-// export chunking.
-const exportChunk = 256 << 10

@@ -2,9 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
-	"strings"
 	"time"
 
 	"zoomie/internal/dbg"
@@ -323,7 +321,7 @@ func (s *Session) StateExport(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	blob, derr := base64.StdEncoding.DecodeString(strings.Join(resp.Lines, ""))
+	blob, derr := wire.DecodeBlob(resp.Lines)
 	if derr != nil {
 		return nil, 0, fmt.Errorf("client: state export blob is not base64: %v", derr)
 	}

@@ -403,6 +403,6 @@ func (d *daemon) pumpEvents(cli *client.Client) {
 			d.co.dropSession(fs)
 		}
 		ev.Session = fs.id
-		d.co.broadcast(&ev)
+		d.co.hub.Broadcast(&ev)
 	}
 }

@@ -1,7 +1,9 @@
 // Package fleet is the federated board-farm coordinator: one process
-// fronting many zoomied daemons, speaking the ordinary wire protocol to
-// clients so `zoomie -connect` and internal/client work through it
-// unchanged. Each daemon is a failure domain. The coordinator leases
+// fronting many zoomied daemons. Clients reach it through the daemon's
+// own serving layer (server.Hub: connection, hello, streams, replay
+// cache, broadcast), so `zoomie -connect` and internal/client work
+// through it unchanged; the coordinator adds only its dispatch switch
+// and forwarded stream kinds (front.go). Each daemon is a failure domain. The coordinator leases
 // them with heartbeat probing (suspicion after consecutive misses,
 // exponential-backoff requalification after quarantine), places new
 // sessions on the least-loaded healthy daemon behind admission control
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"zoomie/internal/obs"
+	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
 
@@ -124,12 +127,12 @@ type Coordinator struct {
 
 	daemons []*daemon
 
+	// hub is the serving layer clients connect through: the daemon's own.
+	hub *server.Hub
+
 	mu       sync.Mutex
-	ln       net.Listener
 	sessions map[uint64]*fsession // by fleet session id
-	conns    map[*fconn]struct{}
 	nextSID  uint64
-	nextCID  uint64
 	closed   bool
 
 	// Admission token bucket (guarded by tbMu, not mu: the attach path
@@ -154,7 +157,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
 		sessions: make(map[uint64]*fsession),
-		conns:    make(map[*fconn]struct{}),
 		tokens:   float64(cfg.AttachBurst),
 		tbFilled: time.Now(),
 		quit:     make(chan struct{}),
@@ -174,6 +176,13 @@ func New(cfg Config) (*Coordinator, error) {
 		journalReplays: co.reg.Counter("zfleet.journal_replays"),
 		drains:         co.reg.Counter("zfleet.drains"),
 	}
+	co.hub = server.NewHub(server.Frontend{
+		Name:       "zfleet",
+		Logf:       cfg.Logf,
+		Reg:        co.reg,
+		Dispatch:   co.dispatch,
+		OpenStream: co.openStream,
+	}, &co.wg)
 	for i, addr := range cfg.Daemons {
 		d := newDaemon(co, i, addr)
 		co.daemons = append(co.daemons, d)
@@ -187,36 +196,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (co *Coordinator) Obs() *obs.Registry { return co.reg }
 
 // Serve accepts client connections until Shutdown.
-func (co *Coordinator) Serve(ln net.Listener) error {
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
-		return fmt.Errorf("fleet: coordinator is shut down")
-	}
-	co.ln = ln
-	co.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if co.isClosed() {
-				return nil
-			}
-			return err
-		}
-		c := newFconn(co, nc)
-		co.mu.Lock()
-		if co.closed {
-			co.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		co.conns[c] = struct{}{}
-		co.mu.Unlock()
-		co.wg.Add(2)
-		go c.readLoop()
-		go c.writeLoop()
-	}
-}
+func (co *Coordinator) Serve(ln net.Listener) error { return co.hub.Serve(ln) }
 
 // Shutdown stops accepting, notifies clients, tears down every session
 // actor and daemon link, and waits for the goroutines to drain.
@@ -227,11 +207,6 @@ func (co *Coordinator) Shutdown() {
 		return
 	}
 	co.closed = true
-	ln := co.ln
-	conns := make([]*fconn, 0, len(co.conns))
-	for c := range co.conns {
-		conns = append(conns, c)
-	}
 	sessions := make([]*fsession, 0, len(co.sessions))
 	for _, fs := range co.sessions {
 		sessions = append(sessions, fs)
@@ -239,18 +214,12 @@ func (co *Coordinator) Shutdown() {
 	co.mu.Unlock()
 
 	close(co.quit)
-	if ln != nil {
-		ln.Close()
-	}
-	co.broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "fleet coordinator shutting down"})
+	co.hub.Close(&wire.Event{Kind: wire.EvtShutdown, Detail: "fleet coordinator shutting down"})
 	for _, fs := range sessions {
 		fs.stop()
 	}
 	for _, d := range co.daemons {
 		d.closeClient(nil)
-	}
-	for _, c := range conns {
-		c.markDead()
 	}
 	co.wg.Wait()
 }
@@ -276,27 +245,6 @@ func (co *Coordinator) dropSession(fs *fsession) {
 	}
 	co.mu.Unlock()
 	fs.home().removeSession(fs)
-}
-
-// broadcast fans an event out to every subscribed client connection,
-// best-effort, exactly like a daemon does.
-func (co *Coordinator) broadcast(e *wire.Event) {
-	m := wire.Evt(e)
-	co.mu.Lock()
-	conns := make([]*fconn, 0, len(co.conns))
-	for c := range co.conns {
-		conns = append(conns, c)
-	}
-	co.mu.Unlock()
-	for _, c := range conns {
-		if !c.wants(e.Session) {
-			continue
-		}
-		select {
-		case c.out <- m:
-		default:
-		}
-	}
 }
 
 // admit is the fleet-wide token bucket. It returns the milliseconds to
@@ -358,7 +306,9 @@ func (co *Coordinator) place(exclude *daemon) *daemon {
 // Stats assembles the fleet-level counter snapshot answering OpStatus.
 // Sessions and commands are the coordinator's own view; the robustness
 // counters map onto the fleet equivalents so `zoomie> status` renders
-// meaningfully against a coordinator.
+// meaningfully against a coordinator; the transport counters (bytes,
+// events, reconnects, replay hits, streams) are the serving layer's, as
+// on a daemon.
 func (co *Coordinator) Stats() *wire.Stats {
 	co.mu.Lock()
 	active := int64(len(co.sessions))
@@ -369,7 +319,7 @@ func (co *Coordinator) Stats() *wire.Stats {
 			quarantined++
 		}
 	}
-	return &wire.Stats{
+	out := &wire.Stats{
 		SessionsActive:  active,
 		SessionsTotal:   int64(co.ctr.admissions.Load()),
 		CommandsServed:  int64(co.ctr.commands.Load()),
@@ -383,6 +333,8 @@ func (co *Coordinator) Stats() *wire.Stats {
 		Migrations:      int64(co.ctr.failovers.Load() + co.ctr.drains.Load()),
 		MigrationsFail:  int64(co.ctr.failoverFail.Load()),
 	}
+	co.hub.FillStats(out)
+	return out
 }
 
 // daemonByAddr finds a configured daemon (fleetdrain's addressing).

@@ -160,6 +160,10 @@ func TestFleetTransparent(t *testing.T) {
 	if resp.Stats == nil || resp.Stats.SessionsActive != 1 {
 		t.Fatalf("fleet stats = %+v, want 1 active session", resp.Stats)
 	}
+	// The serving layer counts the coordinator's transport like a daemon's.
+	if resp.Stats.BytesIn == 0 || resp.Stats.BytesOut == 0 {
+		t.Errorf("fleet byte counters idle: in=%d out=%d", resp.Stats.BytesIn, resp.Stats.BytesOut)
+	}
 
 	if err := s.Detach(); err != nil {
 		t.Fatal(err)

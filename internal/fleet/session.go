@@ -22,10 +22,6 @@ const (
 // daemon-side actor; overflow answers CodeBusy.
 const fsQueueDepth = 64
 
-// fsReplayDepth is the (client, seq) dedupe ring depth for front-client
-// reconnect replays.
-const fsReplayDepth = 16
-
 // maxFailoverAttempts bounds how many placement rounds a failover tries
 // before the session is declared lost.
 const maxFailoverAttempts = 40
@@ -35,11 +31,6 @@ type fsreq struct {
 	ctx   context.Context
 	req   *wire.Request
 	reply func(*wire.Response)
-}
-
-type replayEnt struct {
-	client, seq uint64
-	resp        *wire.Response
 }
 
 // fsession is one fleet-level session: a stable identity clients hold
@@ -65,9 +56,8 @@ type fsession struct {
 	suppressed bool // drop daemon events during journal replay
 	stopped    bool
 
-	replayMu sync.Mutex
-	replays  [fsReplayDepth]replayEnt
-	replayN  int
+	// replay answers front-client reconnect replays; actor-owned.
+	replay server.ReplayCache
 }
 
 func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID, gen uint64, checkpoint []string) *fsession {
@@ -81,6 +71,7 @@ func newFsession(co *Coordinator, id uint64, design string, home *daemon, remote
 		remoteSID:  remoteSID,
 		homeGen:    gen,
 		checkpoint: checkpoint,
+		replay:     server.NewReplayCache(co.hub),
 	}
 }
 
@@ -187,7 +178,7 @@ func (fs *fsession) handle(r *fsreq) {
 		return
 	}
 
-	if resp := fs.replayHit(req); resp != nil {
+	if resp := fs.replay.Hit(req); resp != nil {
 		r.reply(resp)
 		return
 	}
@@ -207,7 +198,7 @@ func (fs *fsession) handle(r *fsreq) {
 	}
 
 	resp := fs.forward(r.ctx, req)
-	fs.replayStore(req, resp)
+	fs.replay.Store(req, resp)
 	// A mutating op that failed after it ran, such as an until whose
 	// trigger never fired, changed state too, so a failover must replay it.
 	if (resp.Err == nil || resp.Err.OpFailed()) && server.Mutating(req.Op) {
@@ -366,7 +357,7 @@ func (fs *fsession) failover() *wire.Error {
 		fs.co.ctr.failoverNanos.Add(uint64(time.Since(start)))
 		fs.co.cfg.Logf("zfleet: session %d failed over %s -> %s (%d journal replays, %v)",
 			fs.id, old.addr, target.addr, len(journal), time.Since(start).Round(time.Millisecond))
-		fs.co.broadcast(&wire.Event{
+		fs.co.hub.Broadcast(&wire.Event{
 			Kind:    wire.EvtMigrated,
 			Session: fs.id,
 			Detail:  fmt.Sprintf("failed over from %s to %s", old.addr, target.addr),
@@ -440,7 +431,7 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 
 	fs.co.ctr.drains.Inc()
 	fs.co.cfg.Logf("zfleet: session %d drained %s -> %s", fs.id, oldD.addr, target.addr)
-	fs.co.broadcast(&wire.Event{
+	fs.co.hub.Broadcast(&wire.Event{
 		Kind:    wire.EvtMigrated,
 		Session: fs.id,
 		Detail:  fmt.Sprintf("drained from %s to %s", oldD.addr, target.addr),
@@ -471,41 +462,11 @@ func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 // detach event and the id stops resolving.
 func (fs *fsession) poison(werr *wire.Error) {
 	fs.co.cfg.Logf("zfleet: session %d poisoned: %s", fs.id, werr.Msg)
-	fs.co.broadcast(&wire.Event{
+	fs.co.hub.Broadcast(&wire.Event{
 		Kind: wire.EvtDetached, Session: fs.id, Detail: werr.Msg,
 	})
 	fs.stop()
 	fs.co.dropSession(fs)
-}
-
-// replayHit answers a front-client (client, seq) replay from the ring,
-// so a command whose response was lost when the *front* connection
-// dropped is answered from cache instead of executing twice.
-func (fs *fsession) replayHit(req *wire.Request) *wire.Response {
-	if req.Client == 0 || req.Seq == 0 {
-		return nil
-	}
-	fs.replayMu.Lock()
-	defer fs.replayMu.Unlock()
-	for i := range fs.replays {
-		e := &fs.replays[i]
-		if e.client == req.Client && e.seq == req.Seq && e.resp != nil {
-			out := *e.resp
-			out.ID = req.ID
-			return &out
-		}
-	}
-	return nil
-}
-
-func (fs *fsession) replayStore(req *wire.Request, resp *wire.Response) {
-	if req.Client == 0 || req.Seq == 0 {
-		return
-	}
-	fs.replayMu.Lock()
-	fs.replays[fs.replayN%fsReplayDepth] = replayEnt{client: req.Client, seq: req.Seq, resp: resp}
-	fs.replayN++
-	fs.replayMu.Unlock()
 }
 
 // isConnFailure classifies an error from a backend call: true means the

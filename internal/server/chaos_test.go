@@ -736,63 +736,59 @@ func TestClientAutoReconnect(t *testing.T) {
 	}
 }
 
-// TestReplayDedup drives the wire protocol by hand to prove the actor's
-// replay cache: the same (client, seq) step request sent twice executes
-// once — the second send is answered from cache, and the design advances
-// by one step, not two.
+// TestReplayDedup drives the wire protocol by hand to prove the replay
+// cache on both front ends: the same (client, seq) step request sent
+// twice executes once — the second send is answered from cache, and the
+// design advances by one step, not two.
 func TestReplayDedup(t *testing.T) {
-	srv, addr := startServer(t, server.Config{PoolSize: 1})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		stats, addr := fe.start(t, server.Config{PoolSize: 1})
+		rc := dialRaw(t, addr)
+		cid := rc.cid
 
-	// The hello travels in JSON; every later frame in the binary codec.
-	if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: wire.Version})); err != nil {
-		t.Fatal(err)
-	}
-	hello, _, err := wire.ReadMessage(nc)
-	if err != nil || hello.Resp == nil || hello.Resp.Err != nil {
-		t.Fatalf("hello: %+v, %v", hello, err)
-	}
-	cid := hello.Resp.Client
+		att := rc.call(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"})
+		sid := att.Session
+		rc.call(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: cid, Seq: 1})
+		rc.call(&wire.Request{ID: 4, Op: wire.OpPoke, Session: sid, Client: cid, Seq: 2, Name: "cnt", Value: 100})
 
-	roundtrip := func(req *wire.Request) *wire.Response {
-		t.Helper()
-		if _, err := wire.WriteMessageV(nc, wire.Req(req), wire.Version); err != nil {
-			t.Fatal(err)
+		// The same sequenced step, sent twice (as a reconnecting client
+		// would replay it): the counter must advance exactly once.
+		step := &wire.Request{ID: 5, Op: wire.OpStep, Session: sid, Client: cid, Seq: 3, N: 1}
+		rc.call(step)
+		rc.call(step)
+
+		peek := rc.call(&wire.Request{ID: 6, Op: wire.OpPeek, Session: sid, Client: cid, Seq: 4, Name: "cnt"})
+		if peek.Value != 101 {
+			t.Fatalf("after duplicated step cnt=%d, want 101 (step executed twice?)", peek.Value)
 		}
-		for {
-			m, _, err := wire.ReadMessageV(nc, wire.Version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.T == wire.TResp {
-				if m.Resp.Err != nil {
-					t.Fatalf("%s: %v", req.Op, m.Resp.Err)
-				}
-				return m.Resp
-			}
+		if st := stats(); st.ReplayHits != 1 {
+			t.Errorf("replay_hits=%d, want 1", st.ReplayHits)
 		}
-	}
+	})
+}
 
-	att := roundtrip(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"})
-	sid := att.Session
-	roundtrip(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: cid, Seq: 1})
-	roundtrip(&wire.Request{ID: 4, Op: wire.OpPoke, Session: sid, Client: cid, Seq: 2, Name: "cnt", Value: 100})
+// TestReplayDedupTwoClients pins that the replay cache keeps one ring per
+// client: while client A's sequenced step waits to be replayed, client B
+// sends a ring's worth of sequenced peeks to the same session, and A's
+// replay must still be answered from cache, not executed again.
+func TestReplayDedupTwoClients(t *testing.T) {
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		_, addr := fe.start(t, server.Config{PoolSize: 1})
+		a, b := dialRaw(t, addr), dialRaw(t, addr)
 
-	// The same sequenced step, sent twice (as a reconnecting client would
-	// replay it): the counter must advance exactly once.
-	step := &wire.Request{ID: 5, Op: wire.OpStep, Session: sid, Client: cid, Seq: 3, N: 1}
-	roundtrip(step)
-	roundtrip(step)
+		sid := a.call(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"}).Session
+		a.call(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: a.cid, Seq: 1})
+		a.call(&wire.Request{ID: 4, Op: wire.OpPoke, Session: sid, Client: a.cid, Seq: 2, Name: "cnt", Value: 100})
+		step := &wire.Request{ID: 5, Op: wire.OpStep, Session: sid, Client: a.cid, Seq: 3, N: 1}
+		a.call(step)
+		for i := uint64(1); i <= 16; i++ {
+			b.call(&wire.Request{ID: 10 + i, Op: wire.OpPeek, Session: sid, Client: b.cid, Seq: i, Name: "cnt"})
+		}
+		a.call(step) // A's reconnect replay of the step
 
-	peek := roundtrip(&wire.Request{ID: 6, Op: wire.OpPeek, Session: sid, Client: cid, Seq: 4, Name: "cnt"})
-	if peek.Value != 101 {
-		t.Fatalf("after duplicated step cnt=%d, want 101 (step executed twice?)", peek.Value)
-	}
-	if st := srv.Stats(); st.ReplayHits != 1 {
-		t.Errorf("replay_hits=%d, want 1", st.ReplayHits)
-	}
+		peek := a.call(&wire.Request{ID: 6, Op: wire.OpPeek, Session: sid, Client: a.cid, Seq: 4, Name: "cnt"})
+		if peek.Value != 101 {
+			t.Fatalf("after A's replayed step cnt=%d, want 101 (B's peeks evicted A's step)", peek.Value)
+		}
+	})
 }

@@ -33,7 +33,7 @@ func CompileSpec(design string) (farm.Spec, error) {
 // calling connection's read loop: submits return immediately (the farm
 // compiles on its own goroutines), and only the synchronous "check" mode
 // occupies the loop — stalling exactly the client that asked for it.
-func (s *Server) handleCompile(c *conn, req *wire.Request) *wire.Response {
+func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	switch req.Op {
 	case wire.OpCompileSubmit:
@@ -144,7 +144,7 @@ func compileErr(err error) *wire.Error {
 }
 
 // addJob records one farm reference held on behalf of this connection.
-func (c *conn) addJob(id uint64) {
+func (c *Conn) addJob(id uint64) {
 	c.jobMu.Lock()
 	if c.jobs == nil {
 		c.jobs = make(map[uint64]int)
@@ -155,7 +155,7 @@ func (c *conn) addJob(id uint64) {
 
 // dropJobRef forgets one held reference, reporting whether there was one
 // to drop. The farm-side release is the caller's job.
-func (c *conn) dropJobRef(id uint64) bool {
+func (c *Conn) dropJobRef(id uint64) bool {
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
 	if c.jobs[id] <= 0 {
@@ -168,18 +168,18 @@ func (c *conn) dropJobRef(id uint64) bool {
 	return true
 }
 
-// releaseJobs drops every farm reference the connection still holds —
-// the disconnect half of end-to-end cancellation: a client that vanishes
-// mid-compile releases its claim, and a job nobody else wants stops at
-// the next phase gate.
-func (c *conn) releaseJobs() {
+// releaseJobs drops every farm reference a dying connection still holds
+// — the disconnect half of end-to-end cancellation: a client that
+// vanishes mid-compile releases its claim, and a job nobody else wants
+// stops at the next phase gate.
+func (s *Server) releaseJobs(c *Conn) {
 	c.jobMu.Lock()
 	jobs := c.jobs
 	c.jobs = nil
 	c.jobMu.Unlock()
 	for id, n := range jobs {
 		for i := 0; i < n; i++ {
-			c.srv.farm.Release(id)
+			s.farm.Release(id)
 		}
 	}
 }

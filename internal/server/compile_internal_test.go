@@ -32,7 +32,7 @@ func TestDisconnectCancelsHeldCompile(t *testing.T) {
 
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	c := newConn(srv, p1)
+	c := newConn(srv.hub, p1)
 
 	resp := srv.handleCompile(c, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
 	if resp.Err != nil {
@@ -76,9 +76,9 @@ func TestCancelOpRequiresReference(t *testing.T) {
 	defer openGate()
 
 	p1, _ := net.Pipe()
-	holder := newConn(srv, p1)
+	holder := newConn(srv.hub, p1)
 	p3, _ := net.Pipe()
-	bystander := newConn(srv, p3)
+	bystander := newConn(srv.hub, p3)
 
 	resp := srv.handleCompile(holder, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
 	if resp.Err != nil {

@@ -4,17 +4,17 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"zoomie"
+	"zoomie/internal/wire"
 )
 
 // Session state export/import: the wire transport behind cross-daemon
 // failover. OpStateExport (a session op in the op table) returns the
 // session's full-scope snapshot plus its encoded history engine as a
-// base64 blob chunked into Response.Lines; OpStateImport (attach-with-
-// state, see Server.attach) builds a brand-new session from those
-// chunks.
+// blob chunked into Response.Lines by wire.EncodeBlob; OpStateImport
+// (attach-with-state, see Server.attach) builds a brand-new session from
+// those chunks.
 
 // exportBlob is the JSON envelope inside an export blob. The snapshot is
 // the full-scope DebugSnapshot (user design + Debug Controller
@@ -25,11 +25,6 @@ type exportBlob struct {
 	History  []byte                `json:"history,omitempty"`
 }
 
-// exportChunk bounds one Lines entry. The whole response must still fit
-// a wire frame (8 MiB), which bounds total exportable state; the modeled
-// designs sit far below it.
-const exportChunk = 256 << 10
-
 // maxExportBytes refuses exports that could not travel in one frame,
 // leaving headroom for the response envelope.
 const maxExportBytes = 6 << 20
@@ -39,20 +34,14 @@ func encodeExport(snap *zoomie.DebugSnapshot, hist []byte) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	b64 := base64.StdEncoding.EncodeToString(data)
-	if len(b64) > maxExportBytes {
-		return nil, fmt.Errorf("session state too large to export (%d bytes encoded, max %d)", len(b64), maxExportBytes)
+	if n := base64.StdEncoding.EncodedLen(len(data)); n > maxExportBytes {
+		return nil, fmt.Errorf("session state too large to export (%d bytes encoded, max %d)", n, maxExportBytes)
 	}
-	var lines []string
-	for len(b64) > exportChunk {
-		lines = append(lines, b64[:exportChunk])
-		b64 = b64[exportChunk:]
-	}
-	return append(lines, b64), nil
+	return wire.EncodeBlob(data), nil
 }
 
 func decodeExport(chunks []string) (*exportBlob, error) {
-	data, err := base64.StdEncoding.DecodeString(strings.Join(chunks, ""))
+	data, err := wire.DecodeBlob(chunks)
 	if err != nil {
 		return nil, fmt.Errorf("state blob is not base64: %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -101,15 +100,16 @@ type Server struct {
 	// the same design serve each other's cache.
 	farm *farm.Farm
 
+	// hub is the serving layer: connections, broadcast, streams and the
+	// transport counters.
+	hub *Hub
+
 	mu       sync.Mutex
-	ln       net.Listener
 	sessions map[uint64]*session
-	conns    map[*conn]struct{}
 	nextSID  uint64
 	closed   bool
 
-	nextClient uint64 // atomic: server-assigned client identities
-	seedSalt   int64  // atomic: distinct chaos seeds per leased board
+	seedSalt int64 // atomic: distinct chaos seeds per leased board
 
 	probeQuit chan struct{}
 	probeOnce sync.Once
@@ -141,10 +141,17 @@ func New(cfg Config) *Server {
 			Logf:      cfg.Logf,
 		}),
 		sessions:  make(map[uint64]*session),
-		conns:     make(map[*conn]struct{}),
 		probeQuit: make(chan struct{}),
 	}
 	s.ctr = newHotCounters(s.reg)
+	s.hub = NewHub(Frontend{
+		Name:       "zoomied",
+		Logf:       cfg.Logf,
+		Reg:        s.reg,
+		Dispatch:   s.dispatch,
+		OpenStream: s.openStream,
+		Closed:     s.releaseJobs,
+	}, &s.wg)
 	if cfg.QuarantineCooldown > 0 {
 		s.pool.SetCooldown(cfg.QuarantineCooldown)
 	}
@@ -238,37 +245,7 @@ func (s *Server) newSessionFor(design string) (*zoomie.Session, *zoomie.ILAMeta,
 
 // Serve accepts connections until Shutdown (returns nil) or a listener
 // error.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return err
-		}
-		nc := newConn(s, c)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(2)
-		go nc.readLoop()
-		go nc.writeLoop()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.hub.Serve(ln) }
 
 // Shutdown stops the server gracefully: no new connections or attaches,
 // every session actor pauses its design and releases its board, and all
@@ -280,27 +257,16 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.closed = true
-	ln := s.ln
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
 
-	if ln != nil {
-		ln.Close()
-	}
 	s.probeOnce.Do(func() { close(s.probeQuit) })
-	s.broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "server shutting down"})
+	s.hub.Close(&wire.Event{Kind: wire.EvtShutdown, Detail: "server shutting down"})
 	for _, sess := range sessions {
 		sess.signalQuit()
-	}
-	for _, c := range conns {
-		c.markDead()
 	}
 	s.wg.Wait()
 	s.cfg.Logf("zoomied: shut down (%d sessions closed)", len(sessions))
@@ -348,7 +314,7 @@ func (s *Server) allowed(design string) bool {
 // registered — exactly the in-daemon migration path, lifted across the
 // wire. Runs on the calling connection's read loop: a long compile
 // stalls only that client.
-func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
+func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	fail := func(code, format string, args ...any) *wire.Response {
 		resp.Err = wire.Errf(code, format, args...)
@@ -421,7 +387,7 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	atomic.AddInt64(&s.stats.sessionsTotal, 1)
 	s.wg.Add(1)
 	go sess.loop()
-	c.subscribe(sess.id)
+	c.Subscribe(sess.id)
 	s.cfg.Logf("zoomied: session %d %s %s on board lease %d (%s)",
 		sess.id, verb, name, lease.ID, lease.Device)
 
@@ -438,246 +404,32 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	return resp
 }
 
-// broadcast pushes an event to every subscribed connection. Delivery is
-// best-effort: a connection with a full outbox drops the event (counted)
-// rather than stalling the emitting actor.
-func (s *Server) broadcast(e *wire.Event) {
-	atomic.AddInt64(&s.stats.events, 1)
-	m := wire.Evt(e)
-	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		if !c.wants(e.Session) {
-			continue
-		}
-		select {
-		case c.out <- m:
-		default:
-			atomic.AddInt64(&s.stats.eventsDropped, 1)
-		}
-	}
-}
-
-// conn is one client connection: a read loop dispatching requests and a
-// write loop owning the socket's send side, joined by the out channel.
-type conn struct {
-	srv *Server
-	c   net.Conn
-	out chan *wire.Message
-	wmu sync.Mutex // serializes socket writes (writeLoop vs handshake)
-
-	// enc/dec speak the binary codec every frame after the JSON hello
-	// uses. enc is guarded by wmu; dec is owned by the read loop.
-	enc *wire.Encoder
-	dec *wire.Decoder
-
-	// ctx is cancelled when the connection dies, so a session actor
-	// mid-way through a batched command for this client stops promptly
-	// instead of finishing work nobody will read.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	dead chan struct{}
-	once sync.Once
-
-	subMu  sync.Mutex
-	subs   map[uint64]bool
-	subAll bool
-
-	// streams are this connection's open push channels (v3); ids are
-	// per-connection, assigned at OpStreamOpen.
-	streamMu   sync.Mutex
-	streams    map[uint64]*stream
-	nextStream uint64
-
-	// jobs counts the compile-farm references this connection holds
-	// (job id -> refs), released when the connection dies.
-	jobMu sync.Mutex
-	jobs  map[uint64]int
-}
-
-func newConn(s *Server, c net.Conn) *conn {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &conn{
-		srv:     s,
-		c:       c,
-		out:     make(chan *wire.Message, 256),
-		enc:     wire.NewEncoder(c, wire.Version),
-		dec:     wire.NewDecoder(c, wire.Version),
-		ctx:     ctx,
-		cancel:  cancel,
-		dead:    make(chan struct{}),
-		subs:    make(map[uint64]bool),
-		streams: make(map[uint64]*stream),
-	}
-}
-
-// markDead closes the connection exactly once, cancels its context (so
-// in-flight commands it issued are abandoned), and releases both loops.
-func (c *conn) markDead() {
-	c.once.Do(func() {
-		c.cancel()
-		close(c.dead)
-		c.c.Close()
-		c.closeStreams()
-		c.releaseJobs()
-	})
-}
-
-// send queues a message for the write loop, giving up if the connection
-// died — responses to a vanished client are dropped, its sessions stay
-// alive until the idle timeout reclaims them.
-func (c *conn) send(m *wire.Message) {
-	select {
-	case c.out <- m:
-	case <-c.dead:
-	}
-}
-
-func (c *conn) subscribe(sid uint64) {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	if sid == 0 {
-		c.subAll = true
-		return
-	}
-	c.subs[sid] = true
-}
-
-func (c *conn) wants(sid uint64) bool {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	return c.subAll || sid == 0 || c.subs[sid]
-}
-
-// writeLoop owns the socket's send side. It coalesces writev-style:
-// after taking one message it drains whatever else is already queued
-// (bounded by the encoder buffer) and flushes the whole burst with a
-// single Write — a batch of responses or an event storm costs one
-// syscall instead of one per frame.
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	for {
-		select {
-		case <-c.dead:
-			return
-		case m := <-c.out:
-			if err := c.writeBurst(m); err != nil {
-				c.markDead()
-				return
-			}
-		}
-	}
-}
-
-// writeBurst queues m plus any backlog already in the out channel, then
-// flushes once.
-func (c *conn) writeBurst(m *wire.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.enc.Queue(m)
-	for err == nil {
-		select {
-		case next := <-c.out:
-			err = c.enc.Queue(next)
-		default:
-			n, ferr := c.enc.Flush()
-			atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
-			return ferr
-		}
-	}
-	return err
-}
-
-func (c *conn) readLoop() {
-	defer c.srv.wg.Done()
-	defer func() {
-		c.markDead()
-		c.srv.mu.Lock()
-		delete(c.srv.conns, c)
-		c.srv.mu.Unlock()
-	}()
-
-	if !c.handshake() {
-		return
-	}
-	for {
-		m, n, err := c.dec.Next()
-		atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.srv.cfg.Logf("zoomied: read error: %v", err)
-			}
-			return
-		}
-		if m.T != wire.TReq {
-			c.send(wire.Resp(&wire.Response{
-				Err: wire.Errf(wire.CodeBadRequest, "clients send requests, got %q", m.T)}))
-			continue
-		}
-		c.dispatch(m.Req)
-	}
-}
-
-// handshake serves the hello that opens the connection. A hello
-// carrying a client id is a reconnect: the client keeps its identity so
-// replayed in-flight requests dedupe against the actors' caches. A fresh
-// client gets the next id.
-func (c *conn) handshake() bool {
-	write := func(m *wire.Message) {
-		c.wmu.Lock()
-		n, _ := wire.WriteMessage(c.c, m) // a dead socket fails the next read
-		c.wmu.Unlock()
-		atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
-	}
-	n, ok := wire.ServeHello(c.c, write, func(cid uint64) uint64 {
-		if cid == 0 {
-			return atomic.AddUint64(&c.srv.nextClient, 1)
-		}
-		atomic.AddInt64(&c.srv.stats.reconnects, 1)
-		c.srv.cfg.Logf("zoomied: client %d reconnected", cid)
-		return cid
-	})
-	atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
-	return ok
-}
-
-// dispatch routes one request: connection-level ops run inline, session
-// ops are enqueued on the owning actor and answered asynchronously.
-func (c *conn) dispatch(req *wire.Request) {
+// dispatch serves the daemon's requests: attach, status, the stream and
+// compile ops inline, session ops enqueued on the owning actor and
+// answered asynchronously.
+func (s *Server) dispatch(c *Conn, req *wire.Request) {
 	switch req.Op {
-	case wire.OpHello:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: wire.Version}))
 	case wire.OpAttach, wire.OpStateImport:
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.attach(c, req)))
+		atomic.AddInt64(&s.stats.commandsServed, 1)
+		c.Reply(s.attach(c, req))
 	case wire.OpStatus:
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Stats: c.srv.Stats()}))
-	case wire.OpSubscribe:
-		c.subscribe(req.Session)
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Session: req.Session}))
+		atomic.AddInt64(&s.stats.commandsServed, 1)
+		c.Reply(&wire.Response{ID: req.ID, Stats: s.Stats()})
 	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.handleStream(req)))
+		atomic.AddInt64(&s.stats.commandsServed, 1)
+		c.Reply(c.StreamOp(req))
 	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.handleCompile(c, req)))
+		atomic.AddInt64(&s.stats.commandsServed, 1)
+		c.Reply(s.handleCompile(c, req))
 	default:
-		sess := c.srv.session(req.Session)
+		sess := s.session(req.Session)
 		if sess == nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}))
+			c.Reply(&wire.Response{ID: req.ID,
+				Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)})
 			return
 		}
-		werr := sess.enqueue(c.ctx, req,
-			func(resp *wire.Response) { c.send(wire.Resp(resp)) })
-		if werr != nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID, Err: werr}))
+		if werr := sess.enqueue(c.ctx, req, c.Reply); werr != nil {
+			c.Reply(&wire.Response{ID: req.ID, Err: werr})
 		}
 	}
 }

@@ -76,36 +76,7 @@ type session struct {
 
 	// Actor-local state (only the actor goroutine touches these).
 	lastPaused bool
-	replay     map[uint64]*replayRing
-}
-
-// replayRing remembers a client's most recent request results so a
-// request replayed after a reconnect is answered from cache instead of
-// executing twice — the idempotency half of auto-reconnect.
-type replayRing struct {
-	seqs  [replayDepth]uint64
-	resps [replayDepth]*wire.Response
-	n     int
-}
-
-// replayDepth bounds the per-client replay cache. Clients replay only
-// requests that were in flight when the connection died, so a handful of
-// slots suffices.
-const replayDepth = 16
-
-func (r *replayRing) get(seq uint64) *wire.Response {
-	for i, s := range r.seqs {
-		if s == seq {
-			return r.resps[i]
-		}
-	}
-	return nil
-}
-
-func (r *replayRing) put(seq uint64, resp *wire.Response) {
-	r.seqs[r.n] = seq
-	r.resps[r.n] = resp
-	r.n = (r.n + 1) % replayDepth
+	replay     ReplayCache
 }
 
 // task is one queued command with its completion callback. ctx is the
@@ -130,7 +101,7 @@ func newSession(id uint64, design string, zs *zoomie.Session, srv *Server) *sess
 		srv:    srv,
 		reqs:   make(chan task, queueDepth),
 		quit:   make(chan struct{}),
-		replay: make(map[uint64]*replayRing),
+		replay: NewReplayCache(srv.hub),
 	}
 }
 
@@ -193,8 +164,7 @@ func (s *session) loop() {
 				}
 				continue
 			}
-			if cached := s.replayHit(t.req); cached != nil {
-				atomic.AddInt64(&s.srv.stats.replayHits, 1)
+			if cached := s.replay.Hit(t.req); cached != nil {
 				t.reply(cached)
 				continue
 			}
@@ -203,7 +173,7 @@ func (s *session) loop() {
 			s.srv.stats.observeLatency(time.Since(start))
 			atomic.AddInt64(&s.srv.stats.commandsServed, 1)
 			s.srv.ctr.commands.Inc()
-			s.replayStore(t.req, resp)
+			s.replay.Store(t.req, resp)
 			if detach {
 				// Acknowledge once the session is unregistered, so a
 				// client whose detach returned no longer finds it counted.
@@ -228,30 +198,6 @@ func (s *session) loop() {
 			return
 		}
 	}
-}
-
-// replayHit answers a replayed request from the cache, or nil.
-func (s *session) replayHit(req *wire.Request) *wire.Response {
-	if req.Client == 0 || req.Seq == 0 {
-		return nil
-	}
-	if ring := s.replay[req.Client]; ring != nil {
-		return ring.get(req.Seq)
-	}
-	return nil
-}
-
-// replayStore remembers a sequenced request's response for replay dedupe.
-func (s *session) replayStore(req *wire.Request, resp *wire.Response) {
-	if req.Client == 0 || req.Seq == 0 {
-		return
-	}
-	ring := s.replay[req.Client]
-	if ring == nil {
-		ring = &replayRing{}
-		s.replay[req.Client] = ring
-	}
-	ring.put(req.Seq, resp)
 }
 
 // housekeeping reports whether an op is one of the actor's internal
@@ -285,7 +231,7 @@ func (s *session) teardown(reason string, ack func()) {
 	}
 	s.zs.Close()
 	s.srv.retire(s.zs, s.injector.Load())
-	s.srv.broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
+	s.srv.hub.Broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
 }
 
 // maybeEmitPaused watches for the running->paused transition after
@@ -312,7 +258,7 @@ func (s *session) maybeEmitPaused(op string) {
 	s.lastPaused = paused
 	if emit && paused && !was {
 		cyc, _ := s.zs.Cycles()
-		s.srv.broadcast(&wire.Event{Kind: wire.EvtPaused, Session: s.id, Op: op, Cycles: cyc})
+		s.srv.hub.Broadcast(&wire.Event{Kind: wire.EvtPaused, Session: s.id, Op: op, Cycles: cyc})
 	}
 }
 
@@ -382,7 +328,7 @@ func (s *session) migrate(cause string) *wire.Error {
 		s.lease.Quarantine()
 	}
 	srv.cfg.Logf("zoomied: session %d: board lease %d quarantined: %s", s.id, leaseID, cause)
-	srv.broadcast(&wire.Event{Kind: wire.EvtQuarantined, Session: s.id,
+	srv.hub.Broadcast(&wire.Event{Kind: wire.EvtQuarantined, Session: s.id,
 		Detail: fmt.Sprintf("board lease %d: %s", leaseID, cause)})
 
 	old := s.zs
@@ -422,7 +368,7 @@ func (s *session) migrate(cause string) *wire.Error {
 	s.injector.Store(ninj)
 	atomic.AddInt64(&srv.stats.migrations, 1)
 	srv.cfg.Logf("zoomied: session %d migrated to board lease %d", s.id, nlease.ID)
-	srv.broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: s.id,
+	srv.hub.Broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: s.id,
 		Detail: fmt.Sprintf("restored on board lease %d", nlease.ID)})
 	return nil
 }

@@ -18,20 +18,16 @@ type stats struct {
 	sessionsActive int64
 	sessionsTotal  int64
 	commandsServed int64
-	bytesIn        int64
-	bytesOut       int64
-	events         int64
-	eventsDropped  int64
 	idleReaped     int64
 	interleaved    int64
 
-	// Robustness counters (chaos / self-healing).
+	// Robustness counters (chaos / self-healing). The serving layer
+	// keeps the transport counters: bytes, events, reconnects, replay
+	// hits and streams.
 	probes         int64
 	probeFailures  int64
 	migrations     int64
 	migrationsFail int64
-	reconnects     int64
-	replayHits     int64
 
 	// Transport counters of retired sessions, accumulated at teardown and
 	// migration so recovery work survives the cable that did it. Stats()
@@ -41,12 +37,7 @@ type stats struct {
 	jtagRewrites   int64
 	faultsInjected int64
 
-	// Streaming observability counters (v3).
-	streamsOpened int64
-	streamFrames  int64
-	streamEvents  int64
-	streamDropped int64
-	ilaWindows    int64
+	ilaWindows int64 // ILA capture windows uploaded and streamed
 
 	latency [len(latencyBoundsUS)]int64
 }
@@ -85,10 +76,6 @@ func (s *Server) Stats() *wire.Stats {
 		SessionsActive: atomic.LoadInt64(&st.sessionsActive),
 		SessionsTotal:  atomic.LoadInt64(&st.sessionsTotal),
 		CommandsServed: atomic.LoadInt64(&st.commandsServed),
-		BytesIn:        atomic.LoadInt64(&st.bytesIn),
-		BytesOut:       atomic.LoadInt64(&st.bytesOut),
-		Events:         atomic.LoadInt64(&st.events),
-		EventsDropped:  atomic.LoadInt64(&st.eventsDropped),
 		IdleReaped:     atomic.LoadInt64(&st.idleReaped),
 		Interleaved:    atomic.LoadInt64(&st.interleaved),
 		PoolCapacity:   int64(s.pool.Capacity()),
@@ -100,21 +87,15 @@ func (s *Server) Stats() *wire.Stats {
 		ProbeFailures:   atomic.LoadInt64(&st.probeFailures),
 		Migrations:      atomic.LoadInt64(&st.migrations),
 		MigrationsFail:  atomic.LoadInt64(&st.migrationsFail),
-		Reconnects:      atomic.LoadInt64(&st.reconnects),
-		ReplayHits:      atomic.LoadInt64(&st.replayHits),
 		JtagRetries:     atomic.LoadInt64(&st.jtagRetries),
 		JtagReReads:     atomic.LoadInt64(&st.jtagReReads),
 		JtagRewrites:    atomic.LoadInt64(&st.jtagRewrites),
 		FaultsInjected:  atomic.LoadInt64(&st.faultsInjected),
-
-		StreamsOpened: atomic.LoadInt64(&st.streamsOpened),
-		StreamFrames:  atomic.LoadInt64(&st.streamFrames),
-		StreamEvents:  atomic.LoadInt64(&st.streamEvents),
-		StreamDropped: atomic.LoadInt64(&st.streamDropped),
-		IlaWindows:    atomic.LoadInt64(&st.ilaWindows),
+		IlaWindows:      atomic.LoadInt64(&st.ilaWindows),
 	}
 	_, denied, _ := s.pool.Counters()
 	out.PoolDenied = denied
+	s.hub.FillStats(out)
 
 	// Fold in the live sessions' cable and injector counters (atomic
 	// reads on their side; the session list is copied under the server

@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"zoomie"
 	"zoomie/internal/farm"
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
@@ -14,21 +12,24 @@ import (
 
 // Streaming observability (v3): a stream is a server-push channel of
 // EvtStream frames multiplexed over the client's ordinary connection.
-// Two kinds exist — "counters" (per-interval deltas of the server-wide
-// obs registry, aggregated so millions of producer events become a few
-// frames per second) and "ila" (completed ILA capture windows, uploaded
-// in one batched readback and re-armed so windows arrive back-to-back).
+// The serving layer owns the channel — open, credit and close, the
+// credit window, the drop-oldest backlog, the frame counters — and the
+// "counters" kind (per-interval deltas of the front end's obs registry,
+// aggregated so millions of producer events become a few frames per
+// second). A front end adds its own kinds: the daemon streams completed
+// ILA capture windows, history keyframes and compile phases; the
+// coordinator forwards ILA and history streams from a session's daemon.
 //
 // Flow control is credit-based, drop-oldest: the client grants N frame
-// credits at open and tops them up as it consumes; the server only
-// queues a frame onto the connection when a credit is available, and a
-// stream whose client stalls sheds its oldest pending frames (counted
-// in Dropped) instead of stalling the producer. Crucially the producers
+// credits at open and tops them up as it consumes; a frame is only
+// queued onto the connection when a credit is available, and a stream
+// whose client stalls sheds its oldest pending frames (counted in
+// Dropped) instead of stalling the producer. Crucially the producers
 // are never the session actors: counter streams read atomics that the
-// hot path bumps for free, and ILA streams enqueue a non-blocking
-// housekeeping poll that the actor serializes with ordinary commands —
-// a slow or dead stream consumer can never back-pressure a paused-debug
-// interaction.
+// hot path bumps for free, and ILA and history streams enqueue a
+// non-blocking housekeeping poll that the actor serializes with ordinary
+// commands — a slow or dead stream consumer can never back-pressure a
+// paused-debug interaction.
 
 // streamCredits is the default credit grant when OpStreamOpen carries
 // no N; streamPending bounds the per-stream frame backlog (drop-oldest
@@ -39,42 +40,41 @@ const (
 	streamInterval = 50 * time.Millisecond
 )
 
-// stream is one open push channel on one connection.
-type stream struct {
-	id   uint64
-	kind string // wire.StreamCounters, StreamILA, StreamHistory or StreamCompile
-	c    *conn
-	sess *session        // ILA and history streams only
-	meta *zoomie.ILAMeta // ILA streams only
-
-	// Compile streams subscribe to a farm job's progress at open so no
-	// phase entry is missed between open and the producer loop starting.
-	prog  <-chan farm.Progress
-	unsub func()
-	// Counters streams prime their reader at open for the same reason:
-	// activity right after the open reply is a delta, not a baseline.
-	reader *obs.Reader
-
+// Stream is one open push channel on one connection.
+type Stream struct {
+	id       uint64
+	c        *Conn
 	interval time.Duration
 	quit     chan struct{}
 	once     sync.Once
+	onStop   func()
 
 	mu      sync.Mutex
 	credits int
 	pending []*wire.Event
 	seq     uint64
 	dropped uint64
-	gen     uint64 // history streams: keyframe generation cursor
-	polling bool   // history streams: a poll is queued on the actor
 }
 
-func (st *stream) stop() { st.once.Do(func() { close(st.quit) }) }
+// OnStop sets what stopping the stream releases (a subscription, a
+// forwarded stream). It runs once, possibly on the read loop, so it must
+// not block. Call it from Frontend.OpenStream.
+func (st *Stream) OnStop(f func()) { st.onStop = f }
 
-// handleStream serves the three v3 stream ops inline on the read loop.
-func (c *conn) handleStream(req *wire.Request) *wire.Response {
+func (st *Stream) stop() {
+	st.once.Do(func() {
+		close(st.quit)
+		if st.onStop != nil {
+			st.onStop()
+		}
+	})
+}
+
+// StreamOp serves the three stream ops — open, credit and close — for a
+// front end's Dispatch.
+func (c *Conn) StreamOp(req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
-	switch req.Op {
-	case wire.OpStreamOpen:
+	if req.Op == wire.OpStreamOpen {
 		st, werr := c.openStream(req)
 		if werr != nil {
 			resp.Err = werr
@@ -82,30 +82,31 @@ func (c *conn) handleStream(req *wire.Request) *wire.Response {
 		}
 		resp.Stream = st.id
 		resp.Session = req.Session
-	case wire.OpStreamCredit:
-		st := c.stream(req.Stream)
-		if st == nil {
-			resp.Err = wire.Errf(wire.CodeNoStream, "no stream %d on this connection", req.Stream)
-			return resp
-		}
-		st.addCredits(req.N)
-		resp.Stream = st.id
-	case wire.OpStreamClose:
-		st := c.takeStream(req.Stream)
-		if st == nil {
-			resp.Err = wire.Errf(wire.CodeNoStream, "no stream %d on this connection", req.Stream)
-			return resp
-		}
-		st.stop()
-		resp.Stream = st.id
+		return resp
 	}
+	c.streamMu.Lock()
+	st := c.streams[req.Stream]
+	if req.Op == wire.OpStreamClose {
+		delete(c.streams, req.Stream)
+	}
+	c.streamMu.Unlock()
+	if st == nil {
+		resp.Err = wire.Errf(wire.CodeNoStream, "no stream %d on this connection", req.Stream)
+		return resp
+	}
+	if req.Op == wire.OpStreamCredit {
+		st.addCredits(req.N)
+	} else {
+		st.stop()
+	}
+	resp.Stream = st.id
 	return resp
 }
 
-// openStream validates the request and spawns the stream's goroutine.
-func (c *conn) openStream(req *wire.Request) (*stream, *wire.Error) {
-	st := &stream{
-		kind:     req.Name,
+// openStream builds the stream and its producer, registers it, and
+// starts the producer.
+func (c *Conn) openStream(req *wire.Request) (*Stream, *wire.Error) {
+	st := &Stream{
 		c:        c,
 		interval: time.Duration(req.Value) * time.Millisecond,
 		quit:     make(chan struct{}),
@@ -117,249 +118,103 @@ func (c *conn) openStream(req *wire.Request) (*stream, *wire.Error) {
 	if st.credits <= 0 {
 		st.credits = streamCredits
 	}
-	switch req.Name {
-	case wire.StreamCounters:
-		// Server-wide counters; no session needed.
-		st.reader = c.srv.reg.NewReader()
-	case wire.StreamILA:
-		sess := c.srv.session(req.Session)
-		if sess == nil {
-			return nil, wire.Errf(wire.CodeNoSession, "no session %d", req.Session)
+	var produce func()
+	if req.Name == wire.StreamCounters {
+		// Primed at open: activity right after the open reply is a delta,
+		// not a baseline.
+		produce = st.counters(c.h.fe.Reg.NewReader())
+	} else {
+		var werr *wire.Error
+		if produce, werr = c.h.fe.OpenStream(st, req); werr != nil {
+			return nil, werr
 		}
-		sess.mu.Lock()
-		meta := sess.ilaMeta
-		sess.mu.Unlock()
-		if meta == nil {
-			return nil, wire.Errf(wire.CodeBadRequest,
-				"design %q has no ILA (try the ila-counter design)", sess.design)
-		}
-		st.sess, st.meta = sess, meta
-	case wire.StreamHistory:
-		sess := c.srv.session(req.Session)
-		if sess == nil {
-			return nil, wire.Errf(wire.CodeNoSession, "no session %d", req.Session)
-		}
-		sess.mu.Lock()
-		enabled := sess.zs.HistoryEnabled()
-		sess.mu.Unlock()
-		if !enabled {
-			return nil, wire.Errf(wire.CodeBadRequest,
-				"history recording is disabled for design %q", sess.design)
-		}
-		st.sess = sess
-	case wire.StreamCompile:
-		// Session carries the farm job id: compile jobs are a server-wide
-		// resource, not a debug session.
-		job, ok := c.srv.farm.Job(req.Session)
-		if !ok {
-			return nil, wire.Errf(wire.CodeOp, "no compile job %d", req.Session)
-		}
-		st.prog, st.unsub = job.Subscribe()
-	default:
-		return nil, wire.Errf(wire.CodeBadRequest,
-			"unknown stream kind %q (want %q, %q, %q or %q)",
-			req.Name, wire.StreamCounters, wire.StreamILA, wire.StreamHistory, wire.StreamCompile)
 	}
 
 	c.streamMu.Lock()
+	if c.streams == nil {
+		c.streamMu.Unlock()
+		st.stop()
+		return nil, wire.Errf(wire.CodeConnLost, "connection closed")
+	}
 	c.nextStream++
 	st.id = c.nextStream
 	c.streams[st.id] = st
 	c.streamMu.Unlock()
 
-	atomic.AddInt64(&c.srv.stats.streamsOpened, 1)
-	c.srv.wg.Add(1)
-	go st.run()
+	c.h.tr.streamsOpened.Add(1)
+	c.h.wg.Add(1)
+	go func() {
+		defer c.h.wg.Done()
+		produce()
+	}()
 	return st, nil
 }
 
-// stream looks up an open stream by id.
-func (c *conn) stream(id uint64) *stream {
+// closeStreams stops every open stream when the connection dies.
+func (c *Conn) closeStreams() {
 	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	return c.streams[id]
-}
-
-// takeStream removes and returns a stream (close path).
-func (c *conn) takeStream(id uint64) *stream {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	st := c.streams[id]
-	delete(c.streams, id)
-	return st
-}
-
-// closeStreams tears down every open stream when the connection dies.
-func (c *conn) closeStreams() {
-	c.streamMu.Lock()
-	streams := make([]*stream, 0, len(c.streams))
-	for _, st := range c.streams {
-		streams = append(streams, st)
-	}
-	c.streams = make(map[uint64]*stream)
+	streams := c.streams
+	c.streams = nil
 	c.streamMu.Unlock()
 	for _, st := range streams {
 		st.stop()
 	}
 }
 
-// run is the stream's producer loop: one ticker, one flush per tick.
-func (st *stream) run() {
-	defer st.c.srv.wg.Done()
-	if st.kind == wire.StreamCompile {
-		st.runCompile()
-		return
-	}
+// every calls tick at the stream's interval until the stream stops or
+// tick returns false.
+func (st *Stream) every(tick func() bool) {
 	t := time.NewTicker(st.interval)
 	defer t.Stop()
-
-	var names []string
-	var deltas []uint64
 	for {
 		select {
 		case <-st.quit:
-			return
-		case <-st.c.dead:
 			return
 		case <-t.C:
-			switch st.kind {
-			case wire.StreamCounters:
-				var total uint64
-				names, deltas, total = st.reader.Deltas(names[:0], deltas[:0])
-				if total == 0 {
-					st.drain() // idle interval: no frame, but retry backlog
-					continue
-				}
-				// The frame owns copies — the reader reuses its slices.
-				st.offer(&wire.Event{
-					Kind:   wire.EvtStream,
-					Stream: st.id,
-					Count:  total,
-					Names:  append([]string(nil), names...),
-					Deltas: append([]uint64(nil), deltas...),
-				})
-			case wire.StreamILA:
-				if !st.pollILA() {
-					return // session gone; the stream dies with it
-				}
-			case wire.StreamHistory:
-				if !st.pollHistory() {
-					return // session gone; the stream dies with it
-				}
-			}
-		}
-	}
-}
-
-// runCompile is the producer loop for compile streams: event-driven
-// rather than polled — the farm job publishes one Progress per phase
-// entry plus its terminal state, and each becomes one frame (the phase
-// in Names[0]). Backlog and credits behave like every other stream; a
-// stalled client sheds oldest phases, never the compile itself.
-func (st *stream) runCompile() {
-	defer st.unsub()
-	for {
-		select {
-		case <-st.quit:
-			return
-		case <-st.c.dead:
-			return
-		case p := <-st.prog:
-			st.offer(&wire.Event{
-				Kind:    wire.EvtStream,
-				Stream:  st.id,
-				Session: p.Job,
-				Count:   1,
-				Names:   []string{p.Phase},
-			})
-		}
-	}
-}
-
-// pollILA enqueues the non-blocking housekeeping poll on the session
-// actor; the actor uploads and re-arms a completed window and the reply
-// callback converts it into a stream frame. Returns false once the
-// session is gone. A full actor queue just skips this round — streaming
-// yields to the client's own commands, never the other way around.
-func (st *stream) pollILA() bool {
-	werr := st.sess.enqueue(context.Background(),
-		&wire.Request{Op: opIlaPoll}, func(resp *wire.Response) {
-			if resp.Err != nil || resp.Trace == nil || len(resp.Trace.Rows) == 0 {
+			if !tick() {
 				return
 			}
-			st.offer(&wire.Event{
-				Kind:    wire.EvtStream,
-				Stream:  st.id,
-				Session: st.sess.id,
-				Count:   uint64(len(resp.Trace.Rows)),
-				Names:   resp.Trace.Signals,
-				Rows:    resp.Trace.Rows,
-			})
-		})
-	if werr != nil && werr.Code == wire.CodeNoSession {
-		return false
-	}
-	return true
-}
-
-// pollHistory enqueues the history housekeeping poll: the actor collects
-// keyframes recorded since this stream's generation cursor and the reply
-// becomes one scrubbing frame of [pos, cycle, bytes] rows. The cursor
-// only advances in the reply, so a skipped round (full actor queue)
-// re-asks for the same window next tick, and a tick that finds a poll
-// still queued behind the session's commands skips: two polls from one
-// cursor would deliver the same keyframes twice.
-func (st *stream) pollHistory() bool {
-	st.mu.Lock()
-	if st.polling {
-		st.mu.Unlock()
-		return true
-	}
-	st.polling = true
-	gen := st.gen
-	st.mu.Unlock()
-	werr := st.sess.enqueue(context.Background(),
-		&wire.Request{Op: opHistPoll, Value: gen}, func(resp *wire.Response) {
-			st.mu.Lock()
-			st.polling = false
-			if resp.Err == nil && resp.Cycles > st.gen {
-				st.gen = resp.Cycles
-			}
-			st.mu.Unlock()
-			if resp.Err != nil || resp.Trace == nil || len(resp.Trace.Rows) == 0 {
-				return
-			}
-			st.offer(&wire.Event{
-				Kind:    wire.EvtStream,
-				Stream:  st.id,
-				Session: st.sess.id,
-				Count:   uint64(len(resp.Trace.Rows)),
-				Names:   resp.Trace.Signals,
-				Rows:    resp.Trace.Rows,
-			})
-		})
-	if werr != nil {
-		st.mu.Lock()
-		st.polling = false
-		st.mu.Unlock()
-		if werr.Code == wire.CodeNoSession {
-			return false
 		}
 	}
-	return true
 }
 
-// offer queues one frame, shedding the oldest pending frame when the
-// backlog is full, then drains whatever the current credits allow.
-func (st *stream) offer(ev *wire.Event) {
+// counters is the producer of a counters stream: one frame of named
+// deltas per interval that saw activity.
+func (st *Stream) counters(reader *obs.Reader) func() {
+	var names []string
+	var deltas []uint64
+	return func() {
+		st.every(func() bool {
+			var total uint64
+			names, deltas, total = reader.Deltas(names[:0], deltas[:0])
+			if total == 0 {
+				st.drain() // idle interval: no frame, but retry backlog
+				return true
+			}
+			// The frame owns copies — the reader reuses its slices.
+			st.Offer(&wire.Event{
+				Kind:   wire.EvtStream,
+				Count:  total,
+				Names:  append([]string(nil), names...),
+				Deltas: append([]uint64(nil), deltas...),
+			})
+			return true
+		})
+	}
+}
+
+// Offer stamps a frame with the stream's id and next sequence number and
+// queues it, shedding the oldest pending frame when the backlog is full,
+// then drains whatever the current credits allow.
+func (st *Stream) Offer(ev *wire.Event) {
 	st.mu.Lock()
 	st.seq++
-	ev.Seq = st.seq
+	ev.Stream, ev.Seq = st.id, st.seq
 	if len(st.pending) >= streamPending {
 		copy(st.pending, st.pending[1:])
 		st.pending = st.pending[:len(st.pending)-1]
 		st.dropped++
-		atomic.AddInt64(&st.c.srv.stats.streamDropped, 1)
+		st.c.h.tr.streamDropped.Add(1)
 	}
 	st.pending = append(st.pending, ev)
 	st.drainLocked()
@@ -367,7 +222,7 @@ func (st *stream) offer(ev *wire.Event) {
 }
 
 // addCredits tops up the grant and pushes out any backlog it unlocks.
-func (st *stream) addCredits(n int) {
+func (st *Stream) addCredits(n int) {
 	if n <= 0 {
 		n = 1
 	}
@@ -378,7 +233,7 @@ func (st *stream) addCredits(n int) {
 }
 
 // drain retries the backlog without producing a new frame.
-func (st *stream) drain() {
+func (st *Stream) drain() {
 	st.mu.Lock()
 	st.drainLocked()
 	st.mu.Unlock()
@@ -389,25 +244,159 @@ func (st *stream) drain() {
 // frame stays pending — the next tick or credit retries it). A frame is
 // counted before the send, since the peer can receive it the moment it
 // is in the outbox; a send the full outbox refuses takes its count back.
-func (st *stream) drainLocked() {
-	stats := &st.c.srv.stats
+func (st *Stream) drainLocked() {
+	tr := &st.c.h.tr
 	for st.credits > 0 && len(st.pending) > 0 {
 		ev := st.pending[0]
 		ev.Dropped = st.dropped // latest total travels with every frame
-		atomic.AddInt64(&stats.streamFrames, 1)
-		atomic.AddInt64(&stats.streamEvents, int64(ev.Count))
+		tr.streamFrames.Add(1)
+		tr.streamEvents.Add(int64(ev.Count))
 		select {
 		case st.c.out <- wire.Evt(ev):
 			st.pending[0] = nil
 			st.pending = st.pending[1:]
 			st.credits--
 		default:
-			atomic.AddInt64(&stats.streamFrames, -1)
-			atomic.AddInt64(&stats.streamEvents, -int64(ev.Count))
+			tr.streamFrames.Add(-1)
+			tr.streamEvents.Add(-int64(ev.Count))
 			return
 		}
 	}
 	if len(st.pending) == 0 {
 		st.pending = nil // let the backing array go once drained
 	}
+}
+
+// openStream admits the daemon's own stream kinds: a session's completed
+// ILA capture windows ("ila") and recorded keyframes ("history"), and a
+// compile job's phases ("compile").
+func (s *Server) openStream(st *Stream, req *wire.Request) (func(), *wire.Error) {
+	switch req.Name {
+	case wire.StreamCompile:
+		// Session carries the farm job id: compile jobs are a server-wide
+		// resource, not a debug session.
+		job, ok := s.farm.Job(req.Session)
+		if !ok {
+			return nil, wire.Errf(wire.CodeOp, "no compile job %d", req.Session)
+		}
+		// Subscribed at open so no phase entry is missed before the
+		// producer starts.
+		prog, unsub := job.Subscribe()
+		st.OnStop(unsub)
+		return func() { compileFrames(st, prog) }, nil
+	case wire.StreamILA, wire.StreamHistory:
+	default:
+		return nil, wire.Errf(wire.CodeBadRequest,
+			"unknown stream kind %q (want %q, %q, %q or %q)",
+			req.Name, wire.StreamCounters, wire.StreamILA, wire.StreamHistory, wire.StreamCompile)
+	}
+	sess := s.session(req.Session)
+	if sess == nil {
+		return nil, wire.Errf(wire.CodeNoSession, "no session %d", req.Session)
+	}
+	sess.mu.Lock()
+	hasILA := sess.ilaMeta != nil
+	sess.mu.Unlock()
+	if req.Name == wire.StreamILA {
+		if !hasILA {
+			return nil, wire.Errf(wire.CodeBadRequest,
+				"design %q has no ILA (try the ila-counter design)", sess.design)
+		}
+		return func() {
+			st.every(func() bool { return alive(sess.poll(st, &wire.Request{Op: opIlaPoll}, nil)) })
+		}, nil
+	}
+	sess.mu.Lock()
+	recording := sess.zs.HistoryEnabled()
+	sess.mu.Unlock()
+	if !recording {
+		return nil, wire.Errf(wire.CodeBadRequest,
+			"history recording is disabled for design %q", sess.design)
+	}
+	cur := &histCursor{}
+	return func() { st.every(func() bool { return cur.poll(st, sess) }) }, nil
+}
+
+// compileFrames is the producer of a compile stream: event-driven rather
+// than polled — the farm job publishes one Progress per phase entry plus
+// its terminal state, and each becomes one frame (the phase in
+// Names[0]). Backlog and credits behave like every other stream; a
+// stalled client sheds oldest phases, never the compile itself.
+func compileFrames(st *Stream, prog <-chan farm.Progress) {
+	for {
+		select {
+		case <-st.quit:
+			return
+		case p := <-prog:
+			st.Offer(&wire.Event{
+				Kind:    wire.EvtStream,
+				Session: p.Job,
+				Count:   1,
+				Names:   []string{p.Phase},
+			})
+		}
+	}
+}
+
+// poll enqueues one housekeeping poll on the session's actor; the
+// reply, after done sees it, becomes one frame of its trace rows. A full
+// actor queue just skips this round — streaming yields to the client's
+// own commands, never the other way around.
+func (s *session) poll(st *Stream, req *wire.Request, done func(*wire.Response)) *wire.Error {
+	return s.enqueue(context.Background(), req, func(resp *wire.Response) {
+		if done != nil {
+			done(resp)
+		}
+		if resp.Err != nil || resp.Trace == nil || len(resp.Trace.Rows) == 0 {
+			return
+		}
+		st.Offer(&wire.Event{
+			Kind:    wire.EvtStream,
+			Session: s.id,
+			Count:   uint64(len(resp.Trace.Rows)),
+			Names:   resp.Trace.Signals,
+			Rows:    resp.Trace.Rows,
+		})
+	})
+}
+
+// alive reports whether a poll's session still exists; a stream dies
+// with its session.
+func alive(werr *wire.Error) bool { return werr == nil || werr.Code != wire.CodeNoSession }
+
+// histCursor is a history stream's position: the keyframe generation
+// delivered so far, and whether a poll is queued on the actor. The
+// cursor only advances in the reply, so a skipped round (full actor
+// queue) re-asks for the same window next tick, and a tick that finds a
+// poll still queued behind the session's commands skips: two polls from
+// one cursor would deliver the same keyframes twice.
+type histCursor struct {
+	mu      sync.Mutex
+	gen     uint64
+	polling bool
+}
+
+func (h *histCursor) poll(st *Stream, sess *session) bool {
+	h.mu.Lock()
+	if h.polling {
+		h.mu.Unlock()
+		return true
+	}
+	h.polling = true
+	gen := h.gen
+	h.mu.Unlock()
+	werr := sess.poll(st, &wire.Request{Op: opHistPoll, Value: gen}, func(resp *wire.Response) {
+		h.mu.Lock()
+		h.polling = false
+		if resp.Err == nil && resp.Cycles > h.gen {
+			h.gen = resp.Cycles
+		}
+		h.mu.Unlock()
+	})
+	if werr != nil {
+		h.mu.Lock()
+		h.polling = false
+		h.mu.Unlock()
+	}
+	return alive(werr)
 }

@@ -157,133 +157,137 @@ func TestILAStream(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure pins the flow-control contract: a client that
-// never consumes its counters stream makes the server shed the oldest
-// pending frames (counted, visible in later frames' Dropped field) while
-// the session actor keeps serving interactive commands at full speed.
+// TestStreamBackpressure pins the flow-control contract on both front
+// ends: a client that never consumes its counters stream makes the
+// serving layer shed the oldest pending frames (counted, visible in
+// later frames' Dropped field) while the session keeps serving
+// interactive commands at full speed.
 func TestStreamBackpressure(t *testing.T) {
-	srv, addr := startServer(t, server.Config{PoolSize: 1})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sess, err := c.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Pause(); err != nil {
-		t.Fatal(err)
-	}
-
-	// window=1: the server may have exactly one frame in flight. We never
-	// Recv, so everything past the first frame piles into the pending ring
-	// (cap 64) and then sheds oldest-first.
-	st, err := c.OpenStream(wire.StreamCounters, 0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// Generate activity every interval for long enough to overflow the
-	// ring, and prove the paused-debug path stays responsive throughout.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		start := time.Now()
-		if _, err := sess.Peek("cnt"); err != nil {
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		stats, addr := fe.start(t, server.Config{PoolSize: 1})
+		c, err := client.Dial(addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("peek took %v while stream backed up — streaming blocked the actor", d)
+		defer c.Close()
+		sess, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if srv.Stats().StreamDropped > 0 {
-			break
+		if err := sess.Pause(); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	stats := srv.Stats()
-	if stats.StreamDropped == 0 {
-		t.Fatal("stalled stream never shed frames")
-	}
 
-	// Consuming again surfaces the drop count in-band: grant credits by
-	// receiving, and a subsequent frame must carry Dropped > 0.
-	sawDropped := false
-	for i := 0; i < 70 && !sawDropped; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ev, ok := st.RecvCtx(ctx)
-		cancel()
-		if !ok {
-			break
+		// window=1: the server may have exactly one frame in flight. We
+		// never Recv, so everything past the first frame piles into the
+		// pending ring (cap 64) and then sheds oldest-first.
+		st, err := c.OpenStream(wire.StreamCounters, 0, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Dropped > 0 {
-			sawDropped = true
+		defer st.Close()
+
+		// Generate activity every interval for long enough to overflow the
+		// ring, and prove the paused-debug path stays responsive throughout.
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			start := time.Now()
+			if _, err := sess.Peek("cnt"); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Fatalf("peek took %v while stream backed up — streaming blocked the actor", d)
+			}
+			if stats().StreamDropped > 0 {
+				break
+			}
+			time.Sleep(time.Millisecond)
 		}
-		// Keep producing so post-drop frames exist to deliver.
-		sess.Peek("cnt")
-	}
-	if !sawDropped {
-		t.Error("no delivered frame carried the drop counter")
-	}
+		if stats().StreamDropped == 0 {
+			t.Fatal("stalled stream never shed frames")
+		}
+
+		// Consuming again surfaces the drop count in-band: grant credits by
+		// receiving, and a subsequent frame must carry Dropped > 0.
+		sawDropped := false
+		for i := 0; i < 70 && !sawDropped; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			ev, ok := st.RecvCtx(ctx)
+			cancel()
+			if !ok {
+				break
+			}
+			if ev.Dropped > 0 {
+				sawDropped = true
+			}
+			// Keep producing so post-drop frames exist to deliver.
+			sess.Peek("cnt")
+		}
+		if !sawDropped {
+			t.Error("no delivered frame carried the drop counter")
+		}
+	})
 }
 
-// TestStreamErrors covers the open/credit/close edge cases: unknown
-// stream ids, unknown kinds, ILA streams on ILA-less designs or dead
-// sessions.
+// TestStreamErrors covers the open/credit/close edge cases on both front
+// ends: unknown stream ids, unknown kinds, ILA streams on ILA-less
+// designs or dead sessions.
 func TestStreamErrors(t *testing.T) {
-	_, addr := startServer(t, server.Config{PoolSize: 2})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_, err = c.Call(&wire.Request{Op: wire.OpStreamCredit, Stream: 99, N: 1})
-	if !wire.IsCode(err, wire.CodeNoStream) {
-		t.Errorf("credit unknown stream: %v, want CodeNoStream", err)
-	}
-	_, err = c.Call(&wire.Request{Op: wire.OpStreamClose, Stream: 99})
-	if !wire.IsCode(err, wire.CodeNoStream) {
-		t.Errorf("close unknown stream: %v, want CodeNoStream", err)
-	}
-	if _, err = c.OpenStream("wavelets", 0, 0, 0); !wire.IsCode(err, wire.CodeBadRequest) {
-		t.Errorf("unknown stream kind: %v, want CodeBadRequest", err)
-	}
-	if _, err = c.OpenStream(wire.StreamILA, 424242, 0, 0); !wire.IsCode(err, wire.CodeNoSession) {
-		t.Errorf("ILA stream on missing session: %v, want CodeNoSession", err)
-	}
-
-	sess, err := c.Attach("counter") // no ILA on this design
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = c.OpenStream(wire.StreamILA, sess.ID, 0, 0); !wire.IsCode(err, wire.CodeBadRequest) {
-		t.Errorf("ILA stream on ILA-less design: %v, want CodeBadRequest", err)
-	}
-
-	// An ILA stream dies with its session rather than erroring forever.
-	isess, err := c.Attach("ila-counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.OpenStream(wire.StreamILA, isess.ID, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := isess.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	// Drain whatever was in flight; the channel must stop yielding new
-	// windows once the session is gone (the producer goroutine exits).
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-		_, ok := st.RecvCtx(ctx)
-		cancel()
-		if !ok {
-			break
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		_, addr := fe.start(t, server.Config{PoolSize: 2})
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st.Close() // best effort; the stream may already be torn down
+		defer c.Close()
+
+		_, err = c.Call(&wire.Request{Op: wire.OpStreamCredit, Stream: 99, N: 1})
+		if !wire.IsCode(err, wire.CodeNoStream) {
+			t.Errorf("credit unknown stream: %v, want CodeNoStream", err)
+		}
+		_, err = c.Call(&wire.Request{Op: wire.OpStreamClose, Stream: 99})
+		if !wire.IsCode(err, wire.CodeNoStream) {
+			t.Errorf("close unknown stream: %v, want CodeNoStream", err)
+		}
+		if _, err = c.OpenStream("wavelets", 0, 0, 0); !wire.IsCode(err, wire.CodeBadRequest) {
+			t.Errorf("unknown stream kind: %v, want CodeBadRequest", err)
+		}
+		if _, err = c.OpenStream(wire.StreamILA, 424242, 0, 0); !wire.IsCode(err, wire.CodeNoSession) {
+			t.Errorf("ILA stream on missing session: %v, want CodeNoSession", err)
+		}
+
+		sess, err := c.Attach("counter") // no ILA on this design
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = c.OpenStream(wire.StreamILA, sess.ID, 0, 0); !wire.IsCode(err, wire.CodeBadRequest) {
+			t.Errorf("ILA stream on ILA-less design: %v, want CodeBadRequest", err)
+		}
+
+		// An ILA stream dies with its session rather than erroring forever.
+		isess, err := c.Attach("ila-counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.OpenStream(wire.StreamILA, isess.ID, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := isess.Detach(); err != nil {
+			t.Fatal(err)
+		}
+		// Drain whatever was in flight; the channel must stop yielding new
+		// windows once the session is gone (the producer goroutine exits).
+		for {
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			_, ok := st.RecvCtx(ctx)
+			cancel()
+			if !ok {
+				break
+			}
+		}
+		st.Close() // best effort; the stream may already be torn down
+	})
 }
 
 // TestReconnectStreamReopenTypedCodes runs two daemons side by side and
