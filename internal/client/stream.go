@@ -59,18 +59,18 @@ func (c *Client) OpenStream(kind string, session uint64, window, intervalMS int)
 	}
 	st := &Stream{c: c, ID: resp.Stream, Kind: kind, window: window,
 		ch: make(chan wire.Event, window)}
+	c.streams[st.ID] = st.ch
 	for _, ev := range c.orphans[st.ID] {
-		st.ch <- ev // orphan count is bounded by the grant, which fits
+		c.deliverLocked(ev) // orphan count is bounded by the grant, which fits
 	}
 	delete(c.orphans, st.ID)
-	c.streams[st.ID] = st.ch
 	c.mu.Unlock()
 	return st, nil
 }
 
 // Recv returns the next frame, blocking until one arrives. ok is false
 // once the stream is closed — by Close, by connection loss, or because
-// the server tore the stream down.
+// the server ended the stream (its producer's session went away).
 func (st *Stream) Recv() (wire.Event, bool) {
 	ev, ok := <-st.ch
 	if ok {
@@ -122,18 +122,32 @@ func (st *Stream) Close() error {
 func (c *Client) routeStream(ev wire.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch := c.streams[ev.Stream]
-	if ch == nil {
+	if c.streams[ev.Stream] == nil {
 		if c.opensInFlight > 0 && len(c.orphans[ev.Stream]) < cap(c.events) {
 			c.orphans[ev.Stream] = append(c.orphans[ev.Stream], ev)
 		}
 		return
 	}
-	select {
-	case ch <- ev:
+	c.deliverLocked(ev)
+}
+
+// deliverLocked hands a frame to its open stream; callers hold c.mu. A
+// frame with a Detail is the server's last for the stream, saying why it
+// ended: the stream closes instead.
+func (c *Client) deliverLocked(ev wire.Event) {
+	ch := c.streams[ev.Stream]
+	switch {
+	case ch == nil: // ended by an earlier frame
+	case ev.Detail != "":
+		delete(c.streams, ev.Stream)
+		close(ch)
 	default:
-		// The server honors the credit grant, which the buffer matches;
-		// an overflow means a misbehaving peer — shed rather than stall.
+		select {
+		case ch <- ev:
+		default:
+			// The server honors the credit grant, which the buffer matches;
+			// an overflow means a misbehaving peer — shed rather than stall.
+		}
 	}
 }
 

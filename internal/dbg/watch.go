@@ -1,7 +1,6 @@
 package dbg
 
 import (
-	"context"
 	"fmt"
 
 	"zoomie/internal/core"
@@ -49,53 +48,6 @@ func (d *Debugger) WaitChange(signal string, maxCycles int) (oldV, newV uint64, 
 		}
 	}
 	return oldV, oldV, cycles, fmt.Errorf("dbg: %q did not change within %d cycles", signal, maxCycles)
-}
-
-// WaitChangeMulti is the batched watchpoint: it steps the paused design
-// forward until ANY of the named registers changes value, sampling every
-// signal with one planned readback per step instead of one cable
-// round-trip per signal. Returns the signal index that changed first (the
-// lowest index when several change in the same window), the before/after
-// values of every signal, and the cycles executed.
-func (d *Debugger) WaitChangeMulti(ctx context.Context, signals []string, maxCycles int) (changed int, oldVals, newVals []uint64, cycles int, err error) {
-	paused, err := d.Paused()
-	if err != nil {
-		return -1, nil, nil, 0, err
-	}
-	if !paused {
-		return -1, nil, nil, 0, fmt.Errorf("dbg: watchpoints require a paused design (call Pause first)")
-	}
-	oldVals, err = d.PeekBatchCtx(ctx, signals)
-	if err != nil {
-		return -1, nil, nil, 0, err
-	}
-	step := 1
-	for cycles < maxCycles {
-		if err := ctx.Err(); err != nil {
-			return -1, oldVals, nil, cycles, err
-		}
-		if step > maxCycles-cycles {
-			step = maxCycles - cycles
-		}
-		if err := d.Step(step); err != nil {
-			return -1, oldVals, nil, cycles, err
-		}
-		cycles += step
-		newVals, err = d.PeekBatchCtx(ctx, signals)
-		if err != nil {
-			return -1, oldVals, nil, cycles, err
-		}
-		for i := range signals {
-			if newVals[i] != oldVals[i] {
-				return i, oldVals, newVals, cycles, nil
-			}
-		}
-		if step < 64 {
-			step *= 2
-		}
-	}
-	return -1, oldVals, oldVals, cycles,
-		fmt.Errorf("dbg: no signal of %v changed within %d cycles", signals, maxCycles)
 }
 
 // PeriodicSnapshots pauses the design and captures `count` snapshots of

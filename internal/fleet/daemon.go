@@ -93,12 +93,6 @@ func (d *daemon) placeable() bool {
 	return d.state == daemonHealthy && !d.draining && d.cli != nil
 }
 
-func (d *daemon) sessionCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.sessions)
-}
-
 // placeLoad is the load placement compares: homed sessions plus slots
 // reserved by placements still in flight.
 func (d *daemon) placeLoad() int {
@@ -179,12 +173,6 @@ func (d *daemon) setDraining(on bool) {
 	d.mu.Unlock()
 }
 
-func (d *daemon) isDraining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining
-}
-
 // statusLine renders this daemon's OpFleetStat row.
 func (d *daemon) statusLine() string {
 	d.mu.Lock()
@@ -223,7 +211,7 @@ func (d *daemon) declareDead(gen uint64, cause error) {
 	}
 	d.mu.Unlock()
 
-	d.co.ctr.quarantines.Inc()
+	d.co.ctr.Quarantines.Inc()
 	d.co.cfg.Logf("zfleet: daemon %s declared dead (%v); failing over %d session(s)",
 		d.addr, cause, len(sessions))
 	if cli != nil {
@@ -283,7 +271,7 @@ func (d *daemon) heartbeatLoop() {
 		if !d.sleep(d.co.cfg.HeartbeatEvery) {
 			return
 		}
-		d.co.ctr.heartbeats.Inc()
+		d.co.ctr.Heartbeats.Inc()
 		ctx, cancel := context.WithTimeout(context.Background(), d.co.cfg.HeartbeatTimeout)
 		_, err := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStatus})
 		cancel()
@@ -299,7 +287,7 @@ func (d *daemon) heartbeatLoop() {
 			d.mu.Unlock()
 			continue
 		}
-		d.co.ctr.heartbeatMiss.Inc()
+		d.co.ctr.HeartbeatMiss.Inc()
 		d.mu.Lock()
 		if d.gen != gen || d.state == daemonQuarantined {
 			d.mu.Unlock()
@@ -356,7 +344,7 @@ func (d *daemon) requalify() bool {
 	d.cli = cli
 	d.misses = 0
 	d.mu.Unlock()
-	d.co.ctr.requalified.Inc()
+	d.co.ctr.Requalified.Inc()
 	d.co.cfg.Logf("zfleet: daemon %s qualified", d.addr)
 	d.co.wg.Add(1)
 	go d.pumpEvents(cli)

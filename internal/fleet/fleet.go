@@ -101,22 +101,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// counters are the fleet's observability registry entries, served to
-// "counters" streams and OpStatus exactly like a daemon's own.
+// counters are the fleet's observability registry entries, each named
+// "zfleet." plus its tag, served to "counters" streams and, through
+// Stats's mapping, OpStatus.
 type counters struct {
-	admissions     *obs.Counter // attaches admitted
-	sheds          *obs.Counter // attaches shed with CodeOverloaded
-	commands       *obs.Counter // session commands forwarded
-	heartbeats     *obs.Counter // health probes sent
-	heartbeatMiss  *obs.Counter // health probes missed
-	quarantines    *obs.Counter // daemons declared dead, lifetime
-	requalified    *obs.Counter // daemons brought back after quarantine
-	failovers      *obs.Counter // sessions rebuilt on a new daemon
-	failoverFail   *obs.Counter // sessions lost (no healthy daemon)
-	failoverNanos  *obs.Counter // cumulative failover latency
-	checkpoints    *obs.Counter // session checkpoints taken
-	journalReplays *obs.Counter // journaled commands re-executed
-	drains         *obs.Counter // sessions migrated off draining daemons
+	Admissions     *obs.Counter `obs:"admissions"`       // attaches admitted
+	Sheds          *obs.Counter `obs:"sheds"`            // attaches shed with CodeOverloaded
+	Commands       *obs.Counter `obs:"commands"`         // session commands forwarded
+	Heartbeats     *obs.Counter `obs:"heartbeats"`       // health probes sent
+	HeartbeatMiss  *obs.Counter `obs:"heartbeat_misses"` // health probes missed
+	Quarantines    *obs.Counter `obs:"quarantines"`      // daemons declared dead, lifetime
+	Requalified    *obs.Counter `obs:"requalified"`      // daemons brought back after quarantine
+	Failovers      *obs.Counter `obs:"failovers"`        // sessions rebuilt on a new daemon
+	FailoverFail   *obs.Counter `obs:"failovers_failed"` // sessions lost (no healthy daemon)
+	FailoverNanos  *obs.Counter `obs:"failover_ns"`      // cumulative failover latency
+	Checkpoints    *obs.Counter `obs:"checkpoints"`      // session checkpoints taken
+	JournalReplays *obs.Counter `obs:"journal_replays"`  // journaled commands re-executed
+	Drains         *obs.Counter `obs:"drains"`           // sessions migrated off draining daemons
 }
 
 // Coordinator is a running fleet frontend.
@@ -161,21 +162,7 @@ func New(cfg Config) (*Coordinator, error) {
 		tbFilled: time.Now(),
 		quit:     make(chan struct{}),
 	}
-	co.ctr = counters{
-		admissions:     co.reg.Counter("zfleet.admissions"),
-		sheds:          co.reg.Counter("zfleet.sheds"),
-		commands:       co.reg.Counter("zfleet.commands"),
-		heartbeats:     co.reg.Counter("zfleet.heartbeats"),
-		heartbeatMiss:  co.reg.Counter("zfleet.heartbeat_misses"),
-		quarantines:    co.reg.Counter("zfleet.quarantines"),
-		requalified:    co.reg.Counter("zfleet.requalified"),
-		failovers:      co.reg.Counter("zfleet.failovers"),
-		failoverFail:   co.reg.Counter("zfleet.failovers_failed"),
-		failoverNanos:  co.reg.Counter("zfleet.failover_ns"),
-		checkpoints:    co.reg.Counter("zfleet.checkpoints"),
-		journalReplays: co.reg.Counter("zfleet.journal_replays"),
-		drains:         co.reg.Counter("zfleet.drains"),
-	}
+	co.reg.Bind("zfleet.", &co.ctr)
 	co.hub = server.NewHub(server.Frontend{
 		Name:       "zfleet",
 		Logf:       cfg.Logf,
@@ -321,17 +308,17 @@ func (co *Coordinator) Stats() *wire.Stats {
 	}
 	out := &wire.Stats{
 		SessionsActive:  active,
-		SessionsTotal:   int64(co.ctr.admissions.Load()),
-		CommandsServed:  int64(co.ctr.commands.Load()),
+		SessionsTotal:   int64(co.ctr.Admissions.Load()),
+		CommandsServed:  int64(co.ctr.Commands.Load()),
 		PoolCapacity:    int64(len(co.daemons) * co.cfg.MaxPerDaemon),
 		PoolInUse:       active,
-		PoolDenied:      int64(co.ctr.sheds.Load()),
+		PoolDenied:      int64(co.ctr.Sheds.Load()),
 		PoolQuarantined: quarantined,
-		Quarantines:     int64(co.ctr.quarantines.Load()),
-		Probes:          int64(co.ctr.heartbeats.Load()),
-		ProbeFailures:   int64(co.ctr.heartbeatMiss.Load()),
-		Migrations:      int64(co.ctr.failovers.Load() + co.ctr.drains.Load()),
-		MigrationsFail:  int64(co.ctr.failoverFail.Load()),
+		Quarantines:     int64(co.ctr.Quarantines.Load()),
+		Probes:          int64(co.ctr.Heartbeats.Load()),
+		ProbeFailures:   int64(co.ctr.HeartbeatMiss.Load()),
+		Migrations:      int64(co.ctr.Failovers.Load() + co.ctr.Drains.Load()),
+		MigrationsFail:  int64(co.ctr.FailoverFail.Load()),
 	}
 	co.hub.FillStats(out)
 	return out

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -49,7 +50,7 @@ func (co *Coordinator) dispatch(c *server.Conn, req *wire.Request) {
 // plus a retry-after hint in milliseconds in Value. Fast refusal, never
 // a hang — a client with auto-reconnect backs off and retries.
 func (co *Coordinator) shed(req *wire.Request, retryAfterMS int, why string) *wire.Response {
-	co.ctr.sheds.Inc()
+	co.ctr.Sheds.Inc()
 	return &wire.Response{ID: req.ID,
 		Value: uint64(retryAfterMS),
 		Err:   wire.Errf(wire.CodeOverloaded, "fleet over capacity: %s (retry in %dms)", why, retryAfterMS)}
@@ -123,7 +124,7 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []string) 
 				continue
 			}
 			checkpoint = exp.Lines
-			co.ctr.checkpoints.Inc()
+			co.ctr.Checkpoints.Inc()
 		}
 
 		co.mu.Lock()
@@ -142,7 +143,7 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []string) 
 		go fs.loop()
 		c.Subscribe(fs.id)
 
-		co.ctr.admissions.Inc()
+		co.ctr.Admissions.Inc()
 		co.cfg.Logf("zfleet: session %d placed on %s (daemon session %d)", fs.id, d.addr, rsid)
 		out := *r2
 		out.ID = req.ID
@@ -202,11 +203,12 @@ func (co *Coordinator) drain(c *server.Conn, req *wire.Request) *wire.Response {
 // openStream forwards ILA and history streams: it opens the matching
 // stream on the session's current home daemon and pumps frames through,
 // re-stamped with the fleet stream id and session id. A forwarded stream
-// dies with its daemon (failover does not re-splice a half-consumed
-// capture window); the client sees it go quiet and reopens it, and the
-// fresh stream follows the session's new home. "counters" streams are
-// the serving layer's own, over the coordinator's registry.
-func (co *Coordinator) openStream(st *server.Stream, req *wire.Request) (func(), *wire.Error) {
+// ends with its daemon-side stream — its session gone, or its daemon
+// (failover does not re-splice a half-consumed capture window); the
+// client sees it close and reopens it, and the fresh stream follows the
+// session's new home. "counters" streams are the serving layer's own,
+// over the coordinator's registry.
+func (co *Coordinator) openStream(st *server.Stream, req *wire.Request) (func() string, *wire.Error) {
 	if req.Name != wire.StreamILA && req.Name != wire.StreamHistory {
 		return nil, wire.Errf(wire.CodeBadRequest,
 			"unknown stream kind %q (want %q, %q or %q)",
@@ -229,11 +231,11 @@ func (co *Coordinator) openStream(st *server.Stream, req *wire.Request) (func(),
 		return nil, wire.Errf(wire.CodeOp, "stream open on %s: %v", d.addr, err)
 	}
 	st.OnStop(func() { go back.Close() }) // a round trip; never on the read loop
-	return func() {
+	return func() string {
 		for {
 			ev, ok := back.Recv()
 			if !ok {
-				return
+				return fmt.Sprintf("stream on %s ended", d.addr)
 			}
 			ev.Session = fs.id
 			st.Offer(&ev)

@@ -182,7 +182,7 @@ func (fs *fsession) handle(r *fsreq) {
 		r.reply(resp)
 		return
 	}
-	fs.co.ctr.commands.Inc()
+	fs.co.ctr.Commands.Inc()
 
 	if req.Op == wire.OpDetach {
 		// Best-effort forward (the daemon frees its board), then the
@@ -340,7 +340,7 @@ func (fs *fsession) failover() *wire.Error {
 			}
 			// An op-level error replays the original run's op-level error:
 			// same state either way, keep going.
-			fs.co.ctr.journalReplays.Inc()
+			fs.co.ctr.JournalReplays.Inc()
 		}
 		cancel()
 		if !replayOK {
@@ -353,8 +353,8 @@ func (fs *fsession) failover() *wire.Error {
 		fs.setHome(target, rsid, gen)
 		target.addSession(fs, rsid)
 
-		fs.co.ctr.failovers.Inc()
-		fs.co.ctr.failoverNanos.Add(uint64(time.Since(start)))
+		fs.co.ctr.Failovers.Inc()
+		fs.co.ctr.FailoverNanos.Add(uint64(time.Since(start)))
 		fs.co.cfg.Logf("zfleet: session %d failed over %s -> %s (%d journal replays, %v)",
 			fs.id, old.addr, target.addr, len(journal), time.Since(start).Round(time.Millisecond))
 		fs.co.hub.Broadcast(&wire.Event{
@@ -364,7 +364,7 @@ func (fs *fsession) failover() *wire.Error {
 		})
 		return nil
 	}
-	fs.co.ctr.failoverFail.Inc()
+	fs.co.ctr.FailoverFail.Inc()
 	return wire.Errf(wire.CodeBoardFailed,
 		"session %d lost: no healthy daemon accepted it after %d attempts", fs.id, maxFailoverAttempts)
 }
@@ -429,7 +429,7 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 	// daemon's pool.
 	cli.CallCtx(ctx, &wire.Request{Op: wire.OpDetach, Session: rsid})
 
-	fs.co.ctr.drains.Inc()
+	fs.co.ctr.Drains.Inc()
 	fs.co.cfg.Logf("zfleet: session %d drained %s -> %s", fs.id, oldD.addr, target.addr)
 	fs.co.hub.Broadcast(&wire.Event{
 		Kind:    wire.EvtMigrated,
@@ -455,7 +455,7 @@ func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 	fs.checkpoint = resp.Lines
 	fs.journal = nil
 	fs.mu.Unlock()
-	fs.co.ctr.checkpoints.Inc()
+	fs.co.ctr.Checkpoints.Inc()
 }
 
 // poison ends a session the fleet could not save: subscribers get a

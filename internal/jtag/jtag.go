@@ -402,7 +402,7 @@ func (c *Cable) readbackOnce(ctx context.Context, slr int, frames []int, deadlin
 // SLR and coalesces runs of consecutive addresses into single multi-frame
 // FDRO reads — the SLR-aware optimization of §4.7 ("scan each SLR only
 // once", "only the regions that contain the MUT"). Under guard the read
-// is verified: see ReadbackFramesVerified.
+// is verified: see verifiedTransfer.
 func (c *Cable) ReadbackFrames(slr int, frames []int) ([][]uint32, error) {
 	return c.ReadbackFramesCtx(context.Background(), slr, frames)
 }
@@ -431,29 +431,6 @@ func (c *Cable) ReadbackFramesCtx(ctx context.Context, slr int, frames []int) ([
 // frame reads or writes cleanly only ~39% of the time, so whole-frame
 // success needs more attempts than a per-operation transient does.
 func (c *Cable) verifyBudget() int { return 4 * c.retry.MaxRetries }
-
-// ReadbackFramesVerified reads frames until every word of every frame has
-// been seen identically in retry.Agreement consecutive reads (2 on a
-// clean guarded link, 3 when a fault injector is bound). A read has no
-// ground truth to checksum against, so agreement between independent
-// reads is the integrity criterion — and it is applied per word, not per
-// frame: an in-flight flip would have to corrupt the same word the same
-// way on every read of the streak to slip through, while demanding fully
-// clean 93-word frames would almost never converge at percent-level flip
-// rates. Confirmed frames drop out of the re-read set; only the
-// unconfirmed subset goes back on the wire. The design is quiesced during
-// readback (the configuration plane owns the clock), so words confirmed
-// by different read streaks belong to one consistent frame.
-//
-// The agreement passes share streams: each convergence round is one
-// stream carrying one SLR selection and as many passes as fit
-// maxStreamFrameOps, each frame read only as often as a clean
-// continuation needs to confirm it. A set of up to maxStreamFrameOps /
-// Agreement frames therefore reads back in one stream on a clean link; a
-// set whose single pass exceeds the bound reads one pass per stream.
-func (c *Cable) ReadbackFramesVerified(slr int, frames []int) ([][]uint32, error) {
-	return c.verifiedTransfer(context.Background(), slr, frames, nil)
-}
 
 // agreement is the per-word read verification state of one frame set: a
 // word is confirmed once it has been observed identically in agree
@@ -571,11 +548,28 @@ func (a *agreement) observe(passes [][]int, words []uint32) (extra int64) {
 // verifiedTransfer is the guarded transport's agreement engine, shared by
 // verified readback and verify-after-write. With data set it first writes
 // data[i] to each frames[i]; then it reads the frames until every word has
-// been observed identically in retry.Agreement consecutive reads, and
-// returns the agreed contents. Each convergence round is one stream: SYNC,
-// one SLR selection, the writes (first round only), and as many agreement
-// passes of the still-pending frames as plan fits in maxStreamFrameOps.
-// Frames whose reads disagreed go back on the wire in the next round.
+// been observed identically in retry.Agreement consecutive reads (2 on a
+// clean guarded link, 3 when a fault injector is bound), and returns the
+// agreed contents.
+//
+// A read has no ground truth to checksum against, so agreement between
+// independent reads is the integrity criterion — and it is applied per
+// word, not per frame: an in-flight flip would have to corrupt the same
+// word the same way on every read of the streak to slip through, while
+// demanding fully clean 93-word frames would almost never converge at
+// percent-level flip rates. Confirmed frames drop out of the re-read set;
+// only the unconfirmed subset goes back on the wire. The design is
+// quiesced during readback (the configuration plane owns the clock), so
+// words confirmed by different read streaks belong to one consistent
+// frame.
+//
+// Each convergence round is one stream: SYNC, one SLR selection, the
+// writes (first round only), and as many agreement passes of the
+// still-pending frames as plan fits in maxStreamFrameOps, each frame read
+// only as often as a clean continuation needs to confirm it. A set of up
+// to maxStreamFrameOps / Agreement frames therefore reads back in one
+// stream on a clean link; a set whose single pass exceeds the bound reads
+// one pass per stream.
 func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, data [][]uint32) ([][]uint32, error) {
 	deadline := time.Now().Add(c.retry.Deadline)
 	a := newAgreement(len(frames), c.retry.Agreement)

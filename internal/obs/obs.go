@@ -1,16 +1,20 @@
-// Package obs is the always-on observability substrate behind the v3
-// counter streams: lock-free counters that producers bump at line rate
-// (one atomic add per event — the session actor, the transport, a user
-// tap), and delta readers that aggregate whatever accumulated since the
-// last flush into a single frame. The design point is FireSim-style
-// out-of-band telemetry: millions of events per second on the producer
-// side become a handful of wire frames per second, because the wire
-// carries per-interval deltas of named counters, never the events
-// themselves.
+// Package obs is the one counter implementation of zoomied and zfleet:
+// lock-free counters that producers bump at line rate (one atomic add
+// per event — the session actor, the transport, a user tap), registries
+// that name them, and delta readers that aggregate whatever accumulated
+// since the last flush into a single counters-stream frame. A daemon's
+// status reply, its -stats dump and its counters streams read the same
+// registry, so they report the same numbers. The design point is
+// FireSim-style out-of-band telemetry: millions of events per second on
+// the producer side become a handful of wire frames per second, because
+// the wire carries per-interval deltas of named counters, never the
+// events themselves.
 package obs
 
 import (
+	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -50,15 +54,13 @@ func NewRegistry() *Registry {
 // use. The returned pointer is stable for the registry's lifetime —
 // cache it, don't re-look it up per event.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.byName[name]
-	r.mu.RUnlock()
-	if c != nil {
+	if c := r.Lookup(name); c != nil {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.byName[name]; c != nil {
+	c := r.byName[name]
+	if c != nil {
 		return c
 	}
 	c = &Counter{}
@@ -68,6 +70,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Bind sets each field of the struct dst points to that has an `obs`
+// tag, a *Counter, to the counter named prefix plus the tag, registering
+// counters in field order. A producer declares each counter once: the
+// field it bumps, and the tag that names it.
+func (r *Registry) Bind(prefix string, dst any) {
+	v := reflect.ValueOf(dst).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name, ok := v.Type().Field(i).Tag.Lookup("obs"); ok {
+			v.Field(i).Set(reflect.ValueOf(r.Counter(prefix + name)))
+		}
+	}
+}
+
 // Names returns the registered counter names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
@@ -75,6 +90,44 @@ func (r *Registry) Names() []string {
 	r.mu.RUnlock()
 	sort.Strings(out)
 	return out
+}
+
+// Lookup returns the counter with the given name, or nil when none is
+// registered; unlike Counter it never creates one.
+func (r *Registry) Lookup(name string) *Counter {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.byName[name]
+}
+
+// Histogram counts observations by bucket: one registry counter per
+// bucket, named after the histogram with the bucket index appended
+// ("name.0", "name.1", ...), so buckets flow through readers like any
+// other counter.
+type Histogram struct {
+	bounds  []int64
+	buckets []*Counter
+}
+
+// Histogram registers a histogram over ascending upper bounds. The last
+// bucket also takes every value above the bounds before it, so a last
+// bound of -1 reads as unbounded.
+func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	h := &Histogram{bounds: bounds, buckets: make([]*Counter, len(bounds))}
+	for i := range bounds {
+		h.buckets[i] = r.Counter(name + "." + strconv.Itoa(i))
+	}
+	return h
+}
+
+// Observe counts v in the first bucket whose bound holds it: one atomic
+// add.
+func (h *Histogram) Observe(v int64) {
+	i := 0
+	for i < len(h.bounds)-1 && v > h.bounds[i] {
+		i++
+	}
+	h.buckets[i].Inc()
 }
 
 // Reader tracks per-counter totals between flushes so each flush yields

@@ -3,6 +3,9 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
+
+	"zoomie/internal/wire"
 )
 
 func TestCounterRegistry(t *testing.T) {
@@ -91,6 +94,54 @@ func TestConcurrentProducers(t *testing.T) {
 	wg.Wait()
 	if _, _, total := rd.Deltas(nil, nil); total != workers*per {
 		t.Fatalf("total = %d, want %d", total, workers*per)
+	}
+}
+
+// TestBind pins the tagged-field registration producers use: each
+// tagged field gets the counter named prefix plus its tag, registered in
+// field order, and an untagged field is left alone.
+func TestBind(t *testing.T) {
+	r := NewRegistry()
+	var c struct {
+		B     *Counter `obs:"b"`
+		A     *Counter `obs:"a"`
+		Other *Counter
+	}
+	r.Bind("p.", &c)
+	c.B.Inc()
+	if c.A != r.Lookup("p.a") || c.B != r.Lookup("p.b") || c.Other != nil {
+		t.Fatalf("bound %p %p %p, registry %v", c.A, c.B, c.Other, r.Names())
+	}
+	if names, deltas, _ := r.NewReader().Deltas(nil, nil); len(names) != 0 || len(deltas) != 0 {
+		t.Fatalf("a primed reader saw %v", names)
+	}
+	rd := r.NewReader()
+	c.A.Inc()
+	c.B.Inc()
+	if names, _, _ := rd.Deltas(nil, nil); len(names) != 2 || names[0] != "p.b" || names[1] != "p.a" {
+		t.Fatalf("deltas in %v, want field order [p.b p.a]", names)
+	}
+}
+
+// TestHistogramBuckets pins the latency histogram's bucketing over the
+// daemon's bounds: a 50 µs observation lands in bucket 0 (<= 100 µs), a
+// 5 ms one in bucket 2 (<= 10 ms), and each bucket is a registry counter
+// named after the histogram and its index.
+func TestHistogramBuckets(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", wire.LatencyBounds)
+	h.Observe((50 * time.Microsecond).Microseconds())
+	h.Observe((5 * time.Millisecond).Microseconds())
+	h.Observe((time.Hour).Microseconds()) // past every bound: the last bucket
+	want := []uint64{1, 0, 1, 0, 0, 1}
+	if names := r.Names(); len(names) != len(want) {
+		t.Fatalf("registered %v, want %d buckets", names, len(want))
+	}
+	for i, w := range want {
+		name := "lat." + string(rune('0'+i))
+		if c := r.Lookup(name); c == nil || c.Load() != w {
+			t.Errorf("%s = %v, want %d", name, c, w)
+		}
 	}
 }
 

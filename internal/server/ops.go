@@ -69,14 +69,14 @@ var ops = map[string]op{
 			return err
 		}
 		resp.Value = v
-		l.ctr.peeks.Inc()
+		l.ctr.Peeks.Inc()
 		return nil
 	}},
 	wire.OpPoke: {true, func(ctx context.Context, l *Local, req *wire.Request, _ *wire.Response) error {
 		if err := l.zs.PokeCtx(ctx, req.Name, req.Value); err != nil {
 			return err
 		}
-		l.ctr.pokes.Inc()
+		l.ctr.Pokes.Inc()
 		return nil
 	}},
 	wire.OpPeekMem: {false, func(ctx context.Context, l *Local, req *wire.Request, resp *wire.Response) error {
@@ -85,14 +85,14 @@ var ops = map[string]op{
 			return err
 		}
 		resp.Value = v
-		l.ctr.peeks.Inc()
+		l.ctr.Peeks.Inc()
 		return nil
 	}},
 	wire.OpPokeMem: {true, func(ctx context.Context, l *Local, req *wire.Request, _ *wire.Response) error {
 		if err := l.zs.PokeMemCtx(ctx, req.Name, req.Addr, req.Value); err != nil {
 			return err
 		}
-		l.ctr.pokes.Inc()
+		l.ctr.Pokes.Inc()
 		return nil
 	}},
 	wire.OpPeekBatch: {false, func(ctx context.Context, l *Local, req *wire.Request, resp *wire.Response) error {
@@ -103,14 +103,14 @@ var ops = map[string]op{
 		if err != nil {
 			return err
 		}
-		l.ctr.peeks.Add(uint64(len(req.Items)))
+		l.ctr.Peeks.Add(uint64(len(req.Items)))
 		return nil
 	}},
 	wire.OpPokeBatch: {true, func(ctx context.Context, l *Local, req *wire.Request, _ *wire.Response) error {
 		if err := l.zs.WritePlan(ctx, planItems(req.Items)); err != nil {
 			return err
 		}
-		l.ctr.pokes.Add(uint64(len(req.Items)))
+		l.ctr.Pokes.Add(uint64(len(req.Items)))
 		return nil
 	}},
 	wire.OpBreak: {true, func(_ context.Context, l *Local, req *wire.Request, _ *wire.Response) error {
@@ -161,7 +161,7 @@ var ops = map[string]op{
 		if err := l.zs.PokeInput(req.Name, req.Value); err != nil {
 			return err
 		}
-		l.ctr.pokes.Inc()
+		l.ctr.Pokes.Inc()
 		return nil
 	}},
 	wire.OpOutput: {false, func(_ context.Context, l *Local, req *wire.Request, resp *wire.Response) error {
@@ -170,7 +170,7 @@ var ops = map[string]op{
 			return err
 		}
 		resp.Value = v
-		l.ctr.peeks.Inc()
+		l.ctr.Peeks.Inc()
 		return nil
 	}},
 	wire.OpHistSeek: {true, func(_ context.Context, l *Local, req *wire.Request, resp *wire.Response) error {
@@ -270,13 +270,13 @@ type Local struct {
 	zs       *zoomie.Session
 	lastSnap *zoomie.DebugSnapshot // the "snapshot save" slot
 	lastGood *zoomie.DebugSnapshot // known-good full-scope snapshot: migration source, export base
-	ctr      *hotCounters
+	ctr      *counters
 }
 
 // NewLocal wraps an in-process facade session. Its op counters live in a
 // private registry.
 func NewLocal(zs *zoomie.Session) *Local {
-	return &Local{zs: zs, ctr: newHotCounters(obs.NewRegistry())}
+	return &Local{zs: zs, ctr: newCounters(obs.NewRegistry())}
 }
 
 // Session returns the wrapped facade session.

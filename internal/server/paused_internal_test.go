@@ -39,6 +39,15 @@ func attachCounter(t *testing.T) (*Server, *client.Client, *client.Session) {
 	return srv, c, sess
 }
 
+// cableReadbacks returns the logical readbacks of a session's current
+// cable (the zs pointer swap during migration is mutex-guarded).
+func cableReadbacks(srv *Server, sid uint64) int64 {
+	sess := srv.session(sid)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.zs.Cable.Stats().Readbacks
+}
+
 // TestStepReadsPausedFlagOnce pins that the actor does not read the
 // paused flag again after a successful step, which has just verified
 // that the design re-paused: a step through the server costs exactly the
@@ -64,7 +73,7 @@ func TestStepReadsPausedFlagOnce(t *testing.T) {
 	want := facade.Cable.Stats().Readbacks - before
 
 	srv, c, sess := attachCounter(t)
-	readbacks := func() int64 { return srv.session(sess.ID).cableStats().Readbacks }
+	readbacks := func() int64 { return cableReadbacks(srv, sess.ID) }
 
 	// The design runs after attach: this step ends a running stretch.
 	if err := sess.Step(3); err != nil {
@@ -137,7 +146,7 @@ func TestSeekSyncsPausedWithoutRead(t *testing.T) {
 	want := facade.Cable.Stats().Readbacks - before
 
 	srv, c, sess := attachCounter(t)
-	readbacks := func() int64 { return srv.session(sess.ID).cableStats().Readbacks }
+	readbacks := func() int64 { return cableReadbacks(srv, sess.ID) }
 	events := func() []wire.Event {
 		// A status round trip closes the previous command's post-reply
 		// work, so every event it raised has arrived.

@@ -35,27 +35,38 @@ type Frontend struct {
 	// or later from another goroutine.
 	Dispatch func(c *Conn, req *wire.Request)
 	// OpenStream admits a stream kind other than counters and returns its
-	// producer, which the layer runs on a goroutine of its own; the
-	// producer must return once the stream stops (see Stream.OnStop).
-	OpenStream func(st *Stream, req *wire.Request) (func(), *wire.Error)
+	// producer, which the layer runs on a goroutine of its own. The
+	// producer returns "" once the stream stops (see Stream.OnStop), or
+	// why it ended on its own, which ends the stream for its client.
+	OpenStream func(st *Stream, req *wire.Request) (func() string, *wire.Error)
 	// Closed, when set, runs once as a connection dies, after its streams
 	// stopped.
 	Closed func(c *Conn)
 }
 
 // transport holds the counters the serving layer keeps for its front
-// end.
+// end, in a registry of their own named like the front end's ("zoomied."
+// or "zfleet." plus the wire.Stats JSON key). Counters streams do not
+// read it: a stream's own frames move bytes_out and stream_frames, so
+// streaming them would keep every idle counters stream sending.
 type transport struct {
-	bytesIn       atomic.Int64
-	bytesOut      atomic.Int64
-	events        atomic.Int64
-	eventsDropped atomic.Int64
-	reconnects    atomic.Int64
-	replayHits    atomic.Int64
-	streamsOpened atomic.Int64
-	streamFrames  atomic.Int64
-	streamEvents  atomic.Int64
-	streamDropped atomic.Int64
+	reg           *obs.Registry
+	BytesIn       *obs.Counter `obs:"bytes_in"`
+	BytesOut      *obs.Counter `obs:"bytes_out"`
+	Events        *obs.Counter `obs:"events"`
+	EventsDropped *obs.Counter `obs:"events_dropped"`
+	Reconnects    *obs.Counter `obs:"reconnects"`
+	ReplayHits    *obs.Counter `obs:"replay_hits"`
+	StreamsOpened *obs.Counter `obs:"streams_opened"`
+	StreamFrames  *obs.Counter `obs:"stream_frames"`
+	StreamEvents  *obs.Counter `obs:"stream_events"`
+	StreamDropped *obs.Counter `obs:"stream_dropped"`
+}
+
+func newTransport(prefix string) *transport {
+	tr := &transport{reg: obs.NewRegistry()}
+	tr.reg.Bind(prefix, tr)
+	return tr
 }
 
 // Hub is a running serving layer: the accept loop, the live
@@ -63,7 +74,7 @@ type transport struct {
 type Hub struct {
 	fe Frontend
 	wg *sync.WaitGroup // the front end's: its shutdown waits for the layer's goroutines too
-	tr transport
+	tr *transport
 
 	nextClient atomic.Uint64 // hub-assigned client identities
 
@@ -76,7 +87,7 @@ type Hub struct {
 // NewHub builds the serving layer of one front end. Connection loops and
 // stream producers are counted in wg.
 func NewHub(fe Frontend, wg *sync.WaitGroup) *Hub {
-	return &Hub{fe: fe, wg: wg, conns: make(map[*Conn]struct{})}
+	return &Hub{fe: fe, wg: wg, tr: newTransport(fe.Name + "."), conns: make(map[*Conn]struct{})}
 }
 
 // Serve accepts connections until Close (returns nil) or a listener
@@ -152,7 +163,7 @@ func (h *Hub) live() []*Conn {
 // best-effort: a connection with a full outbox drops the event (counted)
 // rather than stalling the emitter.
 func (h *Hub) Broadcast(e *wire.Event) {
-	h.tr.events.Add(1)
+	h.tr.Events.Inc()
 	m := wire.Evt(e)
 	for _, c := range h.live() {
 		if !c.wants(e.Session) {
@@ -161,25 +172,13 @@ func (h *Hub) Broadcast(e *wire.Event) {
 		select {
 		case c.out <- m:
 		default:
-			h.tr.eventsDropped.Add(1)
+			h.tr.EventsDropped.Inc()
 		}
 	}
 }
 
-// FillStats copies the transport counters into out.
-func (h *Hub) FillStats(out *wire.Stats) {
-	tr := &h.tr
-	out.BytesIn = tr.bytesIn.Load()
-	out.BytesOut = tr.bytesOut.Load()
-	out.Events = tr.events.Load()
-	out.EventsDropped = tr.eventsDropped.Load()
-	out.Reconnects = tr.reconnects.Load()
-	out.ReplayHits = tr.replayHits.Load()
-	out.StreamsOpened = tr.streamsOpened.Load()
-	out.StreamFrames = tr.streamFrames.Load()
-	out.StreamEvents = tr.streamEvents.Load()
-	out.StreamDropped = tr.streamDropped.Load()
-}
+// FillStats sets out's transport fields from the transport counters.
+func (h *Hub) FillStats(out *wire.Stats) { fillStats(out, h.tr.reg, h.fe.Name+".") }
 
 // Conn is one client connection: a read loop dispatching requests and a
 // write loop owning the socket's send side, joined by the out channel.
@@ -244,10 +243,16 @@ func (c *Conn) Ctx() context.Context { return c.ctx }
 
 // Reply queues a response for the write loop, giving up if the
 // connection died — responses to a vanished client are dropped.
-func (c *Conn) Reply(resp *wire.Response) {
+func (c *Conn) Reply(resp *wire.Response) { c.send(wire.Resp(resp)) }
+
+// send queues m for the write loop, waiting for room; it reports false
+// if the connection died first.
+func (c *Conn) send(m *wire.Message) bool {
 	select {
-	case c.out <- wire.Resp(resp):
+	case c.out <- m:
+		return true
 	case <-c.dead:
+		return false
 	}
 }
 
@@ -316,7 +321,7 @@ func (c *Conn) writeBurst(m *wire.Message) error {
 			err = c.enc.Queue(next)
 		default:
 			n, ferr := c.enc.Flush()
-			c.h.tr.bytesOut.Add(int64(n))
+			c.h.tr.BytesOut.Add(uint64(n))
 			return ferr
 		}
 	}
@@ -338,7 +343,7 @@ func (c *Conn) readLoop() {
 	}
 	for {
 		m, n, err := c.dec.Next()
-		h.tr.bytesIn.Add(int64(n))
+		h.tr.BytesIn.Add(uint64(n))
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				h.fe.Logf("%s: read error: %v", h.fe.Name, err)
@@ -372,17 +377,17 @@ func (c *Conn) handshake() bool {
 		c.wmu.Lock()
 		n, _ := wire.WriteMessage(c.nc, m) // a dead socket fails the next read
 		c.wmu.Unlock()
-		h.tr.bytesOut.Add(int64(n))
+		h.tr.BytesOut.Add(uint64(n))
 	}
 	n, ok := wire.ServeHello(c.nc, write, func(cid uint64) uint64 {
 		if cid == 0 {
 			return h.nextClient.Add(1)
 		}
-		h.tr.reconnects.Add(1)
+		h.tr.Reconnects.Inc()
 		h.fe.Logf("%s: client %d reconnected", h.fe.Name, cid)
 		return cid
 	})
-	h.tr.bytesIn.Add(int64(n))
+	h.tr.BytesIn.Add(uint64(n))
 	return ok
 }
 
@@ -424,7 +429,7 @@ func (rc *ReplayCache) Hit(req *wire.Request) *wire.Response {
 	if r := rc.rings[req.Client]; r != nil {
 		for i, s := range r.seqs {
 			if s == req.Seq {
-				rc.h.tr.replayHits.Add(1)
+				rc.h.tr.ReplayHits.Inc()
 				out := *r.resps[i]
 				out.ID = req.ID
 				return &out

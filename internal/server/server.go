@@ -25,32 +25,6 @@ import (
 	"zoomie/internal/wire"
 )
 
-// hotCounters are the obs counters the command path bumps inline. Names
-// carry a "zoomied." prefix so user-registered taps sort apart.
-type hotCounters struct {
-	commands *obs.Counter // commands executed by session actors
-	peeks    *obs.Counter // register/memory/output reads (batch items count individually)
-	pokes    *obs.Counter // register/memory/input writes (batch items count individually)
-	cycles   *obs.Counter // clock cycles advanced by run/step/until
-}
-
-// newHotCounters registers the hot-path counters in reg.
-func newHotCounters(reg *obs.Registry) *hotCounters {
-	return &hotCounters{
-		commands: reg.Counter("zoomied.commands"),
-		peeks:    reg.Counter("zoomied.peeks"),
-		pokes:    reg.Counter("zoomied.pokes"),
-		cycles:   reg.Counter("zoomied.cycles"),
-	}
-}
-
-// advanced counts n clock cycles; a non-positive count advanced none.
-func (h *hotCounters) advanced(n int) {
-	if n > 0 {
-		h.cycles.Add(uint64(n))
-	}
-}
-
 // Config tunes the server.
 type Config struct {
 	// PoolSize is the number of modeled boards (default 4).
@@ -85,15 +59,13 @@ type Config struct {
 
 // Server is a running zoomied instance.
 type Server struct {
-	cfg   Config
-	pool  *Pool
-	stats stats
+	cfg  Config
+	pool *Pool
 
-	// reg is the server-wide observability registry behind "counters"
-	// streams; ctr caches the hot-path counters so the per-op cost is one
-	// atomic add, never a map lookup.
+	// reg is the daemon's counter registry: status replies, -stats and
+	// "counters" streams all read it. ctr caches its counters.
 	reg *obs.Registry
-	ctr *hotCounters
+	ctr *counters
 
 	// farm is the process-wide compile service: one content-addressed
 	// checkpoint store shared by every connection, so clients compiling
@@ -143,7 +115,7 @@ func New(cfg Config) *Server {
 		sessions:  make(map[uint64]*session),
 		probeQuit: make(chan struct{}),
 	}
-	s.ctr = newHotCounters(s.reg)
+	s.ctr = newCounters(s.reg)
 	s.hub = NewHub(Frontend{
 		Name:       "zoomied",
 		Logf:       cfg.Logf,
@@ -290,7 +262,6 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	atomic.AddInt64(&s.stats.sessionsActive, -1)
 	s.cfg.Logf("zoomied: session %d (%s) closed", sess.id, sess.design)
 }
 
@@ -363,7 +334,7 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 		}
 		if rerr := zs.RestoreSnapshot(context.Background(), snap); rerr != nil {
 			zs.Close()
-			s.retire(zs, inj)
+			s.ctr.fold(zs, inj, &cableCounts{})
 			return fail(wire.CodeOp, "import: snapshot restore: %v", rerr)
 		}
 	}
@@ -383,8 +354,7 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 
-	atomic.AddInt64(&s.stats.sessionsActive, 1)
-	atomic.AddInt64(&s.stats.sessionsTotal, 1)
+	s.ctr.SessionsTotal.Inc()
 	s.wg.Add(1)
 	go sess.loop()
 	c.Subscribe(sess.id)
@@ -410,16 +380,16 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 func (s *Server) dispatch(c *Conn, req *wire.Request) {
 	switch req.Op {
 	case wire.OpAttach, wire.OpStateImport:
-		atomic.AddInt64(&s.stats.commandsServed, 1)
+		s.ctr.CommandsServed.Inc()
 		c.Reply(s.attach(c, req))
 	case wire.OpStatus:
-		atomic.AddInt64(&s.stats.commandsServed, 1)
+		s.ctr.CommandsServed.Inc()
 		c.Reply(&wire.Response{ID: req.ID, Stats: s.Stats()})
 	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		atomic.AddInt64(&s.stats.commandsServed, 1)
+		s.ctr.CommandsServed.Inc()
 		c.Reply(c.StreamOp(req))
 	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
-		atomic.AddInt64(&s.stats.commandsServed, 1)
+		s.ctr.CommandsServed.Inc()
 		c.Reply(s.handleCompile(c, req))
 	default:
 		sess := s.session(req.Session)

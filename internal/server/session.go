@@ -70,13 +70,14 @@ type session struct {
 
 	// busy is the serialization tripwire: handle() CASes it 0->1 on
 	// entry. Because only the actor goroutine calls handle, a failed CAS
-	// means two commands interleaved mid-command — counted in stats and
-	// asserted zero by the race stress test.
+	// means two commands interleaved mid-command — counted in
+	// zoomied.interleaved and asserted zero by the race stress test.
 	busy int32
 
 	// Actor-local state (only the actor goroutine touches these).
 	lastPaused bool
 	replay     ReplayCache
+	folded     cableCounts // the current board's counts already in the registry
 }
 
 // task is one queued command with its completion callback. ctx is the
@@ -127,15 +128,6 @@ func (s *session) enqueue(ctx context.Context, req *wire.Request, reply func(*wi
 // signalQuit asks the actor to tear down (graceful shutdown path).
 func (s *session) signalQuit() { s.once.Do(func() { close(s.quit) }) }
 
-// cableStats snapshots the current cable's recovery counters; safe from
-// any goroutine (the zs pointer swap during migration is mutex-guarded).
-func (s *session) cableStats() jtag.CableStats {
-	s.mu.Lock()
-	zs := s.zs
-	s.mu.Unlock()
-	return zs.Cable.Stats()
-}
-
 // loop is the actor: one goroutine draining commands, arming an idle
 // timer between them. When the timer fires the session auto-detaches
 // and its board goes back to the pool.
@@ -157,6 +149,7 @@ func (s *session) loop() {
 				// latency sample, and crucially no idle-timer reset — a
 				// probed or streamed session must still idle out.
 				resp, detach := s.handle(t)
+				s.fold()
 				t.reply(resp)
 				if detach {
 					s.teardown("board failed and could not be replaced", nil)
@@ -170,9 +163,10 @@ func (s *session) loop() {
 			}
 			start := time.Now()
 			resp, detach := s.handle(t)
-			s.srv.stats.observeLatency(time.Since(start))
-			atomic.AddInt64(&s.srv.stats.commandsServed, 1)
-			s.srv.ctr.commands.Inc()
+			s.srv.ctr.Latency.Observe(time.Since(start).Microseconds())
+			s.srv.ctr.CommandsServed.Inc()
+			s.srv.ctr.Commands.Inc()
+			s.fold()
 			s.replay.Store(t.req, resp)
 			if detach {
 				// Acknowledge once the session is unregistered, so a
@@ -190,7 +184,7 @@ func (s *session) loop() {
 			}
 			timer.Reset(idle)
 		case <-timer.C:
-			atomic.AddInt64(&s.srv.stats.idleReaped, 1)
+			s.srv.ctr.IdleReaped.Inc()
 			s.teardown(fmt.Sprintf("idle for %v", idle), nil)
 			return
 		case <-s.quit:
@@ -199,6 +193,11 @@ func (s *session) loop() {
 		}
 	}
 }
+
+// fold brings the registry's cable and injector counters up to date with
+// the session's board; the actor calls it after every task, before the
+// reply, and once more as it gives up a board.
+func (s *session) fold() { s.srv.ctr.fold(s.zs, s.injector.Load(), &s.folded) }
 
 // housekeeping reports whether an op is one of the actor's internal
 // housekeeping ops rather than a client command.
@@ -230,7 +229,7 @@ func (s *session) teardown(reason string, ack func()) {
 		ack()
 	}
 	s.zs.Close()
-	s.srv.retire(s.zs, s.injector.Load())
+	s.fold()
 	s.srv.hub.Broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
 }
 
@@ -277,7 +276,7 @@ func isBoardFailure(err error) bool {
 // session down (client detach, or a board failure with no replacement).
 func (s *session) handle(t task) (*wire.Response, bool) {
 	if !atomic.CompareAndSwapInt32(&s.busy, 0, 1) {
-		atomic.AddInt64(&s.srv.stats.interleaved, 1)
+		s.srv.ctr.Interleaved.Inc()
 	}
 	defer atomic.StoreInt32(&s.busy, 0)
 
@@ -332,14 +331,13 @@ func (s *session) migrate(cause string) *wire.Error {
 		Detail: fmt.Sprintf("board lease %d: %s", leaseID, cause)})
 
 	old := s.zs
-	oldInj := s.injector.Load()
 	oldHist := old.DetachHistory() // history survives the board, not the session
 	old.Close()                    // errors expected on a failed board; lease already benched
-	srv.retire(old, oldInj)
+	s.fold()
 
 	nz, nmeta, ninj, nlease, err := srv.newSessionFor(s.design)
 	if err != nil {
-		atomic.AddInt64(&srv.stats.migrationsFail, 1)
+		srv.ctr.MigrationsFail.Inc()
 		return wire.Errf(wire.CodeBoardFailed,
 			"session %d: board failed (%s) and no replacement: %v", s.id, cause, err)
 	}
@@ -354,8 +352,8 @@ func (s *session) migrate(cause string) *wire.Error {
 	if s.lastGood != nil {
 		if rerr := nz.RestoreSnapshot(context.Background(), s.lastGood); rerr != nil {
 			nz.Close()
-			srv.retire(nz, ninj)
-			atomic.AddInt64(&srv.stats.migrationsFail, 1)
+			srv.ctr.fold(nz, ninj, &cableCounts{})
+			srv.ctr.MigrationsFail.Inc()
 			return wire.Errf(wire.CodeBoardFailed,
 				"session %d: snapshot restore on replacement board: %v", s.id, rerr)
 		}
@@ -366,7 +364,8 @@ func (s *session) migrate(cause string) *wire.Error {
 	s.ilaMeta = nmeta
 	s.mu.Unlock()
 	s.injector.Store(ninj)
-	atomic.AddInt64(&srv.stats.migrations, 1)
+	s.folded = cableCounts{}
+	srv.ctr.Migrations.Inc()
 	srv.cfg.Logf("zoomied: session %d migrated to board lease %d", s.id, nlease.ID)
 	srv.hub.Broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: s.id,
 		Detail: fmt.Sprintf("restored on board lease %d", nlease.ID)})
@@ -382,9 +381,9 @@ func (s *session) execute(t task) (*wire.Response, bool) {
 	var err error
 	switch req.Op {
 	case opProbe:
-		atomic.AddInt64(&s.srv.stats.probes, 1)
+		s.srv.ctr.Probes.Inc()
 		if err = s.zs.HealthCheck(); err != nil {
-			atomic.AddInt64(&s.srv.stats.probeFailures, 1)
+			s.srv.ctr.ProbeFailures.Inc()
 		}
 
 	case opIlaPoll:
@@ -439,6 +438,6 @@ func (s *session) pollILA(ctx context.Context) (*wire.Trace, error) {
 	if err := meta.Rearm(s.zs); err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&s.srv.stats.ilaWindows, 1)
+	s.srv.ctr.IlaWindows.Inc()
 	return &wire.Trace{Signals: meta.ProbeNames(), Rows: rows}, nil
 }

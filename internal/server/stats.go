@@ -3,123 +3,122 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"sync/atomic"
-	"time"
+	"reflect"
+	"strconv"
+	"strings"
 
 	"zoomie"
 	"zoomie/internal/faults"
+	"zoomie/internal/obs"
 	"zoomie/internal/wire"
 )
 
-// stats holds the server-wide counters behind the status wire command
-// and the expvar-style dump. All fields are touched with atomics; the
-// pool keeps its own counters under its lock.
-type stats struct {
-	sessionsActive int64
-	sessionsTotal  int64
-	commandsServed int64
-	idleReaped     int64
-	interleaved    int64
+// counters are the daemon's obs counters, cached so an event costs one
+// atomic add, never a map lookup. Each is named "zoomied." plus its tag,
+// the JSON key of the wire.Stats field it fills, which is how Stats
+// finds it; the op counters (commands, peeks, pokes, cycles) have no
+// wire.Stats field and reach clients through counters streams only.
+type counters struct {
+	Commands *obs.Counter `obs:"commands"` // commands executed by session actors
+	Peeks    *obs.Counter `obs:"peeks"`    // register/memory/output reads (batch items count individually)
+	Pokes    *obs.Counter `obs:"pokes"`    // register/memory/input writes (batch items count individually)
+	Cycles   *obs.Counter `obs:"cycles"`   // clock cycles advanced by run/step/until
 
-	// Robustness counters (chaos / self-healing). The serving layer
-	// keeps the transport counters: bytes, events, reconnects, replay
-	// hits and streams.
-	probes         int64
-	probeFailures  int64
-	migrations     int64
-	migrationsFail int64
+	SessionsTotal  *obs.Counter `obs:"sessions_total"`
+	CommandsServed *obs.Counter `obs:"commands_served"`
+	IdleReaped     *obs.Counter `obs:"idle_reaped"`
+	Interleaved    *obs.Counter `obs:"interleaved"`
+	Probes         *obs.Counter `obs:"probes"`
+	ProbeFailures  *obs.Counter `obs:"probe_failures"`
+	Migrations     *obs.Counter `obs:"migrations"`
+	MigrationsFail *obs.Counter `obs:"migrations_failed"`
+	IlaWindows     *obs.Counter `obs:"ila_windows"`
 
-	// Transport counters of retired sessions, accumulated at teardown and
-	// migration so recovery work survives the cable that did it. Stats()
-	// adds the live sessions' cables on top.
-	jtagRetries    int64
-	jtagReReads    int64
-	jtagRewrites   int64
-	faultsInjected int64
+	// Cable and injector counters, folded in by the session actors.
+	JtagRetries    *obs.Counter `obs:"jtag_retries"`
+	JtagReReads    *obs.Counter `obs:"jtag_rereads"`
+	JtagRewrites   *obs.Counter `obs:"jtag_rewrites"`
+	FaultsInjected *obs.Counter `obs:"faults_injected"`
 
-	ilaWindows int64 // ILA capture windows uploaded and streamed
-
-	latency [len(latencyBoundsUS)]int64
+	Latency *obs.Histogram // served commands by handling latency, µs
 }
 
-// latencyBoundsUS mirrors wire.LatencyBounds: upper bounds in µs, last
-// bucket unbounded.
-var latencyBoundsUS = [...]int64{100, 1000, 10_000, 100_000, 1_000_000, -1}
+// newCounters registers the daemon's counters in reg.
+func newCounters(reg *obs.Registry) *counters {
+	c := &counters{}
+	reg.Bind("zoomied.", c)
+	c.Latency = reg.Histogram("zoomied.latency_us", wire.LatencyBounds)
+	return c
+}
 
-func (st *stats) observeLatency(d time.Duration) {
-	us := d.Microseconds()
-	for i, b := range latencyBoundsUS {
-		if b < 0 || us <= b {
-			atomic.AddInt64(&st.latency[i], 1)
-			return
-		}
+// advanced counts n clock cycles; a non-positive count advanced none.
+func (c *counters) advanced(n int) {
+	if n > 0 {
+		c.Cycles.Add(uint64(n))
 	}
 }
 
-// retire folds a closing session's transport counters into the server
-// totals, so cable recovery work and injected-fault counts outlive the
-// session that accrued them.
-func (s *Server) retire(zs *zoomie.Session, inj *faults.Injector) {
+// cableCounts is how much of one board's cable and injector counters a
+// session has folded into the registry: retries, re-reads, rewrites and
+// injected faults.
+type cableCounts [4]int64
+
+// fold adds what zs's cable and inj counted since seen to the registry
+// and brings seen up to date: loads, plus an add per counter that moved.
+func (c *counters) fold(zs *zoomie.Session, inj *faults.Injector, seen *cableCounts) {
 	cs := zs.Cable.Stats()
-	atomic.AddInt64(&s.stats.jtagRetries, cs.Retries)
-	atomic.AddInt64(&s.stats.jtagReReads, cs.ReReads)
-	atomic.AddInt64(&s.stats.jtagRewrites, cs.Rewrites)
+	now := cableCounts{cs.Retries, cs.ReReads, cs.Rewrites, 0}
 	if inj != nil {
-		atomic.AddInt64(&s.stats.faultsInjected, inj.Stats().Total())
+		now[3] = inj.Stats().Total()
+	}
+	for i, ctr := range [...]*obs.Counter{c.JtagRetries, c.JtagReReads, c.JtagRewrites, c.FaultsInjected} {
+		if now[i] > seen[i] {
+			ctr.Add(uint64(now[i] - seen[i]))
+		}
+	}
+	*seen = now
+}
+
+// fillStats is the one view from counters to wire.Stats: each int64
+// field takes the counter named prefix plus the field's JSON key, and a
+// slice field the histogram buckets "<key>.0", "<key>.1", ... in order.
+// A field without a counter keeps its value.
+func fillStats(out *wire.Stats, reg *obs.Registry, prefix string) {
+	v := reflect.ValueOf(out).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		f := v.Field(i)
+		if f.Kind() == reflect.Int64 {
+			if c := reg.Lookup(prefix + key); c != nil {
+				f.SetInt(int64(c.Load()))
+			}
+			continue
+		}
+		for b := 0; ; b++ {
+			c := reg.Lookup(prefix + key + "." + strconv.Itoa(b))
+			if c == nil {
+				break
+			}
+			f.Set(reflect.Append(f, reflect.ValueOf(int64(c.Load()))))
+		}
 	}
 }
 
-// Stats snapshots the server counters into the wire representation.
+// Stats snapshots the server counters into the wire representation: the
+// registry's counters, the serving layer's transport counters, and the
+// gauges and lease counts only the session table and the pool know.
 func (s *Server) Stats() *wire.Stats {
-	st := &s.stats
-	out := &wire.Stats{
-		SessionsActive: atomic.LoadInt64(&st.sessionsActive),
-		SessionsTotal:  atomic.LoadInt64(&st.sessionsTotal),
-		CommandsServed: atomic.LoadInt64(&st.commandsServed),
-		IdleReaped:     atomic.LoadInt64(&st.idleReaped),
-		Interleaved:    atomic.LoadInt64(&st.interleaved),
-		PoolCapacity:   int64(s.pool.Capacity()),
-		PoolInUse:      int64(s.pool.InUse()),
-
-		PoolQuarantined: int64(s.pool.Quarantined()),
-		Quarantines:     s.pool.QuarantineCount(),
-		Probes:          atomic.LoadInt64(&st.probes),
-		ProbeFailures:   atomic.LoadInt64(&st.probeFailures),
-		Migrations:      atomic.LoadInt64(&st.migrations),
-		MigrationsFail:  atomic.LoadInt64(&st.migrationsFail),
-		JtagRetries:     atomic.LoadInt64(&st.jtagRetries),
-		JtagReReads:     atomic.LoadInt64(&st.jtagReReads),
-		JtagRewrites:    atomic.LoadInt64(&st.jtagRewrites),
-		FaultsInjected:  atomic.LoadInt64(&st.faultsInjected),
-		IlaWindows:      atomic.LoadInt64(&st.ilaWindows),
-	}
-	_, denied, _ := s.pool.Counters()
-	out.PoolDenied = denied
+	out := &wire.Stats{}
+	fillStats(out, s.reg, "zoomied.")
 	s.hub.FillStats(out)
-
-	// Fold in the live sessions' cable and injector counters (atomic
-	// reads on their side; the session list is copied under the server
-	// lock, cable pointers under each session's lock).
 	s.mu.Lock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
+	out.SessionsActive = int64(len(s.sessions))
 	s.mu.Unlock()
-	for _, sess := range live {
-		cs := sess.cableStats()
-		out.JtagRetries += cs.Retries
-		out.JtagReReads += cs.ReReads
-		out.JtagRewrites += cs.Rewrites
-		if inj := sess.injector.Load(); inj != nil {
-			out.FaultsInjected += inj.Stats().Total()
-		}
-	}
-
-	out.LatencyBuckets = make([]int64, len(st.latency))
-	for i := range st.latency {
-		out.LatencyBuckets[i] = atomic.LoadInt64(&st.latency[i])
-	}
+	out.PoolCapacity = int64(s.pool.Capacity())
+	out.PoolInUse = int64(s.pool.InUse())
+	out.PoolQuarantined = int64(s.pool.Quarantined())
+	out.Quarantines = s.pool.QuarantineCount()
+	_, out.PoolDenied, _ = s.pool.Counters()
 	return out
 }
 

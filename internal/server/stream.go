@@ -54,6 +54,9 @@ type Stream struct {
 	pending []*wire.Event
 	seq     uint64
 	dropped uint64
+	// counted is set while pending[0] is counted in the transport but a
+	// full outbox refused it: it goes out next, and is counted once.
+	counted bool
 }
 
 // OnStop sets what stopping the stream releases (a subscription, a
@@ -118,7 +121,7 @@ func (c *Conn) openStream(req *wire.Request) (*Stream, *wire.Error) {
 	if st.credits <= 0 {
 		st.credits = streamCredits
 	}
-	var produce func()
+	var produce func() string
 	if req.Name == wire.StreamCounters {
 		// Primed at open: activity right after the open reply is a delta,
 		// not a baseline.
@@ -141,13 +144,50 @@ func (c *Conn) openStream(req *wire.Request) (*Stream, *wire.Error) {
 	c.streams[st.id] = st
 	c.streamMu.Unlock()
 
-	c.h.tr.streamsOpened.Add(1)
+	c.h.tr.StreamsOpened.Inc()
 	c.h.wg.Add(1)
 	go func() {
 		defer c.h.wg.Done()
-		produce()
+		if why := produce(); why != "" {
+			st.end(why)
+		}
 	}()
 	return st, nil
+}
+
+// end closes a stream whose producer ended on its own: it leaves the
+// connection, stops, and sends the client one last frame, outside the
+// credit window, whose Detail says why. Frames still waiting for credit
+// count as dropped, except one already counted as sent, which goes out
+// first. A stream the client or the connection already closed is left
+// alone.
+func (st *Stream) end(why string) {
+	c := st.c
+	c.streamMu.Lock()
+	mine := c.streams[st.id] == st
+	delete(c.streams, st.id)
+	c.streamMu.Unlock()
+	if !mine {
+		return
+	}
+	st.stop()
+	st.mu.Lock()
+	var out []*wire.Event
+	if st.counted {
+		out, st.pending = []*wire.Event{st.pending[0]}, st.pending[1:]
+	}
+	n := uint64(len(st.pending))
+	st.dropped += n
+	c.h.tr.StreamDropped.Add(n)
+	st.pending = nil
+	st.seq++
+	out = append(out, &wire.Event{Kind: wire.EvtStream, Stream: st.id, Seq: st.seq, Dropped: st.dropped, Detail: why})
+	st.mu.Unlock()
+	for _, ev := range out {
+		if !c.send(wire.Evt(ev)) {
+			return
+		}
+	}
 }
 
 // closeStreams stops every open stream when the connection dies.
@@ -161,18 +201,18 @@ func (c *Conn) closeStreams() {
 	}
 }
 
-// every calls tick at the stream's interval until the stream stops or
-// tick returns false.
-func (st *Stream) every(tick func() bool) {
+// every calls tick at the stream's interval until the stream stops
+// (returning "") or tick returns why the stream ends.
+func (st *Stream) every(tick func() string) string {
 	t := time.NewTicker(st.interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-st.quit:
-			return
+			return ""
 		case <-t.C:
-			if !tick() {
-				return
+			if why := tick(); why != "" {
+				return why
 			}
 		}
 	}
@@ -180,16 +220,16 @@ func (st *Stream) every(tick func() bool) {
 
 // counters is the producer of a counters stream: one frame of named
 // deltas per interval that saw activity.
-func (st *Stream) counters(reader *obs.Reader) func() {
+func (st *Stream) counters(reader *obs.Reader) func() string {
 	var names []string
 	var deltas []uint64
-	return func() {
-		st.every(func() bool {
+	return func() string {
+		return st.every(func() string {
 			var total uint64
 			names, deltas, total = reader.Deltas(names[:0], deltas[:0])
 			if total == 0 {
 				st.drain() // idle interval: no frame, but retry backlog
-				return true
+				return ""
 			}
 			// The frame owns copies — the reader reuses its slices.
 			st.Offer(&wire.Event{
@@ -198,23 +238,27 @@ func (st *Stream) counters(reader *obs.Reader) func() {
 				Names:  append([]string(nil), names...),
 				Deltas: append([]uint64(nil), deltas...),
 			})
-			return true
+			return ""
 		})
 	}
 }
 
 // Offer stamps a frame with the stream's id and next sequence number and
-// queues it, shedding the oldest pending frame when the backlog is full,
-// then drains whatever the current credits allow.
+// queues it, shedding the oldest pending frame when the backlog is full
+// (the one after it, when the oldest is already counted as sent), then
+// drains whatever the current credits allow.
 func (st *Stream) Offer(ev *wire.Event) {
 	st.mu.Lock()
 	st.seq++
 	ev.Stream, ev.Seq = st.id, st.seq
 	if len(st.pending) >= streamPending {
-		copy(st.pending, st.pending[1:])
-		st.pending = st.pending[:len(st.pending)-1]
+		i := 0
+		if st.counted {
+			i = 1
+		}
+		st.pending = append(st.pending[:i], st.pending[i+1:]...)
 		st.dropped++
-		st.c.h.tr.streamDropped.Add(1)
+		st.c.h.tr.StreamDropped.Inc()
 	}
 	st.pending = append(st.pending, ev)
 	st.drainLocked()
@@ -243,22 +287,25 @@ func (st *Stream) drain() {
 // credit each, stopping when credits run out or the outbox is full (the
 // frame stays pending — the next tick or credit retries it). A frame is
 // counted before the send, since the peer can receive it the moment it
-// is in the outbox; a send the full outbox refuses takes its count back.
+// is in the outbox; a frame the full outbox refused stays counted, at
+// the head of the backlog.
 func (st *Stream) drainLocked() {
-	tr := &st.c.h.tr
+	tr := st.c.h.tr
 	for st.credits > 0 && len(st.pending) > 0 {
 		ev := st.pending[0]
 		ev.Dropped = st.dropped // latest total travels with every frame
-		tr.streamFrames.Add(1)
-		tr.streamEvents.Add(int64(ev.Count))
+		if !st.counted {
+			tr.StreamFrames.Inc()
+			tr.StreamEvents.Add(ev.Count)
+			st.counted = true
+		}
 		select {
 		case st.c.out <- wire.Evt(ev):
 			st.pending[0] = nil
 			st.pending = st.pending[1:]
 			st.credits--
+			st.counted = false
 		default:
-			tr.streamFrames.Add(-1)
-			tr.streamEvents.Add(-int64(ev.Count))
 			return
 		}
 	}
@@ -270,7 +317,7 @@ func (st *Stream) drainLocked() {
 // openStream admits the daemon's own stream kinds: a session's completed
 // ILA capture windows ("ila") and recorded keyframes ("history"), and a
 // compile job's phases ("compile").
-func (s *Server) openStream(st *Stream, req *wire.Request) (func(), *wire.Error) {
+func (s *Server) openStream(st *Stream, req *wire.Request) (func() string, *wire.Error) {
 	switch req.Name {
 	case wire.StreamCompile:
 		// Session carries the farm job id: compile jobs are a server-wide
@@ -283,7 +330,7 @@ func (s *Server) openStream(st *Stream, req *wire.Request) (func(), *wire.Error)
 		// producer starts.
 		prog, unsub := job.Subscribe()
 		st.OnStop(unsub)
-		return func() { compileFrames(st, prog) }, nil
+		return func() string { compileFrames(st, prog); return "" }, nil
 	case wire.StreamILA, wire.StreamHistory:
 	default:
 		return nil, wire.Errf(wire.CodeBadRequest,
@@ -302,8 +349,8 @@ func (s *Server) openStream(st *Stream, req *wire.Request) (func(), *wire.Error)
 			return nil, wire.Errf(wire.CodeBadRequest,
 				"design %q has no ILA (try the ila-counter design)", sess.design)
 		}
-		return func() {
-			st.every(func() bool { return alive(sess.poll(st, &wire.Request{Op: opIlaPoll}, nil)) })
+		return func() string {
+			return st.every(func() string { return ended(sess.poll(st, &wire.Request{Op: opIlaPoll}, nil)) })
 		}, nil
 	}
 	sess.mu.Lock()
@@ -314,7 +361,7 @@ func (s *Server) openStream(st *Stream, req *wire.Request) (func(), *wire.Error)
 			"history recording is disabled for design %q", sess.design)
 	}
 	cur := &histCursor{}
-	return func() { st.every(func() bool { return cur.poll(st, sess) }) }, nil
+	return func() string { return st.every(func() string { return cur.poll(st, sess) }) }, nil
 }
 
 // compileFrames is the producer of a compile stream: event-driven rather
@@ -360,9 +407,14 @@ func (s *session) poll(st *Stream, req *wire.Request, done func(*wire.Response))
 	})
 }
 
-// alive reports whether a poll's session still exists; a stream dies
-// with its session.
-func alive(werr *wire.Error) bool { return werr == nil || werr.Code != wire.CodeNoSession }
+// ended returns why a poll's session is gone, or "" while it lives: a
+// stream ends with its session.
+func ended(werr *wire.Error) string {
+	if werr != nil && werr.Code == wire.CodeNoSession {
+		return werr.Msg
+	}
+	return ""
+}
 
 // histCursor is a history stream's position: the keyframe generation
 // delivered so far, and whether a poll is queued on the actor. The
@@ -376,11 +428,11 @@ type histCursor struct {
 	polling bool
 }
 
-func (h *histCursor) poll(st *Stream, sess *session) bool {
+func (h *histCursor) poll(st *Stream, sess *session) string {
 	h.mu.Lock()
 	if h.polling {
 		h.mu.Unlock()
-		return true
+		return ""
 	}
 	h.polling = true
 	gen := h.gen
@@ -398,5 +450,5 @@ func (h *histCursor) poll(st *Stream, sess *session) bool {
 		h.polling = false
 		h.mu.Unlock()
 	}
-	return alive(werr)
+	return ended(werr)
 }

@@ -290,6 +290,42 @@ func TestStreamErrors(t *testing.T) {
 	})
 }
 
+// TestStreamEndsWithProducer pins that a stream whose producer ended
+// closes for its client, on both front ends: an ILA stream whose session
+// detached reports closed within a second instead of blocking Recv. On
+// zfleet the daemon-side stream ends, and the forwarded stream with it.
+func TestStreamEndsWithProducer(t *testing.T) {
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		_, addr := fe.start(t, server.Config{PoolSize: 1})
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sess, err := c.Attach("ila-counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.OpenStream(wire.StreamILA, sess.ID, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Detach(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		for {
+			if _, ok := st.RecvCtx(ctx); !ok {
+				break
+			}
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the ILA stream was still open 1s after its session detached")
+		}
+	})
+}
+
 // TestReconnectStreamReopenTypedCodes runs two daemons side by side and
 // severs one client's connection mid-session: the reconnect replays the
 // in-flight peek, a stream open across the cut dies cleanly and reopens

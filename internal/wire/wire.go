@@ -233,7 +233,8 @@ type Event struct {
 
 	// Stream-frame fields (v3+, Kind == EvtStream): one frame carries a
 	// whole aggregation window, so millions of trace events/sec become a
-	// handful of frames/sec on the wire.
+	// handful of frames/sec on the wire. A stream frame with a Detail is
+	// the stream's last: its producer ended, and Detail says why.
 	Stream  uint64 `json:"stream,omitempty"`  // stream id this frame belongs to
 	Seq     uint64 `json:"seq,omitempty"`     // per-stream frame sequence number
 	Dropped uint64 `json:"dropped,omitempty"` // frames shed under backpressure so far
