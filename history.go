@@ -163,7 +163,7 @@ func (s *Session) DetachHistory() *history.Engine {
 // swap. The adopted engine serves the recorded past but records nothing
 // new: a zfleet checkpoint ships the whole ring in one wire frame, and a
 // ring that kept growing after every failover would outgrow the frame
-// limit (ROADMAP item 3). The designs must have identical state layouts
+// limit (ROADMAP item 4). The designs must have identical state layouts
 // (the deterministic recompile of the same design guarantees this).
 func (s *Session) AdoptHistory(h *history.Engine) error {
 	if h == nil {

@@ -565,7 +565,7 @@ func overloadBackoff(resp *wire.Response, attempt int, fallback time.Duration) t
 // intact. This is the landing half of cross-daemon failover; the blob
 // comes from Session.StateExport on the session's previous home.
 func (c *Client) AttachWithState(ctx context.Context, design string, blob []byte) (*Session, error) {
-	resp, err := c.callCtx(ctx, &wire.Request{Op: wire.OpStateImport, Design: design, Signals: wire.EncodeBlob(blob)})
+	resp, err := c.callCtx(ctx, &wire.Request{Op: wire.OpStateImport, Design: design, Blob: blob})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"zoomie/internal/dbg"
@@ -321,11 +320,7 @@ func (s *Session) StateExport(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	blob, derr := wire.DecodeBlob(resp.Lines)
-	if derr != nil {
-		return nil, 0, fmt.Errorf("client: state export blob is not base64: %v", derr)
-	}
-	return blob, resp.Cycles, nil
+	return resp.Blob, resp.Cycles, nil
 }
 
 // HistoryStatusLines returns the rendered history status, line by line,

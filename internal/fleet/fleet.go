@@ -105,19 +105,20 @@ func (c Config) withDefaults() Config {
 // "zfleet." plus its tag, served to "counters" streams and, through
 // Stats's mapping, OpStatus.
 type counters struct {
-	Admissions     *obs.Counter `obs:"admissions"`       // attaches admitted
-	Sheds          *obs.Counter `obs:"sheds"`            // attaches shed with CodeOverloaded
-	Commands       *obs.Counter `obs:"commands"`         // session commands forwarded
-	Heartbeats     *obs.Counter `obs:"heartbeats"`       // health probes sent
-	HeartbeatMiss  *obs.Counter `obs:"heartbeat_misses"` // health probes missed
-	Quarantines    *obs.Counter `obs:"quarantines"`      // daemons declared dead, lifetime
-	Requalified    *obs.Counter `obs:"requalified"`      // daemons brought back after quarantine
-	Failovers      *obs.Counter `obs:"failovers"`        // sessions rebuilt on a new daemon
-	FailoverFail   *obs.Counter `obs:"failovers_failed"` // sessions lost (no healthy daemon)
-	FailoverNanos  *obs.Counter `obs:"failover_ns"`      // cumulative failover latency
-	Checkpoints    *obs.Counter `obs:"checkpoints"`      // session checkpoints taken
-	JournalReplays *obs.Counter `obs:"journal_replays"`  // journaled commands re-executed
-	Drains         *obs.Counter `obs:"drains"`           // sessions migrated off draining daemons
+	Admissions     *obs.Counter `obs:"admissions"`         // attaches admitted
+	Sheds          *obs.Counter `obs:"sheds"`              // attaches shed with CodeOverloaded
+	Commands       *obs.Counter `obs:"commands"`           // session commands forwarded
+	Heartbeats     *obs.Counter `obs:"heartbeats"`         // health probes sent
+	HeartbeatMiss  *obs.Counter `obs:"heartbeat_misses"`   // health probes missed
+	Quarantines    *obs.Counter `obs:"quarantines"`        // daemons declared dead, lifetime
+	Requalified    *obs.Counter `obs:"requalified"`        // daemons brought back after quarantine
+	Failovers      *obs.Counter `obs:"failovers"`          // sessions rebuilt on a new daemon
+	FailoverFail   *obs.Counter `obs:"failovers_failed"`   // sessions lost (no healthy daemon)
+	FailoverNanos  *obs.Counter `obs:"failover_ns"`        // cumulative failover latency
+	Checkpoints    *obs.Counter `obs:"checkpoints"`        // session checkpoints taken
+	CheckpointFail *obs.Counter `obs:"checkpoints_failed"` // checkpoint refreshes whose export failed
+	JournalReplays *obs.Counter `obs:"journal_replays"`    // journaled commands re-executed
+	Drains         *obs.Counter `obs:"drains"`             // sessions migrated off draining daemons
 }
 
 // Coordinator is a running fleet frontend.

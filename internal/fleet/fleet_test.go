@@ -2,8 +2,11 @@ package fleet_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"zoomie/internal/dbg"
 	"zoomie/internal/faults"
 	"zoomie/internal/fleet"
+	"zoomie/internal/obs"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
@@ -450,5 +454,96 @@ func TestFleetVersionHandshake(t *testing.T) {
 		if r := hello(ver); r.Err == nil || r.Err.Code != wire.CodeVersion {
 			t.Errorf("v%d hello answered with %+v, want %s", ver, r, wire.CodeVersion)
 		}
+	}
+}
+
+// refusingDaemon stands in for a zoomied whose session state outgrew the
+// export cap. Served by the daemon's own serving layer, it answers every
+// op, and every state export after the attach's first one with the
+// daemon's too-large refusal.
+func refusingDaemon(t *testing.T) string {
+	t.Helper()
+	var wg sync.WaitGroup
+	var exports atomic.Int32
+	hub := server.NewHub(server.Frontend{
+		Name: "zoomied",
+		Logf: func(string, ...any) {},
+		Reg:  obs.NewRegistry(),
+		Dispatch: func(c *server.Conn, req *wire.Request) {
+			resp := &wire.Response{ID: req.ID}
+			switch req.Op {
+			case wire.OpStatus:
+				resp.Stats = &wire.Stats{}
+			case wire.OpAttach:
+				resp.Session = 1
+			case wire.OpStateExport:
+				if exports.Add(1) == 1 {
+					resp.Blob = []byte("state")
+				} else {
+					resp.Err = wire.Errf(wire.CodeOp, "session state too large to export")
+				}
+			}
+			c.Reply(resp)
+		},
+	}, &wg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hub.Serve(ln)
+	t.Cleanup(func() {
+		hub.Close(&wire.Event{Kind: wire.EvtShutdown})
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestFleetCountsFailedCheckpoints pins that a refused checkpoint
+// refresh is not dropped silently: every failure counts in
+// zfleet.checkpoints_failed, and the session's first is logged, once.
+func TestFleetCountsFailedCheckpoints(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	co, fa := startFleet(t, fleet.Config{
+		Daemons:         []string{refusingDaemon(t)},
+		CheckpointEvery: 2,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	c, err := client.Dial(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The journal reaches CheckpointEvery at the second poke, and every
+	// poke after a failed refresh tries again.
+	for i := 0; i < 5; i++ {
+		if err := s.Poke("cnt", uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := co.Obs().Lookup("zfleet.checkpoints_failed").Load(); got != 4 {
+		t.Errorf("zfleet.checkpoints_failed = %d, want 4", got)
+	}
+	if got := co.Obs().Lookup("zfleet.checkpoints").Load(); got != 1 {
+		t.Errorf("zfleet.checkpoints = %d, want the attach's 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var refusals []string
+	for _, l := range logs {
+		if strings.Contains(l, "refresh failed") {
+			refusals = append(refusals, l)
+		}
+	}
+	if len(refusals) != 1 || !strings.Contains(refusals[0], "too large to export") {
+		t.Errorf("checkpoint refusals logged: %q, want the first one", refusals)
 	}
 }

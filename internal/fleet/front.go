@@ -24,7 +24,7 @@ func (co *Coordinator) dispatch(c *server.Conn, req *wire.Request) {
 	case wire.OpAttach:
 		c.Reply(co.attach(c, req, nil))
 	case wire.OpStateImport:
-		c.Reply(co.attach(c, req, req.Signals))
+		c.Reply(co.attach(c, req, req.Blob))
 	case wire.OpStatus:
 		c.Reply(&wire.Response{ID: req.ID, Stats: co.Stats()})
 	case wire.OpFleetStat:
@@ -59,7 +59,7 @@ func (co *Coordinator) shed(req *wire.Request, retryAfterMS int, why string) *wi
 // attach admits, places and creates one fleet session. A non-nil blob
 // makes it attach-with-state (the client-initiated import path); the
 // blob doubles as the session's first checkpoint.
-func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []string) *wire.Response {
+func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []byte) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	if co.isClosed() {
 		resp.Err = wire.Errf(wire.CodeShutdown, "fleet coordinator shutting down")
@@ -119,11 +119,11 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []string) 
 				}
 				continue
 			}
-			if len(exp.Lines) == 0 {
+			if len(exp.Blob) == 0 {
 				d.unreserve()
 				continue
 			}
-			checkpoint = exp.Lines
+			checkpoint = exp.Blob
 			co.ctr.Checkpoints.Inc()
 		}
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -51,16 +52,19 @@ type fsession struct {
 	homeD      *daemon
 	remoteSID  uint64
 	homeGen    uint64
-	checkpoint []string // base64 blob chunks, as OpStateExport returned them
+	checkpoint []byte // the state blob OpStateExport returned
 	journal    []*wire.Request
 	suppressed bool // drop daemon events during journal replay
 	stopped    bool
 
 	// replay answers front-client reconnect replays; actor-owned.
 	replay server.ReplayCache
+	// checkpointFailed records that a checkpoint refresh failed and was
+	// logged; actor-owned.
+	checkpointFailed bool
 }
 
-func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID, gen uint64, checkpoint []string) *fsession {
+func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID, gen uint64, checkpoint []byte) *fsession {
 	return &fsession{
 		co:         co,
 		id:         id,
@@ -318,7 +322,7 @@ func (fs *fsession) failover() *wire.Error {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		resp, err := cli.CallCtx(ctx, &wire.Request{
-			Op: wire.OpStateImport, Design: fs.design, Signals: checkpoint})
+			Op: wire.OpStateImport, Design: fs.design, Blob: checkpoint})
 		if err != nil {
 			cancel()
 			target.unreserve()
@@ -405,7 +409,7 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 		return resp
 	}
 	imp, err := tcli.CallCtx(ctx, &wire.Request{
-		Op: wire.OpStateImport, Design: fs.design, Signals: exp.Lines})
+		Op: wire.OpStateImport, Design: fs.design, Blob: exp.Blob})
 	if err != nil {
 		target.unreserve()
 		if isConnFailure(err) {
@@ -421,7 +425,7 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 	fs.setHome(target, imp.Session, tgen)
 	target.addSession(fs, imp.Session)
 	fs.mu.Lock()
-	fs.checkpoint = exp.Lines
+	fs.checkpoint = exp.Blob
 	fs.journal = nil
 	fs.mu.Unlock()
 
@@ -441,18 +445,28 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 
 // refreshCheckpoint exports the session's current state, replacing the
 // checkpoint and clearing the journal. A failed export keeps the old
-// checkpoint + journal — still sufficient for a correct failover.
+// checkpoint + journal — still sufficient for a correct failover, but
+// each later failover replays more, so every failure is counted and the
+// session's first is logged.
 func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 	_, cli, rsid, _ := fs.homeLink()
 	if cli == nil {
 		return
 	}
 	resp, err := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStateExport, Session: rsid})
-	if err != nil || len(resp.Lines) == 0 {
+	if err == nil && len(resp.Blob) == 0 {
+		err = errors.New("empty state blob")
+	}
+	if err != nil {
+		fs.co.ctr.CheckpointFail.Inc()
+		if !fs.checkpointFailed {
+			fs.checkpointFailed = true
+			fs.co.cfg.Logf("zfleet: session %d keeps its last checkpoint: refresh failed: %v", fs.id, err)
+		}
 		return
 	}
 	fs.mu.Lock()
-	fs.checkpoint = resp.Lines
+	fs.checkpoint = resp.Blob
 	fs.journal = nil
 	fs.mu.Unlock()
 	fs.co.ctr.Checkpoints.Inc()

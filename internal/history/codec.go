@@ -1,10 +1,10 @@
 package history
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"sort"
 
+	"zoomie/internal/codec"
 	"zoomie/internal/sim"
 )
 
@@ -17,8 +17,8 @@ import (
 // time travel along: the coordinator checkpoints the blob, and the
 // restored session can still rewind past the failure.
 //
-// The layout is the engine's own idiom — varints throughout — with a
-// 4-byte magic so version skew fails loudly instead of misparsing.
+// The layout is written with internal/codec — varints throughout — with
+// a 4-byte magic so version skew fails loudly instead of misparsing.
 // Timelines are encoded as a flat node list covering the full
 // parent-reachable graph (GC'd lineage stubs included, since forkPos
 // chains still route reconstruction) with parent references by list
@@ -26,208 +26,32 @@ import (
 // savestates are encoded in sorted key order, so equal engines produce
 // byte-identical blobs.
 
-var blobMagic = [4]byte{'z', 'h', '0', '1'}
+var blobMagic = []byte("zh01")
 
-type enc struct{ b []byte }
-
-func (w *enc) u(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
-func (w *enc) i(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *enc) byte(v byte) { w.b = append(w.b, v) }
-func (w *enc) bool(v bool) {
-	if v {
-		w.b = append(w.b, 1)
-	} else {
-		w.b = append(w.b, 0)
-	}
-}
-func (w *enc) str(s string) { w.u(uint64(len(s))); w.b = append(w.b, s...) }
-func (w *enc) bytes(p []byte) {
-	w.u(uint64(len(p)))
-	w.b = append(w.b, p...)
-}
-func (w *enc) words(p []uint64) {
-	w.u(uint64(len(p)))
-	for _, v := range p {
-		w.u(v)
-	}
+func appendDense(b []byte, ds denseState) []byte {
+	b = codec.AppendUvarint(b, ds.pos)
+	b = codec.AppendUvarint(b, ds.cycle)
+	b = codec.AppendWords(b, ds.regs)
+	return codec.AppendRows(b, ds.mems)
 }
 
-type dec struct {
-	b   []byte
-	off int
-	err error
+func readDense(d *codec.Decoder) denseState {
+	return denseState{pos: d.Uvarint(), cycle: d.Uvarint(), regs: d.Words(nil), mems: d.Rows()}
 }
 
-func (r *dec) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("history: decode: "+format, args...)
-	}
+func appendState(b []byte, st *State) []byte {
+	b = codec.AppendUvarint(b, st.Pos)
+	b = codec.AppendUvarint(b, st.Cycle)
+	b = codec.AppendMap(b, st.Regs, codec.AppendUvarint)
+	b = codec.AppendMap(b, st.Inputs, codec.AppendUvarint)
+	return codec.AppendMap(b, st.Mems, codec.AppendWords)
 }
 
-func (r *dec) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated uvarint at %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *dec) i() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *dec) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated byte at %d", r.off)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *dec) bool() bool { return r.byte() != 0 }
-
-// count reads a length prefix, bounds-checked against the bytes left so a
-// corrupt blob cannot trigger a huge allocation: n elements of at least
-// elemMin encoded bytes each must fit in the remaining payload.
-func (r *dec) count(elemMin int) int {
-	n := r.u()
-	if r.err != nil {
-		return 0
-	}
-	if elemMin < 1 {
-		elemMin = 1
-	}
-	if n > uint64(len(r.b)-r.off)/uint64(elemMin) {
-		r.fail("implausible count %d at %d", n, r.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *dec) str() string {
-	n := r.count(1)
-	if r.err != nil {
-		return ""
-	}
-	if r.off+n > len(r.b) {
-		r.fail("truncated string at %d", r.off)
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *dec) bytes() []byte {
-	n := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.fail("truncated bytes at %d", r.off)
-		return nil
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return p
-}
-
-func (r *dec) words() []uint64 {
-	n := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	p := make([]uint64, n)
-	for i := range p {
-		p[i] = r.u()
-	}
-	return p
-}
-
-func (w *enc) dense(ds denseState) {
-	w.u(ds.pos)
-	w.u(ds.cycle)
-	w.words(ds.regs)
-	w.u(uint64(len(ds.mems)))
-	for _, m := range ds.mems {
-		w.words(m)
-	}
-}
-
-func (r *dec) dense() denseState {
-	ds := denseState{pos: r.u(), cycle: r.u(), regs: r.words()}
-	n := r.count(1)
-	ds.mems = make([][]uint64, n)
-	for i := range ds.mems {
-		ds.mems[i] = r.words()
-	}
-	return ds
-}
-
-func (w *enc) state(st *State) {
-	w.u(st.Pos)
-	w.u(st.Cycle)
-	w.u(uint64(len(st.Regs)))
-	for _, k := range sortedKeys(st.Regs) {
-		w.str(k)
-		w.u(st.Regs[k])
-	}
-	w.u(uint64(len(st.Inputs)))
-	for _, k := range sortedKeys(st.Inputs) {
-		w.str(k)
-		w.u(st.Inputs[k])
-	}
-	w.u(uint64(len(st.Mems)))
-	mems := make([]string, 0, len(st.Mems))
-	for k := range st.Mems {
-		mems = append(mems, k)
-	}
-	sort.Strings(mems)
-	for _, k := range mems {
-		w.str(k)
-		w.words(st.Mems[k])
-	}
-}
-
-func (r *dec) state() *State {
-	st := &State{
-		Pos:    r.u(),
-		Cycle:  r.u(),
-		Regs:   map[string]uint64{},
-		Inputs: map[string]uint64{},
-		Mems:   map[string][]uint64{},
-	}
-	for i, n := 0, r.count(2); i < n; i++ {
-		k := r.str()
-		st.Regs[k] = r.u()
-	}
-	for i, n := 0, r.count(2); i < n; i++ {
-		k := r.str()
-		st.Inputs[k] = r.u()
-	}
-	for i, n := 0, r.count(2); i < n; i++ {
-		k := r.str()
-		st.Mems[k] = r.words()
-	}
+func readState(d *codec.Decoder) *State {
+	st := &State{Pos: d.Uvarint(), Cycle: d.Uvarint()}
+	st.Regs = codec.ReadMap(d, d.Uvarint)
+	st.Inputs = codec.ReadMap(d, d.Uvarint)
+	st.Mems = codec.ReadMap(d, func() []uint64 { return d.Words(nil) })
 	return st
 }
 
@@ -259,56 +83,6 @@ func (e *Engine) fromState(st *State) *denseState {
 	return ds
 }
 
-// tickCycles rebuilds a decoded segment's cycle tags from its records;
-// it reports false when the records do not parse.
-func tickCycles(seg *segment) ([]uint64, bool) {
-	var cycles []uint64
-	buf, off := seg.buf, 0
-	next := func() (uint64, bool) {
-		if off >= len(buf) {
-			return 0, false
-		}
-		v, n := binary.Uvarint(buf[off:])
-		off += max(n, 0)
-		return v, n > 0
-	}
-	cyc := seg.kf.cycle
-	for off < len(buf) {
-		kind := buf[off]
-		off++
-		if kind == recTick {
-			d, n := binary.Varint(buf[off:])
-			if n <= 0 {
-				return nil, false
-			}
-			off += n
-			cyc = uint64(int64(cyc) + d)
-			cycles = append(cycles, cyc)
-		}
-		// Skip the record body: register (slot, value) pairs, then memory
-		// (id, address, value) triples.
-		for _, per := range []uint64{2, 3} {
-			cnt, ok := next()
-			for i := uint64(0); ok && i < cnt*per; i++ {
-				_, ok = next()
-			}
-			if !ok {
-				return nil, false
-			}
-		}
-	}
-	return cycles, true
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Encode serializes the engine into a self-contained blob. The engine
 // keeps running; Encode is a read-only snapshot under the engine lock.
 func (e *Engine) Encode() []byte {
@@ -331,197 +105,296 @@ func (e *Engine) Encode() []byte {
 		}
 	}
 
-	w := &enc{b: make([]byte, 0, 4096)}
-	w.b = append(w.b, blobMagic[:]...)
-	w.u(uint64(e.cfg.KeyframeEvery))
-	w.u(uint64(e.cfg.MaxKeyframes))
-	w.u(uint64(e.cfg.MaxTimelines))
-	w.str(e.cycleReg)
-	w.u(uint64(len(e.slots)))
+	b := append(make([]byte, 0, 4096), blobMagic...)
+	b = codec.AppendUvarint(b, uint64(e.cfg.KeyframeEvery))
+	b = codec.AppendUvarint(b, uint64(e.cfg.MaxKeyframes))
+	b = codec.AppendUvarint(b, uint64(e.cfg.MaxTimelines))
+	b = codec.AppendString(b, e.cycleReg)
+	b = codec.AppendUvarint(b, uint64(len(e.slots)))
 	for _, sl := range e.slots {
-		w.str(sl.Name)
-		w.bool(sl.Input)
+		b = codec.AppendBool(codec.AppendString(b, sl.Name), sl.Input)
 	}
-	w.u(uint64(len(e.mems)))
+	b = codec.AppendUvarint(b, uint64(len(e.mems)))
 	for _, m := range e.mems {
-		w.str(m.Name)
+		b = codec.AppendString(b, m.Name)
 	}
 
-	w.u(e.seq)
-	w.u(e.segGen)
-	w.u(e.cursor)
-	w.bool(e.detached)
-	w.u(uint64(e.nKF))
-	w.i(e.bytes)
-	w.i(int64(idx[e.cur]))
-	w.i(int64(idx[e.cursorTL]))
+	b = codec.AppendUvarint(b, e.seq)
+	b = codec.AppendUvarint(b, e.segGen)
+	b = codec.AppendUvarint(b, e.cursor)
+	b = codec.AppendBool(b, e.detached)
+	b = codec.AppendUvarint(b, uint64(e.nKF))
+	b = codec.AppendVarint(b, e.bytes)
+	b = codec.AppendVarint(b, int64(idx[e.cur]))
+	b = codec.AppendVarint(b, int64(idx[e.cursorTL]))
+	b = codec.AppendBool(b, e.pendingKF != nil)
 	if e.pendingKF != nil {
-		w.bool(true)
-		w.dense(*e.pendingKF)
-	} else {
-		w.bool(false)
+		b = appendDense(b, *e.pendingKF)
 	}
 
-	w.u(uint64(len(e.timelines)))
-	w.u(uint64(len(nodes)))
+	b = codec.AppendUvarint(b, uint64(len(e.timelines)))
+	b = codec.AppendUvarint(b, uint64(len(nodes)))
 	for _, t := range nodes {
-		w.i(int64(t.id))
-		if t.parent == nil {
-			w.i(-1)
-		} else {
-			w.i(int64(idx[t.parent]))
+		parent := -1
+		if t.parent != nil {
+			parent = idx[t.parent]
 		}
-		w.u(t.forkPos)
-		w.u(t.forkCycle)
-		w.u(uint64(len(t.segs)))
+		b = codec.AppendVarint(b, int64(t.id))
+		b = codec.AppendVarint(b, int64(parent))
+		b = codec.AppendUvarint(b, t.forkPos)
+		b = codec.AppendUvarint(b, t.forkCycle)
+		b = codec.AppendUvarint(b, uint64(len(t.segs)))
 		for _, seg := range t.segs {
-			w.u(seg.gen)
-			w.u(seg.startPos)
-			w.u(seg.endPos)
-			w.dense(seg.kf)
-			w.bytes(seg.buf)
-			w.u(uint64(len(seg.cycles)))
-			w.u(seg.lastCycle)
-			w.u(seg.minCycle)
-			w.u(seg.maxCycle)
-			w.u(uint64(len(seg.hostAt)))
+			b = codec.AppendUvarint(b, seg.gen)
+			b = codec.AppendUvarint(b, seg.startPos)
+			b = codec.AppendUvarint(b, seg.endPos)
+			b = appendDense(b, seg.kf)
+			b = codec.AppendBytes(b, seg.buf)
+			b = codec.AppendUvarint(b, uint64(len(seg.cycles)))
+			b = codec.AppendUvarint(b, seg.lastCycle)
+			b = codec.AppendUvarint(b, seg.minCycle)
+			b = codec.AppendUvarint(b, seg.maxCycle)
+			b = codec.AppendUvarint(b, uint64(len(seg.hostAt)))
 			for _, h := range seg.hostAt {
-				w.u(h.pos)
-				w.u(h.cycle)
+				b = codec.AppendUvarint(codec.AppendUvarint(b, h.pos), h.cycle)
 			}
 		}
 	}
 
-	names := make([]string, 0, len(e.saves))
-	for n := range e.saves {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.u(uint64(len(names)))
-	for _, n := range names {
-		w.str(n)
-		w.state(e.toState(*e.saves[n]))
-	}
-	return w.b
+	return codec.AppendMap(b, e.saves, func(b []byte, ds *denseState) []byte {
+		return appendState(b, e.toState(*ds))
+	})
 }
 
 // Decode reconstructs an engine from an Encode blob. The result is
 // unattached (not recording): bind it to a fresh simulator of the same
-// design with Transplant — slot layout is re-validated there by name.
+// design with Transplant — slot layout and memory depths are re-validated
+// there by name. Decode itself checks everything reconstruction indexes
+// (see checkDecoded), so a blob from outside the process cannot make a
+// later reconstruction index out of range.
 func Decode(blob []byte) (*Engine, error) {
-	if len(blob) < len(blobMagic) || string(blob[:4]) != string(blobMagic[:]) {
+	if !bytes.HasPrefix(blob, blobMagic) {
 		return nil, fmt.Errorf("history: decode: bad magic (not a zh01 history blob)")
 	}
-	r := &dec{b: blob, off: 4}
+	d := codec.NewDecoder(blob[len(blobMagic):])
 
-	e := &Engine{saves: map[string]*denseState{}}
+	e := &Engine{}
 	e.cfg = Config{
-		KeyframeEvery: int(r.u()),
-		MaxKeyframes:  int(r.u()),
-		MaxTimelines:  int(r.u()),
+		KeyframeEvery: int(d.Uvarint()),
+		MaxKeyframes:  int(d.Uvarint()),
+		MaxTimelines:  int(d.Uvarint()),
 	}.withDefaults()
-	e.cycleReg = r.str()
+	e.cycleReg = d.String()
 	e.cycleIdx = -1
-	// Slot/memory layout carries names only: Transplant re-resolves
-	// indices and depths against the adopting simulator, validating the
-	// design by slot-name equality.
-	nSlots := r.count(2)
-	e.slots = make([]sim.StateSlot, nSlots)
+	// Slot/memory layout carries names only: checkDecoded takes the
+	// memory depths from the keyframes, and Transplant re-resolves
+	// indices against the adopting simulator, validating the design by
+	// slot-name equality.
+	e.slots = make([]sim.StateSlot, d.Count(2))
 	for i := range e.slots {
-		e.slots[i].Name = r.str()
-		e.slots[i].Input = r.bool()
+		e.slots[i].Name = d.String()
+		e.slots[i].Input = d.Bool()
 	}
-	nMems := r.count(1)
-	e.mems = make([]sim.StateMem, nMems)
+	e.mems = make([]sim.StateMem, d.Count(1))
 	for i := range e.mems {
-		e.mems[i].Name = r.str()
-		e.mems[i].ID = int32(i)
+		e.mems[i] = sim.StateMem{ID: int32(i), Name: d.String()}
 	}
 	e.ownLayout()
 
-	e.seq = r.u()
-	e.segGen = r.u()
-	e.cursor = r.u()
-	e.detached = r.bool()
-	e.nKF = int(r.u())
-	e.bytes = r.i()
-	curIdx := int(r.i())
-	cursorIdx := int(r.i())
-	if r.bool() {
-		kf := r.dense()
+	e.seq = d.Uvarint()
+	e.segGen = d.Uvarint()
+	e.cursor = d.Uvarint()
+	e.detached = d.Bool()
+	e.nKF = int(d.Uvarint())
+	e.bytes = d.Varint()
+	curIdx := d.Int()
+	cursorIdx := d.Int()
+	if d.Bool() {
+		kf := readDense(d)
 		e.pendingKF = &kf
 	}
 
-	nLive := r.count(1)
-	nNodes := r.count(1)
-	if r.err == nil && (nLive > nNodes || nNodes == 0) {
-		r.fail("inconsistent timeline counts live=%d nodes=%d", nLive, nNodes)
-	}
-	nodes := make([]*timeline, nNodes)
-	parents := make([]int, nNodes)
-	for i := 0; i < nNodes && r.err == nil; i++ {
-		t := &timeline{id: int(r.i())}
-		parents[i] = int(r.i())
-		t.forkPos = r.u()
-		t.forkCycle = r.u()
-		nSegs := r.count(4)
-		for j := 0; j < nSegs && r.err == nil; j++ {
+	nLive := d.Count(1)
+	nodes := make([]*timeline, d.Count(1))
+	parents := make([]int, len(nodes))
+	ticks := map[*segment]uint64{}
+	for i := range nodes {
+		t := &timeline{id: d.Int()}
+		parents[i] = d.Int()
+		t.forkPos = d.Uvarint()
+		t.forkCycle = d.Uvarint()
+		for j, n := 0, d.Count(4); j < n; j++ {
 			seg := &segment{
-				gen:      r.u(),
-				startPos: r.u(),
-				endPos:   r.u(),
-				kf:       r.dense(),
-				buf:      r.bytes(),
+				gen:      d.Uvarint(),
+				startPos: d.Uvarint(),
+				endPos:   d.Uvarint(),
+				kf:       readDense(d),
+				buf:      d.Bytes(),
 			}
-			cycles, ok := tickCycles(seg)
-			if n := r.u(); !ok || uint64(len(cycles)) != n {
-				r.fail("segment %d of timeline %d: records disagree with its %d ticks", j, i, n)
-			}
-			seg.cycles = cycles
-			seg.lastCycle = r.u()
-			seg.minCycle = r.u()
-			seg.maxCycle = r.u()
-			nHost := r.count(2)
-			for k := 0; k < nHost && r.err == nil; k++ {
-				seg.hostAt = append(seg.hostAt, posCycle{pos: r.u(), cycle: r.u()})
+			ticks[seg] = d.Uvarint()
+			seg.lastCycle = d.Uvarint()
+			seg.minCycle = d.Uvarint()
+			seg.maxCycle = d.Uvarint()
+			for k, n := 0, d.Count(2); k < n; k++ {
+				seg.hostAt = append(seg.hostAt, posCycle{pos: d.Uvarint(), cycle: d.Uvarint()})
 			}
 			t.segs = append(t.segs, seg)
 		}
 		nodes[i] = t
 	}
-	if r.err != nil {
-		return nil, r.err
+	e.saves = codec.ReadMap(d, func() *denseState { return e.fromState(readState(d)) })
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("history: decode: %w", err)
 	}
-	for i, p := range parents {
-		if p < 0 {
-			continue
-		}
-		if p >= nNodes || p == i {
-			return nil, fmt.Errorf("history: decode: bad parent index %d for timeline %d", p, i)
-		}
-		nodes[i].parent = nodes[p]
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("history: decode: %d trailing bytes", d.Len())
 	}
-	if curIdx < 0 || curIdx >= nNodes || cursorIdx < 0 || cursorIdx >= nNodes {
+	if nLive > len(nodes) || len(nodes) == 0 {
+		return nil, fmt.Errorf("history: decode: inconsistent timeline counts live=%d nodes=%d", nLive, len(nodes))
+	}
+	for name, ds := range e.saves {
+		if ds == nil {
+			return nil, fmt.Errorf("history: decode: savestate %q does not match the slot layout", name)
+		}
+	}
+	if err := linkTimelines(nodes, parents); err != nil {
+		return nil, err
+	}
+	if curIdx < 0 || curIdx >= len(nodes) || cursorIdx < 0 || cursorIdx >= len(nodes) {
 		return nil, fmt.Errorf("history: decode: cursor timeline out of range")
 	}
 	e.timelines = nodes[:nLive]
 	e.cur = nodes[curIdx]
 	e.cursorTL = nodes[cursorIdx]
-
-	nSaves := r.count(2)
-	for i := 0; i < nSaves && r.err == nil; i++ {
-		name := r.str()
-		if ds := e.fromState(r.state()); ds != nil {
-			e.saves[name] = ds
-		} else {
-			r.fail("savestate %q does not match the slot layout", name)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("history: decode: %d trailing bytes", len(r.b)-r.off)
+	if err := e.checkDecoded(nodes, ticks); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// linkTimelines sets each node's parent from its index (negative for a
+// root), refusing indices out of range and parent loops: every lineage
+// walk must end at a root.
+func linkTimelines(nodes []*timeline, parents []int) error {
+	const (
+		unseen = iota
+		walking
+		rooted
+	)
+	state := make([]int, len(nodes))
+	for i, p := range parents {
+		if p >= len(nodes) {
+			return fmt.Errorf("history: decode: bad parent index %d for timeline %d", p, i)
+		}
+		if p >= 0 {
+			nodes[i].parent = nodes[p]
+		}
+	}
+	for i := range nodes {
+		j := i
+		for j >= 0 && state[j] == unseen {
+			state[j] = walking
+			j = parents[j]
+		}
+		if j >= 0 && state[j] == walking {
+			return fmt.Errorf("history: decode: timeline %d's lineage loops", i)
+		}
+		for j = i; j >= 0 && state[j] == walking; j = parents[j] {
+			state[j] = rooted
+		}
+	}
+	return nil
+}
+
+// checkDecoded validates a decoded engine in one pass over its states
+// and delta records, so that reconstruction can index without checks.
+// The current timeline has a keyframe, whose memory depths become the
+// layout's. Every keyframe, savestate and pending keyframe holds one
+// value per slot and those depths. Every record parses, is a tick or a
+// host write, and names a slot, memory and word inside that layout; a
+// segment's ticks match its position range and the count its blob
+// recorded, and rebuild its cycle tags.
+func (e *Engine) checkDecoded(nodes []*timeline, ticks map[*segment]uint64) error {
+	if len(e.cur.segs) == 0 {
+		return fmt.Errorf("history: decode: the current timeline has no keyframe")
+	}
+	for i, words := range e.cur.first().kf.mems {
+		if i < len(e.mems) {
+			e.mems[i].Depth = len(words)
+		}
+	}
+	states := []*denseState{e.pendingKF}
+	for _, ds := range e.saves {
+		states = append(states, ds)
+	}
+	for _, t := range nodes {
+		for _, seg := range t.segs {
+			states = append(states, &seg.kf)
+		}
+	}
+	for _, ds := range states {
+		if ds == nil {
+			continue
+		}
+		if len(ds.regs) != len(e.slots) || len(ds.mems) != len(e.mems) {
+			return fmt.Errorf("history: decode: state at position %d holds %d slots and %d memories, the layout %d and %d",
+				ds.pos, len(ds.regs), len(ds.mems), len(e.slots), len(e.mems))
+		}
+		for i, m := range e.mems {
+			if len(ds.mems[i]) != m.Depth {
+				return fmt.Errorf("history: decode: state at position %d holds %d words of %q, its keyframes %d",
+					ds.pos, len(ds.mems[i]), m.Name, m.Depth)
+			}
+		}
+	}
+	for i, t := range nodes {
+		for j, seg := range t.segs {
+			cycles, err := e.records(seg)
+			if err != nil {
+				return fmt.Errorf("history: decode: segment %d of timeline %d: %w", j, i, err)
+			}
+			if n := uint64(len(cycles)); n != ticks[seg] || seg.endPos < seg.startPos || seg.endPos-seg.startPos != n {
+				return fmt.Errorf("history: decode: segment %d of timeline %d: %d tick records for %d ticks at positions %d..%d",
+					j, i, n, ticks[seg], seg.startPos, seg.endPos)
+			}
+			seg.cycles = cycles
+		}
+	}
+	return nil
+}
+
+// records walks a segment's delta records as walkSegment does, checking
+// each against the layout, and returns the cycle tag of every tick.
+func (e *Engine) records(seg *segment) ([]uint64, error) {
+	var cycles []uint64
+	cyc := seg.kf.cycle
+	d := codec.NewDecoder(seg.buf)
+	for d.Len() > 0 && d.Err() == nil {
+		switch kind := d.Byte(); kind {
+		case recTick:
+			cyc = uint64(int64(cyc) + d.Varint())
+			cycles = append(cycles, cyc)
+		case recHost:
+		default:
+			d.Fail("record kind %d", kind)
+		}
+		// Register (slot, value) pairs, then memory (id, address, value)
+		// triples.
+		for i, n := 0, d.Count(2); i < n; i++ {
+			if slot := d.Uvarint(); slot >= uint64(len(e.slots)) {
+				d.Fail("record names slot %d of %d", slot, len(e.slots))
+			}
+			d.Uvarint()
+		}
+		for i, n := 0, d.Count(3); i < n; i++ {
+			id, addr := d.Uvarint(), d.Uvarint()
+			if id >= uint64(len(e.mems)) {
+				d.Fail("record names memory %d of %d", id, len(e.mems))
+			} else if addr >= uint64(e.mems[id].Depth) {
+				d.Fail("record names word %d of %q, %d deep", addr, e.mems[id].Name, e.mems[id].Depth)
+			}
+			d.Uvarint()
+		}
+	}
+	return cycles, d.Err()
 }

@@ -9,7 +9,7 @@ import (
 
 // record drives the counter for n ticks with a couple of host writes so
 // the blob exercises tick deltas, host records and keyframe rotation.
-func record(t *testing.T, s *sim.Simulator, e *Engine, n int) {
+func record(t testing.TB, s *sim.Simulator, e *Engine, n int) {
 	t.Helper()
 	s.Poke("en", 1)
 	for i := 0; i < n; i++ {
@@ -211,6 +211,41 @@ func compareStates(t *testing.T, pos uint64, a, b *State) {
 			if got[i] != v[i] {
 				t.Fatalf("pos %d: mem %s[%d] = %#x, want %#x", pos, k, i, got[i], v[i])
 			}
+		}
+	}
+}
+
+// hostileBlob records a short run and appends one host record to the
+// current segment, tampered to name state the design does not have.
+func hostileBlob(t testing.TB, rec []byte) []byte {
+	s := newSim(t)
+	e := New(Config{KeyframeEvery: 8})
+	e.Attach(s, "cyc")
+	record(t, s, e, 20)
+	seg := e.cur.last()
+	seg.buf = append(append(seg.buf, recHost), rec...)
+	return e.Encode()
+}
+
+// TestDecodeRejectsRecordsOutsideLayout pins the import path's bounds: a
+// blob whose delta records name a slot, a memory or a word address the
+// layout and keyframes do not have must be refused by Decode or
+// Transplant, before a reconstruction indexes it.
+func TestDecodeRejectsRecordsOutsideLayout(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rec  []byte // record body: registers, then memory words
+	}{
+		{"slot", []byte{1, 0xe8, 0x07, 5, 0}},    // slot 1000
+		{"memory", []byte{0, 1, 7, 0, 5}},        // memory 7
+		{"address", []byte{0, 1, 0, 0x80, 8, 5}}, // scratch[1024]
+	} {
+		e, err := Decode(hostileBlob(t, c.rec))
+		if err == nil {
+			err = e.Transplant(newSim(t))
+		}
+		if err == nil {
+			t.Errorf("%s: a record outside the layout was accepted", c.name)
 		}
 	}
 }

@@ -344,55 +344,18 @@ func (e *Engine) Transplant(s *sim.Simulator) error {
 	if len(mems) != len(e.mems) {
 		return fmt.Errorf("history: transplant onto a different design (%d memories, had %d)", len(mems), len(e.mems))
 	}
+	// Every state the engine keeps holds each memory's recorded depth
+	// (Decode checks a blob's), so equal depths let restores index them
+	// without checks.
 	for i, m := range mems {
-		if m.Name != e.mems[i].Name {
-			return fmt.Errorf("history: transplant onto a different design (memory %d is %q, had %q)", i, m.Name, e.mems[i].Name)
+		if m.Name != e.mems[i].Name || m.Depth != e.mems[i].Depth {
+			return fmt.Errorf("history: transplant onto a different design (memory %d is %q of %d words, had %q of %d)",
+				i, m.Name, m.Depth, e.mems[i].Name, e.mems[i].Depth)
 		}
-	}
-	if err := e.checkShapes(mems); err != nil {
-		return err
 	}
 	e.unhook()
 	e.bind(s, e.cycleReg)
 	s.SetCommitHook(e)
-	return nil
-}
-
-// checkShapes requires every state the engine keeps — keyframes,
-// savestates and a pending fork keyframe — to hold one value per slot
-// and each memory's full depth, so restores from a decoded blob can
-// index them without checks.
-func (e *Engine) checkShapes(mems []sim.StateMem) error {
-	check := func(ds *denseState) error {
-		if len(ds.regs) != len(e.slots) || len(ds.mems) != len(mems) {
-			return fmt.Errorf("history: state at position %d holds %d slots and %d memories, the design %d and %d",
-				ds.pos, len(ds.regs), len(ds.mems), len(e.slots), len(mems))
-		}
-		for i, m := range mems {
-			if len(ds.mems[i]) != m.Depth {
-				return fmt.Errorf("history: state at position %d holds %d words of %q, the design %d",
-					ds.pos, len(ds.mems[i]), m.Name, m.Depth)
-			}
-		}
-		return nil
-	}
-	states := []*denseState{e.pendingKF}
-	for _, t := range e.timelines {
-		for _, seg := range t.segs {
-			states = append(states, &seg.kf)
-		}
-	}
-	for _, ds := range e.saves {
-		states = append(states, ds)
-	}
-	for _, ds := range states {
-		if ds == nil {
-			continue
-		}
-		if err := check(ds); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -714,7 +677,9 @@ func (e *Engine) walkSegment(seg *segment, p uint64) (denseState, error) {
 	return ds, nil
 }
 
-// applyDeltas decodes one record body onto dense state.
+// applyDeltas decodes one record body onto dense state. Records come
+// from the commit hook or from a blob Decode checked against the layout
+// (Engine.records), so it indexes without checks.
 func applyDeltas(buf []byte, off int, regs []uint64, mems [][]uint64) int {
 	nr, n := binary.Uvarint(buf[off:])
 	off += n

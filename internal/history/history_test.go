@@ -31,7 +31,7 @@ func testModule() *rtl.Module {
 	return m
 }
 
-func newSim(t *testing.T, opts ...sim.Options) *sim.Simulator {
+func newSim(t testing.TB, opts ...sim.Options) *sim.Simulator {
 	t.Helper()
 	f, err := rtl.Elaborate(rtl.NewDesign("hist", testModule()))
 	if err != nil {

@@ -2,11 +2,9 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
-	"zoomie"
 	"zoomie/internal/client"
 	"zoomie/internal/dbg"
 	"zoomie/internal/faults"
@@ -68,17 +66,15 @@ func TestStateExportMatchesFullRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var env struct {
-				Snapshot *zoomie.DebugSnapshot `json:"snapshot"`
-			}
-			if err := json.Unmarshal(blob, &env); err != nil {
+			snap, _, err := server.DecodeExport(blob)
+			if err != nil {
 				t.Fatal(err)
 			}
 			want, err := twin.Snapshot("")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(env.Snapshot, want) || cyc != want.Cycle {
+			if !reflect.DeepEqual(snap, want) || cyc != want.Cycle {
 				t.Fatalf("chaos=%v after step %d: exported snapshot (cycle %d) differs from a full read (cycle %d)",
 					chaos != nil, i, cyc, want.Cycle)
 			}

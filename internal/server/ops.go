@@ -225,9 +225,9 @@ var ops = map[string]op{
 	wire.OpStateExport: {false, func(ctx context.Context, l *Local, _ *wire.Request, resp *wire.Response) error {
 		// Checkpoint: the full-scope snapshot (Debug Controller registers
 		// included, so breakpoints and pause state travel) plus the
-		// encoded history engine, serialized and chunked into Lines. The
-		// snapshot is the refreshed known-good one, so a checkpoint
-		// re-reads only what changed since the previous one.
+		// encoded history engine, in one blob. The snapshot is the
+		// refreshed known-good one, so a checkpoint re-reads only what
+		// changed since the previous one.
 		if err := l.refreshGood(ctx); err != nil {
 			return err
 		}
@@ -235,7 +235,7 @@ var ops = map[string]op{
 		if err != nil {
 			return err
 		}
-		resp.Lines, resp.Cycles = blob, l.lastGood.Cycle
+		resp.Blob, resp.Cycles = blob, l.lastGood.Cycle
 		return nil
 	}},
 	wire.OpSessStat: {false, func(_ context.Context, l *Local, _ *wire.Request, resp *wire.Response) error {

@@ -279,7 +279,7 @@ func (s *Server) allowed(design string) bool {
 
 // attach builds, compiles and starts a catalog design on a pooled board,
 // then spawns its actor. OpStateImport is attach-with-state, the landing
-// path of cross-daemon failover: Signals carry an exported state blob,
+// path of cross-daemon failover: Blob carries an exported state blob,
 // and the fresh session adopts its history and restores its snapshot
 // (full scope, so breakpoints and pause state land armed) before it is
 // registered — exactly the in-daemon migration path, lifted across the
@@ -304,14 +304,10 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	var snap *zoomie.DebugSnapshot // the imported state; nil for a plain attach
 	var hist *history.Engine
 	if req.Op == wire.OpStateImport {
-		blob, err := decodeExport(req.Signals)
-		if err == nil && len(blob.History) > 0 {
-			hist, err = history.Decode(blob.History)
-		}
-		if err != nil {
+		var err error
+		if snap, hist, err = decodeExport(req.Blob); err != nil {
 			return fail(wire.CodeBadRequest, "import: %v", err)
 		}
-		snap = blob.Snapshot
 	}
 	zs, ilaMeta, inj, lease, err := s.newSessionFor(name)
 	if err != nil {

@@ -8,13 +8,17 @@
 //
 // Bodies are positional: the always-present fields first (id, opcode),
 // then a presence bitmask, then the present optional fields in bit
-// order. Unsigned integers are uvarints, signed integers are zigzag
-// varints, strings are length-prefixed bytes, and well-known enums (op
-// names, error codes, event kinds) are table-coded with code 0 escaping
-// to a literal string so arbitrary messages survive a round trip. The
-// presence rule matches encoding/json's omitempty — a zero field is
-// absent — so a message decodes identically from a JSON frame (the
-// hello) and a binary one.
+// order. Values are written by internal/codec: unsigned integers are
+// uvarints, signed integers are zigzag varints, strings are
+// length-prefixed bytes, and well-known enums (op names, error codes,
+// event kinds) are table-coded with code 0 escaping to a literal string
+// so arbitrary messages survive a round trip. The presence rule matches
+// encoding/json's omitempty — a zero field is absent — so a message
+// decodes identically from a JSON frame (the hello) and a binary one.
+//
+// Each message's optional fields are one table of fields (see field):
+// an entry's index in its table is its presence bit, and the entry holds
+// the field's presence test, writer and reader.
 //
 // The codec is built for the hot path: Encoder appends frames to one
 // pooled buffer and writes them with a single Write (writev-style
@@ -33,6 +37,8 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+
+	"zoomie/internal/codec"
 )
 
 // Frame kind tags (first payload byte). Chosen to collide with nothing a
@@ -148,109 +154,313 @@ func invert(names []string) map[string]uint64 {
 	return m
 }
 
-// Request presence bits (encode order).
-const (
-	reqVersion = 1 << iota
-	reqSession
-	reqClient
-	reqSeq
-	reqDesign
-	reqName
-	reqPrefix
-	reqSignals
-	reqValue
-	reqAddr
-	reqN
-	reqMode
-	reqEnable
-	reqItems
-	reqStream
-)
-
-// Response presence bits (encode order).
-const (
-	respErr = 1 << iota
-	respVersion
-	respClient
-	respSession
-	respDesign
-	respDevice
-	respReport
-	respWatches
-	respValue
-	respValues
-	respRan
-	respPaused
-	respCycles
-	respElapsed
-	respRegs
-	respMems
-	respLines
-	respTrace
-	respStats
-	respStream
-)
-
-// Event presence bits (encode order).
-const (
-	evfSession = 1 << iota
-	evfOp
-	evfCycles
-	evfDetail
-	evfStream
-	evfSeq
-	evfDropped
-	evfCount
-	evfNames
-	evfDeltas
-	evfRows
-)
-
-// ---- append-side primitives ----
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-func appendUint64s(b []byte, vs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-func appendRows(b []byte, rows [][]uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for _, r := range rows {
-		b = appendUint64s(b, r)
-	}
-	return b
-}
-
 // appendEnum table-codes a well-known string, escaping unknown values to
 // code 0 + literal so arbitrary strings survive the round trip.
 func appendEnum(b []byte, codes map[string]uint64, s string) []byte {
 	if c, ok := codes[s]; ok {
-		return binary.AppendUvarint(b, c)
+		return codec.AppendUvarint(b, c)
 	}
-	b = binary.AppendUvarint(b, 0)
-	return appendString(b, s)
+	return codec.AppendString(codec.AppendUvarint(b, 0), s)
+}
+
+// readEnum decodes a table-coded string (code 0 = literal escape).
+func readEnum(d *codec.Decoder, names []string) string {
+	c := d.Uvarint()
+	if c == 0 {
+		return d.String()
+	}
+	if c >= uint64(len(names)) {
+		d.Fail("unknown enum code %d", c)
+		return ""
+	}
+	return names[c]
+}
+
+// field is one optional field of a message table. put is nil for a
+// boolean carried by its presence bit alone; its get sets it true.
+// Writers take the buffer by value and readers a decoder that lives on
+// the heap already, so neither allocates per frame.
+type field[T any] struct {
+	has func(*T) bool
+	put func([]byte, *T) []byte
+	get func(*codec.Decoder, *T)
+}
+
+// table lists a message's optional fields in presence-bit order.
+type table[T any] []field[T]
+
+// flags returns the presence mask of v.
+func (t table[T]) flags(v *T) uint64 {
+	var flags uint64
+	for i := range t {
+		if t[i].has(v) {
+			flags |= 1 << i
+		}
+	}
+	return flags
+}
+
+// put appends the fields of v that flags marks present, in bit order.
+func (t table[T]) put(b []byte, v *T, flags uint64) []byte {
+	for f := flags; f != 0; f &= f - 1 {
+		if put := t[bits.TrailingZeros64(f)].put; put != nil {
+			b = put(b, v)
+		}
+	}
+	return b
+}
+
+// append appends the presence mask of v and its present fields.
+func (t table[T]) append(b []byte, v *T) []byte {
+	flags := t.flags(v)
+	return t.put(codec.AppendUvarint(b, flags), v, flags)
+}
+
+// readFlags reads a presence mask, refusing bits the table does not
+// define.
+func (t table[T]) readFlags(d *codec.Decoder, what string) uint64 {
+	flags := d.Uvarint()
+	if flags >= 1<<len(t) {
+		d.Fail("unknown %s flags %#x", what, flags)
+		return 0
+	}
+	return flags
+}
+
+// get reads the fields flags marks present into v.
+func (t table[T]) get(d *codec.Decoder, v *T, flags uint64) {
+	for f := flags; f != 0; f &= f - 1 {
+		t[bits.TrailingZeros64(f)].get(d, v)
+	}
+}
+
+var requestFields = table[Request]{
+	{func(r *Request) bool { return r.Version != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendVarint(b, int64(r.Version)) },
+		func(d *codec.Decoder, r *Request) { r.Version = d.Int() }},
+	{func(r *Request) bool { return r.Session != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Session) },
+		func(d *codec.Decoder, r *Request) { r.Session = d.Uvarint() }},
+	{func(r *Request) bool { return r.Client != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Client) },
+		func(d *codec.Decoder, r *Request) { r.Client = d.Uvarint() }},
+	{func(r *Request) bool { return r.Seq != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Seq) },
+		func(d *codec.Decoder, r *Request) { r.Seq = d.Uvarint() }},
+	{func(r *Request) bool { return r.Design != "" },
+		func(b []byte, r *Request) []byte { return codec.AppendString(b, r.Design) },
+		func(d *codec.Decoder, r *Request) { r.Design = d.String() }},
+	{func(r *Request) bool { return r.Name != "" },
+		func(b []byte, r *Request) []byte { return codec.AppendString(b, r.Name) },
+		func(d *codec.Decoder, r *Request) { r.Name = d.String() }},
+	{func(r *Request) bool { return r.Prefix != "" },
+		func(b []byte, r *Request) []byte { return codec.AppendString(b, r.Prefix) },
+		func(d *codec.Decoder, r *Request) { r.Prefix = d.String() }},
+	{func(r *Request) bool { return len(r.Signals) != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendStrings(b, r.Signals) },
+		func(d *codec.Decoder, r *Request) { r.Signals = d.Strings() }},
+	{func(r *Request) bool { return r.Value != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Value) },
+		func(d *codec.Decoder, r *Request) { r.Value = d.Uvarint() }},
+	{func(r *Request) bool { return r.Addr != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendVarint(b, int64(r.Addr)) },
+		func(d *codec.Decoder, r *Request) { r.Addr = d.Int() }},
+	{func(r *Request) bool { return r.N != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendVarint(b, int64(r.N)) },
+		func(d *codec.Decoder, r *Request) { r.N = d.Int() }},
+	{func(r *Request) bool { return r.Mode != "" },
+		func(b []byte, r *Request) []byte { return codec.AppendString(b, r.Mode) },
+		func(d *codec.Decoder, r *Request) { r.Mode = d.String() }},
+	{func(r *Request) bool { return r.Enable }, nil,
+		func(_ *codec.Decoder, r *Request) { r.Enable = true }},
+	{func(r *Request) bool { return len(r.Items) != 0 }, appendItems, readItems},
+	{func(r *Request) bool { return r.Stream != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Stream) },
+		func(d *codec.Decoder, r *Request) { r.Stream = d.Uvarint() }},
+	{func(r *Request) bool { return len(r.Blob) != 0 },
+		func(b []byte, r *Request) []byte { return codec.AppendBytes(b, r.Blob) },
+		func(d *codec.Decoder, r *Request) { r.Blob = d.Bytes() }},
+}
+
+// itemFields are a BatchItem's optional fields; its name sits between
+// the presence mask and them.
+var itemFields = table[BatchItem]{
+	{func(it *BatchItem) bool { return it.Mem }, nil,
+		func(_ *codec.Decoder, it *BatchItem) { it.Mem = true }},
+	{func(it *BatchItem) bool { return it.Addr != 0 },
+		func(b []byte, it *BatchItem) []byte { return codec.AppendVarint(b, int64(it.Addr)) },
+		func(d *codec.Decoder, it *BatchItem) { it.Addr = d.Int() }},
+	{func(it *BatchItem) bool { return it.Value != 0 },
+		func(b []byte, it *BatchItem) []byte { return codec.AppendUvarint(b, it.Value) },
+		func(d *codec.Decoder, it *BatchItem) { it.Value = d.Uvarint() }},
+}
+
+func appendItems(b []byte, r *Request) []byte {
+	b = codec.AppendUvarint(b, uint64(len(r.Items)))
+	for i := range r.Items {
+		it := &r.Items[i]
+		flags := itemFields.flags(it)
+		b = codec.AppendString(codec.AppendUvarint(b, flags), it.Name)
+		b = itemFields.put(b, it, flags)
+	}
+	return b
+}
+
+// readItems reads a batch into the capacity r.Items already holds (a
+// reused request's), growing it only when the batch is larger.
+func readItems(d *codec.Decoder, r *Request) {
+	n := d.Count(2) // a presence mask and a name length at least
+	if cap(r.Items) < n {
+		r.Items = make([]BatchItem, n)
+	}
+	r.Items = r.Items[:n]
+	for i := range r.Items {
+		it := &r.Items[i]
+		*it = BatchItem{}
+		flags := itemFields.readFlags(d, "batch-item")
+		it.Name = d.String()
+		itemFields.get(d, it, flags)
+	}
+}
+
+var responseFields = table[Response]{
+	{func(r *Response) bool { return r.Err != nil },
+		func(b []byte, r *Response) []byte {
+			return codec.AppendString(appendEnum(b, errCodes, r.Err.Code), r.Err.Msg)
+		},
+		func(d *codec.Decoder, r *Response) {
+			code := readEnum(d, errNames)
+			r.Err = &Error{Code: code, Msg: d.String()}
+		}},
+	{func(r *Response) bool { return r.Version != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, int64(r.Version)) },
+		func(d *codec.Decoder, r *Response) { r.Version = d.Int() }},
+	{func(r *Response) bool { return r.Client != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Client) },
+		func(d *codec.Decoder, r *Response) { r.Client = d.Uvarint() }},
+	{func(r *Response) bool { return r.Session != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Session) },
+		func(d *codec.Decoder, r *Response) { r.Session = d.Uvarint() }},
+	{func(r *Response) bool { return r.Design != "" },
+		func(b []byte, r *Response) []byte { return codec.AppendString(b, r.Design) },
+		func(d *codec.Decoder, r *Response) { r.Design = d.String() }},
+	{func(r *Response) bool { return r.Device != "" },
+		func(b []byte, r *Response) []byte { return codec.AppendString(b, r.Device) },
+		func(d *codec.Decoder, r *Response) { r.Device = d.String() }},
+	{func(r *Response) bool { return r.Report != "" },
+		func(b []byte, r *Response) []byte { return codec.AppendString(b, r.Report) },
+		func(d *codec.Decoder, r *Response) { r.Report = d.String() }},
+	{func(r *Response) bool { return len(r.Watches) != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendStrings(b, r.Watches) },
+		func(d *codec.Decoder, r *Response) { r.Watches = d.Strings() }},
+	{func(r *Response) bool { return r.Value != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Value) },
+		func(d *codec.Decoder, r *Response) { r.Value = d.Uvarint() }},
+	{func(r *Response) bool { return len(r.Values) != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendWords(b, r.Values) },
+		func(d *codec.Decoder, r *Response) { r.Values = d.Words(r.Values) }},
+	{func(r *Response) bool { return r.Ran != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, int64(r.Ran)) },
+		func(d *codec.Decoder, r *Response) { r.Ran = d.Int() }},
+	{func(r *Response) bool { return r.Paused }, nil,
+		func(_ *codec.Decoder, r *Response) { r.Paused = true }},
+	{func(r *Response) bool { return r.Cycles != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Cycles) },
+		func(d *codec.Decoder, r *Response) { r.Cycles = d.Uvarint() }},
+	{func(r *Response) bool { return r.ElapsedNS != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, r.ElapsedNS) },
+		func(d *codec.Decoder, r *Response) { r.ElapsedNS = d.Varint() }},
+	{func(r *Response) bool { return r.Regs != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, int64(r.Regs)) },
+		func(d *codec.Decoder, r *Response) { r.Regs = d.Int() }},
+	{func(r *Response) bool { return r.Mems != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, int64(r.Mems)) },
+		func(d *codec.Decoder, r *Response) { r.Mems = d.Int() }},
+	{func(r *Response) bool { return len(r.Lines) != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendStrings(b, r.Lines) },
+		func(d *codec.Decoder, r *Response) { r.Lines = d.Strings() }},
+	{func(r *Response) bool { return r.Trace != nil }, appendTrace, readTrace},
+	{func(r *Response) bool { return r.Stats != nil },
+		// Stats is the cold control plane (one OpStatus per scrape); a JSON
+		// sub-blob keeps the binary codec small without freezing the
+		// counter set into the framing. A struct of integers always
+		// marshals.
+		func(b []byte, r *Response) []byte {
+			blob, _ := json.Marshal(r.Stats)
+			return codec.AppendBytes(b, blob)
+		},
+		func(d *codec.Decoder, r *Response) {
+			r.Stats = &Stats{}
+			if err := json.Unmarshal(d.Bytes(), r.Stats); err != nil {
+				d.Fail("stats: %v", err)
+			}
+		}},
+	{func(r *Response) bool { return r.Stream != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Stream) },
+		func(d *codec.Decoder, r *Response) { r.Stream = d.Uvarint() }},
+	{func(r *Response) bool { return len(r.Blob) != 0 },
+		func(b []byte, r *Response) []byte { return codec.AppendBytes(b, r.Blob) },
+		func(d *codec.Decoder, r *Response) { r.Blob = d.Bytes() }},
+}
+
+// A Trace has no optional field: its signals, widths and rows are
+// always written, in that order.
+func appendTrace(b []byte, r *Response) []byte {
+	t := r.Trace
+	b = codec.AppendStrings(b, t.Signals)
+	b = codec.AppendUvarint(b, uint64(len(t.Widths)))
+	for _, w := range t.Widths {
+		b = codec.AppendVarint(b, int64(w))
+	}
+	return codec.AppendRows(b, t.Rows)
+}
+
+func readTrace(d *codec.Decoder, r *Response) {
+	t := &Trace{Signals: d.Strings()}
+	if n := d.Count(1); n > 0 {
+		t.Widths = make([]int, n)
+		for i := range t.Widths {
+			t.Widths[i] = d.Int()
+		}
+	}
+	t.Rows = d.Rows()
+	r.Trace = t
+}
+
+var eventFields = table[Event]{
+	{func(e *Event) bool { return e.Session != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Session) },
+		func(d *codec.Decoder, e *Event) { e.Session = d.Uvarint() }},
+	{func(e *Event) bool { return e.Op != "" },
+		func(b []byte, e *Event) []byte { return appendEnum(b, opCodes, e.Op) },
+		func(d *codec.Decoder, e *Event) { e.Op = readEnum(d, opNames) }},
+	{func(e *Event) bool { return e.Cycles != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Cycles) },
+		func(d *codec.Decoder, e *Event) { e.Cycles = d.Uvarint() }},
+	{func(e *Event) bool { return e.Detail != "" },
+		func(b []byte, e *Event) []byte { return codec.AppendString(b, e.Detail) },
+		func(d *codec.Decoder, e *Event) { e.Detail = d.String() }},
+	{func(e *Event) bool { return e.Stream != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Stream) },
+		func(d *codec.Decoder, e *Event) { e.Stream = d.Uvarint() }},
+	{func(e *Event) bool { return e.Seq != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Seq) },
+		func(d *codec.Decoder, e *Event) { e.Seq = d.Uvarint() }},
+	{func(e *Event) bool { return e.Dropped != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Dropped) },
+		func(d *codec.Decoder, e *Event) { e.Dropped = d.Uvarint() }},
+	{func(e *Event) bool { return e.Count != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendUvarint(b, e.Count) },
+		func(d *codec.Decoder, e *Event) { e.Count = d.Uvarint() }},
+	{func(e *Event) bool { return len(e.Names) != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendStrings(b, e.Names) },
+		func(d *codec.Decoder, e *Event) { e.Names = d.Strings() }},
+	{func(e *Event) bool { return len(e.Deltas) != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendWords(b, e.Deltas) },
+		func(d *codec.Decoder, e *Event) { e.Deltas = d.Words(nil) }},
+	{func(e *Event) bool { return len(e.Rows) != 0 },
+		func(b []byte, e *Event) []byte { return codec.AppendRows(b, e.Rows) },
+		func(d *codec.Decoder, e *Event) { e.Rows = d.Rows() }},
 }
 
 // AppendMessage appends one v3 frame (length prefix included) to buf and
@@ -259,25 +469,22 @@ func appendEnum(b []byte, codes map[string]uint64, s string) []byte {
 func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
-	switch m.T {
-	case TReq:
-		if m.Req == nil {
-			return buf[:start], fmt.Errorf("wire: encode: %q envelope without request", m.T)
-		}
-		buf = appendRequest(buf, m.Req)
-	case TResp:
-		if m.Resp == nil {
-			return buf[:start], fmt.Errorf("wire: encode: %q envelope without response", m.T)
-		}
-		var err error
-		if buf, err = appendResponse(buf, m.Resp); err != nil {
-			return buf[:start], err
-		}
-	case TEvt:
-		if m.Evt == nil {
-			return buf[:start], fmt.Errorf("wire: encode: %q envelope without event", m.T)
-		}
-		buf = appendEvent(buf, m.Evt)
+	switch {
+	case m.T == TReq && m.Req != nil:
+		buf = append(buf, kindReq)
+		buf = codec.AppendUvarint(buf, m.Req.ID)
+		buf = appendEnum(buf, opCodes, m.Req.Op)
+		buf = requestFields.append(buf, m.Req)
+	case m.T == TResp && m.Resp != nil:
+		buf = append(buf, kindResp)
+		buf = codec.AppendUvarint(buf, m.Resp.ID)
+		buf = responseFields.append(buf, m.Resp)
+	case m.T == TEvt && m.Evt != nil:
+		buf = append(buf, kindEvt)
+		buf = appendEnum(buf, evtCodes, m.Evt.Kind)
+		buf = eventFields.append(buf, m.Evt)
+	case m.T == TReq || m.T == TResp || m.T == TEvt:
+		return buf[:start], fmt.Errorf("wire: encode: %q envelope without its body", m.T)
 	default:
 		return buf[:start], fmt.Errorf("wire: encode: unknown message type %q", m.T)
 	}
@@ -289,862 +496,59 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-func appendRequest(b []byte, r *Request) []byte {
-	b = append(b, kindReq)
-	b = appendUvarint(b, r.ID)
-	b = appendEnum(b, opCodes, r.Op)
-	var flags uint64
-	if r.Version != 0 {
-		flags |= reqVersion
-	}
-	if r.Session != 0 {
-		flags |= reqSession
-	}
-	if r.Client != 0 {
-		flags |= reqClient
-	}
-	if r.Seq != 0 {
-		flags |= reqSeq
-	}
-	if r.Design != "" {
-		flags |= reqDesign
-	}
-	if r.Name != "" {
-		flags |= reqName
-	}
-	if r.Prefix != "" {
-		flags |= reqPrefix
-	}
-	if len(r.Signals) != 0 {
-		flags |= reqSignals
-	}
-	if r.Value != 0 {
-		flags |= reqValue
-	}
-	if r.Addr != 0 {
-		flags |= reqAddr
-	}
-	if r.N != 0 {
-		flags |= reqN
-	}
-	if r.Mode != "" {
-		flags |= reqMode
-	}
-	if r.Enable {
-		flags |= reqEnable
-	}
-	if len(r.Items) != 0 {
-		flags |= reqItems
-	}
-	if r.Stream != 0 {
-		flags |= reqStream
-	}
-	b = appendUvarint(b, flags)
-	if flags&reqVersion != 0 {
-		b = appendZigzag(b, int64(r.Version))
-	}
-	if flags&reqSession != 0 {
-		b = appendUvarint(b, r.Session)
-	}
-	if flags&reqClient != 0 {
-		b = appendUvarint(b, r.Client)
-	}
-	if flags&reqSeq != 0 {
-		b = appendUvarint(b, r.Seq)
-	}
-	if flags&reqDesign != 0 {
-		b = appendString(b, r.Design)
-	}
-	if flags&reqName != 0 {
-		b = appendString(b, r.Name)
-	}
-	if flags&reqPrefix != 0 {
-		b = appendString(b, r.Prefix)
-	}
-	if flags&reqSignals != 0 {
-		b = appendStrings(b, r.Signals)
-	}
-	if flags&reqValue != 0 {
-		b = appendUvarint(b, r.Value)
-	}
-	if flags&reqAddr != 0 {
-		b = appendZigzag(b, int64(r.Addr))
-	}
-	if flags&reqN != 0 {
-		b = appendZigzag(b, int64(r.N))
-	}
-	if flags&reqMode != 0 {
-		b = appendString(b, r.Mode)
-	}
-	if flags&reqItems != 0 {
-		b = appendUvarint(b, uint64(len(r.Items)))
-		for i := range r.Items {
-			it := &r.Items[i]
-			var f uint64
-			if it.Mem {
-				f |= 1
-			}
-			if it.Addr != 0 {
-				f |= 2
-			}
-			if it.Value != 0 {
-				f |= 4
-			}
-			b = appendUvarint(b, f)
-			b = appendString(b, it.Name)
-			if f&2 != 0 {
-				b = appendZigzag(b, int64(it.Addr))
-			}
-			if f&4 != 0 {
-				b = appendUvarint(b, it.Value)
-			}
-		}
-	}
-	if flags&reqStream != 0 {
-		b = appendUvarint(b, r.Stream)
-	}
-	return b
-}
-
-func appendResponse(b []byte, r *Response) ([]byte, error) {
-	b = append(b, kindResp)
-	b = appendUvarint(b, r.ID)
-	var flags uint64
-	if r.Err != nil {
-		flags |= respErr
-	}
-	if r.Version != 0 {
-		flags |= respVersion
-	}
-	if r.Client != 0 {
-		flags |= respClient
-	}
-	if r.Session != 0 {
-		flags |= respSession
-	}
-	if r.Design != "" {
-		flags |= respDesign
-	}
-	if r.Device != "" {
-		flags |= respDevice
-	}
-	if r.Report != "" {
-		flags |= respReport
-	}
-	if len(r.Watches) != 0 {
-		flags |= respWatches
-	}
-	if r.Value != 0 {
-		flags |= respValue
-	}
-	if len(r.Values) != 0 {
-		flags |= respValues
-	}
-	if r.Ran != 0 {
-		flags |= respRan
-	}
-	if r.Paused {
-		flags |= respPaused
-	}
-	if r.Cycles != 0 {
-		flags |= respCycles
-	}
-	if r.ElapsedNS != 0 {
-		flags |= respElapsed
-	}
-	if r.Regs != 0 {
-		flags |= respRegs
-	}
-	if r.Mems != 0 {
-		flags |= respMems
-	}
-	if len(r.Lines) != 0 {
-		flags |= respLines
-	}
-	if r.Trace != nil {
-		flags |= respTrace
-	}
-	if r.Stats != nil {
-		flags |= respStats
-	}
-	if r.Stream != 0 {
-		flags |= respStream
-	}
-	b = appendUvarint(b, flags)
-	if flags&respErr != 0 {
-		b = appendEnum(b, errCodes, r.Err.Code)
-		b = appendString(b, r.Err.Msg)
-	}
-	if flags&respVersion != 0 {
-		b = appendZigzag(b, int64(r.Version))
-	}
-	if flags&respClient != 0 {
-		b = appendUvarint(b, r.Client)
-	}
-	if flags&respSession != 0 {
-		b = appendUvarint(b, r.Session)
-	}
-	if flags&respDesign != 0 {
-		b = appendString(b, r.Design)
-	}
-	if flags&respDevice != 0 {
-		b = appendString(b, r.Device)
-	}
-	if flags&respReport != 0 {
-		b = appendString(b, r.Report)
-	}
-	if flags&respWatches != 0 {
-		b = appendStrings(b, r.Watches)
-	}
-	if flags&respValue != 0 {
-		b = appendUvarint(b, r.Value)
-	}
-	if flags&respValues != 0 {
-		b = appendUint64s(b, r.Values)
-	}
-	if flags&respRan != 0 {
-		b = appendZigzag(b, int64(r.Ran))
-	}
-	if flags&respCycles != 0 {
-		b = appendUvarint(b, r.Cycles)
-	}
-	if flags&respElapsed != 0 {
-		b = appendZigzag(b, r.ElapsedNS)
-	}
-	if flags&respRegs != 0 {
-		b = appendZigzag(b, int64(r.Regs))
-	}
-	if flags&respMems != 0 {
-		b = appendZigzag(b, int64(r.Mems))
-	}
-	if flags&respLines != 0 {
-		b = appendStrings(b, r.Lines)
-	}
-	if flags&respTrace != 0 {
-		b = appendStrings(b, r.Trace.Signals)
-		b = appendUvarint(b, uint64(len(r.Trace.Widths)))
-		for _, w := range r.Trace.Widths {
-			b = appendZigzag(b, int64(w))
-		}
-		b = appendRows(b, r.Trace.Rows)
-	}
-	if flags&respStats != 0 {
-		// Stats is the cold control plane (one OpStatus per scrape); a JSON
-		// sub-blob keeps the binary codec small without freezing the counter
-		// set into the framing.
-		blob, err := json.Marshal(r.Stats)
-		if err != nil {
-			return b, fmt.Errorf("wire: encode stats: %w", err)
-		}
-		b = appendUvarint(b, uint64(len(blob)))
-		b = append(b, blob...)
-	}
-	if flags&respStream != 0 {
-		b = appendUvarint(b, r.Stream)
-	}
-	return b, nil
-}
-
-func appendEvent(b []byte, e *Event) []byte {
-	b = append(b, kindEvt)
-	b = appendEnum(b, evtCodes, e.Kind)
-	var flags uint64
-	if e.Session != 0 {
-		flags |= evfSession
-	}
-	if e.Op != "" {
-		flags |= evfOp
-	}
-	if e.Cycles != 0 {
-		flags |= evfCycles
-	}
-	if e.Detail != "" {
-		flags |= evfDetail
-	}
-	if e.Stream != 0 {
-		flags |= evfStream
-	}
-	if e.Seq != 0 {
-		flags |= evfSeq
-	}
-	if e.Dropped != 0 {
-		flags |= evfDropped
-	}
-	if e.Count != 0 {
-		flags |= evfCount
-	}
-	if len(e.Names) != 0 {
-		flags |= evfNames
-	}
-	if len(e.Deltas) != 0 {
-		flags |= evfDeltas
-	}
-	if len(e.Rows) != 0 {
-		flags |= evfRows
-	}
-	b = appendUvarint(b, flags)
-	if flags&evfSession != 0 {
-		b = appendUvarint(b, e.Session)
-	}
-	if flags&evfOp != 0 {
-		b = appendEnum(b, opCodes, e.Op)
-	}
-	if flags&evfCycles != 0 {
-		b = appendUvarint(b, e.Cycles)
-	}
-	if flags&evfDetail != 0 {
-		b = appendString(b, e.Detail)
-	}
-	if flags&evfStream != 0 {
-		b = appendUvarint(b, e.Stream)
-	}
-	if flags&evfSeq != 0 {
-		b = appendUvarint(b, e.Seq)
-	}
-	if flags&evfDropped != 0 {
-		b = appendUvarint(b, e.Dropped)
-	}
-	if flags&evfCount != 0 {
-		b = appendUvarint(b, e.Count)
-	}
-	if flags&evfNames != 0 {
-		b = appendStrings(b, e.Names)
-	}
-	if flags&evfDeltas != 0 {
-		b = appendUint64s(b, e.Deltas)
-	}
-	if flags&evfRows != 0 {
-		b = appendRows(b, e.Rows)
-	}
-	return b
-}
-
-// ---- decode-side primitives ----
-
-// reader walks a payload slice. Every length and count is bounded by the
-// remaining bytes before any allocation, so a hostile frame cannot make
-// the decoder allocate more than a small multiple of the (MaxFrame-
-// bounded) payload it actually sent.
-type reader struct {
-	b   []byte
-	pos int
-	// intern dedupes repeated strings (signal names on the peek/poke hot
-	// path); the map lookup on a []byte key does not allocate, so steady-
-	// state decoding of a familiar name is allocation-free.
-	intern map[string]string
-}
-
-var errTruncated = errors.New("wire: truncated binary frame")
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) zigzag() (int64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-func (r *reader) intVal() (int, error) {
-	v, err := r.zigzag()
-	if err != nil {
-		return 0, err
-	}
-	if v < int64(minInt) || v > int64(maxInt) {
-		return 0, fmt.Errorf("wire: integer %d out of range", v)
-	}
-	return int(v), nil
-}
-
-const (
-	maxInt = int(^uint(0) >> 1)
-	minInt = -maxInt - 1
-)
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.pos) {
-		return nil, errTruncated
-	}
-	s := r.b[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return s, nil
-}
-
-// maxIntern bounds the intern table so a peer cycling through unique
-// names cannot grow it without bound.
-const maxIntern = 4096
-
-func (r *reader) str() (string, error) {
-	b, err := r.bytes()
-	if err != nil {
-		return "", err
-	}
-	if len(b) == 0 {
-		return "", nil
-	}
-	if r.intern != nil {
-		if s, ok := r.intern[string(b)]; ok {
-			return s, nil
-		}
-		s := string(b)
-		if len(r.intern) < maxIntern {
-			r.intern[s] = s
-		}
-		return s, nil
-	}
-	return string(b), nil
-}
-
-func (r *reader) strs() ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.pos) { // every string costs >= 1 byte
-		return nil, errTruncated
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (r *reader) uint64s(reuse []uint64) ([]uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.pos) { // every value costs >= 1 byte
-		return nil, errTruncated
-	}
-	var out []uint64
-	if uint64(cap(reuse)) >= n {
-		out = reuse[:n]
-	} else {
-		out = make([]uint64, n)
-	}
-	for i := range out {
-		if out[i], err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (r *reader) rows() ([][]uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)-r.pos) {
-		return nil, errTruncated
-	}
-	out := make([][]uint64, n)
-	for i := range out {
-		if out[i], err = r.uint64s(nil); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// enum decodes a table-coded string (code 0 = literal escape).
-func (r *reader) enum(names []string) (string, error) {
-	c, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if c == 0 {
-		return r.str()
-	}
-	if c >= uint64(len(names)) {
-		return "", fmt.Errorf("wire: unknown enum code %d", c)
-	}
-	return names[c], nil
-}
-
-// DecodeMessage decodes one v3 payload (the bytes after the length
-// prefix) into m. The out-structs (req/resp/evt) receive the decoded
-// fields; slices already present in them are reused when large enough.
-func decodePayload(payload []byte, m *Message, req *Request, resp *Response, evt *Event, intern map[string]string) error {
+// decodePayload decodes one v3 payload (the bytes after the length
+// prefix) into m. The request, response or event m already points to (a
+// reusing Decoder's) receives the decoded fields, into its batch items
+// or values when large enough; otherwise the one the frame's kind needs
+// is allocated.
+func decodePayload(d *codec.Decoder, payload []byte, m *Message) error {
 	if len(payload) == 0 {
-		return fmt.Errorf("wire: empty frame")
+		return errEmptyFrame
 	}
-	r := reader{b: payload, pos: 1, intern: intern}
+	d.Reset(payload[1:])
 	switch payload[0] {
 	case kindReq:
-		if err := r.request(req); err != nil {
-			return err
+		req := m.Req
+		if req == nil {
+			req = &Request{}
 		}
-		m.T, m.Req, m.Resp, m.Evt = TReq, req, nil, nil
+		*req = Request{Items: req.Items[:0]}
+		req.ID = d.Uvarint()
+		req.Op = readEnum(d, opNames)
+		requestFields.get(d, req, requestFields.readFlags(d, "request"))
+		if len(req.Items) == 0 {
+			req.Items = nil
+		}
+		*m = Message{T: TReq, Req: req}
 	case kindResp:
-		if err := r.response(resp); err != nil {
-			return err
+		resp := m.Resp
+		if resp == nil {
+			resp = &Response{}
 		}
-		m.T, m.Req, m.Resp, m.Evt = TResp, nil, resp, nil
+		*resp = Response{Values: resp.Values[:0]}
+		resp.ID = d.Uvarint()
+		responseFields.get(d, resp, responseFields.readFlags(d, "response"))
+		if len(resp.Values) == 0 {
+			resp.Values = nil
+		}
+		*m = Message{T: TResp, Resp: resp}
 	case kindEvt:
-		if err := r.event(evt); err != nil {
-			return err
+		evt := m.Evt
+		if evt == nil {
+			evt = &Event{}
 		}
-		m.T, m.Req, m.Resp, m.Evt = TEvt, nil, nil, evt
+		*evt = Event{}
+		evt.Kind = readEnum(d, evtNames)
+		eventFields.get(d, evt, eventFields.readFlags(d, "event"))
+		*m = Message{T: TEvt, Evt: evt}
 	default:
 		return fmt.Errorf("wire: unknown binary frame kind %#x", payload[0])
 	}
-	if r.pos != len(payload) {
-		return fmt.Errorf("wire: %d trailing bytes after binary frame", len(payload)-r.pos)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("wire: decode: %w", err)
 	}
-	return nil
-}
-
-func (r *reader) request(q *Request) error {
-	items := q.Items
-	*q = Request{}
-	var err error
-	if q.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	if q.Op, err = r.enum(opNames); err != nil {
-		return err
-	}
-	flags, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if flags >= 1<<15 {
-		return fmt.Errorf("wire: unknown request flags %#x", flags)
-	}
-	if flags&reqVersion != 0 {
-		if q.Version, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&reqSession != 0 {
-		if q.Session, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&reqClient != 0 {
-		if q.Client, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&reqSeq != 0 {
-		if q.Seq, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&reqDesign != 0 {
-		if q.Design, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&reqName != 0 {
-		if q.Name, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&reqPrefix != 0 {
-		if q.Prefix, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&reqSignals != 0 {
-		if q.Signals, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if flags&reqValue != 0 {
-		if q.Value, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&reqAddr != 0 {
-		if q.Addr, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&reqN != 0 {
-		if q.N, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&reqMode != 0 {
-		if q.Mode, err = r.str(); err != nil {
-			return err
-		}
-	}
-	q.Enable = flags&reqEnable != 0
-	if flags&reqItems != 0 {
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(r.b)-r.pos) { // every item costs >= 2 bytes
-			return errTruncated
-		}
-		if uint64(cap(items)) >= n {
-			q.Items = items[:n]
-		} else {
-			q.Items = make([]BatchItem, n)
-		}
-		for i := range q.Items {
-			it := &q.Items[i]
-			*it = BatchItem{}
-			f, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if f >= 1<<3 {
-				return fmt.Errorf("wire: unknown batch-item flags %#x", f)
-			}
-			it.Mem = f&1 != 0
-			if it.Name, err = r.str(); err != nil {
-				return err
-			}
-			if f&2 != 0 {
-				if it.Addr, err = r.intVal(); err != nil {
-					return err
-				}
-			}
-			if f&4 != 0 {
-				if it.Value, err = r.uvarint(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if flags&reqStream != 0 {
-		if q.Stream, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *reader) response(p *Response) error {
-	values := p.Values
-	*p = Response{}
-	var err error
-	if p.ID, err = r.uvarint(); err != nil {
-		return err
-	}
-	flags, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if flags >= 1<<20 {
-		return fmt.Errorf("wire: unknown response flags %#x", flags)
-	}
-	if flags&respErr != 0 {
-		e := &Error{}
-		if e.Code, err = r.enum(errNames); err != nil {
-			return err
-		}
-		if e.Msg, err = r.str(); err != nil {
-			return err
-		}
-		p.Err = e
-	}
-	if flags&respVersion != 0 {
-		if p.Version, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&respClient != 0 {
-		if p.Client, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&respSession != 0 {
-		if p.Session, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&respDesign != 0 {
-		if p.Design, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&respDevice != 0 {
-		if p.Device, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&respReport != 0 {
-		if p.Report, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&respWatches != 0 {
-		if p.Watches, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if flags&respValue != 0 {
-		if p.Value, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&respValues != 0 {
-		if p.Values, err = r.uint64s(values); err != nil {
-			return err
-		}
-	}
-	if flags&respRan != 0 {
-		if p.Ran, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	p.Paused = flags&respPaused != 0
-	if flags&respCycles != 0 {
-		if p.Cycles, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&respElapsed != 0 {
-		if p.ElapsedNS, err = r.zigzag(); err != nil {
-			return err
-		}
-	}
-	if flags&respRegs != 0 {
-		if p.Regs, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&respMems != 0 {
-		if p.Mems, err = r.intVal(); err != nil {
-			return err
-		}
-	}
-	if flags&respLines != 0 {
-		if p.Lines, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if flags&respTrace != 0 {
-		t := &Trace{}
-		if t.Signals, err = r.strs(); err != nil {
-			return err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(r.b)-r.pos) {
-			return errTruncated
-		}
-		t.Widths = make([]int, n)
-		for i := range t.Widths {
-			if t.Widths[i], err = r.intVal(); err != nil {
-				return err
-			}
-		}
-		if t.Rows, err = r.rows(); err != nil {
-			return err
-		}
-		p.Trace = t
-	}
-	if flags&respStats != 0 {
-		blob, err := r.bytes()
-		if err != nil {
-			return err
-		}
-		st := &Stats{}
-		if err := json.Unmarshal(blob, st); err != nil {
-			return fmt.Errorf("wire: decode stats: %w", err)
-		}
-		p.Stats = st
-	}
-	if flags&respStream != 0 {
-		if p.Stream, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *reader) event(e *Event) error {
-	*e = Event{}
-	var err error
-	if e.Kind, err = r.enum(evtNames); err != nil {
-		return err
-	}
-	flags, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if flags >= 1<<11 {
-		return fmt.Errorf("wire: unknown event flags %#x", flags)
-	}
-	if flags&evfSession != 0 {
-		if e.Session, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfOp != 0 {
-		if e.Op, err = r.enum(opNames); err != nil {
-			return err
-		}
-	}
-	if flags&evfCycles != 0 {
-		if e.Cycles, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfDetail != 0 {
-		if e.Detail, err = r.str(); err != nil {
-			return err
-		}
-	}
-	if flags&evfStream != 0 {
-		if e.Stream, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfSeq != 0 {
-		if e.Seq, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfDropped != 0 {
-		if e.Dropped, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfCount != 0 {
-		if e.Count, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	if flags&evfNames != 0 {
-		if e.Names, err = r.strs(); err != nil {
-			return err
-		}
-	}
-	if flags&evfDeltas != 0 {
-		if e.Deltas, err = r.uint64s(nil); err != nil {
-			return err
-		}
-	}
-	if flags&evfRows != 0 {
-		if e.Rows, err = r.rows(); err != nil {
-			return err
-		}
+	if d.Len() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after binary frame", d.Len())
 	}
 	return nil
 }
@@ -1210,10 +614,10 @@ func (e *Encoder) Encode(m *Message) (int, error) {
 // returned message is then only valid until the next call). Not safe for
 // concurrent use.
 type Decoder struct {
-	r      io.Reader
-	buf    []byte
-	intern map[string]string
-	reuse  bool
+	r     io.Reader
+	buf   []byte
+	dec   codec.Decoder
+	reuse bool
 
 	m    Message
 	req  Request
@@ -1227,7 +631,9 @@ type Decoder struct {
 // NewDecoder returns a binary-frame decoder. The version argument is
 // unused, as for NewEncoder.
 func NewDecoder(r io.Reader, _ int) *Decoder {
-	return &Decoder{r: r, intern: make(map[string]string)}
+	d := &Decoder{r: r}
+	d.dec.Intern()
+	return d
 }
 
 // Reset points the decoder at a new connection (client reconnect).
@@ -1243,46 +649,59 @@ func (d *Decoder) SetReuse(on bool) { d.reuse = on }
 // Next reads one frame. It returns the message, the bytes consumed, and
 // an error; truncation and oversize behave exactly like ReadMessage.
 func (d *Decoder) Next() (*Message, int, error) {
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+	payload, n, err := readFrame(d.r, d.hdr[:], d.buf)
+	if err != nil {
+		return nil, n, err
+	}
+	d.buf = payload[:cap(payload)]
+	var m *Message
+	if d.reuse {
+		d.m = Message{Req: &d.req, Resp: &d.resp, Evt: &d.evt}
+		m = &d.m
+	} else {
+		m = &Message{}
+	}
+	if err := decodePayload(&d.dec, payload, m); err != nil {
+		return nil, n, err
+	}
+	return m, n, nil
+}
+
+var errEmptyFrame = errors.New("wire: empty frame")
+
+// readFrame reads one length-prefixed payload, for every reader of
+// either codec. hdr is the caller's 4-byte header scratch; buf is reused
+// for the payload when large enough, else replaced by a buffer rounded
+// up to a power of two, so a stream of slightly-growing frames does not
+// reallocate on every frame. It returns the payload and the bytes
+// consumed. Truncated input yields io.EOF (clean close between frames)
+// or io.ErrUnexpectedEOF (mid-frame); an oversized length prefix yields
+// ErrFrameTooLarge before any payload allocation.
+func readFrame(r io.Reader, hdr, buf []byte) ([]byte, int, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, 0, io.ErrUnexpectedEOF
 		}
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(d.hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
-		return nil, 4, fmt.Errorf("wire: empty frame")
+		return nil, 4, errEmptyFrame
 	}
 	if n > MaxFrame {
 		return nil, 4, ErrFrameTooLarge
 	}
-	if uint32(cap(d.buf)) < n {
-		d.buf = make([]byte, roundCap(n))
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, max(512, 1<<bits.Len32(n-1)))
 	}
-	payload := d.buf[:n]
-	if _, err := io.ReadFull(d.r, payload); err != nil {
+	payload := buf[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, 4, err
 	}
-	m, req, resp, evt := &d.m, &d.req, &d.resp, &d.evt
-	if !d.reuse {
-		m, req, resp, evt = &Message{}, &Request{}, &Response{}, &Event{}
-	}
-	if err := decodePayload(payload, m, req, resp, evt, d.intern); err != nil {
-		return nil, 4 + int(n), err
-	}
-	return m, 4 + int(n), nil
-}
-
-// roundCap rounds a payload size up to a power of two so a stream of
-// slightly-growing frames doesn't reallocate on every frame.
-func roundCap(n uint32) uint32 {
-	if n < 512 {
-		return 512
-	}
-	return 1 << bits.Len32(n-1)
+	return payload, 4 + int(n), nil
 }
 
 // ---- convenience whole-message helpers ----
@@ -1314,29 +733,13 @@ func WriteMessageV(w io.Writer, m *Message, _ int) (int, error) {
 // NewEncoder.
 func ReadMessageV(r io.Reader, _ int) (*Message, int, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, 4, fmt.Errorf("wire: empty frame")
-	}
-	if n > MaxFrame {
-		return nil, 4, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 4, err
+	payload, n, err := readFrame(r, hdr[:], nil)
+	if err != nil {
+		return nil, n, err
 	}
 	m := &Message{}
-	if err := decodePayload(payload, m, &Request{}, &Response{}, &Event{}, nil); err != nil {
-		return nil, 4 + int(n), err
+	if err := decodePayload(&codec.Decoder{}, payload, m); err != nil {
+		return nil, n, err
 	}
-	return m, 4 + int(n), nil
+	return m, n, nil
 }

@@ -10,9 +10,9 @@ import (
 
 // MaxFrame bounds a frame payload. It is checked before any allocation,
 // so a hostile length prefix cannot make the decoder allocate unbounded
-// memory. 8 MiB comfortably fits the largest legitimate payload (a long
-// multi-signal step trace); snapshots never cross the wire — they live
-// server-side.
+// memory. 8 MiB fits the largest legitimate payload: a session state
+// export, which the server refuses above 6 MiB, with room for its
+// response envelope.
 const MaxFrame = 8 << 20
 
 // ErrFrameTooLarge is returned when a length prefix exceeds MaxFrame.
@@ -47,34 +47,18 @@ func WriteMessage(w io.Writer, m *Message) (int, error) {
 // never panics.
 func ReadMessage(r io.Reader) (*Message, int, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, 4, fmt.Errorf("wire: empty frame")
-	}
-	if n > MaxFrame {
-		return nil, 4, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 4, err
+	payload, n, err := readFrame(r, hdr[:], nil)
+	if err != nil {
+		return nil, n, err
 	}
 	var m Message
 	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, 4 + int(n), fmt.Errorf("wire: decode: %w", err)
+		return nil, n, fmt.Errorf("wire: decode: %w", err)
 	}
 	if err := m.check(); err != nil {
-		return nil, 4 + int(n), err
+		return nil, n, err
 	}
-	return &m, 4 + int(n), nil
+	return &m, n, nil
 }
 
 // ServeHello serves the hello that must open every connection, for

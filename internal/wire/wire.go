@@ -122,14 +122,12 @@ const (
 	// Fleet ops (v3+): the coordinator's session-mobility and admin
 	// surface. StateExport/StateImport are the checkpoint transport for
 	// cross-daemon failover: export returns the session's full-scope
-	// snapshot plus its encoded history engine as base64 chunks in
-	// Response.Lines; import is attach-with-state — the same chunks travel
-	// back in Request.Signals and the server restores a brand-new session
-	// from them (breakpoints, pause state and time travel intact). Like
-	// the history ops they reuse existing fields, so v3 framing carries
-	// them without new presence bits.
-	OpStateExport = "stateexport" // Session -> Lines (base64 blob chunks), Cycles
-	OpStateImport = "stateimport" // Design, Signals (blob chunks) -> Session, Device, Report, Watches
+	// snapshot plus its encoded history engine as one binary blob in
+	// Response.Blob; import is attach-with-state — the same blob travels
+	// back in Request.Blob and the server restores a brand-new session
+	// from it (breakpoints, pause state and time travel intact).
+	OpStateExport = "stateexport" // Session -> Blob, Cycles
+	OpStateImport = "stateimport" // Design, Blob -> Session, Device, Report, Watches
 	OpFleetStat   = "fleetstat"   // (zfleet only) -> Lines (per-daemon rows), Stats
 	OpFleetDrain  = "fleetdrain"  // (zfleet only) Name daemon addr, Enable -> Lines
 
@@ -184,6 +182,9 @@ type Request struct {
 	Items []BatchItem `json:"items,omitempty"`
 	// Stream addresses an open stream for credit/close ops (v3+).
 	Stream uint64 `json:"stream,omitempty"`
+	// Blob carries an OpStateImport's session state, as OpStateExport
+	// returned it.
+	Blob []byte `json:"blob,omitempty"`
 }
 
 // BatchItem is one entry of an OpPeekBatch/OpPokeBatch request — the wire
@@ -221,6 +222,8 @@ type Response struct {
 	Stats     *Stats   `json:"stats,omitempty"`
 	// Stream is the server-assigned stream id answering OpStreamOpen (v3+).
 	Stream uint64 `json:"stream,omitempty"`
+	// Blob is an OpStateExport's session state.
+	Blob []byte `json:"blob,omitempty"`
 }
 
 // Event is an unsolicited server notification.
