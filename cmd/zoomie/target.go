@@ -204,8 +204,13 @@ func (t *remoteTarget) FleetDrain(addr string, on bool) ([]string, error) {
 // scripted stdin can never hang the REPL.
 const streamRecvBudget = 30 * time.Second
 
-func (t *remoteTarget) StreamWindows(n int, out io.Writer) error {
-	st, err := t.c.OpenStream(wire.StreamILA, t.ID, 0, 2)
+// stream opens a stream of kind on session sid, polled every everyMS,
+// and renders n of its frames. A 200ms receive that finds nothing calls
+// nudge, so the design moves and the next frame comes, until the
+// streamRecvBudget runs out; noun names the frames in the errors.
+func (t *remoteTarget) stream(kind string, sid uint64, everyMS, n int, noun string,
+	nudge func() error, render func(i int, ev *wire.Event)) error {
+	st, err := t.c.OpenStream(kind, sid, 0, everyMS)
 	if err != nil {
 		return err
 	}
@@ -219,104 +224,65 @@ func (t *remoteTarget) StreamWindows(n int, out io.Writer) error {
 		switch {
 		case ok:
 			i++
-			fmt.Fprintf(out, "window %d (seq %d, %d cycles, dropped %d):\n",
-				i, ev.Seq, len(ev.Rows), ev.Dropped)
-			fmt.Fprint(out, "  cycle")
-			for _, name := range ev.Names {
-				fmt.Fprintf(out, " %10s", name)
-			}
-			fmt.Fprintln(out)
-			for r, row := range ev.Rows {
-				fmt.Fprintf(out, "  %5d", r)
-				for _, v := range row {
-					fmt.Fprintf(out, " %10d", v)
-				}
-				fmt.Fprintln(out)
-			}
+			render(i, &ev)
 		case expired:
 			if time.Now().After(deadline) {
-				return fmt.Errorf("gave up after %d/%d windows (%v budget)", i, n, streamRecvBudget)
+				return fmt.Errorf("gave up after %d/%d %s (%v budget)", i, n, noun, streamRecvBudget)
 			}
-			// No window yet: push the design along so the trigger can
-			// fire and the capture buffer fill.
-			if err := t.Run(256); err != nil {
+			if err := nudge(); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("stream closed after %d/%d windows", i, n)
+			return fmt.Errorf("stream closed after %d/%d %s", i, n, noun)
 		}
 	}
 	return nil
+}
+
+func (t *remoteTarget) StreamWindows(n int, out io.Writer) error {
+	// No window yet: push the design along so the trigger can fire and
+	// the capture buffer fill.
+	run := func() error { return t.Run(256) }
+	return t.stream(wire.StreamILA, t.ID, 2, n, "windows", run, func(i int, ev *wire.Event) {
+		fmt.Fprintf(out, "window %d (seq %d, %d cycles, dropped %d):\n",
+			i, ev.Seq, len(ev.Rows), ev.Dropped)
+		fmt.Fprint(out, "  cycle")
+		for _, name := range ev.Names {
+			fmt.Fprintf(out, " %10s", name)
+		}
+		fmt.Fprintln(out)
+		for r, row := range ev.Rows {
+			fmt.Fprintf(out, "  %5d", r)
+			for _, v := range row {
+				fmt.Fprintf(out, " %10d", v)
+			}
+			fmt.Fprintln(out)
+		}
+	})
 }
 
 func (t *remoteTarget) StreamCounters(n int, out io.Writer) error {
-	st, err := t.c.OpenStream(wire.StreamCounters, 0, 0, 50)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	deadline := time.Now().Add(streamRecvBudget)
-	for i := 0; i < n; {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		ev, ok := st.RecvCtx(ctx)
-		expired := ctx.Err() != nil
-		cancel()
-		switch {
-		case ok:
-			i++
-			fmt.Fprintf(out, "frame %d (seq %d, %d events, dropped %d):\n",
-				i, ev.Seq, ev.Count, ev.Dropped)
-			for j, name := range ev.Names {
-				fmt.Fprintf(out, "  %-24s +%d\n", name, ev.Deltas[j])
-			}
-		case expired:
-			if time.Now().After(deadline) {
-				return fmt.Errorf("gave up after %d/%d frames (%v budget)", i, n, streamRecvBudget)
-			}
-			// Counters only flush when something moved; a status ping is
-			// the cheapest way to guarantee the next interval is not idle.
-			if _, _, _, err := t.Status(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("stream closed after %d/%d frames", i, n)
+	// Counters only flush when something moved; a status ping is the
+	// cheapest way to guarantee the next interval is not idle.
+	ping := func() error { _, _, _, err := t.Status(); return err }
+	return t.stream(wire.StreamCounters, 0, 50, n, "frames", ping, func(i int, ev *wire.Event) {
+		fmt.Fprintf(out, "frame %d (seq %d, %d events, dropped %d):\n",
+			i, ev.Seq, ev.Count, ev.Dropped)
+		for j, name := range ev.Names {
+			fmt.Fprintf(out, "  %-24s +%d\n", name, ev.Deltas[j])
 		}
-	}
-	return nil
+	})
 }
 
 func (t *remoteTarget) StreamKeyframes(n int, out io.Writer) error {
-	st, err := t.c.OpenStream(wire.StreamHistory, t.ID, 0, 50)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	deadline := time.Now().Add(streamRecvBudget)
-	for i := 0; i < n; {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		ev, ok := st.RecvCtx(ctx)
-		expired := ctx.Err() != nil
-		cancel()
-		switch {
-		case ok:
-			i++
-			fmt.Fprintf(out, "keyframes %d (seq %d, %d new, dropped %d):\n",
-				i, ev.Seq, len(ev.Rows), ev.Dropped)
-			for _, row := range ev.Rows {
-				fmt.Fprintf(out, "  pos %6d  cycle %8d  %6d bytes\n", row[0], row[1], row[2])
-			}
-		case expired:
-			if time.Now().After(deadline) {
-				return fmt.Errorf("gave up after %d/%d keyframe frames (%v budget)", i, n, streamRecvBudget)
-			}
-			// No keyframe yet: advance the design so the recorder crosses
-			// the next keyframe boundary.
-			if err := t.Run(256); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("stream closed after %d/%d keyframe frames", i, n)
+	// No keyframe yet: advance the design so the recorder crosses the
+	// next keyframe boundary.
+	run := func() error { return t.Run(256) }
+	return t.stream(wire.StreamHistory, t.ID, 50, n, "keyframe frames", run, func(i int, ev *wire.Event) {
+		fmt.Fprintf(out, "keyframes %d (seq %d, %d new, dropped %d):\n",
+			i, ev.Seq, len(ev.Rows), ev.Dropped)
+		for _, row := range ev.Rows {
+			fmt.Fprintf(out, "  pos %6d  cycle %8d  %6d bytes\n", row[0], row[1], row[2])
 		}
-	}
-	return nil
+	})
 }

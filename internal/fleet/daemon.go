@@ -86,36 +86,28 @@ func (d *daemon) currentState() daemonState {
 	return d.state
 }
 
-// placeable reports whether new sessions may land here.
-func (d *daemon) placeable() bool {
+// placeLoad is the load placement compares — homed sessions plus slots
+// reserved by placements still in flight — and whether new sessions may
+// land here at all: not while suspect, quarantined or draining.
+func (d *daemon) placeLoad() (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.state == daemonHealthy && !d.draining && d.cli != nil
-}
-
-// placeLoad is the load placement compares: homed sessions plus slots
-// reserved by placements still in flight.
-func (d *daemon) placeLoad() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.sessions) + d.pending
+	return len(d.sessions) + d.pending, d.state == daemonHealthy && !d.draining && d.cli != nil
 }
 
 // tryReserve claims one placement slot against cap, counting in-flight
 // placements so concurrent attaches cannot race past the per-daemon
-// limit. A successful reservation is consumed by addSession or returned
-// with unreserve.
-func (d *daemon) tryReserve(cap int) bool {
+// limit, and returns the live client and generation it was claimed on
+// (nil when no slot was free). A successful reservation is consumed by
+// addSession or returned with unreserve.
+func (d *daemon) tryReserve(cap int) (*client.Client, uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != daemonHealthy || d.draining || d.cli == nil {
-		return false
-	}
-	if len(d.sessions)+d.pending >= cap {
-		return false
+	if d.state != daemonHealthy || d.draining || d.cli == nil || len(d.sessions)+d.pending >= cap {
+		return nil, 0
 	}
 	d.pending++
-	return true
+	return d.cli, d.gen
 }
 
 // unreserve returns an unconsumed placement slot.

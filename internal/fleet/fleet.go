@@ -21,11 +21,13 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"zoomie/internal/client"
 	"zoomie/internal/obs"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
@@ -261,19 +263,17 @@ func (co *Coordinator) admit() int {
 // place picks the least-loaded healthy, non-draining daemon with free
 // capacity (ties break on lowest index, keeping placement deterministic
 // for equal load) and reserves a slot on it, so concurrent placements
-// cannot collectively overshoot the per-daemon cap. The caller consumes
-// the reservation with addSession or returns it with unreserve. Returns
-// nil when the fleet is at capacity.
-func (co *Coordinator) place(exclude *daemon) *daemon {
+// cannot collectively overshoot the per-daemon cap. It returns the
+// daemon with the client and generation the slot was reserved on, or
+// nil when the fleet is at capacity. The caller consumes the
+// reservation with addSession or returns it with unreserve.
+func (co *Coordinator) place() (*daemon, *client.Client, uint64) {
 	for attempt := 0; attempt <= len(co.daemons); attempt++ {
 		var best *daemon
 		bestLoad := 0
 		for _, d := range co.daemons {
-			if d == exclude || !d.placeable() {
-				continue
-			}
-			load := d.placeLoad()
-			if load >= co.cfg.MaxPerDaemon {
+			load, ok := d.placeLoad()
+			if !ok || load >= co.cfg.MaxPerDaemon {
 				continue
 			}
 			if best == nil || load < bestLoad {
@@ -281,14 +281,28 @@ func (co *Coordinator) place(exclude *daemon) *daemon {
 			}
 		}
 		if best == nil {
-			return nil
+			break
 		}
-		if best.tryReserve(co.cfg.MaxPerDaemon) {
-			return best
+		if cli, gen := best.tryReserve(co.cfg.MaxPerDaemon); cli != nil {
+			return best, cli, gen
 		}
 		// Lost the race for the last slot; re-snapshot and retry.
 	}
-	return nil
+	return nil, nil, 0
+}
+
+// checkpoint exports a daemon-side session's state blob, counting each
+// one taken: the attach's first checkpoint and every refresh.
+func (co *Coordinator) checkpoint(ctx context.Context, cli *client.Client, rsid uint64) ([]byte, error) {
+	resp, err := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStateExport, Session: rsid})
+	if err == nil && len(resp.Blob) == 0 {
+		err = wire.Errf(wire.CodeOp, "empty state blob")
+	}
+	if err != nil {
+		return nil, err
+	}
+	co.ctr.Checkpoints.Inc()
+	return resp.Blob, nil
 }
 
 // Stats assembles the fleet-level counter snapshot answering OpStatus.

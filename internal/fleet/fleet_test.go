@@ -459,12 +459,12 @@ func TestFleetVersionHandshake(t *testing.T) {
 
 // refusingDaemon stands in for a zoomied whose session state outgrew the
 // export cap. Served by the daemon's own serving layer, it answers every
-// op, and every state export after the attach's first one with the
-// daemon's too-large refusal.
-func refusingDaemon(t *testing.T) string {
+// op, and each state export past the first `exports` with the daemon's
+// too-large refusal. It counts the detaches it is sent.
+func refusingDaemon(t *testing.T, exports int32) (string, *atomic.Int32) {
 	t.Helper()
 	var wg sync.WaitGroup
-	var exports atomic.Int32
+	var exported, detaches atomic.Int32
 	hub := server.NewHub(server.Frontend{
 		Name: "zoomied",
 		Logf: func(string, ...any) {},
@@ -476,8 +476,10 @@ func refusingDaemon(t *testing.T) string {
 				resp.Stats = &wire.Stats{}
 			case wire.OpAttach:
 				resp.Session = 1
+			case wire.OpDetach:
+				detaches.Add(1)
 			case wire.OpStateExport:
-				if exports.Add(1) == 1 {
+				if exported.Add(1) <= exports {
 					resp.Blob = []byte("state")
 				} else {
 					resp.Err = wire.Errf(wire.CodeOp, "session state too large to export")
@@ -495,17 +497,20 @@ func refusingDaemon(t *testing.T) string {
 		hub.Close(&wire.Event{Kind: wire.EvtShutdown})
 		wg.Wait()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), &detaches
 }
 
 // TestFleetCountsFailedCheckpoints pins that a refused checkpoint
 // refresh is not dropped silently: every failure counts in
 // zfleet.checkpoints_failed, and the session's first is logged, once.
+// A refused refresh is retried only after another CheckpointEvery
+// journaled commands, not after every command.
 func TestFleetCountsFailedCheckpoints(t *testing.T) {
 	var mu sync.Mutex
 	var logs []string
+	daemon, _ := refusingDaemon(t, 1)
 	co, fa := startFleet(t, fleet.Config{
-		Daemons:         []string{refusingDaemon(t)},
+		Daemons:         []string{daemon},
 		CheckpointEvery: 2,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
@@ -522,15 +527,15 @@ func TestFleetCountsFailedCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The journal reaches CheckpointEvery at the second poke, and every
-	// poke after a failed refresh tries again.
+	// The journal reaches CheckpointEvery at the second poke, and the
+	// refused refresh tries again two pokes later, at the fourth.
 	for i := 0; i < 5; i++ {
 		if err := s.Poke("cnt", uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := co.Obs().Lookup("zfleet.checkpoints_failed").Load(); got != 4 {
-		t.Errorf("zfleet.checkpoints_failed = %d, want 4", got)
+	if got := co.Obs().Lookup("zfleet.checkpoints_failed").Load(); got != 2 {
+		t.Errorf("zfleet.checkpoints_failed = %d, want 2", got)
 	}
 	if got := co.Obs().Lookup("zfleet.checkpoints").Load(); got != 1 {
 		t.Errorf("zfleet.checkpoints = %d, want the attach's 1", got)
@@ -545,5 +550,24 @@ func TestFleetCountsFailedCheckpoints(t *testing.T) {
 	}
 	if len(refusals) != 1 || !strings.Contains(refusals[0], "too large to export") {
 		t.Errorf("checkpoint refusals logged: %q, want the first one", refusals)
+	}
+}
+
+// TestFleetAttachReleasesFailedCheckpoint pins that an attach whose first
+// checkpoint fails detaches the daemon-side session it just attached, so
+// that board is not held until the daemon's idle timeout.
+func TestFleetAttachReleasesFailedCheckpoint(t *testing.T) {
+	daemon, detaches := refusingDaemon(t, 0)
+	_, fa := startFleet(t, fleet.Config{Daemons: []string{daemon}})
+	c, err := client.Dial(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Attach("counter"); !wire.IsCode(err, wire.CodeOverloaded) {
+		t.Fatalf("attach without a first checkpoint = %v, want CodeOverloaded", err)
+	}
+	if got := detaches.Load(); got != 1 {
+		t.Fatalf("daemon saw %d detaches, want 1", got)
 	}
 }

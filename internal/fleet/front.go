@@ -73,18 +73,11 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []byte) *w
 	// in-flight sessions run undisturbed.
 	var lastErr *wire.Error
 	for attempt := 0; attempt < len(co.daemons); attempt++ {
-		d := co.place(nil)
+		d, cli, gen := co.place()
 		if d == nil {
 			break
 		}
-		cli, gen := d.client()
-		if cli == nil {
-			d.unreserve()
-			continue
-		}
-		fwd := copyReq(req)
-		fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-		r2, err := cli.CallCtx(c.Ctx(), fwd)
+		r2, err := cli.CallCtx(c.Ctx(), backendReq(req, 0))
 		if err != nil {
 			d.unreserve()
 			if isConnFailure(err) {
@@ -105,26 +98,22 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []byte) *w
 
 		// First checkpoint: the import blob when the client brought one,
 		// otherwise an immediate export of the fresh session. Without a
-		// checkpoint there is no failover, so a failed export retries
-		// placement elsewhere.
+		// checkpoint there is no failover, so a failed export releases
+		// the session, best effort, and retries placement elsewhere.
 		checkpoint := blob
 		if checkpoint == nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			exp, eerr := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStateExport, Session: rsid})
+			if checkpoint, err = co.checkpoint(ctx, cli, rsid); err != nil {
+				cli.CallCtx(ctx, &wire.Request{Op: wire.OpDetach, Session: rsid})
+			}
 			cancel()
-			if eerr != nil {
+			if err != nil {
 				d.unreserve()
-				if isConnFailure(eerr) {
-					d.reportFailure(gen, eerr)
+				if isConnFailure(err) {
+					d.reportFailure(gen, err)
 				}
 				continue
 			}
-			if len(exp.Blob) == 0 {
-				d.unreserve()
-				continue
-			}
-			checkpoint = exp.Blob
-			co.ctr.Checkpoints.Inc()
 		}
 
 		co.mu.Lock()
@@ -135,7 +124,7 @@ func (co *Coordinator) attach(c *server.Conn, req *wire.Request, blob []byte) *w
 			return resp
 		}
 		co.nextSID++
-		fs := newFsession(co, co.nextSID, req.Design, d, rsid, gen, checkpoint)
+		fs := newFsession(co, co.nextSID, req.Design, d, rsid, checkpoint)
 		co.sessions[fs.id] = fs
 		co.mu.Unlock()
 		d.addSession(fs, rsid)
@@ -179,7 +168,7 @@ func (co *Coordinator) drain(c *server.Conn, req *wire.Request) *wire.Response {
 	for _, fs := range sessions {
 		wg.Add(1)
 		fs := fs
-		werr := fs.enqueue(c.Ctx(), &wire.Request{Op: opMigrate}, func(r *wire.Response) {
+		werr := fs.enqueue(c.Ctx(), &wire.Request{Op: opDrain}, func(r *wire.Response) {
 			if r.Err != nil {
 				results <- "session not migrated: " + r.Err.Msg
 			} else {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -15,8 +14,8 @@ import (
 // Internal actor ops, never on the wire (the "fleet." prefix cannot
 // collide with wire op names).
 const (
-	opKick    = "fleet.kick"    // daemon died: fail over now, don't wait for a command
-	opMigrate = "fleet.migrate" // drain: move to another daemon with a live export
+	opKick  = "fleet.kick"  // daemon died: fail over now, don't wait for a command
+	opDrain = "fleet.drain" // daemon draining: move to another daemon now
 )
 
 // fsQueueDepth bounds one session actor's command backlog, matching the
@@ -51,20 +50,25 @@ type fsession struct {
 	mu         sync.Mutex
 	homeD      *daemon
 	remoteSID  uint64
-	homeGen    uint64
-	checkpoint []byte // the state blob OpStateExport returned
-	journal    []*wire.Request
 	suppressed bool // drop daemon events during journal replay
 	stopped    bool
 
-	// replay answers front-client reconnect replays; actor-owned.
-	replay server.ReplayCache
+	// The rest is actor-owned. checkpoint is the state blob
+	// OpStateExport returned; journal holds the mutating commands run
+	// since it, as backend requests.
+	checkpoint []byte
+	journal    []*wire.Request
+	// tried is the journal's length at the last refused checkpoint
+	// refresh: the next refresh waits for CheckpointEvery more commands.
+	tried int
 	// checkpointFailed records that a checkpoint refresh failed and was
-	// logged; actor-owned.
+	// logged.
 	checkpointFailed bool
+	// replay answers front-client reconnect replays.
+	replay server.ReplayCache
 }
 
-func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID, gen uint64, checkpoint []byte) *fsession {
+func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID uint64, checkpoint []byte) *fsession {
 	return &fsession{
 		co:         co,
 		id:         id,
@@ -73,7 +77,6 @@ func newFsession(co *Coordinator, id uint64, design string, home *daemon, remote
 		quit:       make(chan struct{}),
 		homeD:      home,
 		remoteSID:  remoteSID,
-		homeGen:    gen,
 		checkpoint: checkpoint,
 		replay:     server.NewReplayCache(co.hub),
 	}
@@ -92,14 +95,6 @@ func (fs *fsession) homeLink() (*daemon, *client.Client, uint64, uint64) {
 	fs.mu.Unlock()
 	cli, gen := d.client()
 	return d, cli, rsid, gen
-}
-
-func (fs *fsession) setHome(d *daemon, remoteSID, gen uint64) {
-	fs.mu.Lock()
-	fs.homeD = d
-	fs.remoteSID = remoteSID
-	fs.homeGen = gen
-	fs.mu.Unlock()
 }
 
 func (fs *fsession) eventsSuppressed() bool {
@@ -177,8 +172,8 @@ func (fs *fsession) handle(r *fsreq) {
 			fs.poison(werr)
 		}
 		return
-	case opMigrate:
-		r.reply(fs.migrate(req))
+	case opDrain:
+		r.reply(fs.drain(req))
 		return
 	}
 
@@ -191,13 +186,12 @@ func (fs *fsession) handle(r *fsreq) {
 	if req.Op == wire.OpDetach {
 		// Best-effort forward (the daemon frees its board), then the
 		// fleet session is gone either way.
-		resp := fs.forwardOnce(r.ctx, req)
-		if resp == nil || resp.Err != nil {
-			resp = &wire.Response{ID: req.ID, Session: fs.id}
+		if _, cli, rsid, _ := fs.homeLink(); cli != nil {
+			cli.CallCtx(r.ctx, backendReq(req, rsid))
 		}
 		fs.stop()
 		fs.co.dropSession(fs)
-		r.reply(resp)
+		r.reply(&wire.Response{ID: req.ID, Session: fs.id})
 		return
 	}
 
@@ -206,11 +200,8 @@ func (fs *fsession) handle(r *fsreq) {
 	// A mutating op that failed after it ran, such as an until whose
 	// trigger never fired, changed state too, so a failover must replay it.
 	if (resp.Err == nil || resp.Err.OpFailed()) && server.Mutating(req.Op) {
-		fs.mu.Lock()
-		fs.journal = append(fs.journal, copyReq(req))
-		n := len(fs.journal)
-		fs.mu.Unlock()
-		if n >= fs.co.cfg.CheckpointEvery {
+		fs.journal = append(fs.journal, backendReq(req, 0))
+		if len(fs.journal)-fs.tried >= fs.co.cfg.CheckpointEvery {
 			fs.refreshCheckpoint(r.ctx)
 		}
 	}
@@ -230,10 +221,7 @@ func (fs *fsession) forward(ctx context.Context, req *wire.Request) *wire.Respon
 			}
 			continue
 		}
-		fwd := copyReq(req)
-		fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-		fwd.Session = rsid
-		resp, err := cli.CallCtx(ctx, fwd)
+		resp, err := cli.CallCtx(ctx, backendReq(req, rsid))
 		if err != nil && isConnFailure(err) {
 			if ctx.Err() != nil {
 				// The *front* connection died mid-command, not the daemon.
@@ -265,41 +253,11 @@ func (fs *fsession) forward(ctx context.Context, req *wire.Request) *wire.Respon
 	}
 }
 
-// forwardOnce sends without failover (detach teardown).
-func (fs *fsession) forwardOnce(ctx context.Context, req *wire.Request) *wire.Response {
-	_, cli, rsid, _ := fs.homeLink()
-	if cli == nil {
-		return nil
-	}
-	fwd := copyReq(req)
-	fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-	fwd.Session = rsid
-	resp, err := cli.CallCtx(ctx, fwd)
-	if resp == nil && err != nil {
-		return nil
-	}
-	out := *resp
-	out.ID = req.ID
-	if out.Session != 0 {
-		out.Session = fs.id
-	}
-	return &out
-}
-
-// failover rebuilds the session on a healthy daemon: import the last
-// checkpoint, deterministically re-execute the journaled commands since
-// it (their events suppressed — clients saw the originals), and re-home.
-// The actor calls this, so no command can interleave.
+// failover rebuilds the session after its home daemon died, patiently:
+// up to maxFailoverAttempts placement rounds with backoff. The actor
+// calls this, so no command can interleave.
 func (fs *fsession) failover() *wire.Error {
 	start := time.Now()
-	fs.setSuppressed(true)
-	defer fs.setSuppressed(false)
-
-	fs.mu.Lock()
-	checkpoint := fs.checkpoint
-	journal := fs.journal
-	fs.mu.Unlock()
-
 	backoff := 25 * time.Millisecond
 	for attempt := 0; attempt < maxFailoverAttempts; attempt++ {
 		if fs.co.isClosed() {
@@ -311,61 +269,14 @@ func (fs *fsession) failover() *wire.Error {
 				backoff *= 2
 			}
 		}
-		target := fs.co.place(nil)
-		if target == nil {
+		old, target, werr := fs.rebuild()
+		if werr != nil {
 			continue
 		}
-		cli, gen := target.client()
-		if cli == nil {
-			target.unreserve()
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		resp, err := cli.CallCtx(ctx, &wire.Request{
-			Op: wire.OpStateImport, Design: fs.design, Blob: checkpoint})
-		if err != nil {
-			cancel()
-			target.unreserve()
-			if isConnFailure(err) {
-				target.reportFailure(gen, err)
-			}
-			continue
-		}
-		rsid := resp.Session
-		replayOK := true
-		for _, j := range journal {
-			fwd := copyReq(j)
-			fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-			fwd.Session = rsid
-			if _, jerr := cli.CallCtx(ctx, fwd); jerr != nil && isConnFailure(jerr) {
-				target.reportFailure(gen, jerr)
-				replayOK = false
-				break
-			}
-			// An op-level error replays the original run's op-level error:
-			// same state either way, keep going.
-			fs.co.ctr.JournalReplays.Inc()
-		}
-		cancel()
-		if !replayOK {
-			target.unreserve()
-			continue
-		}
-
-		old := fs.home()
-		old.removeSession(fs)
-		fs.setHome(target, rsid, gen)
-		target.addSession(fs, rsid)
-
 		fs.co.ctr.Failovers.Inc()
 		fs.co.ctr.FailoverNanos.Add(uint64(time.Since(start)))
-		fs.co.cfg.Logf("zfleet: session %d failed over %s -> %s (%d journal replays, %v)",
-			fs.id, old.addr, target.addr, len(journal), time.Since(start).Round(time.Millisecond))
-		fs.co.hub.Broadcast(&wire.Event{
-			Kind:    wire.EvtMigrated,
-			Session: fs.id,
-			Detail:  fmt.Sprintf("failed over from %s to %s", old.addr, target.addr),
-		})
+		fs.moved("failed over", old, target, fmt.Sprintf(" (%d journal replays, %v)",
+			len(fs.journal), time.Since(start).Round(time.Millisecond)))
 		return nil
 	}
 	fs.co.ctr.FailoverFail.Inc()
@@ -373,91 +284,99 @@ func (fs *fsession) failover() *wire.Error {
 		"session %d lost: no healthy daemon accepted it after %d attempts", fs.id, maxFailoverAttempts)
 }
 
-// migrate is the drain path: the home daemon is alive, so take a fresh
-// export (no journal replay needed), import it elsewhere, release the
-// old incarnation.
-func (fs *fsession) migrate(req *wire.Request) *wire.Response {
+// drain moves the session off its draining home daemon in one placement
+// attempt: a fresh checkpoint, the failover rebuild, then the release of
+// the old incarnation. When the export is refused, the session moves
+// from its last checkpoint and journal, exactly as a failover would.
+func (fs *fsession) drain(req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID, Session: fs.id}
-	oldD, cli, rsid, gen := fs.homeLink()
+	_, cli, rsid, _ := fs.homeLink()
 	if cli == nil {
 		// Home died under us; ordinary failover covers it.
-		if werr := fs.failover(); werr != nil {
-			resp.Err = werr
-		}
-		return resp
-	}
-	target := fs.co.place(oldD)
-	if target == nil {
-		resp.Err = wire.Errf(wire.CodeOverloaded, "no other daemon can take session %d", fs.id)
-		return resp
-	}
-	tcli, tgen := target.client()
-	if tcli == nil {
-		target.unreserve()
-		resp.Err = wire.Errf(wire.CodeOverloaded, "no other daemon can take session %d", fs.id)
+		resp.Err = fs.failover()
 		return resp
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	exp, err := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStateExport, Session: rsid})
-	if err != nil {
-		target.unreserve()
-		if isConnFailure(err) {
-			oldD.reportFailure(gen, err)
-		}
-		resp.Err = wire.Errf(wire.CodeOp, "drain export: %v", err)
+	fs.refreshCheckpoint(ctx)
+	old, target, werr := fs.rebuild()
+	if werr != nil {
+		resp.Err = werr
 		return resp
 	}
-	imp, err := tcli.CallCtx(ctx, &wire.Request{
-		Op: wire.OpStateImport, Design: fs.design, Blob: exp.Blob})
-	if err != nil {
-		target.unreserve()
-		if isConnFailure(err) {
-			target.reportFailure(tgen, err)
-		}
-		resp.Err = wire.Errf(wire.CodeOp, "drain import: %v", err)
-		return resp
-	}
-	// Re-home before releasing the old incarnation: the old daemon's
-	// EvtDetached must not find this session in the remotes map, or the
-	// event pump would kill the freshly migrated session.
-	oldD.removeSession(fs)
-	fs.setHome(target, imp.Session, tgen)
-	target.addSession(fs, imp.Session)
-	fs.mu.Lock()
-	fs.checkpoint = exp.Blob
-	fs.journal = nil
-	fs.mu.Unlock()
-
-	// Old incarnation released best-effort; its board returns to the
-	// daemon's pool.
+	// Released best-effort, after the re-home: the old daemon's
+	// EvtDetached must not find this session in its remotes map, or the
+	// event pump would kill the freshly moved session.
 	cli.CallCtx(ctx, &wire.Request{Op: wire.OpDetach, Session: rsid})
 
 	fs.co.ctr.Drains.Inc()
-	fs.co.cfg.Logf("zfleet: session %d drained %s -> %s", fs.id, oldD.addr, target.addr)
-	fs.co.hub.Broadcast(&wire.Event{
-		Kind:    wire.EvtMigrated,
-		Session: fs.id,
-		Detail:  fmt.Sprintf("drained from %s to %s", oldD.addr, target.addr),
-	})
+	fs.moved("drained", old, target, "")
 	return resp
+}
+
+// moved logs a finished move and tells subscribers with a
+// session_migrated event.
+func (fs *fsession) moved(verb string, old, target *daemon, note string) {
+	fs.co.cfg.Logf("zfleet: session %d %s %s -> %s%s", fs.id, verb, old.addr, target.addr, note)
+	fs.co.hub.Broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: fs.id,
+		Detail: fmt.Sprintf("%s from %s to %s", verb, old.addr, target.addr)})
+}
+
+// rebuild lands the session on a placed daemon: import the checkpoint,
+// deterministically re-execute the journaled commands since it (their
+// events suppressed — clients saw the originals), and re-home. It
+// returns the old and new homes, or why no daemon took the session.
+func (fs *fsession) rebuild() (old, target *daemon, werr *wire.Error) {
+	target, cli, gen := fs.co.place()
+	if target == nil {
+		return nil, nil, wire.Errf(wire.CodeOverloaded, "no other daemon can take session %d", fs.id)
+	}
+	fs.setSuppressed(true)
+	defer fs.setSuppressed(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	resp, err := cli.CallCtx(ctx, &wire.Request{
+		Op: wire.OpStateImport, Design: fs.design, Blob: fs.checkpoint})
+	step := "import"
+	for i := 0; err == nil && i < len(fs.journal); i++ {
+		// An op-level error replays the original run's op-level error:
+		// same state either way, keep going.
+		if _, jerr := cli.CallCtx(ctx, backendReq(fs.journal[i], resp.Session)); jerr != nil && isConnFailure(jerr) {
+			err, step = jerr, "journal replay"
+		} else {
+			fs.co.ctr.JournalReplays.Inc()
+		}
+	}
+	if err != nil {
+		target.unreserve()
+		if isConnFailure(err) {
+			target.reportFailure(gen, err)
+		}
+		return nil, nil, wire.Errf(wire.CodeOp, "%s on %s: %v", step, target.addr, err)
+	}
+	old = fs.home()
+	old.removeSession(fs)
+	fs.mu.Lock()
+	fs.homeD, fs.remoteSID = target, resp.Session
+	fs.mu.Unlock()
+	target.addSession(fs, resp.Session)
+	return old, target, nil
 }
 
 // refreshCheckpoint exports the session's current state, replacing the
 // checkpoint and clearing the journal. A failed export keeps the old
 // checkpoint + journal — still sufficient for a correct failover, but
 // each later failover replays more, so every failure is counted and the
-// session's first is logged.
+// session's first is logged — and the next refresh waits for another
+// CheckpointEvery journaled commands.
 func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 	_, cli, rsid, _ := fs.homeLink()
 	if cli == nil {
 		return
 	}
-	resp, err := cli.CallCtx(ctx, &wire.Request{Op: wire.OpStateExport, Session: rsid})
-	if err == nil && len(resp.Blob) == 0 {
-		err = errors.New("empty state blob")
-	}
+	blob, err := fs.co.checkpoint(ctx, cli, rsid)
 	if err != nil {
+		fs.tried = len(fs.journal)
 		fs.co.ctr.CheckpointFail.Inc()
 		if !fs.checkpointFailed {
 			fs.checkpointFailed = true
@@ -465,11 +384,7 @@ func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 		}
 		return
 	}
-	fs.mu.Lock()
-	fs.checkpoint = resp.Blob
-	fs.journal = nil
-	fs.mu.Unlock()
-	fs.co.ctr.Checkpoints.Inc()
+	fs.checkpoint, fs.journal, fs.tried = blob, nil, 0
 }
 
 // poison ends a session the fleet could not save: subscribers get a
@@ -494,8 +409,11 @@ func isConnFailure(err error) bool {
 	return true
 }
 
-// copyReq shallow-copies a request (slices are never mutated downstream).
-func copyReq(r *wire.Request) *wire.Request {
+// backendReq is the copy of a client's request sent to a daemon: no
+// front-connection identity (ID, client, sequence) and the daemon-side
+// session id. A shallow copy: slices are never mutated downstream.
+func backendReq(r *wire.Request, rsid uint64) *wire.Request {
 	c := *r
+	c.ID, c.Client, c.Seq, c.Session = 0, 0, 0, rsid
 	return &c
 }

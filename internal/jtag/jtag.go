@@ -9,7 +9,7 @@
 // with a fault injector (or with Options.Guard set), every operation runs
 // guarded: transient errors are retried with exponential backoff and
 // jitter under an operation deadline, frame readback is repeated until
-// every word has been seen identically in RetryPolicy.Agreement
+// every word has been seen identically in the retry policy's Agreement
 // consecutive reads (catching in-flight bit flips that have no ground
 // truth to checksum against), and frame writeback is CRC32-verified
 // against readback and rewritten until it sticks (catching flipped,
@@ -108,47 +108,36 @@ var (
 	ErrVerify = errors.New("jtag: frame verification failed")
 )
 
-// RetryPolicy bounds the guarded transport's persistence. The zero value
-// takes the defaults below.
-type RetryPolicy struct {
-	// MaxRetries is the retry budget per logical operation (default 8).
+// retryPolicy bounds the guarded transport's persistence. Every cable
+// starts from defaultRetry; only this package's tests tune it further.
+type retryPolicy struct {
+	// MaxRetries is the retry budget per logical operation.
 	MaxRetries int
-	// BaseBackoff is the first retry's backoff (default 200µs); each
-	// subsequent retry doubles it up to MaxBackoff, plus up to 50% jitter.
+	// BaseBackoff is the first retry's backoff; each subsequent retry
+	// doubles it up to MaxBackoff, plus up to 50% jitter.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 10ms).
-	MaxBackoff time.Duration
+	MaxBackoff  time.Duration
 	// Deadline bounds one logical operation including all retries and
-	// verification passes (default 10s).
+	// verification passes.
 	Deadline time.Duration
 	// Agreement is the read-verification depth: a word counts as read
-	// only after this many consecutive identical observations. Default 2
-	// on a clean guarded link; when a fault injector is bound the cable
-	// raises the default to 3, because at per-word flip rate f the
-	// chance of the same word corrupting identically n times in a row is
-	// ~(f/32)^(n-1)·f — at f=1% that is ~3e-6 per word for n=2, which a
-	// long campaign of coalesced readbacks will eventually hit, versus
-	// ~1e-9 for n=3.
+	// only after this many consecutive identical observations.
 	Agreement int
 }
 
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = 8
-	}
-	if r.BaseBackoff <= 0 {
-		r.BaseBackoff = 200 * time.Microsecond
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = 10 * time.Millisecond
-	}
-	if r.Deadline <= 0 {
-		r.Deadline = 10 * time.Second
-	}
-	if r.Agreement <= 1 {
-		r.Agreement = 2
-	}
-	return r
+// defaultRetry is the guarded transport's policy: 8 retries, backoff
+// from 200µs capped at 10ms, a 10s deadline, and two-deep agreement on a
+// clean guarded link. With a fault injector bound the cable raises the
+// agreement to 3, because at per-word flip rate f the chance of the same
+// word corrupting identically n times in a row is ~(f/32)^(n-1)·f — at
+// f=1% that is ~3e-6 per word for n=2, which a long campaign of
+// coalesced readbacks will eventually hit, versus ~1e-9 for n=3.
+var defaultRetry = retryPolicy{
+	MaxRetries:  8,
+	BaseBackoff: 200 * time.Microsecond,
+	MaxBackoff:  10 * time.Millisecond,
+	Deadline:    10 * time.Second,
+	Agreement:   2,
 }
 
 // Options configures a cable beyond the default clean transport.
@@ -161,8 +150,6 @@ type Options struct {
 	// Guard enables the resilient transport without an injector (verify
 	// and retry against a clean link — useful for measuring overhead).
 	Guard bool
-	// Retry tunes the guarded transport (zero value: defaults).
-	Retry RetryPolicy
 }
 
 // CableStats counts the guarded transport's recovery work. All fields are
@@ -183,7 +170,7 @@ type Cable struct {
 	Chain *bitstream.Chain
 
 	guard bool
-	retry RetryPolicy
+	retry retryPolicy
 
 	jmu  sync.Mutex // guards jrng (jitter only; never on the clean path)
 	jrng *rand.Rand
@@ -217,19 +204,18 @@ func ConnectWithOptions(board *fpga.Board, opts Options) *Cable {
 	var backend bitstream.Backend = boardBackend{board}
 	guard := opts.Guard
 	seed := int64(1)
+	retry := defaultRetry
 	if opts.Faults != nil {
 		backend = opts.Faults.Bind(backend)
 		guard = true
 		seed = opts.Faults.Profile().Seed + 1
-		if opts.Retry.Agreement == 0 {
-			opts.Retry.Agreement = 3 // known-flaky link: deeper read agreement
-		}
+		retry.Agreement = 3 // known-flaky link: deeper read agreement
 	}
 	return &Cable{
 		Board: board,
 		Chain: bitstream.NewChain(backend, opts.Cost),
 		guard: guard,
-		retry: opts.Retry.withDefaults(),
+		retry: retry,
 		jrng:  rand.New(rand.NewSource(seed)),
 	}
 }

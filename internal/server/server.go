@@ -184,9 +184,15 @@ func (s *Server) Pool() *Pool { return s.pool }
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // newSessionFor builds one catalog design on a pooled board, wiring in a
-// freshly seeded fault injector when chaos is configured. Used both by
-// attach and by migration.
-func (s *Server) newSessionFor(design string) (*zoomie.Session, *zoomie.ILAMeta, *faults.Injector, *Lease, error) {
+// freshly seeded fault injector when chaos is configured, and lands a
+// session's state on it: hist, a decoded or detached history engine, is
+// adopted first, so its live mirror tracks the restore, then snap is
+// restored through the mirror's diff, writing only the frames that
+// differ and reading none back. A layout mismatch forfeits history but
+// not the session; a failed restore closes the session, folds its
+// counters and reports errSnapshotRestore. Plain attach (no state), state
+// import and the board swap all build their sessions here.
+func (s *Server) newSessionFor(design string, hist *history.Engine, snap *zoomie.DebugSnapshot) (*zoomie.Session, *zoomie.ILAMeta, *faults.Injector, *Lease, error) {
 	var lease *Lease
 	var inj *faults.Injector
 	zs, ilaMeta, err := NewCatalogSessionILA(design, func(cfg *zoomie.DebugConfig) {
@@ -212,8 +218,22 @@ func (s *Server) newSessionFor(design string) (*zoomie.Session, *zoomie.ILAMeta,
 		return nil, nil, nil, nil, err
 	}
 	zs.AtClose(func() error { lease.Release(); return nil })
+	if err := zs.AdoptHistory(hist); err != nil {
+		s.cfg.Logf("zoomied: %s: history not transplanted: %v", design, err)
+	}
+	if snap != nil {
+		if err := zs.RestoreSnapshot(context.Background(), snap); err != nil {
+			zs.Close()
+			s.ctr.fold(zs, inj, &cableCounts{})
+			return nil, nil, nil, nil, fmt.Errorf("%w: %v", errSnapshotRestore, err)
+		}
+	}
 	return zs, ilaMeta, inj, lease, nil
 }
+
+// errSnapshotRestore marks newSessionFor's failure to restore the state
+// it landed, as opposed to a failure to build the session.
+var errSnapshotRestore = errors.New("snapshot restore")
 
 // Serve accepts connections until Shutdown (returns nil) or a listener
 // error.
@@ -280,11 +300,10 @@ func (s *Server) allowed(design string) bool {
 // attach builds, compiles and starts a catalog design on a pooled board,
 // then spawns its actor. OpStateImport is attach-with-state, the landing
 // path of cross-daemon failover: Blob carries an exported state blob,
-// and the fresh session adopts its history and restores its snapshot
-// (full scope, so breakpoints and pause state land armed) before it is
-// registered — exactly the in-daemon migration path, lifted across the
-// wire. Runs on the calling connection's read loop: a long compile
-// stalls only that client.
+// whose history and snapshot (full scope, so breakpoints and pause state
+// land armed) newSessionFor lands on the fresh session before it is
+// registered, as it does for the in-daemon board swap. Runs on the
+// calling connection's read loop: a long compile stalls only that client.
 func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	fail := func(code, format string, args ...any) *wire.Response {
@@ -303,36 +322,22 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	}
 	var snap *zoomie.DebugSnapshot // the imported state; nil for a plain attach
 	var hist *history.Engine
+	verb := "attached"
 	if req.Op == wire.OpStateImport {
 		var err error
 		if snap, hist, err = decodeExport(req.Blob); err != nil {
 			return fail(wire.CodeBadRequest, "import: %v", err)
 		}
-	}
-	zs, ilaMeta, inj, lease, err := s.newSessionFor(name)
-	if err != nil {
-		code := wire.CodeOp
-		if errors.Is(err, ErrPoolExhausted) {
-			code = wire.CodePoolExhausted
-		}
-		return fail(code, "%s", err)
-	}
-	verb := "attached"
-	if snap != nil {
 		verb = "imported"
-		// Adopt before restore, so the engine's live mirror tracks the
-		// restore and diffs it — identical to the in-daemon migration
-		// ordering. A layout mismatch forfeits history but not the import.
-		if hist != nil {
-			if aerr := zs.AdoptHistory(hist); aerr != nil {
-				s.cfg.Logf("zoomied: import: history not transplanted: %v", aerr)
-			}
-		}
-		if rerr := zs.RestoreSnapshot(context.Background(), snap); rerr != nil {
-			zs.Close()
-			s.ctr.fold(zs, inj, &cableCounts{})
-			return fail(wire.CodeOp, "import: snapshot restore: %v", rerr)
-		}
+	}
+	zs, ilaMeta, inj, lease, err := s.newSessionFor(name, hist, snap)
+	switch {
+	case errors.Is(err, ErrPoolExhausted):
+		return fail(wire.CodePoolExhausted, "%s", err)
+	case errors.Is(err, errSnapshotRestore):
+		return fail(wire.CodeOp, "import: %s", err)
+	case err != nil:
+		return fail(wire.CodeOp, "%s", err)
 	}
 
 	s.mu.Lock()

@@ -315,8 +315,8 @@ func (s *session) executeGood(t task) (*wire.Response, bool) {
 
 // migrate replaces the session's failed board: quarantine the lease,
 // close the old session (fail-fast — the transport does not retry a
-// wedged board), lease and configure a fresh board, and restore the
-// known-good snapshot onto it, which then stays the known-good snapshot.
+// wedged board), and land its detached history and the known-good
+// snapshot on a fresh board, where the snapshot stays the known-good one.
 // The full-scope snapshot carries the Debug Controller registers, so
 // armed breakpoints and the pause state survive the move.
 func (s *session) migrate(cause string) *wire.Error {
@@ -335,28 +335,11 @@ func (s *session) migrate(cause string) *wire.Error {
 	old.Close()                    // errors expected on a failed board; lease already benched
 	s.fold()
 
-	nz, nmeta, ninj, nlease, err := srv.newSessionFor(s.design)
+	nz, nmeta, ninj, nlease, err := srv.newSessionFor(s.design, oldHist, s.lastGood)
 	if err != nil {
 		srv.ctr.MigrationsFail.Inc()
 		return wire.Errf(wire.CodeBoardFailed,
 			"session %d: board failed (%s) and no replacement: %v", s.id, cause, err)
-	}
-	// Transplant the recorded past (and savestates) onto the fresh board
-	// before restoring state, so the engine's live mirror tracks the
-	// restore and the restore writes only the frames the mirror says
-	// differ, reading none back. Purely host-side; a layout mismatch just
-	// forfeits history.
-	if aerr := nz.AdoptHistory(oldHist); aerr != nil {
-		srv.cfg.Logf("zoomied: session %d: history not transplanted: %v", s.id, aerr)
-	}
-	if s.lastGood != nil {
-		if rerr := nz.RestoreSnapshot(context.Background(), s.lastGood); rerr != nil {
-			nz.Close()
-			srv.ctr.fold(nz, ninj, &cableCounts{})
-			srv.ctr.MigrationsFail.Inc()
-			return wire.Errf(wire.CodeBoardFailed,
-				"session %d: snapshot restore on replacement board: %v", s.id, rerr)
-		}
 	}
 	s.mu.Lock()
 	s.zs = nz
