@@ -364,10 +364,11 @@ func BenchmarkSettleFull(b *testing.B) {
 }
 
 // BenchmarkEvalCompiled measures the same full sweep on the compiled
-// engine (bytecode, pre-resolved slots), isolating the expression
-// evaluation speedup from the incremental-settling one.
+// engine (bytecode, pre-resolved slots): Settle sweeps every assign on
+// either engine, isolating the expression evaluation speedup from the
+// incremental-settling one.
 func BenchmarkEvalCompiled(b *testing.B) {
-	s := manycoreSim(b, sim.Options{Engine: sim.EngineCompiled, FullSettle: true})
+	s := manycoreSim(b, sim.Options{Engine: sim.EngineCompiled})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Settle()

@@ -25,8 +25,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run")
 	cores := flag.Int("cores", 5400, "manycore SoC size for compile experiments")
 	simEngine := flag.String("simengine", "compiled", "simulation engine: compiled|interp")
-	simFull := flag.Bool("simfull", false, "disable dirty-set incremental settling (debug escape hatch)")
-	simShards := flag.Int("simshards", 1, "goroutine shards for cone-parallel settling (>1 enables)")
 	flag.Parse()
 
 	switch *simEngine {
@@ -38,8 +36,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -simengine %q; have compiled, interp\n", *simEngine)
 		os.Exit(2)
 	}
-	sim.DefaultOptions.FullSettle = *simFull
-	sim.DefaultOptions.Shards = *simShards
 
 	experiments := map[string]func(int) error{
 		"table1":     table1,

@@ -61,7 +61,8 @@ func main() {
 		}
 		t, err = dialTarget(*connect, name)
 	case *file != "":
-		what = *file
+		// A file design is not in the catalog the compile farm builds from.
+		what, name = *file, ""
 		t, err = fileTarget(*file, *watch)
 	default:
 		t, err = localCatalogTarget(name)
@@ -73,7 +74,7 @@ func main() {
 	fmt.Printf("zoomie: %s loaded on %s, clock running (%s)\n", what, device, report)
 	fmt.Println(`type "help" for commands`)
 
-	repl(t, os.Stdin, os.Stdout)
+	repl(t, name, os.Stdin, os.Stdout)
 	t.Close()
 }
 
@@ -95,7 +96,7 @@ func localCatalogTarget(name string) (target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localTarget{Local: server.NewLocal(sess), design: name}, nil
+	return &localTarget{server.NewLocal(sess)}, nil
 }
 
 func dialTarget(addr, name string) (target, error) {
@@ -128,10 +129,12 @@ func fileTarget(path, watch string) (target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localTarget{Local: server.NewLocal(sess)}, nil
+	return &localTarget{server.NewLocal(sess)}, nil
 }
 
-func repl(t target, in io.Reader, out io.Writer) {
+// repl reads commands from in until quit or EOF. design is the catalog
+// name the compile verbs submit ("" for a -file design).
+func repl(t target, design string, in io.Reader, out io.Writer) {
 	do := func(req *wire.Request) (*wire.Response, error) { return t.Do(context.Background(), req) }
 	sc := bufio.NewScanner(in)
 	fmt.Fprint(out, "(zoomie) ")
@@ -393,55 +396,34 @@ func repl(t target, in io.Reader, out io.Writer) {
 			} else {
 				err = fmt.Errorf("scrub requires -connect to a zoomied server (v3)")
 			}
-		case "compile":
-			if cp, ok := t.(compiler); ok {
-				var lines []string
-				lines, err = cp.CompileRun("vti", 0)
-				for _, l := range lines {
-					fmt.Fprintln(out, l)
+		case "compile", "recompile":
+			req := &wire.Request{Op: wire.OpCompileSubmit, Design: design, Mode: "vti"}
+			if cmd == "recompile" {
+				req.Mode, req.N = "recompile", 1
+				if len(args) > 0 {
+					req.N, _ = strconv.Atoi(args[0])
 				}
-			} else {
-				err = fmt.Errorf("compile is not supported by this target")
-			}
-		case "recompile":
-			tag := 1
-			if len(args) > 0 {
-				tag, _ = strconv.Atoi(args[0])
-			}
-			if cp, ok := t.(compiler); ok {
-				var lines []string
-				lines, err = cp.CompileRun("recompile", tag)
-				for _, l := range lines {
-					fmt.Fprintln(out, l)
-				}
-			} else {
-				err = fmt.Errorf("recompile is not supported by this target")
-			}
-		case "compiles":
-			cp, ok := t.(compiler)
-			if !ok {
-				err = fmt.Errorf("compiles is not supported by this target")
-				break
-			}
-			if len(args) > 1 && args[0] == "cancel" {
-				var id uint64
-				id, err = strconv.ParseUint(args[1], 0, 64)
-				if err != nil {
-					break
-				}
-				var line string
-				line, err = cp.CompileCancelCmd(id)
-				if err == nil {
-					fmt.Fprintln(out, line)
-				}
-				break
 			}
 			var lines []string
-			lines, err = cp.CompileListLines()
-			if err == nil && len(lines) == 0 {
+			lines, err = compileRun(do, req)
+			for _, l := range lines {
+				fmt.Fprintln(out, l)
+			}
+		case "compiles":
+			req := &wire.Request{Op: wire.OpCompileStatus}
+			if len(args) > 1 && args[0] == "cancel" {
+				req.Op = wire.OpCompileCancel
+				if req.Value, err = strconv.ParseUint(args[1], 0, 64); err != nil {
+					break
+				}
+			}
+			if resp, err = do(req); err != nil {
+				break
+			}
+			if len(resp.Lines) == 0 {
 				fmt.Fprintln(out, "(no compiles)")
 			}
-			for _, l := range lines {
+			for _, l := range resp.Lines {
 				fmt.Fprintln(out, l)
 			}
 		case "fleet":
@@ -476,6 +458,35 @@ func repl(t target, in io.Reader, out io.Writer) {
 		}
 		fmt.Fprint(out, "(zoomie) ")
 	}
+}
+
+// compileWait bounds how long the compile verbs block the REPL.
+const compileWait = 5 * time.Minute
+
+// compileRun submits one compile and waits for it by polling its status
+// until the job is terminal, bounded by compileWait. It returns the
+// submit acknowledgement and the job's final status row; a cache hit is
+// terminal at submit and needs no polling.
+func compileRun(do func(*wire.Request) (*wire.Response, error), req *wire.Request) ([]string, error) {
+	resp, err := do(req)
+	if err != nil {
+		return nil, err
+	}
+	lines, id := resp.Lines, resp.Value
+	deadline := time.Now().Add(compileWait)
+	for resp.Ran != 1 {
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("compile job %d not done after %v", id, compileWait)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if resp, err = do(&wire.Request{Op: wire.OpCompileStatus, Value: id}); err != nil {
+			return nil, err
+		}
+		if resp.Ran == 1 {
+			lines = append(lines, resp.Lines...)
+		}
+	}
+	return lines, nil
 }
 
 // peekBatch reads several registers in one planned pass: one coalesced

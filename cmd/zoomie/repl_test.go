@@ -103,7 +103,7 @@ func replLegs(t *testing.T, script string) (local, remote string) {
 		t.Fatal(err)
 	}
 	var localOut bytes.Buffer
-	repl(lt, strings.NewReader(script), &localOut)
+	repl(lt, "counter", strings.NewReader(script), &localOut)
 	if err := lt.Close(); err != nil {
 		t.Fatalf("local close: %v", err)
 	}
@@ -114,7 +114,7 @@ func replLegs(t *testing.T, script string) (local, remote string) {
 		t.Fatal(err)
 	}
 	var remoteOut bytes.Buffer
-	repl(rt, strings.NewReader(script), &remoteOut)
+	repl(rt, "counter", strings.NewReader(script), &remoteOut)
 	if err := rt.Close(); err != nil {
 		t.Fatalf("remote close: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestREPLStreamCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	repl(rt, strings.NewReader("run 64\nstream 2\ncounters 1\nscrub 1\nquit\n"), &out)
+	repl(rt, "ila-counter", strings.NewReader("run 64\nstream 2\ncounters 1\nscrub 1\nquit\n"), &out)
 	if err := rt.Close(); err != nil {
 		t.Fatalf("remote close: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestREPLStreamCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	repl(lt, strings.NewReader("stream\ncounters\nscrub\nquit\n"), &out)
+	repl(lt, "counter", strings.NewReader("stream\ncounters\nscrub\nquit\n"), &out)
 	lt.Close()
 	if c := strings.Count(out.String(), "error:"); c != 3 {
 		t.Errorf("local stream/counters/scrub printed %d errors, want 3:\n%s", c, out.String())

@@ -7,18 +7,18 @@ import (
 	"time"
 
 	"zoomie/internal/client"
-	"zoomie/internal/farm"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
 )
 
-// target is what the REPL drives: one session op at a time, whether the
-// design runs in-process on a private modeled board (localTarget) or on
-// a board leased from a zoomied server across the network
-// (remoteTarget). Both run the same op-table handlers — in-process
-// through server.Local.Do, remotely through client.Session.Do and the
-// daemon's actor — which is what guarantees command parity; the
-// scripted-stdin tests run the identical session against both.
+// target is what the REPL drives: one op at a time, whether the design
+// runs in-process on a private modeled board (localTarget) or on a board
+// leased from a zoomied server across the network (remoteTarget). Both
+// run the daemon's handlers — in-process through server.Local.Do,
+// remotely through client.Session.Do, the daemon's actor for session ops
+// and its compile handler for the compile ops — which is what guarantees
+// command parity; the scripted-stdin tests run the identical session
+// against both.
 type target interface {
 	Do(ctx context.Context, req *wire.Request) (*wire.Response, error)
 	// Describe returns the device name and compile report for the banner.
@@ -30,12 +30,6 @@ type target interface {
 // snapshot is held here.
 type localTarget struct {
 	*server.Local
-
-	// design is the catalog name (empty for -file sessions); compileFarm
-	// is the lazily created in-process compile farm behind the compile
-	// verbs, so local and remote REPLs share one rendering path.
-	design      string
-	compileFarm *farm.Farm
 }
 
 func (t *localTarget) Describe() (string, string) {
@@ -56,101 +50,6 @@ func (t *remoteTarget) Close() error {
 	err := t.Detach()
 	t.c.Close()
 	return err
-}
-
-// compiler is the optional surface behind the compile/recompile/compiles
-// REPL verbs. Unlike streamer it exists on BOTH sides of the seam: the
-// local target runs an in-process compile farm, the remote one drives
-// the daemon's shared farm over the v3 ops, and both render through the
-// farm's own deterministic formatters (modeled times, content digests —
-// never wall clock), so the parity script covers the compile verbs too.
-type compiler interface {
-	// CompileRun submits one compile ("vti" or "recompile" of edit tag)
-	// and waits for it, returning the attach acknowledgement and the
-	// job's final status row.
-	CompileRun(mode string, tag int) ([]string, error)
-	// CompileListLines renders one status row per farm job.
-	CompileListLines() ([]string, error)
-	// CompileCancelCmd releases this client's hold on a job.
-	CompileCancelCmd(id uint64) (string, error)
-}
-
-// compileWait bounds how long the compile verbs block the REPL.
-const compileWait = 5 * time.Minute
-
-func (t *localTarget) farm() *farm.Farm {
-	if t.compileFarm == nil {
-		t.compileFarm = farm.New(farm.Config{})
-	}
-	return t.compileFarm
-}
-
-func (t *localTarget) CompileRun(mode string, tag int) ([]string, error) {
-	if t.design == "" {
-		return nil, fmt.Errorf("compile needs a catalog design (-design), not -file")
-	}
-	spec, err := server.CompileSpec(t.design)
-	if err != nil {
-		return nil, err
-	}
-	f := t.farm()
-	var job *farm.Job
-	var att farm.Attach
-	switch mode {
-	case "vti":
-		job, att, err = f.Compile(spec)
-	case "recompile":
-		job, att, err = f.Recompile(spec, tag)
-	default:
-		err = fmt.Errorf("unknown compile mode %q", mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), compileWait)
-	defer cancel()
-	if err := job.Wait(ctx); err != nil {
-		return nil, err
-	}
-	return []string{farm.AttachLine(job.ID(), att), job.Status().Line()}, nil
-}
-
-func (t *localTarget) CompileListLines() ([]string, error) {
-	if t.compileFarm == nil {
-		return nil, nil
-	}
-	return t.compileFarm.StatusLines(), nil
-}
-
-func (t *localTarget) CompileCancelCmd(id uint64) (string, error) {
-	return t.farm().CancelLine(id)
-}
-
-func (t *remoteTarget) CompileRun(mode string, tag int) ([]string, error) {
-	ticket, err := t.c.CompileSubmit(t.Design, mode, tag)
-	if err != nil {
-		return nil, err
-	}
-	lines := append([]string(nil), ticket.Lines...)
-	if !ticket.Done {
-		ctx, cancel := context.WithTimeout(context.Background(), compileWait)
-		defer cancel()
-		final, err := ticket.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, final)
-	}
-	return lines, nil
-}
-
-func (t *remoteTarget) CompileListLines() ([]string, error) {
-	lines, _, err := t.c.CompileStatus(0)
-	return lines, err
-}
-
-func (t *remoteTarget) CompileCancelCmd(id uint64) (string, error) {
-	return t.c.CompileCancel(id)
 }
 
 // streamer is the optional surface behind the stream/counters REPL
@@ -174,7 +73,8 @@ type streamer interface {
 // fleeter is the optional admin surface behind the fleet/drain REPL
 // commands. Only meaningful when -connect points at a zfleet
 // coordinator — a plain zoomied answers the fleet ops with a typed
-// unknown-op error, which the REPL surfaces as-is.
+// unknown-op error before it looks for a session, which the REPL
+// surfaces as-is.
 type fleeter interface {
 	// FleetStatLines renders one row per daemon: address, lease state,
 	// homed session count, draining flag.

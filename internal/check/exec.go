@@ -37,6 +37,7 @@ func errClass(err error) string {
 // executor runs one script against one target.
 type executor struct {
 	t          Target
+	design     string // the catalog name compile checks build from
 	probes     []wire.BatchItem
 	records    []string
 	lastPaused bool
@@ -117,13 +118,14 @@ func (e *executor) syncPaused(op string) {
 	}
 }
 
-// RunScript executes a script against a target and returns the
-// normalized observation log. The probes plan is sampled after every op.
-// Every outcome — including errors — is recorded rather than returned:
-// a failing op is part of the behavior under test, not a failure of the
-// harness. The target is left attached; callers own Close.
-func RunScript(t Target, ops []gen.Op, probes []wire.BatchItem) *Result {
-	e := &executor{t: t, probes: probes}
+// RunScript executes a script against a target debugging the catalog
+// design and returns the normalized observation log. The probes plan is
+// sampled after every op. Every outcome — including errors — is recorded
+// rather than returned: a failing op is part of the behavior under test,
+// not a failure of the harness. The target is left attached; callers own
+// Close.
+func RunScript(t Target, design string, ops []gen.Op, probes []wire.BatchItem) *Result {
+	e := &executor{t: t, design: design, probes: probes}
 	if st, err := e.status(); err == nil {
 		e.lastPaused = st.Paused
 	}
@@ -136,8 +138,8 @@ func RunScript(t Target, ops []gen.Op, probes []wire.BatchItem) *Result {
 	return &Result{Records: e.records}
 }
 
-// step runs one script op as one session op (watch and compile aside)
-// and records its outcome.
+// step runs one script op as one op on the target (watch aside) and
+// records its outcome.
 func (e *executor) step(i int, op gen.Op) {
 	var req *wire.Request
 	switch op.Kind {
@@ -187,10 +189,11 @@ func (e *executor) step(i int, op gen.Op) {
 		e.watch(i, op)
 		return
 	case gen.OpCompile:
-		cold, warm, err := e.t.CompileCheck(op.N)
-		e.rec("%03d %s -> cold=%s warm=%s match=%v %s",
-			i, op, cold, warm, cold != "" && cold == warm, errClass(err))
-		return
+		// The compile farm's bit-identity oracle: the tag-th canonical
+		// debug edit compiled warm (shared-cache incremental) and cold
+		// (monolithic), both bitstream digests returned. The digests are
+		// content-derived, so every stack must agree on both.
+		req = &wire.Request{Op: wire.OpCompileSubmit, Design: e.design, Mode: "check", N: op.N}
 	default:
 		e.rec("%03d %s -> skipped (unknown op)", i, op)
 		return
@@ -218,6 +221,13 @@ func (e *executor) step(i int, op gen.Op) {
 		e.rec("%03d %s -> tl=%d %s", i, op, r.Ran, errClass(err))
 	case gen.OpRewind:
 		e.rec("%03d %s -> cycle=%d tl=%d %s", i, op, r.Cycles, r.Ran, errClass(err))
+	case gen.OpCompile:
+		var cold, warm string
+		if len(r.Lines) == 2 {
+			cold, warm = r.Lines[0], r.Lines[1]
+		}
+		e.rec("%03d %s -> cold=%s warm=%s match=%v %s",
+			i, op, cold, warm, cold != "" && cold == warm, errClass(err))
 	default:
 		e.rec("%03d %s -> %s", i, op, errClass(err))
 	}

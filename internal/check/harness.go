@@ -207,7 +207,7 @@ func (f *fleet) targets(design string) ([]Target, error) {
 		remote.Detach()
 		return nil, err
 	}
-	return []Target{NewLocalTarget(local, design), NewRemoteTarget(remote), NewRemoteTarget(chaos)}, nil
+	return []Target{NewLocalTarget(local), NewRemoteTarget(remote), NewRemoteTarget(chaos)}, nil
 }
 
 var targetNames = []string{"local", "remote", "chaos"}
@@ -221,7 +221,7 @@ func (f *fleet) runOnce(design string, ops []gen.Op, probes []wire.BatchItem) ([
 	}
 	results := make([]*Result, len(ts))
 	for i, t := range ts {
-		results[i] = RunScript(t, ops, probes)
+		results[i] = RunScript(t, design, ops, probes)
 		t.Close()
 	}
 	return results, nil

@@ -43,7 +43,7 @@ func TestSeekMatchesFreshRun(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return NewLocalTarget(s, "counter"), nil
+			return NewLocalTarget(s), nil
 		},
 		"remote": func() (Target, error) {
 			s, err := attach(f.clean, "counter")

@@ -65,13 +65,13 @@ func TestMultiSLRDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local := ts[0].(*localTarget).Session()
+		local := ts[0].(*server.Local).Session()
 		if si == 0 {
 			checkShellPlacement(t, local)
 		}
 		results := make([]*Result, len(ts))
 		for i, tg := range ts {
-			results[i] = RunScript(tg, ops, probes)
+			results[i] = RunScript(tg, sp.Name, ops, probes)
 		}
 		hops += local.Cable.Chain.Stats.Hops
 		for _, tg := range ts {

@@ -19,7 +19,7 @@ func facadeLeg(design string) (Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewLocalTarget(s, design), nil
+	return NewLocalTarget(s), nil
 }
 
 // TestFacadeLegRecordsPinned pins the facade leg's record stream for a
@@ -53,7 +53,7 @@ func TestFacadeLegRecordsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunScript(tg, ops, ProbePlan(d))
+		res := RunScript(tg, sp.Name, ops, ProbePlan(d))
 		tg.Close()
 		for _, r := range res.Records {
 			io.WriteString(h, r+"\n")

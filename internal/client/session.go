@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zoomie/internal/dbg"
+	"zoomie/internal/sim"
 	"zoomie/internal/wire"
 )
 
@@ -203,14 +204,14 @@ func (s *Session) Inspect(prefix string) ([]string, error) {
 }
 
 // TraceSteps single-steps the paused design, reading the named registers
-// every cycle, and reconstructs the StepTrace locally.
-func (s *Session) TraceSteps(signals []string, steps int) (*dbg.StepTrace, error) {
+// every cycle, and reconstructs the waveform locally.
+func (s *Session) TraceSteps(signals []string, steps int) (*sim.Waveform, error) {
 	resp, err := s.call(&wire.Request{Op: wire.OpTrace, Signals: signals, N: steps})
 	if err != nil {
 		return nil, err
 	}
 	t := resp.Trace
-	return &dbg.StepTrace{Signals: t.Signals, Widths: t.Widths, Rows: t.Rows}, nil
+	return &sim.Waveform{Signals: t.Signals, Widths: t.Widths, Rows: t.Rows}, nil
 }
 
 // PokeInput drives a top-level input port (chip IO).

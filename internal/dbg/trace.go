@@ -3,40 +3,32 @@ package dbg
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
 
 	"zoomie/internal/dberr"
+	"zoomie/internal/sim"
 )
-
-// StepTrace is a waveform reconstructed by single-stepping: one row of
-// register values per executed cycle. This is the §7.7 capability —
-// "printing of arbitrary signals at run time by single stepping without
-// recompiling the design" — that an ILA can only offer for its
-// compile-time probe list.
-type StepTrace struct {
-	Signals []string
-	Widths  []int
-	Rows    [][]uint64
-}
 
 // TraceSteps single-steps the paused design `steps` times, reading the
 // named registers through frame readback after every cycle (plus the
-// initial state). Any register of the design may be traced — the probe
-// set is chosen at run time. Each cycle's samples come back in one
-// planned readback, however many signals are traced.
-func (d *Debugger) TraceSteps(signals []string, steps int) (*StepTrace, error) {
+// initial state), and returns the waveform: one row per executed cycle.
+// Any register of the design may be traced — the probe set is chosen at
+// run time. This is the §7.7 capability — "printing of arbitrary signals
+// at run time by single stepping without recompiling the design" — that
+// an ILA can only offer for its compile-time probe list. Each cycle's
+// samples come back in one planned readback, however many signals are
+// traced.
+func (d *Debugger) TraceSteps(signals []string, steps int) (*sim.Waveform, error) {
 	return d.TraceStepsCtx(context.Background(), signals, steps)
 }
 
 // TraceStepsCtx is TraceSteps under a context.
-func (d *Debugger) TraceStepsCtx(ctx context.Context, signals []string, steps int) (*StepTrace, error) {
+func (d *Debugger) TraceStepsCtx(ctx context.Context, signals []string, steps int) (*sim.Waveform, error) {
 	if paused, err := d.Paused(); err != nil {
 		return nil, err
 	} else if !paused {
 		return nil, fmt.Errorf("dbg: step tracing requires a paused design")
 	}
-	tr := &StepTrace{Signals: append([]string(nil), signals...)}
+	tr := &sim.Waveform{Signals: append([]string(nil), signals...)}
 	items := make([]PlanItem, len(signals))
 	for i, s := range signals {
 		flat, ok := d.resolve(s)
@@ -73,92 +65,4 @@ func (d *Debugger) TraceStepsCtx(ctx context.Context, signals []string, steps in
 		}
 	}
 	return tr, nil
-}
-
-// Value returns the traced value of a signal at a cycle.
-func (tr *StepTrace) Value(cycle int, signal string) (uint64, bool) {
-	if cycle < 0 || cycle >= len(tr.Rows) {
-		return 0, false
-	}
-	for i, s := range tr.Signals {
-		if s == signal {
-			return tr.Rows[cycle][i], true
-		}
-	}
-	return 0, false
-}
-
-// WriteVCD emits the step trace as a Value Change Dump.
-func (tr *StepTrace) WriteVCD(w io.Writer, timescale string) error {
-	if timescale == "" {
-		timescale = "1ns"
-	}
-	var b strings.Builder
-	b.WriteString("$version zoomie step trace $end\n")
-	fmt.Fprintf(&b, "$timescale %s $end\n", timescale)
-	b.WriteString("$scope module dut $end\n")
-	ids := make([]string, len(tr.Signals))
-	for i, name := range tr.Signals {
-		ids[i] = stepVCDID(i)
-		fmt.Fprintf(&b, "$var wire %d %s %s $end\n",
-			tr.Widths[i], ids[i], strings.ReplaceAll(name, ".", "_"))
-	}
-	b.WriteString("$upscope $end\n$enddefinitions $end\n")
-	prev := make([]uint64, len(tr.Signals))
-	for step, row := range tr.Rows {
-		emitted := false
-		for i, v := range row {
-			if step != 0 && v == prev[i] {
-				continue
-			}
-			if !emitted {
-				fmt.Fprintf(&b, "#%d\n", step)
-				emitted = true
-			}
-			if tr.Widths[i] == 1 {
-				fmt.Fprintf(&b, "%d%s\n", v&1, ids[i])
-			} else {
-				fmt.Fprintf(&b, "b%b %s\n", v, ids[i])
-			}
-		}
-		copy(prev, row)
-	}
-	fmt.Fprintf(&b, "#%d\n", len(tr.Rows))
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func stepVCDID(i int) string {
-	const alphabet = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	if i < len(alphabet) {
-		return string(alphabet[i])
-	}
-	return string(alphabet[i%len(alphabet)]) + stepVCDID(i/len(alphabet)-1)
-}
-
-// Render draws the trace as ASCII rails/hex rows for terminal inspection.
-func (tr *StepTrace) Render() string {
-	var b strings.Builder
-	width := 0
-	for _, n := range tr.Signals {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	for i, n := range tr.Signals {
-		fmt.Fprintf(&b, "%-*s ", width, n)
-		for _, row := range tr.Rows {
-			if tr.Widths[i] == 1 {
-				if row[i] != 0 {
-					b.WriteString("▔▔")
-				} else {
-					b.WriteString("▁▁")
-				}
-			} else {
-				fmt.Fprintf(&b, "%2x", row[i]&0xff)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -85,8 +85,8 @@ const (
 	AttachHit
 )
 
-// AttachLine renders the submit acknowledgement — shared by the REPL's
-// local path and the server's wire response so output stays identical.
+// AttachLine renders the submit acknowledgement of the compilesubmit
+// handler, which serves the in-process and the remote REPL alike.
 func AttachLine(id uint64, a Attach) string {
 	switch a {
 	case AttachShared:
@@ -412,10 +412,9 @@ func (f *Farm) Jobs() []*Job {
 
 // StatusLines renders one Line per job, sorted by id — the compiles verb.
 func (f *Farm) StatusLines() []string {
-	jobs := f.Jobs()
-	lines := make([]string, len(jobs))
-	for i, j := range jobs {
-		lines[i] = j.Status().Line()
+	var lines []string
+	for _, j := range f.Jobs() {
+		lines = append(lines, j.Status().Line())
 	}
 	return lines
 }
@@ -450,7 +449,7 @@ func (f *Farm) Release(id uint64) bool {
 }
 
 // CancelLine applies Release and renders the deterministic reply the
-// CompileCancel op (and local REPL path) prints.
+// compilecancel op prints.
 func (f *Farm) CancelLine(id uint64) (string, error) {
 	j, ok := f.Job(id)
 	if !ok {

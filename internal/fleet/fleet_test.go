@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -174,6 +175,49 @@ func TestFleetTransparent(t *testing.T) {
 	}
 	if _, err := s.Cycles(); !wire.IsCode(err, wire.CodeNoSession) {
 		t.Fatalf("post-detach call = %v, want CodeNoSession", err)
+	}
+}
+
+// TestFleetRefusesCompileOps: zfleet runs no compile farm, so it answers
+// the compile ops with a typed unknown-op error even when they carry a
+// session id, and forwards none of them. A forwarded submit would
+// compile on the session's daemon and, journaled as a mutating command,
+// compile again on every failover replay.
+func TestFleetRefusesCompileOps(t *testing.T) {
+	_, a := startDaemon(t, server.Config{})
+	_, fa := startFleet(t, fleet.Config{Daemons: []string{a}})
+	c, err := client.Dial(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []*wire.Request{
+		{Op: wire.OpCompileSubmit, Design: "counter"},
+		{Op: wire.OpCompileSubmit, Design: "counter", Mode: "check", N: 1},
+		{Op: wire.OpCompileStatus},
+		{Op: wire.OpCompileCancel, Value: 1},
+	} {
+		if _, err := s.Do(context.Background(), req); !wire.IsCode(err, wire.CodeUnknownOp) {
+			t.Errorf("%s (mode %q) through zfleet: %v, want %s", req.Op, req.Mode, err, wire.CodeUnknownOp)
+		}
+	}
+
+	// No compile reached the daemon: its farm has no job.
+	d, err := client.Dial(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	resp, err := d.Call(&wire.Request{Op: wire.OpCompileStatus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Lines) != 0 {
+		t.Errorf("the daemon's farm holds jobs:\n%s", strings.Join(resp.Lines, "\n"))
 	}
 }
 

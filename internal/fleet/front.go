@@ -18,7 +18,11 @@ import (
 // forwarded stream kinds.
 
 // dispatch routes one request: fleet-level ops run inline on the read
-// loop, session ops are enqueued on the owning session actor.
+// loop, session ops are enqueued on the owning session actor. zfleet runs
+// no compile farm, so it refuses the compile ops as unknown before it
+// looks for a session, whatever session id they carry: forwarded, a
+// compile would run on one daemon and, journaled, again on every
+// failover replay.
 func (co *Coordinator) dispatch(c *server.Conn, req *wire.Request) {
 	switch req.Op {
 	case wire.OpAttach:
@@ -33,6 +37,9 @@ func (co *Coordinator) dispatch(c *server.Conn, req *wire.Request) {
 		c.Reply(co.drain(c, req))
 	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
 		c.Reply(c.StreamOp(req))
+	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
+		c.Reply(&wire.Response{ID: req.ID,
+			Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q (zfleet runs no compile farm)", req.Op)})
 	default:
 		fs := co.session(req.Session)
 		if fs == nil {

@@ -4,18 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"zoomie/internal/farm"
 	"zoomie/internal/rtl"
 	"zoomie/internal/wire"
 )
 
-// CompileSpec resolves a catalog design into a compile-farm spec. The
+// The compile-farm ops are defined here once. They are connection-level,
+// not session ops: a daemon serves them inline on the calling
+// connection's read loop against its shared farm, and Local.Do serves
+// them against an in-process farm of its own. Either way the same
+// handler answers, so the in-process REPL, the remote REPL and every
+// zcheck leg compile through one path.
+
+// compileSpec resolves a catalog design into a compile-farm spec. The
 // spec rebuilds the design from the catalog entry on every use — the
 // farm shares content, never module pointers, so a spec built here
 // digests identically to one built by any other client of the same
 // catalog — and leaves the partition to the farm's auto-detection.
-func CompileSpec(design string) (farm.Spec, error) {
+func compileSpec(design string) (farm.Spec, error) {
 	entry, ok := Catalog()[design]
 	if !ok {
 		return farm.Spec{}, fmt.Errorf("unknown design %q (have: %v)", design, CatalogNames())
@@ -29,11 +37,12 @@ func CompileSpec(design string) (farm.Spec, error) {
 	}, nil
 }
 
-// handleCompile serves the compile-farm ops. Like attach, it runs on the
-// calling connection's read loop: submits return immediately (the farm
-// compiles on its own goroutines), and only the synchronous "check" mode
-// occupies the loop — stalling exactly the client that asked for it.
-func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
+// handleCompile serves one compile op against farm f for a client whose
+// farm references are held, compiling only designs the allowlist serves
+// (an empty list serves the whole catalog). Submits return immediately —
+// the farm compiles on its own goroutines — and only the synchronous
+// "check" mode occupies the caller, under ctx.
+func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []string, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	switch req.Op {
 	case wire.OpCompileSubmit:
@@ -41,17 +50,17 @@ func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 			resp.Err = wire.Errf(wire.CodeBadRequest, "compilesubmit needs a design")
 			return resp
 		}
-		if !s.allowed(req.Design) {
-			resp.Err = wire.Errf(wire.CodeForbidden, "design %q not served (allowlist: %v)", req.Design, s.cfg.Allow)
+		if !allowed(allow, req.Design) {
+			resp.Err = wire.Errf(wire.CodeForbidden, "design %q not served (allowlist: %v)", req.Design, allow)
 			return resp
 		}
-		spec, err := CompileSpec(req.Design)
+		spec, err := compileSpec(req.Design)
 		if err != nil {
 			resp.Err = wire.Errf(wire.CodeUnknownDesign, "%v", err)
 			return resp
 		}
 		if req.Mode == "check" {
-			cold, warm, err := farm.CheckBitIdentity(c.ctx, spec, req.N)
+			cold, warm, err := farm.CheckBitIdentity(ctx, spec, req.N)
 			if err != nil {
 				resp.Err = compileErr(err)
 				return resp
@@ -64,9 +73,9 @@ func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 		var att farm.Attach
 		switch req.Mode {
 		case "", "vti":
-			job, att, err = s.farm.Compile(spec)
+			job, att, err = f.Compile(spec)
 		case "recompile":
-			job, att, err = s.farm.Recompile(spec, req.N)
+			job, att, err = f.Recompile(spec, req.N)
 		default:
 			resp.Err = wire.Errf(wire.CodeBadRequest, "unknown compile mode %q (want vti, recompile or check)", req.Mode)
 			return resp
@@ -77,9 +86,9 @@ func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 		}
 		if att != farm.AttachHit {
 			// New and shared attaches hold one farm reference each; the
-			// connection remembers them so a disconnect releases what this
-			// client still cares about. Cache hits hold nothing.
-			c.addJob(job.ID())
+			// client's held set remembers them so its end releases what it
+			// still cares about. Cache hits hold nothing.
+			held.add(job.ID())
 		}
 		st := job.Status()
 		resp.Value = job.ID()
@@ -92,10 +101,10 @@ func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 
 	case wire.OpCompileStatus:
 		if req.Value == 0 {
-			resp.Lines = s.farm.StatusLines()
+			resp.Lines = f.StatusLines()
 			return resp
 		}
-		job, ok := s.farm.Job(req.Value)
+		job, ok := f.Job(req.Value)
 		if !ok {
 			resp.Err = wire.Errf(wire.CodeOp, "no compile job %d", req.Value)
 			return resp
@@ -109,17 +118,17 @@ func (s *Server) handleCompile(c *Conn, req *wire.Request) *wire.Response {
 		return resp
 
 	case wire.OpCompileCancel:
-		job, ok := s.farm.Job(req.Value)
+		job, ok := f.Job(req.Value)
 		if !ok {
 			resp.Err = wire.Errf(wire.CodeOp, "no compile job %d", req.Value)
 			return resp
 		}
-		if !terminalState(job.Status().State) && !c.dropJobRef(req.Value) {
+		if !terminalState(job.Status().State) && !held.drop(req.Value) {
 			resp.Err = wire.Errf(wire.CodeForbidden,
 				"connection holds no reference on job %d", req.Value)
 			return resp
 		}
-		line, err := s.farm.CancelLine(req.Value)
+		line, err := f.CancelLine(req.Value)
 		if err != nil {
 			resp.Err = compileErr(err)
 			return resp
@@ -143,43 +152,49 @@ func compileErr(err error) *wire.Error {
 	return wire.Errf(wire.CodeOp, "%v", err)
 }
 
-// addJob records one farm reference held on behalf of this connection.
-func (c *Conn) addJob(id uint64) {
-	c.jobMu.Lock()
-	if c.jobs == nil {
-		c.jobs = make(map[uint64]int)
-	}
-	c.jobs[id]++
-	c.jobMu.Unlock()
+// jobRefs counts, by job id, the farm references held on behalf of one
+// client, a daemon connection or a Local, until that client ends.
+type jobRefs struct {
+	mu   sync.Mutex
+	jobs map[uint64]int
 }
 
-// dropJobRef forgets one held reference, reporting whether there was one
-// to drop. The farm-side release is the caller's job.
-func (c *Conn) dropJobRef(id uint64) bool {
-	c.jobMu.Lock()
-	defer c.jobMu.Unlock()
-	if c.jobs[id] <= 0 {
+// add records one held reference.
+func (r *jobRefs) add(id uint64) {
+	r.mu.Lock()
+	if r.jobs == nil {
+		r.jobs = make(map[uint64]int)
+	}
+	r.jobs[id]++
+	r.mu.Unlock()
+}
+
+// drop forgets one held reference, reporting whether there was one to
+// drop. The farm-side release is the caller's job.
+func (r *jobRefs) drop(id uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.jobs[id] <= 0 {
 		return false
 	}
-	c.jobs[id]--
-	if c.jobs[id] == 0 {
-		delete(c.jobs, id)
+	r.jobs[id]--
+	if r.jobs[id] == 0 {
+		delete(r.jobs, id)
 	}
 	return true
 }
 
-// releaseJobs drops every farm reference a dying connection still holds
-// — the disconnect half of end-to-end cancellation: a client that
-// vanishes mid-compile releases its claim, and a job nobody else wants
-// stops at the next phase gate.
-func (s *Server) releaseJobs(c *Conn) {
-	c.jobMu.Lock()
-	jobs := c.jobs
-	c.jobs = nil
-	c.jobMu.Unlock()
+// release drops every reference still held on f — the disconnect half of
+// end-to-end cancellation: a client that vanishes mid-compile releases
+// its claim, and a job nobody else wants stops at the next phase gate.
+func (r *jobRefs) release(f *farm.Farm) {
+	r.mu.Lock()
+	jobs := r.jobs
+	r.jobs = nil
+	r.mu.Unlock()
 	for id, n := range jobs {
 		for i := 0; i < n; i++ {
-			s.farm.Release(id)
+			f.Release(id)
 		}
 	}
 }

@@ -16,45 +16,73 @@ import (
 // TestDisconnectCancelsHeldCompile is the disconnect half of end-to-end
 // cancellation: a client that dies mid-place releases its farm
 // references, and a job with no other holder stops at the next phase
-// gate. The farm's phase hook holds the compile at place entry so the
+// gate. The client is a daemon connection that dies, or a Local that
+// closes. The farm's phase hook holds the compile at place entry so the
 // disconnect deterministically lands while the job is running.
 func TestDisconnectCancelsHeldCompile(t *testing.T) {
-	srv := New(Config{})
-	gate := make(chan struct{})
-	placed := make(chan struct{})
-	var once sync.Once
-	srv.farm = farm.New(farm.Config{PhaseHook: func(_ uint64, phase string) {
-		if phase == vti.PhasePlace {
-			once.Do(func() { close(placed) })
-			<-gate
-		}
-	}})
+	for _, holder := range []string{"connection", "local"} {
+		t.Run(holder, func(t *testing.T) {
+			gate := make(chan struct{})
+			placed := make(chan struct{})
+			var once sync.Once
+			f := farm.New(farm.Config{PhaseHook: func(_ uint64, phase string) {
+				if phase == vti.PhasePlace {
+					once.Do(func() { close(placed) })
+					<-gate
+				}
+			}})
 
-	p1, p2 := net.Pipe()
-	defer p2.Close()
-	c := newConn(srv.hub, p1)
+			var do func(req *wire.Request) *wire.Response
+			var die func()
+			if holder == "connection" {
+				srv := New(Config{})
+				srv.farm = f
+				p1, p2 := net.Pipe()
+				defer p2.Close()
+				c := newConn(srv.hub, p1)
+				do = func(req *wire.Request) *wire.Response {
+					return handleCompile(c.ctx, srv.farm, &c.jobs, nil, req)
+				}
+				// markDead releases the connection's job refs.
+				die = c.markDead
+			} else {
+				zs, err := NewCatalogSession("counter", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := NewLocal(zs)
+				l.farm = f
+				do = func(req *wire.Request) *wire.Response {
+					resp, _ := l.Do(context.Background(), req)
+					return resp
+				}
+				// Close releases the Local's job refs.
+				die = func() { l.Close() }
+			}
 
-	resp := srv.handleCompile(c, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	job, ok := srv.farm.Job(resp.Value)
-	if !ok {
-		t.Fatalf("no job %d", resp.Value)
-	}
-	<-placed
+			resp := do(&wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			job, ok := f.Job(resp.Value)
+			if !ok {
+				t.Fatalf("no job %d", resp.Value)
+			}
+			<-placed
 
-	// The connection dies mid-place; markDead releases its job refs.
-	c.markDead()
-	close(gate)
+			// The client dies mid-place.
+			die()
+			close(gate)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("job err = %v, want context.Canceled", err)
-	}
-	if st := job.Status().State; st != farm.StateCancelled {
-		t.Errorf("state = %s, want cancelled", st)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("job err = %v, want context.Canceled", err)
+			}
+			if st := job.Status().State; st != farm.StateCancelled {
+				t.Errorf("state = %s, want cancelled", st)
+			}
+		})
 	}
 }
 
@@ -80,18 +108,18 @@ func TestCancelOpRequiresReference(t *testing.T) {
 	p3, _ := net.Pipe()
 	bystander := newConn(srv.hub, p3)
 
-	resp := srv.handleCompile(holder, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
+	resp := handleCompile(holder.ctx, srv.farm, &holder.jobs, nil, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	<-started
 
-	deny := srv.handleCompile(bystander, &wire.Request{ID: 2, Op: wire.OpCompileCancel, Value: resp.Value})
+	deny := handleCompile(bystander.ctx, srv.farm, &bystander.jobs, nil, &wire.Request{ID: 2, Op: wire.OpCompileCancel, Value: resp.Value})
 	if deny.Err == nil || deny.Err.Code != wire.CodeForbidden {
 		t.Fatalf("bystander cancel = %+v, want %s", deny.Err, wire.CodeForbidden)
 	}
 
-	allow := srv.handleCompile(holder, &wire.Request{ID: 3, Op: wire.OpCompileCancel, Value: resp.Value})
+	allow := handleCompile(holder.ctx, srv.farm, &holder.jobs, nil, &wire.Request{ID: 3, Op: wire.OpCompileCancel, Value: resp.Value})
 	if allow.Err != nil {
 		t.Fatalf("holder cancel: %v", allow.Err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"zoomie/internal/client"
 	"zoomie/internal/server"
+	"zoomie/internal/wire"
 )
 
 func bitsOf(t *testing.T, line string) string {
@@ -21,6 +22,30 @@ func bitsOf(t *testing.T, line string) string {
 		rest = rest[:j]
 	}
 	return rest
+}
+
+// submit sends a compile submit of design in mode with edit tag N.
+func submit(c *client.Client, design, mode string, tag int) (*wire.Response, error) {
+	return c.Call(&wire.Request{Op: wire.OpCompileSubmit, Design: design, Mode: mode, N: tag})
+}
+
+// wait polls a compile job's status until it is terminal and returns its
+// final status row.
+func wait(ctx context.Context, c *client.Client, id uint64) (string, error) {
+	for {
+		resp, err := c.Call(&wire.Request{Op: wire.OpCompileStatus, Value: id})
+		if err != nil {
+			return "", err
+		}
+		if resp.Ran == 1 {
+			return resp.Lines[0], nil
+		}
+		select {
+		case <-ctx.Done():
+			return "", ctx.Err()
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }
 
 // TestCompileFarmTwoClients is the compile-farm contract over the wire:
@@ -42,14 +67,14 @@ func TestCompileFarmTwoClients(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	tA, err := a.CompileSubmit("counter", "vti", 0)
+	tA, err := submit(a, "counter", "vti", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tA.Lines) == 0 || !strings.Contains(tA.Lines[0], "submitted") {
 		t.Fatalf("first submit ack = %v, want 'submitted'", tA.Lines)
 	}
-	lineA, err := tA.Wait(ctx)
+	lineA, err := wait(ctx, a, tA.Value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +82,13 @@ func TestCompileFarmTwoClients(t *testing.T) {
 		t.Fatalf("final status %q, want done", lineA)
 	}
 
-	tB, err := b.CompileSubmit("counter", "vti", 0)
+	tB, err := submit(b, "counter", "vti", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tB.Done || tB.ID != tA.ID {
+	if tB.Ran != 1 || tB.Value != tA.Value {
 		t.Fatalf("second client submit: done=%v id=%d, want terminal hit on job %d",
-			tB.Done, tB.ID, tA.ID)
+			tB.Ran == 1, tB.Value, tA.Value)
 	}
 	if !strings.Contains(tB.Lines[0], "cache hit") {
 		t.Fatalf("second client ack = %q, want cache hit", tB.Lines[0])
@@ -72,18 +97,18 @@ func TestCompileFarmTwoClients(t *testing.T) {
 		t.Fatalf("cache-hit digest differs: %v vs %q", tB.Lines, lineA)
 	}
 
-	lines, _, err := b.CompileStatus(0)
-	if err != nil || len(lines) == 0 {
-		t.Fatalf("job listing: %v, %v", lines, err)
+	list, err := b.Call(&wire.Request{Op: wire.OpCompileStatus})
+	if err != nil || len(list.Lines) == 0 {
+		t.Fatalf("job listing: %v, %v", list, err)
 	}
 
 	// The recompile flow spawns its base compile as a companion job; the
 	// base here is itself a cache hit of A's initial compile checkpoints.
-	tR, err := b.CompileSubmit("counter", "recompile", 1)
+	tR, err := submit(b, "counter", "recompile", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineR, err := tR.Wait(ctx)
+	lineR, err := wait(ctx, b, tR.Value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +118,7 @@ func TestCompileFarmTwoClients(t *testing.T) {
 
 	// Progress stream on a terminal job: the late subscription still
 	// delivers the terminal state as a frame.
-	st, err := tR.Progress(8)
+	st, err := b.OpenStream(wire.StreamCompile, tR.Value, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,18 +129,18 @@ func TestCompileFarmTwoClients(t *testing.T) {
 	}
 
 	// The synchronous bit-identity oracle: warm == cold.
-	cold, warm, err := a.CompileCheck("counter", 1)
+	check, err := submit(a, "counter", "check", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold == "" || cold != warm {
-		t.Fatalf("bit identity check: cold %q warm %q", cold, warm)
+	if len(check.Lines) != 2 || check.Lines[0] == "" || check.Lines[0] != check.Lines[1] {
+		t.Fatalf("bit identity check: cold, warm = %q", check.Lines)
 	}
 
 	// Cancelling a finished job is a polite no-op.
-	reply, err := b.CompileCancel(tR.ID)
-	if err != nil || !strings.Contains(reply, "already done") {
-		t.Fatalf("cancel of done job: %q, %v", reply, err)
+	reply, err := b.Call(&wire.Request{Op: wire.OpCompileCancel, Value: tR.Value})
+	if err != nil || !strings.Contains(reply.Lines[0], "already done") {
+		t.Fatalf("cancel of done job: %q, %v", reply.Lines, err)
 	}
 }
 
@@ -127,10 +152,10 @@ func TestCompileUnknownDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.CompileSubmit("no-such-design", "vti", 0); err == nil {
+	if _, err := submit(c, "no-such-design", "vti", 0); err == nil {
 		t.Fatal("submit of unknown design succeeded")
 	}
-	if _, err := c.CompileSubmit("counter", "bogus-mode", 0); err == nil {
+	if _, err := submit(c, "counter", "bogus-mode", 0); err == nil {
 		t.Fatal("submit with unknown mode succeeded")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"zoomie"
 	"zoomie/internal/dbg"
+	"zoomie/internal/farm"
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
 )
@@ -265,12 +266,17 @@ func Mutating(op string) bool {
 // works on: the facade session, its "snapshot save" slot and its
 // known-good snapshot. The daemon's session actor embeds one; the
 // in-process REPL and zcheck's facade leg wrap their facade session in
-// one, so every leg runs the same handlers.
+// one, so every leg runs the same handlers. A Local serves the compile
+// ops too, against an in-process farm it creates on first use, holding
+// its job references as a daemon connection does.
 type Local struct {
 	zs       *zoomie.Session
 	lastSnap *zoomie.DebugSnapshot // the "snapshot save" slot
 	lastGood *zoomie.DebugSnapshot // known-good full-scope snapshot: migration source, export base
 	ctr      *counters
+
+	farm *farm.Farm // nil until the first compile op
+	jobs jobRefs
 }
 
 // NewLocal wraps an in-process facade session. Its op counters live in a
@@ -282,16 +288,34 @@ func NewLocal(zs *zoomie.Session) *Local {
 // Session returns the wrapped facade session.
 func (l *Local) Session() *zoomie.Session { return l.zs }
 
-// Close closes the wrapped facade session.
-func (l *Local) Close() error { return l.zs.Close() }
+// Close releases the compile-farm references the Local still holds, as a
+// dying daemon connection does, and closes the wrapped facade session.
+func (l *Local) Close() error {
+	if l.farm != nil {
+		l.jobs.release(l.farm)
+	}
+	return l.zs.Close()
+}
 
-// Do runs one session op from the table: the in-process twin of
-// client.Session.Do. Failures come back both in the response and as the
-// returned *wire.Error, classified once: cancelled when ctx is done (or
-// the facade reports a cancellation), board failed when the transport
-// could not recover, otherwise the error's typed code. The message is
-// the facade's error text verbatim.
+// Do runs one op: the in-process twin of client.Session.Do. Session ops
+// run from the table; their failures come back both in the response and
+// as the returned *wire.Error, classified once: cancelled when ctx is
+// done (or the facade reports a cancellation), board failed when the
+// transport could not recover, otherwise the error's typed code. The
+// message is the facade's error text verbatim. The compile ops run the
+// daemon's compile handler against the Local's own farm.
 func (l *Local) Do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	switch req.Op {
+	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
+		if l.farm == nil {
+			l.farm = farm.New(farm.Config{})
+		}
+		resp := handleCompile(ctx, l.farm, &l.jobs, nil, req)
+		if resp.Err != nil {
+			return resp, resp.Err
+		}
+		return resp, nil
+	}
 	resp := &wire.Response{ID: req.ID, Session: req.Session}
 	o, ok := ops[req.Op]
 	if !ok {

@@ -58,6 +58,12 @@ var tableSamples = []*wire.Request{
 	{Op: wire.OpHistTimelines},
 	{Op: wire.OpStateExport},
 	{Op: wire.OpSessStat},
+	// The compile ops, in samples whose answers do not depend on compile
+	// timing: the bit-identity check runs synchronously, and nothing is
+	// submitted to either farm, so the listing is empty on both.
+	{Op: wire.OpCompileSubmit, Design: "counter", Mode: "check", N: 1},
+	{Op: wire.OpCompileCancel, Value: 999},
+	{Op: wire.OpCompileStatus},
 	{Op: "nosuchop"},
 }
 
@@ -66,14 +72,19 @@ var tableSamples = []*wire.Request{
 // counter session, and requires the responses to match field for field,
 // error codes and texts included; only the request ID, the session id
 // and the modeled cable time (the daemon's pause-event check reads the
-// board after clock-advancing ops) may differ. An op of the table
-// without a sample fails the test, so a new op cannot skip it.
+// board after clock-advancing ops) may differ. An op of the table or a
+// compile op without a sample fails the test, so a new op cannot skip
+// it.
 func TestOpTableParity(t *testing.T) {
 	covered := map[string]bool{}
 	for _, req := range tableSamples {
 		covered[req.Op] = true
 	}
+	all := []string{wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel}
 	for op := range ops {
+		all = append(all, op)
+	}
+	for _, op := range all {
 		if !covered[op] {
 			t.Errorf("op %q has no sample in tableSamples", op)
 		}

@@ -216,10 +216,9 @@ type Conn struct {
 	streams    map[uint64]*Stream
 	nextStream uint64
 
-	// jobs counts the compile-farm references the daemon holds for this
-	// connection (job id -> refs), released when the connection dies.
-	jobMu sync.Mutex
-	jobs  map[uint64]int
+	// jobs are the compile-farm references the daemon holds for this
+	// connection, released when the connection dies.
+	jobs jobRefs
 }
 
 func newConn(h *Hub, nc net.Conn) *Conn {

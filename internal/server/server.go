@@ -122,7 +122,7 @@ func New(cfg Config) *Server {
 		Reg:        s.reg,
 		Dispatch:   s.dispatch,
 		OpenStream: s.openStream,
-		Closed:     s.releaseJobs,
+		Closed:     func(c *Conn) { c.jobs.release(s.farm) },
 	}, &s.wg)
 	if cfg.QuarantineCooldown > 0 {
 		s.pool.SetCooldown(cfg.QuarantineCooldown)
@@ -285,11 +285,13 @@ func (s *Server) dropSession(sess *session) {
 	s.cfg.Logf("zoomied: session %d (%s) closed", sess.id, sess.design)
 }
 
-func (s *Server) allowed(design string) bool {
-	if len(s.cfg.Allow) == 0 {
+// allowed reports whether an allowlist serves a design; an empty list
+// serves the whole catalog.
+func allowed(allow []string, design string) bool {
+	if len(allow) == 0 {
 		return true
 	}
-	for _, a := range s.cfg.Allow {
+	for _, a := range allow {
 		if a == design {
 			return true
 		}
@@ -317,7 +319,7 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 	if _, ok := Catalog()[name]; !ok {
 		return fail(wire.CodeUnknownDesign, "unknown design %q (have: %v)", name, CatalogNames())
 	}
-	if !s.allowed(name) {
+	if !allowed(s.cfg.Allow, name) {
 		return fail(wire.CodeForbidden, "design %q not served (allowlist: %v)", name, s.cfg.Allow)
 	}
 	var snap *zoomie.DebugSnapshot // the imported state; nil for a plain attach
@@ -377,7 +379,9 @@ func (s *Server) attach(c *Conn, req *wire.Request) *wire.Response {
 
 // dispatch serves the daemon's requests: attach, status, the stream and
 // compile ops inline, session ops enqueued on the owning actor and
-// answered asynchronously.
+// answered asynchronously. The fleet ops are zfleet's; a daemon refuses
+// them as unknown before looking for a session, whatever session id they
+// carry.
 func (s *Server) dispatch(c *Conn, req *wire.Request) {
 	switch req.Op {
 	case wire.OpAttach, wire.OpStateImport:
@@ -391,7 +395,10 @@ func (s *Server) dispatch(c *Conn, req *wire.Request) {
 		c.Reply(c.StreamOp(req))
 	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
 		s.ctr.CommandsServed.Inc()
-		c.Reply(s.handleCompile(c, req))
+		c.Reply(handleCompile(c.ctx, s.farm, &c.jobs, s.cfg.Allow, req))
+	case wire.OpFleetStat, wire.OpFleetDrain:
+		c.Reply(&wire.Response{ID: req.ID,
+			Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q (zoomied is not a zfleet coordinator)", req.Op)})
 	default:
 		sess := s.session(req.Session)
 		if sess == nil {

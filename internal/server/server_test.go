@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -293,6 +294,30 @@ func TestAttachUnknownAndAllowlist(t *testing.T) {
 	}
 	if _, err := c.Attach("counter"); err != nil {
 		t.Fatalf("allowed design: %v", err)
+	}
+}
+
+// TestDaemonRefusesFleetOps: the fleet ops are zfleet's, so a plain
+// zoomied answers them with a typed unknown-op error before it looks for
+// a session, with or without a session id, never with "no session 0".
+func TestDaemonRefusesFleetOps(t *testing.T) {
+	_, addr := startServer(t, server.Config{PoolSize: 1})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{wire.OpFleetStat, wire.OpFleetDrain} {
+		if _, err := c.Call(&wire.Request{Op: op, Name: addr, Enable: true}); !wire.IsCode(err, wire.CodeUnknownOp) {
+			t.Errorf("session-less %s: %v, want %s", op, err, wire.CodeUnknownOp)
+		}
+		if _, err := sess.Do(context.Background(), &wire.Request{Op: op}); !wire.IsCode(err, wire.CodeUnknownOp) {
+			t.Errorf("%s on session %d: %v, want %s", op, sess.ID, err, wire.CodeUnknownOp)
+		}
 	}
 }
 

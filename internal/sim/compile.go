@@ -87,14 +87,13 @@ type cMemUpdate struct {
 
 // compiled is the bytecode form of a flat design.
 type compiled struct {
-	code     []instr
-	assigns  []cAssign         // in levelized order
-	byLevel  [][]int32         // level -> indices into assigns
-	regs     map[string][]cReg // clock domain -> registers
-	memw     map[string][]cMemWrite
-	memData  [][]uint64 // memory id -> backing words (aliases Simulator.memData)
-	stack    []uint64   // serial-path scratch stack, len == maxStack
-	maxStack int
+	code    []instr
+	assigns []cAssign         // in levelized order
+	byLevel [][]int32         // level -> indices into assigns
+	regs    map[string][]cReg // clock domain -> registers
+	memw    map[string][]cMemWrite
+	memData [][]uint64 // memory id -> backing words (aliases Simulator.memData)
+	stack   []uint64   // scratch stack, as deep as the deepest expression
 }
 
 type compiler struct {
@@ -255,11 +254,7 @@ func compileProgram(f *rtl.Flat, sigIndex map[*rtl.Signal]int,
 	}
 
 	cp.code = c.code
-	cp.maxStack = c.maxStack
-	if cp.maxStack == 0 {
-		cp.maxStack = 1
-	}
-	cp.stack = make([]uint64, cp.maxStack)
+	cp.stack = make([]uint64, max(c.maxStack, 1))
 	return cp
 }
 

@@ -2,7 +2,7 @@ package sim_test
 
 // Differential testing of the two evaluation engines: the interpreter is
 // the reference semantics and the compiled engine (bytecode + dirty-set
-// incremental settling, optionally cone-parallel) must be bit-identical
+// incremental settling) must be bit-identical
 // to it on every signal, every memory word and every cycle counter after
 // every tick — over all the paper's workload designs and over randomly
 // generated designs exercising the full operator set (cf. the
@@ -22,13 +22,13 @@ import (
 
 // enginePair builds an interpreter (reference) and a compiled simulator
 // over the same flat design.
-func enginePair(t *testing.T, f *rtl.Flat, clocks []sim.ClockSpec, shards int) (ref, cmp *sim.Simulator) {
+func enginePair(t *testing.T, f *rtl.Flat, clocks []sim.ClockSpec) (ref, cmp *sim.Simulator) {
 	t.Helper()
 	ref, err := sim.NewWithOptions(f, clocks, sim.Options{Engine: sim.EngineInterp})
 	if err != nil {
 		t.Fatalf("interp engine: %v", err)
 	}
-	cmp, err = sim.NewWithOptions(f, clocks, sim.Options{Engine: sim.EngineCompiled, Shards: shards})
+	cmp, err = sim.NewWithOptions(f, clocks, sim.Options{Engine: sim.EngineCompiled})
 	if err != nil {
 		t.Fatalf("compiled engine: %v", err)
 	}
@@ -75,7 +75,6 @@ func TestEnginesEquivalentWorkloads(t *testing.T) {
 		design *rtl.Design
 		clocks []sim.ClockSpec
 		pokes  map[string]uint64
-		shards int
 		ticks  int
 	}{
 		{
@@ -83,7 +82,6 @@ func TestEnginesEquivalentWorkloads(t *testing.T) {
 			design: workloads.ManycoreSoC(16),
 			clocks: []sim.ClockSpec{{Name: workloads.Clk, Period: 1}},
 			pokes:  map[string]uint64{"en": 1},
-			shards: 4, // exercises cone-parallel settling (go test -race covers it)
 			ticks:  150,
 		},
 		{
@@ -124,11 +122,7 @@ func TestEnginesEquivalentWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards := tc.shards
-			if shards == 0 {
-				shards = 1
-			}
-			ref, cmp := enginePair(t, f, tc.clocks, shards)
+			ref, cmp := enginePair(t, f, tc.clocks)
 			for name, v := range tc.pokes {
 				if err := ref.Poke(name, v); err != nil {
 					t.Fatal(err)
@@ -155,7 +149,7 @@ func TestEnginesEquivalentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	clocks := []sim.ClockSpec{{Name: workloads.Clk, Period: 1}}
-	ref, cmp := enginePair(t, f, clocks, 1)
+	ref, cmp := enginePair(t, f, clocks)
 	for _, s := range []*sim.Simulator{ref, cmp} {
 		s.Poke("en", 1)
 		s.Poke("n_items", 25)
@@ -190,11 +184,7 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		shards := 1
-		if r.Intn(3) == 0 {
-			shards = 2
-		}
-		ref, cmp := enginePair(t, f, clocks, shards)
+		ref, cmp := enginePair(t, f, clocks)
 		for i := 0; i < 40; i++ {
 			if r.Intn(3) == 0 {
 				in, v := inputs[r.Intn(len(inputs))], r.Uint64()

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"zoomie/internal/rtl"
-)
+import "zoomie/internal/rtl"
 
 // Incremental settling. During compilation the engine records, for every
 // signal slot and every memory, which compiled assigns read it (the
@@ -14,16 +10,6 @@ import (
 // order, propagating further only when an assign's output actually
 // changes. Because fanout edges always point to strictly higher levels,
 // one ascending sweep over the level buckets settles the design.
-//
-// When a level's dirty set is wide (the 5400-core SoC has thousands of
-// per-core cones that land in the same level), the sweep shards the
-// bucket across goroutines: same-level assigns never read each other's
-// destinations (readers are always at strictly higher levels) and each
-// signal has exactly one driver, so the shards touch disjoint slots.
-
-// minParallelLevel is the dirty-bucket size below which sharding is not
-// worth the goroutine fan-out.
-const minParallelLevel = 32
 
 // dirtyState tracks which compiled assigns must be re-evaluated.
 type dirtyState struct {
@@ -131,16 +117,12 @@ func (s *Simulator) settleDirty() {
 		for _, k := range q {
 			d.inQueue[k] = false
 		}
-		if s.shards > 1 && len(q) >= minParallelLevel {
-			s.evalLevelParallel(q, true)
-		} else {
-			for _, k := range q {
-				a := &cp.assigns[k]
-				v := runCode(cp.code[a.x.start:a.x.end], cp.stack, s.vals, cp.memData)
-				if s.vals[a.dst] != v {
-					s.vals[a.dst] = v
-					d.markSig(int(a.dst))
-				}
+		for _, k := range q {
+			a := &cp.assigns[k]
+			v := runCode(cp.code[a.x.start:a.x.end], cp.stack, s.vals, cp.memData)
+			if s.vals[a.dst] != v {
+				s.vals[a.dst] = v
+				d.markSig(int(a.dst))
 			}
 		}
 		d.pending[lvl] = q[:0]
@@ -150,69 +132,15 @@ func (s *Simulator) settleDirty() {
 	}
 }
 
-// settleFullCompiled evaluates every assign in levelized order,
-// sharding wide levels when parallel settling is enabled. Afterwards the
-// design is consistent regardless of prior dirty state.
+// settleFullCompiled evaluates every assign in levelized order.
+// Afterwards the design is consistent regardless of prior dirty state.
 func (s *Simulator) settleFullCompiled() {
 	cp := s.comp
 	for _, bucket := range cp.byLevel {
-		if s.shards > 1 && len(bucket) >= minParallelLevel {
-			s.evalLevelParallel(bucket, false)
-		} else {
-			for _, k := range bucket {
-				a := &cp.assigns[k]
-				s.vals[a.dst] = runCode(cp.code[a.x.start:a.x.end], cp.stack, s.vals, cp.memData)
-			}
+		for _, k := range bucket {
+			a := &cp.assigns[k]
+			s.vals[a.dst] = runCode(cp.code[a.x.start:a.x.end], cp.stack, s.vals, cp.memData)
 		}
 	}
-	if s.dirty != nil {
-		s.dirty.clear()
-	}
-}
-
-// evalLevelParallel evaluates one level's assigns across s.shards
-// goroutines. Within a level all reads are of strictly-lower-level
-// signals or of state, and every destination slot is distinct, so the
-// shards are data-race free. With track set, changed destinations are
-// collected per shard and their fanout marked after the barrier (marking
-// mutates shared queues, so it stays on the caller's goroutine).
-func (s *Simulator) evalLevelParallel(q []int32, track bool) {
-	cp := s.comp
-	nw := s.shards
-	chunk := (len(q) + nw - 1) / nw
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		if lo >= len(q) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(q) {
-			hi = len(q)
-		}
-		wg.Add(1)
-		go func(w int, part []int32) {
-			defer wg.Done()
-			st := s.stacks[w]
-			for _, k := range part {
-				a := &cp.assigns[k]
-				v := runCode(cp.code[a.x.start:a.x.end], st, s.vals, cp.memData)
-				if s.vals[a.dst] != v {
-					s.vals[a.dst] = v
-					if track {
-						s.changed[w] = append(s.changed[w], a.dst)
-					}
-				}
-			}
-		}(w, q[lo:hi])
-	}
-	wg.Wait()
-	if track {
-		for w := range s.changed {
-			for _, dst := range s.changed[w] {
-				s.dirty.markSig(int(dst))
-			}
-			s.changed[w] = s.changed[w][:0]
-		}
-	}
+	s.dirty.clear()
 }

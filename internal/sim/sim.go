@@ -16,10 +16,10 @@
 // reference semantics. The compiled engine (the default) lowers every
 // expression to bytecode with pre-resolved value-array slots at New()
 // time and settles incrementally: only assigns in the dirty fanout cone
-// of actually-changed state are re-evaluated, in levelized order, with
-// optional goroutine sharding of wide levels (see compile.go and
-// dirty.go). The two engines are held bit-identical by the differential
-// tests in diff_test.go.
+// of actually-changed state are re-evaluated, in levelized order (see
+// compile.go and dirty.go). It is the production engine; the interpreter
+// is the reference it is held bit-identical to by the differential tests
+// in diff_test.go.
 //
 // Clock gating is first-class: a domain may be gated by a combinational
 // signal of the design itself (the Debug Controller's clock enable), which
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 
 	"zoomie/internal/rtl"
 )
@@ -60,32 +59,18 @@ const (
 // Options configures a Simulator's evaluation strategy.
 type Options struct {
 	Engine Engine
-	// FullSettle disables dirty-set incremental settling on the compiled
-	// engine: every tick re-evaluates every assign (the -simfull escape
-	// hatch for debugging suspected incremental-settling bugs).
-	FullSettle bool
-	// Shards > 1 enables cone-parallel settling: levels with at least
-	// minParallelLevel dirty assigns are evaluated across this many
-	// goroutines. Only meaningful with the compiled engine.
-	Shards int
 }
 
 // DefaultOptions are the options New uses. They are initialised from the
-// environment (ZOOMIE_SIM_ENGINE=interp, ZOOMIE_SIM_FULL=1,
-// ZOOMIE_SIM_SHARDS=n) and may be overridden programmatically, e.g. by
-// cmd/zbench's -simengine/-simfull/-simshards flags.
+// environment (ZOOMIE_SIM_ENGINE=interp selects the reference engine)
+// and may be overridden programmatically, e.g. by cmd/zbench's
+// -simengine flag.
 var DefaultOptions = optionsFromEnv()
 
 func optionsFromEnv() Options {
 	var o Options
 	if os.Getenv("ZOOMIE_SIM_ENGINE") == "interp" {
 		o.Engine = EngineInterp
-	}
-	if os.Getenv("ZOOMIE_SIM_FULL") == "1" {
-		o.FullSettle = true
-	}
-	if n, err := strconv.Atoi(os.Getenv("ZOOMIE_SIM_SHARDS")); err == nil && n > 1 {
-		o.Shards = n
 	}
 	return o
 }
@@ -125,13 +110,9 @@ type Simulator struct {
 	hookMems []MemDelta
 
 	// Compiled engine state (nil/zero when running the interpreter).
-	comp       *compiled
-	dirty      *dirtyState // nil when fullSettle
-	fullSettle bool
-	shards     int
-	stacks     [][]uint64 // per-shard eval stacks
-	changed    [][]int32  // per-shard changed-slot scratch
-	stagedC    []cMemUpdate
+	comp    *compiled
+	dirty   *dirtyState
+	stagedC []cMemUpdate
 }
 
 type memWrite struct {
@@ -220,21 +201,7 @@ func NewWithOptions(f *rtl.Flat, clocks []ClockSpec, opts Options) (*Simulator, 
 	}
 	if opts.Engine == EngineCompiled {
 		s.comp = compileProgram(f, s.sigIndex, s.memData, order, level)
-		s.fullSettle = opts.FullSettle
-		if !s.fullSettle {
-			s.dirty = newDirtyState(f, s.comp, s.sigIndex, order, level)
-		}
-		s.shards = opts.Shards
-		if s.shards < 1 {
-			s.shards = 1
-		}
-		if s.shards > 1 {
-			s.stacks = make([][]uint64, s.shards)
-			s.changed = make([][]int32, s.shards)
-			for i := range s.stacks {
-				s.stacks[i] = make([]uint64, s.comp.maxStack)
-			}
-		}
+		s.dirty = newDirtyState(f, s.comp, s.sigIndex, order, level)
 	}
 	s.settle()
 	return s, nil
@@ -439,7 +406,7 @@ func (s *Simulator) Tick() {
 	s.settle()
 }
 
-// evalc executes one compiled expression on the serial scratch stack.
+// evalc executes one compiled expression on the scratch stack.
 func (s *Simulator) evalc(x xref) uint64 {
 	return runCode(s.comp.code[x.start:x.end], s.comp.stack, s.vals, s.comp.memData)
 }
@@ -483,7 +450,6 @@ func (s *Simulator) tickCompiled() {
 			s.stagedC = append(s.stagedC, cMemUpdate{mem: w.mem, addr: addr, val: s.evalc(w.data)})
 		}
 	}
-	incr := s.dirty != nil
 	hk := s.hook
 	if hk != nil {
 		s.hookRegs = s.hookRegs[:0]
@@ -492,9 +458,7 @@ func (s *Simulator) tickCompiled() {
 	for _, u := range s.staged {
 		if s.vals[u.idx] != u.val {
 			s.vals[u.idx] = u.val
-			if incr {
-				s.dirty.markSig(u.idx)
-			}
+			s.dirty.markSig(u.idx)
 			if hk != nil {
 				s.hookRegs = append(s.hookRegs, RegDelta{Slot: int32(u.idx), Val: u.val})
 			}
@@ -504,20 +468,14 @@ func (s *Simulator) tickCompiled() {
 		d := cp.memData[u.mem]
 		if d[u.addr] != u.val {
 			d[u.addr] = u.val
-			if incr {
-				s.dirty.markMem(int(u.mem))
-			}
+			s.dirty.markMem(int(u.mem))
 			if hk != nil {
 				s.hookMems = append(s.hookMems, MemDelta{Mem: u.mem, Addr: u.addr, Val: u.val})
 			}
 		}
 	}
 	s.tick++
-	if incr {
-		s.settleDirty()
-	} else {
-		s.settleFullCompiled()
-	}
+	s.settleDirty()
 	if hk != nil {
 		hk.OnTick(s.tick, s.hookRegs, s.hookMems)
 	}

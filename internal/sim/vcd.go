@@ -6,51 +6,44 @@ import (
 	"strings"
 )
 
-// WriteVCD emits the tracer's samples as a Value Change Dump, the
-// interchange waveform format every RTL viewer reads. One timestep per
-// sample; only changing signals are emitted per step, per the format.
-func (t *Tracer) WriteVCD(w io.Writer, timescale string) error {
+// WriteVCD emits the waveform as a Value Change Dump, the interchange
+// waveform format every RTL viewer reads. One timestep per sample; only
+// changing signals are emitted per step, per the format.
+func (w *Waveform) WriteVCD(out io.Writer, timescale string) error {
 	if timescale == "" {
 		timescale = "1ns"
 	}
 	var b strings.Builder
-	b.WriteString("$version zoomie sim tracer $end\n")
+	b.WriteString("$version zoomie step trace $end\n")
 	fmt.Fprintf(&b, "$timescale %s $end\n", timescale)
 	b.WriteString("$scope module dut $end\n")
-	ids := make([]string, len(t.signals))
-	for i, name := range t.signals {
+	ids := make([]string, len(w.Signals))
+	for i, name := range w.Signals {
 		ids[i] = vcdID(i)
-		sig := t.sim.Lookup(name)
-		fmt.Fprintf(&b, "$var wire %d %s %s $end\n", sig.Width, ids[i], vcdName(name))
+		fmt.Fprintf(&b, "$var wire %d %s %s $end\n", w.Widths[i], ids[i], strings.ReplaceAll(name, ".", "_"))
 	}
 	b.WriteString("$upscope $end\n$enddefinitions $end\n")
-
-	prev := make([]uint64, len(t.signals))
-	for step, row := range t.rows {
-		changed := false
+	prev := make([]uint64, len(w.Signals))
+	for step, row := range w.Rows {
+		emitted := false
 		for i, v := range row {
-			if step == 0 || v != prev[i] {
-				changed = true
+			if step != 0 && v == prev[i] {
+				continue
 			}
-		}
-		if changed {
-			fmt.Fprintf(&b, "#%d\n", step)
-			for i, v := range row {
-				if step != 0 && v == prev[i] {
-					continue
-				}
-				sig := t.sim.Lookup(t.signals[i])
-				if sig.Width == 1 {
-					fmt.Fprintf(&b, "%d%s\n", v&1, ids[i])
-				} else {
-					fmt.Fprintf(&b, "b%b %s\n", v, ids[i])
-				}
+			if !emitted {
+				fmt.Fprintf(&b, "#%d\n", step)
+				emitted = true
+			}
+			if w.Widths[i] == 1 {
+				fmt.Fprintf(&b, "%d%s\n", v&1, ids[i])
+			} else {
+				fmt.Fprintf(&b, "b%b %s\n", v, ids[i])
 			}
 		}
 		copy(prev, row)
 	}
-	fmt.Fprintf(&b, "#%d\n", len(t.rows))
-	_, err := io.WriteString(w, b.String())
+	fmt.Fprintf(&b, "#%d\n", len(w.Rows))
+	_, err := io.WriteString(out, b.String())
 	return err
 }
 
@@ -61,9 +54,4 @@ func vcdID(i int) string {
 		return string(alphabet[i])
 	}
 	return string(alphabet[i%len(alphabet)]) + vcdID(i/len(alphabet)-1)
-}
-
-// vcdName sanitizes hierarchical names for the $var declaration.
-func vcdName(name string) string {
-	return strings.ReplaceAll(name, ".", "_")
 }

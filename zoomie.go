@@ -486,4 +486,4 @@ func PrintHDL(d *Design) string { return hdl.Print(d) }
 
 // StepTrace is a waveform reconstructed by single-stepping any registers
 // of the design at run time (§7.7) — see Debugger.TraceSteps.
-type StepTrace = dbg.StepTrace
+type StepTrace = sim.Waveform
