@@ -5,11 +5,13 @@
 package zoomie_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"zoomie"
+	"zoomie/internal/farm"
 	"zoomie/internal/fpga"
 	"zoomie/internal/place"
 	"zoomie/internal/rtl"
@@ -91,6 +93,45 @@ func BenchmarkFig7Incremental(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(mono.Report.Total())/float64(inc.Report.Total()), "modeled-speedup-x")
+	}
+}
+
+// BenchmarkFarmRecompile measures the compile farm's resident recompile of
+// the 256-core manycore, the op of zperf's recompile_farm workload: the
+// edited partition's synthesis, incremental placement, routing and timing
+// against one initial compile. Every recompile edits a tag its checkpoint
+// store has not seen, so it maps the edited module and builds a new top
+// netlist, as a farm recompile of a fresh tag does. The initial compiles
+// and building the edited designs are left out.
+func BenchmarkFarmRecompile(b *testing.B) {
+	const tags = 64
+	fam := workloads.NewManycore(256)
+	d := fam.Variant(0)
+	path := farm.ResolvePartition(farm.Spec{}, d)
+	opts := toolchain.Options{SkipImage: true, Partitions: []place.PartitionSpec{
+		{Name: farm.PartitionName, Paths: []string{path}}}}.WithDefaults()
+	ctx := context.Background()
+	var base *vti.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%tags == 0 {
+			var err error
+			base, err = vti.CompileCtx(ctx, fam.Variant(0), opts,
+				vti.CompileOptions{Cache: synth.NewCacheWith(synth.NewMemStore(0))})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		edited := fam.Variant(0)
+		if err := farm.ApplyEdit(edited, path, i%tags+1); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := base.RecompileCtx(ctx, edited, farm.PartitionName, vti.RecompileOptions{Resident: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

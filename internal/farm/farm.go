@@ -213,6 +213,11 @@ type Job struct {
 	subs        map[int]chan Progress
 	nextSub     int
 
+	// digest is the result's bitstream digest, hashed on the first
+	// Status after the job is done and outside mu (see bitsDigest).
+	digestOnce sync.Once
+	digest     string
+
 	// used is the farm's use clock at the job's creation or latest cache
 	// hit or share, under the farm's lock: the eviction order.
 	used uint64
@@ -247,7 +252,6 @@ func (j *Job) Result() *vti.Result {
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	s := JobStatus{
 		ID: j.id, Flow: j.flow, Design: j.design, Partition: j.partition,
 		Tag: j.tag, State: j.state, Phase: j.phase, Refs: j.refs,
@@ -256,12 +260,22 @@ func (j *Job) Status() JobStatus {
 	if j.err != nil {
 		s.Err = j.err.Error()
 	}
-	if j.res != nil {
-		s.Cells = j.res.Report.CellsSynthesized
-		s.Total = j.res.Report.Total()
-		s.Digest = j.res.BitstreamDigest()
+	res := j.res
+	j.mu.Unlock()
+	if res != nil {
+		s.Cells = res.Report.CellsSynthesized
+		s.Total = res.Report.Total()
+		s.Digest = j.bitsDigest(res)
 	}
 	return s
+}
+
+// bitsDigest returns the finished result's bitstream digest, hashing every
+// cell once per job. It runs outside mu, so hashing blocks neither Wait
+// nor the job's other readers.
+func (j *Job) bitsDigest(res *vti.Result) string {
+	j.digestOnce.Do(func() { j.digest = res.BitstreamDigest() })
+	return j.digest
 }
 
 // Subscribe registers a progress listener: a buffered channel receiving
@@ -608,12 +622,13 @@ func (f *Farm) finish(j *Job, res *vti.Result, err error) {
 		j.err = err
 	}
 	j.phase = ""
-	j.publishLocked(string(j.state))
+	state := j.state
+	j.publishLocked(string(state))
 	j.mu.Unlock()
 	// Evict before waking waiters, so a waiter sees the table settled.
 	f.evict()
 	close(j.done)
-	f.cfg.Logf("farm: job %d %s", j.id, j.Status().State)
+	f.cfg.Logf("farm: job %d %s", j.id, state)
 }
 
 // terminal reports whether the job has reached a terminal state.

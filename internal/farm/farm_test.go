@@ -226,7 +226,17 @@ func TestRecompileBitIdentityAndCacheHit(t *testing.T) {
 		}
 	}
 
-	st := j.Status()
+	// Concurrent readers all see the digest the job hashes once.
+	sts := make(chan JobStatus, 4)
+	for i := 0; i < cap(sts); i++ {
+		go func() { sts <- j.Status() }()
+	}
+	st := <-sts
+	for i := 1; i < cap(sts); i++ {
+		if other := <-sts; other.Digest != st.Digest {
+			t.Errorf("concurrent status digests %s and %s differ", other.Digest, st.Digest)
+		}
+	}
 	if !strings.Contains(st.Line(), "recompile") || !strings.Contains(st.Line(), "tag=1") {
 		t.Errorf("status line %q missing flow/tag", st.Line())
 	}

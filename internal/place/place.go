@@ -101,25 +101,27 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
 	}
+	cells := net.Flat()
 	p := &Placement{
 		Device:      dev,
 		Regions:     make(map[string][]fpga.Region),
-		CellTile:    make(map[string]TilePos),
-		PartitionOf: make(map[string]string),
+		CellTile:    make(map[string]TilePos, len(cells)),
+		PartitionOf: make(map[string]string, len(cells)),
 		Usage:       make(map[string]fpga.ResourceVec),
 		Utilization: make(map[string]float64),
 		StateMap:    fpga.NewStateMap(),
 	}
 
 	// Pass 1: bucket cells by partition and accumulate usage.
-	buckets := make(map[string][]synth.FlatCell)
-	net.Flatten(func(c synth.FlatCell) {
-		part := partitionFor(c, specs)
-		buckets[part] = append(buckets[part], c)
+	buckets := make(map[string][]int32)
+	parts := partitionsOf(cells, specs)
+	for i := range cells {
+		part := parts[i]
+		buckets[part] = append(buckets[part], int32(i))
 		u := p.Usage[part]
-		u.Add(c.Res)
+		u.Add(cells[i].Res)
 		p.Usage[part] = u
-	})
+	}
 
 	// Pass 2: reserve regions. Iterated partitions share one SLR, chosen
 	// as the SLR with the most tiles free after fitting all of them.
@@ -185,7 +187,7 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 	names := append([]string{}, iterated...)
 	names = append(names, StaticPartition)
 	for _, name := range names {
-		if err := p.placePartition(name, buckets[name]); err != nil {
+		if err := p.placePartition(name, cells, buckets[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -277,16 +279,32 @@ func specByName(specs []PartitionSpec, name string) PartitionSpec {
 	return PartitionSpec{}
 }
 
-// partitionFor assigns a cell to the partition whose path prefix matches.
-func partitionFor(c synth.FlatCell, specs []PartitionSpec) string {
+// partitionFor assigns an instance path to the partition whose path
+// prefix matches.
+func partitionFor(path string, specs []PartitionSpec) string {
 	for _, s := range specs {
-		for _, path := range s.Paths {
-			if c.Path == path || strings.HasPrefix(c.Path, path+".") {
+		for _, p := range s.Paths {
+			if path == p || strings.HasPrefix(path, p+".") {
 				return s.Name
 			}
 		}
 	}
 	return StaticPartition
+}
+
+// partitionsOf returns each flat cell's partition. A module's cells sit
+// together in the table, so the path is matched once per run of cells.
+func partitionsOf(cells []synth.FlatCell, specs []PartitionSpec) []string {
+	out := make([]string, len(cells))
+	path, part := "", partitionFor("", specs)
+	for i := range cells {
+		if cells[i].Path != path {
+			path = cells[i].Path
+			part = partitionFor(path, specs)
+		}
+		out[i] = part
+	}
+	return out
 }
 
 // chooseDebugSLR picks the SLR hosting all iterated partitions: the one
@@ -361,13 +379,14 @@ func utilization(usage, capacity fpga.ResourceVec) float64 {
 	return worst
 }
 
-// placePartition spreads cells over the partition's region tiles
-// round-robin, allocates frame space for its state, and runs a bounded
-// deterministic refinement pass for small partitions.
-func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
+// placePartition spreads the flat cells listed in idx over the
+// partition's region tiles round-robin, allocates frame space for its
+// state, and runs a bounded deterministic refinement pass for small
+// partitions.
+func (p *Placement) placePartition(name string, cells []synth.FlatCell, idx []int32) error {
 	regions := p.Regions[name]
 	if len(regions) == 0 {
-		if len(cells) == 0 {
+		if len(idx) == 0 {
 			return nil
 		}
 		return fmt.Errorf("place: partition %q has cells but no region", name)
@@ -433,7 +452,7 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 			tilesNeeded = len(tiles)
 		}
 	}
-	density := (len(cells) + tilesNeeded - 1) / tilesNeeded
+	density := (len(idx) + tilesNeeded - 1) / tilesNeeded
 	if density < 1 {
 		density = 1
 	}
@@ -444,9 +463,10 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 	// Controller and each assertion monitor keep frames of their own: a
 	// seek rewrites the controller's registers, and must not rewrite a
 	// design frame whose values did not change.
-	var mems []synth.FlatCell
+	var mems []*synth.FlatCell
 	inst := ""
-	for i, c := range cells {
+	for i, ci := range idx {
+		c := &cells[ci]
 		ti := i / density
 		if ti >= len(tiles) {
 			ti = len(tiles) - 1
@@ -494,20 +514,21 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell) error {
 	// Deterministic HPWL refinement for modest partitions: swap pairs and
 	// keep improvements. This is annealing's inner move at temperature
 	// zero, bounded so big static partitions stay cheap.
-	if len(cells) > 1 && len(cells) <= 2000 {
-		p.refine(cells)
+	if len(idx) > 1 && len(idx) <= 2000 {
+		p.refine(cells, idx)
 	}
 	return nil
 }
 
-// refine performs bounded greedy swap refinement on a partition's cells.
-func (p *Placement) refine(cells []synth.FlatCell) {
+// refine performs bounded greedy swap refinement on the partition's flat
+// cells listed in idx.
+func (p *Placement) refine(cells []synth.FlatCell, idx []int32) {
 	rng := rand.New(rand.NewSource(1))
-	cost := func(c synth.FlatCell) int64 {
+	cost := func(c *synth.FlatCell) int64 {
 		pos := p.CellTile[c.Name]
 		var sum int64
-		for _, f := range c.Fanin {
-			if fp, ok := p.CellTile[f]; ok {
+		for _, d := range c.Drivers {
+			if fp, ok := p.CellTile[cells[d].Name]; ok {
 				sum += int64(abs(pos.Row-fp.Row) + abs(pos.Col-fp.Col))
 			}
 		}
@@ -515,12 +536,12 @@ func (p *Placement) refine(cells []synth.FlatCell) {
 	}
 	passes := 2
 	for pass := 0; pass < passes; pass++ {
-		for i := 0; i < len(cells); i++ {
-			j := rng.Intn(len(cells))
+		for i := 0; i < len(idx); i++ {
+			j := rng.Intn(len(idx))
 			if i == j {
 				continue
 			}
-			a, b := cells[i], cells[j]
+			a, b := &cells[idx[i]], &cells[idx[j]]
 			before := cost(a) + cost(b)
 			p.CellTile[a.Name], p.CellTile[b.Name] = p.CellTile[b.Name], p.CellTile[a.Name]
 			after := cost(a) + cost(b)

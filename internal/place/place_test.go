@@ -26,11 +26,11 @@ func TestPlaceWholeDesignStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	placed := 0
-	net.Flatten(func(c synth.FlatCell) {
+	for _, c := range net.Flat() {
 		if _, ok := pl.CellTile[c.Name]; ok {
 			placed++
 		}
-	})
+	}
 	if placed != net.TotalCellCount {
 		t.Errorf("placed %d of %d cells", placed, net.TotalCellCount)
 	}
@@ -53,9 +53,9 @@ func TestPlaceWithPartition(t *testing.T) {
 	// All debug partitions live on one SLR; all partition cells must be
 	// inside the region.
 	r := regions[0]
-	net.Flatten(func(c synth.FlatCell) {
+	for _, c := range net.Flat() {
 		if pl.PartitionOf[c.Name] != "mut" {
-			return
+			continue
 		}
 		pos := pl.CellTile[c.Name]
 		if !r.Contains(pos.SLR, pos.Row, pos.Col) {
@@ -64,7 +64,7 @@ func TestPlaceWithPartition(t *testing.T) {
 		if !strings.HasPrefix(c.Name, "tile0.core0.") {
 			t.Errorf("cell %q wrongly assigned to mut", c.Name)
 		}
-	})
+	}
 	if pl.DebugSLR("mut") != r.SLR {
 		t.Error("DebugSLR mismatch")
 	}
@@ -118,20 +118,20 @@ func TestStateMapCoversAllState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Flatten(func(c synth.FlatCell) {
+	for _, c := range net.Flat() {
 		if !c.IsState {
-			return
+			continue
 		}
 		if c.MemWidth > 0 {
 			if _, ok := pl.StateMap.Mem(c.Name); !ok {
 				t.Errorf("memory %q missing from state map", c.Name)
 			}
-			return
+			continue
 		}
 		if _, ok := pl.StateMap.Reg(c.Name); !ok {
 			t.Errorf("register %q missing from state map", c.Name)
 		}
-	})
+	}
 }
 
 func TestPartitionStateInsideRegionFrames(t *testing.T) {
@@ -201,9 +201,9 @@ func TestReplaceKeepsStaticIntact(t *testing.T) {
 	if work == 0 {
 		t.Error("replace did no work")
 	}
-	net.Flatten(func(c synth.FlatCell) {
+	for _, c := range net.Flat() {
 		if pl.PartitionOf[c.Name] == "mut" {
-			return
+			continue
 		}
 		if pl2.CellTile[c.Name] != pl.CellTile[c.Name] {
 			t.Errorf("static cell %q moved during replace", c.Name)
@@ -215,7 +215,7 @@ func TestReplaceKeepsStaticIntact(t *testing.T) {
 				t.Errorf("static register %q relocated: %+v -> %+v", c.Name, a, b)
 			}
 		}
-	})
+	}
 }
 
 func TestReplaceRejectsUnknownPartition(t *testing.T) {

@@ -48,26 +48,24 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 	// partition cell on exactly the tile a cold compile would pick —
 	// that bit-identity is what lets cache-served recompiles stand in for
 	// full ones.
-	var bucket, carry []synth.FlatCell
+	cells := net.Flat()
+	parts := partitionsOf(cells, specs)
+	var bucket, carry []int32
+	var carryTiles []TilePos
 	var usage fpga.ResourceVec
-	var err error
-	net.Flatten(func(c synth.FlatCell) {
-		if err != nil {
-			return
-		}
-		if partitionFor(c, specs) == changed {
-			bucket = append(bucket, c)
+	for i := range cells {
+		c := &cells[i]
+		if parts[i] == changed {
+			bucket = append(bucket, int32(i))
 			usage.Add(c.Res)
-			return
+			continue
 		}
-		if _, had := prev.CellTile[c.Name]; !had {
-			err = fmt.Errorf("place: cell %q is new but lies outside partition %q", c.Name, changed)
-			return
+		pos, had := prev.CellTile[c.Name]
+		if !had {
+			return nil, 0, fmt.Errorf("place: cell %q is new but lies outside partition %q", c.Name, changed)
 		}
-		carry = append(carry, c)
-	})
-	if err != nil {
-		return nil, 0, err
+		carry = append(carry, int32(i))
+		carryTiles = append(carryTiles, pos)
 	}
 
 	// The re-placed partition must still fit its reserved region with the
@@ -87,14 +85,15 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 	p.Usage[changed] = usage
 	p.Utilization[changed] = utilization(usage, capacity)
 
-	if err := p.placePartition(changed, bucket); err != nil {
+	if err := p.placePartition(changed, cells, bucket); err != nil {
 		return nil, 0, err
 	}
 
 	// Unchanged logic: positions and frame locations carry over verbatim.
-	for _, c := range carry {
-		p.CellTile[c.Name] = prev.CellTile[c.Name]
-		p.PartitionOf[c.Name] = partitionFor(c, specs)
+	for k, ci := range carry {
+		c := &cells[ci]
+		p.CellTile[c.Name] = carryTiles[k]
+		p.PartitionOf[c.Name] = parts[ci]
 		if !c.IsState {
 			continue
 		}

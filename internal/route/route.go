@@ -1,8 +1,9 @@
-// Package route connects placed cells: every fanin of every cell becomes
-// a routed edge with a Manhattan wirelength, an SLR-crossing count, and a
-// congestion-scaled delay contribution. The router tracks per-tile channel
-// demand so that tightly packed partitions (small over-provisioning
-// coefficients) pay longer detours — the area/timing trade-off of §3.5.
+// Package route connects placed cells: every fanin of every cell that
+// another cell drives becomes a routed edge with a Manhattan wirelength
+// and an SLR-crossing count. Congestion enters the timing model through
+// each partition's utilization (place.Placement.Utilization), which is
+// how tightly packed partitions (small over-provisioning coefficients)
+// pay slower nets — the area/timing trade-off of §3.5.
 package route
 
 import (
@@ -15,6 +16,9 @@ import (
 // Edge is one routed source->sink connection.
 type Edge struct {
 	From, To string // producer and consumer cell names
+	// Src and Dst index the producer and consumer in the netlist's flat
+	// cell table (synth.ModuleNetlist.Flat).
+	Src, Dst int32
 	FromPos  place.TilePos
 	ToPos    place.TilePos
 	Dist     int // Manhattan tile distance
@@ -28,74 +32,45 @@ type Result struct {
 	TotalWirelength int64
 	SLRCrossings    int
 	WorkUnits       int64
-
-	// MaxChannelLoad is the peak per-tile channel demand, and
-	// OverCongested counts tiles above channel capacity; both feed the
-	// delay model.
-	MaxChannelLoad int
-	OverCongested  int
-
-	// edgesByTo indexes edges by consumer for timing analysis.
-	edgesByTo map[string][]int
 }
-
-// ChannelCapacity is the per-tile routing channel capacity in edges; tiles
-// loaded beyond it are congested.
-const ChannelCapacity = 48
 
 // Hook observes — and may mutate — a finished routing result before it
 // is returned. The toolchain self-checker uses it to model router bugs
 // such as dropped route segments (see Result.DropEdge).
 type Hook func(r *Result)
 
-// Route routes all cell fanins of the placed netlist. Fanins without a
-// placed producer (top-level inputs) are skipped; they are chip IOs.
-// Trailing hooks, if any, run in order on the finished result.
+// Route routes all cell fanins of the placed netlist, consumer by
+// consumer in flat-table order. Fanins no cell drives are skipped; they
+// are chip IOs. Trailing hooks, if any, run in order on the finished
+// result.
 func Route(net *synth.ModuleNetlist, pl *place.Placement, hooks ...Hook) (*Result, error) {
-	r := &Result{edgesByTo: make(map[string][]int)}
-	load := make(map[place.TilePos]int)
-	var err error
-	net.Flatten(func(c synth.FlatCell) {
-		if err != nil {
-			return
-		}
-		toPos, ok := pl.CellTile[c.Name]
+	cells := net.Flat()
+	tiles := make([]place.TilePos, len(cells))
+	edges := 0
+	for i := range cells {
+		pos, ok := pl.CellTile[cells[i].Name]
 		if !ok {
-			err = fmt.Errorf("route: cell %q was never placed", c.Name)
-			return
+			return nil, fmt.Errorf("route: cell %q was never placed", cells[i].Name)
 		}
-		for _, f := range c.Fanin {
-			fromPos, ok := pl.CellTile[f]
-			if !ok {
-				continue // primary input or constant
-			}
+		tiles[i] = pos
+		edges += len(cells[i].Drivers)
+	}
+	r := &Result{Edges: make([]Edge, 0, edges)}
+	for i := range cells {
+		toPos := tiles[i]
+		for _, d := range cells[i].Drivers {
+			fromPos := tiles[d]
 			dist := abs(fromPos.Row-toPos.Row) + abs(fromPos.Col-toPos.Col)
 			hops := abs(fromPos.SLR - toPos.SLR)
-			e := Edge{
-				From: f, To: c.Name,
+			r.Edges = append(r.Edges, Edge{
+				From: cells[d].Name, To: cells[i].Name,
+				Src: d, Dst: int32(i),
 				FromPos: fromPos, ToPos: toPos,
 				Dist: dist, SLRHops: hops,
-			}
-			r.edgesByTo[c.Name] = append(r.edgesByTo[c.Name], len(r.Edges))
-			r.Edges = append(r.Edges, e)
+			})
 			r.TotalWirelength += int64(dist)
 			r.SLRCrossings += hops
 			r.WorkUnits += int64(1 + dist/16)
-			// Channel demand is charged at both endpoints; a full
-			// path-based accounting would not change the shape.
-			load[fromPos]++
-			load[toPos]++
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, l := range load {
-		if l > r.MaxChannelLoad {
-			r.MaxChannelLoad = l
-		}
-		if l > ChannelCapacity {
-			r.OverCongested++
 		}
 	}
 	for _, h := range hooks {
@@ -105,9 +80,7 @@ func Route(net *synth.ModuleNetlist, pl *place.Placement, hooks ...Hook) (*Resul
 }
 
 // DropEdge removes the i-th routed edge together with its wirelength,
-// crossing and work accounting, reindexing the consumer lookup. Channel
-// load is deliberately left charged — a router that loses a segment after
-// resource reservation would not give the channel back either.
+// crossing and work accounting.
 func (r *Result) DropEdge(i int) {
 	if i < 0 || i >= len(r.Edges) {
 		return
@@ -117,20 +90,6 @@ func (r *Result) DropEdge(i int) {
 	r.TotalWirelength -= int64(e.Dist)
 	r.SLRCrossings -= e.SLRHops
 	r.WorkUnits -= int64(1 + e.Dist/16)
-	r.edgesByTo = make(map[string][]int, len(r.edgesByTo))
-	for idx := range r.Edges {
-		r.edgesByTo[r.Edges[idx].To] = append(r.edgesByTo[r.Edges[idx].To], idx)
-	}
-}
-
-// FaninEdges returns the routed edges terminating at the named cell.
-func (r *Result) FaninEdges(cell string) []Edge {
-	idxs := r.edgesByTo[cell]
-	out := make([]Edge, len(idxs))
-	for i, idx := range idxs {
-		out[i] = r.Edges[idx]
-	}
-	return out
 }
 
 func abs(x int) int {

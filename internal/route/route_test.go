@@ -56,28 +56,6 @@ func TestRouteWorkScalesWithDesign(t *testing.T) {
 	}
 }
 
-func TestFaninEdges(t *testing.T) {
-	net, _, rt := routedSoC(t, 8)
-	var anyState string
-	net.Flatten(func(c synth.FlatCell) {
-		if anyState == "" && c.IsState && len(c.Fanin) > 0 {
-			anyState = c.Name
-		}
-	})
-	if anyState == "" {
-		t.Fatal("no state cell with fanin")
-	}
-	edges := rt.FaninEdges(anyState)
-	for _, e := range edges {
-		if e.To != anyState {
-			t.Errorf("FaninEdges(%q) returned edge to %q", anyState, e.To)
-		}
-	}
-	if len(rt.FaninEdges("nosuch")) != 0 {
-		t.Error("edges for unknown cell")
-	}
-}
-
 func TestDenselyPackedDesignHasLocalEdges(t *testing.T) {
 	// Neighbouring cells are placed densely, so the median edge must be
 	// short even though a few global nets span the device.

@@ -55,6 +55,9 @@ type ModuleNetlist struct {
 	// LocalCellCount and TotalCellCount mirror the usage split.
 	LocalCellCount int
 	TotalCellCount int
+
+	flatOnce sync.Once
+	flat     []FlatCell // see Flat
 }
 
 // Cache memoizes module synthesis so shared modules are mapped once. It
@@ -401,52 +404,83 @@ func dedup(in []string) []string {
 	return out
 }
 
-// FlatCell is a cell with its full hierarchical name, produced by
-// flattening a hierarchy of module netlists for placement.
+// FlatCell is one entry of a netlist's flat cell table: a cell with its
+// full hierarchical name and its fanins resolved to table indices.
 type FlatCell struct {
 	Name    string // hierarchical name of the driven signal
 	Path    string // instance path of the owning module ("" = top)
 	Res     fpga.ResourceVec
-	Fanin   []string // hierarchical fanin names (local scope best-effort)
 	IsState bool
 	Levels  int
+	// Drivers indexes, in fanin order, the cells of the table that drive
+	// this cell's fanins. A fanin no cell drives (a chip input, a
+	// constant) has no entry.
+	Drivers []int32
 
 	MemWidth, MemDepth int
 }
 
-// Flatten enumerates all cells of the netlist hierarchy with dotted
-// hierarchical names, invoking fn for each. It allocates only one FlatCell
-// at a time, so flattening a 5000-core SoC does not need gigabytes.
-func (n *ModuleNetlist) Flatten(fn func(FlatCell)) {
-	n.flatten("", fn)
+// Flat returns the netlist hierarchy flattened to one table: a module's
+// own cells with dotted hierarchical names, then each child's, in
+// declaration order. The table is built on first use and kept with the
+// netlist, so placement, routing and timing of one compile share one set
+// of name strings and one dense cell index. Callers must not modify it.
+func (n *ModuleNetlist) Flat() []FlatCell {
+	n.flatOnce.Do(n.buildFlat)
+	return n.flat
 }
 
-func (n *ModuleNetlist) flatten(prefix string, fn func(FlatCell)) {
-	join := func(name string) string {
-		if prefix == "" {
-			return name
+func (n *ModuleNetlist) buildFlat() {
+	cells := make([]FlatCell, 0, n.TotalCellCount)
+	var local [][]string // each flat cell's unresolved local fanin names
+	fanins := 0
+	var walk func(m *ModuleNetlist, prefix string)
+	walk = func(m *ModuleNetlist, prefix string) {
+		for i := range m.Cells {
+			c := &m.Cells[i]
+			name := c.Name
+			if prefix != "" {
+				name = prefix + "." + c.Name
+			}
+			cells = append(cells, FlatCell{
+				Name: name, Path: prefix, Res: c.Res, IsState: c.IsState, Levels: c.Levels,
+				MemWidth: c.MemWidth, MemDepth: c.MemDepth,
+			})
+			local = append(local, c.Fanin)
+			fanins += len(c.Fanin)
 		}
-		return prefix + "." + name
-	}
-	for _, c := range n.Cells {
-		fc := FlatCell{
-			Name:     join(c.Name),
-			Path:     prefix,
-			Res:      c.Res,
-			IsState:  c.IsState,
-			Levels:   c.Levels,
-			MemWidth: c.MemWidth,
-			MemDepth: c.MemDepth,
+		for _, ch := range m.Children {
+			p := ch.Name
+			if prefix != "" {
+				p = prefix + "." + ch.Name
+			}
+			walk(ch.Netlist, p)
 		}
-		fc.Fanin = make([]string, len(c.Fanin))
-		for i, f := range c.Fanin {
-			fc.Fanin[i] = join(f)
+	}
+	walk(n, "")
+
+	index := make(map[string]int32, len(cells))
+	for i := range cells {
+		index[cells[i].Name] = int32(i)
+	}
+	drivers := make([]int32, 0, fanins)
+	var key []byte
+	for i := range cells {
+		c := &cells[i]
+		start := len(drivers)
+		for _, f := range local[i] {
+			key = append(key[:0], c.Path...)
+			if c.Path != "" {
+				key = append(key, '.')
+			}
+			key = append(key, f...)
+			if d, ok := index[string(key)]; ok {
+				drivers = append(drivers, d)
+			}
 		}
-		fn(fc)
+		c.Drivers = drivers[start:len(drivers):len(drivers)]
 	}
-	for _, ch := range n.Children {
-		ch.Netlist.flatten(join(ch.Name), fn)
-	}
+	n.flat = cells
 }
 
 // CellsUnder counts cells under an instance path ("" = everything).

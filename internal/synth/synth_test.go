@@ -162,10 +162,50 @@ func TestFlattenNamesAndPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool)
-	n.Flatten(func(c FlatCell) { seen[c.Name] = true })
+	for _, c := range n.Flat() {
+		seen[c.Name] = true
+	}
 	for _, want := range []string{"u0.r", "u1.r", "out"} {
 		if !seen[want] {
 			t.Errorf("flattened netlist missing cell %q", want)
+		}
+	}
+}
+
+// TestFlatTableResolvesDrivers checks the flat table's dense fanins: a
+// child's input port resolves to the parent's port-connection cell, a
+// fanin no cell drives (a chip input) is left out, and concurrent
+// callers share the one table built on first use.
+func TestFlatTableResolvesDrivers(t *testing.T) {
+	_, top := buildLeafAndTop(t, 2)
+	n, err := Synthesize(rtl.NewDesign("top", top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make(chan []FlatCell, 4)
+	for i := 0; i < cap(tables); i++ {
+		go func() { tables <- n.Flat() }()
+	}
+	cells := <-tables
+	for i := 1; i < cap(tables); i++ {
+		if other := <-tables; &other[0] != &cells[0] {
+			t.Fatal("concurrent Flat calls built two tables")
+		}
+	}
+	drivers := map[string][]string{}
+	for _, c := range cells {
+		drivers[c.Name] = []string{}
+		for _, d := range c.Drivers {
+			drivers[c.Name] = append(drivers[c.Name], cells[d].Name)
+		}
+	}
+	for name, want := range map[string][]string{
+		"u0.a": {},               // reads the chip input "in"
+		"u0.r": {"u0.r", "u0.a"}, // its own state, then its input port
+		"u1.q": {"u1.r"},
+	} {
+		if got := drivers[name]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s drivers = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package timing
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"zoomie/internal/place"
@@ -57,6 +56,9 @@ type Analysis struct {
 	WorkUnits  int64
 }
 
+// topPaths is how many paths an Analysis reports.
+const topPaths = 10
+
 // MeetsFrequency reports whether the design closes timing at the given
 // clock frequency.
 func (a *Analysis) MeetsFrequency(mhz float64) bool {
@@ -64,143 +66,153 @@ func (a *Analysis) MeetsFrequency(mhz float64) bool {
 	return a.CriticalNs <= period
 }
 
-// Analyze computes the longest paths of the routed design.
+// Analyze computes the longest paths of the routed design. Arrivals
+// propagate over the netlist's flat cell table
+// (synth.ModuleNetlist.Flat): each routed edge names its producer and
+// consumer by table index.
 func Analyze(net *synth.ModuleNetlist, pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, error) {
-	// Collect flat cells and index them.
-	type node struct {
-		cell    synth.FlatCell
-		arrival float64
-		from    string
-	}
-	nodes := make(map[string]*node)
-	net.Flatten(func(c synth.FlatCell) {
-		nodes[c.Name] = &node{cell: c, arrival: -1}
-	})
+	cells := net.Flat()
+	n := len(cells)
+	edges := rt.Edges
 
-	congestion := func(cell string) float64 {
-		part := pl.PartitionOf[cell]
-		u := pl.Utilization[part]
-		return 1 + dm.CongestionK*u*u
+	// A net's delay scales with the congestion of its consumer's
+	// partition.
+	congestion := make([]float64, n)
+	for i := range cells {
+		u := pl.Utilization[pl.PartitionOf[cells[i].Name]]
+		congestion[i] = 1 + dm.CongestionK*u*u
 	}
-	edgeDelay := func(e route.Edge) float64 {
+	edgeDelay := func(e *route.Edge) float64 {
 		d := dm.NetBaseNs + dm.NetPerTileNs*float64(e.Dist) + dm.SLRCrossNs*float64(e.SLRHops)
-		return d * congestion(e.To)
+		return d * congestion[e.Dst]
 	}
 
-	// Topological order over combinational cells: edges from comb producer
-	// to consumer. State cells are path endpoints: their inputs terminate
-	// paths; their outputs launch with arrival 0.
-	indeg := make(map[string]int)
-	users := make(map[string][]string)
-	for _, e := range rt.Edges {
-		prod := nodes[e.From]
-		if prod == nil || prod.cell.IsState {
-			continue
+	// Each cell's fanin edges, in routed order, and each combinational
+	// cell's combinational users. State cells are path endpoints: their
+	// inputs terminate paths; their outputs launch with arrival 0.
+	comb := func(i int32) bool { return !cells[i].IsState }
+	faninAt, fanin := byCell(n, func(yield func(cell, edge int32)) {
+		for k := range edges {
+			yield(edges[k].Dst, int32(k))
 		}
-		cons := nodes[e.To]
-		if cons == nil || cons.cell.IsState {
-			continue // handled as endpoint below
-		}
-		indeg[e.To]++
-		users[e.From] = append(users[e.From], e.To)
-	}
-	var queue []string
-	for name, n := range nodes {
-		if !n.cell.IsState && indeg[name] == 0 {
-			queue = append(queue, name)
-		}
-	}
-	sort.Strings(queue) // determinism
-	processed := 0
-	comb := 0
-	for _, n := range nodes {
-		if !n.cell.IsState {
-			comb++
-		}
-	}
-	an := &Analysis{}
-	// arrival(cell) = logicDelay(cell) + max over comb fanin (arrival + edge)
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		n := nodes[name]
-		best := 0.0
-		from := ""
-		for _, e := range rt.FaninEdges(name) {
-			prod := nodes[e.From]
-			if prod == nil {
-				continue
+	})
+	indeg := make([]int32, n)
+	usersAt, users := byCell(n, func(yield func(cell, user int32)) {
+		for k := range edges {
+			e := &edges[k]
+			if comb(e.Src) && comb(e.Dst) {
+				yield(e.Src, e.Dst)
 			}
+		}
+	})
+	for _, u := range users {
+		indeg[u]++
+	}
+
+	an := &Analysis{}
+	arrival := make([]float64, n)
+	// latest returns the latest arrival over a cell's fanin edges and the
+	// producer it came from (-1 = none).
+	latest := func(i int32) (float64, int32) {
+		best, from := 0.0, int32(-1)
+		for _, k := range fanin[faninAt[i]:faninAt[i+1]] {
+			e := &edges[k]
 			d := edgeDelay(e)
-			if !prod.cell.IsState {
-				d += prod.arrival
+			if comb(e.Src) {
+				d += arrival[e.Src]
 			} else {
 				d += dm.LUTLevelNs // clock-to-out of the launching register
 			}
 			if d > best {
-				best, from = d, e.From
+				best, from = d, e.Src
 			}
 			an.WorkUnits++
 		}
-		n.arrival = best + dm.LUTLevelNs*float64(n.cell.Levels)
-		n.from = from
-		processed++
-		for _, u := range users[name] {
+		return best, from
+	}
+
+	// arrival(cell) = logicDelay(cell) + max over fanin (arrival + edge),
+	// in topological order over combinational cells.
+	queue := make([]int32, 0, n)
+	combCells := 0
+	for i := range cells {
+		if comb(int32(i)) {
+			combCells++
+			if indeg[i] == 0 {
+				queue = append(queue, int32(i))
+			}
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
+		best, _ := latest(i)
+		arrival[i] = best + dm.LUTLevelNs*float64(cells[i].Levels)
+		for _, u := range users[usersAt[i]:usersAt[i+1]] {
 			indeg[u]--
 			if indeg[u] == 0 {
 				queue = append(queue, u)
 			}
 		}
 	}
-	if processed != comb {
-		return nil, fmt.Errorf("timing: combinational cycle among %d unprocessed cells", comb-processed)
+	if len(queue) != combCells {
+		return nil, fmt.Errorf("timing: combinational cycle among %d unprocessed cells", combCells-len(queue))
 	}
 
-	// Endpoints: state cells capture; compute their required arrival.
-	var paths []Path
-	for name, n := range nodes {
-		if !n.cell.IsState {
+	// Endpoints: state cells capture; compute their required arrival and
+	// keep the worst paths, worst first, ties broken by endpoint name.
+	worse := func(a, b Path) bool {
+		if a.DelayNs != b.DelayNs {
+			return a.DelayNs > b.DelayNs
+		}
+		return a.Endpoint < b.Endpoint
+	}
+	var top []Path
+	for i := range cells {
+		if comb(int32(i)) {
 			continue
 		}
-		worst := 0.0
-		from := ""
-		for _, e := range rt.FaninEdges(name) {
-			prod := nodes[e.From]
-			if prod == nil {
-				continue
-			}
-			d := edgeDelay(e)
-			if !prod.cell.IsState {
-				d += prod.arrival
-			} else {
-				d += dm.LUTLevelNs
-			}
-			if d > worst {
-				worst, from = d, e.From
-			}
-			an.WorkUnits++
-		}
+		worst, from := latest(int32(i))
 		if worst == 0 {
 			continue
 		}
 		worst += dm.ClockSkewNs
-		paths = append(paths, Path{Endpoint: name, DelayNs: worst, Startcell: from})
-	}
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].DelayNs != paths[j].DelayNs {
-			return paths[i].DelayNs > paths[j].DelayNs
+		p := Path{Endpoint: cells[i].Name, DelayNs: worst, Startcell: cells[from].Name}
+		switch {
+		case len(top) < topPaths:
+			top = append(top, p)
+		case worse(p, top[topPaths-1]):
+			top[topPaths-1] = p
+		default:
+			continue
 		}
-		return paths[i].Endpoint < paths[j].Endpoint
-	})
-	if len(paths) > 0 {
-		an.CriticalNs = paths[0].DelayNs
+		for k := len(top) - 1; k > 0 && worse(top[k], top[k-1]); k-- {
+			top[k], top[k-1] = top[k-1], top[k]
+		}
+	}
+	if len(top) > 0 {
+		an.CriticalNs = top[0].DelayNs
 		an.FmaxMHz = 1000.0 / an.CriticalNs
 	}
-	if len(paths) > 10 {
-		paths = paths[:10]
-	}
-	an.TopPaths = paths
+	an.TopPaths = top
 	return an, nil
+}
+
+// byCell groups the values each yields by cell index, keeping each cell's
+// values in yield order: cell i's are vals[at[i]:at[i+1]].
+func byCell(n int, each func(yield func(cell, v int32))) (at, vals []int32) {
+	at = make([]int32, n+1)
+	each(func(i, _ int32) { at[i+1]++ })
+	for i := 0; i < n; i++ {
+		at[i+1] += at[i]
+	}
+	next := make([]int32, n)
+	copy(next, at[:n])
+	vals = make([]int32, at[n])
+	each(func(i, v int32) {
+		vals[next[i]] = v
+		next[i]++
+	})
+	return at, vals
 }
 
 // PathsThrough reports how many of the top paths terminate in cells whose

@@ -324,10 +324,10 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 	rep.CellsPlaced = placeWork
 	rep.Place = time.Duration(placeWork) * opts.Cost.PlacePerUnit
 
-	// Phase 3: routing and, phase 4, timing run over the whole design
-	// (they are cheap here), but only partition-local work is charged:
-	// routes that neither start nor end in the partition are reused from
-	// the checkpoint verbatim.
+	// Phase 3: routing and, phase 4, timing rerun over the whole design,
+	// but only partition-local work is charged: routing for the edges
+	// that start or end in the partition, timing for the edges into its
+	// cells.
 	if err := enter(ctx, ro.OnPhase, PhaseRoute); err != nil {
 		return nil, err
 	}
@@ -336,9 +336,14 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 		return nil, fmt.Errorf("vti: routing: %w", err)
 	}
 	out.Routing = rt
+	cells := net.Flat()
+	inPart := make([]bool, len(cells))
+	for i := range cells {
+		inPart[i] = pl.PartitionOf[cells[i].Name] == partition
+	}
 	var routeWork int64
 	for _, e := range rt.Edges {
-		if pl.PartitionOf[e.From] == partition || pl.PartitionOf[e.To] == partition {
+		if inPart[e.Src] || inPart[e.Dst] {
 			routeWork += int64(1 + e.Dist/16)
 		}
 	}
@@ -355,7 +360,7 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 	out.Timing = ta
 	partEdges := int64(0)
 	for _, e := range rt.Edges {
-		if pl.PartitionOf[e.To] == partition {
+		if inPart[e.Dst] {
 			partEdges++
 		}
 	}
