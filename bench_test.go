@@ -119,7 +119,7 @@ func BenchmarkFarmRecompile(b *testing.B) {
 		if i%tags == 0 {
 			var err error
 			base, err = vti.CompileCtx(ctx, fam.Variant(0), opts,
-				vti.CompileOptions{Cache: synth.NewCacheWith(synth.NewMemStore(0))})
+				vti.CompileOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

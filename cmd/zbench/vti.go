@@ -31,7 +31,7 @@ func vtiExp(int) error {
 		familyA := workloads.NewManycore(cores)
 		vopts := vtiOpts(familyA)
 		cold, err := vti.CompileCtx(ctx, familyA.Base(), vopts,
-			vti.CompileOptions{Cache: synth.NewCacheWith(store)})
+			vti.CompileOptions{Store: store})
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ func vtiExp(int) error {
 		// no shared pointers), same edit, resident daemon, warm store.
 		familyB := workloads.NewManycore(cores)
 		resB, err := vti.CompileCtx(ctx, familyB.Base(), vtiOpts(familyB),
-			vti.CompileOptions{Cache: synth.NewCacheWith(store)})
+			vti.CompileOptions{Store: store})
 		if err != nil {
 			return err
 		}

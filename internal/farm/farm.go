@@ -1,7 +1,7 @@
 // Package farm is the shared compile service behind zoomied's
 // CompileSubmit/CompileStatus/CompileCancel ops: a process-wide,
-// content-addressed checkpoint store plus a refcounted job table over the
-// cancellable VTI phase graph (internal/vti). Because jobs are keyed by
+// content-addressed checkpoint store plus a refcounted job table over
+// VTI's cancellable compiles (internal/vti). Because jobs are keyed by
 // design content — not by who submitted them — a second client compiling
 // the same design gets the first client's finished artifact as an
 // instant cache hit, concurrent identical submits share one execution
@@ -559,7 +559,7 @@ func (f *Farm) run(j *Job, spec Spec, d *rtl.Design, opts toolchain.Options) {
 	switch j.flow {
 	case FlowInitial:
 		res, err = vti.CompileCtx(j.ctx, d, opts,
-			vti.CompileOptions{Cache: synth.NewCacheWith(f.store), OnPhase: j.enterPhase})
+			vti.CompileOptions{Store: f.store, OnPhase: j.enterPhase})
 	case FlowRecompile:
 		res, err = f.runRecompile(j, spec, opts)
 	default:
@@ -748,8 +748,7 @@ func CheckBitIdentity(ctx context.Context, spec Spec, tag int) (cold, warm strin
 	path := partitionPath(spec, d)
 	opts := compileOpts(spec, path)
 
-	base, err := vti.CompileCtx(ctx, d, opts,
-		vti.CompileOptions{Cache: synth.NewCacheWith(synth.NewMemStore(0))})
+	base, err := vti.CompileCtx(ctx, d, opts, vti.CompileOptions{})
 	if err != nil {
 		return "", "", fmt.Errorf("farm: base compile: %w", err)
 	}

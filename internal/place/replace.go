@@ -15,7 +15,7 @@ import (
 // contract that recompilation scope is declared up front. Trailing hooks
 // run on the finished placement, mirroring Place.
 func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, changed string, hooks ...Hook) (*Placement, int64, error) {
-	spec, ok := lookupSpec(specs, changed)
+	spec, ok := LookupSpec(specs, changed)
 	if !ok {
 		return nil, 0, fmt.Errorf("place: no partition %q", changed)
 	}
@@ -115,7 +115,8 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 	return p, p.WorkUnits, nil
 }
 
-func lookupSpec(specs []PartitionSpec, name string) (PartitionSpec, bool) {
+// LookupSpec returns the partition spec with the given name.
+func LookupSpec(specs []PartitionSpec, name string) (PartitionSpec, bool) {
 	for _, s := range specs {
 		if s.Name == name {
 			return s, true

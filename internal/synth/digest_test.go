@@ -206,7 +206,7 @@ func TestMemStoreEviction(t *testing.T) {
 		m.SetNext(r, rtl.S(r))
 		d := ModuleDigest(m)
 		ds = append(ds, d)
-		store.Save(d, &ModuleNetlist{Module: m})
+		store.Save(d, &ModuleNetlist{})
 	}
 	st := store.Stats()
 	if st.Entries != 2 || st.Evictions != 1 {

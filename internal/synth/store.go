@@ -5,7 +5,8 @@ import "sync"
 // Store is a content-addressed checkpoint store: synthesized module
 // netlists keyed by module digest. Implementations must be safe for
 // concurrent use — the compile farm shares one store across every client
-// session and every parallel partition worker.
+// session and every compile, each of which maps through a Cache of its
+// own.
 //
 // Stored netlists are treated as immutable once saved.
 type Store interface {

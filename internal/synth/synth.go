@@ -42,9 +42,9 @@ type ChildRef struct {
 }
 
 // ModuleNetlist is the synthesized form of one module: its local cells
-// plus references to synthesized children.
+// plus references to synthesized children. It keeps nothing of the RTL
+// it was mapped from, so a checkpoint store that holds it holds no design.
 type ModuleNetlist struct {
-	Module   *rtl.Module
 	Cells    []Cell
 	Children []ChildRef
 
@@ -66,10 +66,10 @@ type ModuleNetlist struct {
 // constructed copies of the same module — another parse of the same
 // source, another client's design sharing a common block — reuse one
 // checkpoint. A fast pointer memo sits in front of the store for repeat
-// lookups within one hierarchy.
+// lookups within one hierarchy; it keeps every module it has seen, so a
+// cache should live no longer than the compile it serves.
 //
-// Cache is safe for concurrent use; parallel partition workers may
-// synthesize through one cache.
+// Cache is safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	store    Store
@@ -180,7 +180,7 @@ func (c *Cache) module(m *rtl.Module) (*ModuleNetlist, error) {
 		return n, nil
 	}
 	c.misses++
-	n := &ModuleNetlist{Module: m}
+	n := &ModuleNetlist{}
 	for _, a := range m.Assigns {
 		cell := mapExpr(a.Dst.Name, a.Src)
 		n.Cells = append(n.Cells, cell)

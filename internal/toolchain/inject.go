@@ -3,7 +3,6 @@ package toolchain
 import (
 	"zoomie/internal/place"
 	"zoomie/internal/route"
-	"zoomie/internal/rtl"
 	"zoomie/internal/synth"
 )
 
@@ -17,8 +16,9 @@ import (
 // the lowest layer that already imports synth, place and route together;
 // vti and farm thread it through Options without new dependencies.
 type Inject struct {
-	// Synth is installed as the synthesis cache's netlist hook; it fires
-	// on every store miss and may corrupt the freshly mapped cells.
+	// Synth is installed as the netlist hook of every compile's synthesis
+	// cache; it fires on every store miss and may corrupt the freshly
+	// mapped cells.
 	Synth synth.NetlistHook
 	// Place runs on every finished placement (initial and incremental).
 	Place place.Hook
@@ -26,7 +26,7 @@ type Inject struct {
 	Route route.Hook
 	// Store, when non-nil, replaces the compile's private checkpoint
 	// store — a wrapper returning stale netlists models a broken digest
-	// lookup. Ignored when the caller supplies its own cache (the farm
+	// lookup. Ignored when the caller supplies its own store (the farm
 	// path injects there via farm.Config.Store instead).
 	Store synth.Store
 }
@@ -45,21 +45,4 @@ func (o Options) RouteHooks() []route.Hook {
 		return nil
 	}
 	return []route.Hook{o.Inject.Route}
-}
-
-// synthesize maps the design honoring the options' injection: with no
-// Inject set it is plain synth.Synthesize; otherwise the compile runs
-// through a cache over the injected (or a private) store with the synth
-// hook armed.
-func synthesize(d *rtl.Design, opts Options) (*synth.ModuleNetlist, error) {
-	if opts.Inject == nil {
-		return synth.Synthesize(d)
-	}
-	store := opts.Inject.Store
-	if store == nil {
-		store = synth.NewMemStore(0)
-	}
-	cache := synth.NewCacheWith(store)
-	cache.SetNetlistHook(opts.Inject.Synth)
-	return cache.Module(d.Top)
 }

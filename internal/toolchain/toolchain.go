@@ -1,7 +1,9 @@
 // Package toolchain orchestrates compilation flows over the synthesis,
 // placement, routing and timing engines, and attaches a calibrated cost
 // model that converts the work each flow actually performs into modeled
-// wall-clock time at vendor-tool scale. Three flows are provided:
+// wall-clock time at vendor-tool scale. Every flow runs one phase
+// sequence, Run; a Flow supplies only how it synthesizes and places and
+// what each phase is charged. Two flows are defined here:
 //
 //   - Monolithic: the baseline vendor flow — everything recompiled from
 //     scratch on every run.
@@ -9,8 +11,9 @@
 //     checkpoint but still re-synthesizes the whole design and re-places/
 //     re-routes most of it, which is why the paper measures only marginal
 //     gains (§5.2).
-//   - VTI (package vti) builds on the primitives here for partition-based
-//     incremental compilation.
+//
+// Package vti defines the other two, VTI's initial compile and its
+// partition recompile.
 //
 // The modeled time is proportional to mechanism, not hardcoded per flow:
 // each phase's duration is work-units × calibrated per-unit cost, where
@@ -168,8 +171,15 @@ func Compile(d *rtl.Design, opts Options) (*Result, error) {
 // without doing further work.
 func CompileCtx(ctx context.Context, d *rtl.Design, opts Options) (*Result, error) {
 	opts.defaults()
-	return compile(ctx, d, opts, "monolithic", nil)
+	return Run(ctx, d, opts, Flow{Name: "monolithic", Synth: flattened(d, opts)})
 }
+
+// The vendor's incremental mode skips this much of the placement and
+// routing work of a full compile.
+const (
+	vendorPlaceSkip = 0.25
+	vendorRouteSkip = 0.10
+)
 
 // CompileIncremental models the vendor's incremental mode given a previous
 // run: synthesis is repeated in full (the vendor tool cannot trust the old
@@ -177,109 +187,203 @@ func CompileCtx(ctx context.Context, d *rtl.Design, opts Options) (*Result, erro
 // skip roughly a quarter and a tenth of their work respectively — the
 // small, design-dependent reuse the paper observed.
 func CompileIncremental(prev *Result, d *rtl.Design, opts Options) (*Result, error) {
-	return CompileIncrementalCtx(context.Background(), prev, d, opts)
-}
-
-// CompileIncrementalCtx is CompileIncremental with cancellation.
-func CompileIncrementalCtx(ctx context.Context, prev *Result, d *rtl.Design, opts Options) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("toolchain: incremental compile needs a previous result")
 	}
 	opts.defaults()
-	reuse := &incrementalReuse{placeFrac: 0.25, routeFrac: 0.10}
-	return compile(ctx, d, opts, "vendor-incremental", reuse)
+	return Run(context.Background(), d, opts, Flow{
+		Name:  "vendor-incremental",
+		Synth: flattened(d, opts),
+		Place: func(net *synth.ModuleNetlist) (*place.Placement, int64, error) {
+			pl, work, err := opts.placeAll(net)
+			return pl, int64(float64(work) * (1 - vendorPlaceSkip)), err
+		},
+		Charge: func(r *Result) (int64, int64, int) {
+			routeWork, timingWork, frames := wholeDesign(r)
+			return int64(float64(routeWork) * (1 - vendorRouteSkip)), timingWork, frames
+		},
+	})
 }
 
-type incrementalReuse struct {
-	placeFrac float64 // fraction of placement work skipped
-	routeFrac float64 // fraction of routing work skipped
-}
-
-// phaseGate returns a cancellation error if ctx ended before the named
-// phase could start.
-func phaseGate(ctx context.Context, phase string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("toolchain: cancelled before %s: %w", phase, err)
+// flattened synthesizes the whole design and charges every instance's
+// cells: the vendor flows re-elaborate and re-optimize each instance, so
+// their work scales with total, not deduplicated, cells.
+func flattened(d *rtl.Design, opts Options) SynthFunc {
+	return func(_ context.Context, c *synth.Cache) (*synth.ModuleNetlist, int, time.Duration, error) {
+		net, err := c.Module(d.Top)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return net, net.TotalCellCount, time.Duration(net.TotalCellCount) * opts.Cost.SynthPerCell, nil
 	}
-	return nil
 }
 
-func compile(ctx context.Context, d *rtl.Design, opts Options, flow string, reuse *incrementalReuse) (*Result, error) {
-	res := &Result{Design: d, Options: opts}
-	res.Report.Flow = flow
-	res.Report.Start = opts.Cost.Startup
+// The phases of a compile, in the order Run enters them. The names travel
+// over the wire as compile progress frames.
+const (
+	PhaseSynth  = "synth"
+	PhasePlace  = "place"
+	PhaseRoute  = "route"
+	PhaseTiming = "timing"
+	PhaseBitgen = "bitgen"
+	PhaseLink   = "link"
+	PhaseImage  = "image"
+)
 
-	if err := phaseGate(ctx, "synth"); err != nil {
+// SynthFunc maps a design through the compile's own cache and returns the
+// netlist with the cells and modeled time its synthesis is charged. It
+// should check ctx between compilation units.
+type SynthFunc func(ctx context.Context, c *synth.Cache) (net *synth.ModuleNetlist, cells int, t time.Duration, err error)
+
+// Flow is what sets one compile flow apart: how it synthesizes and
+// places, and what it is charged for each phase. Run does the rest.
+type Flow struct {
+	Name  string
+	Synth SynthFunc
+	// Place places the netlist and returns the work units charged; nil
+	// places the whole device and charges all of it.
+	Place func(net *synth.ModuleNetlist) (*place.Placement, int64, error)
+	// Charge returns the routing and timing work units and the frames the
+	// routed and timed compile is charged; nil charges the whole design.
+	Charge func(r *Result) (routeUnits, timingUnits int64, frames int)
+	// Link adds the link phase, which merges the full-device frame
+	// directory.
+	Link bool
+	// Resident drops the fixed startup charge.
+	Resident bool
+	// Store is the checkpoint store the compile's cache maps through;
+	// nil resolves as Options.CheckpointStore does.
+	Store synth.Store
+	// OnPhase, when non-nil, is called as each phase starts.
+	OnPhase func(phase string)
+}
+
+// CheckpointStore returns the checkpoint store a compile maps through: s
+// when set, else the injected store, else a fresh private one.
+func (o Options) CheckpointStore(s synth.Store) synth.Store {
+	switch {
+	case s != nil:
+		return s
+	case o.Inject != nil && o.Inject.Store != nil:
+		return o.Inject.Store
+	}
+	return synth.NewMemStore(0)
+}
+
+// Run compiles d through one flow: synth, place, route, timing and bitgen,
+// then link when the flow links, then the image unless opts.SkipImage.
+// Each phase is gated on ctx and announced through flow.OnPhase, and
+// synthesis maps through a cache of this compile's own over the flow's
+// store. opts must carry its defaults (Options.WithDefaults).
+func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, error) {
+	enter := func(phase string) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("toolchain: cancelled before %s: %w", phase, err)
+		}
+		if flow.OnPhase != nil {
+			flow.OnPhase(phase)
+		}
+		return nil
+	}
+	res := &Result{Design: d, Options: opts}
+	rep := &res.Report
+	rep.Flow = flow.Name
+	if !flow.Resident {
+		rep.Start = opts.Cost.Startup
+	}
+
+	if err := enter(PhaseSynth); err != nil {
 		return nil, err
 	}
-	net, err := synthesize(d, opts)
+	cache := synth.NewCacheWith(opts.CheckpointStore(flow.Store))
+	if opts.Inject != nil {
+		cache.SetNetlistHook(opts.Inject.Synth)
+	}
+	net, cells, synthTime, err := flow.Synth(ctx, cache)
 	if err != nil {
 		return nil, fmt.Errorf("toolchain: synthesis: %w", err)
 	}
 	res.Netlist = net
-	// Monolithic synthesis flattens: every instance is re-elaborated and
-	// re-optimized, so work scales with total (not deduplicated) cells.
-	res.Report.CellsSynthesized = net.TotalCellCount
-	res.Report.Synth = time.Duration(net.TotalCellCount) * opts.Cost.SynthPerCell
+	rep.CellsSynthesized = cells
+	rep.Synth = synthTime
 
-	if err := phaseGate(ctx, "place"); err != nil {
+	if err := enter(PhasePlace); err != nil {
 		return nil, err
 	}
-	pl, err := place.Place(net, opts.Device, opts.Partitions, opts.PlaceHooks()...)
+	placeFn := flow.Place
+	if placeFn == nil {
+		placeFn = opts.placeAll
+	}
+	pl, placeWork, err := placeFn(net)
 	if err != nil {
 		return nil, fmt.Errorf("toolchain: placement: %w", err)
 	}
 	res.Placement = pl
-	placeWork := pl.WorkUnits
-	if reuse != nil {
-		placeWork = int64(float64(placeWork) * (1 - reuse.placeFrac))
-	}
-	res.Report.CellsPlaced = placeWork
-	res.Report.Place = time.Duration(placeWork) * opts.Cost.PlacePerUnit
+	rep.CellsPlaced = placeWork
+	rep.Place = time.Duration(placeWork) * opts.Cost.PlacePerUnit
 
-	if err := phaseGate(ctx, "route"); err != nil {
+	if err := enter(PhaseRoute); err != nil {
 		return nil, err
 	}
-	rt, err := route.Route(net, pl, opts.RouteHooks()...)
-	if err != nil {
+	if res.Routing, err = route.Route(net, pl, opts.RouteHooks()...); err != nil {
 		return nil, fmt.Errorf("toolchain: routing: %w", err)
 	}
-	res.Routing = rt
-	routeWork := rt.WorkUnits
-	if reuse != nil {
-		routeWork = int64(float64(routeWork) * (1 - reuse.routeFrac))
-	}
-	res.Report.RouteUnits = routeWork
-	res.Report.Route = time.Duration(routeWork) * opts.Cost.RoutePerUnit
 
-	if err := phaseGate(ctx, "timing"); err != nil {
+	if err := enter(PhaseTiming); err != nil {
 		return nil, err
 	}
-	ta, err := timing.Analyze(net, pl, rt, opts.Delay)
-	if err != nil {
+	if res.Timing, err = timing.Analyze(net, pl, res.Routing, opts.Delay); err != nil {
 		return nil, fmt.Errorf("toolchain: timing: %w", err)
 	}
-	res.Timing = ta
-	res.Report.Timing = time.Duration(ta.WorkUnits) * opts.Cost.TimingPerUnit
-	res.Report.FmaxMHz = ta.FmaxMHz
-	res.Report.TimingMetTarget = ta.MeetsFrequency(opts.TargetMHz)
+	rep.FmaxMHz = res.Timing.FmaxMHz
+	rep.TimingMetTarget = res.Timing.MeetsFrequency(opts.TargetMHz)
+	charge := flow.Charge
+	if charge == nil {
+		charge = wholeDesign
+	}
+	routeWork, timingWork, frames := charge(res)
+	rep.RouteUnits = routeWork
+	rep.Route = time.Duration(routeWork) * opts.Cost.RoutePerUnit
+	rep.Timing = time.Duration(timingWork) * opts.Cost.TimingPerUnit
 
-	// Full-device bitstream.
-	if err := phaseGate(ctx, "bitgen"); err != nil {
+	if err := enter(PhaseBitgen); err != nil {
 		return nil, err
 	}
-	frames := opts.Device.TotalFrames()
-	res.Report.FramesEmitted = frames
-	res.Report.Bitgen = time.Duration(frames) * opts.Cost.BitgenPerFrame
+	rep.FramesEmitted = frames
+	rep.Bitgen = time.Duration(frames) * opts.Cost.BitgenPerFrame
 
-	if !opts.SkipImage {
-		img, err := BuildImage(d, pl, opts)
-		if err != nil {
+	if flow.Link {
+		if err := enter(PhaseLink); err != nil {
 			return nil, err
 		}
-		res.Image = img
+		rep.Link = time.Duration(opts.Device.TotalFrames()) * opts.Cost.LinkPerFrame
+	}
+
+	if !opts.SkipImage {
+		if err := enter(PhaseImage); err != nil {
+			return nil, err
+		}
+		if res.Image, err = BuildImage(d, pl, opts); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
+}
+
+// placeAll places the netlist over the whole device, partitions in their
+// reserved regions, and charges every placement work unit.
+func (o Options) placeAll(net *synth.ModuleNetlist) (*place.Placement, int64, error) {
+	pl, err := place.Place(net, o.Device, o.Partitions, o.PlaceHooks()...)
+	if err != nil {
+		return nil, 0, err
+	}
+	return pl, pl.WorkUnits, nil
+}
+
+// wholeDesign charges all of the routing and timing work and a
+// full-device bitstream.
+func wholeDesign(r *Result) (routeUnits, timingUnits int64, frames int) {
+	return r.Routing.WorkUnits, r.Timing.WorkUnits, r.Options.Device.TotalFrames()
 }
 
 // BuildImage elaborates the design and assembles the runnable image with

@@ -34,7 +34,7 @@ func TestWarmSharedRecompileAcceptance(t *testing.T) {
 	// edit, populating the shared checkpoint store.
 	familyA := workloads.NewManycore(cores)
 	resA, err := CompileCtx(context.Background(), familyA.Base(), vtiOpts(familyA),
-		CompileOptions{Cache: synth.NewCacheWith(store)})
+		CompileOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWarmSharedRecompileAcceptance(t *testing.T) {
 	// module pointers — only shared content) and performs the same edit.
 	familyB := workloads.NewManycore(cores)
 	resB, err := CompileCtx(context.Background(), familyB.Base(), vtiOpts(familyB),
-		CompileOptions{Cache: synth.NewCacheWith(store)})
+		CompileOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestColdWarmSharedHitLadder(t *testing.T) {
 	store := synth.NewMemStore(0)
 	familyA := workloads.NewManycore(cores)
 	resA, err := CompileCtx(context.Background(), familyA.Base(), vtiOpts(familyA),
-		CompileOptions{Cache: synth.NewCacheWith(store)})
+		CompileOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestColdWarmSharedHitLadder(t *testing.T) {
 
 	familyB := workloads.NewManycore(cores)
 	resB, err := CompileCtx(context.Background(), familyB.Base(), vtiOpts(familyB),
-		CompileOptions{Cache: synth.NewCacheWith(store)})
+		CompileOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestPreCancelledCompileDoesZeroWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	cache := synth.NewCacheWith(synth.NewMemStore(0))
+	store := synth.NewMemStore(0)
 	var phases []string
 	_, err := CompileCtx(ctx, family.Base(), vtiOpts(family), CompileOptions{
-		Cache:   cache,
+		Store:   store,
 		OnPhase: func(p string) { phases = append(phases, p) },
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -174,9 +174,9 @@ func TestPreCancelledCompileDoesZeroWork(t *testing.T) {
 	if len(phases) != 0 {
 		t.Errorf("pre-cancelled compile entered phases %v", phases)
 	}
-	if cache.CellCount() != 0 || cache.Misses() != 0 {
-		t.Errorf("pre-cancelled compile did synthesis work: %d cells, %d misses",
-			cache.CellCount(), cache.Misses())
+	if st := store.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("pre-cancelled compile did synthesis work: %d checkpoints saved, %d misses",
+			st.Entries, st.Misses)
 	}
 
 	// Same for a recompile off a completed result.

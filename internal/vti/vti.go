@@ -1,10 +1,12 @@
 // Package vti implements the Vendor Tool Incrementalizer — the paper's
 // incremental compilation flow (§3.5). The designer declares partitions
 // (module instance subtrees they intend to iterate on). The initial
-// compile splits the design, reserves an over-provisioned region per
-// partition on a single SLR, and compiles partitions in parallel; later
+// compile splits the design and reserves an over-provisioned region per
+// partition on a single SLR; its synthesis is charged as if partitions
+// compiled in parallel, the maximum over compilation units. Later
 // recompiles touch only the changed partition and relink, which is where
-// the ~18× turnaround win over the vendor flow comes from.
+// the ~18× turnaround win over the vendor flow comes from. Both are flows
+// of toolchain.Run.
 package vti
 
 import (
@@ -18,13 +20,13 @@ import (
 	"zoomie/internal/toolchain"
 )
 
-// Result is a completed VTI compile: the toolchain result plus the
-// artifacts needed for fast recompiles (the synthesis cache acting as the
-// per-module checkpoint store).
+// Result is a completed VTI compile: the toolchain result plus what fast
+// recompiles need, the partitions and the checkpoint store of per-module
+// netlists that every recompile maps through.
 type Result struct {
 	*toolchain.Result
 	Specs []place.PartitionSpec
-	cache *synth.Cache
+	store synth.Store
 }
 
 // Compile performs the initial VTI compile. opts.Partitions must name at
@@ -35,12 +37,12 @@ func Compile(d *rtl.Design, opts toolchain.Options) (*Result, error) {
 
 // Recompile compiles a changed design in which only the named partition's
 // modules differ from the previous result. Unchanged module netlists are
-// reused from the checkpoint; only the changed partition is re-placed and
-// re-routed inside its reserved region, then the design is relinked.
+// checkpoint hits by content digest; only the changed partition is
+// re-placed and re-routed inside its reserved region, then the design is
+// relinked.
 //
-// newDesign must share *rtl.Module pointers with the previous design for
-// everything outside the changed partition — which is exactly the
-// contract of editing one module of a hierarchy.
+// newDesign must equal the previous design outside the changed partition,
+// which is exactly the contract of editing one module of a hierarchy.
 func (r *Result) Recompile(newDesign *rtl.Design, partition string) (*Result, error) {
 	return r.RecompileCtx(context.Background(), newDesign, partition, RecompileOptions{})
 }
@@ -58,40 +60,10 @@ func (r *Result) PartialFrames(partition string) map[int][]int {
 	return out
 }
 
-func (r *Result) cacheOrNew() *synth.Cache {
-	if r.cache != nil {
-		return r.cache
-	}
-	// Rebuild a cache seeded with the previous design's modules, modeling
-	// the on-disk checkpoint store of per-module netlists.
-	c := synth.NewCache()
-	if _, err := c.Module(r.Design.Top); err != nil {
-		// The previous design synthesized before; it cannot fail now.
-		panic(fmt.Sprintf("vti: reseeding checkpoint cache: %v", err))
-	}
-	return c
-}
-
-func cacheSize(c *synth.Cache) int { return c.CellCount() }
-
-func findSpec(specs []place.PartitionSpec, name string) (place.PartitionSpec, bool) {
-	for _, s := range specs {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return place.PartitionSpec{}, false
-}
-
 // ModuleAt resolves the module instantiated at a dotted instance path
 // ("" resolves to the top module). The compile farm uses it to apply
 // canonical debug edits to a partition's module.
 func ModuleAt(d *rtl.Design, path string) (*rtl.Module, error) {
-	return moduleAt(d, path)
-}
-
-// moduleAt resolves the module instantiated at a dotted instance path.
-func moduleAt(d *rtl.Design, path string) (*rtl.Module, error) {
 	cur := d.Top
 	if path == "" {
 		return cur, nil
