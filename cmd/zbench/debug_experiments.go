@@ -103,7 +103,7 @@ func bout(int) error {
 		if err != nil {
 			return err
 		}
-		sm := fpga.NewStateMap()
+		sm := fpga.NewStateMap(0, 0)
 		for i := 0; i < n; i++ {
 			if err := sm.AddReg(fpga.RegLoc{
 				Name: fmt.Sprintf("probe%d", i), Width: 16,

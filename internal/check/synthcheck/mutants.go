@@ -265,10 +265,10 @@ func catalog(env *caseEnv) []*mutant {
 						return nil, nil, false
 					}
 					return &toolchain.Inject{Place: func(pl *place.Placement) {
-						ta, oka := pl.CellTile[a]
-						tb, okb := pl.CellTile[b]
-						if oka && okb && ta != tb {
-							pl.CellTile[a], pl.CellTile[b] = tb, ta
+						ia, oka := cellIndex(pl, a)
+						ib, okb := cellIndex(pl, b)
+						if oka && okb && pl.Tiles[ia] != pl.Tiles[ib] {
+							pl.Tiles[ia], pl.Tiles[ib] = pl.Tiles[ib], pl.Tiles[ia]
 							rec()
 						}
 					}}, nil, true
@@ -360,8 +360,8 @@ func catalog(env *caseEnv) []*mutant {
 					return nil, nil, false
 				}
 				return &toolchain.Inject{Place: func(pl *place.Placement) {
-					if cur, ok := pl.PartitionOf[name]; ok && cur != place.StaticPartition {
-						pl.PartitionOf[name] = place.StaticPartition
+					if i, ok := cellIndex(pl, name); ok && pl.Parts[i] != place.StaticPartition {
+						pl.Parts[i] = place.StaticPartition
 						rec()
 					}
 				}}, nil, true
@@ -408,6 +408,17 @@ func firstMem(hd *gen.HierDesign) (part, name string) {
 		}
 	}
 	return "", name
+}
+
+// cellIndex returns the position of the named cell in the placement's
+// flat cell table.
+func cellIndex(pl *place.Placement, name string) (int, bool) {
+	for i := range pl.Cells {
+		if pl.Cells[i].Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // findDroppableFanin locates (cell, fanin) in a child netlist where the

@@ -335,7 +335,7 @@ type Stats struct {
 }
 
 // MaxTerminalJobs bounds the finished, failed and cancelled jobs a farm
-// keeps, with their results (about 12 MB per 256-core recompile): well
+// keeps, with their results (about 6 MB per 256-core recompile): well
 // above the 16 submits of one zperf epoch. Beyond it the least recently
 // used terminal job is forgotten; its id then answers as unknown, and
 // its next submit compiles afresh. Queued and running jobs are never
@@ -480,6 +480,22 @@ func (f *Farm) CancelLine(id uint64) (string, error) {
 	return fmt.Sprintf("job %d released (still referenced)", id), nil
 }
 
+// request is one submit's compile: the design as built, its debug
+// partition path and options, and the design's content digest, which
+// keys the job.
+type request struct {
+	spec   Spec
+	design *rtl.Design
+	path   string
+	opts   toolchain.Options
+	digest synth.Digest
+}
+
+// key returns the job key of the request's compile in a flow.
+func (r *request) key(flow string, tag int) string {
+	return fmt.Sprintf("%s|%s|%s|%d|%s", flow, r.digest, r.path, tag, r.opts.Device.Name)
+}
+
 // submit is the single-flight front door for both flows.
 func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, Attach, error) {
 	if spec.Build == nil {
@@ -490,10 +506,19 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 		return nil, AttachNew, fmt.Errorf("farm: build %s: %w", spec.Design, err)
 	}
 	path := partitionPath(spec, d)
-	opts := compileOpts(spec, path)
-	dd := synth.DesignDigest(d)
-	key := fmt.Sprintf("%s|%s|%s|%d|%s", flow, dd, path, tag, opts.Device.Name)
+	req := &request{
+		spec: spec, design: d, path: path,
+		opts: compileOpts(spec, path), digest: synth.DesignDigest(d),
+	}
+	j, a := f.attach(req, flow, tag, speculative)
+	return j, a, nil
+}
 
+// attach lands a request's compile in a flow on its job: one in flight
+// or done under the same key, else a new job that runs the request's
+// design.
+func (f *Farm) attach(req *request, flow string, tag int, speculative bool) (*Job, Attach) {
+	key := req.key(flow, tag)
 	f.mu.Lock()
 	f.submits++
 	f.uses++
@@ -507,13 +532,13 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 			j.mu.Unlock()
 			f.sharedN++
 			f.mu.Unlock()
-			return j, AttachShared, nil
+			return j, AttachShared
 		case StateDone:
 			j.hits++
 			j.mu.Unlock()
 			f.cacheHits++
 			f.mu.Unlock()
-			return j, AttachHit, nil
+			return j, AttachHit
 		}
 		// Failed or cancelled: fall through and run afresh.
 		j.mu.Unlock()
@@ -521,8 +546,8 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 	f.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id: f.nextID, f: f, key: key, flow: flow, design: spec.Design,
-		partition: path, tag: tag,
+		id: f.nextID, f: f, key: key, flow: flow, design: req.spec.Design,
+		partition: req.path, tag: tag,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		state: StateQueued, refs: 1, speculative: speculative,
 		subs: make(map[int]chan Progress), used: f.uses,
@@ -536,20 +561,20 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 		f.speculations++
 	}
 	f.mu.Unlock()
-	f.cfg.Logf("farm: job %d %s %s part=%s tag=%d", j.id, flow, spec.Design, path, tag)
+	f.cfg.Logf("farm: job %d %s %s part=%s tag=%d", j.id, flow, req.spec.Design, req.path, tag)
 
 	if speculative {
 		// Speculation runs synchronously on the initial job's goroutine so
 		// job numbering and store state stay deterministic.
-		f.run(j, spec, d, opts)
+		f.run(j, req)
 	} else {
-		go f.run(j, spec, d, opts)
+		go f.run(j, req)
 	}
-	return j, AttachNew, nil
+	return j, AttachNew
 }
 
 // run executes one job to a terminal state.
-func (f *Farm) run(j *Job, spec Spec, d *rtl.Design, opts toolchain.Options) {
+func (f *Farm) run(j *Job, req *request) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.mu.Unlock()
@@ -558,10 +583,10 @@ func (f *Farm) run(j *Job, spec Spec, d *rtl.Design, opts toolchain.Options) {
 	var err error
 	switch j.flow {
 	case FlowInitial:
-		res, err = vti.CompileCtx(j.ctx, d, opts,
+		res, err = vti.CompileCtx(j.ctx, req.design, req.opts,
 			vti.CompileOptions{Store: f.store, OnPhase: j.enterPhase})
 	case FlowRecompile:
-		res, err = f.runRecompile(j, spec, opts)
+		res, err = f.runRecompile(j, req)
 	default:
 		err = fmt.Errorf("farm: unknown flow %q", j.flow)
 	}
@@ -570,33 +595,35 @@ func (f *Farm) run(j *Job, spec Spec, d *rtl.Design, opts toolchain.Options) {
 	if j.flow == FlowInitial && err == nil && f.cfg.Speculate && !j.speculative {
 		// Pre-warm the client's likely next request: edit tag 1 of the
 		// partition they just compiled.
-		if _, _, serr := f.submit(spec, FlowRecompile, 1, true); serr != nil {
+		if _, _, serr := f.submit(req.spec, FlowRecompile, 1, true); serr != nil {
 			f.cfg.Logf("farm: speculative recompile after job %d: %v", j.id, serr)
 		}
 	}
 }
 
 // runRecompile ensures the base compile, then recompiles the canonical
-// debug edit of the partition against it.
-func (f *Farm) runRecompile(j *Job, spec Spec, opts toolchain.Options) (*vti.Result, error) {
-	base, _, err := f.Compile(spec)
-	if err != nil {
-		return nil, err
-	}
+// debug edit of the partition against it. The request's design is the
+// unedited one, so its digest keys the base job too. Only this job holds
+// that design, and the edit goes on it, unless the base must compile it
+// afresh: then the edit goes on a second build.
+func (f *Farm) runRecompile(j *Job, req *request) (*vti.Result, error) {
+	base, a := f.attach(req, FlowInitial, 0, false)
 	// The recompile's reference on the base cascades: cancelling the last
 	// recompile holder releases the base too, stopping a still-running
 	// initial compile nobody else wants.
 	defer f.Release(base.id)
+	edited := req.design
+	if a == AttachNew {
+		var err error
+		if edited, err = req.spec.Build(); err != nil {
+			return nil, fmt.Errorf("farm: build %s: %w", req.spec.Design, err)
+		}
+	}
 	if err := base.Wait(j.ctx); err != nil {
 		if j.ctx.Err() != nil {
 			return nil, fmt.Errorf("farm: cancelled waiting for base compile: %w", j.ctx.Err())
 		}
 		return nil, fmt.Errorf("farm: base compile: %w", err)
-	}
-
-	edited, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("farm: build %s: %w", spec.Design, err)
 	}
 	if err := editDesign(edited, j.partition, j.tag); err != nil {
 		return nil, err

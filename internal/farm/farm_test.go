@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,6 +260,43 @@ func TestRecompileBitIdentityAndCacheHit(t *testing.T) {
 	if a2 != AttachHit || j2.ID() != j.ID() {
 		t.Fatalf("identical recompile: attach %v job %d, want AttachHit on job %d",
 			a2, j2.ID(), j.ID())
+	}
+}
+
+// TestRecompileBuildsOnce: a recompile whose base is done builds its
+// design once, for its job key, and edits that copy; one whose base must
+// compile afresh hands that copy to the base and builds a second to
+// edit. Either way the recompile serves the bits of a cold compile.
+func TestRecompileBuildsOnce(t *testing.T) {
+	var builds atomic.Int64
+	spec := fixtureSpec()
+	spec.Build = func() (*rtl.Design, error) {
+		builds.Add(1)
+		return buildFarmDesign(), nil
+	}
+	f := New(Config{})
+	for _, tc := range []struct {
+		tag, builds int64
+	}{
+		{1, 2}, // the base compiles afresh
+		{2, 1}, // the base is done
+	} {
+		builds.Store(0)
+		j, _, err := f.Recompile(spec, int(tc.tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if got := builds.Load(); got != tc.builds {
+			t.Errorf("recompile of tag %d built the design %d times, want %d", tc.tag, got, tc.builds)
+		}
+		cold, _, err := CheckBitIdentity(context.Background(), fixtureSpec(), int(tc.tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Status().Digest; got != cold {
+			t.Errorf("recompile of tag %d: digest %s, cold compile %s", tc.tag, got, cold)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func testImage(t *testing.T, dev *Device) *Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewStateMap()
+	sm := NewStateMap(0, 0)
 	if err := sm.AddReg(RegLoc{Name: "cnt", Width: 8, Addr: BitAddr{SLR: 0, Frame: 3, Bit: 16}}); err != nil {
 		t.Fatal(err)
 	}

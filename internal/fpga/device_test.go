@@ -242,7 +242,7 @@ func TestFrameAllocatorExhaustedOnceFull(t *testing.T) {
 }
 
 func TestStateMapLookupsAndFrames(t *testing.T) {
-	sm := NewStateMap()
+	sm := NewStateMap(0, 0)
 	if err := sm.AddReg(RegLoc{Name: "a.r", Width: 8, Addr: BitAddr{SLR: 0, Frame: 5, Bit: 0}}); err != nil {
 		t.Fatal(err)
 	}

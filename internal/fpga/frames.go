@@ -108,11 +108,14 @@ type FrameItem struct {
 	Mem   bool
 }
 
-// NewStateMap builds an empty state map.
-func NewStateMap() *StateMap {
+// NewStateMap builds an empty state map with room for regs registers
+// and mems memories.
+func NewStateMap(regs, mems int) *StateMap {
 	return &StateMap{
-		regByName: make(map[string]int),
-		memByName: make(map[string]int),
+		Regs:      make([]RegLoc, 0, regs),
+		Mems:      make([]MemLoc, 0, mems),
+		regByName: make(map[string]int, regs),
+		memByName: make(map[string]int, mems),
 		frames:    make(map[[2]int][]FrameItem),
 	}
 }

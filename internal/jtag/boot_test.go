@@ -26,7 +26,7 @@ func bootImage(t *testing.T, dev *fpga.Device) *fpga.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := fpga.NewStateMap()
+	sm := fpga.NewStateMap(0, 0)
 	for i, name := range []string{"ra", "rb", "rc"} {
 		if err := sm.AddReg(fpga.RegLoc{Name: name, Width: 16,
 			Addr: fpga.BitAddr{SLR: i, Frame: 20 + i, Bit: 32}}); err != nil {
@@ -132,7 +132,7 @@ func TestBootLoadsStateAndStartsClock(t *testing.T) {
 func TestBootRejectsBrokenImage(t *testing.T) {
 	dev := fpga.NewU200()
 	img := bootImage(t, dev)
-	img.Map = fpga.NewStateMap() // state map lost: registers unlocatable
+	img.Map = fpga.NewStateMap(0, 0) // state map lost: registers unlocatable
 	board := fpga.NewBoard(dev)
 	if err := Connect(board).Boot(img); err == nil {
 		t.Error("boot with empty state map accepted")

@@ -29,7 +29,7 @@ var denseWords = [...]int{0, 47, 92}
 func denseImage(t *testing.T, dev *fpga.Device) *fpga.Image {
 	t.Helper()
 	m := rtl.NewModule("dense")
-	sm := fpga.NewStateMap()
+	sm := fpga.NewStateMap(0, 0)
 	for slr := range dev.SLRs {
 		for f := 0; f < denseFrames; f++ {
 			for _, w := range denseWords {

@@ -23,7 +23,7 @@ func probeImage(t *testing.T, dev *fpga.Device) *fpga.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := fpga.NewStateMap()
+	sm := fpga.NewStateMap(0, 0)
 	for i := 0; i < 3; i++ {
 		name := "r" + string(rune('0'+i))
 		if err := sm.AddReg(fpga.RegLoc{

@@ -47,6 +47,18 @@ type TilePos struct {
 	SLR, Row, Col int
 }
 
+// unplaced marks a cell no partition has placed yet.
+var unplaced = TilePos{SLR: -1}
+
+// unplacedTiles returns n tiles, every one unplaced.
+func unplacedTiles(n int) []TilePos {
+	tiles := make([]TilePos, n)
+	for i := range tiles {
+		tiles[i] = unplaced
+	}
+	return tiles
+}
+
 // Placement is the result of placing a design.
 type Placement struct {
 	Device *fpga.Device
@@ -56,11 +68,15 @@ type Placement struct {
 	// one region per SLR.
 	Regions map[string][]fpga.Region
 
-	// CellTile locates every flat cell.
-	CellTile map[string]TilePos
+	// Cells is the placed netlist's flat cell table
+	// (synth.ModuleNetlist.Flatten), built once per compile. Routing,
+	// timing and the flows' charges read it from here. Callers must not
+	// modify it.
+	Cells []synth.FlatCell
 
-	// PartitionOf maps flat cell names to their partition.
-	PartitionOf map[string]string
+	// Tiles[i] locates Cells[i], and Parts[i] names its partition.
+	Tiles []TilePos
+	Parts []string
 
 	// Usage is per-partition resource usage (without over-provisioning).
 	Usage map[string]fpga.ResourceVec
@@ -101,20 +117,21 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
 	}
-	cells := net.Flat()
+	cells := net.Flatten()
+	parts := partitionsOf(cells, specs)
 	p := &Placement{
 		Device:      dev,
 		Regions:     make(map[string][]fpga.Region),
-		CellTile:    make(map[string]TilePos, len(cells)),
-		PartitionOf: make(map[string]string, len(cells)),
+		Cells:       cells,
+		Tiles:       unplacedTiles(len(cells)),
+		Parts:       parts,
 		Usage:       make(map[string]fpga.ResourceVec),
 		Utilization: make(map[string]float64),
-		StateMap:    fpga.NewStateMap(),
+		StateMap:    fpga.NewStateMap(0, 0),
 	}
 
 	// Pass 1: bucket cells by partition and accumulate usage.
 	buckets := make(map[string][]int32)
-	parts := partitionsOf(cells, specs)
 	for i := range cells {
 		part := parts[i]
 		buckets[part] = append(buckets[part], int32(i))
@@ -187,7 +204,7 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 	names := append([]string{}, iterated...)
 	names = append(names, StaticPartition)
 	for _, name := range names {
-		if err := p.placePartition(name, cells, buckets[name]); err != nil {
+		if err := p.placePartition(name, buckets[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -231,7 +248,7 @@ func (p *Placement) DropReg(name string) bool {
 // and frame indexes agree with its Regs. Reports whether every placement
 // was accepted; on refusal the old map stays.
 func (p *Placement) rebuildState(regs []fpga.RegLoc) bool {
-	sm := fpga.NewStateMap()
+	sm := fpga.NewStateMap(len(regs), len(p.StateMap.Mems))
 	for _, r := range regs {
 		if err := sm.AddReg(r); err != nil {
 			return false
@@ -383,7 +400,7 @@ func utilization(usage, capacity fpga.ResourceVec) float64 {
 // partition's region tiles round-robin, allocates frame space for its
 // state, and runs a bounded deterministic refinement pass for small
 // partitions.
-func (p *Placement) placePartition(name string, cells []synth.FlatCell, idx []int32) error {
+func (p *Placement) placePartition(name string, idx []int32) error {
 	regions := p.Regions[name]
 	if len(regions) == 0 {
 		if len(idx) == 0 {
@@ -466,14 +483,12 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell, idx []in
 	var mems []*synth.FlatCell
 	inst := ""
 	for i, ci := range idx {
-		c := &cells[ci]
+		c := &p.Cells[ci]
 		ti := i / density
 		if ti >= len(tiles) {
 			ti = len(tiles) - 1
 		}
-		pos := tiles[ti]
-		p.CellTile[c.Name] = pos
-		p.PartitionOf[c.Name] = name
+		p.Tiles[ci] = tiles[ti]
 		p.WorkUnits++
 
 		if !c.IsState {
@@ -515,20 +530,22 @@ func (p *Placement) placePartition(name string, cells []synth.FlatCell, idx []in
 	// keep improvements. This is annealing's inner move at temperature
 	// zero, bounded so big static partitions stay cheap.
 	if len(idx) > 1 && len(idx) <= 2000 {
-		p.refine(cells, idx)
+		p.refine(idx)
 	}
 	return nil
 }
 
 // refine performs bounded greedy swap refinement on the partition's flat
-// cells listed in idx.
-func (p *Placement) refine(cells []synth.FlatCell, idx []int32) {
+// cells listed in idx. A fanin's wirelength counts only once its driver
+// is placed: partitions placed later are not yet on the device.
+func (p *Placement) refine(idx []int32) {
 	rng := rand.New(rand.NewSource(1))
-	cost := func(c *synth.FlatCell) int64 {
-		pos := p.CellTile[c.Name]
+	tiles := p.Tiles
+	cost := func(i int32) int64 {
+		pos := tiles[i]
 		var sum int64
-		for _, d := range c.Drivers {
-			if fp, ok := p.CellTile[cells[d].Name]; ok {
+		for _, d := range p.Cells[i].Drivers {
+			if fp := tiles[d]; fp != unplaced {
 				sum += int64(abs(pos.Row-fp.Row) + abs(pos.Col-fp.Col))
 			}
 		}
@@ -541,12 +558,12 @@ func (p *Placement) refine(cells []synth.FlatCell, idx []int32) {
 			if i == j {
 				continue
 			}
-			a, b := &cells[idx[i]], &cells[idx[j]]
+			a, b := idx[i], idx[j]
 			before := cost(a) + cost(b)
-			p.CellTile[a.Name], p.CellTile[b.Name] = p.CellTile[b.Name], p.CellTile[a.Name]
+			tiles[a], tiles[b] = tiles[b], tiles[a]
 			after := cost(a) + cost(b)
 			if after >= before {
-				p.CellTile[a.Name], p.CellTile[b.Name] = p.CellTile[b.Name], p.CellTile[a.Name]
+				tiles[a], tiles[b] = tiles[b], tiles[a]
 			}
 			p.WorkUnits++
 		}

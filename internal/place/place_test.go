@@ -2,6 +2,7 @@ package place
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,12 +27,12 @@ func TestPlaceWholeDesignStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	placed := 0
-	for _, c := range net.Flat() {
-		if _, ok := pl.CellTile[c.Name]; ok {
+	for _, pos := range pl.Tiles {
+		if pos != unplaced {
 			placed++
 		}
 	}
-	if placed != net.TotalCellCount {
+	if len(pl.Cells) != net.TotalCellCount || placed != net.TotalCellCount {
 		t.Errorf("placed %d of %d cells", placed, net.TotalCellCount)
 	}
 	if len(pl.Regions[StaticPartition]) == 0 {
@@ -53,11 +54,11 @@ func TestPlaceWithPartition(t *testing.T) {
 	// All debug partitions live on one SLR; all partition cells must be
 	// inside the region.
 	r := regions[0]
-	for _, c := range net.Flat() {
-		if pl.PartitionOf[c.Name] != "mut" {
+	for i, c := range pl.Cells {
+		if pl.Parts[i] != "mut" {
 			continue
 		}
-		pos := pl.CellTile[c.Name]
+		pos := pl.Tiles[i]
 		if !r.Contains(pos.SLR, pos.Row, pos.Col) {
 			t.Errorf("mut cell %q placed at %+v outside region %+v", c.Name, pos, r)
 		}
@@ -118,7 +119,7 @@ func TestStateMapCoversAllState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range net.Flat() {
+	for _, c := range pl.Cells {
 		if !c.IsState {
 			continue
 		}
@@ -201,11 +202,14 @@ func TestReplaceKeepsStaticIntact(t *testing.T) {
 	if work == 0 {
 		t.Error("replace did no work")
 	}
-	for _, c := range net.Flat() {
-		if pl.PartitionOf[c.Name] == "mut" {
+	if len(pl2.Cells) != len(pl.Cells) {
+		t.Fatalf("replace placed %d cells, the base %d", len(pl2.Cells), len(pl.Cells))
+	}
+	for i, c := range pl.Cells {
+		if pl.Parts[i] == "mut" {
 			continue
 		}
-		if pl2.CellTile[c.Name] != pl.CellTile[c.Name] {
+		if pl2.Cells[i].Name != c.Name || pl2.Parts[i] != pl.Parts[i] || pl2.Tiles[i] != pl.Tiles[i] {
 			t.Errorf("static cell %q moved during replace", c.Name)
 		}
 		if c.IsState && c.MemWidth == 0 {
@@ -241,6 +245,44 @@ func TestReplaceRejectsChangesOutsidePartition(t *testing.T) {
 	bigger := socNetlist(t, 24)
 	if _, _, err := Replace(pl, bigger, specs, "mut"); err == nil {
 		t.Error("out-of-partition change accepted")
+	}
+}
+
+// TestReplaceRefusesStaticChanges: a netlist whose logic outside the
+// changed partition gained, lost or reordered a cell is refused, and
+// the error names the cell.
+func TestReplaceRefusesStaticChanges(t *testing.T) {
+	specs := []PartitionSpec{{Name: "mut", Paths: []string{workloads.CorePath(0, 0)}}}
+	net := socNetlist(t, 16)
+	pl, err := Place(net, fpga.NewU200(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The top module's own cells are static logic.
+	top := net.Cells
+	if len(top) < 2 {
+		t.Fatalf("top module has %d cells", len(top))
+	}
+	extra := top[0]
+	extra.Name = "replace_extra"
+	for _, tc := range []struct {
+		name  string
+		cells []synth.Cell
+		cell  string // the cell the error must name
+	}{
+		{"added", append(slices.Clone(top), extra), "replace_extra"},
+		{"removed", slices.Delete(slices.Clone(top), 1, 2), top[1].Name},
+		{"reordered", append([]synth.Cell{top[1], top[0]}, top[2:]...), top[0].Name},
+	} {
+		edited := &synth.ModuleNetlist{Cells: tc.cells, Children: net.Children}
+		_, _, err := Replace(pl, edited, specs, "mut")
+		if err == nil {
+			t.Errorf("%s: a static cell change was accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(tc.cell)) {
+			t.Errorf("%s: error %q does not name cell %q", tc.name, err, tc.cell)
+		}
 	}
 }
 

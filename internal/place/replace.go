@@ -11,9 +11,13 @@ import (
 // partition keeps its tile positions and frame addresses from the previous
 // placement; the changed partition is re-placed from scratch inside its
 // reserved region. The change must be confined to the declared partition —
-// a cell appearing or moving anywhere else is an error, matching VTI's
-// contract that recompilation scope is declared up front. Trailing hooks
-// run on the finished placement, mirroring Place.
+// a cell appearing, vanishing or moving anywhere else is an error,
+// matching VTI's contract that recompilation scope is declared up front.
+// Trailing hooks run on the finished placement, mirroring Place.
+//
+// The cells outside the partition are carried by table position: the new
+// table and the previous one, each without the partition's cells, must
+// list the same cells in the same order.
 func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, changed string, hooks ...Hook) (*Placement, int64, error) {
 	spec, ok := LookupSpec(specs, changed)
 	if !ok {
@@ -24,14 +28,17 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 		return nil, 0, fmt.Errorf("place: partition %q has no reserved region", changed)
 	}
 
+	cells := net.Flatten()
+	parts := partitionsOf(cells, specs)
 	p := &Placement{
 		Device:      prev.Device,
 		Regions:     prev.Regions,
-		CellTile:    make(map[string]TilePos, len(prev.CellTile)),
-		PartitionOf: make(map[string]string, len(prev.PartitionOf)),
+		Cells:       cells,
+		Tiles:       unplacedTiles(len(cells)),
+		Parts:       parts,
 		Usage:       make(map[string]fpga.ResourceVec, len(prev.Usage)),
 		Utilization: make(map[string]float64, len(prev.Utilization)),
-		StateMap:    fpga.NewStateMap(),
+		StateMap:    fpga.NewStateMap(len(prev.StateMap.Regs), len(prev.StateMap.Mems)),
 	}
 	for k, v := range prev.Usage {
 		p.Usage[k] = v
@@ -40,32 +47,13 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 		p.Utilization[k] = v
 	}
 
-	// Split the flattened netlist into the re-placed bucket and the
-	// carried-over remainder. Carry-over is applied only after the
-	// partition is re-placed: from-scratch placement places partitions
-	// before static logic, and the refinement pass must see the same
-	// CellTile context in both flows so an incremental compile lands every
-	// partition cell on exactly the tile a cold compile would pick —
-	// that bit-identity is what lets cache-served recompiles stand in for
-	// full ones.
-	cells := net.Flat()
-	parts := partitionsOf(cells, specs)
-	var bucket, carry []int32
-	var carryTiles []TilePos
+	var bucket []int32
 	var usage fpga.ResourceVec
 	for i := range cells {
-		c := &cells[i]
 		if parts[i] == changed {
 			bucket = append(bucket, int32(i))
-			usage.Add(c.Res)
-			continue
+			usage.Add(cells[i].Res)
 		}
-		pos, had := prev.CellTile[c.Name]
-		if !had {
-			return nil, 0, fmt.Errorf("place: cell %q is new but lies outside partition %q", c.Name, changed)
-		}
-		carry = append(carry, int32(i))
-		carryTiles = append(carryTiles, pos)
 	}
 
 	// The re-placed partition must still fit its reserved region with the
@@ -85,15 +73,30 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 	p.Usage[changed] = usage
 	p.Utilization[changed] = utilization(usage, capacity)
 
-	if err := p.placePartition(changed, cells, bucket); err != nil {
+	// The partition is re-placed before anything is carried over:
+	// from-scratch placement places partitions before static logic, and
+	// the refinement pass must see the same placed cells in both flows so
+	// an incremental compile lands every partition cell on exactly the
+	// tile a cold compile would pick — that bit-identity is what lets
+	// cache-served recompiles stand in for full ones.
+	if err := p.placePartition(changed, bucket); err != nil {
 		return nil, 0, err
 	}
 
-	// Unchanged logic: positions and frame locations carry over verbatim.
-	for k, ci := range carry {
-		c := &cells[ci]
-		p.CellTile[c.Name] = carryTiles[k]
-		p.PartitionOf[c.Name] = parts[ci]
+	// Unchanged logic: positions and frame locations carry over verbatim,
+	// the state in table order after the partition's.
+	j := 0
+	for i := range cells {
+		if parts[i] == changed {
+			continue
+		}
+		j = prev.nextOutside(changed, j)
+		c := &cells[i]
+		if j == len(prev.Cells) || prev.Cells[j].Name != c.Name {
+			return nil, 0, prev.carryError(changed, c.Name, j)
+		}
+		p.Tiles[i] = prev.Tiles[j]
+		j++
 		if !c.IsState {
 			continue
 		}
@@ -109,10 +112,34 @@ func Replace(prev *Placement, net *synth.ModuleNetlist, specs []PartitionSpec, c
 			}
 		}
 	}
+	if j = prev.nextOutside(changed, j); j < len(prev.Cells) {
+		return nil, 0, fmt.Errorf("place: cell %q outside partition %q is missing", prev.Cells[j].Name, changed)
+	}
 	for _, h := range hooks {
 		h(p)
 	}
 	return p, p.WorkUnits, nil
+}
+
+// nextOutside returns the first table position from j on whose cell lies
+// outside the partition, or len(p.Cells).
+func (p *Placement) nextOutside(partition string, j int) int {
+	for j < len(p.Cells) && p.Parts[j] == partition {
+		j++
+	}
+	return j
+}
+
+// carryError explains why the new cell name cannot be carried from
+// position j of the previous placement: it is new there, or the previous
+// cell at j was dropped or moved.
+func (p *Placement) carryError(partition, name string, j int) error {
+	for k := j; k < len(p.Cells); k++ {
+		if p.Cells[k].Name == name && p.Parts[k] != partition {
+			return fmt.Errorf("place: cell %q outside partition %q is missing or moved", p.Cells[j].Name, partition)
+		}
+	}
+	return fmt.Errorf("place: cell %q is new but lies outside partition %q", name, partition)
 }
 
 // LookupSpec returns the partition spec with the given name.

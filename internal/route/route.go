@@ -10,17 +10,13 @@ import (
 	"fmt"
 
 	"zoomie/internal/place"
-	"zoomie/internal/synth"
 )
 
-// Edge is one routed source->sink connection.
+// Edge is one routed source->sink connection. Src and Dst index the
+// producer and consumer in the placement's flat cell table
+// (place.Placement.Cells), where their names and tiles are.
 type Edge struct {
-	From, To string // producer and consumer cell names
-	// Src and Dst index the producer and consumer in the netlist's flat
-	// cell table (synth.ModuleNetlist.Flat).
 	Src, Dst int32
-	FromPos  place.TilePos
-	ToPos    place.TilePos
 	Dist     int // Manhattan tile distance
 	SLRHops  int // chiplet crossings
 }
@@ -43,16 +39,13 @@ type Hook func(r *Result)
 // consumer in flat-table order. Fanins no cell drives are skipped; they
 // are chip IOs. Trailing hooks, if any, run in order on the finished
 // result.
-func Route(net *synth.ModuleNetlist, pl *place.Placement, hooks ...Hook) (*Result, error) {
-	cells := net.Flat()
-	tiles := make([]place.TilePos, len(cells))
+func Route(pl *place.Placement, hooks ...Hook) (*Result, error) {
+	cells, tiles := pl.Cells, pl.Tiles
+	if len(tiles) != len(cells) {
+		return nil, fmt.Errorf("route: placement locates %d of %d cells", len(tiles), len(cells))
+	}
 	edges := 0
 	for i := range cells {
-		pos, ok := pl.CellTile[cells[i].Name]
-		if !ok {
-			return nil, fmt.Errorf("route: cell %q was never placed", cells[i].Name)
-		}
-		tiles[i] = pos
 		edges += len(cells[i].Drivers)
 	}
 	r := &Result{Edges: make([]Edge, 0, edges)}
@@ -62,12 +55,7 @@ func Route(net *synth.ModuleNetlist, pl *place.Placement, hooks ...Hook) (*Resul
 			fromPos := tiles[d]
 			dist := abs(fromPos.Row-toPos.Row) + abs(fromPos.Col-toPos.Col)
 			hops := abs(fromPos.SLR - toPos.SLR)
-			r.Edges = append(r.Edges, Edge{
-				From: cells[d].Name, To: cells[i].Name,
-				Src: d, Dst: int32(i),
-				FromPos: fromPos, ToPos: toPos,
-				Dist: dist, SLRHops: hops,
-			})
+			r.Edges = append(r.Edges, Edge{Src: d, Dst: int32(i), Dist: dist, SLRHops: hops})
 			r.TotalWirelength += int64(dist)
 			r.SLRCrossings += hops
 			r.WorkUnits += int64(1 + dist/16)

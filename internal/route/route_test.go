@@ -9,7 +9,7 @@ import (
 	"zoomie/internal/workloads"
 )
 
-func routedSoC(t *testing.T, cores int) (*synth.ModuleNetlist, *place.Placement, *Result) {
+func routedSoC(t *testing.T, cores int) (*place.Placement, *Result) {
 	t.Helper()
 	net, err := synth.Synthesize(workloads.ManycoreSoC(cores))
 	if err != nil {
@@ -19,35 +19,47 @@ func routedSoC(t *testing.T, cores int) (*synth.ModuleNetlist, *place.Placement,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Route(net, pl)
+	rt, err := Route(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, pl, rt
+	return pl, rt
 }
 
 func TestRouteProducesEdges(t *testing.T) {
-	net, pl, rt := routedSoC(t, 16)
+	pl, rt := routedSoC(t, 16)
 	if len(rt.Edges) == 0 {
 		t.Fatal("no edges routed")
 	}
 	for _, e := range rt.Edges[:50] {
-		if _, ok := pl.CellTile[e.From]; !ok {
-			t.Errorf("edge from unplaced cell %q", e.From)
+		if e.Src < 0 || int(e.Src) >= len(pl.Cells) || e.Dst < 0 || int(e.Dst) >= len(pl.Cells) {
+			t.Fatalf("edge %d->%d outside the %d-cell table", e.Src, e.Dst, len(pl.Cells))
 		}
-		if _, ok := pl.CellTile[e.To]; !ok {
-			t.Errorf("edge to unplaced cell %q", e.To)
+		from, to := pl.Tiles[e.Src], pl.Tiles[e.Dst]
+		if from.SLR < 0 || to.SLR < 0 {
+			t.Errorf("edge %q->%q has an unplaced end", pl.Cells[e.Src].Name, pl.Cells[e.Dst].Name)
 		}
-		if e.Dist < 0 {
-			t.Errorf("negative distance on %q->%q", e.From, e.To)
+		if want := abs(from.Row-to.Row) + abs(from.Col-to.Col); e.Dist != want {
+			t.Errorf("edge %q->%q distance %d, tiles %+v->%+v are %d apart",
+				pl.Cells[e.Src].Name, pl.Cells[e.Dst].Name, e.Dist, from, to, want)
 		}
 	}
-	_ = net
+}
+
+// TestRouteRefusesPartialPlacement: a placement that does not locate
+// every cell of its table cannot be routed.
+func TestRouteRefusesPartialPlacement(t *testing.T) {
+	pl, _ := routedSoC(t, 4)
+	short := *pl
+	short.Tiles = pl.Tiles[:len(pl.Tiles)-1]
+	if _, err := Route(&short); err == nil {
+		t.Error("a placement missing a cell's tile was routed")
+	}
 }
 
 func TestRouteWorkScalesWithDesign(t *testing.T) {
-	_, _, small := routedSoC(t, 8)
-	_, _, big := routedSoC(t, 64)
+	_, small := routedSoC(t, 8)
+	_, big := routedSoC(t, 64)
 	if big.WorkUnits <= small.WorkUnits {
 		t.Errorf("routing work did not grow: %d vs %d", small.WorkUnits, big.WorkUnits)
 	}
@@ -59,7 +71,7 @@ func TestRouteWorkScalesWithDesign(t *testing.T) {
 func TestDenselyPackedDesignHasLocalEdges(t *testing.T) {
 	// Neighbouring cells are placed densely, so the median edge must be
 	// short even though a few global nets span the device.
-	_, _, rt := routedSoC(t, 64)
+	_, rt := routedSoC(t, 64)
 	short := 0
 	for _, e := range rt.Edges {
 		if e.Dist <= 4 {

@@ -55,9 +55,6 @@ type ModuleNetlist struct {
 	// LocalCellCount and TotalCellCount mirror the usage split.
 	LocalCellCount int
 	TotalCellCount int
-
-	flatOnce sync.Once
-	flat     []FlatCell // see Flat
 }
 
 // Cache memoizes module synthesis so shared modules are mapped once. It
@@ -420,19 +417,14 @@ type FlatCell struct {
 	MemWidth, MemDepth int
 }
 
-// Flat returns the netlist hierarchy flattened to one table: a module's
+// Flatten builds the netlist hierarchy flattened to one table: a module's
 // own cells with dotted hierarchical names, then each child's, in
-// declaration order. The table is built on first use and kept with the
-// netlist, so placement, routing and timing of one compile share one set
-// of name strings and one dense cell index. Callers must not modify it.
-func (n *ModuleNetlist) Flat() []FlatCell {
-	n.flatOnce.Do(n.buildFlat)
-	return n.flat
-}
-
-func (n *ModuleNetlist) buildFlat() {
+// declaration order. Each call builds a new table. A compile builds one,
+// when it places the netlist, and keeps it with the placement
+// (place.Placement.Cells); a stored netlist keeps none.
+func (n *ModuleNetlist) Flatten() []FlatCell {
 	cells := make([]FlatCell, 0, n.TotalCellCount)
-	var local [][]string // each flat cell's unresolved local fanin names
+	local := make([][]string, 0, n.TotalCellCount) // each flat cell's unresolved local fanin names
 	fanins := 0
 	var walk func(m *ModuleNetlist, prefix string)
 	walk = func(m *ModuleNetlist, prefix string) {
@@ -480,7 +472,7 @@ func (n *ModuleNetlist) buildFlat() {
 		}
 		c.Drivers = drivers[start:len(drivers):len(drivers)]
 	}
-	n.flat = cells
+	return cells
 }
 
 // CellsUnder counts cells under an instance path ("" = everything).

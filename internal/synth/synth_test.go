@@ -162,7 +162,7 @@ func TestFlattenNamesAndPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool)
-	for _, c := range n.Flat() {
+	for _, c := range n.Flatten() {
 		seen[c.Name] = true
 	}
 	for _, want := range []string{"u0.r", "u1.r", "out"} {
@@ -173,24 +173,18 @@ func TestFlattenNamesAndPaths(t *testing.T) {
 }
 
 // TestFlatTableResolvesDrivers checks the flat table's dense fanins: a
-// child's input port resolves to the parent's port-connection cell, a
-// fanin no cell drives (a chip input) is left out, and concurrent
-// callers share the one table built on first use.
+// child's input port resolves to the parent's port-connection cell, and
+// a fanin no cell drives (a chip input) is left out. Each call builds a
+// table of its own; the netlist keeps none.
 func TestFlatTableResolvesDrivers(t *testing.T) {
 	_, top := buildLeafAndTop(t, 2)
 	n, err := Synthesize(rtl.NewDesign("top", top))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := make(chan []FlatCell, 4)
-	for i := 0; i < cap(tables); i++ {
-		go func() { tables <- n.Flat() }()
-	}
-	cells := <-tables
-	for i := 1; i < cap(tables); i++ {
-		if other := <-tables; &other[0] != &cells[0] {
-			t.Fatal("concurrent Flat calls built two tables")
-		}
+	cells := n.Flatten()
+	if again := n.Flatten(); &again[0] == &cells[0] {
+		t.Fatal("two Flatten calls returned one table")
 	}
 	drivers := map[string][]string{}
 	for _, c := range cells {

@@ -13,7 +13,6 @@ import (
 
 	"zoomie/internal/place"
 	"zoomie/internal/route"
-	"zoomie/internal/synth"
 )
 
 // DelayModel holds the timing constants in nanoseconds.
@@ -67,11 +66,10 @@ func (a *Analysis) MeetsFrequency(mhz float64) bool {
 }
 
 // Analyze computes the longest paths of the routed design. Arrivals
-// propagate over the netlist's flat cell table
-// (synth.ModuleNetlist.Flat): each routed edge names its producer and
-// consumer by table index.
-func Analyze(net *synth.ModuleNetlist, pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, error) {
-	cells := net.Flat()
+// propagate over the placement's flat cell table (place.Placement.Cells):
+// each routed edge names its producer and consumer by table index.
+func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, error) {
+	cells := pl.Cells
 	n := len(cells)
 	edges := rt.Edges
 
@@ -79,7 +77,7 @@ func Analyze(net *synth.ModuleNetlist, pl *place.Placement, rt *route.Result, dm
 	// partition.
 	congestion := make([]float64, n)
 	for i := range cells {
-		u := pl.Utilization[pl.PartitionOf[cells[i].Name]]
+		u := pl.Utilization[pl.Parts[i]]
 		congestion[i] = 1 + dm.CongestionK*u*u
 	}
 	edgeDelay := func(e *route.Edge) float64 {

@@ -21,11 +21,11 @@ func analyze(t *testing.T, d *rtl.Design, specs []place.PartitionSpec) *Analysis
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := route.Route(net, pl)
+	rt, err := route.Route(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := Analyze(net, pl, rt, DefaultDelayModel())
+	an, err := Analyze(pl, rt, DefaultDelayModel())
 	if err != nil {
 		t.Fatal(err)
 	}

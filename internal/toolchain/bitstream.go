@@ -11,7 +11,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"zoomie/internal/fpga"
 	"zoomie/internal/synth"
@@ -50,18 +52,18 @@ func (r *Result) BitstreamDigest() string {
 		}
 	}
 
-	cells := make([]string, 0, len(pl.CellTile))
-	for name := range pl.CellTile {
-		cells = append(cells, name)
+	byName := make([]int32, len(pl.Cells))
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	sort.Strings(cells)
-	for _, name := range cells {
-		tp := pl.CellTile[name]
-		str(name)
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(pl.Cells[a].Name, pl.Cells[b].Name) })
+	for _, i := range byName {
+		tp := pl.Tiles[i]
+		str(pl.Cells[i].Name)
 		num(uint64(tp.SLR))
 		num(uint64(tp.Row))
 		num(uint64(tp.Col))
-		str(pl.PartitionOf[name])
+		str(pl.Parts[i])
 	}
 
 	for _, rl := range sortedRegs(pl.StateMap.Regs) {

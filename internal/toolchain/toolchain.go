@@ -325,14 +325,14 @@ func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, 
 	if err := enter(PhaseRoute); err != nil {
 		return nil, err
 	}
-	if res.Routing, err = route.Route(net, pl, opts.RouteHooks()...); err != nil {
+	if res.Routing, err = route.Route(pl, opts.RouteHooks()...); err != nil {
 		return nil, fmt.Errorf("toolchain: routing: %w", err)
 	}
 
 	if err := enter(PhaseTiming); err != nil {
 		return nil, err
 	}
-	if res.Timing, err = timing.Analyze(net, pl, res.Routing, opts.Delay); err != nil {
+	if res.Timing, err = timing.Analyze(pl, res.Routing, opts.Delay); err != nil {
 		return nil, fmt.Errorf("toolchain: timing: %w", err)
 	}
 	rep.FmaxMHz = res.Timing.FmaxMHz

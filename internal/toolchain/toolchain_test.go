@@ -162,12 +162,13 @@ func TestDeterministicPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Placement.CellTile) != len(b.Placement.CellTile) {
+	pa, pb := a.Placement, b.Placement
+	if len(pa.Tiles) != len(pb.Tiles) {
 		t.Fatal("placement sizes differ across runs")
 	}
-	for name, pos := range a.Placement.CellTile {
-		if b.Placement.CellTile[name] != pos {
-			t.Fatalf("cell %q placed differently across identical runs", name)
+	for i, pos := range pa.Tiles {
+		if pb.Cells[i].Name != pa.Cells[i].Name || pb.Tiles[i] != pos {
+			t.Fatalf("cell %q placed differently across identical runs", pa.Cells[i].Name)
 		}
 	}
 	if a.Timing.CriticalNs != b.Timing.CriticalNs {

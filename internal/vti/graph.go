@@ -159,10 +159,10 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 		// cells, and a partial bitstream of its region's frames, which
 		// the link phase stitches into the full-device frame directory.
 		Charge: func(out *toolchain.Result) (routeWork, timingWork int64, frames int) {
-			cells := out.Netlist.Flat()
-			inPart := make([]bool, len(cells))
-			for i := range cells {
-				inPart[i] = out.Placement.PartitionOf[cells[i].Name] == partition
+			parts := out.Placement.Parts
+			inPart := make([]bool, len(parts))
+			for i, part := range parts {
+				inPart[i] = part == partition
 			}
 			for _, e := range out.Routing.Edges {
 				if inPart[e.Src] || inPart[e.Dst] {

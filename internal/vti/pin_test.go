@@ -55,7 +55,8 @@ var compilePins = map[string]string{
 	"synthcheck1.1/vti":             "77b77e6897ee35d1",
 }
 
-// compileOutputs hashes every routed edge in order with the routing
+// compileOutputs hashes every routed edge in order (its endpoints' names
+// and tiles, read from the placement's flat cell table) with the routing
 // totals, the timing analysis (critical delay bits, top paths, work), the
 // report's every field and the bitstream digest.
 func compileOutputs(res *toolchain.Result) string {
@@ -66,13 +67,13 @@ func compileOutputs(res *toolchain.Result) string {
 	bits := func(f float64) { num(int64(math.Float64bits(f))) }
 	pos := func(p place.TilePos) { num(int64(p.SLR)); num(int64(p.Row)); num(int64(p.Col)) }
 
-	rt := res.Routing
+	rt, pl := res.Routing, res.Placement
 	num(int64(len(rt.Edges)))
 	for _, e := range rt.Edges {
-		str(e.From)
-		str(e.To)
-		pos(e.FromPos)
-		pos(e.ToPos)
+		str(pl.Cells[e.Src].Name)
+		str(pl.Cells[e.Dst].Name)
+		pos(pl.Tiles[e.Src])
+		pos(pl.Tiles[e.Dst])
 		num(int64(e.Dist))
 		num(int64(e.SLRHops))
 	}

@@ -10,6 +10,7 @@ import (
 	"zoomie/internal/farm"
 	"zoomie/internal/place"
 	"zoomie/internal/rtl"
+	"zoomie/internal/synth"
 	"zoomie/internal/toolchain"
 	"zoomie/internal/vti"
 	"zoomie/internal/workloads"
@@ -124,4 +125,34 @@ func TestBaseDoesNotKeepRecompilesAlive(t *testing.T) {
 		}
 	}
 	t.Fatal("a dropped recompile's design is still reachable from its base")
+}
+
+// TestDroppedRecompileFreesFlatTable: a compile's flat cell table lives
+// with its placement, not with its netlist. Once a recompile's result is
+// dropped its table is garbage, although the base's checkpoint store
+// still holds the recompile's netlist.
+func TestDroppedRecompileFreesFlatTable(t *testing.T) {
+	base, edit := manycoreBase(t)
+	defer runtime.KeepAlive(base) // its store holds the recompile's netlist
+	var net *synth.ModuleNetlist
+	collected := make(chan struct{})
+	func() {
+		res, err := base.RecompileCtx(context.Background(), edit(1), "mut",
+			vti.RecompileOptions{Resident: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net = res.Netlist
+		runtime.SetFinalizer(&res.Placement.Cells[0], func(*synth.FlatCell) { close(collected) })
+	}()
+	defer runtime.KeepAlive(net)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped recompile's flat cell table is still reachable from its netlist")
 }
