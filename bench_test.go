@@ -135,6 +135,27 @@ func BenchmarkFarmRecompile(b *testing.B) {
 	}
 }
 
+// BenchmarkBitstreamDigest measures hashing the configured artifact of
+// the 256-core manycore's initial compile, as the compile farm digests
+// every finished job: each cell's name, tile and partition, and each
+// register's and memory's frame address, in name order.
+func BenchmarkBitstreamDigest(b *testing.B) {
+	fam := workloads.NewManycore(256)
+	d := fam.Variant(0)
+	path := farm.ResolvePartition(farm.Spec{}, d)
+	opts := toolchain.Options{SkipImage: true, Partitions: []place.PartitionSpec{
+		{Name: farm.PartitionName, Paths: []string{path}}}}.WithDefaults()
+	base, err := vti.CompileCtx(context.Background(), d, opts, vti.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base.BitstreamDigest()
+	}
+}
+
 // BenchmarkTable3Readback measures SLR-aware vs naive readback through
 // the full bitstream/JTAG stack, reporting the modeled speedup.
 func BenchmarkTable3Readback(b *testing.B) {

@@ -249,7 +249,16 @@ func (j *Job) Result() *vti.Result {
 	return j.res
 }
 
-// Status snapshots the job.
+// State returns the job's state. Unlike Status, it never hashes the
+// result.
+func (j *Job) State() State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
+// Status snapshots the job. On a finished job's first call it hashes the
+// result's bitstream (BitstreamDigest).
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	s := JobStatus{
@@ -335,7 +344,7 @@ type Stats struct {
 }
 
 // MaxTerminalJobs bounds the finished, failed and cancelled jobs a farm
-// keeps, with their results (about 6 MB per 256-core recompile): well
+// keeps, with their results (about 5 MB per 256-core recompile): well
 // above the 16 submits of one zperf epoch. Beyond it the least recently
 // used terminal job is forgotten; its id then answers as unknown, and
 // its next submit compiles afresh. Queued and running jobs are never
@@ -446,11 +455,11 @@ func (f *Farm) Release(id uint64) bool {
 		return false
 	}
 	j.mu.Lock()
-	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
-	if !terminal && j.refs > 0 {
+	done := terminal(j.state)
+	if !done && j.refs > 0 {
 		j.refs--
 	}
-	last := !terminal && j.refs == 0 && !j.speculative
+	last := !done && j.refs == 0 && !j.speculative
 	j.mu.Unlock()
 	if last {
 		f.mu.Lock()
@@ -469,10 +478,8 @@ func (f *Farm) CancelLine(id uint64) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("no compile job %d", id)
 	}
-	st := j.Status()
-	switch st.State {
-	case StateDone, StateFailed, StateCancelled:
-		return fmt.Sprintf("job %d already %s", id, st.State), nil
+	if st := j.State(); terminal(st) {
+		return fmt.Sprintf("job %d already %s", id, st), nil
 	}
 	if f.Release(id) {
 		return fmt.Sprintf("job %d cancelling", id), nil
@@ -658,11 +665,9 @@ func (f *Farm) finish(j *Job, res *vti.Result, err error) {
 	f.cfg.Logf("farm: job %d %s", j.id, state)
 }
 
-// terminal reports whether the job has reached a terminal state.
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+// terminal reports whether a job in state s has finished.
+func terminal(s State) bool {
+	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
 // evict forgets the least recently used terminal jobs beyond
@@ -673,7 +678,7 @@ func (f *Farm) evict() {
 	defer f.mu.Unlock()
 	var done []*Job
 	for _, j := range f.jobs {
-		if j.terminal() {
+		if terminal(j.State()) {
 			done = append(done, j)
 		}
 	}

@@ -346,6 +346,7 @@ func TestSpeculation(t *testing.T) {
 }
 
 // TestCancelLine covers the rendered cancel replies and bad-id errors.
+// Cancelling a done job reports it done without hashing its bitstream.
 func TestCancelLine(t *testing.T) {
 	f := New(Config{})
 	spec := fixtureSpec()
@@ -357,6 +358,9 @@ func TestCancelLine(t *testing.T) {
 	line, err := f.CancelLine(j.ID())
 	if err != nil || !strings.Contains(line, "already done") {
 		t.Errorf("cancel of done job: %q, %v", line, err)
+	}
+	if j.digest != "" {
+		t.Error("cancelling a done job hashed its bitstream")
 	}
 	if _, err := f.CancelLine(999); err == nil {
 		t.Error("cancel of unknown job did not error")

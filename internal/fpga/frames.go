@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 )
 
 // FrameCRC computes the CRC32 (Castagnoli) checksum of one frame's words,
@@ -94,9 +95,13 @@ type StateMap struct {
 	Regs []RegLoc
 	Mems []MemLoc
 
+	frames map[[2]int][]FrameItem // {SLR, frame} -> the state placed there
+
+	// The name indexes. AddReg and AddMem keep them; a map built whole by
+	// StateMapOf builds them on its first lookup by name.
+	named     sync.Once
 	regByName map[string]int
 	memByName map[string]int
-	frames    map[[2]int][]FrameItem // {SLR, frame} -> the state placed there
 }
 
 // FrameItem is one piece of state a configuration frame holds: the
@@ -120,9 +125,63 @@ func NewStateMap(regs, mems int) *StateMap {
 	}
 }
 
+// StateMapOf builds the state map placing regs and then mems in one
+// pass, with the frame index AddReg for each register and then AddMem for
+// each memory would build. It looks no name up: the registers, and the
+// memories, must have distinct names. The map keeps both slices.
+func StateMapOf(regs []RegLoc, mems []MemLoc) (*StateMap, error) {
+	sm := &StateMap{Regs: regs, Mems: mems, frames: make(map[[2]int][]FrameItem)}
+	// Registers fill frames in runs, so each run costs one frame lookup.
+	var key [2]int
+	var items []FrameItem
+	open := false
+	for i := range regs {
+		loc := &regs[i]
+		if loc.Addr.Bit+loc.Width > FrameBits {
+			return nil, fmt.Errorf("fpga: register %q spans a frame boundary", loc.Name)
+		}
+		if k := [2]int{loc.Addr.SLR, loc.Addr.Frame}; !open || k != key {
+			if open {
+				sm.frames[key] = items
+			}
+			key, items, open = k, sm.frames[k], true
+		}
+		items = append(items, FrameItem{Index: int32(i)})
+	}
+	if open {
+		sm.frames[key] = items
+	}
+	for i := range mems {
+		if err := sm.indexMem(i); err != nil {
+			return nil, err
+		}
+	}
+	return sm, nil
+}
+
+// names returns the name indexes, built from Regs and Mems on first use
+// by a map that StateMapOf built.
+func (sm *StateMap) names() (regs, mems map[string]int) {
+	sm.named.Do(func() {
+		if sm.regByName != nil {
+			return
+		}
+		sm.regByName = make(map[string]int, len(sm.Regs))
+		for i := range sm.Regs {
+			sm.regByName[sm.Regs[i].Name] = i
+		}
+		sm.memByName = make(map[string]int, len(sm.Mems))
+		for i := range sm.Mems {
+			sm.memByName[sm.Mems[i].Name] = i
+		}
+	})
+	return sm.regByName, sm.memByName
+}
+
 // AddReg records a register placement. A frame lists its registers, in
 // the order they were added, before its memories.
 func (sm *StateMap) AddReg(loc RegLoc) error {
+	sm.names()
 	if _, dup := sm.regByName[loc.Name]; dup {
 		return fmt.Errorf("fpga: duplicate register placement %q", loc.Name)
 	}
@@ -143,18 +202,29 @@ func (sm *StateMap) AddReg(loc RegLoc) error {
 
 // AddMem records a memory placement.
 func (sm *StateMap) AddMem(loc MemLoc) error {
+	sm.names()
 	if _, dup := sm.memByName[loc.Name]; dup {
 		return fmt.Errorf("fpga: duplicate memory placement %q", loc.Name)
 	}
+	sm.Mems = append(sm.Mems, loc)
+	if err := sm.indexMem(len(sm.Mems) - 1); err != nil {
+		sm.Mems = sm.Mems[:len(sm.Mems)-1]
+		return err
+	}
+	sm.memByName[loc.Name] = len(sm.Mems) - 1
+	return nil
+}
+
+// indexMem lists Mems[i] in the frames holding its words.
+func (sm *StateMap) indexMem(i int) error {
+	loc := &sm.Mems[i]
 	if loc.Width <= 0 || loc.Width > FrameBits {
 		return fmt.Errorf("fpga: memory %q has unplaceable width %d", loc.Name, loc.Width)
 	}
-	sm.memByName[loc.Name] = len(sm.Mems)
 	for f := 0; f < loc.FrameCount(); f++ {
 		key := [2]int{loc.SLR, loc.StartFrame + f}
-		sm.frames[key] = append(sm.frames[key], FrameItem{Index: int32(len(sm.Mems)), Mem: true})
+		sm.frames[key] = append(sm.frames[key], FrameItem{Index: int32(i), Mem: true})
 	}
-	sm.Mems = append(sm.Mems, loc)
 	return nil
 }
 
@@ -166,13 +236,15 @@ func (sm *StateMap) FrameItems(slr, frame int) []FrameItem {
 
 // RegIndex returns the position of a register in Regs.
 func (sm *StateMap) RegIndex(name string) (int, bool) {
-	i, ok := sm.regByName[name]
+	regs, _ := sm.names()
+	i, ok := regs[name]
 	return i, ok
 }
 
 // MemIndex returns the position of a memory in Mems.
 func (sm *StateMap) MemIndex(name string) (int, bool) {
-	i, ok := sm.memByName[name]
+	_, mems := sm.names()
+	i, ok := mems[name]
 	return i, ok
 }
 
@@ -222,7 +294,7 @@ func perSLR(keys [][2]int) map[int][]int {
 
 // Reg looks up a register placement by flat name.
 func (sm *StateMap) Reg(name string) (RegLoc, bool) {
-	i, ok := sm.regByName[name]
+	i, ok := sm.RegIndex(name)
 	if !ok {
 		return RegLoc{}, false
 	}
@@ -231,7 +303,7 @@ func (sm *StateMap) Reg(name string) (RegLoc, bool) {
 
 // Mem looks up a memory placement by flat name.
 func (sm *StateMap) Mem(name string) (MemLoc, bool) {
-	i, ok := sm.memByName[name]
+	i, ok := sm.MemIndex(name)
 	if !ok {
 		return MemLoc{}, false
 	}

@@ -59,6 +59,22 @@ func unplacedTiles(n int) []TilePos {
 	return tiles
 }
 
+// noSlots returns n state slots, every one empty.
+func noSlots(n int) []int32 {
+	slots := make([]int32, n)
+	for i := range slots {
+		slots[i] = -1
+	}
+	return slots
+}
+
+// isReg reports whether a state cell is placed as a register: flip-flops
+// and no RAM. Other state cells with a memory shape are placed as
+// memories.
+func isReg(c *synth.FlatCell) bool {
+	return c.Res[fpga.FF] > 0 && c.Res[fpga.BRAM] == 0 && c.Res[fpga.LUTRAM] == 0
+}
+
 // Placement is the result of placing a design.
 type Placement struct {
 	Device *fpga.Device
@@ -68,15 +84,22 @@ type Placement struct {
 	// one region per SLR.
 	Regions map[string][]fpga.Region
 
-	// Cells is the placed netlist's flat cell table
-	// (synth.ModuleNetlist.Flatten), built once per compile. Routing,
-	// timing and the flows' charges read it from here. Callers must not
-	// modify it.
+	// Cells is the placed netlist's flat cell table, as
+	// synth.ModuleNetlist.Flatten lays it out, built once per compile:
+	// Place flattens the whole netlist, and Replace flattens only the
+	// changed partition and carries every other row from its base's
+	// table. Routing, timing and the flows' charges read it from here.
+	// Callers must not modify it; carried rows share the base's strings
+	// and, where no driver moved, its Drivers.
 	Cells []synth.FlatCell
 
 	// Tiles[i] locates Cells[i], and Parts[i] names its partition.
 	Tiles []TilePos
 	Parts []string
+
+	// Slots[i] is Cells[i]'s entry in StateMap: its position in Regs, or
+	// for a memory in Mems; -1 if it has none.
+	Slots []int32
 
 	// Usage is per-partition resource usage (without over-provisioning).
 	Usage map[string]fpga.ResourceVec
@@ -125,6 +148,7 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 		Cells:       cells,
 		Tiles:       unplacedTiles(len(cells)),
 		Parts:       parts,
+		Slots:       noSlots(len(cells)),
 		Usage:       make(map[string]fpga.ResourceVec),
 		Utilization: make(map[string]float64),
 		StateMap:    fpga.NewStateMap(0, 0),
@@ -240,7 +264,19 @@ func (p *Placement) SwapRegAddrs(a, b string) bool {
 // register was present.
 func (p *Placement) DropReg(name string) bool {
 	i, ok := p.StateMap.RegIndex(name)
-	return ok && p.rebuildState(slices.Delete(slices.Clone(p.StateMap.Regs), i, i+1))
+	if !ok || !p.rebuildState(slices.Delete(slices.Clone(p.StateMap.Regs), i, i+1)) {
+		return false
+	}
+	for k := range p.Cells {
+		if s := p.Slots[k]; s >= int32(i) && isReg(&p.Cells[k]) {
+			if s == int32(i) {
+				p.Slots[k] = -1
+			} else {
+				p.Slots[k]--
+			}
+		}
+	}
+	return true
 }
 
 // rebuildState replaces the state map with one placing regs and the old
@@ -248,16 +284,9 @@ func (p *Placement) DropReg(name string) bool {
 // and frame indexes agree with its Regs. Reports whether every placement
 // was accepted; on refusal the old map stays.
 func (p *Placement) rebuildState(regs []fpga.RegLoc) bool {
-	sm := fpga.NewStateMap(len(regs), len(p.StateMap.Mems))
-	for _, r := range regs {
-		if err := sm.AddReg(r); err != nil {
-			return false
-		}
-	}
-	for _, m := range p.StateMap.Mems {
-		if err := sm.AddMem(m); err != nil {
-			return false
-		}
+	sm, err := fpga.StateMapOf(regs, slices.Clone(p.StateMap.Mems))
+	if err != nil {
+		return false
 	}
 	p.StateMap = sm
 	return true
@@ -480,7 +509,7 @@ func (p *Placement) placePartition(name string, idx []int32) error {
 	// Controller and each assertion monitor keep frames of their own: a
 	// seek rewrites the controller's registers, and must not rewrite a
 	// design frame whose values did not change.
-	var mems []*synth.FlatCell
+	var mems []int32
 	inst := ""
 	for i, ci := range idx {
 		c := &p.Cells[ci]
@@ -494,33 +523,37 @@ func (p *Placement) placePartition(name string, idx []int32) error {
 		if !c.IsState {
 			continue
 		}
-		if w := c.Res[fpga.FF]; w > 0 && c.Res[fpga.BRAM] == 0 && c.Res[fpga.LUTRAM] == 0 {
+		if isReg(c) {
 			if top, _, _ := strings.Cut(c.Path, "."); top != inst {
 				for _, a := range allocs {
 					a.CloseFrame()
 				}
 				inst = top
 			}
+			w := c.Res[fpga.FF]
 			addr, err := allocBits(w)
 			if err != nil {
 				return fmt.Errorf("place: register %q: %w", c.Name, err)
 			}
+			p.Slots[ci] = int32(len(p.StateMap.Regs))
 			if err := p.StateMap.AddReg(fpga.RegLoc{Name: c.Name, Width: w, Addr: addr}); err != nil {
 				return err
 			}
 			continue
 		}
 		if c.MemWidth > 0 {
-			mems = append(mems, c)
+			mems = append(mems, ci)
 		}
 	}
-	for _, c := range mems {
+	for _, ci := range mems {
+		c := &p.Cells[ci]
 		loc := fpga.MemLoc{Name: c.Name, Width: c.MemWidth, Depth: c.MemDepth}
 		slr, start, err := allocFrames(loc.FrameCount())
 		if err != nil {
 			return fmt.Errorf("place: memory %q: %w", c.Name, err)
 		}
 		loc.SLR, loc.StartFrame = slr, start
+		p.Slots[ci] = int32(len(p.StateMap.Mems))
 		if err := p.StateMap.AddMem(loc); err != nil {
 			return err
 		}

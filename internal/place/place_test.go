@@ -195,7 +195,7 @@ func TestReplaceKeepsStaticIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, work, err := Replace(pl, net, specs, "mut")
+	pl2, work, err := Replace(pl, net, net, specs, "mut")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestReplaceRejectsUnknownPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Replace(pl, net, specs, "other"); err == nil {
+	if _, _, err := Replace(pl, net, net, specs, "other"); err == nil {
 		t.Error("unknown partition accepted")
 	}
 }
@@ -243,7 +243,7 @@ func TestReplaceRejectsChangesOutsidePartition(t *testing.T) {
 	}
 	// A netlist with an extra cluster has new cells outside "mut".
 	bigger := socNetlist(t, 24)
-	if _, _, err := Replace(pl, bigger, specs, "mut"); err == nil {
+	if _, _, err := Replace(pl, net, bigger, specs, "mut"); err == nil {
 		t.Error("out-of-partition change accepted")
 	}
 }
@@ -275,7 +275,7 @@ func TestReplaceRefusesStaticChanges(t *testing.T) {
 		{"reordered", append([]synth.Cell{top[1], top[0]}, top[2:]...), top[0].Name},
 	} {
 		edited := &synth.ModuleNetlist{Cells: tc.cells, Children: net.Children}
-		_, _, err := Replace(pl, edited, specs, "mut")
+		_, _, err := Replace(pl, net, edited, specs, "mut")
 		if err == nil {
 			t.Errorf("%s: a static cell change was accepted", tc.name)
 			continue

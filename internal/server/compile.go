@@ -123,7 +123,7 @@ func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []str
 			resp.Err = wire.Errf(wire.CodeOp, "no compile job %d", req.Value)
 			return resp
 		}
-		if !terminalState(job.Status().State) && !held.drop(req.Value) {
+		if !terminalState(job.State()) && !held.drop(req.Value) {
 			resp.Err = wire.Errf(wire.CodeForbidden,
 				"connection holds no reference on job %d", req.Value)
 			return resp

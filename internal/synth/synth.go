@@ -12,6 +12,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"zoomie/internal/fpga"
@@ -419,48 +420,66 @@ type FlatCell struct {
 
 // Flatten builds the netlist hierarchy flattened to one table: a module's
 // own cells with dotted hierarchical names, then each child's, in
-// declaration order. Each call builds a new table. A compile builds one,
-// when it places the netlist, and keeps it with the placement
-// (place.Placement.Cells); a stored netlist keeps none.
+// declaration order. A fanin resolves to the last row whose name is the
+// reading module's path joined with the fanin. Each call builds a new
+// table; a stored netlist keeps none. Place builds a compile's table with
+// it; a recompile builds only its partition's rows (FlattenAt) and
+// carries the rest from its base's table (place.Replace).
 func (n *ModuleNetlist) Flatten() []FlatCell {
-	cells := make([]FlatCell, 0, n.TotalCellCount)
-	local := make([][]string, 0, n.TotalCellCount) // each flat cell's unresolved local fanin names
-	fanins := 0
-	var walk func(m *ModuleNetlist, prefix string)
-	walk = func(m *ModuleNetlist, prefix string) {
-		for i := range m.Cells {
-			c := &m.Cells[i]
-			name := c.Name
-			if prefix != "" {
-				name = prefix + "." + c.Name
-			}
-			cells = append(cells, FlatCell{
-				Name: name, Path: prefix, Res: c.Res, IsState: c.IsState, Levels: c.Levels,
-				MemWidth: c.MemWidth, MemDepth: c.MemDepth,
-			})
-			local = append(local, c.Fanin)
-			fanins += len(c.Fanin)
-		}
-		for _, ch := range m.Children {
-			p := ch.Name
-			if prefix != "" {
-				p = prefix + "." + ch.Name
-			}
-			walk(ch.Netlist, p)
-		}
+	s := n.FlattenAt("")
+	index := make(map[string]int32, len(s.Cells))
+	for i := range s.Cells {
+		index[s.Cells[i].Name] = int32(i)
 	}
-	walk(n, "")
+	s.Resolve(index)
+	return s.Cells
+}
 
-	index := make(map[string]int32, len(cells))
-	for i := range cells {
-		index[cells[i].Name] = int32(i)
+// A Subtree is one module's subtree flattened at its instance path: its
+// rows of the flat cell table, named and ordered as Flatten lays them
+// out, with their fanins not yet resolved.
+type Subtree struct {
+	Cells  []FlatCell
+	fanins [][]string // Cells[i]'s fanin names, local to its module
+	total  int        // fanins over all rows
+}
+
+// FlattenAt flattens n as instantiated at the instance path prefix ("" is
+// the top). Its rows carry no Drivers until Resolve.
+func (n *ModuleNetlist) FlattenAt(prefix string) *Subtree {
+	s := &Subtree{
+		Cells:  make([]FlatCell, 0, n.TotalCellCount),
+		fanins: make([][]string, 0, n.TotalCellCount),
 	}
-	drivers := make([]int32, 0, fanins)
+	s.walk(n, prefix)
+	return s
+}
+
+func (s *Subtree) walk(m *ModuleNetlist, prefix string) {
+	for i := range m.Cells {
+		c := &m.Cells[i]
+		s.Cells = append(s.Cells, FlatCell{
+			Name: FlatName(prefix, c.Name), Path: prefix, Res: c.Res, IsState: c.IsState, Levels: c.Levels,
+			MemWidth: c.MemWidth, MemDepth: c.MemDepth,
+		})
+		s.fanins = append(s.fanins, c.Fanin)
+		s.total += len(c.Fanin)
+	}
+	for _, ch := range m.Children {
+		s.walk(ch.Netlist, FlatName(prefix, ch.Name))
+	}
+}
+
+// Resolve sets every row's Drivers: for each fanin f of a row at path P,
+// the row index[FlatName(P, f)], if index holds that name. index must map
+// each name to the last row of the whole table that carries it.
+func (s *Subtree) Resolve(index map[string]int32) {
+	drivers := make([]int32, 0, s.total)
 	var key []byte
-	for i := range cells {
-		c := &cells[i]
+	for i := range s.Cells {
+		c := &s.Cells[i]
 		start := len(drivers)
-		for _, f := range local[i] {
+		for _, f := range s.fanins[i] {
 			key = append(key[:0], c.Path...)
 			if c.Path != "" {
 				key = append(key, '.')
@@ -472,7 +491,31 @@ func (n *ModuleNetlist) Flatten() []FlatCell {
 		}
 		c.Drivers = drivers[start:len(drivers):len(drivers)]
 	}
-	return cells
+}
+
+// FlatName joins an instance path and a name local to the module there
+// into a flat name.
+func FlatName(path, name string) string {
+	if path == "" {
+		return name
+	}
+	return path + "." + name
+}
+
+// Equal reports whether two cells are the same in every field.
+func (c Cell) Equal(o Cell) bool {
+	return c.Name == o.Name && c.Res == o.Res && c.IsState == o.IsState && c.Levels == o.Levels &&
+		c.MemWidth == o.MemWidth && c.MemDepth == o.MemDepth && slices.Equal(c.Fanin, o.Fanin)
+}
+
+// Equal reports whether two netlists hold the same cells and children,
+// cell by cell and instance by instance. Checkpoints of one digest are
+// one pointer, which needs no walk.
+func (n *ModuleNetlist) Equal(o *ModuleNetlist) bool {
+	return n == o || slices.EqualFunc(n.Cells, o.Cells, Cell.Equal) &&
+		slices.EqualFunc(n.Children, o.Children, func(a, b ChildRef) bool {
+			return a.Name == b.Name && a.Netlist.Equal(b.Netlist)
+		})
 }
 
 // CellsUnder counts cells under an instance path ("" = everything).

@@ -76,8 +76,12 @@ func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, e
 	// A net's delay scales with the congestion of its consumer's
 	// partition.
 	congestion := make([]float64, n)
+	part, u := "", pl.Utilization[""]
 	for i := range cells {
-		u := pl.Utilization[pl.Parts[i]]
+		if pl.Parts[i] != part {
+			part = pl.Parts[i]
+			u = pl.Utilization[part]
+		}
 		congestion[i] = 1 + dm.CongestionK*u*u
 	}
 	edgeDelay := func(e *route.Edge) float64 {
@@ -88,7 +92,11 @@ func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, e
 	// Each cell's fanin edges, in routed order, and each combinational
 	// cell's combinational users. State cells are path endpoints: their
 	// inputs terminate paths; their outputs launch with arrival 0.
-	comb := func(i int32) bool { return !cells[i].IsState }
+	combinational := make([]bool, n)
+	for i := range cells {
+		combinational[i] = !cells[i].IsState
+	}
+	comb := func(i int32) bool { return combinational[i] }
 	faninAt, fanin := byCell(n, func(yield func(cell, edge int32)) {
 		for k := range edges {
 			yield(edges[k].Dst, int32(k))

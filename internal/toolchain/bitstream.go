@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 
-	"zoomie/internal/fpga"
 	"zoomie/internal/synth"
 )
 
@@ -25,19 +24,23 @@ import (
 // from-scratch compile of the same design must digest identically.
 func (r *Result) BitstreamDigest() string {
 	h := sha256.New()
-	var scratch [binary.MaxVarintLen64]byte
+	// The fields reach the hash through buf, in writes of about 64 KB.
+	buf := make([]byte, 0, 64<<10)
 	num := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		h.Write(scratch[:n])
+		buf = binary.AppendUvarint(buf, v)
 	}
 	str := func(s string) {
 		num(uint64(len(s)))
-		h.Write([]byte(s))
+		buf = append(buf, s...)
+		if len(buf) >= 63<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
 
 	str(r.Options.Device.Name)
 	dd := synth.DesignDigest(r.Design)
-	h.Write(dd[:])
+	buf = append(buf, dd[:]...)
 
 	pl := r.Placement
 	parts := make([]string, 0, len(pl.Regions))
@@ -52,12 +55,7 @@ func (r *Result) BitstreamDigest() string {
 		}
 	}
 
-	byName := make([]int32, len(pl.Cells))
-	for i := range byName {
-		byName[i] = int32(i)
-	}
-	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(pl.Cells[a].Name, pl.Cells[b].Name) })
-	for _, i := range byName {
+	for _, i := range byName(len(pl.Cells), func(i int) string { return pl.Cells[i].Name }) {
 		tp := pl.Tiles[i]
 		str(pl.Cells[i].Name)
 		num(uint64(tp.SLR))
@@ -66,14 +64,17 @@ func (r *Result) BitstreamDigest() string {
 		str(pl.Parts[i])
 	}
 
-	for _, rl := range sortedRegs(pl.StateMap.Regs) {
+	regs, mems := pl.StateMap.Regs, pl.StateMap.Mems
+	for _, i := range byName(len(regs), func(i int) string { return regs[i].Name }) {
+		rl := &regs[i]
 		str(rl.Name)
 		num(uint64(rl.Width))
 		num(uint64(rl.Addr.SLR))
 		num(uint64(rl.Addr.Frame))
 		num(uint64(rl.Addr.Bit))
 	}
-	for _, ml := range sortedMems(pl.StateMap.Mems) {
+	for _, i := range byName(len(mems), func(i int) string { return mems[i].Name }) {
+		ml := &mems[i]
 		str(ml.Name)
 		num(uint64(ml.Width))
 		num(uint64(ml.Depth))
@@ -81,17 +82,19 @@ func (r *Result) BitstreamDigest() string {
 		num(uint64(ml.StartFrame))
 	}
 
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func sortedRegs(in []fpga.RegLoc) []fpga.RegLoc {
-	out := append([]fpga.RegLoc(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func sortedMems(in []fpga.MemLoc) []fpga.MemLoc {
-	out := append([]fpga.MemLoc(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// byName returns the indices 0..n-1 sorted by name(i). The names are
+// copied out first, so the sort compares strings that sit together.
+func byName(n int, name func(i int) string) []int32 {
+	names := make([]string, n)
+	idx := make([]int32, n)
+	for i := range idx {
+		names[i] = name(i)
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	return idx
 }

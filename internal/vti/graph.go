@@ -151,7 +151,7 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 		// Everything outside the partition keeps its tiles and frame
 		// addresses; the partition is re-placed inside its reserved region.
 		Place: func(net *synth.ModuleNetlist) (*place.Placement, int64, error) {
-			return place.Replace(r.Placement, net, r.Specs, partition, opts.PlaceHooks()...)
+			return place.Replace(r.Placement, r.Netlist, net, r.Specs, partition, opts.PlaceHooks()...)
 		},
 		// Routing and timing rerun over the whole design, but only
 		// partition-local work is charged: routing for the edges that

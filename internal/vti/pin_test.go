@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +55,38 @@ var compilePins = map[string]string{
 	"synthcheck1.1/incr":            "aa2e1b0d0fd83e83",
 	"synthcheck1.1/mono":            "72ad36bf3a3c0f11",
 	"synthcheck1.1/vti":             "77b77e6897ee35d1",
+}
+
+// stateMapPins holds, per compile, a hash of its state map in order
+// (stateMapOutputs). The values were recorded before recompiles carried
+// their base's state entries by table position.
+var stateMapPins = map[string]string{
+	"manycore16/recompile1":         "33220841fd966c65",
+	"manycore16/recompile2":         "01773ca111fc6d1a",
+	"manycore16/recompile3":         "a520592b1cfdf690",
+	"manycore16/vti":                "22d89e35358cfd81",
+	"manycore256/recompile1":        "419bc130fc3db58f",
+	"manycore256/recompile2":        "9ca194915e6f380c",
+	"manycore256/recompile3":        "bee197ed051ebe1e",
+	"manycore256/vti":               "539d90ab1331452f",
+	"manycore4/recompile1":          "532acdad615771cc",
+	"manycore4/recompile2":          "b8025364cc040d9b",
+	"manycore4/recompile3":          "5290591c883555f8",
+	"manycore4/vti":                 "004d813f3c9c87d5",
+	"manycore64/recompile1":         "1ba66cc19e5cd079",
+	"manycore64/recompile2":         "83d82bbb0be935a7",
+	"manycore64/recompile3":         "f7aef8ed7cb1b653",
+	"manycore64/vti":                "5e6c543446cc961a",
+	"synthcheck1.0/farm-recompile1": "65af05e29ff2073f",
+	"synthcheck1.0/farm-vti":        "d957ca55727215df",
+	"synthcheck1.0/incr":            "ff489d5d1dbe8d00",
+	"synthcheck1.0/mono":            "ff489d5d1dbe8d00",
+	"synthcheck1.0/vti":             "ff489d5d1dbe8d00",
+	"synthcheck1.1/farm-recompile1": "861af4bea2a1ffd0",
+	"synthcheck1.1/farm-vti":        "09a59555302fb329",
+	"synthcheck1.1/incr":            "3d779a89fbb5f8c8",
+	"synthcheck1.1/mono":            "3d779a89fbb5f8c8",
+	"synthcheck1.1/vti":             "3d779a89fbb5f8c8",
 }
 
 // compileOutputs hashes every routed edge in order (its endpoints' names
@@ -111,45 +145,101 @@ func compileOutputs(res *toolchain.Result) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// stateMapOutputs hashes the state map in order: every register and
+// memory placement as listed in Regs and Mems, then, frame by frame in
+// SLR and frame order, the state each frame lists (FrameItems). The
+// bitstream digest sorts the state by name; snapshots, history and
+// fpga.Board index it by this order.
+func stateMapOutputs(res *toolchain.Result) string {
+	h := sha256.New()
+	var buf [binary.MaxVarintLen64]byte
+	num := func(v int64) { h.Write(buf[:binary.PutVarint(buf[:], v)]) }
+	str := func(s string) { num(int64(len(s))); io.WriteString(h, s) }
+
+	sm := res.Placement.StateMap
+	num(int64(len(sm.Regs)))
+	for _, r := range sm.Regs {
+		str(r.Name)
+		num(int64(r.Width))
+		num(int64(r.Addr.SLR))
+		num(int64(r.Addr.Frame))
+		num(int64(r.Addr.Bit))
+	}
+	num(int64(len(sm.Mems)))
+	for _, m := range sm.Mems {
+		str(m.Name)
+		num(int64(m.Width))
+		num(int64(m.Depth))
+		num(int64(m.SLR))
+		num(int64(m.StartFrame))
+	}
+	frames := sm.FramesTouched(nil)
+	slrs := make([]int, 0, len(frames))
+	for slr := range frames {
+		slrs = append(slrs, slr)
+	}
+	sort.Ints(slrs)
+	for _, slr := range slrs {
+		for _, f := range frames[slr] {
+			items := sm.FrameItems(slr, f)
+			num(int64(slr))
+			num(int64(f))
+			num(int64(len(items)))
+			for _, it := range items {
+				num(int64(it.Index))
+				if it.Mem {
+					num(1)
+				} else {
+					num(0)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // farmCompiles runs the initial compile of spec and the resident
 // recompiles of the given edit tags on one farm, one after another.
-func farmCompiles(t *testing.T, spec farm.Spec, tags ...int) map[string]*toolchain.Result {
-	t.Helper()
+func farmCompiles(spec farm.Spec, out map[string]*toolchain.Result, prefix string, tags ...int) error {
 	f := farm.New(farm.Config{})
-	out := map[string]*toolchain.Result{}
-	wait := func(name string, j *farm.Job, err error) {
+	wait := func(name string, j *farm.Job, err error) error {
 		if err == nil {
 			err = j.Wait(context.Background())
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s%s: %w", prefix, name, err)
 		}
-		out[name] = j.Result().Result
+		out[prefix+name] = j.Result().Result
+		return nil
 	}
 	j, _, err := f.Compile(spec)
-	wait("vti", j, err)
+	if err := wait("vti", j, err); err != nil {
+		return err
+	}
 	for _, tag := range tags {
 		j, _, err := f.Recompile(spec, tag)
-		wait(fmt.Sprintf("recompile%d", tag), j, err)
+		if err := wait(fmt.Sprintf("recompile%d", tag), j, err); err != nil {
+			return err
+		}
 	}
-	return out
+	return nil
 }
 
-// TestCompileOutputsPinned pins what placement, routing and timing
-// produce, and what each flow charges for them, on the manycore the
-// compile farm serves (initial compile and resident recompiles of edit
-// tags 1-3, at four scales) and on the toolchain self-check's seed-1
-// designs (monolithic, vendor-incremental, VTI and farm flows).
-func TestCompileOutputsPinned(t *testing.T) {
-	got := map[string]string{}
+// pinnedCompiles runs the pinned compiles once per test binary: on the
+// manycore the compile farm serves, the initial compile and resident
+// recompiles of edit tags 1-3, at four scales; on the toolchain
+// self-check's seed-1 designs, the monolithic, vendor-incremental, VTI
+// and farm flows.
+var pinnedCompiles = sync.OnceValues(func() (map[string]*toolchain.Result, error) {
+	out := map[string]*toolchain.Result{}
 	for _, cores := range []int{4, 16, 64, 256} {
 		fam := workloads.NewManycore(cores)
 		spec := farm.Spec{
 			Design: fmt.Sprintf("manycore%d", cores),
 			Build:  func() (*rtl.Design, error) { return fam.Variant(0), nil },
 		}
-		for name, res := range farmCompiles(t, spec, 1, 2, 3) {
-			got[fmt.Sprintf("manycore%d/%s", cores, name)] = compileOutputs(res)
+		if err := farmCompiles(spec, out, fmt.Sprintf("manycore%d/", cores), 1, 2, 3); err != nil {
+			return nil, err
 		}
 	}
 
@@ -163,38 +253,60 @@ func TestCompileOutputsPinned(t *testing.T) {
 		opts := toolchain.Options{Partitions: specs, Clocks: hd.Clocks}
 		mono, err := toolchain.Compile(hd.RTL, opts)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		incr, err := toolchain.CompileIncremental(mono, hd.RTL, opts)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		vres, err := vti.Compile(hd.RTL, opts)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		prefix := fmt.Sprintf("synthcheck1.%d/", di)
-		got[prefix+"mono"] = compileOutputs(mono)
-		got[prefix+"incr"] = compileOutputs(incr)
-		got[prefix+"vti"] = compileOutputs(vres.Result)
+		out[prefix+"mono"] = mono
+		out[prefix+"incr"] = incr
+		out[prefix+"vti"] = vres.Result
 		spec := farm.Spec{
 			Design:  fmt.Sprintf("hier-%x", uint64(hd.BaseSeed)),
 			Build:   func() (*rtl.Design, error) { return hd.Rebuild().RTL, nil },
 			Options: toolchain.Options{Clocks: hd.Clocks},
 		}
-		for name, res := range farmCompiles(t, spec, 1) {
-			got[prefix+"farm-"+name] = compileOutputs(res)
+		if err := farmCompiles(spec, out, prefix+"farm-", 1); err != nil {
+			return nil, err
 		}
 	}
+	return out, nil
+})
 
-	for name, sum := range got {
-		if want, ok := compilePins[name]; !ok {
+// checkPins hashes every pinned compile and compares it with its pin.
+func checkPins(t *testing.T, pins map[string]string, hash func(*toolchain.Result) string) {
+	t.Helper()
+	compiles, err := pinnedCompiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range compiles {
+		sum := hash(res)
+		if want, ok := pins[name]; !ok {
 			t.Errorf("%s: no pin (got %q)", name, sum)
 		} else if sum != want {
-			t.Errorf("%s: outputs hash %s, pinned %s", name, sum, want)
+			t.Errorf("%s: hash %s, pinned %s", name, sum, want)
 		}
 	}
-	if len(got) != len(compilePins) {
-		t.Errorf("%d compiles hashed, %d pinned", len(got), len(compilePins))
+	if len(compiles) != len(pins) {
+		t.Errorf("%d compiles hashed, %d pinned", len(compiles), len(pins))
 	}
+}
+
+// TestCompileOutputsPinned pins what placement, routing and timing
+// produce, and what each flow charges for them, on every pinned compile.
+func TestCompileOutputsPinned(t *testing.T) {
+	checkPins(t, compilePins, compileOutputs)
+}
+
+// TestStateMapsPinned pins every pinned compile's state map in order,
+// with its per-frame index.
+func TestStateMapsPinned(t *testing.T) {
+	checkPins(t, stateMapPins, stateMapOutputs)
 }

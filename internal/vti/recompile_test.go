@@ -3,6 +3,7 @@ package vti_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,4 +156,22 @@ func TestDroppedRecompileFreesFlatTable(t *testing.T) {
 		}
 	}
 	t.Fatal("a dropped recompile's flat cell table is still reachable from its netlist")
+}
+
+// TestRecompileRefusesStaticLogicChange: a recompile whose logic outside
+// its partition changed under the same names is refused, and the error
+// names the cell. The manycore top's checksum register gets a new
+// next-state function beside the partition's edit.
+func TestRecompileRefusesStaticLogicChange(t *testing.T) {
+	base, edit := manycoreBase(t)
+	d := edit(1)
+	csum := d.Top.Signal("checksum_r")
+	d.Top.SetNext(csum, rtl.Add(rtl.S(csum), rtl.C(1, 32)))
+	_, err := base.Recompile(d, "mut")
+	if err == nil {
+		t.Fatal("a recompile changing the static checksum register was accepted")
+	}
+	if !strings.Contains(err.Error(), `"checksum_r"`) {
+		t.Errorf("error %q does not name checksum_r", err)
+	}
 }
