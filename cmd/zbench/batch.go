@@ -104,7 +104,6 @@ func batchSession(rate float64) (*zoomie.Session, error) {
 		cfg.Faults = zoomie.NewFaultInjector(zoomie.FaultProfile{
 			Seed: 42, ReadFlip: rate, WriteFlip: rate, Exec: rate / 2,
 		})
-		cfg.Guard = true
 	}
 	return zoomie.Debug(zoomie.NewDesign("sweep16", m), cfg)
 }

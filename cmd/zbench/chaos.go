@@ -39,7 +39,6 @@ func chaos(int) error {
 					Seed: 42, ReadFlip: rate, WriteFlip: rate, Exec: rate / 2,
 				})
 				cfg.Faults = inj
-				cfg.Guard = true
 			}
 		})
 		if err != nil {

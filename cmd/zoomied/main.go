@@ -45,7 +45,6 @@ func main() {
 	probe := flag.Duration("probe", 0, "board health-probe interval (0 = 2s under -chaos, else disabled)")
 	cooldown := flag.Duration("cooldown", time.Minute, "quarantined-board requalification cooldown")
 	compileCache := flag.Int("compile-cache", 0, "compile-farm checkpoint store capacity in entries (0 = unbounded)")
-	speculate := flag.Bool("speculate", false, "pre-warm the first debug edit of every freshly compiled design")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -54,7 +53,6 @@ func main() {
 		ProbeInterval:      *probe,
 		QuarantineCooldown: *cooldown,
 		CompileCacheCap:    *compileCache,
-		CompileSpeculate:   *speculate,
 	}
 	if *chaos != "" {
 		p, err := faults.ParseProfile(*chaos)

@@ -69,7 +69,7 @@ func multiRegSession(t *testing.T, n int, profile *faults.Profile, spread bool) 
 	var inj *faults.Injector
 	if profile != nil {
 		inj = faults.New(*profile)
-		opts = jtag.Options{Faults: inj, Guard: true}
+		opts = jtag.Options{Faults: inj}
 	}
 	board := fpga.NewBoard(res.Options.Device)
 	dbg, err := AttachWithOptions(board, res.Image, meta, opts)

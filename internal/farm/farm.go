@@ -42,11 +42,6 @@ type Config struct {
 	// stores here to prove the farm's content addressing is itself under
 	// test (a wrapper serving stale netlists must be caught).
 	Store synth.Store
-	// Speculate pre-warms the first debug edit of a freshly compiled
-	// design: after an initial compile finishes, the farm recompiles edit
-	// tag 1 of its partition on its own dime, so the client's first real
-	// recompile is usually an instant cache hit.
-	Speculate bool
 	// Logf, when set, receives one line per job lifecycle event.
 	Logf func(format string, args ...any)
 	// PhaseHook, when set, observes every phase entry synchronously
@@ -118,21 +113,20 @@ type Progress struct {
 
 // JobStatus is an immutable snapshot of one job.
 type JobStatus struct {
-	ID          uint64
-	Flow        string // "vti" (initial) or "recompile"
-	Design      string
-	Partition   string // dotted path; "" = whole design
-	Tag         int    // recompile edit tag
-	State       State
-	Phase       string // current phase while running
-	Refs        int
-	Shared      int // extra submitters deduped onto this execution
-	Hits        int // completed-job cache hits served
-	Speculative bool
-	Cells       int           // cells actually synthesized (0 = all checkpoints shared)
-	Total       time.Duration // modeled end-to-end compile time
-	Digest      string        // bitstream digest (full hex)
-	Err         string
+	ID        uint64
+	Flow      string // "vti" (initial) or "recompile"
+	Design    string
+	Partition string // dotted path; "" = whole design
+	Tag       int    // recompile edit tag
+	State     State
+	Phase     string // current phase while running
+	Refs      int
+	Shared    int           // extra submitters deduped onto this execution
+	Hits      int           // completed-job cache hits served
+	Cells     int           // cells actually synthesized (0 = all checkpoints shared)
+	Total     time.Duration // modeled end-to-end compile time
+	Digest    string        // bitstream digest (full hex)
+	Err       string
 }
 
 // Line renders the deterministic one-row status the compiles verb and
@@ -147,9 +141,6 @@ func (s JobStatus) Line() string {
 	head := fmt.Sprintf("#%d %s %s part=%s", s.ID, s.Flow, s.Design, part)
 	if s.Flow == FlowRecompile {
 		head += fmt.Sprintf(" tag=%d", s.Tag)
-	}
-	if s.Speculative {
-		head += " speculative"
 	}
 	switch s.State {
 	case StateDone:
@@ -201,17 +192,16 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu          sync.Mutex
-	state       State
-	phase       string
-	refs        int
-	shared      int
-	hits        int
-	speculative bool
-	err         error
-	res         *vti.Result
-	subs        map[int]chan Progress
-	nextSub     int
+	mu      sync.Mutex
+	state   State
+	phase   string
+	refs    int
+	shared  int
+	hits    int
+	err     error
+	res     *vti.Result
+	subs    map[int]chan Progress
+	nextSub int
 
 	// digest is the result's bitstream digest, hashed on the first
 	// Status after the job is done and outside mu (see bitsDigest).
@@ -264,7 +254,7 @@ func (j *Job) Status() JobStatus {
 	s := JobStatus{
 		ID: j.id, Flow: j.flow, Design: j.design, Partition: j.partition,
 		Tag: j.tag, State: j.state, Phase: j.phase, Refs: j.refs,
-		Shared: j.shared, Hits: j.hits, Speculative: j.speculative,
+		Shared: j.shared, Hits: j.hits,
 	}
 	if j.err != nil {
 		s.Err = j.err.Error()
@@ -298,7 +288,7 @@ func (j *Job) Subscribe() (<-chan Progress, func()) {
 	j.subs[id] = ch
 	// Late subscribers immediately learn where the job already is.
 	cur := j.phase
-	if j.state != StateRunning && j.state != StateQueued {
+	if j.state.Terminal() {
 		cur = string(j.state)
 	}
 	j.mu.Unlock()
@@ -335,12 +325,11 @@ func (j *Job) enterPhase(phase string) {
 
 // Stats are the farm-wide counters.
 type Stats struct {
-	Submits      int64
-	Shared       int64 // submits deduped onto a running execution
-	CacheHits    int64 // submits served from a completed job
-	Cancels      int64 // jobs whose context was cancelled
-	Speculations int64 // speculative recompiles launched
-	Store        synth.StoreStats
+	Submits   int64
+	Shared    int64 // submits deduped onto a running execution
+	CacheHits int64 // submits served from a completed job
+	Cancels   int64 // jobs whose context was cancelled
+	Store     synth.StoreStats
 }
 
 // MaxTerminalJobs bounds the finished, failed and cancelled jobs a farm
@@ -362,7 +351,7 @@ type Farm struct {
 	nextID uint64
 	uses   uint64 // use clock; see Job.used
 
-	submits, sharedN, cacheHits, cancels, speculations int64
+	submits, sharedN, cacheHits, cancels int64
 }
 
 // New creates a farm with its own shared checkpoint store.
@@ -391,15 +380,14 @@ func (f *Farm) Stats() Stats {
 	defer f.mu.Unlock()
 	return Stats{
 		Submits: f.submits, Shared: f.sharedN, CacheHits: f.cacheHits,
-		Cancels: f.cancels, Speculations: f.speculations,
-		Store: f.store.Stats(),
+		Cancels: f.cancels, Store: f.store.Stats(),
 	}
 }
 
 // Compile submits the initial VTI compile of a design. The caller holds
 // one reference on the returned job until Release (or Cancel).
 func (f *Farm) Compile(spec Spec) (*Job, Attach, error) {
-	return f.submit(spec, FlowInitial, 0, false)
+	return f.submit(spec, FlowInitial, 0)
 }
 
 // Recompile submits the tag-th canonical debug edit of the design's
@@ -410,7 +398,7 @@ func (f *Farm) Recompile(spec Spec, tag int) (*Job, Attach, error) {
 	if tag <= 0 {
 		tag = 1
 	}
-	return f.submit(spec, FlowRecompile, tag, false)
+	return f.submit(spec, FlowRecompile, tag)
 }
 
 // Job looks up a job by id.
@@ -455,11 +443,11 @@ func (f *Farm) Release(id uint64) bool {
 		return false
 	}
 	j.mu.Lock()
-	done := terminal(j.state)
+	done := j.state.Terminal()
 	if !done && j.refs > 0 {
 		j.refs--
 	}
-	last := !done && j.refs == 0 && !j.speculative
+	last := !done && j.refs == 0
 	j.mu.Unlock()
 	if last {
 		f.mu.Lock()
@@ -478,7 +466,7 @@ func (f *Farm) CancelLine(id uint64) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("no compile job %d", id)
 	}
-	if st := j.State(); terminal(st) {
+	if st := j.State(); st.Terminal() {
 		return fmt.Sprintf("job %d already %s", id, st), nil
 	}
 	if f.Release(id) {
@@ -504,7 +492,7 @@ func (r *request) key(flow string, tag int) string {
 }
 
 // submit is the single-flight front door for both flows.
-func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, Attach, error) {
+func (f *Farm) submit(spec Spec, flow string, tag int) (*Job, Attach, error) {
 	if spec.Build == nil {
 		return nil, AttachNew, fmt.Errorf("farm: spec %q has no Build", spec.Design)
 	}
@@ -512,19 +500,19 @@ func (f *Farm) submit(spec Spec, flow string, tag int, speculative bool) (*Job, 
 	if err != nil {
 		return nil, AttachNew, fmt.Errorf("farm: build %s: %w", spec.Design, err)
 	}
-	path := partitionPath(spec, d)
+	path := ResolvePartition(spec, d)
 	req := &request{
 		spec: spec, design: d, path: path,
 		opts: compileOpts(spec, path), digest: synth.DesignDigest(d),
 	}
-	j, a := f.attach(req, flow, tag, speculative)
+	j, a := f.attach(req, flow, tag)
 	return j, a, nil
 }
 
 // attach lands a request's compile in a flow on its job: one in flight
 // or done under the same key, else a new job that runs the request's
-// design.
-func (f *Farm) attach(req *request, flow string, tag int, speculative bool) (*Job, Attach) {
+// design, holding the caller's reference.
+func (f *Farm) attach(req *request, flow string, tag int) (*Job, Attach) {
 	key := req.key(flow, tag)
 	f.mu.Lock()
 	f.submits++
@@ -556,27 +544,14 @@ func (f *Farm) attach(req *request, flow string, tag int, speculative bool) (*Jo
 		id: f.nextID, f: f, key: key, flow: flow, design: req.spec.Design,
 		partition: req.path, tag: tag,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
-		state: StateQueued, refs: 1, speculative: speculative,
+		state: StateQueued, refs: 1,
 		subs: make(map[int]chan Progress), used: f.uses,
-	}
-	if speculative {
-		j.refs = 0
 	}
 	f.jobs[j.id] = j
 	f.byKey[key] = j
-	if speculative {
-		f.speculations++
-	}
 	f.mu.Unlock()
 	f.cfg.Logf("farm: job %d %s %s part=%s tag=%d", j.id, flow, req.spec.Design, req.path, tag)
-
-	if speculative {
-		// Speculation runs synchronously on the initial job's goroutine so
-		// job numbering and store state stay deterministic.
-		f.run(j, req)
-	} else {
-		go f.run(j, req)
-	}
+	go f.run(j, req)
 	return j, AttachNew
 }
 
@@ -598,14 +573,6 @@ func (f *Farm) run(j *Job, req *request) {
 		err = fmt.Errorf("farm: unknown flow %q", j.flow)
 	}
 	f.finish(j, res, err)
-
-	if j.flow == FlowInitial && err == nil && f.cfg.Speculate && !j.speculative {
-		// Pre-warm the client's likely next request: edit tag 1 of the
-		// partition they just compiled.
-		if _, _, serr := f.submit(req.spec, FlowRecompile, 1, true); serr != nil {
-			f.cfg.Logf("farm: speculative recompile after job %d: %v", j.id, serr)
-		}
-	}
 }
 
 // runRecompile ensures the base compile, then recompiles the canonical
@@ -614,7 +581,7 @@ func (f *Farm) run(j *Job, req *request) {
 // that design, and the edit goes on it, unless the base must compile it
 // afresh: then the edit goes on a second build.
 func (f *Farm) runRecompile(j *Job, req *request) (*vti.Result, error) {
-	base, a := f.attach(req, FlowInitial, 0, false)
+	base, a := f.attach(req, FlowInitial, 0)
 	// The recompile's reference on the base cascades: cancelling the last
 	// recompile holder releases the base too, stopping a still-running
 	// initial compile nobody else wants.
@@ -632,7 +599,7 @@ func (f *Farm) runRecompile(j *Job, req *request) (*vti.Result, error) {
 		}
 		return nil, fmt.Errorf("farm: base compile: %w", err)
 	}
-	if err := editDesign(edited, j.partition, j.tag); err != nil {
+	if err := ApplyEdit(edited, j.partition, j.tag); err != nil {
 		return nil, err
 	}
 	// Resident: the farm's toolchain is already up, so the fixed startup
@@ -665,8 +632,8 @@ func (f *Farm) finish(j *Job, res *vti.Result, err error) {
 	f.cfg.Logf("farm: job %d %s", j.id, state)
 }
 
-// terminal reports whether a job in state s has finished.
-func terminal(s State) bool {
+// Terminal reports whether a job in state s has finished.
+func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
@@ -678,7 +645,7 @@ func (f *Farm) evict() {
 	defer f.mu.Unlock()
 	var done []*Job
 	for _, j := range f.jobs {
-		if terminal(j.State()) {
+		if j.State().Terminal() {
 			done = append(done, j)
 		}
 	}
@@ -703,11 +670,12 @@ func compileOpts(spec Spec, path string) toolchain.Options {
 	return opts.WithDefaults()
 }
 
-// partitionPath resolves the debug partition: the explicit spec path, or
-// the first top-level instance whose module appears exactly once in the
-// design (editing a multiply-instantiated module would change cells
-// outside the partition), or the whole design.
-func partitionPath(spec Spec, d *rtl.Design) string {
+// ResolvePartition returns the debug-partition instance path a spec
+// resolves to for a built design: the explicit spec path, or the first
+// top-level instance whose module appears exactly once in the design
+// (editing a multiply-instantiated module would change cells outside the
+// partition), or the whole design.
+func ResolvePartition(spec Spec, d *rtl.Design) string {
 	if spec.Partition != "" {
 		return spec.Partition
 	}
@@ -728,26 +696,13 @@ func partitionPath(spec Spec, d *rtl.Design) string {
 	return ""
 }
 
-// ApplyEdit applies the canonical tag-th debug edit to a design, exactly
-// as the farm does before a recompile. Exported for the toolchain
-// self-checker, which must reproduce the edit out-of-band to build its
-// cold reference compile and behavioral metadata.
+// ApplyEdit applies the canonical tag-th debug edit in place, as the farm
+// does before a recompile: tag extra 8-bit probe registers added to the
+// partition's module — the "minor changes to expose signals for
+// debugging" of §5.2, made deterministic so independently parsed copies
+// of the same edit digest identically. The toolchain self-checker
+// reproduces the edit with it out-of-band.
 func ApplyEdit(d *rtl.Design, path string, tag int) error {
-	return editDesign(d, path, tag)
-}
-
-// ResolvePartition returns the debug-partition instance path a spec
-// resolves to for the given built design — the same resolution submit
-// performs.
-func ResolvePartition(spec Spec, d *rtl.Design) string {
-	return partitionPath(spec, d)
-}
-
-// editDesign applies the canonical tag-th debug edit in place: tag extra
-// 8-bit probe registers added to the partition's module — the "minor
-// changes to expose signals for debugging" of §5.2, made deterministic
-// so independently parsed copies of the same edit digest identically.
-func editDesign(d *rtl.Design, path string, tag int) error {
 	m, err := vti.ModuleAt(d, path)
 	if err != nil {
 		return fmt.Errorf("farm: edit: %w", err)
@@ -777,7 +732,7 @@ func CheckBitIdentity(ctx context.Context, spec Spec, tag int) (cold, warm strin
 	if err != nil {
 		return "", "", fmt.Errorf("farm: build %s: %w", spec.Design, err)
 	}
-	path := partitionPath(spec, d)
+	path := ResolvePartition(spec, d)
 	opts := compileOpts(spec, path)
 
 	base, err := vti.CompileCtx(ctx, d, opts, vti.CompileOptions{})
@@ -788,7 +743,7 @@ func CheckBitIdentity(ctx context.Context, spec Spec, tag int) (cold, warm strin
 	if err != nil {
 		return "", "", err
 	}
-	if err := editDesign(editedWarm, path, tag); err != nil {
+	if err := ApplyEdit(editedWarm, path, tag); err != nil {
 		return "", "", err
 	}
 	warmRes, err := base.RecompileCtx(ctx, editedWarm, PartitionName,
@@ -801,7 +756,7 @@ func CheckBitIdentity(ctx context.Context, spec Spec, tag int) (cold, warm strin
 	if err != nil {
 		return "", "", err
 	}
-	if err := editDesign(editedCold, path, tag); err != nil {
+	if err := ApplyEdit(editedCold, path, tag); err != nil {
 		return "", "", err
 	}
 	coldRes, err := toolchain.CompileCtx(ctx, editedCold, opts)

@@ -300,48 +300,64 @@ func TestRecompileBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestSpeculation: with Speculate on, finishing an initial compile
-// pre-warms edit tag 1, so the client's first recompile is a cache hit
-// on a job marked speculative.
-func TestSpeculation(t *testing.T) {
-	f := New(Config{Speculate: true})
-	spec := fixtureSpec()
-	j, _, err := f.Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-
-	var spec1 *Job
-	deadline := time.Now().Add(10 * time.Second)
-	for spec1 == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("speculative recompile never appeared")
-		}
-		for _, cand := range f.Jobs() {
-			if cand.Status().Flow == FlowRecompile {
-				spec1 = cand
+// TestJobsHeldBySubmitters: jobs come only from Compile, Recompile and a
+// recompile's attach of its base, and at every phase entry every queued
+// or running job holds at least one reference.
+func TestJobsHeldBySubmitters(t *testing.T) {
+	var f *Farm
+	var mu sync.Mutex
+	var unheld []string
+	f = New(Config{PhaseHook: func(id uint64, phase string) {
+		for _, j := range f.Jobs() {
+			j.mu.Lock()
+			if !j.state.Terminal() && j.refs < 1 {
+				mu.Lock()
+				unheld = append(unheld, fmt.Sprintf("job %d %s with %d refs at job %d's %s",
+					j.id, j.state, j.refs, id, phase))
+				mu.Unlock()
 			}
+			j.mu.Unlock()
 		}
-		if spec1 == nil {
-			time.Sleep(10 * time.Millisecond)
+	}})
+	spec := fixtureSpec()
+	started := map[uint64]bool{} // jobs a submit started
+	submit := func(j *Job, a Attach, err error) Attach {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	waitDone(t, spec1)
-	if !spec1.Status().Speculative {
-		t.Error("pre-warmed recompile not marked speculative")
+		started[j.ID()] = started[j.ID()] || a == AttachNew
+		waitDone(t, j)
+		return a
 	}
 
-	j2, a2, err := f.Recompile(spec, 1)
-	if err != nil {
-		t.Fatal(err)
+	submit(f.Recompile(spec, 1)) // job 1, whose base attach starts job 2
+	if a := submit(f.Compile(spec)); a != AttachHit {
+		t.Errorf("compile after a recompile of it: attach %v, want a cache hit on the base", a)
 	}
-	if a2 != AttachHit || j2.ID() != spec1.ID() {
-		t.Fatalf("first user recompile: attach %v job %d, want AttachHit on speculative job %d",
-			a2, j2.ID(), spec1.ID())
+	submit(f.Recompile(spec, 2)) // job 3
+	if a := submit(f.Recompile(spec, 3)); a != AttachNew {
+		t.Errorf("recompile of a new edit: attach %v, want a new job", a)
 	}
-	if f.Stats().Speculations != 1 {
-		t.Errorf("speculations = %d, want 1", f.Stats().Speculations)
+
+	want := map[uint64]string{1: "recompile tag 1", 2: "vti tag 0", 3: "recompile tag 2", 4: "recompile tag 3"}
+	jobs := f.Jobs()
+	if len(jobs) != len(want) {
+		t.Errorf("%d jobs, want %d", len(jobs), len(want))
+	}
+	for _, j := range jobs {
+		st := j.Status()
+		if got := fmt.Sprintf("%s tag %d", st.Flow, st.Tag); got != want[j.ID()] {
+			t.Errorf("job %d is a %s, want %s", j.ID(), got, want[j.ID()])
+		}
+		if base := j.ID() == 2; started[j.ID()] == base {
+			t.Errorf("job %d started by a submit: %v; only the base, job 2, is not", j.ID(), started[j.ID()])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, u := range unheld {
+		t.Error(u)
 	}
 }
 

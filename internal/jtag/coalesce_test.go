@@ -112,7 +112,7 @@ func TestGuardedWritebackRewritesOnlyFaultedFrame(t *testing.T) {
 	for _, flip := range []bool{false, true} {
 		name := map[bool]string{false: "drop", true: "flip"}[flip]
 		t.Run(name, func(t *testing.T) {
-			c := connectDense(t, Options{Guard: true})
+			c := guardClean(connectDense(t, Options{}))
 			link := &faultyWrite{Backend: boardBackend{c.Board}, frame: 12, flip: flip}
 			c.Chain = bitstream.NewChain(link, bitstream.DefaultCostModel())
 			frames := span(10, 5)
@@ -142,7 +142,7 @@ func TestGuardedWritebackRewritesOnlyFaultedFrame(t *testing.T) {
 // boot image writes every initial-state frame as a WCFG + FAR + FDRI
 // group of its own, even where frames are consecutive.
 func TestConfigStreamOneFDRIPerFrame(t *testing.T) {
-	img := denseImage(t, fpga.NewU200())
+	img := denseImage(t, fpga.NewU200(), denseFrames)
 	stream, err := GenerateConfigStream(img)
 	if err != nil {
 		t.Fatal(err)

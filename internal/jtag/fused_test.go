@@ -24,14 +24,14 @@ const denseFrames = 80
 var denseWords = [...]int{0, 47, 92}
 
 // denseImage maps a 32-bit register into each denseWords word of frames
-// [0, denseFrames) of every SLR, each register holding a distinct value,
-// so every frame a transfer touches carries state to corrupt and verify.
-func denseImage(t *testing.T, dev *fpga.Device) *fpga.Image {
+// [0, frames) of every SLR, each register holding a distinct value, so
+// every frame a transfer touches carries state to corrupt and verify.
+func denseImage(t *testing.T, dev *fpga.Device, frames int) *fpga.Image {
 	t.Helper()
 	m := rtl.NewModule("dense")
 	sm := fpga.NewStateMap(0, 0)
 	for slr := range dev.SLRs {
-		for f := 0; f < denseFrames; f++ {
+		for f := 0; f < frames; f++ {
 			for _, w := range denseWords {
 				name := fmt.Sprintf("s%d_f%d_w%d", slr, f, w)
 				r := m.Reg(name, 32, "clk", uint64(slr<<24|f<<8|w)^0x5a5a0000)
@@ -57,13 +57,18 @@ func denseImage(t *testing.T, dev *fpga.Device) *fpga.Image {
 	}
 }
 
-// connectDense attaches a cable with the given options to a configured
-// dense board.
+// connectDense attaches a cable with the given options to a board
+// configured with the dense image of denseFrames frames.
 func connectDense(t *testing.T, opts Options) *Cable {
+	return connectDenseN(t, denseFrames, opts)
+}
+
+// connectDenseN is connectDense over a dense image of the given frames.
+func connectDenseN(t *testing.T, frames int, opts Options) *Cable {
 	t.Helper()
 	dev := fpga.NewU200()
 	board := fpga.NewBoard(dev)
-	if err := board.Configure(denseImage(t, dev)); err != nil {
+	if err := board.Configure(denseImage(t, dev, frames)); err != nil {
 		t.Fatal(err)
 	}
 	c := ConnectWithOptions(board, opts)
@@ -72,12 +77,21 @@ func connectDense(t *testing.T, opts Options) *Cable {
 	return c
 }
 
-// guardedLinks are the two fault-free guarded cables: a clean link with
-// Options.Guard (Agreement 2) and a bound injector that injects nothing
-// (Agreement 3).
+// guardClean turns on the guarded transport of a cable without an
+// injector, with two-deep agreement: a clean link whose stream counts the
+// tests below pin at a second agreement depth.
+func guardClean(c *Cable) *Cable {
+	c.guard = true
+	c.retry.Agreement = 2
+	return c
+}
+
+// guardedLinks are the two fault-free guarded cables: a clean link guarded
+// inside the package (Agreement 2) and a bound injector that injects
+// nothing (Agreement 3).
 func guardedLinks(t *testing.T) map[string]*Cable {
 	return map[string]*Cable{
-		"guard":    connectDense(t, Options{Guard: true}),
+		"guard":    guardClean(connectDense(t, Options{})),
 		"injector": connectDense(t, Options{Faults: faults.New(faults.Profile{Seed: 1})}),
 	}
 }
@@ -165,18 +179,21 @@ func TestFusedTransferWithinBoundIsOneStream(t *testing.T) {
 	}
 }
 
-// TestFusedTransferLargeSetKeepsStreams pins that a set whose single pass
-// (or write) exceeds the bound is streamed exactly as one stream per
-// pass: the guarded transfer's chain activity and modeled time equal
-// those of executing that stream sequence by hand.
+// TestFusedTransferLargeSetKeepsStreams pins the streams of a set larger
+// than the bound: it is cut into a run of maxStreamFrameOps frames and a
+// run of the rest, each transferred to completion in turn, and the
+// guarded transfer's chain activity and modeled time equal those of
+// executing that stream sequence by hand. The full run's passes and
+// writes each fill a stream of their own; the short run fits its writes
+// and all its passes in one.
 func TestFusedTransferLargeSetKeepsStreams(t *testing.T) {
 	const slr = 0
 	frames := append(span(0, 30), span(35, maxStreamFrameOps-20)...)
 	data := stateFrames(rand.New(rand.NewSource(7)), len(frames))
+	full, rest := frames[:maxStreamFrameOps], frames[maxStreamFrameOps:]
 	for name, c := range guardedLinks(t) {
 		agree := c.retry.Agreement
-		read := c.transferStream(slr, nil, nil, frames)
-		write := c.transferStream(slr, frames, data)
+		reads := repeat(c.transferStream(slr, nil, nil, full), agree)
 
 		ref := connectDense(t, Options{})
 		execute := func(streams ...[]uint32) {
@@ -187,30 +204,70 @@ func TestFusedTransferLargeSetKeepsStreams(t *testing.T) {
 				}
 			}
 		}
-		reads := make([][]uint32, agree)
-		for i := range reads {
-			reads[i] = read
-		}
 
-		execute(reads...)
+		execute(append(reads, c.transferStream(slr, nil, nil, repeat(rest, agree)...))...)
 		c.ResetStats()
-		if _, err := c.ReadbackFrames(slr, frames); err != nil {
+		got, err := c.ReadbackFrames(slr, frames)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !sameFrames(got, trueFrames(t, c, slr, frames)) {
+			t.Fatalf("%s readback differs from the board", name)
 		}
 		if c.Chain.Stats != ref.Chain.Stats || c.Elapsed() != ref.Elapsed() {
 			t.Errorf("%s readback: %+v in %v, want %+v in %v",
 				name, c.Chain.Stats, c.Elapsed(), ref.Chain.Stats, ref.Elapsed())
 		}
 
-		execute(append([][]uint32{write}, reads...)...)
+		streams := [][]uint32{c.transferStream(slr, full, data[:maxStreamFrameOps])}
+		streams = append(streams, reads...)
+		streams = append(streams, c.transferStream(slr, rest, data[maxStreamFrameOps:], repeat(rest, agree)...))
+		execute(streams...)
 		c.ResetStats()
 		if err := c.WritebackFrames(slr, frames, data); err != nil {
 			t.Fatal(err)
+		}
+		if !sameFrames(trueFrames(t, c, slr, frames), data) {
+			t.Fatalf("%s: board differs from the written frames", name)
 		}
 		if c.Chain.Stats != ref.Chain.Stats || c.Elapsed() != ref.Elapsed() {
 			t.Errorf("%s writeback: %+v in %v, want %+v in %v",
 				name, c.Chain.Stats, c.Elapsed(), ref.Chain.Stats, ref.Elapsed())
 		}
+	}
+}
+
+// repeat returns n copies of v.
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestLargeGuardedReadSurvivesTransients pins the smallest read of more
+// than maxStreamFrameOps frames, over seeds 1 to 20 of chaos_remote's
+// link (flip=0.005, exec=0.0025), that exhausted the retries while a large
+// set streamed one whole agreement pass per stream: 324 frames of the
+// primary at seed 5. One transient error voided a 324-frame stream, nine
+// times in a row. Cut into runs, the read returns the board's frames.
+func TestLargeGuardedReadSurvivesTransients(t *testing.T) {
+	const n = 324
+	c := connectDenseN(t, n, Options{Faults: faults.New(faults.Profile{
+		Seed: 5, ReadFlip: 0.005, WriteFlip: 0.005, Exec: 0.0025,
+	})})
+	slr := c.Board.Device.Primary
+	frames := span(0, n)
+	got, err := c.ReadbackFrames(slr, frames)
+	if err != nil {
+		t.Fatalf("guarded read of %d frames: %v", n, err)
+	}
+	if !sameFrames(got, trueFrames(t, c, slr, frames)) {
+		t.Fatalf("guarded read of %d frames differs from the board", n)
+	}
+	if c.Stats().Retries == 0 {
+		t.Error("no transient error was retried")
 	}
 }
 

@@ -5,22 +5,22 @@
 // clock. All host/board interaction flows through this package, mirroring
 // how everything reaches real hardware through the JTAG port.
 //
-// The cable is also where link-level resilience lives. When connected
-// with a fault injector (or with Options.Guard set), every operation runs
-// guarded: transient errors are retried with exponential backoff and
-// jitter under an operation deadline, frame readback is repeated until
-// every word has been seen identically in the retry policy's Agreement
-// consecutive reads (catching in-flight bit flips that have no ground
-// truth to checksum against), and frame writeback is CRC32-verified
-// against readback and rewritten until it sticks (catching flipped,
-// dropped and duplicated writes). Verified readback and verify-after-
-// write share one agreement engine, which packs each convergence round
-// into one stream: SYNC, one SLR selection, the writes, then as many
-// agreement passes as fit maxStreamFrameOps frame operations. A small
-// verified transfer thus selects its SLR once, as §4.7's "scan each SLR
-// only once" intends; a set whose single pass exceeds the bound streams
-// one pass per stream. A cable connected without faults runs the exact
-// unguarded code paths of the original transport — resilience is
+// The cable is also where link-level resilience lives. A cable is guarded
+// exactly when a fault injector is bound: every operation then retries
+// transient errors with exponential backoff and jitter under an operation
+// deadline, repeats frame readback until every word has been seen
+// identically in three consecutive reads (catching in-flight bit flips
+// that have no ground truth to checksum against), and CRC32-verifies
+// frame writeback against readback, rewriting until it sticks (catching
+// flipped, dropped and duplicated writes). Verified readback and
+// verify-after-write share one agreement engine. A verified transfer is
+// cut into runs of at most maxStreamFrameOps frames, and each convergence
+// round of a run is one stream: SYNC, one SLR selection, the writes, then
+// as many agreement passes as fit maxStreamFrameOps frame operations. A
+// small verified transfer thus selects its SLR once, as §4.7's "scan each
+// SLR only once" intends, and no stream is long enough for one transient
+// error to void much work. A cable connected without faults runs the
+// exact unguarded code paths of the original transport — resilience is
 // zero-cost when disabled.
 package jtag
 
@@ -117,8 +117,8 @@ type retryPolicy struct {
 	// doubles it up to MaxBackoff, plus up to 50% jitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Deadline bounds one logical operation including all retries and
-	// verification passes.
+	// Deadline bounds one logical operation, or one run of a verified
+	// transfer, including all retries and verification passes.
 	Deadline time.Duration
 	// Agreement is the read-verification depth: a word counts as read
 	// only after this many consecutive identical observations.
@@ -126,30 +126,24 @@ type retryPolicy struct {
 }
 
 // defaultRetry is the guarded transport's policy: 8 retries, backoff
-// from 200µs capped at 10ms, a 10s deadline, and two-deep agreement on a
-// clean guarded link. With a fault injector bound the cable raises the
-// agreement to 3, because at per-word flip rate f the chance of the same
-// word corrupting identically n times in a row is ~(f/32)^(n-1)·f — at
-// f=1% that is ~3e-6 per word for n=2, which a long campaign of
-// coalesced readbacks will eventually hit, versus ~1e-9 for n=3.
+// from 200µs capped at 10ms, a 10s deadline, and three-deep agreement. At
+// per-word flip rate f the chance of the same word corrupting identically
+// n times in a row is ~(f/32)^(n-1)·f — at f=1% that is ~3e-6 per word
+// for n=2, which a long campaign of coalesced readbacks will eventually
+// hit, versus ~1e-9 for n=3.
 var defaultRetry = retryPolicy{
 	MaxRetries:  8,
 	BaseBackoff: 200 * time.Microsecond,
 	MaxBackoff:  10 * time.Millisecond,
 	Deadline:    10 * time.Second,
-	Agreement:   2,
+	Agreement:   3,
 }
 
 // Options configures a cable beyond the default clean transport.
 type Options struct {
-	// Cost is the configuration-plane cost model (zero value: default).
-	Cost bitstream.CostModel
 	// Faults, when set, interposes the injector between the µc chain and
 	// the board and enables the guarded transport.
 	Faults *faults.Injector
-	// Guard enables the resilient transport without an injector (verify
-	// and retry against a clean link — useful for measuring overhead).
-	Guard bool
 }
 
 // CableStats counts the guarded transport's recovery work. All fields are
@@ -183,39 +177,27 @@ type Cable struct {
 	writebacks  int64 // atomic
 }
 
-// Connect attaches a cable to a board using the default cost model and
-// the clean (unguarded) transport.
+// Connect attaches a cable to a board using the clean (unguarded)
+// transport.
 func Connect(board *fpga.Board) *Cable {
-	return ConnectWithCost(board, bitstream.DefaultCostModel())
+	return ConnectWithOptions(board, Options{})
 }
 
-// ConnectWithCost attaches a cable with an explicit configuration-plane
-// cost model.
-func ConnectWithCost(board *fpga.Board, cost bitstream.CostModel) *Cable {
-	return ConnectWithOptions(board, Options{Cost: cost})
-}
-
-// ConnectWithOptions attaches a cable with full control over the cost
-// model, fault injection and the guarded transport.
+// ConnectWithOptions attaches a cable whose µc chain runs on the default
+// configuration-plane cost model, guarded exactly when opts binds a fault
+// injector.
 func ConnectWithOptions(board *fpga.Board, opts Options) *Cable {
-	if opts.Cost == (bitstream.CostModel{}) {
-		opts.Cost = bitstream.DefaultCostModel()
-	}
 	var backend bitstream.Backend = boardBackend{board}
-	guard := opts.Guard
 	seed := int64(1)
-	retry := defaultRetry
 	if opts.Faults != nil {
 		backend = opts.Faults.Bind(backend)
-		guard = true
 		seed = opts.Faults.Profile().Seed + 1
-		retry.Agreement = 3 // known-flaky link: deeper read agreement
 	}
 	return &Cable{
 		Board: board,
-		Chain: bitstream.NewChain(backend, opts.Cost),
-		guard: guard,
-		retry: retry,
+		Chain: bitstream.NewChain(backend, bitstream.DefaultCostModel()),
+		guard: opts.Faults != nil,
+		retry: defaultRetry,
 		jrng:  rand.New(rand.NewSource(seed)),
 	}
 }
@@ -328,9 +310,20 @@ func (c *Cable) backoff(attempt int) time.Duration {
 // selection costs nothing and the bound matters little: at exec=0.0025
 // bounds from 8 to 128 stayed within 3.6% of each other, 64 within 3.3%
 // of the best (DESIGN.md §5, "One SLR selection per verified transfer").
-// A single pass or write larger than the bound is never split: it gets a
-// stream of its own.
+// A verified transfer is cut into runs of at most this many frames, so no
+// single pass or write exceeds it.
 const maxStreamFrameOps = 64
+
+// inRuns calls fn on [lo, hi) for consecutive runs of [0, n) of at most
+// maxStreamFrameOps positions each, in order, until fn fails.
+func inRuns(n int, fn func(lo, hi int) error) error {
+	for lo := 0; lo < n; lo += maxStreamFrameOps {
+		if err := fn(lo, min(lo+maxStreamFrameOps, n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // transferStream builds one configuration stream for one SLR: SYNC, one
 // BOUT selection, the write of data[i] to each frames[i], then one FDRO
@@ -388,7 +381,8 @@ func (c *Cable) readbackOnce(ctx context.Context, slr int, frames []int, deadlin
 // SLR and coalesces runs of consecutive addresses into single multi-frame
 // FDRO reads — the SLR-aware optimization of §4.7 ("scan each SLR only
 // once", "only the regions that contain the MUT"). Under guard the read
-// is verified: see verifiedTransfer.
+// is verified: see verifiedTransfer, which reads each run of at most
+// maxStreamFrameOps frames in turn.
 func (c *Cable) ReadbackFrames(slr int, frames []int) ([][]uint32, error) {
 	return c.ReadbackFramesCtx(context.Background(), slr, frames)
 }
@@ -406,10 +400,19 @@ func (c *Cable) ReadbackFramesCtx(ctx context.Context, slr int, frames []int) ([
 		return nil, err
 	}
 	atomic.AddInt64(&c.readbacks, 1)
-	if c.guard {
-		return c.verifiedTransfer(ctx, slr, frames, nil)
+	if !c.guard {
+		return c.readbackOnce(ctx, slr, frames, time.Time{})
 	}
-	return c.readbackOnce(ctx, slr, frames, time.Time{})
+	out := make([][]uint32, 0, len(frames))
+	err := inRuns(len(frames), func(lo, hi int) error {
+		got, err := c.verifiedTransfer(ctx, slr, frames[lo:hi], nil)
+		out = append(out, got...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // verifyBudget bounds the verification loops. It is deliberately larger
@@ -464,9 +467,8 @@ func (a *agreement) need(p int) int {
 // Pass k reads every pending frame that still needs more than k reads,
 // capped by what is left of its maxReads observation budget, so no frame
 // is read speculatively. It takes as many passes as fit room frame
-// operations; with first set it takes the first pass even when that alone
-// exceeds room, which is how a large set streams one pass at a time.
-func (a *agreement) plan(room, maxReads int, first bool) [][]int {
+// operations.
+func (a *agreement) plan(room, maxReads int) [][]int {
 	want := make([]int, len(a.pending))
 	deepest := 0
 	for i, p := range a.pending {
@@ -481,7 +483,7 @@ func (a *agreement) plan(room, maxReads int, first bool) [][]int {
 				pass = append(pass, p)
 			}
 		}
-		if len(pass) > room && !(first && k == 0) {
+		if len(pass) > room {
 			break
 		}
 		room -= len(pass)
@@ -532,11 +534,11 @@ func (a *agreement) observe(passes [][]int, words []uint32) (extra int64) {
 }
 
 // verifiedTransfer is the guarded transport's agreement engine, shared by
-// verified readback and verify-after-write. With data set it first writes
-// data[i] to each frames[i]; then it reads the frames until every word has
-// been observed identically in retry.Agreement consecutive reads (2 on a
-// clean guarded link, 3 when a fault injector is bound), and returns the
-// agreed contents.
+// verified readback and verify-after-write, for a run of at most
+// maxStreamFrameOps frames. With data set it first writes data[i] to each
+// frames[i]; then it reads the frames until every word has been observed
+// identically in retry.Agreement consecutive reads, and returns the agreed
+// contents.
 //
 // A read has no ground truth to checksum against, so agreement between
 // independent reads is the integrity criterion — and it is applied per
@@ -554,8 +556,7 @@ func (a *agreement) observe(passes [][]int, words []uint32) (extra int64) {
 // still-pending frames as plan fits in maxStreamFrameOps, each frame read
 // only as often as a clean continuation needs to confirm it. A set of up
 // to maxStreamFrameOps / Agreement frames therefore reads back in one
-// stream on a clean link; a set whose single pass exceeds the bound reads
-// one pass per stream.
+// stream on a clean link.
 func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, data [][]uint32) ([][]uint32, error) {
 	deadline := time.Now().Add(c.retry.Deadline)
 	a := newAgreement(len(frames), c.retry.Agreement)
@@ -586,7 +587,7 @@ func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, dat
 			wf, wd = frames, data
 			room -= len(frames)
 		}
-		passes := a.plan(room, maxReads, wf == nil)
+		passes := a.plan(room, maxReads)
 		reads := make([][]int, len(passes))
 		n := 0
 		for k, pass := range passes {
@@ -615,7 +616,9 @@ func (c *Cable) verifiedTransfer(ctx context.Context, slr int, frames []int, dat
 // the frame read back, and mismatching frames are rewritten until they
 // stick or the retry budget runs out. This is what keeps flipped,
 // dropped and duplicated writes from silently poisoning design state.
-// Each write attempt is one verified transfer: the writes open the first
+// The frames are written and verified in runs of at most
+// maxStreamFrameOps, each run to completion before the next. Each write
+// attempt of a run is one verified transfer: the writes open the first
 // stream and the verifying agreement passes fill it up to
 // maxStreamFrameOps, so a small writeback selects its SLR once.
 func (c *Cable) WritebackFrames(slr int, frames []int, data [][]uint32) error {
@@ -641,6 +644,15 @@ func (c *Cable) WritebackFramesCtx(ctx context.Context, slr int, frames []int, d
 		_, err := c.Chain.ExecuteCtx(ctx, c.transferStream(slr, frames, data))
 		return err
 	}
+	return inRuns(len(frames), func(lo, hi int) error {
+		return c.verifiedWrite(ctx, slr, frames[lo:hi], data[lo:hi])
+	})
+}
+
+// verifiedWrite writes a run of at most maxStreamFrameOps frames and
+// rewrites the frames whose readback CRC mismatches until every frame
+// sticks or the budget runs out.
+func (c *Cable) verifiedWrite(ctx context.Context, slr int, frames []int, data [][]uint32) error {
 	deadline := time.Now().Add(c.retry.Deadline)
 	wantCRC := make([]uint32, len(frames))
 	for i := range data {
@@ -713,12 +725,7 @@ func (c *Cable) Probe() error {
 
 // ProbeCtx is Probe under a context.
 func (c *Cable) ProbeCtx(ctx context.Context) error {
-	slr := c.Board.Device.Primary
-	if !c.guard {
-		_, err := c.readbackOnce(ctx, slr, []int{0}, time.Time{})
-		return err
-	}
-	_, err := c.readbackOnce(ctx, slr, []int{0}, time.Now().Add(c.retry.Deadline))
+	_, err := c.readbackOnce(ctx, c.Board.Device.Primary, []int{0}, time.Now().Add(c.retry.Deadline))
 	return err
 }
 

@@ -22,14 +22,35 @@ func connectChaos(t *testing.T, p faults.Profile) (*Cable, *faults.Injector) {
 	return ConnectWithOptions(board, Options{Faults: in}), in
 }
 
+// TestUnguardedByDefault: a cable is guarded exactly when a fault injector
+// is bound, one that injects nothing included, and every guarded cable
+// agrees three reads deep.
 func TestUnguardedByDefault(t *testing.T) {
-	c := connectProbe(t)
-	if c.Guarded() {
-		t.Fatal("plain Connect must not enable the guarded transport")
+	board := func() *fpga.Board {
+		dev := fpga.NewU200()
+		b := fpga.NewBoard(dev)
+		if err := b.Configure(probeImage(t, dev)); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	c2, _ := connectChaos(t, faults.Profile{Seed: 1})
-	if !c2.Guarded() {
-		t.Fatal("cable with an injector must be guarded")
+	chaos, _ := connectChaos(t, faults.Profile{Seed: 1, ReadFlip: 0.01, Exec: 0.005})
+	for _, tc := range []struct {
+		name    string
+		c       *Cable
+		guarded bool
+	}{
+		{"Connect", connectProbe(t), false},
+		{"no injector", ConnectWithOptions(board(), Options{}), false},
+		{"quiet injector", ConnectWithOptions(board(), Options{Faults: faults.New(faults.Profile{Seed: 1})}), true},
+		{"chaos injector", chaos, true},
+	} {
+		if got := tc.c.Guarded(); got != tc.guarded {
+			t.Errorf("%s: Guarded() = %v, want %v", tc.name, got, tc.guarded)
+		}
+		if tc.guarded && tc.c.retry.Agreement != 3 {
+			t.Errorf("%s: agreement depth %d, want 3", tc.name, tc.c.retry.Agreement)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func TestRowsForERMath(t *testing.T) {
 		{usage: 700, c: 0.30, rows: 10}, // ER = 910, whole SLR
 	}
 	for _, tc := range cases {
-		rows, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.LUT: tc.usage}, tc.c)
+		rows, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.LUT: tc.usage}, PartitionSpec{OverProvision: tc.c})
 		if err != nil {
 			t.Fatalf("usage=%d c=%v: %v", tc.usage, tc.c, err)
 		}
@@ -46,7 +46,7 @@ func TestRowsForERMath(t *testing.T) {
 func TestRowsForOverflow(t *testing.T) {
 	dev := testDevice(fpga.ResourceVec{fpga.LUT: 1000})
 	// ER = int(800*1.3) = 1040 -> 11 rows > 10 available.
-	_, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.LUT: 800}, 0.30)
+	_, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.LUT: 800}, PartitionSpec{OverProvision: 0.30})
 	if err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("want rows-overflow error, got %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRowsForOverflow(t *testing.T) {
 
 func TestRowsForEmptyPartition(t *testing.T) {
 	dev := testDevice(fpga.ResourceVec{fpga.LUT: 1000})
-	rows, util, err := rowsFor(dev, 0, fpga.ResourceVec{}, 0.30)
+	rows, util, err := rowsFor(dev, 0, fpga.ResourceVec{}, PartitionSpec{OverProvision: 0.30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRowsForEmptyPartition(t *testing.T) {
 func TestRowsForMissingResource(t *testing.T) {
 	// A device with zero BRAM cannot host BRAM usage at any size.
 	dev := testDevice(fpga.ResourceVec{fpga.LUT: 1000})
-	_, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.BRAM: 1}, 0.30)
+	_, _, err := rowsFor(dev, 0, fpga.ResourceVec{fpga.BRAM: 1}, PartitionSpec{OverProvision: 0.30})
 	if err == nil || !strings.Contains(err.Error(), "BRAM") {
 		t.Fatalf("want missing-BRAM error, got %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRowsForWorstResourceWins(t *testing.T) {
 	// LUT needs 2 rows, FF needs 7: the region must satisfy both.
 	dev := testDevice(fpga.ResourceVec{fpga.LUT: 1000, fpga.FF: 1000})
 	usage := fpga.ResourceVec{fpga.LUT: 150, fpga.FF: 500}
-	rows, _, err := rowsFor(dev, 0, usage, 0.30) // ER: 195 -> 2 rows, 650 -> 7 rows
+	rows, _, err := rowsFor(dev, 0, usage, PartitionSpec{OverProvision: 0.30}) // ER: 195 -> 2 rows, 650 -> 7 rows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,12 @@ func TestRowsForWorstResourceWins(t *testing.T) {
 }
 
 func TestOverProvisionCoefficient(t *testing.T) {
-	if got := (PartitionSpec{}).c(); got != DefaultOverProvision {
-		t.Errorf("zero coefficient should default to %v, got %v", DefaultOverProvision, got)
+	usage := fpga.ResourceVec{fpga.LUT: 100, fpga.FF: 10}
+	if got := (PartitionSpec{}).Demand(usage); got != (fpga.ResourceVec{fpga.LUT: 130, fpga.FF: 13}) {
+		t.Errorf("zero coefficient should default to %v: demand %v", DefaultOverProvision, got)
 	}
-	if got := (PartitionSpec{OverProvision: 0.5}).c(); got != 0.5 {
-		t.Errorf("explicit coefficient overridden: %v", got)
+	if got := (PartitionSpec{OverProvision: 0.5}).Demand(usage); got != (fpga.ResourceVec{fpga.LUT: 150, fpga.FF: 15}) {
+		t.Errorf("explicit coefficient overridden: demand %v", got)
 	}
 }
 

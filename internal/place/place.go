@@ -35,11 +35,27 @@ type PartitionSpec struct {
 	OverProvision float64
 }
 
-func (p PartitionSpec) c() float64 {
-	if p.OverProvision == 0 {
-		return DefaultOverProvision
+// LookupSpec returns the partition spec with the given name.
+func LookupSpec(specs []PartitionSpec, name string) (PartitionSpec, bool) {
+	for _, s := range specs {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return p.OverProvision
+	return PartitionSpec{}, false
+}
+
+// Demand returns the over-provisioned resource demand of a partition
+// that uses usage: ER = usage × (1 + c) per resource (§3.5).
+func (p PartitionSpec) Demand(usage fpga.ResourceVec) fpga.ResourceVec {
+	c := p.OverProvision
+	if c == 0 {
+		c = DefaultOverProvision
+	}
+	for i := range usage {
+		usage[i] = int(float64(usage[i]) * (1 + c))
+	}
+	return usage
 }
 
 // TilePos locates a cell on the device.
@@ -179,8 +195,8 @@ func Place(net *synth.ModuleNetlist, dev *fpga.Device, specs []PartitionSpec, ho
 			return nil, err
 		}
 		for _, name := range iterated {
-			spec := specByName(specs, name)
-			rows, util, err := rowsFor(dev, debugSLR, p.Usage[name], spec.c())
+			spec, _ := LookupSpec(specs, name)
+			rows, util, err := rowsFor(dev, debugSLR, p.Usage[name], spec)
 			if err != nil {
 				return nil, fmt.Errorf("place: partition %q: %w", name, err)
 			}
@@ -316,15 +332,6 @@ func validateSpecs(specs []PartitionSpec) error {
 	return nil
 }
 
-func specByName(specs []PartitionSpec, name string) PartitionSpec {
-	for _, s := range specs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return PartitionSpec{}
-}
-
 // partitionFor assigns an instance path to the partition whose path
 // prefix matches.
 func partitionFor(path string, specs []PartitionSpec) string {
@@ -361,11 +368,7 @@ func partitionsOf(cells []synth.FlatCell, specs []PartitionSpec) []string {
 func chooseDebugSLR(dev *fpga.Device, specs []PartitionSpec, usage map[string]fpga.ResourceVec) (int, error) {
 	var demand fpga.ResourceVec
 	for _, s := range specs {
-		u := usage[s.Name]
-		for i := range u {
-			u[i] = int(float64(u[i]) * (1 + s.c()))
-		}
-		demand.Add(u)
+		demand.Add(s.Demand(usage[s.Name]))
 	}
 	best, bestSlack := -1, -1.0
 	for _, i := range dev.RingOrder() {
@@ -386,15 +389,16 @@ func chooseDebugSLR(dev *fpga.Device, specs []PartitionSpec, usage map[string]fp
 
 // rowsFor sizes a partition's region: enough full-width rows that every
 // resource type satisfies Atotal >= max_resource ER (§3.5).
-func rowsFor(dev *fpga.Device, slrIdx int, usage fpga.ResourceVec, c float64) (rows int, util float64, err error) {
+func rowsFor(dev *fpga.Device, slrIdx int, usage fpga.ResourceVec, spec PartitionSpec) (rows int, util float64, err error) {
 	slr := dev.SLRs[slrIdx]
 	perRow := fpga.Region{SLR: slrIdx, Rows: 1, Cols: slr.Cols}.Capacity(dev)
+	demand := spec.Demand(usage)
 	rows = 1
 	for _, res := range fpga.Resources() {
 		if usage[res] == 0 {
 			continue
 		}
-		er := int(float64(usage[res]) * (1 + c))
+		er := demand[res]
 		if perRow[res] == 0 {
 			return 0, 0, fmt.Errorf("SLR %d has no %s capacity", slrIdx, res)
 		}
@@ -438,7 +442,11 @@ func (p *Placement) placePartition(name string, idx []int32) error {
 		return fmt.Errorf("place: partition %q has cells but no region", name)
 	}
 	// Enumerate tiles across all of the partition's regions.
-	var tiles []TilePos
+	n := 0
+	for _, r := range regions {
+		n += r.Tiles()
+	}
+	tiles := make([]TilePos, 0, n)
 	for _, r := range regions {
 		for row := r.Row; row < r.Row+r.Rows; row++ {
 			for col := r.Col; col < r.Col+r.Cols; col++ {

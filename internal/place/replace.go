@@ -83,11 +83,7 @@ func Replace(prev *Placement, base, net *synth.ModuleNetlist, specs []PartitionS
 	for _, r := range regions {
 		capacity.Add(r.Capacity(prev.Device))
 	}
-	er := usage
-	for i := range er {
-		er[i] = int(float64(er[i]) * (1 + spec.c()))
-	}
-	if !er.Fits(capacity) {
+	if er := spec.Demand(usage); !er.Fits(capacity) {
 		return nil, 0, fmt.Errorf("place: partition %q grew beyond its reserved region (need %v, have %v)",
 			changed, er, capacity)
 	}
@@ -478,14 +474,4 @@ func (sp *splice) outside(n *synth.ModuleNetlist) []outRow {
 	}
 	walk(n, "")
 	return rows
-}
-
-// LookupSpec returns the partition spec with the given name.
-func LookupSpec(specs []PartitionSpec, name string) (PartitionSpec, bool) {
-	for _, s := range specs {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return PartitionSpec{}, false
 }

@@ -21,8 +21,16 @@ type Edge struct {
 	SLRHops  int // chiplet crossings
 }
 
+// Work returns the routing work units an edge costs: one, plus one per
+// 16 tiles it spans.
+func (e Edge) Work() int64 { return int64(1 + e.Dist/16) }
+
 // Result is the routed design.
 type Result struct {
+	// Edges lists the routed edges consumer by consumer in flat-table
+	// order, each consumer's in the order of its drivers, so every cell's
+	// fanin edges form one contiguous run. Hooks must keep that order:
+	// timing.Analyze refuses edges not grouped by consumer.
 	Edges []Edge
 
 	TotalWirelength int64
@@ -53,12 +61,15 @@ func Route(pl *place.Placement, hooks ...Hook) (*Result, error) {
 		toPos := tiles[i]
 		for _, d := range cells[i].Drivers {
 			fromPos := tiles[d]
-			dist := abs(fromPos.Row-toPos.Row) + abs(fromPos.Col-toPos.Col)
-			hops := abs(fromPos.SLR - toPos.SLR)
-			r.Edges = append(r.Edges, Edge{Src: d, Dst: int32(i), Dist: dist, SLRHops: hops})
-			r.TotalWirelength += int64(dist)
-			r.SLRCrossings += hops
-			r.WorkUnits += int64(1 + dist/16)
+			e := Edge{
+				Src: d, Dst: int32(i),
+				Dist:    abs(fromPos.Row-toPos.Row) + abs(fromPos.Col-toPos.Col),
+				SLRHops: abs(fromPos.SLR - toPos.SLR),
+			}
+			r.Edges = append(r.Edges, e)
+			r.TotalWirelength += int64(e.Dist)
+			r.SLRCrossings += e.SLRHops
+			r.WorkUnits += e.Work()
 		}
 	}
 	for _, h := range hooks {
@@ -68,7 +79,7 @@ func Route(pl *place.Placement, hooks ...Hook) (*Result, error) {
 }
 
 // DropEdge removes the i-th routed edge together with its wirelength,
-// crossing and work accounting.
+// crossing and work accounting, keeping the other edges in order.
 func (r *Result) DropEdge(i int) {
 	if i < 0 || i >= len(r.Edges) {
 		return
@@ -77,7 +88,7 @@ func (r *Result) DropEdge(i int) {
 	r.Edges = append(r.Edges[:i], r.Edges[i+1:]...)
 	r.TotalWirelength -= int64(e.Dist)
 	r.SLRCrossings -= e.SLRHops
-	r.WorkUnits -= int64(1 + e.Dist/16)
+	r.WorkUnits -= e.Work()
 }
 
 func abs(x int) int {

@@ -93,7 +93,7 @@ func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []str
 		st := job.Status()
 		resp.Value = job.ID()
 		resp.Lines = []string{farm.AttachLine(job.ID(), att)}
-		if terminalState(st.State) {
+		if st.State.Terminal() {
 			resp.Ran = 1
 			resp.Lines = append(resp.Lines, st.Line())
 		}
@@ -112,7 +112,7 @@ func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []str
 		st := job.Status()
 		resp.Value = job.ID()
 		resp.Lines = []string{st.Line()}
-		if terminalState(st.State) {
+		if st.State.Terminal() {
 			resp.Ran = 1
 		}
 		return resp
@@ -123,7 +123,7 @@ func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []str
 			resp.Err = wire.Errf(wire.CodeOp, "no compile job %d", req.Value)
 			return resp
 		}
-		if !terminalState(job.State()) && !held.drop(req.Value) {
+		if !job.State().Terminal() && !held.drop(req.Value) {
 			resp.Err = wire.Errf(wire.CodeForbidden,
 				"connection holds no reference on job %d", req.Value)
 			return resp
@@ -139,10 +139,6 @@ func handleCompile(ctx context.Context, f *farm.Farm, held *jobRefs, allow []str
 	}
 	resp.Err = wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)
 	return resp
-}
-
-func terminalState(s farm.State) bool {
-	return s == farm.StateDone || s == farm.StateFailed || s == farm.StateCancelled
 }
 
 func compileErr(err error) *wire.Error {

@@ -52,9 +52,6 @@ type Config struct {
 	// CompileCacheCap bounds the compile farm's shared checkpoint store
 	// (entries; 0 = unbounded).
 	CompileCacheCap int
-	// CompileSpeculate pre-warms the first debug edit of every freshly
-	// compiled design on the farm's own time.
-	CompileSpeculate bool
 }
 
 // Server is a running zoomied instance.
@@ -108,9 +105,8 @@ func New(cfg Config) *Server {
 		pool: NewPool(cfg.PoolSize),
 		reg:  obs.NewRegistry(),
 		farm: farm.New(farm.Config{
-			StoreCap:  cfg.CompileCacheCap,
-			Speculate: cfg.CompileSpeculate,
-			Logf:      cfg.Logf,
+			StoreCap: cfg.CompileCacheCap,
+			Logf:     cfg.Logf,
 		}),
 		sessions:  make(map[uint64]*session),
 		probeQuit: make(chan struct{}),

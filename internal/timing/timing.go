@@ -65,10 +65,12 @@ func (a *Analysis) MeetsFrequency(mhz float64) bool {
 	return a.CriticalNs <= period
 }
 
-// Analyze computes the longest paths of the routed design. Arrivals
-// propagate over the placement's flat cell table (place.Placement.Cells):
-// each routed edge names its producer and consumer by table index.
-func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, error) {
+// Analyze computes the longest paths of the routed design under
+// DefaultDelayModel. Arrivals propagate over the placement's flat cell
+// table (place.Placement.Cells): each routed edge names its producer and
+// consumer by table index.
+func Analyze(pl *place.Placement, rt *route.Result) (*Analysis, error) {
+	dm := DefaultDelayModel()
 	cells := pl.Cells
 	n := len(cells)
 	edges := rt.Edges
@@ -89,30 +91,44 @@ func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, e
 		return d * congestion[e.Dst]
 	}
 
-	// Each cell's fanin edges, in routed order, and each combinational
-	// cell's combinational users. State cells are path endpoints: their
-	// inputs terminate paths; their outputs launch with arrival 0.
+	// Each cell's fanin edges are one run of edges, which route.Result
+	// lists consumer by consumer: cell i's are edges[faninAt[i]:faninAt[i+1]].
+	// A combinational cell i's combinational users, in edge order, are
+	// users[usersAt[i]:usersAt[i+1]], and indeg counts each cell's
+	// combinational fanins. State cells are path endpoints: their inputs
+	// terminate paths; their outputs launch with arrival 0.
 	combinational := make([]bool, n)
 	for i := range cells {
 		combinational[i] = !cells[i].IsState
 	}
 	comb := func(i int32) bool { return combinational[i] }
-	faninAt, fanin := byCell(n, func(yield func(cell, edge int32)) {
-		for k := range edges {
-			yield(edges[k].Dst, int32(k))
-		}
-	})
+	faninAt := make([]int32, n+1)
+	usersAt := make([]int32, n+1)
 	indeg := make([]int32, n)
-	usersAt, users := byCell(n, func(yield func(cell, user int32)) {
-		for k := range edges {
-			e := &edges[k]
-			if comb(e.Src) && comb(e.Dst) {
-				yield(e.Src, e.Dst)
-			}
+	for k := range edges {
+		e := &edges[k]
+		if k > 0 && e.Dst < edges[k-1].Dst {
+			return nil, fmt.Errorf("timing: routed edges not grouped by consumer: edge %d feeds cell %d after edge %d fed cell %d",
+				k, e.Dst, k-1, edges[k-1].Dst)
 		}
-	})
-	for _, u := range users {
-		indeg[u]++
+		faninAt[e.Dst+1]++
+		if comb(e.Src) && comb(e.Dst) {
+			usersAt[e.Src+1]++
+			indeg[e.Dst]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		faninAt[i+1] += faninAt[i]
+		usersAt[i+1] += usersAt[i]
+	}
+	users := make([]int32, usersAt[n])
+	next := make([]int32, n)
+	copy(next, usersAt[:n])
+	for k := range edges {
+		if e := &edges[k]; comb(e.Src) && comb(e.Dst) {
+			users[next[e.Src]] = e.Dst
+			next[e.Src]++
+		}
 	}
 
 	an := &Analysis{}
@@ -121,7 +137,7 @@ func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, e
 	// producer it came from (-1 = none).
 	latest := func(i int32) (float64, int32) {
 		best, from := 0.0, int32(-1)
-		for _, k := range fanin[faninAt[i]:faninAt[i+1]] {
+		for k := faninAt[i]; k < faninAt[i+1]; k++ {
 			e := &edges[k]
 			d := edgeDelay(e)
 			if comb(e.Src) {
@@ -201,24 +217,6 @@ func Analyze(pl *place.Placement, rt *route.Result, dm DelayModel) (*Analysis, e
 	}
 	an.TopPaths = top
 	return an, nil
-}
-
-// byCell groups the values each yields by cell index, keeping each cell's
-// values in yield order: cell i's are vals[at[i]:at[i+1]].
-func byCell(n int, each func(yield func(cell, v int32))) (at, vals []int32) {
-	at = make([]int32, n+1)
-	each(func(i, _ int32) { at[i+1]++ })
-	for i := 0; i < n; i++ {
-		at[i+1] += at[i]
-	}
-	next := make([]int32, n)
-	copy(next, at[:n])
-	vals = make([]int32, at[n])
-	each(func(i, v int32) {
-		vals[next[i]] = v
-		next[i]++
-	})
-	return at, vals
 }
 
 // PathsThrough reports how many of the top paths terminate in cells whose

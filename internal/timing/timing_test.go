@@ -25,7 +25,7 @@ func analyze(t *testing.T, d *rtl.Design, specs []place.PartitionSpec) *Analysis
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := Analyze(pl, rt, DefaultDelayModel())
+	an, err := Analyze(pl, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +130,35 @@ func TestCongestionSlowsTightRegions(t *testing.T) {
 	if tight.CriticalNs < loose.CriticalNs-0.001 {
 		t.Errorf("tight region (%.3fns) faster than loose (%.3fns)",
 			tight.CriticalNs, loose.CriticalNs)
+	}
+}
+
+// TestAnalyzeRefusesUngroupedEdges: Analyze reads each cell's fanin edges
+// as one run of the routed order, so it refuses edges whose consumers are
+// out of that order, and accepts them once the order is restored.
+func TestAnalyzeRefusesUngroupedEdges(t *testing.T) {
+	net, err := synth.Synthesize(chainDesign(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := place.Place(net, fpga.NewU200(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := route.Route(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(rt.Edges) - 1
+	if rt.Edges[0].Dst == rt.Edges[last].Dst {
+		t.Fatal("chain routes every edge into one cell")
+	}
+	rt.Edges[0], rt.Edges[last] = rt.Edges[last], rt.Edges[0]
+	if _, err := Analyze(pl, rt); err == nil {
+		t.Error("Analyze accepted edges out of consumer order")
+	}
+	rt.Edges[0], rt.Edges[last] = rt.Edges[last], rt.Edges[0]
+	if _, err := Analyze(pl, rt); err != nil {
+		t.Errorf("Analyze refused the routed order: %v", err)
 	}
 }

@@ -81,9 +81,6 @@ type Options struct {
 	// the toolchain self-checker's mutation seam. Production compiles
 	// leave it nil.
 	Inject *Inject
-
-	Cost  CostModel
-	Delay timing.DelayModel
 }
 
 // WithDefaults returns the options with unset fields filled in — the
@@ -101,12 +98,6 @@ func (o *Options) defaults() {
 	}
 	if o.TargetMHz == 0 {
 		o.TargetMHz = 50
-	}
-	if o.Cost == (CostModel{}) {
-		o.Cost = DefaultCostModel()
-	}
-	if o.Delay == (timing.DelayModel{}) {
-		o.Delay = timing.DefaultDelayModel()
 	}
 	if len(o.Clocks) == 0 {
 		o.Clocks = []sim.ClockSpec{{Name: "clk", Period: 1}}
@@ -171,7 +162,7 @@ func Compile(d *rtl.Design, opts Options) (*Result, error) {
 // without doing further work.
 func CompileCtx(ctx context.Context, d *rtl.Design, opts Options) (*Result, error) {
 	opts.defaults()
-	return Run(ctx, d, opts, Flow{Name: "monolithic", Synth: flattened(d, opts)})
+	return Run(ctx, d, opts, Flow{Name: "monolithic", Synth: flattened(d)})
 }
 
 // The vendor's incremental mode skips this much of the placement and
@@ -193,7 +184,7 @@ func CompileIncremental(prev *Result, d *rtl.Design, opts Options) (*Result, err
 	opts.defaults()
 	return Run(context.Background(), d, opts, Flow{
 		Name:  "vendor-incremental",
-		Synth: flattened(d, opts),
+		Synth: flattened(d),
 		Place: func(net *synth.ModuleNetlist) (*place.Placement, int64, error) {
 			pl, work, err := opts.placeAll(net)
 			return pl, int64(float64(work) * (1 - vendorPlaceSkip)), err
@@ -208,13 +199,13 @@ func CompileIncremental(prev *Result, d *rtl.Design, opts Options) (*Result, err
 // flattened synthesizes the whole design and charges every instance's
 // cells: the vendor flows re-elaborate and re-optimize each instance, so
 // their work scales with total, not deduplicated, cells.
-func flattened(d *rtl.Design, opts Options) SynthFunc {
+func flattened(d *rtl.Design) SynthFunc {
 	return func(_ context.Context, c *synth.Cache) (*synth.ModuleNetlist, int, time.Duration, error) {
 		net, err := c.Module(d.Top)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		return net, net.TotalCellCount, time.Duration(net.TotalCellCount) * opts.Cost.SynthPerCell, nil
+		return net, net.TotalCellCount, time.Duration(net.TotalCellCount) * DefaultCostModel().SynthPerCell, nil
 	}
 }
 
@@ -274,8 +265,10 @@ func (o Options) CheckpointStore(s synth.Store) synth.Store {
 // then link when the flow links, then the image unless opts.SkipImage.
 // Each phase is gated on ctx and announced through flow.OnPhase, and
 // synthesis maps through a cache of this compile's own over the flow's
-// store. opts must carry its defaults (Options.WithDefaults).
+// store, and every phase is charged at DefaultCostModel. opts must carry
+// its defaults (Options.WithDefaults).
 func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, error) {
+	cost := DefaultCostModel()
 	enter := func(phase string) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("toolchain: cancelled before %s: %w", phase, err)
@@ -289,7 +282,7 @@ func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, 
 	rep := &res.Report
 	rep.Flow = flow.Name
 	if !flow.Resident {
-		rep.Start = opts.Cost.Startup
+		rep.Start = cost.Startup
 	}
 
 	if err := enter(PhaseSynth); err != nil {
@@ -320,7 +313,7 @@ func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, 
 	}
 	res.Placement = pl
 	rep.CellsPlaced = placeWork
-	rep.Place = time.Duration(placeWork) * opts.Cost.PlacePerUnit
+	rep.Place = time.Duration(placeWork) * cost.PlacePerUnit
 
 	if err := enter(PhaseRoute); err != nil {
 		return nil, err
@@ -332,7 +325,7 @@ func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, 
 	if err := enter(PhaseTiming); err != nil {
 		return nil, err
 	}
-	if res.Timing, err = timing.Analyze(pl, res.Routing, opts.Delay); err != nil {
+	if res.Timing, err = timing.Analyze(pl, res.Routing); err != nil {
 		return nil, fmt.Errorf("toolchain: timing: %w", err)
 	}
 	rep.FmaxMHz = res.Timing.FmaxMHz
@@ -343,20 +336,20 @@ func Run(ctx context.Context, d *rtl.Design, opts Options, flow Flow) (*Result, 
 	}
 	routeWork, timingWork, frames := charge(res)
 	rep.RouteUnits = routeWork
-	rep.Route = time.Duration(routeWork) * opts.Cost.RoutePerUnit
-	rep.Timing = time.Duration(timingWork) * opts.Cost.TimingPerUnit
+	rep.Route = time.Duration(routeWork) * cost.RoutePerUnit
+	rep.Timing = time.Duration(timingWork) * cost.TimingPerUnit
 
 	if err := enter(PhaseBitgen); err != nil {
 		return nil, err
 	}
 	rep.FramesEmitted = frames
-	rep.Bitgen = time.Duration(frames) * opts.Cost.BitgenPerFrame
+	rep.Bitgen = time.Duration(frames) * cost.BitgenPerFrame
 
 	if flow.Link {
 		if err := enter(PhaseLink); err != nil {
 			return nil, err
 		}
-		rep.Link = time.Duration(opts.Device.TotalFrames()) * opts.Cost.LinkPerFrame
+		rep.Link = time.Duration(opts.Device.TotalFrames()) * cost.LinkPerFrame
 	}
 
 	if !opts.SkipImage {

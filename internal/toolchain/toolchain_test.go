@@ -124,8 +124,8 @@ func TestDefaultsApplied(t *testing.T) {
 	if res.Options.Device == nil || res.Options.TargetMHz != 50 {
 		t.Errorf("defaults not applied: %+v", res.Options)
 	}
-	if res.Options.Cost == (CostModel{}) {
-		t.Error("cost model not defaulted")
+	if res.Report.Start != DefaultCostModel().Startup {
+		t.Errorf("startup charged %v, want the default cost model's %v", res.Report.Start, DefaultCostModel().Startup)
 	}
 }
 

@@ -79,8 +79,8 @@ func CompileCtx(ctx context.Context, d *rtl.Design, opts toolchain.Options, co C
 			}
 			maxCells = max(maxCells, coldCells(c, d.Top, net)-partCold)
 			// Design split and reset insertion: a linear pass over the design.
-			t := time.Duration(maxCells)*opts.Cost.SynthPerCell +
-				time.Duration(net.TotalCellCount)*opts.Cost.SynthPerCell/20
+			perCell := toolchain.DefaultCostModel().SynthPerCell
+			t := time.Duration(maxCells)*perCell + time.Duration(net.TotalCellCount)*perCell/20
 			return net, maxCells, t, nil
 		},
 		Store:   store,
@@ -146,7 +146,7 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 				return nil, 0, 0, err
 			}
 			cells := c.CellCount()
-			return net, cells, time.Duration(cells) * opts.Cost.SynthPerCell, nil
+			return net, cells, time.Duration(cells) * toolchain.DefaultCostModel().SynthPerCell, nil
 		},
 		// Everything outside the partition keeps its tiles and frame
 		// addresses; the partition is re-placed inside its reserved region.
@@ -166,7 +166,7 @@ func (r *Result) RecompileCtx(ctx context.Context, newDesign *rtl.Design, partit
 			}
 			for _, e := range out.Routing.Edges {
 				if inPart[e.Src] || inPart[e.Dst] {
-					routeWork += int64(1 + e.Dist/16)
+					routeWork += e.Work()
 				}
 				if inPart[e.Dst] {
 					timingWork++

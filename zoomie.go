@@ -53,7 +53,6 @@ import (
 	"zoomie/internal/rtl"
 	"zoomie/internal/sim"
 	"zoomie/internal/sva"
-	"zoomie/internal/timing"
 	"zoomie/internal/toolchain"
 	"zoomie/internal/vti"
 )
@@ -136,8 +135,6 @@ type (
 	VTIResult = vti.Result
 	// ClockSpec declares a clock domain (period/phase in ticks).
 	ClockSpec = sim.ClockSpec
-	// DelayModel holds the static-timing constants.
-	DelayModel = timing.DelayModel
 )
 
 // Compile runs the monolithic (vendor-style) flow.
@@ -254,7 +251,7 @@ type DebugConfig struct {
 	// ExtraClocks lists additional free-running clock domains of the
 	// design (the user clock and the debug clock are always included).
 	ExtraClocks []ClockSpec
-	// Compile options (device, partitions, cost/delay models) — Clocks
+	// Compile options (device, partitions, target frequency) — Clocks
 	// and Gates are filled in automatically.
 	Compile CompileOptions
 	// LeaseBoard, when set, supplies the board the compiled image is
@@ -266,9 +263,6 @@ type DebugConfig struct {
 	// JTAG cable and the board and enables the resilient transport
 	// (retry, verified reads, CRC verify-after-write). Nil costs nothing.
 	Faults *FaultInjector
-	// Guard enables the resilient transport without fault injection —
-	// verify and retry against a clean link, for overhead measurement.
-	Guard bool
 	// History tunes (or disables) time-travel recording; nil means
 	// recording on with defaults. See HistoryConfig.
 	History *HistoryConfig
@@ -379,7 +373,7 @@ func Debug(d *Design, cfg DebugConfig) (*Session, error) {
 		board = fpga.NewBoard(res.Options.Device)
 	}
 	debugger, err := dbg.AttachWithOptions(board, res.Image, meta,
-		jtag.Options{Faults: cfg.Faults, Guard: cfg.Guard})
+		jtag.Options{Faults: cfg.Faults})
 	if err != nil {
 		return nil, err
 	}
