@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -202,9 +203,9 @@ func fleetOverheadTable() error {
 }
 
 // fleetShedTable drives more attaches than the fleet has capacity for:
-// the overflow must be refused fast with CodeOverloaded, and
-// auto-reconnect clients honoring the retry-after hint must all land
-// once earlier sessions release.
+// the overflow must be refused fast with CodeOverloaded, and clients
+// retrying after the retry-after hint must all land once earlier
+// sessions release.
 func fleetShedTable() error {
 	_, fa, _, _, cleanup, err := fleetBench(2, fleet.Config{MaxPerDaemon: 2, RetryAfterMS: 25})
 	if err != nil {
@@ -253,21 +254,19 @@ func fleetShedTable() error {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			c, derr := client.DialOptions(fa, client.Options{
-				AutoReconnect: true, MaxRedials: 100, RedialBackoff: 10 * time.Millisecond,
-			})
+			c, derr := client.Dial(fa)
 			if derr != nil {
 				return
 			}
 			defer c.Close()
 			t0 := time.Now()
-			s, aerr := c.Attach("counter")
+			sid, aerr := attachRetrying(c, "counter")
 			if aerr == nil {
 				mu.Lock()
 				retryOK++
 				retryLat = append(retryLat, time.Since(t0))
 				mu.Unlock()
-				s.Detach()
+				c.Call(&wire.Request{Op: wire.OpDetach, Session: sid})
 			}
 		}()
 	}
@@ -290,6 +289,25 @@ func fleetShedTable() error {
 		retryOK, nRetry,
 		percentile(retryLat, 0.99).Round(time.Millisecond))
 	return nil
+}
+
+// attachRetrying attaches a design and returns its session id, retrying
+// a shed attach up to 100 times. Each retry waits the retry-after hint
+// the shed response carries in Value, doubled per attempt up to 5 s,
+// plus up to 50% random jitter, so shed clients spread out instead of
+// colliding again on the same tick.
+func attachRetrying(c *client.Client, design string) (uint64, error) {
+	for attempt := 0; ; attempt++ {
+		resp, err := c.Call(&wire.Request{Op: wire.OpAttach, Design: design})
+		if err == nil {
+			return resp.Session, nil
+		}
+		if attempt == 100 || !wire.IsCode(err, wire.CodeOverloaded) {
+			return 0, err
+		}
+		d := min(time.Duration(resp.Value)*time.Millisecond<<min(attempt, 16), 5*time.Second)
+		time.Sleep(d + time.Duration(rand.Int63n(int64(d)/2+1)))
+	}
 }
 
 // fleetBlastTable kills one of two daemons under live load and measures

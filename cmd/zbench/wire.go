@@ -36,13 +36,13 @@ func wireExp(int) error {
 // request (the interactive hot path) and a 64-item batched peek.
 func wireCodecTable() error {
 	peek := wire.Req(&wire.Request{ID: 7, Op: wire.OpPeek, Session: 3,
-		Client: 2, Seq: 991, Name: "dut.core.alu.acc"})
+		Name: "dut.core.alu.acc"})
 	items := make([]wire.BatchItem, 64)
 	for i := range items {
 		items[i] = wire.BatchItem{Name: fmt.Sprintf("dut.cluster.core%d.pc", i)}
 	}
 	batch := wire.Req(&wire.Request{ID: 8, Op: wire.OpPeekBatch, Session: 3,
-		Client: 2, Seq: 992, Items: items})
+		Items: items})
 
 	fmt.Println()
 	fmt.Printf("%-22s %10s %9s\n", "codec benchmark", "v3 ns/op", "v3 allocs")

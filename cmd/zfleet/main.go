@@ -1,8 +1,8 @@
 // Command zfleet is the federated board-farm coordinator: one frontend
 // over many zoomied daemons, each daemon a failure domain. Clients
 // connect to zfleet exactly as they would to a single zoomied — the
-// wire protocol, the REPL, auto-reconnect and replay dedupe all work
-// unchanged — while the coordinator heartbeats the daemons, places
+// wire protocol and the REPL work unchanged — while the coordinator
+// heartbeats the daemons, places
 // sessions on the least-loaded one behind admission control (per-daemon
 // caps plus a fleet-wide token bucket; over capacity, new attaches shed
 // fast with a typed overload error and retry-after hint), checkpoints

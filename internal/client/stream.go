@@ -35,8 +35,7 @@ type Stream struct {
 // design). window is the credit grant — the server never has more than
 // this many frames in flight unacknowledged (0 means 32). intervalMS is
 // the server-side flush/poll cadence (0 means the server default).
-// Streams do not survive a reconnect (Recv reports closed; reopen on the
-// fresh connection).
+// A stream ends with its connection: Recv then reports closed.
 func (c *Client) OpenStream(kind string, session uint64, window, intervalMS int) (*Stream, error) {
 	if window <= 0 {
 		window = 32
@@ -165,8 +164,7 @@ func (c *Client) dropStream(id uint64) {
 }
 
 // dropAllStreamsLocked closes every stream channel; callers hold c.mu.
-// Used when the connection dies or is replaced — server-side stream
-// state does not survive either.
+// Used when the connection dies, which ends its server-side streams.
 func (c *Client) dropAllStreamsLocked() {
 	for id, ch := range c.streams {
 		delete(c.streams, id)

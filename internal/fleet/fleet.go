@@ -1,8 +1,8 @@
 // Package fleet is the federated board-farm coordinator: one process
 // fronting many zoomied daemons. Clients reach it through the daemon's
-// own serving layer (server.Hub: connection, hello, streams, replay
-// cache, broadcast), so `zoomie -connect` and internal/client work
-// through it unchanged; the coordinator adds only its dispatch switch
+// own serving layer (server.Hub: connection, hello, streams,
+// broadcast), so `zoomie -connect` and internal/client work through it
+// unchanged; the coordinator adds only its dispatch switch
 // and forwarded stream kinds (front.go). Each daemon is a failure domain. The coordinator leases
 // them with heartbeat probing (suspicion after consecutive misses,
 // exponential-backoff requalification after quarantine), places new
@@ -16,8 +16,7 @@
 // checkpoint are journaled, and when a daemon dies, partitions, or
 // wedges, the session is rebuilt on a healthy daemon from checkpoint +
 // deterministic journal replay — breakpoints, pause state and history
-// intact, invisible to an auto-reconnecting client except for a
-// session_migrated event.
+// intact, invisible to its client except for a session_migrated event.
 package fleet
 
 import (
@@ -309,8 +308,7 @@ func (co *Coordinator) checkpoint(ctx context.Context, cli *client.Client, rsid 
 // Sessions and commands are the coordinator's own view; the robustness
 // counters map onto the fleet equivalents so `zoomie> status` renders
 // meaningfully against a coordinator; the transport counters (bytes,
-// events, reconnects, replay hits, streams) are the serving layer's, as
-// on a daemon.
+// events, streams) are the serving layer's, as on a daemon.
 func (co *Coordinator) Stats() *wire.Stats {
 	co.mu.Lock()
 	active := int64(len(co.sessions))

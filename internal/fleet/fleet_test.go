@@ -223,8 +223,8 @@ func TestFleetRefusesCompileOps(t *testing.T) {
 
 // TestFleetOverloadShed fills the fleet to capacity and requires the
 // next attach to be refused fast with the typed overload error and a
-// retry-after hint — and an auto-reconnect client to ride the backoff
-// to success once capacity frees up.
+// retry-after hint, existing sessions to keep working, and an attach to
+// land once a slot frees.
 func TestFleetOverloadShed(t *testing.T) {
 	_, a := startDaemon(t, server.Config{})
 	_, b := startDaemon(t, server.Config{})
@@ -260,40 +260,26 @@ func TestFleetOverloadShed(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("shed took %v, want fast refusal", d)
 	}
+	resp, err := c.Call(&wire.Request{Op: wire.OpAttach, Design: "counter"})
+	if !wire.IsCode(err, wire.CodeOverloaded) || resp == nil || resp.Value != 25 {
+		t.Fatalf("over-capacity attach answered %+v, %v; want CodeOverloaded with a 25 ms retry-after hint", resp, err)
+	}
 
 	// Existing sessions keep working at capacity.
 	if err := s1.Step(5); err != nil {
 		t.Fatalf("existing session under overload: %v", err)
 	}
 
-	// An auto-reconnect client retries the shed attach with backoff and
-	// wins once a slot frees.
-	cr, err := client.DialOptions(fa, client.Options{
-		AutoReconnect: true, MaxRedials: 40, RedialBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cr.Close()
-	done := make(chan error, 1)
-	go func() {
-		s, aerr := cr.Attach("counter")
-		if aerr == nil {
-			aerr = s.Step(1)
-		}
-		done <- aerr
-	}()
-	time.Sleep(80 * time.Millisecond) // let at least one shed+backoff happen
+	// A freed slot admits the next attach.
 	if err := s1.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case aerr := <-done:
-		if aerr != nil {
-			t.Fatalf("backed-off attach failed: %v", aerr)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("backed-off attach never succeeded after capacity freed")
+	s3, err := c.Attach("counter")
+	if err != nil {
+		t.Fatalf("attach after a slot freed: %v", err)
+	}
+	if err := s3.Step(1); err != nil {
+		t.Fatal(err)
 	}
 }
 

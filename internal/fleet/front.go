@@ -11,9 +11,9 @@ import (
 )
 
 // The coordinator's front end: what zfleet answers differently from a
-// daemon. The connection, the hello, the credit-window streams, the
-// replay cache and the event broadcast are the daemon's own serving
-// layer (server.Hub); the coordinator adds its dispatch switch
+// daemon. The connection, the hello, the credit-window streams and the
+// event broadcast are the daemon's own serving layer (server.Hub); the
+// coordinator adds its dispatch switch
 // (placement, drain, fleet stat, forwarding to session actors) and its
 // forwarded stream kinds.
 
@@ -55,7 +55,7 @@ func (co *Coordinator) dispatch(c *server.Conn, req *wire.Request) {
 
 // shed answers an attach with the typed overload refusal: CodeOverloaded
 // plus a retry-after hint in milliseconds in Value. Fast refusal, never
-// a hang — a client with auto-reconnect backs off and retries.
+// a hang: a client that retries waits out the hint first.
 func (co *Coordinator) shed(req *wire.Request, retryAfterMS int, why string) *wire.Response {
 	co.ctr.Sheds.Inc()
 	return &wire.Response{ID: req.ID,

@@ -64,8 +64,6 @@ type fsession struct {
 	// checkpointFailed records that a checkpoint refresh failed and was
 	// logged.
 	checkpointFailed bool
-	// replay answers front-client reconnect replays.
-	replay server.ReplayCache
 }
 
 func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID uint64, checkpoint []byte) *fsession {
@@ -78,7 +76,6 @@ func newFsession(co *Coordinator, id uint64, design string, home *daemon, remote
 		homeD:      home,
 		remoteSID:  remoteSID,
 		checkpoint: checkpoint,
-		replay:     server.NewReplayCache(co.hub),
 	}
 }
 
@@ -177,10 +174,6 @@ func (fs *fsession) handle(r *fsreq) {
 		return
 	}
 
-	if resp := fs.replay.Hit(req); resp != nil {
-		r.reply(resp)
-		return
-	}
 	fs.co.ctr.Commands.Inc()
 
 	if req.Op == wire.OpDetach {
@@ -196,7 +189,6 @@ func (fs *fsession) handle(r *fsreq) {
 	}
 
 	resp := fs.forward(r.ctx, req)
-	fs.replay.Store(req, resp)
 	// A mutating op that failed after it ran, such as an until whose
 	// trigger never fired, changed state too, so a failover must replay it.
 	if (resp.Err == nil || resp.Err.OpFailed()) && server.Mutating(req.Op) {
@@ -399,21 +391,17 @@ func (fs *fsession) poison(werr *wire.Error) {
 }
 
 // isConnFailure classifies an error from a backend call: true means the
-// daemon link itself failed (poisoned client, lost connection) rather
-// than the command. Op-level wire errors — including timeouts and
-// cancellations — are real answers and are returned to the client.
-func isConnFailure(err error) bool {
-	if werr, ok := err.(*wire.Error); ok {
-		return werr.Code == wire.CodeConnLost
-	}
-	return true
-}
+// daemon link itself failed (the client's connection was lost or closed:
+// CodeConnLost) rather than the command. Op-level wire errors —
+// including timeouts and cancellations — are real answers and are
+// returned to the client.
+func isConnFailure(err error) bool { return wire.IsCode(err, wire.CodeConnLost) }
 
 // backendReq is the copy of a client's request sent to a daemon: no
-// front-connection identity (ID, client, sequence) and the daemon-side
-// session id. A shallow copy: slices are never mutated downstream.
+// front-connection request id and the daemon-side session id. A shallow
+// copy: slices are never mutated downstream.
 func backendReq(r *wire.Request, rsid uint64) *wire.Request {
 	c := *r
-	c.ID, c.Client, c.Seq, c.Session = 0, 0, 0, rsid
+	c.ID, c.Session = 0, rsid
 	return &c
 }

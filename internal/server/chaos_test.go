@@ -1,15 +1,19 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zoomie"
 	"zoomie/internal/client"
+	"zoomie/internal/dbg"
 	"zoomie/internal/faults"
 	"zoomie/internal/server"
 	"zoomie/internal/wire"
@@ -604,7 +608,7 @@ func TestQuarantineCooldownRequalifies(t *testing.T) {
 }
 
 // flakyProxy is a TCP relay whose connections can be severed on demand —
-// the cable cutter for reconnect tests.
+// the cable cutter for connection-loss tests.
 type flakyProxy struct {
 	ln     net.Listener
 	target string
@@ -647,7 +651,7 @@ func (p *flakyProxy) accept() {
 }
 
 // sever cuts every live relayed connection (the listener stays up, so
-// redials succeed).
+// a fresh dial goes through).
 func (p *flakyProxy) sever() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -657,28 +661,47 @@ func (p *flakyProxy) sever() {
 	p.conns = nil
 }
 
-// TestClientAutoReconnect severs the TCP connection under a live session
-// and asserts the client bridges the outage invisibly: it redials,
-// re-presents its identity, replays what was pending, and subsequent
-// calls see the same session with its breakpoint and pause state intact.
-func TestClientAutoReconnect(t *testing.T) {
-	srv, addr := startServer(t, server.Config{PoolSize: 2})
+// cutOnWrite is a client connection that severs the proxy it dials
+// through as the next armed write starts, so the request that write
+// carries is in flight when the connection goes.
+type cutOnWrite struct {
+	net.Conn
+	armed *atomic.Bool
+	cut   func()
+}
+
+func (c cutOnWrite) Write(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		c.cut()
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDroppedConnectionFailsFast severs a client's connection with a
+// call in flight. That call and every later one fail with CodeConnLost,
+// promptly, and an open stream reports closed. The session outlives the
+// connection: a second connection drives it by id and finds it paused
+// with its breakpoint armed, until the idle timeout reaps it.
+func TestDroppedConnectionFailsFast(t *testing.T) {
+	const idle = 2 * time.Second
+	_, addr := startServer(t, server.Config{PoolSize: 2, IdleTimeout: idle})
 	proxy := newFlakyProxy(t, addr)
 
+	var armed atomic.Bool
 	c, err := client.DialOptions(proxy.addr(), client.Options{
-		CallTimeout:   30 * time.Second,
-		AutoReconnect: true,
-		RedialBackoff: 10 * time.Millisecond,
+		CallTimeout: 30 * time.Second,
+		Dial: func(network, addr string) (net.Conn, error) {
+			nc, err := net.Dial(network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return cutOnWrite{nc, &armed, proxy.sever}, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cid := c.ClientID()
-	if cid == 0 {
-		t.Fatal("no client identity assigned at hello")
-	}
-
 	sess, err := c.Attach("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -686,109 +709,94 @@ func TestClientAutoReconnect(t *testing.T) {
 	if err := sess.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.SetValueBreakpoint("q", 400, 1); err != nil {
+	if err := sess.SetValueBreakpoint("q", 400, dbg.BreakAny); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Poke("cnt", 350); err != nil {
 		t.Fatal(err)
 	}
-
-	// Cut the cable. The next calls must block through the outage and
-	// complete on the replacement connection.
-	proxy.sever()
-	got, err := sess.Peek("cnt")
+	st, err := c.OpenStream(wire.StreamCounters, 0, 0, 5)
 	if err != nil {
-		t.Fatalf("peek across reconnect: %v", err)
-	}
-	if got != 350 {
-		t.Fatalf("peek across reconnect: cnt=%d, want 350", got)
-	}
-	if c.ClientID() != cid {
-		t.Fatalf("client identity changed across reconnect: %d -> %d", cid, c.ClientID())
-	}
-
-	// Session state survived: still paused, breakpoint still armed.
-	if paused, err := sess.Paused(); err != nil || !paused {
-		t.Fatalf("paused=%v err=%v after reconnect, want paused", paused, err)
-	}
-	if err := sess.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunUntilPaused(1 << 14); err != nil {
+
+	// The in-flight call fails with CodeConnLost within a bound, not at
+	// the 30 s call timeout.
+	armed.Store(true)
+	start := time.Now()
+	if _, err := sess.Peek("cnt"); !wire.IsCode(err, wire.CodeConnLost) {
+		t.Fatalf("in-flight peek across the cut: %v, want CodeConnLost", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the in-flight peek took %v to fail", d)
+	}
+	// Every later call fails the same way, without touching the wire.
+	for name, call := range map[string]func() error{
+		"step":   func() error { return sess.Step(1) },
+		"status": func() error { _, err := c.ServerStats(); return err },
+		"attach": func() error { _, err := c.Attach("counter"); return err },
+	} {
+		if err := call(); !wire.IsCode(err, wire.CodeConnLost) {
+			t.Errorf("%s after the cut: %v, want CodeConnLost", name, err)
+		}
+	}
+	// The open stream reports closed, not a timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		if _, ok := st.RecvCtx(ctx); !ok {
+			break
+		}
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the stream was still open 5s after its connection was cut")
+	}
+
+	// A second connection drives the same session by id: still paused,
+	// the peek's state intact, the breakpoint still armed.
+	c2, err := client.Dial(proxy.addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ = sess.Peek("cnt"); got != 400 {
-		t.Fatalf("breakpoint after reconnect paused at cnt=%d, want 400", got)
+	defer c2.Close()
+	do := func(req *wire.Request) *wire.Response {
+		t.Helper()
+		req.Session = sess.ID
+		resp, err := c2.Call(req)
+		if err != nil {
+			t.Fatalf("%s from a second connection: %v", req.Op, err)
+		}
+		return resp
+	}
+	if !do(&wire.Request{Op: wire.OpSessStat}).Paused {
+		t.Fatal("the session did not stay paused across the cut")
+	}
+	if v := do(&wire.Request{Op: wire.OpPeek, Name: "cnt"}).Value; v != 350 {
+		t.Fatalf("cnt=%d after the cut, want 350", v)
+	}
+	if err := c2.Subscribe(sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	do(&wire.Request{Op: wire.OpResume})
+	do(&wire.Request{Op: wire.OpUntil, N: 1 << 14})
+	if v := do(&wire.Request{Op: wire.OpPeek, Name: "cnt"}).Value; v != 400 {
+		t.Fatalf("the breakpoint paused at cnt=%d, want 400", v)
 	}
 
-	// Sever again mid-burst to shake the replay path with several calls
-	// in flight, then verify events still flow on the new connection.
-	proxy.sever()
-	for i := 0; i < 5; i++ {
-		if err := sess.Step(1); err != nil {
-			t.Fatalf("step %d across second reconnect: %v", i, err)
+	// Left alone, the session idles out.
+	timeout := time.After(idle + 10*time.Second)
+	for detached := false; !detached; {
+		select {
+		case ev := <-c2.Events():
+			detached = ev.Kind == wire.EvtDetached && ev.Session == sess.ID
+			if detached && !strings.HasPrefix(ev.Detail, "idle for") {
+				t.Fatalf("session detached: %q, want the idle timeout", ev.Detail)
+			}
+		case <-timeout:
+			t.Fatal("the session outlived its idle timeout")
 		}
 	}
-
-	st := srv.Stats()
-	if st.Reconnects < 2 {
-		t.Errorf("reconnects=%d, want >=2", st.Reconnects)
+	if _, err := c2.Call(&wire.Request{Op: wire.OpPeek, Session: sess.ID, Name: "cnt"}); !wire.IsCode(err, wire.CodeNoSession) {
+		t.Fatalf("peek after the idle timeout: %v, want CodeNoSession", err)
 	}
-}
-
-// TestReplayDedup drives the wire protocol by hand to prove the replay
-// cache on both front ends: the same (client, seq) step request sent
-// twice executes once — the second send is answered from cache, and the
-// design advances by one step, not two.
-func TestReplayDedup(t *testing.T) {
-	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
-		stats, addr := fe.start(t, server.Config{PoolSize: 1})
-		rc := dialRaw(t, addr)
-		cid := rc.cid
-
-		att := rc.call(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"})
-		sid := att.Session
-		rc.call(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: cid, Seq: 1})
-		rc.call(&wire.Request{ID: 4, Op: wire.OpPoke, Session: sid, Client: cid, Seq: 2, Name: "cnt", Value: 100})
-
-		// The same sequenced step, sent twice (as a reconnecting client
-		// would replay it): the counter must advance exactly once.
-		step := &wire.Request{ID: 5, Op: wire.OpStep, Session: sid, Client: cid, Seq: 3, N: 1}
-		rc.call(step)
-		rc.call(step)
-
-		peek := rc.call(&wire.Request{ID: 6, Op: wire.OpPeek, Session: sid, Client: cid, Seq: 4, Name: "cnt"})
-		if peek.Value != 101 {
-			t.Fatalf("after duplicated step cnt=%d, want 101 (step executed twice?)", peek.Value)
-		}
-		if st := stats(); st.ReplayHits != 1 {
-			t.Errorf("replay_hits=%d, want 1", st.ReplayHits)
-		}
-	})
-}
-
-// TestReplayDedupTwoClients pins that the replay cache keeps one ring per
-// client: while client A's sequenced step waits to be replayed, client B
-// sends a ring's worth of sequenced peeks to the same session, and A's
-// replay must still be answered from cache, not executed again.
-func TestReplayDedupTwoClients(t *testing.T) {
-	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
-		_, addr := fe.start(t, server.Config{PoolSize: 1})
-		a, b := dialRaw(t, addr), dialRaw(t, addr)
-
-		sid := a.call(&wire.Request{ID: 2, Op: wire.OpAttach, Design: "counter"}).Session
-		a.call(&wire.Request{ID: 3, Op: wire.OpPause, Session: sid, Client: a.cid, Seq: 1})
-		a.call(&wire.Request{ID: 4, Op: wire.OpPoke, Session: sid, Client: a.cid, Seq: 2, Name: "cnt", Value: 100})
-		step := &wire.Request{ID: 5, Op: wire.OpStep, Session: sid, Client: a.cid, Seq: 3, N: 1}
-		a.call(step)
-		for i := uint64(1); i <= 16; i++ {
-			b.call(&wire.Request{ID: 10 + i, Op: wire.OpPeek, Session: sid, Client: b.cid, Seq: i, Name: "cnt"})
-		}
-		a.call(step) // A's reconnect replay of the step
-
-		peek := a.call(&wire.Request{ID: 6, Op: wire.OpPeek, Session: sid, Client: a.cid, Seq: 4, Name: "cnt"})
-		if peek.Value != 101 {
-			t.Fatalf("after A's replayed step cnt=%d, want 101 (B's peeks evicted A's step)", peek.Value)
-		}
-	})
 }

@@ -78,49 +78,3 @@ func startFleetOver(t *testing.T, cfg server.Config) (func() *wire.Stats, string
 		}
 	}
 }
-
-// rawClient drives the wire by hand: the JSON hello, then binary frames,
-// one request at a time.
-type rawClient struct {
-	t   *testing.T
-	nc  net.Conn
-	cid uint64 // the client identity the hello assigned
-}
-
-func dialRaw(t *testing.T, addr string) *rawClient {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	// The hello travels in JSON; every later frame in the binary codec.
-	if _, err := wire.WriteMessage(nc, wire.Req(&wire.Request{ID: 1, Op: wire.OpHello, Version: wire.Version})); err != nil {
-		t.Fatal(err)
-	}
-	hello, _, err := wire.ReadMessage(nc)
-	if err != nil || hello.Resp == nil || hello.Resp.Err != nil {
-		t.Fatalf("hello: %+v, %v", hello, err)
-	}
-	return &rawClient{t: t, nc: nc, cid: hello.Resp.Client}
-}
-
-// call sends one request and returns its response, skipping events.
-func (rc *rawClient) call(req *wire.Request) *wire.Response {
-	rc.t.Helper()
-	if _, err := wire.WriteMessageV(rc.nc, wire.Req(req), wire.Version); err != nil {
-		rc.t.Fatal(err)
-	}
-	for {
-		m, _, err := wire.ReadMessageV(rc.nc, wire.Version)
-		if err != nil {
-			rc.t.Fatal(err)
-		}
-		if m.T == wire.TResp {
-			if m.Resp.Err != nil {
-				rc.t.Fatalf("%s: %v", req.Op, m.Resp.Err)
-			}
-			return m.Resp
-		}
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
@@ -18,10 +17,9 @@ import (
 // both run it, so a client cannot tell which one it dialed: the same
 // hello (wire.ServeHello), the same binary codec after it, the same
 // outbox and coalesced write loop, subscriptions, event broadcast,
-// credit-window streams (stream.go), per-client replay cache and
-// transport counters. A front end supplies only what differs: its
-// dispatch switch, its stream kinds beyond counters, and what a dying
-// connection releases.
+// credit-window streams (stream.go) and transport counters. A front end
+// supplies only what differs: its dispatch switch, its stream kinds
+// beyond counters, and what a dying connection releases.
 
 // Frontend is a front end's share of the serving layer.
 type Frontend struct {
@@ -55,8 +53,6 @@ type transport struct {
 	BytesOut      *obs.Counter `obs:"bytes_out"`
 	Events        *obs.Counter `obs:"events"`
 	EventsDropped *obs.Counter `obs:"events_dropped"`
-	Reconnects    *obs.Counter `obs:"reconnects"`
-	ReplayHits    *obs.Counter `obs:"replay_hits"`
 	StreamsOpened *obs.Counter `obs:"streams_opened"`
 	StreamFrames  *obs.Counter `obs:"stream_frames"`
 	StreamEvents  *obs.Counter `obs:"stream_events"`
@@ -75,8 +71,6 @@ type Hub struct {
 	fe Frontend
 	wg *sync.WaitGroup // the front end's: its shutdown waits for the layer's goroutines too
 	tr *transport
-
-	nextClient atomic.Uint64 // hub-assigned client identities
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -366,10 +360,7 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// handshake serves the hello that opens the connection. A hello
-// carrying a client id is a reconnect: the client keeps its identity so
-// replayed in-flight requests dedupe against the replay caches. A fresh
-// client gets the next id.
+// handshake serves the hello that opens the connection.
 func (c *Conn) handshake() bool {
 	h := c.h
 	write := func(m *wire.Message) {
@@ -378,77 +369,7 @@ func (c *Conn) handshake() bool {
 		c.wmu.Unlock()
 		h.tr.BytesOut.Add(uint64(n))
 	}
-	n, ok := wire.ServeHello(c.nc, write, func(cid uint64) uint64 {
-		if cid == 0 {
-			return h.nextClient.Add(1)
-		}
-		h.tr.Reconnects.Inc()
-		h.fe.Logf("%s: client %d reconnected", h.fe.Name, cid)
-		return cid
-	})
+	n, ok := wire.ServeHello(c.nc, write)
 	h.tr.BytesIn.Add(uint64(n))
 	return ok
-}
-
-// ReplayCache remembers each client's most recent sequenced responses,
-// so a request replayed after a reconnect is answered from cache instead
-// of executing twice — the idempotency half of auto-reconnect. Each
-// client has a ring of its own: another client's traffic never evicts a
-// reconnecting client's entries. A cache belongs to one session actor
-// and is not safe for concurrent use.
-type ReplayCache struct {
-	h     *Hub // counts the hits
-	rings map[uint64]*replayRing
-}
-
-// replayRing is one client's last replayDepth sequenced responses.
-type replayRing struct {
-	seqs  [replayDepth]uint64
-	resps [replayDepth]*wire.Response
-	n     int
-}
-
-// replayDepth bounds one client's ring. Clients replay only requests
-// that were in flight when the connection died, so a handful of slots
-// suffices.
-const replayDepth = 16
-
-// NewReplayCache returns an empty cache whose hits count in h's
-// transport counters.
-func NewReplayCache(h *Hub) ReplayCache {
-	return ReplayCache{h: h, rings: make(map[uint64]*replayRing)}
-}
-
-// Hit answers a replayed sequenced request from the cache, or returns
-// nil.
-func (rc *ReplayCache) Hit(req *wire.Request) *wire.Response {
-	if req.Client == 0 || req.Seq == 0 {
-		return nil
-	}
-	if r := rc.rings[req.Client]; r != nil {
-		for i, s := range r.seqs {
-			if s == req.Seq {
-				rc.h.tr.ReplayHits.Inc()
-				out := *r.resps[i]
-				out.ID = req.ID
-				return &out
-			}
-		}
-	}
-	return nil
-}
-
-// Store remembers a sequenced request's response.
-func (rc *ReplayCache) Store(req *wire.Request, resp *wire.Response) {
-	if req.Client == 0 || req.Seq == 0 {
-		return
-	}
-	r := rc.rings[req.Client]
-	if r == nil {
-		r = &replayRing{}
-		rc.rings[req.Client] = r
-	}
-	r.seqs[r.n] = req.Seq
-	r.resps[r.n] = resp
-	r.n = (r.n + 1) % replayDepth
 }

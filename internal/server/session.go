@@ -76,7 +76,6 @@ type session struct {
 
 	// Actor-local state (only the actor goroutine touches these).
 	lastPaused bool
-	replay     ReplayCache
 	folded     cableCounts // the current board's counts already in the registry
 }
 
@@ -102,7 +101,6 @@ func newSession(id uint64, design string, zs *zoomie.Session, srv *Server) *sess
 		srv:    srv,
 		reqs:   make(chan task, queueDepth),
 		quit:   make(chan struct{}),
-		replay: NewReplayCache(srv.hub),
 	}
 }
 
@@ -145,9 +143,9 @@ func (s *session) loop() {
 		select {
 		case t := <-s.reqs:
 			if housekeeping(t.req.Op) {
-				// Probes and ILA polls are housekeeping: no replay, no
-				// latency sample, and crucially no idle-timer reset — a
-				// probed or streamed session must still idle out.
+				// Probes and ILA polls are housekeeping: no latency sample,
+				// and crucially no idle-timer reset — a probed or streamed
+				// session must still idle out.
 				resp, detach := s.handle(t)
 				s.fold()
 				t.reply(resp)
@@ -157,17 +155,12 @@ func (s *session) loop() {
 				}
 				continue
 			}
-			if cached := s.replay.Hit(t.req); cached != nil {
-				t.reply(cached)
-				continue
-			}
 			start := time.Now()
 			resp, detach := s.handle(t)
 			s.srv.ctr.Latency.Observe(time.Since(start).Microseconds())
 			s.srv.ctr.CommandsServed.Inc()
 			s.srv.ctr.Commands.Inc()
 			s.fold()
-			s.replay.Store(t.req, resp)
 			if detach {
 				// Acknowledge once the session is unregistered, so a
 				// client whose detach returned no longer finds it counted.

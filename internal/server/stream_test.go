@@ -326,82 +326,32 @@ func TestStreamEndsWithProducer(t *testing.T) {
 	})
 }
 
-// TestReconnectStreamReopenTypedCodes runs two daemons side by side and
-// severs one client's connection mid-session: the reconnect replays the
-// in-flight peek, a stream open across the cut dies cleanly and reopens
-// on the fresh connection, and typed errors classify identically on
-// both daemons.
-func TestReconnectStreamReopenTypedCodes(t *testing.T) {
-	_, addr3 := startServer(t, server.Config{PoolSize: 1})
-	_, addr2 := startServer(t, server.Config{PoolSize: 1})
-
-	proxy := newFlakyProxy(t, addr3)
-	c3, err := client.DialOptions(proxy.addr(), client.Options{
-		AutoReconnect: true,
-		RedialBackoff: 10 * time.Millisecond,
-		CallTimeout:   30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	c2, err := client.Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	s3, err := c3.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c2.Attach("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*client.Session{s3, s2} {
+// TestTypedCodesAgreeAcrossDaemons runs two daemons side by side:
+// identical misuse classifies identically on both, and both errors
+// unwrap to the same sentinel.
+func TestTypedCodesAgreeAcrossDaemons(t *testing.T) {
+	var errs [2]error
+	for i := range errs {
+		_, addr := startServer(t, server.Config{PoolSize: 1})
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		s, err := c.Attach("counter")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Pause(); err != nil {
 			t.Fatal(err)
 		}
+		_, errs[i] = s.PeekMem("cnt", 0)
 	}
-
-	// A stream is open on the severed connection when the cable is cut; it
-	// must die cleanly (Recv reports closed) and be reopenable after the
-	// reconnect, not wedge the client.
-	st, err := c3.OpenStream(wire.StreamCounters, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
+	var we0, we1 *wire.Error
+	if !errors.As(errs[0], &we0) || !errors.As(errs[1], &we1) || we0.Code != we1.Code {
+		t.Fatalf("daemons disagreed on typed code: %v vs %v", errs[0], errs[1])
 	}
-	proxy.sever()
-	if v, err := s3.Peek("cnt"); err != nil {
-		t.Fatalf("peek across reconnect: %v (v=%d)", err, v)
-	}
-	closed := false
-	for i := 0; i < 100 && !closed; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, ok := st.RecvCtx(ctx)
-		expired := ctx.Err() != nil
-		cancel()
-		closed = !ok && !expired
-	}
-	if !closed {
-		t.Error("pre-outage stream did not close after reconnect")
-	}
-	st2, err := c3.OpenStream(wire.StreamCounters, 0, 0, 5)
-	if err != nil {
-		t.Fatalf("reopen stream after reconnect: %v", err)
-	}
-	st2.Close()
-
-	// Identical misuse classifies identically on both daemons, and both
-	// errors unwrap to the same sentinel.
-	_, err3 := s3.PeekMem("cnt", 0)
-	_, err2 := s2.PeekMem("cnt", 0)
-	var we3, we2 *wire.Error
-	if !errors.As(err3, &we3) || !errors.As(err2, &we2) || we3.Code != we2.Code {
-		t.Errorf("daemons disagreed on typed code: %v vs %v", err3, err2)
-	}
-	if !errors.Is(err3, we3.Unwrap()) || we3.Unwrap() == nil {
-		t.Errorf("error does not unwrap to its sentinel: %v", err3)
+	if !errors.Is(errs[0], we0.Unwrap()) || we0.Unwrap() == nil {
+		t.Errorf("error does not unwrap to its sentinel: %v", errs[0])
 	}
 }

@@ -186,6 +186,16 @@ type field[T any] struct {
 	get func(*codec.Decoder, *T)
 }
 
+// retired is the slot of a uvarint field no longer sent. Its presence
+// bit stays taken, and a value an older v3 peer still sends there is
+// read and dropped, so that peer keeps working.
+func retired[T any]() field[T] {
+	return field[T]{
+		has: func(*T) bool { return false },
+		get: func(d *codec.Decoder, _ *T) { d.Uvarint() },
+	}
+}
+
 // table lists a message's optional fields in presence-bit order.
 type table[T any] []field[T]
 
@@ -241,12 +251,8 @@ var requestFields = table[Request]{
 	{func(r *Request) bool { return r.Session != 0 },
 		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Session) },
 		func(d *codec.Decoder, r *Request) { r.Session = d.Uvarint() }},
-	{func(r *Request) bool { return r.Client != 0 },
-		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Client) },
-		func(d *codec.Decoder, r *Request) { r.Client = d.Uvarint() }},
-	{func(r *Request) bool { return r.Seq != 0 },
-		func(b []byte, r *Request) []byte { return codec.AppendUvarint(b, r.Seq) },
-		func(d *codec.Decoder, r *Request) { r.Seq = d.Uvarint() }},
+	retired[Request](), // the client identity
+	retired[Request](), // the request sequence number
 	{func(r *Request) bool { return r.Design != "" },
 		func(b []byte, r *Request) []byte { return codec.AppendString(b, r.Design) },
 		func(d *codec.Decoder, r *Request) { r.Design = d.String() }},
@@ -335,9 +341,7 @@ var responseFields = table[Response]{
 	{func(r *Response) bool { return r.Version != 0 },
 		func(b []byte, r *Response) []byte { return codec.AppendVarint(b, int64(r.Version)) },
 		func(d *codec.Decoder, r *Response) { r.Version = d.Int() }},
-	{func(r *Response) bool { return r.Client != 0 },
-		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Client) },
-		func(d *codec.Decoder, r *Response) { r.Client = d.Uvarint() }},
+	retired[Response](), // the hello's client identity
 	{func(r *Response) bool { return r.Session != 0 },
 		func(b []byte, r *Response) []byte { return codec.AppendUvarint(b, r.Session) },
 		func(d *codec.Decoder, r *Response) { r.Session = d.Uvarint() }},
@@ -572,9 +576,6 @@ func NewEncoder(w io.Writer, _ int) *Encoder {
 	return &Encoder{w: w, buf: make([]byte, 0, 1024)}
 }
 
-// Reset points the encoder at a new connection (client reconnect).
-func (e *Encoder) Reset(w io.Writer) { e.w = w; e.buf = e.buf[:0] }
-
 // Queue appends one frame to the pending buffer without writing it.
 // Combined with Flush this coalesces many small frames (batch responses,
 // event bursts) into one syscall.
@@ -635,9 +636,6 @@ func NewDecoder(r io.Reader, _ int) *Decoder {
 	d.dec.Intern()
 	return d
 }
-
-// Reset points the decoder at a new connection (client reconnect).
-func (d *Decoder) Reset(r io.Reader) { d.r = r }
 
 // SetReuse opts into struct reuse: each Next overwrites the previously
 // returned message. Only safe when every message is fully consumed

@@ -11,7 +11,7 @@ import (
 // including enum escapes (unknown op/code strings) and boundary values.
 func codecMessages() []*Message {
 	return []*Message{
-		Req(&Request{ID: 1, Op: OpHello, Version: Version, Client: 42, Seq: 7}),
+		Req(&Request{ID: 1, Op: OpHello, Version: Version}),
 		Req(&Request{ID: 2, Op: OpAttach, Design: "counter"}),
 		Req(&Request{ID: 3, Op: OpPeek, Session: 9, Name: "dut.count"}),
 		Req(&Request{ID: 4, Op: OpPoke, Session: 9, Name: "dut.count", Value: ^uint64(0)}),
@@ -24,7 +24,7 @@ func codecMessages() []*Message {
 		}}),
 		Req(&Request{ID: 10, Op: "customop", Prefix: "dut.", Stream: 3}),
 		Req(&Request{ID: 11, Op: OpStreamOpen, Session: 9, Name: StreamCounters, N: 64, Value: 10}),
-		Resp(&Response{ID: 1, Version: 3, Client: 42}),
+		Resp(&Response{ID: 1, Version: 3}),
 		Resp(&Response{ID: 2, Session: 9, Design: "counter", Device: "U200", Report: "ok", Watches: []string{"w1", "w2"}}),
 		Resp(&Response{ID: 3, Value: 0xdeadbeef}),
 		Resp(&Response{ID: 4, Err: Errf(CodeIsMemory, "%q is a memory", "m")}),
@@ -206,7 +206,7 @@ type discard struct{ n int }
 func (d *discard) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
 func benchPeekReq() *Message {
-	return Req(&Request{ID: 12345, Op: OpPeek, Session: 3, Client: 7, Seq: 99, Name: "dut.datapath.alu.result"})
+	return Req(&Request{ID: 12345, Op: OpPeek, Session: 3, Name: "dut.datapath.alu.result"})
 }
 
 func benchBatchResp() *Message {
@@ -245,7 +245,6 @@ func benchmarkDecode(b *testing.B, m *Message) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(frame)
-		dec.Reset(r)
 		if _, _, err := dec.Next(); err != nil {
 			b.Fatal(err)
 		}

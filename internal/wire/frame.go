@@ -65,12 +65,11 @@ func ReadMessage(r io.Reader) (*Message, int, error) {
 // zoomied and zfleet alike. It reads the first frame and refuses it with
 // CodeBadRequest unless it is an OpHello, or with CodeVersion when the
 // hello offers less than MinVersion; any other hello is answered with
-// Version and the client id assign returns for the one the hello
-// presented (0 on a first connect). Replies go out through write before
-// ServeHello returns, so a refused client reads the reason before the
-// connection closes. It returns the bytes read and whether the
-// connection goes on in the binary codec.
-func ServeHello(r io.Reader, write func(*Message), assign func(cid uint64) uint64) (int, bool) {
+// Version. Replies go out through write before ServeHello returns, so a
+// refused client reads the reason before the connection closes. It
+// returns the bytes read and whether the connection goes on in the
+// binary codec.
+func ServeHello(r io.Reader, write func(*Message)) (int, bool) {
 	m, n, err := ReadMessage(r)
 	if err != nil {
 		return n, false
@@ -84,7 +83,7 @@ func ServeHello(r io.Reader, write func(*Message), assign func(cid uint64) uint6
 			"protocol version %d, server speaks %d", m.Req.Version, Version)}))
 		return n, false
 	}
-	write(Resp(&Response{ID: m.Req.ID, Version: Version, Client: assign(m.Req.Client)}))
+	write(Resp(&Response{ID: m.Req.ID, Version: Version}))
 	return n, true
 }
 

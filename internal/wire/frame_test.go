@@ -120,3 +120,43 @@ func TestErrorHelpers(t *testing.T) {
 		t.Fatal("IsCode matched a non-wire error")
 	}
 }
+
+// TestOldV3Peer pins that a v3 peer built while requests still carried
+// a client identity and a sequence number keeps working. Its request
+// frames set presence bits 2 and 3 and write both values between the
+// session and the name; its servers' hello replies set bit 2 of the
+// response. Each decodes to the same message without them. A hello that
+// presents a client id is answered with the version, as any hello is.
+func TestOldV3Peer(t *testing.T) {
+	frame := func(body ...byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	for _, c := range []struct {
+		frame []byte
+		want  *Message
+	}{
+		// id 7, op 9 (peek), flags session|client|seq|name, session 3,
+		// client 42, seq 991, name "dut.q".
+		{frame('Q', 7, 9, 0x2e, 3, 42, 0xdf, 0x07, 5, 'd', 'u', 't', '.', 'q'),
+			Req(&Request{ID: 7, Op: OpPeek, Session: 3, Name: "dut.q"})},
+		// id 1, flags version|client, version 3 (zigzag), client 42.
+		{frame('S', 1, 0x06, 6, 42),
+			Resp(&Response{ID: 1, Version: Version})},
+	} {
+		got, _, err := ReadMessageV(bytes.NewReader(c.frame), Version)
+		if err != nil {
+			t.Fatalf("old frame %x: %v", c.frame, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("old frame %x decoded to %s, want %s", c.frame, dump(got), dump(c.want))
+		}
+	}
+
+	hello := []byte(`{"t":"req","req":{"id":1,"op":"hello","ver":3,"client":42,"seq":7}}`)
+	var replies []*Message
+	_, ok := ServeHello(bytes.NewReader(frame(hello...)), func(m *Message) { replies = append(replies, m) })
+	want := Resp(&Response{ID: 1, Version: Version})
+	if !ok || len(replies) != 1 || !reflect.DeepEqual(replies[0], want) {
+		t.Fatalf("hello with a client id: ok=%v replies %v, want %s", ok, replies, dump(want))
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // framesSHA pins the v3 encodings of pinnedMessages.
-const framesSHA = "31560d5d5a45d1207cbc91bafdf87a6a448671877a4199a5c450a3f966a2fcdd"
+const framesSHA = "a6104348cf003774423605ebfba85a8bfc521a6976da594c6a47a49c05473fd4"
 
 // pinnedMessages is codecMessages plus one request per op code, one
 // error response per error code and one event per event kind, so every

@@ -156,19 +156,10 @@ const (
 
 // Request is a client command. Unused fields stay zero and are omitted.
 type Request struct {
-	ID      uint64 `json:"id"`
-	Op      string `json:"op"`
-	Version int    `json:"ver,omitempty"`
-	Session uint64 `json:"sid,omitempty"`
-	// Client identifies the sending client across TCP connections: the
-	// server assigns it in the hello response and a reconnecting client
-	// presents it again so replayed requests dedupe. Zero on first hello.
-	Client uint64 `json:"client,omitempty"`
-	// Seq is the client's per-connection-independent request sequence
-	// number. Session actors remember recent (Client, Seq) results so a
-	// request replayed after a reconnect returns the original response
-	// instead of executing twice.
-	Seq     uint64   `json:"seq,omitempty"`
+	ID      uint64   `json:"id"`
+	Op      string   `json:"op"`
+	Version int      `json:"ver,omitempty"`
+	Session uint64   `json:"sid,omitempty"`
 	Design  string   `json:"design,omitempty"`
 	Name    string   `json:"name,omitempty"`
 	Prefix  string   `json:"prefix,omitempty"`
@@ -201,7 +192,6 @@ type Response struct {
 	ID      uint64 `json:"id"`
 	Err     *Error `json:"err,omitempty"`
 	Version int    `json:"ver,omitempty"`
-	Client  uint64 `json:"client,omitempty"` // hello: server-assigned client identity
 
 	Session uint64   `json:"sid,omitempty"`
 	Design  string   `json:"design,omitempty"`
@@ -282,16 +272,15 @@ type Stats struct {
 	PoolInUse      int64 `json:"pool_in_use"`
 	PoolDenied     int64 `json:"pool_denied"`
 
-	// Robustness counters (PR 3): board health, chaos recovery, client
-	// continuity. All zero when fault injection and probing are off.
+	// Robustness counters (PR 3): board health and chaos recovery. All
+	// zero when fault injection and probing are off.
 	PoolQuarantined int64 `json:"pool_quarantined"`  // boards currently quarantined
 	Quarantines     int64 `json:"quarantines"`       // boards ejected, lifetime
 	Probes          int64 `json:"probes"`            // health probes run
 	ProbeFailures   int64 `json:"probe_failures"`    // health probes that failed
 	Migrations      int64 `json:"migrations"`        // sessions moved to a fresh board
 	MigrationsFail  int64 `json:"migrations_failed"` // migrations that could not complete
-	Reconnects      int64 `json:"reconnects"`        // hellos presenting an existing client id
-	ReplayHits      int64 `json:"replay_hits"`       // replayed requests answered from cache
+	ReplayHits      int64 `json:"replay_hits"`       // always 0: no request is replayed (zperf still reads the field)
 	JtagRetries     int64 `json:"jtag_retries"`      // stream executions retried (transients)
 	JtagReReads     int64 `json:"jtag_rereads"`      // frame reads beyond the agreement depth
 	JtagRewrites    int64 `json:"jtag_rewrites"`     // frames rewritten after CRC mismatch
@@ -327,7 +316,7 @@ const (
 	CodeShutdown      = "shutdown"
 	CodeOp            = "op_failed"
 	CodeTimeout       = "timeout"      // client-side: no response within the call timeout
-	CodeConnLost      = "conn_lost"    // client-side: connection died and could not be restored
+	CodeConnLost      = "conn_lost"    // client-side: the connection died
 	CodeBoardFailed   = "board_failed" // board wedged/unrecoverable and no migration possible
 	CodeNoStream      = "no_stream"    // stream id unknown on this connection (v3+)
 
@@ -350,9 +339,9 @@ const (
 	// CodeOverloaded (v3+): admission control shed the request — the
 	// fleet (or a daemon) is at capacity and chose to refuse fast rather
 	// than queue. The response's Value field carries a retry-after hint
-	// in milliseconds; clients with auto-reconnect retry the attach after
-	// a jittered backoff instead of failing. Existing sessions are never
-	// shed — only new admissions. Unwraps to dberr.ErrOverloaded.
+	// in milliseconds for a caller that retries the attach. Existing
+	// sessions are never shed — only new admissions. Unwraps to
+	// dberr.ErrOverloaded.
 	CodeOverloaded = "overloaded"
 )
 
